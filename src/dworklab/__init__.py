@@ -5,6 +5,7 @@ from .errors import (
     ConfigError,
     CtxMismatch,
     DegenerateTuple,
+    DirectionOutOfRange,
     DworkLabError,
     IndexOutOfRange,
     NonUnitAtNegativeExponent,

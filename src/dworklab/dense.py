@@ -144,11 +144,33 @@ def dense_from_roots(ctx, pairs):
 
 
 def dense_div_linear(ctx, coeffs, root):
-    """Synthetic division by (t - root): returns (quotient, remainder)."""
+    """Synthetic division by (t - root): returns (quotient, remainder).
+
+    Each step is acc -> c + root * acc.  For m = 1 it runs on plain ints; for
+    m = 2 multiplication by root is the fixed 2x2 matrix M built once below,
+    so each step is acc -> (c + M acc) mod q on unrolled local ints.
+    """
     d = len(coeffs) - 1
     if d < 0:
         return [], ctx.zero()
-    quot = [ctx.zero()] * d
+    q = ctx.q
+    quot = [None] * d
+    if ctx.m == 1:
+        acc = coeffs[d]
+        for i in range(d - 1, -1, -1):
+            quot[i] = acc
+            acc = (coeffs[i] + root * acc) % q
+        return quot, acc
+    if ctx.m == 2:
+        m00, m10 = ctx.mul(root, (1, 0))
+        m01, m11 = ctx.mul(root, (0, 1))
+        a0, a1 = coeffs[d]
+        for i in range(d - 1, -1, -1):
+            quot[i] = (a0, a1)
+            c0, c1 = coeffs[i]
+            a0, a1 = ((c0 + m00 * a0 + m01 * a1) % q,
+                      (c1 + m10 * a0 + m11 * a1) % q)
+        return quot, (a0, a1)
     acc = coeffs[d]
     for i in range(d - 1, -1, -1):
         quot[i] = acc
@@ -163,10 +185,6 @@ def dense_div_linear_exact(ctx, coeffs, root):
     return quot
 
 
-def dense_diff_t(ctx, coeffs):
-    return [ctx.scal_int(c, k) for k, c in enumerate(coeffs)][1:]
-
-
 def dense_stride(ctx, coeffs, k):
     """Substitute t -> t^k."""
     if k == 1 or len(coeffs) <= 1:
@@ -175,13 +193,6 @@ def dense_stride(ctx, coeffs, k):
     for i, c in enumerate(coeffs):
         out[i * k] = c
     return out
-
-
-def dense_trim(ctx, coeffs):
-    i = len(coeffs)
-    while i > 0 and ctx.is_zero(coeffs[i - 1]):
-        i -= 1
-    return coeffs[:i]
 
 
 # -- (offset, coeffs) pairs for Laurent-style dense work ----------------------
@@ -209,8 +220,3 @@ def off_sub(ctx, A, B):
 def off_stride(ctx, A, k):
     off, co = A
     return off * k, dense_stride(ctx, co, k)
-
-
-def off_min_val(ctx, A):
-    _, co = A
-    return min((ctx.val(c) for c in co), default=ctx.N)

@@ -24,6 +24,7 @@ from .concurrency import pool_map
 from .errors import DegenerateTuple, PrecisionTooLow, SizeCapExceeded
 from .hasse_witt import (
     DenseCache,
+    check_direction,
     hw_det,
     hw_from_dense,
     hw_matrix,
@@ -472,6 +473,7 @@ def verify_derivative_congruence(tup, s, m=0, v=1, mode="symbolic", points=None)
     factor p^m z_v^(p^m - 1)."""
     if s < 1:
         raise ValueError("the derivative congruence needs s >= 1")
+    check_direction("v", v, tup.lam(0).n)
     tup.require_admissible()
     ctx = tup.ctx
     claimed = s + m
@@ -539,6 +541,8 @@ def verify_second_derivative_congruence(tup, s, u=1, v=1, mode="symbolic",
     modulo p^s (untwisted reading)."""
     if s < 1:
         raise ValueError("the second-derivative congruence needs s >= 1")
+    check_direction("u", u, tup.lam(0).n)
+    check_direction("v", v, tup.lam(0).n)
     tup.require_admissible()
     ctx = tup.ctx
     _require_precision(ctx, s)

@@ -21,6 +21,10 @@ class PrecisionTooLow(ConfigError):
     pass
 
 
+class DirectionOutOfRange(ConfigError):
+    """A z-direction index outside 1..n."""
+
+
 class SearchExhausted(DworkLabError):
     pass
 

@@ -16,7 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dense, ringmat
-from .errors import NotFactored, SingularModP, UnsupportedArity
+from .errors import (
+    DirectionOutOfRange,
+    NotFactored,
+    SingularModP,
+    UnsupportedArity,
+)
 from .laurent import LaurentPoly
 
 
@@ -146,10 +151,18 @@ def hw_inverse_at(Aw):
 
 
 class DenseCache:
-    """Caches dense specializations F(t, a) keyed by factored form and point."""
+    """Memo of dense specializations F(t, a) and of their linear quotients.
+
+    ``get`` keeps the (offset, coeffs) expansion of F at the point a, keyed by
+    the factored form and the point.  ``quotient`` keeps the exact quotient of
+    that expansion by (t - root), keyed by (factored form, point, root), so
+    the frames I_s, their z-derivatives and the derivatives of A(s, F) at one
+    point share n synthetic divisions.  Unfactored F is never memoized.
+    """
 
     def __init__(self):
         self._store = {}
+        self._quot = {}
 
     def get(self, F, a):
         a = tuple(a)
@@ -163,14 +176,40 @@ class DenseCache:
             self._store[key] = val
         return val
 
+    def quotient(self, F, a, root):
+        """(offset, coeffs) of F(t, a) / (t - root); NotDivisible if inexact."""
+        a = tuple(a)
+        key = (F.ctx, F.factored, a, root) if F.factored is not None else None
+        got = self._quot.get(key) if key is not None else None
+        if got is None:
+            off, co = self.get(F, a)
+            got = off, dense.dense_div_linear_exact(F.ctx, co, root)
+            if key is not None:
+                self._quot[key] = got
+        return got
+
+
+def check_direction(name, idx, n):
+    if not 1 <= idx <= n:
+        raise DirectionOutOfRange(
+            f"{name} = {idx} is outside the z-directions 1..{n}")
+
 
 def _factored_mult(F, z_index):
     if F.factored is None:
         raise NotFactored("operation needs a factored master-polynomial shape")
+    check_direction("direction", z_index, F.n)
     for (kind, val), e in F.factored:
         if kind == "z" and val == z_index:
             return e
     return 0
+
+
+def _scaled(Aw, k):
+    """Aw with its entries times the integer k: g^2 products, not one per
+    coefficient of the quotient."""
+    Aw.entries = ringmat.mat_scal(Aw.ring(), Aw.ctx.from_int(k), Aw.entries)
+    return Aw
 
 
 def hw_derivative_at(level, F, delta, a, v, cache=None, source=""):
@@ -187,11 +226,8 @@ def hw_derivative_at(level, F, delta, a, v, cache=None, source=""):
         zero = ctx.zero()
         return HWMatrix(ctx, level, delta, [[zero] * g for _ in range(g)], True, source)
     cache = cache or DenseCache()
-    off, co = cache.get(F, a)
-    quot = dense.dense_div_linear_exact(ctx, co, a[v - 1])
-    scale = ctx.from_int(-ev)
-    quot = [ctx.mul(scale, c) for c in quot]
-    return hw_from_dense(ctx, level, off, quot, delta, source)
+    off, quot = cache.quotient(F, a, a[v - 1])
+    return _scaled(hw_from_dense(ctx, level, off, quot, delta, source), -ev)
 
 
 def hw_second_derivative_at(level, F, delta, a, u, v, cache=None, source=""):
@@ -210,9 +246,6 @@ def hw_second_derivative_at(level, F, delta, a, u, v, cache=None, source=""):
         zero = ctx.zero()
         return HWMatrix(ctx, level, delta, [[zero] * g for _ in range(g)], True, source)
     cache = cache or DenseCache()
-    off, co = cache.get(F, a)
-    quot = dense.dense_div_linear_exact(ctx, co, a[u - 1])
+    off, quot = cache.quotient(F, a, a[u - 1])
     quot = dense.dense_div_linear_exact(ctx, quot, a[v - 1])
-    scale = ctx.from_int(factor)
-    quot = [ctx.mul(scale, c) for c in quot]
-    return hw_from_dense(ctx, level, off, quot, delta, source)
+    return _scaled(hw_from_dense(ctx, level, off, quot, delta, source), factor)

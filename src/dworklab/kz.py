@@ -27,9 +27,10 @@ from .errors import (
 )
 from .hasse_witt import (
     DenseCache,
+    check_direction,
     hw_det,
+    hw_from_dense,
     hw_matrix,
-    hw_matrix_at,
 )
 from .laurent import LaurentPoly
 from . import dense as dense_mod
@@ -152,19 +153,19 @@ def ps_solutions(cfg, s, a=None, cache=None):
             rows.append([q.coeff_t(idx) for idx in indices])
         return SolutionMatrix(cfg, s, rows, False, indices)
     cache = cache or DenseCache()
-    off, co = cache.get(phi, a)
-    rows = []
-    for i in range(1, cfg.n + 1):
-        quot = dense_mod.dense_div_linear_exact(ctx, co, a[i - 1])
-        row = []
-        for idx in indices:
-            k = idx - off
-            row.append(quot[k] if 0 <= k < len(quot) else ctx.zero())
-        rows.append(row)
+    rows = [_extract(ctx, *cache.quotient(phi, a, a[i - 1]), indices)
+            for i in range(1, cfg.n + 1)]
     return SolutionMatrix(cfg, s, rows, True, indices)
 
 
-def solution_coefficient(cfg, s, ell, i, a=None):
+def _extract(ctx, off, coeffs, indices):
+    """Coefficients of t^idx of the dense (off, coeffs), zero out of range."""
+    zero = ctx.zero()
+    return [coeffs[idx - off] if 0 <= idx - off < len(coeffs) else zero
+            for idx in indices]
+
+
+def solution_coefficient(cfg, s, ell, i, a=None, cache=None):
     """Single entry for any column index; zero outside 1..g."""
     ctx = cfg.ctx
     phi = master_polynomial(cfg, s)
@@ -172,20 +173,31 @@ def solution_coefficient(cfg, s, ell, i, a=None):
     if a is None:
         q = phi.synth_div_linear(z_index=i)
         return q.coeff_t(idx)
-    off, co = phi.dense_t(a)
-    quot = dense_mod.dense_div_linear_exact(ctx, co, a[i - 1])
-    k = idx - off
-    return quot[k] if 0 <= k < len(quot) else ctx.zero()
+    cache = cache or DenseCache()
+    return _extract(ctx, *cache.quotient(phi, a, a[i - 1]), (idx,))[0]
 
 
 def ps_solution_derivative(cfg, s, i, a=None, cache=None):
     """The n x g matrix of dI_s/dz_i entries.
 
     Row k, column l is the coefficient of t^(l p^s - 1) in
-    d(Phi_s/(t - z_k))/dz_i, computed from the factored form:
-    -e Phi_s/((t-z_i)(t-z_k)) off-diagonal and -(e-1) Phi_s/(t-z_i)^2 on it.
+    d(Phi_s/(t - z_k))/dz_i.  On the factored form this is -e D_ik off the
+    diagonal and -(e-1) D_ii on it, with D_ik = Phi_s/((t-z_i)(t-z_k)).
+
+    At a point a, with Q_k = Phi_s/(t - a_k) from the cache's quotient memo,
+    exact partial fractions over Z/p^N give, for k != i,
+
+        D_ik = (Q_i - Q_k) (a_i - a_k)^-1,
+        -(e-1) D_ii = -Q_i' + e sum_{k != i} D_ik   (Q_i' = dQ_i/dt),
+
+    the second from the product rule for Q_i'.  Only the g extracted
+    coefficients are formed, with Q_i'[idx] = (idx+1) Q_i[idx+1]; no second
+    division runs and e - 1 is never inverted.  If some a_i - a_k is not a
+    unit, the rows fall back to a second synthetic division of Q_i by
+    (t - a_k).
     """
     ctx = cfg.ctx
+    check_direction("i", i, cfg.n)
     e = cfg.exponent(s)
     ps = ctx.p**s
     phi = master_polynomial(cfg, s)
@@ -203,23 +215,37 @@ def ps_solution_derivative(cfg, s, i, a=None, cache=None):
             rows.append([d.coeff_t(idx) for idx in indices])
         return rows
     cache = cache or DenseCache()
-    off, co = cache.get(phi, a)
-    qi = dense_mod.dense_div_linear_exact(ctx, co, a[i - 1])
-    rows = []
-    for k in range(1, cfg.n + 1):
-        scale_int = -(e - 1) if k == i else -e
-        if scale_int % ctx.q == 0:
-            rows.append([ctx.zero()] * cfg.g)
-            continue
-        quot = dense_mod.dense_div_linear_exact(ctx, qi, a[k - 1])
-        scale = ctx.from_int(scale_int)
-        row = []
-        for idx in indices:
-            kk = idx - off
-            c = quot[kk] if 0 <= kk < len(quot) else ctx.zero()
-            row.append(ctx.mul(scale, c))
-        rows.append(row)
+    off, qi = cache.quotient(phi, a, a[i - 1])
+    others = [k for k in range(1, cfg.n + 1) if k != i]
+    diffs = {k: ctx.sub(a[i - 1], a[k - 1]) for k in others}
+    rows = [None] * cfg.n
+    if not all(ctx.is_unit(d) for d in diffs.values()):
+        for k in range(1, cfg.n + 1):
+            scale = -(e - 1) if k == i else -e
+            if scale % ctx.q == 0:
+                rows[k - 1] = [ctx.zero()] * cfg.g
+                continue
+            quot = dense_mod.dense_div_linear_exact(ctx, qi, a[k - 1])
+            rows[k - 1] = _scaled_row(ctx, scale,
+                                      _extract(ctx, off, quot, indices))
+        return rows
+    Qi = _extract(ctx, off, qi, indices)
+    diag = [ctx.neg(ctx.scal_int(c, idx + 1)) for c, idx in
+            zip(_extract(ctx, off, qi, [idx + 1 for idx in indices]), indices)]
+    E = ctx.from_int(e)
+    for k in others:
+        inv = ctx.inv(diffs[k])
+        Qk = _extract(ctx, *cache.quotient(phi, a, a[k - 1]), indices)
+        D = [ctx.mul(ctx.sub(x, y), inv) for x, y in zip(Qi, Qk)]
+        rows[k - 1] = _scaled_row(ctx, -e, D)
+        diag = [ctx.add(x, ctx.mul(E, d)) for x, d in zip(diag, D)]
+    rows[i - 1] = diag
     return rows
+
+
+def _scaled_row(ctx, k, row):
+    c = ctx.from_int(k)
+    return [ctx.mul(c, x) for x in row]
 
 
 def gaudin(cfg, i, a):
@@ -291,6 +317,8 @@ def kz_residual(cfg, s, i=None, mode="symbolic", points=None):
     pointwise), together with column sums = 0 mod p^s.
     """
     ctx = cfg.ctx
+    if i is not None:
+        check_direction("i", i, cfg.n)
     dirs = [i] if i is not None else list(range(1, cfg.n + 1))
     config = {"p": ctx.p, "N": ctx.N, "g": cfg.g, "s": s,
               "directions": dirs}
@@ -472,7 +500,7 @@ def verify_solution_congruence(cfg, s, mode="pointwise", points=None):
         frames = {}
         for lev in (s, s + 1):
             phi = master_polynomial(cfg, lev)
-            Aw = hw_matrix_at(lev, phi, cfg.delta, a)
+            Aw = hw_from_dense(ctx, lev, *cache.get(phi, a), cfg.delta)
             det = hw_det(Aw)
             if not ctx.is_unit(det):
                 raise OutsideDomain(
@@ -523,7 +551,7 @@ def verify_mod_p_stabilization(cfg, s_max, points):
 
         def frame(lev):
             phi = master_polynomial(cfg, lev)
-            Aw = hw_matrix_at(lev, phi, cfg.delta, a)
+            Aw = hw_from_dense(ctx, lev, *cache.get(phi, a), cfg.delta)
             if not ctx.is_unit(hw_det(Aw)):
                 raise OutsideDomain(f"point {idx} outside the unit-det domain")
             Ainv = ringmat.mat_inv_scalar(ctx, Aw.entries)
@@ -563,14 +591,6 @@ def first_row_gradient(cfg, s, a=None, cache=None):
             rows.append([d.coeff_t(idx) for idx in indices])
         return rows
     cache = cache or DenseCache()
-    off, co = cache.get(phi, a)
-    for i in range(1, cfg.n + 1):
-        quot = dense_mod.dense_div_linear_exact(ctx, co, a[i - 1])
-        scale = ctx.from_int(-e)
-        row = []
-        for idx in indices:
-            k = idx - off
-            c = quot[k] if 0 <= k < len(quot) else ctx.zero()
-            row.append(ctx.mul(scale, c))
-        rows.append(row)
-    return rows
+    return [_scaled_row(ctx, -e, _extract(ctx, *cache.quotient(phi, a, a[i - 1]),
+                                          indices))
+            for i in range(1, cfg.n + 1)]

@@ -55,20 +55,12 @@ def identity(ring, g):
     ]
 
 
-def mat_map(A, fn):
-    return [[fn(x) for x in row] for row in A]
-
-
 def mat_add(ring, A, B):
     return [[ring.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_sub(ring, A, B):
     return [[ring.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_neg(ring, A):
-    return mat_map(A, ring.neg)
 
 
 def mat_scal(ring, c, A):

@@ -75,3 +75,50 @@ def poly_divides(divisor, dividend, p):
                 rem[shift + i] = (rem[shift + i] - lead * c) % p
         rem.pop()
     return not any(c % p for c in rem)
+
+
+def coeff_neg(c, p, N, m):
+    q = p**N
+    return -c % q if m == 1 else tuple(-x % q for x in c)
+
+
+def oracle_div_linear(coeffs, root, p, N, m=1, modulus=None):
+    """Schoolbook division by (t - root), top coefficient down: (quot, rem)."""
+    rem = [coeff_reduce(c, p, N, m, modulus) for c in coeffs]
+    quot = [None] * (len(rem) - 1)
+    for k in range(len(rem) - 1, 0, -1):
+        quot[k - 1] = rem[k]
+        step = coeff_mul(rem[k], root, p, N, m, modulus)
+        rem[k - 1] = coeff_add(rem[k - 1], step, p, N, m)
+    return quot, rem[0]
+
+
+def oracle_kz_derivative(a, i, e, g, p, N, m=1, modulus=None):
+    """Rows of dI_s/dz_i at the point a by two divisions of the expanded
+    Phi_s = prod_j (t - a_j)^e, e = (p^s - 1)/2: row k, column l is the
+    coefficient of t^(l p^s - 1) in -e_ik Phi_s/((t - a_i)(t - a_k)), with
+    e_ik = e - [i == k]."""
+    q = p**N
+    one = 1 if m == 1 else (1,) + (0,) * (m - 1)
+    zero = coeff_reduce(0 if m == 1 else (0,) * m, p, N, m, modulus)
+    phi = [one]
+    for x in a:
+        for _ in range(e):
+            phi = oracle_dense_mul(phi, [coeff_neg(x, p, N, m), one], p, N, m,
+                                   modulus)
+    ps = 2 * e + 1
+    qi, rem = oracle_div_linear(phi, a[i - 1], p, N, m, modulus)
+    assert coeff_is_zero(rem, m)
+    rows = []
+    for k in range(1, len(a) + 1):
+        scale = -(e - 1) if k == i else -e
+        if scale % q == 0:
+            rows.append([zero] * g)
+            continue
+        d, rem = oracle_div_linear(qi, a[k - 1], p, N, m, modulus)
+        assert coeff_is_zero(rem, m)
+        sc = scale % q if m == 1 else (scale % q,) + (0,) * (m - 1)
+        rows.append([coeff_mul(sc, d[l * ps - 1], p, N, m, modulus)
+                     if l * ps - 1 < len(d) else zero
+                     for l in range(1, g + 1)])
+    return rows

@@ -66,6 +66,21 @@ def test_kz_verify_residual_pointwise():
     assert docs[0]["observed_min_valuation"] >= 3
 
 
+def test_bad_direction_is_a_configuration_error(capsys):
+    # an absent direction once passed vacuously (der) or raised IndexError
+    for argv in (
+        ["congruence", "--theorem", "der", "--p", "5", "--N", "5", "--s", "2",
+         "--g", "2", "--v", "9", "--points", "2", "--ext", "2"],
+        ["congruence", "--theorem", "der2", "--p", "5", "--N", "5", "--s", "2",
+         "--g", "2", "--u", "0", "--v", "9", "--points", "2", "--ext", "2"],
+        ["kz-verify", "--check", "residual", "--p", "5", "--N", "5", "--g", "2",
+         "--s", "2", "--i", "7", "--points", "2", "--ext", "2"],
+    ):
+        code, docs = invoke(argv)
+        assert code == 2 and docs == []
+        assert "outside the z-directions 1..5" in capsys.readouterr().err
+
+
 def test_kz_verify_other_checks():
     code, docs = invoke(
         ["kz-verify", "--check", "phi", "--p", "3", "--N", "3", "--g", "1",

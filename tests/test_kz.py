@@ -2,14 +2,17 @@ import pytest
 
 import dworklab as dl
 from dworklab import ringmat
-from dworklab.errors import NonUnitDifference
+from dworklab.errors import DirectionOutOfRange, NonUnitDifference, NotDivisible
+from dworklab.hasse_witt import DenseCache
 from dworklab.kz import (
     first_row_gradient,
+    ps_solution_derivative,
     solution_coefficient,
     verify_mod_p_stabilization,
 )
 from dworklab.laurent import LaurentPoly
 from conftest import seeded
+from oracles import oracle_kz_derivative
 
 
 def setup(p, N, g, m=1):
@@ -73,6 +76,76 @@ def test_gradient_relation_exact():
                 Ga[i][l] == ctx.mul(scal, Ia.entries[i][l])
                 for i in range(cfg.n) for l in range(cfg.g)
             )
+
+
+def _derivative_oracle(ctx, cfg, s, i, a):
+    return oracle_kz_derivative(a, i, cfg.exponent(s), cfg.g, ctx.p, ctx.N,
+                                ctx.m, ctx.modulus)
+
+
+def test_partial_fraction_derivative_matches_two_divisions():
+    for p, g, m in [(5, 1, 1), (7, 2, 1), (5, 1, 2), (5, 2, 2)]:
+        ctx, cfg = setup(p, 4, g, m)
+        rng = seeded(31 * p + 7 * g + m)
+        for s in (1, 2):
+            for pt in dl.sample_domain_points(p, g, m, 2, rng.randrange(99), ctx):
+                # any lift of an o-domain residue tuple stays in the o-domain
+                a = tuple(ctx.add(x, ctx.scal_int(ctx.rand(rng), p))
+                          for x in pt.lift)
+                cache = DenseCache()
+                for i in range(1, cfg.n + 1):
+                    got = ps_solution_derivative(cfg, s, i, a, cache=cache)
+                    assert got == _derivative_oracle(ctx, cfg, s, i, a)
+
+
+def test_derivative_fallback_at_non_unit_difference():
+    # a_1 = a_2 mod p: direction 1 takes the two-division path, direction 3
+    # still uses partial fractions
+    for p, m in ((7, 1), (5, 2)):
+        ctx, cfg = setup(p, 4, 2, m)
+        rng = seeded(40 + m)
+        (pt,) = dl.sample_domain_points(p, 2, m, 1, 3, ctx)
+        a = list(pt.lift)
+        a[1] = ctx.add(a[0], ctx.scal_int(ctx.rand_unit(rng), p))
+        for s in (1, 2):
+            for i in (1, 2, 3):
+                got = ps_solution_derivative(cfg, s, i, a)
+                assert got == _derivative_oracle(ctx, cfg, s, i, a)
+
+
+def test_quotient_memo_rejects_inexact_division():
+    ctx, cfg = setup(5, 3, 1, 2)
+    (pt,) = dl.sample_domain_points(5, 1, 2, 1, 0, ctx)
+    phi = dl.master_polynomial(cfg, 1)
+    cache = DenseCache()
+    off, q1 = cache.quotient(phi, pt.lift, pt.lift[0])
+    assert cache.quotient(phi, pt.lift, pt.lift[0]) == (off, q1)
+    # a root with a residue distinct from every a_j is not a factor
+    root = next(r for r in (ctx.from_coeffs([k, 1]) for k in range(5))
+                if all(ctx.is_unit(ctx.sub(r, x)) for x in pt.lift))
+    with pytest.raises(NotDivisible):
+        cache.quotient(phi, pt.lift, root)
+
+
+def test_direction_indices_are_validated():
+    ctx, cfg = setup(5, 4, 2, 1)
+    a = [0, 1, 2, 3, 4]
+    tup = dl.kz_tuple(cfg, length=3, periodic=False)
+    phi = dl.master_polynomial(cfg, 1)
+    for bad in (0, cfg.n + 1):
+        with pytest.raises(DirectionOutOfRange):
+            ps_solution_derivative(cfg, 1, bad, a)
+        with pytest.raises(DirectionOutOfRange):
+            dl.kz_residual(cfg, 1, i=bad, mode="pointwise", points=[a])
+        with pytest.raises(DirectionOutOfRange):
+            dl.hw_derivative_at(1, phi, cfg.delta, a, bad)
+        with pytest.raises(DirectionOutOfRange):
+            dl.verify_derivative_congruence(tup, 1, v=bad, mode="pointwise",
+                                            points=[a])
+        with pytest.raises(DirectionOutOfRange):
+            dl.verify_second_derivative_congruence(
+                tup, 1, u=bad, v=1, mode="pointwise", points=[a])
+    assert issubclass(DirectionOutOfRange, dl.ConfigError)
 
 
 def test_gaudin_assembly():

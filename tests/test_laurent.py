@@ -9,7 +9,7 @@ from dworklab.errors import (
 )
 from dworklab.laurent import LaurentPoly, TBox
 from conftest import rand_laurent, seeded
-from oracles import oracle_dense_mul, oracle_mul
+from oracles import oracle_dense_mul, oracle_div_linear, oracle_mul
 
 
 def C(p=3, N=2, m=1):
@@ -288,6 +288,30 @@ def test_dense_pow_and_division():
     assert quot == dense.dense_linear_pow(ctx, root, 8)
     base = dense.dense_from_roots(ctx, [(root, 1)])
     assert dense.dense_pow(ctx, base, 9) == f
+
+
+def test_dense_div_linear_matches_reference_loop():
+    # m = 1 and m = 2 run unrolled kernels, m = 3 the generic loop
+    for p, N, m in [(5, 4, 1), (7, 3, 1), (5, 5, 2), (3, 4, 2), (3, 3, 3)]:
+        ctx = dl.ctx_new(p, N, m)
+        rng = seeded(100 * m + p)
+        for d in (0, 1, 2, 17, 300):
+            f = [ctx.rand(rng) for _ in range(d + 1)]
+            root = ctx.rand(rng)
+            got = dense.dense_div_linear(ctx, f, root)
+            assert got == oracle_div_linear(f, root, p, N, m, ctx.modulus)
+        # an exact division round-trips; a unit shift of the root leaves a
+        # nonzero remainder, and the exact form rejects it
+        g = [ctx.rand(rng) for _ in range(40)]
+        root = ctx.rand(rng)
+        f = dense.dense_mul(ctx, g, [ctx.neg(root), ctx.one()])
+        assert dense.dense_div_linear_exact(ctx, f, root) == g
+        other = ctx.add(root, ctx.one())
+        quot, rem = dense.dense_div_linear(ctx, f, other)
+        assert not ctx.is_zero(rem)
+        assert (quot, rem) == oracle_div_linear(f, other, p, N, m, ctx.modulus)
+        with pytest.raises(NotDivisible):
+            dense.dense_div_linear_exact(ctx, f, other)
 
 
 def test_json_roundtrip_and_sorting():
