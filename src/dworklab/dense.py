@@ -146,22 +146,16 @@ def dense_from_roots(ctx, pairs):
 def dense_div_linear(ctx, coeffs, root):
     """Synthetic division by (t - root): returns (quotient, remainder).
 
-    Each step is acc -> c + root * acc.  For m = 1 it runs on plain ints; for
-    m = 2 multiplication by root is the fixed 2x2 matrix M built once below,
-    so each step is acc -> (c + M acc) mod q on unrolled local ints.
+    Each step is acc -> c + root * acc.  For m = 2 multiplication by root is
+    the fixed 2x2 matrix M built once below, so each step is
+    acc -> (c + M acc) mod q on unrolled local ints.
     """
     d = len(coeffs) - 1
     if d < 0:
         return [], ctx.zero()
-    q = ctx.q
-    quot = [None] * d
-    if ctx.m == 1:
-        acc = coeffs[d]
-        for i in range(d - 1, -1, -1):
-            quot[i] = acc
-            acc = (coeffs[i] + root * acc) % q
-        return quot, acc
+    quot = [ctx.zero()] * d
     if ctx.m == 2:
+        q = ctx.q
         m00, m10 = ctx.mul(root, (1, 0))
         m01, m11 = ctx.mul(root, (0, 1))
         a0, a1 = coeffs[d]

@@ -95,17 +95,18 @@ def hw_matrix(level, F, delta, source=""):
     return HWMatrix(F.ctx, level, delta, entries, False, source)
 
 
+def _coeffs_at(ctx, offset, coeffs, indices):
+    """Coefficients of t^idx in the dense (offset, coeffs), zero out of range."""
+    zero = ctx.zero()
+    return [coeffs[idx - offset] if 0 <= idx - offset < len(coeffs) else zero
+            for idx in indices]
+
+
 def hw_from_dense(ctx, level, offset, coeffs, delta, source=""):
     delta = _normalize_delta_ints(delta)
     pm = ctx.p**level
-    zero = ctx.zero()
-    entries = []
-    for u in delta:
-        row = []
-        for v in delta:
-            idx = pm * v - u - offset
-            row.append(coeffs[idx] if 0 <= idx < len(coeffs) else zero)
-        entries.append(row)
+    entries = [_coeffs_at(ctx, offset, coeffs, [pm * v - u for v in delta])
+               for u in delta]
     return HWMatrix(ctx, level, delta, entries, True, source)
 
 

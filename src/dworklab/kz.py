@@ -27,6 +27,7 @@ from .errors import (
 )
 from .hasse_witt import (
     DenseCache,
+    _coeffs_at,
     check_direction,
     hw_det,
     hw_from_dense,
@@ -153,19 +154,12 @@ def ps_solutions(cfg, s, a=None, cache=None):
             rows.append([q.coeff_t(idx) for idx in indices])
         return SolutionMatrix(cfg, s, rows, False, indices)
     cache = cache or DenseCache()
-    rows = [_extract(ctx, *cache.quotient(phi, a, a[i - 1]), indices)
+    rows = [_coeffs_at(ctx, *cache.quotient(phi, a, a[i - 1]), indices)
             for i in range(1, cfg.n + 1)]
     return SolutionMatrix(cfg, s, rows, True, indices)
 
 
-def _extract(ctx, off, coeffs, indices):
-    """Coefficients of t^idx of the dense (off, coeffs), zero out of range."""
-    zero = ctx.zero()
-    return [coeffs[idx - off] if 0 <= idx - off < len(coeffs) else zero
-            for idx in indices]
-
-
-def solution_coefficient(cfg, s, ell, i, a=None, cache=None):
+def solution_coefficient(cfg, s, ell, i, a=None):
     """Single entry for any column index; zero outside 1..g."""
     ctx = cfg.ctx
     phi = master_polynomial(cfg, s)
@@ -173,8 +167,7 @@ def solution_coefficient(cfg, s, ell, i, a=None, cache=None):
     if a is None:
         q = phi.synth_div_linear(z_index=i)
         return q.coeff_t(idx)
-    cache = cache or DenseCache()
-    return _extract(ctx, *cache.quotient(phi, a, a[i - 1]), (idx,))[0]
+    return _coeffs_at(ctx, *DenseCache().quotient(phi, a, a[i - 1]), (idx,))[0]
 
 
 def ps_solution_derivative(cfg, s, i, a=None, cache=None):
@@ -193,8 +186,8 @@ def ps_solution_derivative(cfg, s, i, a=None, cache=None):
     the second from the product rule for Q_i'.  Only the g extracted
     coefficients are formed, with Q_i'[idx] = (idx+1) Q_i[idx+1]; no second
     division runs and e - 1 is never inverted.  If some a_i - a_k is not a
-    unit, the rows fall back to a second synthetic division of Q_i by
-    (t - a_k).
+    unit, every D_ik with k != i comes instead from a second synthetic
+    division of Q_i by (t - a_k); the diagonal identity holds either way.
     """
     ctx = cfg.ctx
     check_direction("i", i, cfg.n)
@@ -217,35 +210,24 @@ def ps_solution_derivative(cfg, s, i, a=None, cache=None):
     cache = cache or DenseCache()
     off, qi = cache.quotient(phi, a, a[i - 1])
     others = [k for k in range(1, cfg.n + 1) if k != i]
-    diffs = {k: ctx.sub(a[i - 1], a[k - 1]) for k in others}
-    rows = [None] * cfg.n
-    if not all(ctx.is_unit(d) for d in diffs.values()):
-        for k in range(1, cfg.n + 1):
-            scale = -(e - 1) if k == i else -e
-            if scale % ctx.q == 0:
-                rows[k - 1] = [ctx.zero()] * cfg.g
-                continue
-            quot = dense_mod.dense_div_linear_exact(ctx, qi, a[k - 1])
-            rows[k - 1] = _scaled_row(ctx, scale,
-                                      _extract(ctx, off, quot, indices))
-        return rows
-    Qi = _extract(ctx, off, qi, indices)
+    diffs = [ctx.sub(a[i - 1], a[k - 1]) for k in others]
+    Qi = _coeffs_at(ctx, off, qi, indices)
+    if all(ctx.is_unit(d) for d in diffs):
+        D = []
+        for k, d in zip(others, diffs):
+            inv = ctx.inv(d)
+            Qk = _coeffs_at(ctx, *cache.quotient(phi, a, a[k - 1]), indices)
+            D.append([ctx.mul(ctx.sub(x, y), inv) for x, y in zip(Qi, Qk)])
+    else:
+        D = [_coeffs_at(ctx, off, dense_mod.dense_div_linear_exact(
+                 ctx, qi, a[k - 1]), indices) for k in others]
+    rows = ringmat.mat_scal(ringmat.scalar_ring(ctx), ctx.from_int(-e), D)
     diag = [ctx.neg(ctx.scal_int(c, idx + 1)) for c, idx in
-            zip(_extract(ctx, off, qi, [idx + 1 for idx in indices]), indices)]
-    E = ctx.from_int(e)
-    for k in others:
-        inv = ctx.inv(diffs[k])
-        Qk = _extract(ctx, *cache.quotient(phi, a, a[k - 1]), indices)
-        D = [ctx.mul(ctx.sub(x, y), inv) for x, y in zip(Qi, Qk)]
-        rows[k - 1] = _scaled_row(ctx, -e, D)
-        diag = [ctx.add(x, ctx.mul(E, d)) for x, d in zip(diag, D)]
-    rows[i - 1] = diag
+            zip(_coeffs_at(ctx, off, qi, [idx + 1 for idx in indices]), indices)]
+    for row in rows:
+        diag = [ctx.sub(x, r) for x, r in zip(diag, row)]
+    rows.insert(i - 1, diag)
     return rows
-
-
-def _scaled_row(ctx, k, row):
-    c = ctx.from_int(k)
-    return [ctx.mul(c, x) for x in row]
 
 
 def gaudin(cfg, i, a):
@@ -591,6 +573,7 @@ def first_row_gradient(cfg, s, a=None, cache=None):
             rows.append([d.coeff_t(idx) for idx in indices])
         return rows
     cache = cache or DenseCache()
-    return [_scaled_row(ctx, -e, _extract(ctx, *cache.quotient(phi, a, a[i - 1]),
-                                          indices))
-            for i in range(1, cfg.n + 1)]
+    return ringmat.mat_scal(
+        ringmat.scalar_ring(ctx), ctx.from_int(-e),
+        [_coeffs_at(ctx, *cache.quotient(phi, a, a[i - 1]), indices)
+         for i in range(1, cfg.n + 1)])
