@@ -3,36 +3,121 @@
 A dense polynomial is a plain list of ring elements indexed by exponent,
 lowest degree first.  This is the hot path of the pointwise pipeline: master
 polynomials specialized at a point are univariate and dense, so products are
-done here, via big-integer Kronecker substitution packed through ``bytes``.
-Above a small cutoff a single Python big-int multiply replaces the whole
-schoolbook convolution; results are bit-identical either way.
+done here by Kronecker substitution: each basis component becomes one big
+number with a fixed-width slot per coefficient, and one big multiply replaces
+the whole convolution.  Results are bit-identical on every path.
+
+- Shorter operand of length <= KRONECKER_CUTOFF (8 for m >= 2): schoolbook.
+- Up to NTT_CUTOFF: Python ints packed through ``bytes`` (Karatsuba).
+- Above NTT_CUTOFF: ``decimal`` numbers packed in base 10^d through a
+  zero-padded string join, which libmpdec multiplies by a number-theoretic
+  transform.  ``Decimal(int)`` would be quadratic, so ints never cross over.
+
+A square (``a is b``) is packed once and multiplied by itself.  For m >= 2 the
+reduction modulo the defining polynomial is folded into the packed columns
+before unpacking, so only m columns are ever unpacked.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+import struct
 
 from .errors import NotDivisible
 
-# Schoolbook below this operand length; packing overhead dominates there.
+# Schoolbook below this operand length (m = 1); packing overhead dominates.
 KRONECKER_CUTOFF = 32
+# libmpdec NTT above this shorter-operand length.  The kernels alone cross
+# over between about 1.5k and 2.6k coefficients (q = 7^6 and 5^5); 1024 gave
+# the best pointwise expansion throughput end to end.
+NTT_CUTOFF = 1024
+
+# Integer-exact decimal arithmetic: no rounding at any size.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         Emin=decimal.MIN_EMIN)
 
 
-def _pack(coeffs, bpc):
-    return int.from_bytes(b"".join(c.to_bytes(bpc, "little") for c in coeffs), "little")
+def _pack_bytes(coeffs, width):
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]),
+                          "little")
 
 
-def _unpack(x, bpc, count, q):
-    raw = x.to_bytes(bpc * count, "little")
-    return [int.from_bytes(raw[i * bpc:(i + 1) * bpc], "little") % q for i in range(count)]
+def _unpack_bytes(x, width, count, q):
+    slots = struct.iter_unpack(f"{width}s", x.to_bytes(width * count, "little"))
+    return [int.from_bytes(c, "little") % q for (c,) in slots]
 
 
-def _kron_mul_int(a, b, q):
-    la, lb = len(a), len(b)
-    bound = (q - 1) * (q - 1) * min(la, lb)
-    bpc = (bound.bit_length() + 7) // 8
-    prod = _pack(a, bpc) * _pack(b, bpc)
-    return _unpack(prod, bpc, la + lb - 1, q)
+def _pack_dec(coeffs, width):
+    return decimal.Decimal((f"%0{width}d" * len(coeffs)) % tuple(reversed(coeffs)))
+
+
+def _unpack_dec(x, width, count, q):
+    slots = struct.iter_unpack(f"{width}s", str(x).zfill(width * count).encode())
+    out = [int(c) % q for (c,) in slots]
+    out.reverse()
+    return out
+
+
+def _fold_rows(ctx):
+    """x^k mod (modulus, q) for k = m..2m-2, as coefficient lists in [0, q)."""
+    q, m = ctx.q, ctx.m
+    row = [(-c) % q for c in ctx.modulus[:-1]]
+    rows = [row]
+    for _ in range(m - 2):
+        top = row[-1]
+        row = [(lo + top * r) % q for lo, r in zip([0] + row[:-1], rows[0])]
+        rows.append(row)
+    return rows
+
+
+def _kron_mul(ctx, a, b):
+    """a * b by Kronecker substitution, bytes- or decimal-packed by size."""
+    q, m = ctx.q, ctx.m
+    short = min(len(a), len(b))
+    count = len(a) + len(b) - 1
+    square = a is b
+    if m == 1:
+        cols_a, cols_b, rows = [a], [b], []
+    else:
+        cols_a = list(zip(*a))
+        cols_b = cols_a if square else list(zip(*b))
+        rows = _fold_rows(ctx)
+    # terms[k]: products a_i * b_j with i + j = k in the column convolution.
+    # After folding, column i holds its own terms plus rows[k - m][i] < q
+    # times column k's, which sets the slot bound.
+    terms = [min(k, 2 * m - 2 - k) + 1 for k in range(2 * m - 1)]
+    worst = max(terms[i] + sum(r[i] * t for r, t in zip(rows, terms[m:]))
+                for i in range(m))
+    bound = (q - 1) * (q - 1) * short * worst
+    if short > NTT_CUTOFF:
+        pack, unpack, width = _pack_dec, _unpack_dec, len(str(bound))
+    else:
+        pack, unpack, width = _pack_bytes, _unpack_bytes, (bound.bit_length() + 7) // 8
+    with decimal.localcontext(_EXACT):
+        pa = [pack(col, width) for col in cols_a]
+        pb = pa if square else [pack(col, width) for col in cols_b]
+        prods = [0] * (2 * m - 1)
+        for i in range(m):
+            if not pa[i]:
+                continue
+            if square:
+                prods[2 * i] += pa[i] * pa[i]
+                for j in range(i + 1, m):
+                    if pa[j]:
+                        prods[i + j] += 2 * pa[i] * pa[j]
+            else:
+                for j in range(m):
+                    if pb[j]:
+                        prods[i + j] += pa[i] * pb[j]
+        # x^k = sum_i rows[k - m][i] x^i: reduce before unpacking
+        for row, pk in zip(rows, prods[m:]):
+            if pk:
+                for i, r in enumerate(row):
+                    if r:
+                        prods[i] += r * pk
+    cols = [unpack(x, width, count, q) if x else [0] * count for x in prods[:m]]
+    return cols[0] if m == 1 else list(zip(*cols))
 
 
 def _school_mul_int(a, b, q):
@@ -42,35 +127,6 @@ def _school_mul_int(a, b, q):
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return [c % q for c in out]
-
-
-def _mul_ext(ctx, a, b):
-    """Componentwise Kronecker product followed by modulus reduction."""
-    q, m = ctx.q, ctx.m
-    la, lb = len(a), len(b)
-    count = la + lb - 1
-    bound = (q - 1) * (q - 1) * min(la, lb) * m
-    bpc = (bound.bit_length() + 7) // 8
-    pa = [_pack([c[i] for c in a], bpc) for i in range(m)]
-    pb = [_pack([c[i] for c in b], bpc) for i in range(m)]
-    packed = [0] * (2 * m - 1)
-    for i in range(m):
-        if pa[i]:
-            for j in range(m):
-                if pb[j]:
-                    packed[i + j] += pa[i] * pb[j]
-    cols = [_unpack(x, bpc, count, q) if x else [0] * count for x in packed]
-    tail = ctx.modulus[:-1]
-    for k in range(2 * m - 2, m - 1, -1):
-        ck = cols[k]
-        if any(ck):
-            base = k - m
-            for t, mt in enumerate(tail):
-                if mt:
-                    dst = cols[base + t]
-                    for i in range(count):
-                        dst[i] = (dst[i] - mt * ck[i]) % q
-    return [tuple(cols[i][j] for i in range(m)) for j in range(count)]
 
 
 def _school_mul_ext(ctx, a, b):
@@ -90,10 +146,9 @@ def dense_mul(ctx, a, b):
     if ctx.m == 1:
         if min(len(a), len(b)) <= KRONECKER_CUTOFF:
             return _school_mul_int(a, b, ctx.q)
-        return _kron_mul_int(a, b, ctx.q)
-    if min(len(a), len(b)) <= 8:
+    elif min(len(a), len(b)) <= 8:
         return _school_mul_ext(ctx, a, b)
-    return _mul_ext(ctx, a, b)
+    return _kron_mul(ctx, a, b)
 
 
 def dense_pow(ctx, a, e):

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import dense, ringmat
-from .concurrency import pool_map
 from .errors import DegenerateTuple, PrecisionTooLow, SizeCapExceeded
 from .hasse_witt import (
     DenseCache,
@@ -218,10 +217,9 @@ def _poly_ring_of(tup):
 def _pointwise_scan(points, one_point, claimed, N):
     """Run one_point over all points, merging by minimum valuation.
 
-    The witness is the first failing point in input order, so reports are
-    deterministic regardless of pool size.
+    The witness is the first failing point in input order.
     """
-    results = pool_map(one_point, list(enumerate(points)))
+    results = [one_point(item) for item in enumerate(points)]
     observed = min((v for v, _ in results), default=N)
     witness = next((w for v, w in results if v < claimed), None)
     return observed, witness

@@ -158,12 +158,14 @@ class DenseCache:
     the factored form and the point.  ``quotient`` keeps the exact quotient of
     that expansion by (t - root), keyed by (factored form, point, root), so
     the frames I_s, their z-derivatives and the derivatives of A(s, F) at one
-    point share n synthetic divisions.  Unfactored F is never memoized.
+    point share n synthetic divisions.  ``diff_inverse`` keeps the inverses
+    of the point's coordinate differences.  Unfactored F is never memoized.
     """
 
     def __init__(self):
         self._store = {}
         self._quot = {}
+        self._inv = {}
 
     def get(self, F, a):
         a = tuple(a)
@@ -188,6 +190,16 @@ class DenseCache:
             if key is not None:
                 self._quot[key] = got
         return got
+
+    def diff_inverse(self, ctx, a, i, k):
+        """(a_i - a_k)^-1 over ctx: one inversion per unordered pair, since
+        (a_k - a_i)^-1 = -(a_i - a_k)^-1."""
+        lo, hi = min(i, k), max(i, k)
+        key = (ctx, tuple(a), lo, hi)
+        inv = self._inv.get(key)
+        if inv is None:
+            inv = self._inv[key] = ctx.inv(ctx.sub(a[lo - 1], a[hi - 1]))
+        return inv if i == lo else ctx.neg(inv)
 
 
 def check_direction(name, idx, n):

@@ -214,8 +214,8 @@ def ps_solution_derivative(cfg, s, i, a=None, cache=None):
     Qi = _coeffs_at(ctx, off, qi, indices)
     if all(ctx.is_unit(d) for d in diffs):
         D = []
-        for k, d in zip(others, diffs):
-            inv = ctx.inv(d)
+        for k in others:
+            inv = cache.diff_inverse(ctx, a, i, k)
             Qk = _coeffs_at(ctx, *cache.quotient(phi, a, a[k - 1]), indices)
             D.append([ctx.mul(ctx.sub(x, y), inv) for x, y in zip(Qi, Qk)])
     else:

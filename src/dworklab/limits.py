@@ -16,11 +16,11 @@ headroom below the raw expectation; raw valuations are always reported.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
 from . import ringmat
-from .concurrency import pool_map
 from .errors import OutsideDomain, TooLarge
 from .hasse_witt import (
     DenseCache,
@@ -38,6 +38,9 @@ from .kz import (
 from .padic import ctx_new
 
 EXHAUSTIVE_CAP = 10_000_000
+# Sampling first settles emptiness by scanning residue multisets when there
+# are at most this many; without it an empty domain costs 10^4 draws per point.
+EMPTY_CHECK_CAP = 2_000
 
 
 @dataclass
@@ -176,12 +179,34 @@ def lift_point(point, ctx):
                        point.index)
 
 
+def _require_nonempty(cfg1, pm, n, distinct):
+    """Raise OutsideDomain when a small residue space has no (o-)domain point.
+
+    Phi_1 is symmetric in z, so membership depends only on the multiset of
+    residues; the scan stops at the first member and draws nothing from the
+    sampler's generator.
+    """
+    total = math.comb(pm, n) if distinct else math.comb(pm + n - 1, n)
+    if total > EMPTY_CHECK_CAP:
+        return
+    multisets = (itertools.combinations if distinct
+                 else itertools.combinations_with_replacement)(range(pm), n)
+    for codes in multisets:
+        if _point_in_D(cfg1, tuple(_residue_from_index(cfg1.ctx, c)
+                                   for c in codes)):
+            return
+    raise OutsideDomain(
+        f"the {'o-' if distinct else ''}domain is empty: none of the {total} "
+        f"residue multisets of size {n} over F_{pm} is in it")
+
+
 def sample_domain_points(p, g, m, count, seed, ctx, require_distinct=True):
     """Reproducibly sample lifted points of the (o-)domain."""
     ctx1 = ctx_new(p, 1, m)
     cfg1 = KZConfig(ctx1, g)
     n = cfg1.n
     pm = p**m
+    _require_nonempty(cfg1, pm, n, require_distinct)
     rng = random.Random(seed)
     out = []
     attempts = 0
@@ -456,7 +481,7 @@ def rank_check(cfg, point, frag=None):
 
 def rank_fraction(cfg, points):
     """Fraction of points at which some g x g minor of the frame is a unit."""
-    results = pool_map(lambda pt: rank_check(cfg, pt).passed, points)
+    results = [rank_check(cfg, pt).passed for pt in points]
     return sum(results) / len(results) if results else 0.0
 
 

@@ -71,3 +71,17 @@ def rand_admissible_tuple(rng, p=None, l=None, N=None):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+class PlantedGhostFault(AdmissibleTuple):
+    """A tuple whose products W_s (s >= 1) carry an extra unit constant term.
+
+    Then V_1 = W_1 + 1 - V_0 W_1^(1)(x^p) has a unit coefficient: a planted
+    violation of ghost divisibility, which no honest tuple can produce.
+    """
+
+    def W(self, s, j=0):
+        w = super().W(s, j)
+        if s >= 1 and j == 0:
+            return w + LaurentPoly.one(self.ctx, w.r, w.n)
+        return w

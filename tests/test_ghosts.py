@@ -4,7 +4,7 @@ import dworklab as dl
 from dworklab.errors import IndexOutOfRange, PrecisionTooLow
 from dworklab.ghosts import AdmissibleTuple, check_admissible
 from dworklab.laurent import LaurentPoly, TBox
-from conftest import rand_admissible_tuple, seeded
+from conftest import PlantedGhostFault, rand_admissible_tuple, seeded
 
 
 def const_tuple(ctx, n, value, length):
@@ -66,6 +66,16 @@ def test_ghost_divisibility_randomized():
         gs = dl.ghost_sequence(tup, l)
         for s, v in enumerate(gs.min_vals):
             assert v >= min(s, tup.ctx.N)
+
+
+def test_ghost_sequence_reports_planted_divisibility_failure():
+    ctx = dl.ctx_new(3, 3, 1)
+    F = dl.master_polynomial(dl.KZConfig(ctx, 1), 1)
+    Ft = LaurentPoly(ctx, 1, 3, dict(F.terms))
+    honest = dl.ghost_sequence(AdmissibleTuple([Ft, Ft], (1,)), 1)
+    planted = dl.ghost_sequence(PlantedGhostFault([Ft, Ft], (1,)), 1)
+    assert honest.min_vals[1] >= 1
+    assert planted.min_vals == [0, 0]
 
 
 def test_ghost_newton_box_inclusion():

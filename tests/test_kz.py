@@ -98,6 +98,27 @@ def test_partial_fraction_derivative_matches_two_divisions():
                     assert got == _derivative_oracle(ctx, cfg, s, i, a)
 
 
+def test_derivative_inverts_each_difference_once_per_point(monkeypatch):
+    ctx, cfg = setup(5, 4, 2, 2)
+    pt, other = dl.sample_domain_points(5, 2, 2, 2, 8, ctx)
+    inverted = []
+    real_inv = type(ctx).inv
+    monkeypatch.setattr(type(ctx), "inv",
+                        lambda self, x: inverted.append(x) or real_inv(self, x))
+    cache = DenseCache()
+    for s in (1, 2):
+        for i in range(1, cfg.n + 1):
+            ps_solution_derivative(cfg, s, i, pt.lift, cache=cache)
+    a = pt.lift
+    assert sorted(inverted) == sorted(ctx.sub(a[i], a[k])
+                                      for i in range(cfg.n)
+                                      for k in range(i + 1, cfg.n))
+    for b in (a, other.lift):
+        for i, k in ((4, 2), (2, 4)):
+            inv = cache.diff_inverse(ctx, b, i, k)
+            assert ctx.mul(inv, ctx.sub(b[i - 1], b[k - 1])) == ctx.one()
+
+
 def test_derivative_fallback_at_non_unit_difference():
     # a_1 = a_2 mod p: direction 1 takes the two-division path, direction 3
     # still uses partial fractions

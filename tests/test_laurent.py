@@ -266,10 +266,7 @@ def test_dense_kernels_cross_check():
         # kronecker path explicitly
         a = [ctx.rand(rng) for _ in range(200)]
         b = [ctx.rand(rng) for _ in range(150)]
-        fast = (
-            dense._kron_mul_int(a, b, ctx.q) if m == 1
-            else dense._mul_ext(ctx, a, b)
-        )
+        fast = dense._kron_mul(ctx, a, b)
         slow = (
             dense._school_mul_int(a, b, ctx.q) if m == 1
             else dense._school_mul_ext(ctx, a, b)

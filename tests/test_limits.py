@@ -124,6 +124,23 @@ def test_limit_I_profile_and_stabilization():
         assert ringmat.min_val(ringmat.scalar_ring(ctx), diff) >= 1
 
 
+def test_sampling_settles_emptiness_like_an_exhaustive_scan():
+    # (3, 1, 1): in_D 18 of 27 but in_D_o 0; (5, 2, 1): in_D_o 0 of 3,125
+    for p, g, m in [(3, 1, 1), (5, 1, 1), (5, 2, 1)]:
+        ctx = dl.ctx_new(p, 2, m)
+        scan = dl.scan_domain(p, g, m, mode="exhaustive", keep_points=False)
+        for distinct, count in ((True, scan.in_do_count),
+                                (False, scan.in_d_count)):
+            if count:
+                pts = dl.sample_domain_points(p, g, m, 3, 1, ctx,
+                                              require_distinct=distinct)
+                assert len(pts) == 3
+            else:
+                with pytest.raises(OutsideDomain, match="is empty"):
+                    dl.sample_domain_points(p, g, m, 3, 1, ctx,
+                                            require_distinct=distinct)
+
+
 def test_limit_requires_domain_point():
     ctx = dl.ctx_new(3, 5, 1)
     cfg = dl.KZConfig(ctx, 1)
