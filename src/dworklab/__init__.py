@@ -84,6 +84,7 @@ from .limits import (
     limit_I,
     limit_report,
     lift_point,
+    nth_domain_point,
     rank_check,
     sample_domain_points,
     scan_domain,

@@ -36,8 +36,11 @@ def _parse_delta(text):
 
 
 def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _emit(doc, args):
@@ -254,17 +257,8 @@ def cmd_limit(args):
     _require(args.N >= args.smax + 1, "need N >= s_max + 1 precision headroom")
     ctx = ctx_new(args.p, args.N, args.m)
     cfg = kz.KZConfig(ctx, args.g)
-    total = (args.p ** args.m) ** (2 * args.g + 1)
-    if total <= limits.EXHAUSTIVE_CAP:
-        scan = limits.scan_domain(args.p, args.g, args.m, mode="exhaustive")
-        eligible = [pt for pt in scan.points if pt.in_D_o]
-    else:
-        eligible = limits.sample_domain_points(
-            args.p, args.g, args.m, args.point + 1, args.seed, ctx)
-    _require(args.point < len(eligible),
-             f"point index {args.point} out of range ({len(eligible)} points)")
-    pt = limits.lift_point(eligible[args.point], ctx) \
-        if eligible[args.point].lift is None else eligible[args.point]
+    pt = limits.nth_domain_point(args.p, args.g, args.m, args.point,
+                                 args.seed, ctx)
     report = limits.limit_report(cfg, pt, args.smax)
     doc = report.to_json()
     doc["command"] = "limit"

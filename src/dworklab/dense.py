@@ -7,7 +7,8 @@ done here by Kronecker substitution: each basis component becomes one big
 number with a fixed-width slot per coefficient, and one big multiply replaces
 the whole convolution.  Results are bit-identical on every path.
 
-- Shorter operand of length <= KRONECKER_CUTOFF (8 for m >= 2): schoolbook.
+- Shorter operand of length <= KRONECKER_CUTOFF (8 for m >= 2): schoolbook,
+  on three plain-int accumulators per coefficient for m = 2.
 - Up to NTT_CUTOFF: Python ints packed through ``bytes`` (Karatsuba).
 - Above NTT_CUTOFF: ``decimal`` numbers packed in base 10^d through a
   zero-padded string join, which libmpdec multiplies by a number-theoretic
@@ -130,6 +131,21 @@ def _school_mul_int(a, b, q):
 
 
 def _school_mul_ext(ctx, a, b):
+    if ctx.m == 2:
+        # three int accumulators per coefficient (1, x, x^2), then one fold
+        # of x^2 = -m0 - m1 x
+        q = ctx.q
+        m0, m1 = ctx.modulus[0], ctx.modulus[1]
+        count = len(a) + len(b) - 1
+        c0, c1, c2 = [0] * count, [0] * count, [0] * count
+        for i, (a0, a1) in enumerate(a):
+            if a0 or a1:
+                for k, (b0, b1) in enumerate(b, i):
+                    c0[k] += a0 * b0
+                    c1[k] += a0 * b1 + a1 * b0
+                    c2[k] += a1 * b1
+        return [((x - m0 * z) % q, (y - m1 * z) % q)
+                for x, y, z in zip(c0, c1, c2)]
     mul, add = ctx.mul, ctx.add
     zero = ctx.zero()
     out = [zero] * (len(a) + len(b) - 1)

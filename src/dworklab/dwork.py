@@ -20,7 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import dense, ringmat
-from .errors import DegenerateTuple, PrecisionTooLow, SizeCapExceeded
+from .errors import (
+    ConfigError,
+    DegenerateTuple,
+    PrecisionTooLow,
+    SizeCapExceeded,
+)
 from .hasse_witt import (
     DenseCache,
     check_direction,
@@ -217,8 +222,11 @@ def _poly_ring_of(tup):
 def _pointwise_scan(points, one_point, claimed, N):
     """Run one_point over all points, merging by minimum valuation.
 
-    The witness is the first failing point in input order.
+    The witness is the first failing point in input order.  No points would
+    be a vacuous pass, so it is a configuration error.
     """
+    if not points:
+        raise ConfigError("pointwise mode needs at least one point")
     results = [one_point(item) for item in enumerate(points)]
     observed = min((v for v, _ in results), default=N)
     witness = next((w for v, w in results if v < claimed), None)

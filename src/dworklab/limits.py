@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import ringmat
-from .errors import OutsideDomain, TooLarge
+from .errors import ConfigError, OutsideDomain, TooLarge
 from .hasse_witt import (
     DenseCache,
     hw_det,
@@ -118,9 +118,49 @@ def _residue_from_index(ctx1, idx):
     return tuple(digits)
 
 
-def _point_in_D(cfg1, a):
-    Aw = hw_matrix_at(1, master_polynomial(cfg1, 1), cfg1.delta, a)
-    return cfg1.ctx.is_unit(hw_det(Aw))
+class _Membership:
+    """Unit-determinant membership of residue code tuples over F_{p^m}.
+
+    Phi_1 is symmetric in z, so det A(1, Phi_1)(a) mod p depends only on the
+    multiset of residues: it is evaluated once per sorted code tuple, at most
+    C(p^m + n - 1, n) times however many ordered tuples are classified.
+    """
+
+    def __init__(self, p, g, m):
+        self.ctx = ctx_new(p, 1, m)
+        cfg = KZConfig(self.ctx, g)
+        self.n, self.delta = cfg.n, cfg.delta
+        self.phi = master_polynomial(cfg, 1)
+        self.residues = [_residue_from_index(self.ctx, c) for c in range(p**m)]
+        self._memo = {}
+
+    def __call__(self, codes):
+        key = tuple(sorted(codes))
+        ok = self._memo.get(key)
+        if ok is None:
+            a = tuple(self.residues[c] for c in key)
+            Aw = hw_matrix_at(1, self.phi, self.delta, a)
+            ok = self._memo[key] = self.ctx.is_unit(hw_det(Aw))
+        return ok
+
+
+def _walk(member, draws, distinct_only=False):
+    """Classify the code tuples of draws in order; a point's index is its
+    position in draws.  distinct_only skips tuples that cannot be in the
+    o-domain before any membership lookup."""
+    n, residues = member.n, member.residues
+    for idx, codes in enumerate(draws):
+        distinct = len(set(codes)) == n
+        if distinct_only and not distinct:
+            continue
+        ok = member(codes)
+        yield DomainPoint(tuple(residues[c] for c in codes), None, ok,
+                          ok and distinct, idx)
+
+
+def _random_tuples(seed, pm, n, count):
+    rng = random.Random(seed)
+    return (tuple(rng.randrange(pm) for _ in range(n)) for _ in range(count))
 
 
 def scan_domain(p, g, m, mode="exhaustive", k=None, seed=None,
@@ -131,9 +171,8 @@ def scan_domain(p, g, m, mode="exhaustive", k=None, seed=None,
     the scan works at precision 1.  Exhaustive mode refuses more than 10^7
     tuples; sample mode draws k tuples reproducibly from the given seed.
     """
-    ctx1 = ctx_new(p, 1, m)
-    cfg1 = KZConfig(ctx1, g)
-    n = cfg1.n
+    member = _Membership(p, g, m)
+    n = member.n
     pm = p**m
     d = det_degree(p, g)
     points = []
@@ -144,29 +183,22 @@ def scan_domain(p, g, m, mode="exhaustive", k=None, seed=None,
             raise TooLarge(
                 f"exhaustive scan over {total} tuples exceeds {EXHAUSTIVE_CAP}"
             )
-        index_iter = enumerate(itertools.product(range(pm), repeat=n))
+        draws = itertools.product(range(pm), repeat=n)
         bound = nonempty_bound(p, g, m)
         seed_used = None
     else:
-        if k is None:
-            raise ValueError("sample mode needs k")
-        rng = random.Random(seed)
+        if k is None or k < 1:
+            raise ConfigError(f"sample mode needs k >= 1 tuples, got {k}")
         total = k
-        index_iter = enumerate(
-            tuple(rng.randrange(pm) for _ in range(n)) for _ in range(k)
-        )
+        draws = _random_tuples(seed, pm, n, k)
         bound = None
         seed_used = seed
-    for idx, codes in index_iter:
-        residues = tuple(_residue_from_index(ctx1, c) for c in codes)
-        ok = _point_in_D(cfg1, residues)
-        distinct = len(set(codes)) == n
-        if ok:
+    for pt in _walk(member, draws):
+        if pt.in_D:
             in_d += 1
-            if distinct:
-                in_do += 1
+            in_do += pt.in_D_o
         if keep_points and len(points) < point_cap:
-            points.append(DomainPoint(residues, None, ok, ok and distinct, idx))
+            points.append(pt)
     return ScanResult(p, g, m, mode, total, in_d, in_do, d, bound,
                       points, seed_used)
 
@@ -179,22 +211,21 @@ def lift_point(point, ctx):
                        point.index)
 
 
-def _require_nonempty(cfg1, pm, n, distinct):
+def _require_nonempty(member, distinct):
     """Raise OutsideDomain when a small residue space has no (o-)domain point.
 
-    Phi_1 is symmetric in z, so membership depends only on the multiset of
-    residues; the scan stops at the first member and draws nothing from the
+    Membership depends only on the multiset of residues, so the scan walks
+    multisets, stops at the first member and draws nothing from the
     sampler's generator.
     """
+    pm, n = len(member.residues), member.n
     total = math.comb(pm, n) if distinct else math.comb(pm + n - 1, n)
     if total > EMPTY_CHECK_CAP:
         return
     multisets = (itertools.combinations if distinct
                  else itertools.combinations_with_replacement)(range(pm), n)
-    for codes in multisets:
-        if _point_in_D(cfg1, tuple(_residue_from_index(cfg1.ctx, c)
-                                   for c in codes)):
-            return
+    if any(pt.in_D for pt in _walk(member, multisets)):
+        return
     raise OutsideDomain(
         f"the {'o-' if distinct else ''}domain is empty: none of the {total} "
         f"residue multisets of size {n} over F_{pm} is in it")
@@ -202,28 +233,42 @@ def _require_nonempty(cfg1, pm, n, distinct):
 
 def sample_domain_points(p, g, m, count, seed, ctx, require_distinct=True):
     """Reproducibly sample lifted points of the (o-)domain."""
-    ctx1 = ctx_new(p, 1, m)
-    cfg1 = KZConfig(ctx1, g)
-    n = cfg1.n
-    pm = p**m
-    _require_nonempty(cfg1, pm, n, require_distinct)
-    rng = random.Random(seed)
+    if count < 1:
+        raise ConfigError(f"need at least one domain point, got {count}")
+    member = _Membership(p, g, m)
+    _require_nonempty(member, require_distinct)
+    draws = _random_tuples(seed, p**m, member.n, 10_000 * count)
     out = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 10_000 * count:
-            raise OutsideDomain("sampling failed to find enough domain points")
-        codes = tuple(rng.randrange(pm) for _ in range(n))
-        if require_distinct and len(set(codes)) != n:
-            continue
-        residues = tuple(_residue_from_index(ctx1, c) for c in codes)
-        if not _point_in_D(cfg1, residues):
-            continue
-        pt = DomainPoint(residues, None, True, len(set(codes)) == n,
-                         len(out))
-        out.append(lift_point(pt, ctx))
-    return out
+    for pt in _walk(member, draws, distinct_only=require_distinct):
+        if pt.in_D:
+            out.append(lift_point(replace(pt, index=len(out)), ctx))
+            if len(out) == count:
+                return out
+    raise OutsideDomain("sampling failed to find enough domain points")
+
+
+def nth_domain_point(p, g, m, k, seed, ctx):
+    """The k-th o-domain point (from 0), lifted into ctx.
+
+    Residue tuples are walked lazily in itertools.product order and the walk
+    stops at the k-th o-domain point, whose index is its position in the
+    full enumeration.  Beyond EXHAUSTIVE_CAP tuples the point is the k-th
+    reproducible sample of sample_domain_points instead.
+    """
+    if k < 0:
+        raise ConfigError(f"point index {k} must be >= 0")
+    n = 2 * g + 1
+    if (p**m)**n > EXHAUSTIVE_CAP:
+        return sample_domain_points(p, g, m, k + 1, seed, ctx)[k]
+    member = _Membership(p, g, m)
+    found = 0
+    ordered = itertools.product(range(p**m), repeat=n)
+    for pt in _walk(member, ordered, distinct_only=True):
+        if pt.in_D_o:
+            if found == k:
+                return lift_point(pt, ctx)
+            found += 1
+    raise ConfigError(f"point index {k} out of range ({found} points)")
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +293,13 @@ class Certificate:
         }
 
 
+def _check_s_max(ctx, s_max):
+    if s_max < 1:
+        raise ConfigError(f"s_max must be >= 1, got {s_max}")
+    if ctx.N < s_max + 1:
+        raise ValueError("precision must satisfy N >= s_max + 1")
+
+
 def _level_matrix_inv(cfg, lev, a, cache):
     ctx = cfg.ctx
     from .hasse_witt import hw_from_dense
@@ -268,8 +320,7 @@ def limit_A(cfg, point, s_max):
     p^(s_max).
     """
     ctx = cfg.ctx
-    if ctx.N < s_max + 1:
-        raise ValueError("precision must satisfy N >= s_max + 1")
+    _check_s_max(ctx, s_max)
     if not point.in_D:
         raise OutsideDomain("point is outside the unit-determinant domain")
     a = point.lift
@@ -308,8 +359,7 @@ def limit_I(cfg, point, s_max):
     Differences of consecutive iterates must have valuation >= s.
     """
     ctx = cfg.ctx
-    if ctx.N < s_max + 1:
-        raise ValueError("precision must satisfy N >= s_max + 1")
+    _check_s_max(ctx, s_max)
     if not point.in_D_o:
         raise OutsideDomain("point is outside the residue-distinct o-domain")
     a = point.lift

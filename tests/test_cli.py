@@ -4,6 +4,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import dworklab as dl
 from dworklab import cli
 from dworklab.cli import run
@@ -231,3 +233,70 @@ def test_console_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["verdict"] == "pass"
+
+
+LIMIT_3_1_2 = ["limit", "--p", "3", "--N", "4", "--g", "1", "--m", "2",
+               "--smax", "3", "--point"]
+
+
+@pytest.fixture(scope="module")
+def o_domain_3_1_2():
+    return [pt for pt in dl.scan_domain(3, 1, 2).points if pt.in_D_o]
+
+
+@pytest.mark.parametrize("which", ["first", "middle", "last"])
+def test_limit_certifies_the_kth_o_domain_point(o_domain_3_1_2, which):
+    eligible = o_domain_3_1_2
+    k = {"first": 0, "middle": len(eligible) // 2,
+         "last": len(eligible) - 1}[which]
+    code, docs = invoke(LIMIT_3_1_2 + [str(k)])
+    assert code == 0
+    ctx = dl.ctx_new(3, 4, 2)
+    want = dl.limit_report(dl.KZConfig(ctx, 1),
+                           dl.lift_point(eligible[k], ctx), 3).to_json()
+    assert docs[0]["point_index"] == eligible[k].index
+    want.update({"command": "limit", "$schema": "dworklab/report-v1"})
+    assert docs == [json.loads(json.dumps(want))]
+
+
+def test_limit_point_out_of_range_exits_2(o_domain_3_1_2, capsys):
+    last = len(o_domain_3_1_2) - 1
+    code, docs = invoke(LIMIT_3_1_2 + [str(last + 1)])
+    assert code == 2 and docs == []
+    assert (f"point index {last + 1} out of range ({last + 1} points)"
+            in capsys.readouterr().err)
+
+
+def test_limit_first_point_of_a_large_domain():
+    # 25^5 = 9.8M ordered tuples: the walk stops at the first o-domain point
+    start = time.perf_counter()
+    code, docs = invoke(["limit", "--p", "5", "--N", "3", "--g", "2",
+                         "--m", "2", "--point", "0", "--smax", "2"])
+    assert code == 0 and docs[0]["point_index"] >= 0
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("argv", [
+    "kz-verify --check coS --p 5 --N 4 --g 1 --s 2 --points 0 --ext 2",
+    "kz-verify --check coS --p 5 --N 4 --g 1 --s 2 --points -3 --ext 2",
+    "kz-verify --check minor --p 5 --N 4 --g 1 --s 2 --points 0 --ext 2",
+    "limit --p 3 --N 4 --g 1 --m 2 --point -1 --smax 3",
+    "limit --p 3 --N 4 --g 1 --m 2 --point 0 --smax 0",
+    "domain-scan --p 3 --g 1 --m 2 --sample -5",
+    "domain-scan --p 3 --g 1 --m 2 --sample 0",
+])
+def test_non_positive_counts_exit_2(argv, capsys):
+    code, docs = invoke(argv.split())
+    assert code == 2 and docs == []
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "hw --p 5 --N 3 --m 1 --g 1 --at {}",
+    "kz-solve --p 5 --N 3 --g 1 --s 1 --at {}",
+    "ghosts --p 3 --N 3 --l 1 --delta 1 --tuple {}",
+])
+def test_missing_input_file_exits_2(tmp_path, argv, capsys):
+    code, docs = invoke(argv.format(tmp_path / "absent.json").split())
+    assert code == 2 and docs == []
+    assert "configuration error: cannot read" in capsys.readouterr().err

@@ -78,3 +78,22 @@ def test_dense_mul_extremal_coefficients_at_the_ntt_cutoff(p, N, m):
             a = [top] * la
             b = a if lb == la else [top] * lb
             assert dense.dense_mul(ctx, a, b) == want
+
+
+@pytest.mark.parametrize("p,N", [(5, 5), (3, 2), (7, 6)])
+def test_m2_schoolbook_matches_oracle(p, N):
+    """Shorter operands of length 1-8 at m = 2 take the unrolled schoolbook:
+    all-(q-1) operands fill every accumulator, seeded random ones carry zero
+    elements and zero components, and a = b shares one list."""
+    ctx = dl.ctx_new(p, N, 2)
+    rng = seeded(31 * p + N)
+    top = (ctx.q - 1, ctx.q - 1)
+    for la in range(1, 9):
+        for lb in (la, la + rng.randrange(1, 12)):
+            a = [ctx.rand(rng) for _ in range(la)]
+            b = [ctx.rand(rng) for _ in range(lb)]
+            a[rng.randrange(la)] = ctx.zero()
+            b[rng.randrange(lb)] = (0, rng.randrange(1, ctx.q))
+            for x, y in (([top] * la, [top] * lb), (a, a), (a, b), (b, a)):
+                assert dense.dense_mul(ctx, x, y) == oracle_dense_mul(
+                    x, y, p, N, 2, ctx.modulus)

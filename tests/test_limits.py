@@ -1,8 +1,10 @@
+import math
+
 import pytest
 
 import dworklab as dl
-from dworklab import ringmat
-from dworklab.errors import OutsideDomain, TooLarge
+from dworklab import limits, ringmat
+from dworklab.errors import ConfigError, OutsideDomain, TooLarge
 from dworklab.limits import (
     det_degree,
     nonempty_bound,
@@ -20,6 +22,67 @@ def test_scan_exhaustive_counts():
     assert res.in_d_count >= res.nonempty_bound
     assert det_degree(3, 1) == 1
     assert nonempty_bound(3, 1, 2) == (728 // 8) * 7 + 1
+
+
+def _count_evaluations(monkeypatch):
+    """Record the point of every det A(1, Phi_1) evaluation in limits."""
+    calls = []
+    real = limits.hw_matrix_at
+
+    def counting(level, F, delta, a, *rest):
+        calls.append(a)
+        return real(level, F, delta, a, *rest)
+
+    monkeypatch.setattr(limits, "hw_matrix_at", counting)
+    return calls
+
+
+def test_exhaustive_scan_evaluates_each_residue_multiset_once(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    res = dl.scan_domain(3, 1, 2, mode="exhaustive")
+    assert res.in_d_count == 648 >= res.nonempty_bound == 638
+    # C(3^2 + 3 - 1, 3) multisets, not the 729 ordered tuples
+    assert len(calls) <= math.comb(11, 3) == 165
+    assert len(set(calls)) == len(calls)
+
+
+def test_nth_domain_point_follows_the_ordered_enumeration():
+    eligible = [pt for pt in dl.scan_domain(3, 1, 2).points if pt.in_D_o]
+    ctx = dl.ctx_new(3, 4, 2)
+    for k in (0, len(eligible) // 2, len(eligible) - 1):
+        pt = dl.nth_domain_point(3, 1, 2, k, 0, ctx)
+        assert (pt.residues, pt.index) == (eligible[k].residues,
+                                           eligible[k].index)
+        assert pt.lift == dl.lift_point(eligible[k], ctx).lift
+    with pytest.raises(ConfigError, match=rf"out of range \({len(eligible)} "):
+        dl.nth_domain_point(3, 1, 2, len(eligible), 0, ctx)
+    with pytest.raises(ConfigError, match="must be >= 0"):
+        dl.nth_domain_point(3, 1, 2, -1, 0, ctx)
+
+
+def test_nth_domain_point_stops_at_the_point(monkeypatch):
+    # (5, 2, 2) has 25^5 tuples and C(25, 5) = 53,130 residue-distinct
+    # multisets; the first o-domain point needs a handful of evaluations
+    calls = _count_evaluations(monkeypatch)
+    pt = dl.nth_domain_point(5, 2, 2, 0, 0, dl.ctx_new(5, 3, 2))
+    assert pt.in_D_o and len(set(pt.residues)) == 5
+    assert 1 <= len(calls) < 100
+
+
+def test_non_positive_counts_are_rejected():
+    ctx = dl.ctx_new(3, 3, 2)
+    for count in (0, -3):
+        with pytest.raises(ConfigError):
+            dl.sample_domain_points(3, 1, 2, count, 0, ctx)
+        with pytest.raises(ConfigError):
+            dl.scan_domain(3, 1, 2, mode="sample", k=count, seed=0)
+    cfg = dl.KZConfig(ctx, 1)
+    with pytest.raises(ConfigError, match="at least one point"):
+        dl.verify_solution_congruence(cfg, 2, mode="pointwise", points=[])
+    pt = dl.sample_domain_points(3, 1, 2, 1, 0, ctx)[0]
+    for frag in (dl.limit_A, dl.limit_I):
+        with pytest.raises(ConfigError, match="s_max must be >= 1"):
+            frag(cfg, pt, 0)
 
 
 def test_scan_membership_cases():
