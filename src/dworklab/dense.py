@@ -17,6 +17,11 @@ the whole convolution.  Results are bit-identical on every path.
 A square (``a is b``) is packed once and multiplied by itself.  For m >= 2 the
 reduction modulo the defining polynomial is folded into the packed columns
 before unpacking, so only m columns are ever unpacked.
+
+A product of linear factors prod (t - r)^e is also kept as a half split
+R^2 T, R = prod (t - r)^(e // 2) and T = prod (t - r)^(e mod 2), from which
+dense_half_coeffs reads single coefficients by dot products over R: a
+Hasse-Witt matrix needs g^2 coefficients, not the whole square.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import decimal
 import math
 import struct
+from operator import mul
 
 from .errors import NotDivisible
 
@@ -156,13 +162,17 @@ def _school_mul_ext(ctx, a, b):
     return out
 
 
+def school_cutoff(ctx):
+    """Longest shorter operand that dense_mul multiplies by schoolbook."""
+    return KRONECKER_CUTOFF if ctx.m == 1 else 8
+
+
 def dense_mul(ctx, a, b):
     if not a or not b:
         return []
-    if ctx.m == 1:
-        if min(len(a), len(b)) <= KRONECKER_CUTOFF:
+    if min(len(a), len(b)) <= school_cutoff(ctx):
+        if ctx.m == 1:
             return _school_mul_int(a, b, ctx.q)
-    elif min(len(a), len(b)) <= 8:
         return _school_mul_ext(ctx, a, b)
     return _kron_mul(ctx, a, b)
 
@@ -193,6 +203,37 @@ def dense_linear_pow(ctx, root, e):
     return out
 
 
+def _linear_product(ctx, roots):
+    """prod (t - root), one root at a time: new[k] = old[k-1] - root * old[k].
+
+    For m = 2 the two basis columns are kept as plain ints, and
+    root * (h0 + h1 x) = r0 h0 - m0 r1 h1 + (r0 h1 + r1 h0 - m1 r1 h1) x
+    folds x^2 = -m0 - m1 x in place.
+    """
+    q, m = ctx.q, ctx.m
+    if m == 1:
+        out = [1]
+        for r in roots:
+            out = [(lo - r * hi) % q for lo, hi in zip([0] + out, out + [0])]
+        return out
+    if m == 2:
+        m0, m1 = ctx.modulus[0], ctx.modulus[1]
+        c0, c1 = [1], [0]
+        for r0, r1 in roots:
+            f0, f1 = m0 * r1, m1 * r1
+            h0, h1 = c0 + [0], c1 + [0]
+            c0, c1 = ([(lo - r0 * x + f0 * y) % q
+                       for lo, x, y in zip([0] + c0, h0, h1)],
+                      [(lo - r0 * y - r1 * x + f1 * y) % q
+                       for lo, x, y in zip([0] + c1, h0, h1)])
+        return list(zip(c0, c1))
+    zero = ctx.zero()
+    out = [ctx.one()]
+    for r in roots:
+        out = [ctx.sub(lo, ctx.mul(r, hi)) for lo, hi in zip([zero] + out, out + [zero])]
+    return out
+
+
 def dense_from_roots(ctx, pairs):
     """Expand prod (t - root)^mult for a list of (root, mult) pairs."""
     pairs = [(r, e) for r, e in pairs if e > 0]
@@ -200,11 +241,7 @@ def dense_from_roots(ctx, pairs):
         return [ctx.one()]
     mults = {e for _, e in pairs}
     if len(mults) == 1:
-        e = mults.pop()
-        base = [ctx.one()]
-        for root, _ in pairs:
-            base = dense_mul(ctx, base, [ctx.neg(root), ctx.one()])
-        return dense_pow(ctx, base, e)
+        return dense_pow(ctx, _linear_product(ctx, [r for r, _ in pairs]), mults.pop())
     polys = sorted((dense_linear_pow(ctx, r, e) for r, e in pairs), key=len)
     while len(polys) > 1:
         polys.sort(key=len)
@@ -212,6 +249,69 @@ def dense_from_roots(ctx, pairs):
         b = polys.pop(0)
         polys.append(dense_mul(ctx, a, b))
     return polys[0]
+
+
+def dense_half_split(ctx, pairs):
+    """(R, T) with prod (t - root)^mult = R^2 T, where R has the halved
+    multiplicities mult // 2 and T the parities mult % 2."""
+    return (dense_from_roots(ctx, [(r, e // 2) for r, e in pairs]),
+            dense_from_roots(ctx, [(r, e % 2) for r, e in pairs]))
+
+
+def _square_at(x, i, lo):
+    """sum_a x_a x_(i-a) over lo <= a <= i - lo, each cross term once, doubled."""
+    mid = (i + 1) // 2
+    acc = 2 * sum(map(mul, x[lo:mid], reversed(x[i - mid + 1:i - lo + 1])))
+    return acc if i & 1 else acc + x[i >> 1] * x[i >> 1]
+
+
+def dense_half_coeffs(ctx, R, T, indices):
+    """Coefficients of t^k in R^2 T at the given indices, zero out of range.
+
+    [t^k] R^2 T = sum_j T_j S_(k-j) with S_i = sum_a R_a R_(i-a), so a few
+    coefficients cost a few dot products over R and no square of R.  For
+    m = 2 S_i comes from three column dot products and one fold of
+    x^2 = -m0 - m1 x, as in _school_mul_ext.
+    """
+    q, m = ctx.q, ctx.m
+    d = len(R) - 1
+    if m == 1:
+        def square_at(i, lo):
+            return _square_at(R, i, lo) % q
+    elif m == 2:
+        m0, m1 = ctx.modulus[0], ctx.modulus[1]
+        R0, R1 = (list(col) for col in zip(*R))
+
+        def square_at(i, lo):
+            c0 = _square_at(R0, i, lo)
+            c2 = _square_at(R1, i, lo)
+            c1 = 2 * sum(map(mul, R0[lo:i - lo + 1], reversed(R1[lo:i - lo + 1])))
+            return (c0 - m0 * c2) % q, (c1 - m1 * c2) % q
+    else:
+        def square_at(i, lo):
+            acc = ctx.zero()
+            for k in range(lo, i - lo + 1):
+                acc = ctx.add(acc, ctx.mul(R[k], R[i - k]))
+            return acc
+    memo = {}
+    out = []
+    for k in indices:
+        terms = []
+        for j, tj in enumerate(T):
+            i = k - j
+            if 0 <= i <= 2 * d:
+                s = memo.get(i)
+                if s is None:
+                    s = memo[i] = square_at(i, max(0, i - d))
+                terms.append((tj, s))
+        if m == 1:
+            out.append(sum(tj * s for tj, s in terms) % q)
+        else:
+            acc = ctx.zero()
+            for tj, s in terms:
+                acc = ctx.add(acc, ctx.mul(tj, s))
+            out.append(acc)
+    return out
 
 
 def dense_div_linear(ctx, coeffs, root):

@@ -146,8 +146,11 @@ class PointKit:
         return got
 
     def A(self, level, s, j, twist=0):
-        off, co = self.dense_W(s, j, twist)
-        return hw_from_dense(self.ctx, level, off, co, self.tup.delta)
+        got = self._dense.get((s, j, twist))
+        if got is not None:
+            return hw_from_dense(self.ctx, level, *got, self.tup.delta)
+        return self.fcache.hw_at(level, self.tup.W(s, j), self.tup.delta,
+                                 self.point(twist))
 
     def A_inv(self, level, s, j, twist=0):
         Aw = self.A(level, s, j, twist)

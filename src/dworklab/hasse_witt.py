@@ -102,12 +102,19 @@ def _coeffs_at(ctx, offset, coeffs, indices):
             for idx in indices]
 
 
-def hw_from_dense(ctx, level, offset, coeffs, delta, source=""):
+def _hw_read(ctx, level, delta, read, source):
+    """Pointwise A(level, F) from read(indices) -> coefficients of F(t, a)."""
     delta = _normalize_delta_ints(delta)
     pm = ctx.p**level
-    entries = [_coeffs_at(ctx, offset, coeffs, [pm * v - u for v in delta])
-               for u in delta]
+    g = len(delta)
+    flat = read([pm * v - u for u in delta for v in delta])
+    entries = [flat[i * g:(i + 1) * g] for i in range(g)]
     return HWMatrix(ctx, level, delta, entries, True, source)
+
+
+def hw_from_dense(ctx, level, offset, coeffs, delta, source=""):
+    return _hw_read(ctx, level, delta,
+                    lambda idx: _coeffs_at(ctx, offset, coeffs, idx), source)
 
 
 def hw_matrix_at(level, F, delta, a, source=""):
@@ -155,29 +162,65 @@ class DenseCache:
     """Memo of dense specializations F(t, a) and of their linear quotients.
 
     ``get`` keeps the (offset, coeffs) expansion of F at the point a, keyed by
-    the factored form and the point.  ``quotient`` keeps the exact quotient of
-    that expansion by (t - root), keyed by (factored form, point, root), so
-    the frames I_s, their z-derivatives and the derivatives of A(s, F) at one
-    point share n synthetic divisions.  ``diff_inverse`` keeps the inverses
-    of the point's coordinate differences.  Unfactored F is never memoized.
+    the factored form and the point.  ``hw_at`` reads A(level, F) at a: from
+    that expansion when it is stored, otherwise from the half split
+    F(t, a) = R^2 T (R with the halved multiplicities, T with their parities,
+    kept under the same key) when R is past dense_mul's schoolbook cutoff, so
+    that only g^2 coefficients of the square are formed.  A later ``get``
+    builds the expansion as R R T from a stored split.  ``quotient`` keeps the
+    exact quotient of the expansion by (t - root), keyed by (factored form,
+    point, root), so the frames I_s, their z-derivatives and the derivatives
+    of A(s, F) at one point share n synthetic divisions.  ``diff_inverse``
+    keeps the inverses of the point's coordinate differences.  Unfactored F
+    is never memoized.
     """
 
     def __init__(self):
         self._store = {}
+        self._half = {}
         self._quot = {}
         self._inv = {}
 
+    @staticmethod
+    def _key(F, a):
+        return (F.ctx, F.factored, a) if F.factored is not None else None
+
     def get(self, F, a):
         a = tuple(a)
-        key = (F.ctx, F.factored, a) if F.factored is not None else None
+        key = self._key(F, a)
         if key is not None:
             got = self._store.get(key)
             if got is not None:
+                return got
+            half = self._half.pop(key, None)
+            if half is not None:
+                R, T = half
+                full = dense.dense_mul(F.ctx, R, R)
+                if len(T) > 1:
+                    full = dense.dense_mul(F.ctx, full, T)
+                got = self._store[key] = 0, full
                 return got
         val = F.dense_t(a)
         if key is not None:
             self._store[key] = val
         return val
+
+    def hw_at(self, level, F, delta, a, source=""):
+        """A(level, F) at the point a, through the cheapest stored form."""
+        a = tuple(a)
+        ctx = F.ctx
+        key = self._key(F, a)
+        if key is not None and key not in self._store:
+            half = self._half.get(key)
+            if half is None:
+                pairs = F.roots_at(a)
+                if 1 + sum(e // 2 for _, e in pairs) > dense.school_cutoff(ctx):
+                    half = self._half[key] = dense.dense_half_split(ctx, pairs)
+            if half is not None:
+                return _hw_read(ctx, level, delta,
+                                lambda idx: dense.dense_half_coeffs(ctx, *half, idx),
+                                source)
+        return hw_from_dense(ctx, level, *self.get(F, a), delta, source)
 
     def quotient(self, F, a, root):
         """(offset, coeffs) of F(t, a) / (t - root); NotDivisible if inexact."""

@@ -30,7 +30,6 @@ from .hasse_witt import (
     _coeffs_at,
     check_direction,
     hw_det,
-    hw_from_dense,
     hw_matrix,
 )
 from .laurent import LaurentPoly
@@ -482,7 +481,7 @@ def verify_solution_congruence(cfg, s, mode="pointwise", points=None):
         frames = {}
         for lev in (s, s + 1):
             phi = master_polynomial(cfg, lev)
-            Aw = hw_from_dense(ctx, lev, *cache.get(phi, a), cfg.delta)
+            Aw = cache.hw_at(lev, phi, cfg.delta, a)
             det = hw_det(Aw)
             if not ctx.is_unit(det):
                 raise OutsideDomain(
@@ -533,7 +532,7 @@ def verify_mod_p_stabilization(cfg, s_max, points):
 
         def frame(lev):
             phi = master_polynomial(cfg, lev)
-            Aw = hw_from_dense(ctx, lev, *cache.get(phi, a), cfg.delta)
+            Aw = cache.hw_at(lev, phi, cfg.delta, a)
             if not ctx.is_unit(hw_det(Aw)):
                 raise OutsideDomain(f"point {idx} outside the unit-det domain")
             Ainv = ringmat.mat_inv_scalar(ctx, Aw.entries)

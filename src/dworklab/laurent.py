@@ -507,14 +507,7 @@ class LaurentPoly:
             raise UnsupportedArity("dense form needs a single t variable")
         ctx = self.ctx
         if self.factored is not None:
-            if any(kind == "z" for (kind, _), _ in self.factored):
-                if a is None:
-                    raise NotFactored("symbolic factored form needs a point")
-                poly = self.eval_z(a)
-            else:
-                poly = self
-            roots = [(val, e) for (_, val), e in poly.factored]
-            return 0, dense.dense_from_roots(ctx, roots)
+            return 0, dense.dense_from_roots(ctx, self.roots_at(a))
         poly = self.eval_z(a) if self.n else self
         if not poly.terms:
             return 0, []
@@ -524,6 +517,15 @@ class LaurentPoly:
         for key, c in poly.terms.items():
             out[key[0] - lo] = c
         return lo, out
+
+    def roots_at(self, a=None):
+        """(root, mult) pairs in t of a factored form, with z = a substituted."""
+        poly = self
+        if any(kind == "z" for (kind, _), _ in self.factored):
+            if a is None:
+                raise NotFactored("symbolic factored form needs a point")
+            poly = self.eval_z(a)
+        return [(val, e) for (_, val), e in poly.factored]
 
     @classmethod
     def from_dense(cls, ctx, coeffs, offset=0, n=0):

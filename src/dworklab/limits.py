@@ -294,18 +294,16 @@ class Certificate:
 
 
 def _check_s_max(ctx, s_max):
-    if s_max < 1:
-        raise ConfigError(f"s_max must be >= 1, got {s_max}")
+    if s_max < 2:
+        raise ConfigError(
+            f"s_max must be >= 2, got {s_max}: a decay needs two iterates")
     if ctx.N < s_max + 1:
         raise ValueError("precision must satisfy N >= s_max + 1")
 
 
 def _level_matrix_inv(cfg, lev, a, cache):
     ctx = cfg.ctx
-    from .hasse_witt import hw_from_dense
-
-    off, co = cache.get(master_polynomial(cfg, lev), a)
-    Aw = hw_from_dense(ctx, lev, off, co, cfg.delta)
+    Aw = cache.hw_at(lev, master_polynomial(cfg, lev), cfg.delta, a)
     det = hw_det(Aw)
     if not ctx.is_unit(det):
         raise OutsideDomain(f"det A({lev}, Phi_{lev}) not a unit")

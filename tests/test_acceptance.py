@@ -6,6 +6,8 @@ lines; every tolerance is pinned here, nothing is deferred to calibration.
 
 import time
 
+import pytest
+
 import dworklab as dl
 from dworklab.kz import verify_mod_p_stabilization
 from conftest import rand_admissible_tuple, rand_laurent, seeded
@@ -278,3 +280,18 @@ def test_criterion_11_oracle_equivalence():
         ok = ok and ctx.add(ctx.from_int(x), ctx.from_int(y)) == (x + y) % q
     _verdict(11, "polynomial and scalar arithmetic match brute-force oracles",
              ok, f"{time.time() - t0:.1f}s")
+
+
+@pytest.mark.parametrize("p,N,s,g,m,seed", [(7, 6, 4, 2, 1, 0), (5, 5, 3, 2, 2, 0)])
+def test_ratio_and_det_are_sharp_pointwise(p, N, s, g, m, seed):
+    """With headroom N >= s + 1 the pointwise ratio and det congruences
+    reach exactly the claimed exponent s.  A(s + 1, W_s) and its partners
+    are read off the half split here, so a read from a wrong level or index
+    moves the observed valuation."""
+    ctx, cfg = _kz(p, N, g, m)
+    pts = _points(p, g, m, 4, seed, ctx)
+    tup = dl.kz_tuple(cfg, length=s + 1, periodic=False)
+    for verify in (dl.verify_dwork_ratio, dl.verify_det_congruence):
+        rep = verify(tup, s, mode="pointwise", points=pts)
+        assert rep.claimed_valuation == s
+        assert rep.observed_min_valuation == s

@@ -282,6 +282,7 @@ def test_limit_first_point_of_a_large_domain():
     "kz-verify --check minor --p 5 --N 4 --g 1 --s 2 --points 0 --ext 2",
     "limit --p 3 --N 4 --g 1 --m 2 --point -1 --smax 3",
     "limit --p 3 --N 4 --g 1 --m 2 --point 0 --smax 0",
+    "limit --p 3 --N 4 --g 1 --m 2 --point 0 --smax 1",
     "domain-scan --p 3 --g 1 --m 2 --sample -5",
     "domain-scan --p 3 --g 1 --m 2 --sample 0",
 ])

@@ -6,12 +6,16 @@ NTT_CUTOFF, decimal above it; a square (``a is b``) takes its own branch in
 both packed paths.  The random loops lower NTT_CUTOFF so that the oracle can
 check operands on both sides of all three cutovers; extremal coefficients
 then check the real cutover, where they fill every packed slot to its bound.
+The half-power reader (coefficients of R^2 T by dot products over R) and the
+one-pass product of linear factors are checked against oracle expansions.
 """
 
 import pytest
 
 import dworklab as dl
 from dworklab import dense
+from dworklab.hasse_witt import _coeffs_at
+from dworklab.laurent import LaurentPoly
 from conftest import seeded
 from oracles import oracle_dense_mul
 
@@ -97,3 +101,69 @@ def test_m2_schoolbook_matches_oracle(p, N):
             for x, y in (([top] * la, [top] * lb), (a, a), (a, b), (b, a)):
                 assert dense.dense_mul(ctx, x, y) == oracle_dense_mul(
                     x, y, p, N, 2, ctx.modulus)
+
+
+def _oracle_expand(ctx, pairs):
+    """prod (t - root)^mult by repeated oracle products with a linear factor."""
+    p, N, m = ctx.p, ctx.N, ctx.m
+    full = [ctx.one()]
+    for root, mult in pairs:
+        for _ in range(mult):
+            full = oracle_dense_mul(full, [ctx.neg(root), ctx.one()],
+                                    p, N, m, ctx.modulus)
+    return full
+
+
+def _multiplicities(rng, kind, n):
+    if kind == "even":
+        return [2 * rng.randrange(1, 7) for _ in range(n)]
+    if kind == "odd":
+        return [2 * rng.randrange(0, 7) + 1 for _ in range(n)]
+    return [rng.randrange(1, 14) for _ in range(n - 1)] + [3]
+
+
+# x^2 + x + 2 is irreducible over F_3 and F_5; ctx_new picks moduli with no
+# x term at m = 2, so this one exercises the m1 part of the x^2 fold.
+M1_MODULUS = (2, 1, 1)
+
+
+@pytest.mark.parametrize("p,N,m,modulus", [
+    (7, 6, 1, None), (3, 3, 1, None), (5, 5, 2, None), (3, 2, 2, None),
+    (5, 4, 2, M1_MODULUS), (3, 3, 2, M1_MODULUS), (3, 3, 3, None)])
+@pytest.mark.parametrize("kind", ["even", "odd", "mixed", "top"])
+def test_half_power_reader_matches_the_expansion(p, N, m, modulus, kind):
+    """Coefficients of R^2 T read by dot products equal the expanded
+    product at every index, including below 0, at the degree and past it;
+    "top" takes every root all-(q-1), which fills every accumulator."""
+    ctx = dl.PadicCtx(p, N, m, modulus) if modulus else dl.ctx_new(p, N, m)
+    rng = seeded(1000 * p + 100 * N + 10 * m + len(kind))
+    top = ctx.q - 1 if m == 1 else (ctx.q - 1,) * m
+    for n in (1, 3, 5):
+        if kind == "top":
+            pairs = [(top, 3 + k) for k in range(n)]
+        else:
+            pairs = [(ctx.rand(rng), e)
+                     for e in _multiplicities(rng, kind, n)]
+        R, T = dense.dense_half_split(ctx, pairs)
+        assert len(R) == 1 + sum(e // 2 for _, e in pairs)
+        assert len(T) == 1 + sum(e % 2 for _, e in pairs)
+        full = _oracle_expand(ctx, pairs)
+        indices = list(range(-3, len(full) + 3))
+        assert dense.dense_half_coeffs(ctx, R, T, indices) == _coeffs_at(
+            ctx, 0, full, indices)
+        assert dense.dense_from_roots(ctx, pairs) == full
+
+
+@pytest.mark.parametrize("p,N,m", [(7, 6, 1), (5, 5, 2), (3, 3, 3)])
+def test_half_power_reader_on_a_scalar_factored_form(p, N, m):
+    """A factored form of constant roots alone needs no point."""
+    ctx = dl.ctx_new(p, N, m)
+    rng = seeded(17 * p + m)
+    F = LaurentPoly.from_factors(
+        ctx, 0, [(("c", ctx.rand(rng)), e) for e in (9, 4, 1)])
+    pairs = F.roots_at()
+    off, coeffs = F.dense_t()
+    indices = list(range(-2, off + len(coeffs) + 2))
+    assert dense.dense_half_coeffs(ctx, *dense.dense_half_split(ctx, pairs),
+                                   indices) == _coeffs_at(ctx, off, coeffs, indices)
+    assert coeffs == _oracle_expand(ctx, pairs)

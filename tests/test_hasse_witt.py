@@ -6,6 +6,7 @@ import dworklab as dl
 from dworklab import ringmat
 from dworklab.errors import NotFactored, SingularModP
 from dworklab.hasse_witt import (
+    DenseCache,
     hw_eval,
     hw_second_derivative_at,
     hw_partial_z,
@@ -176,3 +177,42 @@ def test_second_derivative_matches_symbolic():
                 a = [ctx.rand(rng) for _ in range(cfg.n)]
                 direct = hw_second_derivative_at(s, phi, cfg.delta, a, u, v)
                 assert hw_eval(dsym, a).entries == direct.entries
+
+
+def _cache_forms(ctx, g):
+    """Factored forms whose halved part is past the schoolbook cutoff: a
+    KZ master polynomial with odd multiplicity (p = 3, 7) or even (p = 5),
+    and a mixed form with a constant root."""
+    cfg = dl.KZConfig(ctx, g)
+    s = {3: 3, 5: 2, 7: 3}[ctx.p]
+    mixed = LaurentPoly.from_factors(
+        ctx, 2, [(("z", 1), 37), (("z", 2), 50), (("c", ctx.from_int(2)), 5)])
+    return [(dl.master_polynomial(cfg, s), cfg.delta, cfg.n),
+            (mixed, (1, 2), 2)]
+
+
+@pytest.mark.parametrize("p,N,m,g", [(7, 4, 1, 2), (5, 3, 2, 2), (3, 3, 3, 1)])
+def test_cache_entries_and_expansion_in_either_order(p, N, m, g):
+    """hw_at before get (entries from the half split, expansion from R R T)
+    and get before hw_at (entries from the expansion) agree with the direct
+    expansion, at every level whose indices fall inside, at and past the
+    degree; two points on one cache keep their own splits."""
+    ctx = dl.ctx_new(p, N, m)
+    rng = seeded(97 * p + m)
+    for F, delta, n in _cache_forms(ctx, g):
+        points = [tuple(ctx.rand(rng) for _ in range(n)) for _ in range(2)]
+        split_first, expand_first = DenseCache(), DenseCache()
+        for a in points:
+            want = F.dense_t(a)
+            for level in (1, 2, 3, 4):
+                direct = dl.hw_matrix_at(level, F, delta, a).entries
+                assert split_first.hw_at(level, F, delta, a).entries == direct
+            assert split_first._half and (ctx, F.factored, a) in split_first._half
+            assert split_first.get(F, a) == want
+            assert (ctx, F.factored, a) not in split_first._half
+            assert expand_first.get(F, a) == want
+            for level in (1, 2, 3, 4):
+                direct = dl.hw_matrix_at(level, F, delta, a).entries
+                assert split_first.hw_at(level, F, delta, a).entries == direct
+                assert expand_first.hw_at(level, F, delta, a).entries == direct
+        assert not expand_first._half

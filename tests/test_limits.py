@@ -81,7 +81,7 @@ def test_non_positive_counts_are_rejected():
         dl.verify_solution_congruence(cfg, 2, mode="pointwise", points=[])
     pt = dl.sample_domain_points(3, 1, 2, 1, 0, ctx)[0]
     for frag in (dl.limit_A, dl.limit_I):
-        with pytest.raises(ConfigError, match="s_max must be >= 1"):
+        with pytest.raises(ConfigError, match="s_max must be >= 2"):
             frag(cfg, pt, 0)
 
 
