@@ -8,6 +8,7 @@ from .errors import (
     DirectionOutOfRange,
     DworkLabError,
     IndexOutOfRange,
+    InvalidParameter,
     NonUnitAtNegativeExponent,
     NonUnitDifference,
     NotAdmissible,
@@ -26,24 +27,11 @@ from .errors import (
     ZeroPolynomial,
 )
 from .padic import PadicCtx, ctx_new, teichmueller, unit_inverse, valuation
-from .laurent import (
-    LaurentPoly,
-    TBox,
-    coeff_t,
-    eval_z,
-    frobenius_sub,
-    leading_term_lex,
-    newton_box,
-    partial_z,
-    poly_mul,
-    poly_pow,
-    synth_div_linear,
-)
+from .laurent import LaurentPoly, TBox
 from .ghosts import (
     AdmissibilityCertificate,
     AdmissibleTuple,
     GhostSeq,
-    big_product,
     check_admissible,
     ghost_sequence,
 )

@@ -399,10 +399,15 @@ def build_parser():
     return ap
 
 
+_PARSER = None
+
+
 def run(argv, out=None):
-    ap = build_parser()
+    global _PARSER
+    if _PARSER is None:  # built once per process: it takes milliseconds
+        _PARSER = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if out is not None:
@@ -415,7 +420,7 @@ def run(argv, out=None):
     except DworkLabError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # a malformed --at or --tuple JSON file
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,6 +23,7 @@ from . import dense, ringmat
 from .errors import (
     ConfigError,
     DegenerateTuple,
+    InvalidParameter,
     PrecisionTooLow,
     SizeCapExceeded,
 )
@@ -377,7 +378,7 @@ def verify_dwork_ratio(tup, s, mode="symbolic", points=None):
     """A(s+1, W_s) sigma(A(s, W_s^(1)))^-1 = A(s, W_{s-1})
     sigma(A(s-1, W_{s-1}^(1)))^-1 mod p^s (identity matrix at s = 1)."""
     if s < 1:
-        raise ValueError("the ratio congruence needs s >= 1")
+        raise InvalidParameter("the ratio congruence needs s >= 1")
     tup.require_admissible()
     ctx = tup.ctx
     _require_precision(ctx, s)
@@ -434,7 +435,7 @@ def verify_det_congruence(tup, s, mode="symbolic", points=None):
     """det A(s+1, W_s) det sigma(A(s-1, W_{s-1}^(1))) = det A(s, W_{s-1})
     det sigma(A(s, W_s^(1))) mod p^s."""
     if s < 1:
-        raise ValueError("the determinant congruence needs s >= 1")
+        raise InvalidParameter("the determinant congruence needs s >= 1")
     tup.require_admissible()
     ctx = tup.ctx
     _require_precision(ctx, s)
@@ -481,7 +482,7 @@ def verify_derivative_congruence(tup, s, m=0, v=1, mode="symbolic", points=None)
     level-s version modulo p^(s+m); the twist contributes the chain-rule
     factor p^m z_v^(p^m - 1)."""
     if s < 1:
-        raise ValueError("the derivative congruence needs s >= 1")
+        raise InvalidParameter("the derivative congruence needs s >= 1")
     check_direction("v", v, tup.lam(0).n)
     tup.require_admissible()
     ctx = tup.ctx
@@ -549,7 +550,7 @@ def verify_second_derivative_congruence(tup, s, u=1, v=1, mode="symbolic",
     """D_u D_v A(s+1, W_s) A(s+1, W_s)^-1 agrees with the level-s version
     modulo p^s (untwisted reading)."""
     if s < 1:
-        raise ValueError("the second-derivative congruence needs s >= 1")
+        raise InvalidParameter("the second-derivative congruence needs s >= 1")
     check_direction("u", u, tup.lam(0).n)
     check_direction("v", v, tup.lam(0).n)
     tup.require_admissible()

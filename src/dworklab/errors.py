@@ -25,6 +25,10 @@ class DirectionOutOfRange(ConfigError):
     """A z-direction index outside 1..n."""
 
 
+class InvalidParameter(ConfigError, ValueError):
+    """A user-supplied parameter (level, genus, precision, ...) out of range."""
+
+
 class SearchExhausted(DworkLabError):
     pass
 

@@ -27,6 +27,7 @@ from fractions import Fraction
 from .errors import (
     CtxMismatch,
     IndexOutOfRange,
+    InvalidParameter,
     NotAdmissible,
     PrecisionTooLow,
     UnsupportedArity,
@@ -117,10 +118,6 @@ class AdmissibleTuple:
         return got
 
 
-def big_product(tup, s, j):
-    return tup.W(s, j)
-
-
 @dataclass
 class GhostSeq:
     tup: AdmissibleTuple
@@ -168,7 +165,7 @@ def normalize_delta(delta, r):
                 raise UnsupportedArity("Delta element arity mismatch")
             out.append(d)
     if not out:
-        raise ValueError("Delta must be nonempty")
+        raise InvalidParameter("Delta must be nonempty")
     return tuple(sorted(set(out)))
 
 
@@ -362,5 +359,5 @@ def check_admissible(tuple_or_boxes, delta, p=None, periodic=False, depth=8):
         boxes = [f.newton_box() for f in items]
         return check_admissible_boxes(boxes, delta, p, periodic=periodic, depth=depth)
     if p is None:
-        raise ValueError("p is required when passing raw boxes")
+        raise InvalidParameter("p is required when passing raw boxes")
     return check_admissible_boxes(items, delta, p, periodic=periodic, depth=depth)

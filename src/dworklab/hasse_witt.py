@@ -22,7 +22,6 @@ from .errors import (
     SingularModP,
     UnsupportedArity,
 )
-from .laurent import LaurentPoly
 
 
 @dataclass
@@ -72,27 +71,10 @@ def _normalize_delta_ints(delta):
 
 
 def hw_matrix(level, F, delta, source=""):
-    """Symbolic Hasse-Witt matrix; entries are z-polynomials."""
+    """Symbolic Hasse-Witt matrix; entries are z-polynomials read off F."""
     if F.r != 1:
         raise UnsupportedArity("Hasse-Witt extraction needs r = 1")
-    delta = _normalize_delta_ints(delta)
-    pm = F.ctx.p**level
-    needed = {}
-    for ui, u in enumerate(delta):
-        for vi, v in enumerate(delta):
-            needed.setdefault(pm * v - u, []).append((ui, vi))
-    g = len(delta)
-    dicts = [[{} for _ in range(g)] for _ in range(g)]
-    for key, c in F.terms.items():
-        slots = needed.get(key[0])
-        if slots:
-            for ui, vi in slots:
-                dicts[ui][vi][key[1:]] = c
-    entries = [
-        [LaurentPoly(F.ctx, 0, F.n, dicts[ui][vi]) for vi in range(g)]
-        for ui in range(g)
-    ]
-    return HWMatrix(F.ctx, level, delta, entries, False, source)
+    return _hw_read(F.ctx, level, delta, F.coeffs_t, source, pointwise=False)
 
 
 def _coeffs_at(ctx, offset, coeffs, indices):
@@ -102,14 +84,15 @@ def _coeffs_at(ctx, offset, coeffs, indices):
             for idx in indices]
 
 
-def _hw_read(ctx, level, delta, read, source):
-    """Pointwise A(level, F) from read(indices) -> coefficients of F(t, a)."""
+def _hw_read(ctx, level, delta, read, source, pointwise=True):
+    """A(level, F) from read(indices) -> the coefficients of F at those
+    t-exponents: ring scalars of F(t, a), or z-polynomials."""
     delta = _normalize_delta_ints(delta)
     pm = ctx.p**level
     g = len(delta)
     flat = read([pm * v - u for u in delta for v in delta])
     entries = [flat[i * g:(i + 1) * g] for i in range(g)]
-    return HWMatrix(ctx, level, delta, entries, True, source)
+    return HWMatrix(ctx, level, delta, entries, pointwise, source)
 
 
 def hw_from_dense(ctx, level, offset, coeffs, delta, source=""):

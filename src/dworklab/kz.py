@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from . import ringmat
 from .dwork import _finish, _mat_min_val_with_witness, _pointwise_scan
 from .errors import (
+    InvalidParameter,
     NonUnitDifference,
     OutsideDomain,
     SizeCapExceeded,
@@ -46,9 +47,9 @@ class KZConfig:
 
     def __post_init__(self):
         if self.g < 1:
-            raise ValueError("genus must be >= 1")
+            raise InvalidParameter("genus must be >= 1")
         if self.ctx.p < 2 * self.g + 1:
-            raise ValueError(
+            raise InvalidParameter(
                 f"p = {self.ctx.p} is too small for genus {self.g}; "
                 f"need p >= 2g+1"
             )
@@ -68,7 +69,7 @@ class KZConfig:
 def master_polynomial(cfg, s):
     """Phi_s = ((t - z_1)...(t - z_n))^((p^s - 1)/2) in factored form."""
     if s < 1:
-        raise ValueError("level must be >= 1")
+        raise InvalidParameter("level must be >= 1")
     e = cfg.exponent(s)
     factors = [(("z", i), e) for i in range(1, cfg.n + 1)]
     return LaurentPoly.from_factors(cfg.ctx, cfg.n, factors)
@@ -147,10 +148,8 @@ def ps_solutions(cfg, s, a=None, cache=None):
     phi = master_polynomial(cfg, s)
     indices = tuple(l * ps - 1 for l in range(1, cfg.g + 1))
     if a is None:
-        rows = []
-        for i in range(1, cfg.n + 1):
-            q = phi.synth_div_linear(z_index=i)
-            rows.append([q.coeff_t(idx) for idx in indices])
+        rows = [phi.synth_div_linear(z_index=i).coeffs_t(indices)
+                for i in range(1, cfg.n + 1)]
         return SolutionMatrix(cfg, s, rows, False, indices)
     cache = cache or DenseCache()
     rows = [_coeffs_at(ctx, *cache.quotient(phi, a, a[i - 1]), indices)
@@ -164,8 +163,7 @@ def solution_coefficient(cfg, s, ell, i, a=None):
     phi = master_polynomial(cfg, s)
     idx = ell * ctx.p**s - 1
     if a is None:
-        q = phi.synth_div_linear(z_index=i)
-        return q.coeff_t(idx)
+        return phi.synth_div_linear(z_index=i).coeff_t(idx)
     return _coeffs_at(ctx, *DenseCache().quotient(phi, a, a[i - 1]), (idx,))[0]
 
 
@@ -202,9 +200,8 @@ def ps_solution_derivative(cfg, s, i, a=None, cache=None):
             if scale % ctx.q == 0:
                 rows.append([zero_sym] * cfg.g)
                 continue
-            base = phi.synth_div_linear(z_index=i)
-            d = base.synth_div_linear(z_index=k).cmul(scale)
-            rows.append([d.coeff_t(idx) for idx in indices])
+            d = phi.synth_div_linear(z_index=i).synth_div_linear(z_index=k)
+            rows.append([x.cmul(scale) for x in d.coeffs_t(indices)])
         return rows
     cache = cache or DenseCache()
     off, qi = cache.quotient(phi, a, a[i - 1])
@@ -565,12 +562,9 @@ def first_row_gradient(cfg, s, a=None, cache=None):
     phi = master_polynomial(cfg, s)
     ps = ctx.p**s
     indices = tuple(l * ps - 1 for l in range(1, cfg.g + 1))
-    rows = []
     if a is None:
-        for i in range(1, cfg.n + 1):
-            d = phi.synth_div_linear(z_index=i).cmul(-e)
-            rows.append([d.coeff_t(idx) for idx in indices])
-        return rows
+        return [[x.cmul(-e) for x in phi.synth_div_linear(z_index=i).coeffs_t(indices)]
+                for i in range(1, cfg.n + 1)]
     cache = cache or DenseCache()
     return ringmat.mat_scal(
         ringmat.scalar_ring(ctx), ctx.from_int(-e),

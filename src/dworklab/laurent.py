@@ -5,11 +5,12 @@ A polynomial is a map from exponent vectors (tuples of r + n signed ints) to
 nonzero coefficients.  Master-polynomial shapes additionally carry a factored
 form, a multiset of monic linear factors (t - z_i) or (t - c); the factored
 form is load-bearing: products, powers, synthetic division and derivatives of
-master polynomials never expand symbolically, and specialization at a point
-drops into the dense univariate kernels.
+master polynomials never expand symbolically, coefficient reads (``coeffs_t``)
+generate only the terms of the requested t-exponents, and specialization at a
+point drops into the dense univariate kernels.
 
-Symbolic expansion is guarded by a soft term cap; configurations beyond it
-must use the pointwise pipeline.
+Full symbolic expansion (``terms``) is guarded by a soft term cap;
+configurations beyond it must use the pointwise pipeline.
 """
 
 from __future__ import annotations
@@ -118,49 +119,85 @@ class LaurentPoly:
     @property
     def terms(self):
         if self._terms is None:
-            self._terms = self._expand_factored()
+            est = 1 + sum(e for (k, _), e in self.factored if k == "c")
+            for (k, _), e in self.factored:
+                if k == "z":
+                    est *= e + 1
+                    if est > SOFT_TERM_CAP:
+                        raise SizeCapExceeded(
+                            f"factored expansion would exceed {SOFT_TERM_CAP} terms"
+                        )
+            terms = {}
+            deg = sum(e for _, e in self.factored)
+            self._read_factored(dict.fromkeys(range(deg + 1), terms))
+            self._terms = terms
         return self._terms
 
     def is_expanded(self):
         return self._terms is not None
 
-    def _expand_factored(self):
-        ctx = self.ctx
-        scalar = [(v, e) for (k, v), e in self.factored if k == "c"]
-        zfac = [(i, e) for (k, i), e in self.factored if k == "z"]
-        est = 1 + sum(e for _, e in scalar)
-        for _, e in zfac:
-            est *= e + 1
-            if est > SOFT_TERM_CAP:
-                raise SizeCapExceeded(
-                    f"factored expansion would exceed {SOFT_TERM_CAP} terms"
-                )
-        width = self.r + self.n
-        acc = None
-        if scalar:
-            co = dense.dense_from_roots(ctx, scalar)
-            acc = {}
-            for k, c in enumerate(co):
-                if not ctx.is_zero(c):
-                    key = [0] * width
-                    key[0] = k
-                    acc[tuple(key)] = c
-        for i, e in zfac:
-            fac_terms = {}
-            neg = ctx.neg(ctx.one())
-            pw = ctx.one()
-            for k in range(e, -1, -1):
-                c = ctx.scal_int(pw, math.comb(e, k))
-                if not ctx.is_zero(c):
-                    key = [0] * width
-                    key[0] = k
-                    key[self.r + i - 1] = e - k
-                    fac_terms[tuple(key)] = c
-                pw = ctx.mul(pw, neg)
-            acc = fac_terms if acc is None else _convolve(ctx, acc, fac_terms)
-        if acc is None:
-            acc = {(0,) * width: ctx.one()}
-        return acc
+    def _read_factored(self, out):
+        """Add the terms of t^k of the factored form to out[k], for every k
+        in out, keyed by full exponent vectors (k, z-exponents).
+
+        [t^k] prod_i (t - z_i)^e_i is the sum over j_1 + ... + j_n = k with
+        0 <= j_i <= e_i of prod_i C(e_i, j_i) (-z_i)^(e_i - j_i).  The terms
+        are generated one composition at a time, each j_i kept within what
+        the later factors can still absorb, so only the requested t-slices
+        are formed.  Scalar factors (t - c)^e are one dense t-polynomial S,
+        and [t^k] F = sum_j S_j [t^(k-j)] of the z-part; the z-degree of a
+        term fixes j, so no two of these products share a key.
+        """
+        ctx, q = self.ctx, self.ctx.q
+        zexp = {}
+        scalar = []
+        for (kind, val), e in self.factored:
+            if kind == "z":
+                zexp[val] = zexp.get(val, 0) + e
+            else:
+                scalar.append((val, e))
+        zfac = sorted(zexp.items())
+        rows = [[(-1) ** (e - j) * math.comb(e, j) % q for j in range(e + 1)]
+                for _, e in zfac]
+        caps = [0] * (len(zfac) + 1)
+        for d in range(len(zfac) - 1, -1, -1):
+            caps[d] = caps[d + 1] + zfac[d][1]
+        exps = [0] * (1 + self.n)
+
+        def walk(d, rem, c, part):
+            i, e = zfac[d]
+            row = rows[d]
+            if d == len(zfac) - 1:  # the bounds above leave j = rem
+                if w := c * row[rem] % q:
+                    exps[i] = e - rem
+                    part[tuple(exps)] = w
+                return
+            for j in range(max(0, rem - caps[d + 1]), min(e, rem) + 1):
+                if w := c * row[j] % q:
+                    exps[i] = e - j
+                    walk(d + 1, rem - j, w, part)
+
+        S = dense.dense_from_roots(ctx, scalar)
+        for kz in {k - j for k in out for j in range(len(S))}:
+            if not 0 <= kz <= caps[0]:
+                continue
+            exps[0] = kz
+            part = {}
+            if zfac:
+                walk(0, kz, 1, part)
+            else:
+                part[tuple(exps)] = 1
+            for j, sc in enumerate(S):
+                acc = out.get(kz + j)
+                if acc is None:
+                    continue
+                if j == 0 and sc == 1:  # m = 1, nothing to rescale or rekey
+                    acc.update(part)
+                    continue
+                for key, c in part.items():
+                    w = ctx.scal_int(sc, c)
+                    if not ctx.is_zero(w):
+                        acc[(kz + j,) + key[1:]] = w
 
     # -- basics -----------------------------------------------------------------
 
@@ -281,17 +318,32 @@ class LaurentPoly:
             {tuple(e * s for e in key): c for key, c in self.terms.items()}
         )
 
+    def coeffs_t(self, indices):
+        """The z-polynomials (r = 0) at the t-exponents ``indices``, in order.
+
+        An expanded polynomial is filtered; an unexpanded factored form is
+        read term by term (see ``_read_factored``) and stays unexpanded.
+        """
+        keys = [(v,) if isinstance(v, int) else tuple(v) for v in indices]
+        if any(len(v) != self.r for v in keys):
+            raise UnsupportedArity("t-exponent arity mismatch")
+        if self._terms is None:
+            read = {v[0]: {} for v in keys}
+            self._read_factored(read)
+            found = {(k,): {key[1:]: c for key, c in d.items()}
+                     for k, d in read.items()}
+        else:
+            found = {v: {} for v in keys}
+            for key, c in self._terms.items():
+                d = found.get(key[: self.r])
+                if d is not None:
+                    d[key[self.r:]] = c
+        polys = {v: LaurentPoly(self.ctx, 0, self.n, d) for v, d in found.items()}
+        return [polys[v] for v in keys]
+
     def coeff_t(self, v):
         """Coefficient of t^v; the result is a z-only polynomial (r = 0)."""
-        if isinstance(v, int):
-            v = (v,)
-        if len(v) != self.r:
-            raise UnsupportedArity("t-exponent arity mismatch")
-        out = {}
-        for key, c in self.terms.items():
-            if key[: self.r] == v:
-                out[key[self.r:]] = c
-        return LaurentPoly(self.ctx, 0, self.n, out)
+        return self.coeffs_t([v])[0]
 
     def partial_z(self, i):
         if not 1 <= i <= self.n:
@@ -589,42 +641,3 @@ def _convolve(ctx, a, b):
                 v = add(cur, v)
             out[key] = v
     return {k: v for k, v in out.items() if not is_zero(v)}
-
-
-# -- free-function aliases matching the operation surface ---------------------
-
-
-def poly_mul(f, g):
-    return f * g
-
-
-def poly_pow(f, e):
-    return f**e
-
-
-def frobenius_sub(f, k):
-    return f.frobenius_sub(k)
-
-
-def coeff_t(f, v):
-    return f.coeff_t(v)
-
-
-def partial_z(f, i):
-    return f.partial_z(i)
-
-
-def eval_z(f, a):
-    return f.eval_z(a)
-
-
-def synth_div_linear(f, z_index=None, scalar=None):
-    return f.synth_div_linear(z_index=z_index, scalar=scalar)
-
-
-def newton_box(f):
-    return f.newton_box()
-
-
-def leading_term_lex(f):
-    return f.leading_term_lex()

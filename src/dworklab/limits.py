@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from . import ringmat
-from .errors import ConfigError, OutsideDomain, TooLarge
+from .errors import ConfigError, InvalidParameter, OutsideDomain, TooLarge
 from .hasse_witt import (
     DenseCache,
     hw_det,
@@ -298,7 +298,7 @@ def _check_s_max(ctx, s_max):
         raise ConfigError(
             f"s_max must be >= 2, got {s_max}: a decay needs two iterates")
     if ctx.N < s_max + 1:
-        raise ValueError("precision must satisfy N >= s_max + 1")
+        raise InvalidParameter("precision must satisfy N >= s_max + 1")
 
 
 def _level_matrix_inv(cfg, lev, a, cache):

@@ -15,6 +15,7 @@ values can be shared freely between concurrent workers.
 from __future__ import annotations
 
 from .errors import (
+    InvalidParameter,
     NotAUnit,
     NotPrime,
     OddPrimeRequired,
@@ -409,9 +410,9 @@ def ctx_new(p, N, m=1):
     if p < 2 or not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if N < 1:
-        raise ValueError("precision N must be >= 1")
+        raise InvalidParameter("precision N must be >= 1")
     if m < 1:
-        raise ValueError("extension degree m must be >= 1")
+        raise InvalidParameter("extension degree m must be >= 1")
     if m == 1:
         return PadicCtx(p, N, 1, (0, 1))
     for k in range(p**m):

@@ -295,3 +295,35 @@ def test_ratio_and_det_are_sharp_pointwise(p, N, s, g, m, seed):
         rep = verify(tup, s, mode="pointwise", points=pts)
         assert rep.claimed_valuation == s
         assert rep.observed_min_valuation == s
+
+
+@pytest.mark.parametrize("theorem,expected", [("ratio", 3), ("det", 3),
+                                              ("der2", 3), ("1.6i", 1)])
+def test_symbolic_verdicts_are_sharp(theorem, expected):
+    """At (p, N, s, g) = (3, 5, 3, 1) the symbolic verdicts reach exactly
+    the claimed exponent.  Their matrices are read off factored forms, so a
+    wrong term in that read lowers the observed valuation."""
+    ctx, cfg = _kz(3, 5, 1)
+    tup = dl.kz_tuple(cfg, length=4, periodic=False)
+    verify = {
+        "ratio": dl.verify_dwork_ratio,
+        "det": dl.verify_det_congruence,
+        "der2": lambda t, s, mode: dl.verify_second_derivative_congruence(
+            t, s, u=1, v=1, mode=mode),
+        "1.6i": dl.verify_frobenius_factorization,
+    }[theorem]
+    rep = verify(tup, 3, mode="symbolic")
+    assert rep.claimed_valuation == expected
+    assert rep.observed_min_valuation == rep.claimed_valuation
+
+
+def test_frame_checks_are_sharp_pointwise():
+    """The pointwise KZ residual and frame congruence at p = 5, N = 5,
+    s = 3, g = 2 over F_25 points reach exactly the claimed exponent 3."""
+    ctx, cfg = _kz(5, 5, 2, 2)
+    pts = _points(5, 2, 2, 4, 0, ctx)
+    for rep in (dl.kz_residual(cfg, 3, mode="pointwise", points=pts),
+                dl.verify_solution_congruence(cfg, 3, mode="pointwise",
+                                              points=pts)):
+        assert rep.claimed_valuation == 3
+        assert rep.observed_min_valuation == rep.claimed_valuation

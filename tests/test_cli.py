@@ -86,6 +86,41 @@ def test_bad_direction_is_a_configuration_error(capsys):
         assert "outside the z-directions 1..5" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    """The parser is built once per process; a failed parse or an earlier
+    subcommand must not leak into the next report."""
+    bad = ["congruence", "--theorem", "nope", "--p", "3"]
+    first = ["congruence", "--theorem", "ratio", "--p", "3", "--N", "3",
+             "--s", "1", "--g", "1", "--symbolic", "--seed", "5"]
+    second = ["kz-verify", "--check", "phi", "--p", "3", "--N", "3",
+              "--g", "1", "--s", "1"]
+    assert invoke(bad) == (2, [])
+    parser = cli._PARSER
+    reused = [invoke(first), invoke(second)]
+    assert cli._PARSER is parser
+    fresh = []
+    for argv in (first, second):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(invoke(argv))
+    assert reused == fresh
+    assert reused[0][1][0]["seed"] == 5 and reused[1][1][0]["seed"] == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    "congruence --theorem ratio --p 3 --N 3 --s 0 --g 1 --symbolic",
+    "congruence --theorem det --p 3 --N 3 --s 0 --g 1 --symbolic",
+    "hw --p 3 --N 3 --m 0 --g 1",
+    "hw --p 3 --N 3 --m 1 --g 0",
+    "hw --p 3 --N 3 --m 1 --g 2",
+    "hw --p 3 --N 0 --m 1 --g 1",
+    "kz-solve --p 3 --N 3 --g 1 --s 1 --ext 0",
+])
+def test_invalid_parameters_are_configuration_errors(argv, capsys):
+    assert invoke(argv.split()) == (2, [])
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_kz_verify_other_checks():
     code, docs = invoke(
         ["kz-verify", "--check", "phi", "--p", "3", "--N", "3", "--g", "1",

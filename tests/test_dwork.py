@@ -3,9 +3,14 @@ import pytest
 import dworklab as dl
 from dworklab import ringmat
 from dworklab.dwork import ghost_dense_at
-from dworklab.errors import DegenerateTuple, SizeCapExceeded
+from dworklab.errors import (
+    ConfigError,
+    DegenerateTuple,
+    InvalidParameter,
+    SizeCapExceeded,
+)
 from dworklab.ghosts import AdmissibleTuple
-from dworklab.laurent import LaurentPoly
+from dworklab.laurent import LaurentPoly, TBox
 from conftest import rand_laurent, seeded
 
 
@@ -200,7 +205,7 @@ def test_periodic_tuple_matches_finite():
     r1 = dl.verify_dwork_ratio(fin, 2, mode="symbolic")
     r2 = dl.verify_dwork_ratio(per, 2, mode="symbolic")
     assert r1.observed_min_valuation == r2.observed_min_valuation
-    assert dl.big_product(per, 4, 2).factored == \
+    assert per.W(4, 2).factored == \
         dl.master_polynomial(cfg, 3).factored
 
 
@@ -334,3 +339,31 @@ def test_report_shape():
     assert doc["verdict"] == "pass"
     assert doc["claimed_valuation"] == 1
     assert "description" in doc and "config" in doc
+
+
+def test_user_parameter_checks_raise_invalid_parameter():
+    """Out-of-range user parameters are configuration errors that remain
+    ValueErrors for existing callers."""
+    assert issubclass(InvalidParameter, ConfigError)
+    assert issubclass(InvalidParameter, ValueError)
+    ctx = dl.ctx_new(3, 3, 1)
+    cfg = dl.KZConfig(ctx, 1)
+    tup = dl.kz_tuple(cfg, length=2, periodic=False)
+    pt = dl.sample_domain_points(3, 1, 2, 1, 0, dl.ctx_new(3, 3, 2))[0]
+    checks = [
+        lambda: dl.ctx_new(3, 0),
+        lambda: dl.ctx_new(3, 2, 0),
+        lambda: dl.KZConfig(ctx, 0),
+        lambda: dl.KZConfig(ctx, 2),
+        lambda: dl.master_polynomial(cfg, 0),
+        lambda: dl.verify_dwork_ratio(tup, 0),
+        lambda: dl.verify_det_congruence(tup, 0),
+        lambda: dl.verify_derivative_congruence(tup, 0),
+        lambda: dl.verify_second_derivative_congruence(tup, 0),
+        lambda: dl.limit_A(dl.KZConfig(dl.ctx_new(3, 3, 2), 1), pt, 3),
+        lambda: AdmissibleTuple(tup.lams, ()),
+        lambda: dl.check_admissible([TBox((0,), (1,))], (0,)),
+    ]
+    for check in checks:
+        with pytest.raises(InvalidParameter):
+            check()

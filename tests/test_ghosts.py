@@ -17,18 +17,18 @@ def test_big_product_examples():
     cfg = dl.KZConfig(ctx, 1)
     tup = dl.kz_tuple(cfg, length=3, periodic=False)
     F = dl.master_polynomial(cfg, 1)
-    assert dl.big_product(tup, 2, 2).factored == F.factored
+    assert tup.W(2, 2).factored == F.factored
     # constant tuple: W_s = c^(1 + p + ... + p^s)
     ctup = const_tuple(ctx, 1, 2, 3)
-    W2 = dl.big_product(ctup, 2, 0)
+    W2 = ctup.W(2, 0)
     assert W2 == LaurentPoly.const(ctx, 1, 1, pow(2, 1 + 3 + 9, 27))
     # (F, F, ...): W_{s-1} built from index 0 equals Phi_s
     phi3 = dl.master_polynomial(cfg, 3)
-    assert dl.big_product(tup, 2, 0).factored == phi3.factored
+    assert tup.W(2, 0).factored == phi3.factored
     with pytest.raises(IndexOutOfRange):
-        dl.big_product(tup, 5, 0)
+        tup.W(5, 0)
     with pytest.raises(IndexOutOfRange):
-        dl.big_product(tup, 2, 3)
+        tup.W(2, 3)
 
 
 def test_ghost_base_cases():

@@ -13,6 +13,7 @@ from dworklab.hasse_witt import (
 )
 from dworklab.laurent import LaurentPoly
 from conftest import seeded
+from oracles import oracle_expand_factors
 
 
 def kz_setup(p, N, g, m=1):
@@ -45,14 +46,28 @@ def test_point_examples():
 
 def test_point_symbolic_consistency():
     rng = seeded(17)
-    for p, g in [(3, 1), (5, 2)]:
-        ctx, cfg, F = kz_setup(p, 3, g)
-        sym = dl.hw_matrix(1, F, cfg.delta)
+    for p, g, m, level in [(3, 1, 1, 1), (5, 2, 1, 1), (3, 1, 2, 1),
+                           (5, 1, 2, 1), (3, 1, 2, 2)]:
+        ctx, cfg, _ = kz_setup(p, 3, g, m)
+        F = dl.master_polynomial(cfg, level)
+        sym = dl.hw_matrix(level, F, cfg.delta)
         for _ in range(10):
             a = [ctx.rand(rng) for _ in range(cfg.n)]
             via_sym = hw_eval(sym, a)
-            direct = dl.hw_matrix_at(1, F, cfg.delta, a)
+            direct = dl.hw_matrix_at(level, F, cfg.delta, a)
             assert via_sym.entries == direct.entries
+
+
+@pytest.mark.parametrize("p,N,g,m,level", [(3, 4, 1, 1, 2), (3, 3, 1, 2, 2),
+                                           (5, 2, 2, 1, 1)])
+def test_hw_matrix_reads_factored_form_without_expanding(p, N, g, m, level):
+    ctx, cfg, _ = kz_setup(p, N, g, m)
+    W = dl.master_polynomial(cfg, level)
+    A = dl.hw_matrix(level, W, cfg.delta)
+    assert not W.is_expanded()
+    ref = LaurentPoly(ctx, 1, cfg.n, oracle_expand_factors(
+        p, N, m, ctx.modulus, cfg.n, W.factored))
+    assert A.entries == dl.hw_matrix(level, ref, cfg.delta).entries
 
 
 def leading_term_expected(p, g, u, v):

@@ -83,6 +83,30 @@ def _derivative_oracle(ctx, cfg, s, i, a):
                                 ctx.m, ctx.modulus)
 
 
+@pytest.mark.parametrize("p,N,g,s,m", [(5, 4, 1, 2, 1), (3, 3, 1, 1, 2),
+                                        (3, 4, 1, 2, 2), (5, 3, 2, 1, 2)])
+def test_symbolic_frames_match_pointwise_frames(p, N, g, s, m):
+    """Symbolic frames, their z-derivatives and the first-row gradient,
+    evaluated at o-domain points, against the pointwise paths."""
+    ctx, cfg = setup(p, N, g, m)
+
+    def at(rows, a):
+        return [[x.eval_z(a).eval_all([], []) for x in row] for row in rows]
+
+    I = dl.ps_solutions(cfg, s)
+    dI = {i: ps_solution_derivative(cfg, s, i) for i in range(1, cfg.n + 1)}
+    grad = first_row_gradient(cfg, s)
+    for pt in dl.sample_domain_points(p, g, m, 3, 5, ctx):
+        a = pt.lift
+        assert at(I.entries, a) == dl.ps_solutions(cfg, s, a).entries
+        for i, rows in dI.items():
+            assert at(rows, a) == ps_solution_derivative(cfg, s, i, a)
+        assert at(grad, a) == first_row_gradient(cfg, s, a)
+        for ell in range(g + 2):
+            sym = solution_coefficient(cfg, s, ell, 2)
+            assert at([[sym]], a)[0][0] == solution_coefficient(cfg, s, ell, 2, a)
+
+
 def test_partial_fraction_derivative_matches_two_divisions():
     for p, g, m in [(5, 1, 1), (7, 2, 1), (5, 1, 2), (5, 2, 2)]:
         ctx, cfg = setup(p, 4, g, m)

@@ -5,11 +5,17 @@ from dworklab import dense
 from dworklab.errors import (
     NonUnitAtNegativeExponent,
     NotDivisible,
+    UnsupportedArity,
     ZeroPolynomial,
 )
 from dworklab.laurent import LaurentPoly, TBox
 from conftest import rand_laurent, seeded
-from oracles import oracle_dense_mul, oracle_div_linear, oracle_mul
+from oracles import (
+    oracle_dense_mul,
+    oracle_div_linear,
+    oracle_expand_factors,
+    oracle_mul,
+)
 
 
 def C(p=3, N=2, m=1):
@@ -105,6 +111,82 @@ def test_coeff_t_examples():
     e1 = (zs[0] + zs[1] + zs[2]).coeff_t(0)
     assert got == -e1
     assert f.coeff_t(7).is_zero()
+
+
+def test_coeffs_t_filters_expanded_polynomials():
+    ctx = C(3, 2)
+    f = LaurentPoly(ctx, 1, 2, {(2, 1, 0): 1, (1, 0, 0): 3, (2, 0, 4): 5})
+    a, b, c, a2 = f.coeffs_t([2, -1, (1,), 2])
+    assert a == LaurentPoly(ctx, 0, 2, {(1, 0): 1, (0, 4): 5})
+    assert b.is_zero() and c == LaurentPoly(ctx, 0, 2, {(0, 0): 3})
+    assert a2 == a
+    with pytest.raises(UnsupportedArity):
+        f.coeffs_t([(1, 2)])
+
+
+def _factored_case(p, N, m, n, factors):
+    ctx = dl.ctx_new(p, N, m)
+    factors = [((kind, ctx.from_coeffs(v) if kind == "c" else v), e)
+               for (kind, v), e in factors]
+    return ctx, LaurentPoly.from_factors(ctx, n, factors), factors
+
+
+FACTORED_CASES = {
+    # odd degree: a sign (-1)^j in place of (-1)^(e-j) negates F
+    "z-only": (3, 2, 1, 3, [(("z", 1), 3), (("z", 2), 1), (("z", 3), 3)]),
+    # z indices listed out of order and not 1..k
+    "sparse z indices": (5, 2, 1, 4, [(("z", 4), 2), (("z", 2), 3)]),
+    "repeated z index": (3, 3, 1, 2,
+                         [(("z", 1), 2), (("z", 2), 1), (("z", 1), 3)]),
+    "scalar only": (5, 3, 1, 2, [(("c", (2,)), 3), (("c", (7,)), 1)]),
+    "mixed": (3, 3, 1, 2, [(("z", 2), 3), (("c", (4,)), 2), (("z", 1), 1)]),
+    "m = 2 z-only": (3, 2, 2, 3, [(("z", 1), 2), (("z", 3), 3), (("z", 2), 1)]),
+    "m = 2 mixed": (5, 2, 2, 2,
+                    [(("z", 1), 2), (("c", (1, 2)), 2), (("z", 2), 3),
+                     (("c", (0, 3)), 1)]),
+    # C(3, 1) = C(3, 2) = 3 vanish mod 3
+    "binomials vanish mod q": (3, 1, 1, 2, [(("z", 1), 3), (("z", 2), 3)]),
+    # 3 * 3 vanishes mod 9 although neither factor does
+    "products vanish mod q": (3, 2, 1, 2, [(("z", 1), 3), (("z", 2), 3)]),
+    "no factors": (3, 2, 1, 2, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTORED_CASES))
+def test_coeffs_t_on_factored_forms_matches_expand_and_filter(case):
+    p, N, m, n, factors = FACTORED_CASES[case]
+    ctx, F, factors = _factored_case(p, N, m, n, factors)
+    ref = oracle_expand_factors(p, N, m, ctx.modulus, n, factors)
+    deg = sum(e for _, e in factors)
+    ks = list(range(-2, deg + 3))
+    got = F.coeffs_t(ks)
+    assert not F.is_expanded()
+    for k, poly in zip(ks, got):
+        assert poly.r == 0 and poly.n == n
+        assert poly.terms == {key[1:]: c for key, c in ref.items() if key[0] == k}
+    assert F.coeff_t(deg) == got[ks.index(deg)]
+    assert F.terms == ref
+
+
+def test_coeffs_t_on_random_factored_forms():
+    rng = seeded(29)
+    for _ in range(40):
+        p, N, m = rng.choice([(3, 1, 1), (3, 2, 1), (5, 2, 1), (3, 2, 2)])
+        n = rng.randint(1, 4)
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.25:
+                val = tuple(rng.randrange(p**N) for _ in range(m))
+                factors.append((("c", val), rng.randint(1, 3)))
+            else:
+                factors.append((("z", rng.randint(1, n)), rng.randint(1, 5)))
+        ctx, F, factors = _factored_case(p, N, m, n, factors)
+        ref = oracle_expand_factors(p, N, m, ctx.modulus, n, factors)
+        ks = [rng.randint(-1, sum(e for _, e in factors) + 1) for _ in range(4)]
+        for k, poly in zip(ks, F.coeffs_t(ks)):
+            assert poly.terms == {key[1:]: c for key, c in ref.items()
+                                  if key[0] == k}, (factors, k)
+        assert not F.is_expanded()
 
 
 def test_partial_z():
