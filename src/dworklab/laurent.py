@@ -9,12 +9,14 @@ master polynomials never expand symbolically, coefficient reads (``coeffs_t``)
 generate only the terms of the requested t-exponents, and specialization at a
 point drops into the dense univariate kernels.
 
-Full symbolic expansion (``terms``) is guarded by a soft term cap;
-configurations beyond it must use the pointwise pipeline.
+Full expansion (``terms``) and coefficient reads are guarded by a soft cap
+on the terms they would form; configurations beyond it must use the
+pointwise pipeline.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -119,14 +121,6 @@ class LaurentPoly:
     @property
     def terms(self):
         if self._terms is None:
-            est = 1 + sum(e for (k, _), e in self.factored if k == "c")
-            for (k, _), e in self.factored:
-                if k == "z":
-                    est *= e + 1
-                    if est > SOFT_TERM_CAP:
-                        raise SizeCapExceeded(
-                            f"factored expansion would exceed {SOFT_TERM_CAP} terms"
-                        )
             terms = {}
             deg = sum(e for _, e in self.factored)
             self._read_factored(dict.fromkeys(range(deg + 1), terms))
@@ -147,6 +141,10 @@ class LaurentPoly:
         are formed.  Scalar factors (t - c)^e are one dense t-polynomial S,
         and [t^k] F = sum_j S_j [t^(k-j)] of the z-part; the z-degree of a
         term fixes j, so no two of these products share a key.
+
+        Before any term is formed, the number of compositions behind the
+        requested slices is counted; past SOFT_TERM_CAP the read raises
+        SizeCapExceeded.
         """
         ctx, q = self.ctx, self.ctx.q
         zexp = {}
@@ -178,9 +176,17 @@ class LaurentPoly:
                     walk(d + 1, rem - j, w, part)
 
         S = dense.dense_from_roots(ctx, scalar)
-        for kz in {k - j for k in out for j in range(len(S))}:
-            if not 0 <= kz <= caps[0]:
-                continue
+        kzs = [k - j for k in out for j in range(len(S)) if 0 <= k - j <= caps[0]]
+        top = max(kzs, default=0)
+        count = [1] + [0] * top  # compositions of each kz within the bounds
+        for _, e in zfac:
+            pre = [0, *itertools.accumulate(count)]
+            count = [pre[k + 1] - pre[max(0, k - e)] for k in range(top + 1)]
+        if sum(count[kz] for kz in kzs) > SOFT_TERM_CAP:
+            raise SizeCapExceeded(
+                f"factored expansion would exceed {SOFT_TERM_CAP} terms"
+            )
+        for kz in set(kzs):
             exps[0] = kz
             part = {}
             if zfac:

@@ -328,6 +328,18 @@ def test_non_positive_counts_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    "hw --p 7 --N 3 --m 3 --g 2",
+    "kz-solve --p 7 --N 4 --g 2 --s 3",
+])
+def test_oversized_symbolic_reads_exit_2_at_once(argv, capsys):
+    start = time.perf_counter()
+    code, docs = invoke(argv.split())
+    assert code == 2 and docs == []
+    assert "SizeCapExceeded" in capsys.readouterr().err
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("argv", [
     "hw --p 5 --N 3 --m 1 --g 1 --at {}",
     "kz-solve --p 5 --N 3 --g 1 --s 1 --at {}",
     "ghosts --p 3 --N 3 --l 1 --delta 1 --tuple {}",

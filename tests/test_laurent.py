@@ -5,6 +5,7 @@ from dworklab import dense
 from dworklab.errors import (
     NonUnitAtNegativeExponent,
     NotDivisible,
+    SizeCapExceeded,
     UnsupportedArity,
     ZeroPolynomial,
 )
@@ -187,6 +188,18 @@ def test_coeffs_t_on_random_factored_forms():
             assert poly.terms == {key[1:]: c for key, c in ref.items()
                                   if key[0] == k}, (factors, k)
         assert not F.is_expanded()
+
+
+def test_coeffs_t_caps_the_terms_a_read_would_form():
+    ctx = C(7, 1)
+    F = LaurentPoly.from_factors(ctx, 5, [(("z", i), 100) for i in range(1, 6)])
+    # 101^5 terms in all, 15 of them at t^2, tens of millions at t^250
+    assert F.coeff_t(2).term_count() == 15
+    with pytest.raises(SizeCapExceeded):
+        F.coeffs_t([2, 250])
+    with pytest.raises(SizeCapExceeded):
+        F.terms
+    assert not F.is_expanded()
 
 
 def test_partial_z():
