@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedArity,
     ZeroPolynomial,
 )
-from .padic import PadicCtx, ctx_new, teichmueller, unit_inverse, valuation
+from .padic import PadicCtx, ctx_new, teichmueller, valuation
 from .laurent import LaurentPoly, TBox
 from .ghosts import (
     AdmissibilityCertificate,
@@ -39,7 +39,6 @@ from .hasse_witt import (
     HWMatrix,
     hw_derivative_at,
     hw_det,
-    hw_inverse_at,
     hw_matrix,
     hw_matrix_at,
 )

@@ -15,7 +15,7 @@ import sys
 from . import dwork, kz, limits
 from .errors import ConfigError, DworkLabError
 from .ghosts import AdmissibleTuple, check_admissible, ghost_sequence
-from .hasse_witt import hw_det, hw_matrix, hw_matrix_at
+from .hasse_witt import PointKit, hw_det, hw_matrix, hw_matrix_at
 from .laurent import LaurentPoly, TBox
 from .padic import ctx_new
 
@@ -29,10 +29,13 @@ _THEOREM_ALIASES = {
 
 
 def _parse_delta(text):
-    if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(x) for x in text.split(","))
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"malformed --delta {text!r}") from exc
 
 
 def _load_json(path):
@@ -41,6 +44,17 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not JSON: {exc}") from exc
+
+
+def _read_input(path, what, parse):
+    """parse(the JSON of path), any shape error in it a ConfigError."""
+    data = _load_json(path)
+    try:
+        return parse(data)
+    except (TypeError, ValueError, KeyError, AttributeError, IndexError) as exc:
+        raise ConfigError(f"{path} is not {what}: {exc!r}") from exc
 
 
 def _emit(doc, args):
@@ -64,18 +78,32 @@ def _kz_points(args, ctx, g):
     ]
 
 
-def _point_from_file(ctx, path):
-    data = _load_json(path)
-    return tuple(ctx.elem_from_json(x) for x in data)
+def _point_from_file(ctx, path, n):
+    def parse(data):
+        if not isinstance(data, list) or len(data) != n:
+            raise ValueError(f"need a list of {n} coordinates")
+        return tuple(ctx.elem_from_json(x) for x in data)
+
+    return _read_input(path, "a point", parse)
+
+
+def _tuple_from_file(ctx, path):
+    """(lambdas, periodic) of a --tuple file."""
+    def parse(data):
+        lams = [LaurentPoly.from_json(ctx, item) for item in data["lambdas"]]
+        if not lams:
+            raise ValueError("no lambdas")
+        return lams, bool(data.get("periodic", False))
+
+    return _read_input(path, "a tuple", parse)
 
 
 def cmd_ghosts(args):
     ctx = ctx_new(args.p, args.N, 1)
     _require(args.N >= args.l + 1, "need N >= l + 1 for ghost divisibility headroom")
-    data = _load_json(args.tuple)
-    lams = [LaurentPoly.from_json(ctx, item) for item in data["lambdas"]]
+    lams, periodic = _tuple_from_file(ctx, args.tuple)
     delta = _parse_delta(args.delta)
-    tup = AdmissibleTuple(lams, delta, periodic=bool(data.get("periodic", False)))
+    tup = AdmissibleTuple(lams, delta, periodic=periodic)
     gs = ghost_sequence(tup, args.l)
     ok = True
     for s, (v, val) in enumerate(zip(gs.V, gs.min_vals)):
@@ -102,7 +130,7 @@ def cmd_hw(args):
     cfg = kz.KZConfig(ctx, args.g)
     phi = kz.master_polynomial(cfg, args.m)
     if args.at:
-        a = _point_from_file(ctx, args.at)
+        a = _point_from_file(ctx, args.at, cfg.n)
         Aw = hw_matrix_at(args.m, phi, cfg.delta, a)
         det = hw_det(Aw)
         det_json = ctx.elem_to_json(det)
@@ -143,21 +171,16 @@ def cmd_congruence(args):
     if not args.symbolic:
         _require(args.points > 0, "pointwise mode needs --points")
         points = _kz_points(args, ctx, args.g)
-    if theorem == "decomp":
-        rep = dwork.verify_decomposition(tup, args.s, mode=mode, points=points)
-    elif theorem == "1.6i":
-        rep = dwork.verify_frobenius_factorization(
-            tup, args.s, mode=mode, points=points)
-    elif theorem == "1.6ii":
-        rep = dwork.verify_dwork_ratio(tup, args.s, mode=mode, points=points)
-    elif theorem == "det":
-        rep = dwork.verify_det_congruence(tup, args.s, mode=mode, points=points)
-    elif theorem == "der":
-        rep = dwork.verify_derivative_congruence(
-            tup, args.s, m=args.m, v=args.v, mode=mode, points=points)
-    else:
-        rep = dwork.verify_second_derivative_congruence(
-            tup, args.s, u=args.u, v=args.v, mode=mode, points=points)
+    verify, kwargs = {
+        "decomp": (dwork.verify_decomposition, {}),
+        "1.6i": (dwork.verify_frobenius_factorization, {}),
+        "1.6ii": (dwork.verify_dwork_ratio, {}),
+        "det": (dwork.verify_det_congruence, {}),
+        "der": (dwork.verify_derivative_congruence, {"m": args.m, "v": args.v}),
+        "der2": (dwork.verify_second_derivative_congruence,
+                 {"u": args.u, "v": args.v}),
+    }[theorem]
+    rep = verify(tup, args.s, mode=mode, points=points, **kwargs)
     doc = rep.to_json()
     doc.update({"command": "congruence", "theorem": args.theorem,
                 "ctx": ctx.to_json(), "seed": args.seed})
@@ -168,11 +191,10 @@ def cmd_congruence(args):
 def cmd_kz_solve(args):
     ctx = ctx_new(args.p, args.N, args.ext)
     cfg = kz.KZConfig(ctx, args.g)
+    kit = None
     if args.at:
-        a = _point_from_file(ctx, args.at)
-        sol = kz.ps_solutions(cfg, args.s, a)
-    else:
-        sol = kz.ps_solutions(cfg, args.s)
+        kit = PointKit(ctx, cfg.delta, _point_from_file(ctx, args.at, cfg.n))
+    sol = kz.ps_solutions(cfg, args.s, kit)
     _emit(
         {
             "command": "kz-solve",
@@ -191,20 +213,6 @@ def cmd_kz_verify(args):
     cfg = kz.KZConfig(ctx, args.g)
     if args.check == "phi":
         rep = kz.verify_phi_identities(cfg, args.s)
-    elif args.check == "residual":
-        if args.symbolic:
-            rep = kz.kz_residual(cfg, args.s, i=args.i, mode="symbolic")
-        else:
-            points = _kz_points(args, ctx, args.g)
-            rep = kz.kz_residual(cfg, args.s, i=args.i, mode="pointwise",
-                                 points=points)
-    elif args.check == "coS":
-        if args.symbolic:
-            rep = kz.verify_solution_congruence(cfg, args.s, mode="symbolic")
-        else:
-            points = _kz_points(args, ctx, args.g)
-            rep = kz.verify_solution_congruence(
-                cfg, args.s, mode="pointwise", points=points)
     elif args.check == "minor":
         points = limits.sample_domain_points(
             ctx.p, args.g, args.ext, args.points, args.seed, ctx)
@@ -222,7 +230,13 @@ def cmd_kz_verify(args):
         )
         return 0 if ok else 1
     else:
-        raise ConfigError(f"unknown check {args.check}")
+        mode = "symbolic" if args.symbolic else "pointwise"
+        points = None if args.symbolic else _kz_points(args, ctx, args.g)
+        if args.check == "residual":
+            rep = kz.kz_residual(cfg, args.s, i=args.i, mode=mode, points=points)
+        else:
+            rep = kz.verify_solution_congruence(cfg, args.s, mode=mode,
+                                               points=points)
     doc = rep.to_json()
     doc.update({"command": "kz-verify", "check": args.check,
                 "ctx": ctx.to_json(), "seed": args.seed})
@@ -273,16 +287,17 @@ def cmd_admissible(args):
     delta = _parse_delta(args.delta)
     if args.tuple:
         ctx = ctx_new(args.p, args.N, 1)
-        data = _load_json(args.tuple)
-        lams = [LaurentPoly.from_json(ctx, item) for item in data["lambdas"]]
-        cert = check_admissible(lams, delta, p=args.p,
-                                periodic=bool(data.get("periodic", False)),
+        lams, periodic = _tuple_from_file(ctx, args.tuple)
+        cert = check_admissible(lams, delta, p=args.p, periodic=periodic,
                                 depth=args.depth)
     elif args.boxes:
         boxes = []
         for chunk in args.boxes.split(","):
-            lo, hi = chunk.split(":")
-            boxes.append(TBox((int(lo),), (int(hi),)))
+            try:
+                lo, hi = map(int, chunk.split(":"))
+            except ValueError as exc:
+                raise ConfigError(f"malformed box {chunk!r}") from exc
+            boxes.append(TBox((lo,), (hi,)))
         cert = check_admissible(boxes, delta, p=args.p,
                                 periodic=args.periodic, depth=args.depth)
     else:
@@ -419,9 +434,6 @@ def run(argv, out=None):
         return 2
     except DworkLabError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # a malformed --at or --tuple JSON file
-        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,15 +1,19 @@
 """Executable verifiers for the Dwork-type congruences of Hasse-Witt tuples.
 
 Each verifier returns a :class:`CongruenceReport` with the claimed modulus
-exponent and the observed minimum deviation valuation.  Two modes exist:
+exponent and the observed minimum deviation valuation.  Each congruence is
+stated once, with its inverse matrices eliminated by Cramer clearing:
+X M^-1 and Y K^-1 agree mod p^s iff X adj(M) det(K) = Y adj(K) det(M) mod
+p^s, since the determinants are units.  The mode only picks the kits the
+statement is evaluated over (see ``hasse_witt``):
 
-* symbolic: the congruence is checked as an identity of z-polynomial
-  matrices, with inverse matrices eliminated by Cramer clearing  (X M^-1
-  and Y K^-1 agree mod p^s iff X adj(M) det(K) = Y adj(K) det(M) mod p^s,
-  valid because the determinants are nonzero mod p); gated by a term cap.
-* pointwise: everything is specialized at supplied points; determinants are
-  units there, so plain matrix inverses over Z/p^N apply.  The sigma twist
-  acts on points as a -> a^p.
+* symbolic: one kit of z-polynomial matrices, so the congruence is checked
+  as a polynomial identity; gated by a term cap, and the determinants are
+  checked to be nonzero mod p through det A(1, L_k).
+* pointwise: one kit per supplied point, over Z/p^N; a determinant that is
+  not a unit there raises.  Clearing by units keeps every valuation, so the
+  report is the one of X M^-1 - Y K^-1.  The sigma twist acts on points as
+  a -> a^p.
 
 Claimed valuations come verbatim from the congruence statements; observed
 valuations are never rounded up.
@@ -17,9 +21,11 @@ valuations are never rounded up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
-from . import dense, ringmat
+from . import ringmat
 from .errors import (
     ConfigError,
     DegenerateTuple,
@@ -27,16 +33,13 @@ from .errors import (
     PrecisionTooLow,
     SizeCapExceeded,
 )
+from .ghosts import GhostSeq
 from .hasse_witt import (
-    DenseCache,
+    PointKit,
+    SymbolicKit,
     check_direction,
     hw_det,
-    hw_from_dense,
     hw_matrix,
-    hw_partial_z,
-    hw_second_derivative_at,
-    hw_sigma,
-    hw_derivative_at,
 )
 
 SYMBOLIC_TERM_GATE = 300_000
@@ -63,36 +66,26 @@ class CongruenceReport:
         return self.verdict == "pass"
 
     def to_json(self):
-        return {
-            "theorem_id": self.theorem_id,
-            "description": self.description,
-            "mode": self.mode,
-            "claimed_valuation": self.claimed_valuation,
-            "observed_min_valuation": self.observed_min_valuation,
-            "verdict": self.verdict,
-            "precision": self.precision,
-            "witness": self.witness,
-            "points": self.points,
-            "config": self.config,
-            "extra": self.extra,
-        }
+        return asdict(self)
 
 
-def _finish(theorem_id, description, mode, claimed, observed, N,
-            witness=None, points=None, config=None, extra=None):
+class Scan(NamedTuple):
+    """A verifier's pass over its kits: the kits' mode, the minimum
+    valuation, the witness of the first kit below the claim, the number of
+    points (None for the symbolic kit) and each kit's result."""
+
+    mode: str
+    observed: int
+    witness: dict | None
+    points: int | None
+    results: list
+
+
+def _finish(theorem_id, description, claimed, N, scan, config, extra=None):
     return CongruenceReport(
-        theorem_id=theorem_id,
-        description=description,
-        mode=mode,
-        claimed_valuation=claimed,
-        observed_min_valuation=observed,
-        verdict="pass" if observed >= claimed else "fail",
-        precision=N,
-        witness=witness,
-        points=points,
-        config=config or {},
-        extra=extra or {},
-    )
+        theorem_id, description, scan.mode, claimed, scan.observed,
+        "pass" if scan.observed >= claimed else "fail", N, scan.witness,
+        scan.points, config, extra or {})
 
 
 def _require_precision(ctx, claimed):
@@ -114,71 +107,20 @@ def _mat_min_val_with_witness(ring, M, label):
     return worst, where
 
 
+def _cleared(ring, X, adjM, dM, Y, adjK, dK):
+    """X adj(M) det K - Y adj(K) det M: X M^-1 - Y K^-1 times det M det K."""
+    return ringmat.mat_sub(
+        ring,
+        ringmat.mat_scal(ring, dK, ringmat.mat_mul(ring, X, adjM)),
+        ringmat.mat_scal(ring, dM, ringmat.mat_mul(ring, Y, adjK)),
+    )
+
+
 # ---------------------------------------------------------------------------
 # shared machinery
 
 
-class PointKit:
-    """Per-point evaluation cache for the W products of one tuple."""
-
-    def __init__(self, tup, a):
-        self.tup = tup
-        self.ctx = tup.ctx
-        self.a = tuple(a)
-        self._points = {0: self.a}
-        self._dense = {}
-        self.fcache = DenseCache()
-
-    def point(self, k):
-        got = self._points.get(k)
-        if got is None:
-            base = self.point(k - 1)
-            got = tuple(self.ctx.frob(x, 1) for x in base)
-            self._points[k] = got
-        return got
-
-    def dense_W(self, s, j, twist=0):
-        key = (s, j, twist)
-        got = self._dense.get(key)
-        if got is None:
-            W = self.tup.W(s, j)
-            got = self.fcache.get(W, self.point(twist))
-            self._dense[key] = got
-        return got
-
-    def A(self, level, s, j, twist=0):
-        got = self._dense.get((s, j, twist))
-        if got is not None:
-            return hw_from_dense(self.ctx, level, *got, self.tup.delta)
-        return self.fcache.hw_at(level, self.tup.W(s, j), self.tup.delta,
-                                 self.point(twist))
-
-    def A_inv(self, level, s, j, twist=0):
-        Aw = self.A(level, s, j, twist)
-        det = hw_det(Aw)
-        if not self.ctx.is_unit(det):
-            raise DegenerateTuple(
-                f"det A({level}, W_{s}^({j})) has valuation {self.ctx.val(det)} "
-                f"at the test point"
-            )
-        return ringmat.mat_inv_scalar(self.ctx, Aw.entries)
-
-    def dA(self, level, s, j, v, twist=0):
-        W = self.tup.W(s, j)
-        return hw_derivative_at(
-            level, W, self.tup.delta, self.point(twist), v, cache=self.fcache
-        )
-
-    def d2A(self, level, s, j, u, v, twist=0):
-        W = self.tup.W(s, j)
-        return hw_second_derivative_at(
-            level, W, self.tup.delta, self.point(twist), u, v, cache=self.fcache
-        )
-
-
 def _sym_gate(tup, s):
-    import math as _math
-
     p = tup.ctx.p
     merged = {}
     est = 1
@@ -190,7 +132,7 @@ def _sym_gate(tup, s):
                 merged[f] = merged.get(f, 0) + e * p**k
         else:
             nt = len(lam.terms)
-            t = _math.comb(p**k + nt - 1, nt - 1) if nt else 1
+            t = math.comb(p**k + nt - 1, nt - 1) if nt else 1
             est *= min(t, SYMBOLIC_TERM_GATE + 1)
     for e in merged.values():
         est *= min(e + 1, SYMBOLIC_TERM_GATE + 1)
@@ -199,10 +141,6 @@ def _sym_gate(tup, s):
             "symbolic mode exceeds the term gate; use pointwise mode"
         )
     return est
-
-
-def _sym_A(tup, level, s, j):
-    return hw_matrix(level, tup.W(s, j), tup.delta)
 
 
 def _check_nondegenerate_symbolic(tup, upto):
@@ -219,104 +157,78 @@ def _check_nondegenerate_symbolic(tup, upto):
             )
 
 
-def _poly_ring_of(tup):
-    return ringmat.poly_ring(tup.ctx, 0, tup.lam(0).n)
+def _kits(mode, points, symbolic, ctx, delta):
+    """The kits a verifier runs over: one point kit per point, made as the
+    scan reaches it so that one point's memo is alive at a time, or in
+    symbolic mode the single kit that ``symbolic()`` makes after its size
+    and degeneracy checks."""
+    if mode != "symbolic":
+        return (PointKit(ctx, delta, a, idx) for idx, a in enumerate(points or ()))
+    return [symbolic()]
 
 
-def _pointwise_scan(points, one_point, claimed, N):
-    """Run one_point over all points, merging by minimum valuation.
+def _tuple_kits(tup, s, mode, points, nondegenerate=True, ghosts=None):
+    def symbolic():
+        _sym_gate(tup, s)
+        if nondegenerate:
+            _check_nondegenerate_symbolic(tup, s)
+        return SymbolicKit(tup.ctx, tup.delta, tup.lam(0).n, ghosts)
 
-    The witness is the first failing point in input order.  No points would
-    be a vacuous pass, so it is a configuration error.
+    return _kits(mode, points, symbolic, tup.ctx, tup.delta)
+
+
+def _pointwise_scan(kit_list, one, claimed):
+    """Run one(kit) -> (valuation, witness, ...) over the kits, merging by
+    minimum valuation; the symbolic kit counts as a single point.
+
+    The witness is the first one below the claim, in input order.  No
+    points would be a vacuous pass, so it is a configuration error.
     """
-    if not points:
+    results = []
+    for kit in kit_list:
+        results.append(one(kit))
+        mode, index = kit.mode, kit.index
+    if not results:
         raise ConfigError("pointwise mode needs at least one point")
-    results = [one_point(item) for item in enumerate(points)]
-    observed = min((v for v, _ in results), default=N)
-    witness = next((w for v, w in results if v < claimed), None)
-    return observed, witness
+    observed = min(r[0] for r in results)
+    witness = next((r[1] for r in results if r[0] < claimed), None)
+    return Scan(mode, observed, witness,
+                None if index is None else len(results), results)
 
 
 # ---------------------------------------------------------------------------
 # ghost decomposition
 
 
-def ghost_dense_at(tup, l, a):
-    """Dense (offset, coeffs) of the ghosts V_s(t, a), s = 0..l."""
-    ctx = tup.ctx
-    p = ctx.p
-    kit = PointKit(tup, a)
-    V = []
-    for s in range(l + 1):
-        off, co = kit.dense_W(s, 0, 0)
-        acc = (off, list(co))
-        for j in range(1, s + 1):
-            tw = dense.off_stride(ctx, kit.dense_W(s, j, j), p**j)
-            prod = dense.off_mul(ctx, V[j - 1], tw)
-            acc = dense.off_sub(ctx, acc, prod)
-        V.append(acc)
-    return V, kit
-
-
 def verify_decomposition(ghost_seq_or_tuple, s, mode="symbolic", points=None):
     """Exact identity A(s+1, W_s) = sum_j A(j, V_{j-1}) sigma^j A(s-j+1, W_s^(j))
     + A(s+1, V_s); the claimed valuation is the full working precision."""
-    from .ghosts import GhostSeq, ghost_sequence
-
-    if isinstance(ghost_seq_or_tuple, GhostSeq):
-        gs = ghost_seq_or_tuple
-        tup = gs.tup
-    else:
-        tup = ghost_seq_or_tuple
-        gs = None
+    gs = ghost_seq_or_tuple if isinstance(ghost_seq_or_tuple, GhostSeq) else None
+    tup = ghost_seq_or_tuple if gs is None else gs.tup
     tup.require_admissible()
-    ctx = tup.ctx
-    N = ctx.N
-    config = {"p": ctx.p, "N": N, "s": s}
+    N = tup.ctx.N
+    config = {"p": tup.ctx.p, "N": N, "s": s}
     desc = ("level-(s+1) matrix of W_s decomposes through Frobenius twists "
             "of the ghost blocks")
-    if mode == "symbolic":
-        _sym_gate(tup, s)
-        if gs is None:
-            gs = ghost_sequence(tup, s)
-        ring = _poly_ring_of(tup)
-        lhs = _sym_A(tup, s + 1, s, 0).entries
-        ghost_block = hw_matrix(s + 1, gs.V[s], tup.delta).entries
-        acc = ghost_block
+
+    def one(kit):
+        ring = kit.ring
+        V = kit.ghosts(tup, s)
+        lhs = kit.A(s + 1, tup.W(s, 0))
+        acc = ghost_block = kit.A(s + 1, V[s])
         for j in range(1, s + 1):
-            Aj = hw_matrix(j, gs.V[j - 1], tup.delta).entries
-            Sj = hw_sigma(_sym_A(tup, s - j + 1, s, j), j).entries
-            acc = ringmat.mat_add(ring, acc, ringmat.mat_mul(ring, Aj, Sj))
+            Sj = kit.A(s - j + 1, tup.W(s, j), twist=j)
+            acc = ringmat.mat_add(ring, acc,
+                                  ringmat.mat_mul(ring, kit.A(j, V[j - 1]), Sj))
         diff = ringmat.mat_sub(ring, lhs, acc)
-        observed, witness = _mat_min_val_with_witness(ring, diff, {})
-        ghost_val = ringmat.min_val(ring, ghost_block)
-        return _finish("decomposition", desc, "symbolic", N, observed, N,
-                       witness if observed < N else None,
-                       config=config, extra={"ghost_block_valuation": ghost_val})
+        return (*_mat_min_val_with_witness(ring, diff, kit.label),
+                ringmat.min_val(ring, ghost_block))
 
-    ctxN = ctx.N
-    sring = ringmat.scalar_ring(ctx)
-    ghost_vals = []
-
-    def one_point(item):
-        idx, a = item
-        Vd, kit = ghost_dense_at(tup, s, a)
-        lhs = kit.A(s + 1, s, 0).entries
-        off, co = Vd[s]
-        acc = hw_from_dense(ctx, s + 1, off, co, tup.delta).entries
-        ghost_vals.append(ringmat.min_val(sring, acc))
-        for j in range(1, s + 1):
-            offj, coj = Vd[j - 1]
-            Aj = hw_from_dense(ctx, j, offj, coj, tup.delta).entries
-            Sj = kit.A(s - j + 1, s, j, twist=j).entries
-            acc = ringmat.mat_add(sring, acc, ringmat.mat_mul(sring, Aj, Sj))
-        diff = ringmat.mat_sub(sring, lhs, acc)
-        return _mat_min_val_with_witness(sring, diff, {"point_index": idx})
-
-    observed, witness = _pointwise_scan(points, one_point, ctxN, ctxN)
-    return _finish("decomposition", desc, "pointwise", ctxN, observed, ctxN,
-                   witness, points=len(points), config=config,
-                   extra={"ghost_block_valuation": min(ghost_vals)})
+    scan = _pointwise_scan(
+        _tuple_kits(tup, s, mode, points, nondegenerate=False, ghosts=gs),
+        one, N)
+    return _finish("decomposition", desc, N, N, scan, config,
+                   {"ghost_block_valuation": min(r[2] for r in scan.results)})
 
 
 # ---------------------------------------------------------------------------
@@ -330,47 +242,34 @@ def verify_frobenius_factorization(tup, s, mode="symbolic", points=None):
     config = {"p": ctx.p, "N": ctx.N, "s": s}
     desc = ("level-(s+1) matrix of W_s factors modulo p into twisted "
             "level-1 matrices")
-    if mode == "symbolic":
-        _sym_gate(tup, s)
-        ring = _poly_ring_of(tup)
-        lhs = _sym_A(tup, s + 1, s, 0).entries
+
+    def one(kit):
+        ring = kit.ring
+        lhs = kit.A(s + 1, tup.W(s, 0))
         acc = None
         for k in range(s + 1):
-            Ak = hw_sigma(hw_matrix(1, tup.lam(k), tup.delta), k).entries
+            Ak = kit.A(1, tup.W(k, k), twist=k)
             acc = Ak if acc is None else ringmat.mat_mul(ring, acc, Ak)
         diff = ringmat.mat_sub(ring, lhs, acc)
-        observed, witness = _mat_min_val_with_witness(ring, diff, {})
-        return _finish("factorization", desc, "symbolic", 1, observed, ctx.N,
-                       witness if observed < 1 else None, config=config)
+        return _mat_min_val_with_witness(ring, diff, kit.label)
 
-    sring = ringmat.scalar_ring(ctx)
-
-    def one_point(item):
-        idx, a = item
-        kit = PointKit(tup, a)
-        lhs = kit.A(s + 1, s, 0).entries
-        acc = None
-        for k in range(s + 1):
-            Ak = kit.A(1, k, k, twist=k).entries
-            acc = Ak if acc is None else ringmat.mat_mul(sring, acc, Ak)
-        diff = ringmat.mat_sub(sring, lhs, acc)
-        return _mat_min_val_with_witness(sring, diff, {"point_index": idx})
-
-    observed, witness = _pointwise_scan(points, one_point, 1, ctx.N)
-    return _finish("factorization", desc, "pointwise", 1, observed, ctx.N,
-                   witness if observed < 1 else None,
-                   points=len(points), config=config)
+    scan = _pointwise_scan(
+        _tuple_kits(tup, s, mode, points, nondegenerate=False), one, 1)
+    return _finish("factorization", desc, 1, ctx.N, scan, config)
 
 
 # ---------------------------------------------------------------------------
 # the ratio congruence and its determinant corollary
 
 
-def _ratio_matrices_symbolic(tup, s):
-    X = _sym_A(tup, s + 1, s, 0)
-    M = hw_sigma(_sym_A(tup, s, s, 1), 1)
-    Y = _sym_A(tup, s, s - 1, 0)
-    K = hw_sigma(_sym_A(tup, s - 1, s - 1, 1), 1) if s >= 2 else None
+def _ratio_matrices(kit, tup, s):
+    """X = A(s+1, W_s), M = sigma A(s, W_s^(1)), Y = A(s, W_{s-1}) and
+    K = sigma A(s-1, W_{s-1}^(1)) (the identity at s = 1) read by the kit."""
+    X = kit.A(s + 1, tup.W(s, 0))
+    M = kit.A(s, tup.W(s, 1), twist=1)
+    Y = kit.A(s, tup.W(s - 1, 0))
+    K = (kit.A(s - 1, tup.W(s - 1, 1), twist=1) if s >= 2
+         else ringmat.identity(kit.ring, len(X)))
     return X, M, Y, K
 
 
@@ -384,51 +283,20 @@ def verify_dwork_ratio(tup, s, mode="symbolic", points=None):
     _require_precision(ctx, s)
     config = {"p": ctx.p, "N": ctx.N, "s": s}
     desc = "consecutive ratio matrices agree modulo p^s"
-    if mode == "symbolic":
-        _sym_gate(tup, s)
-        _check_nondegenerate_symbolic(tup, s)
-        ring = _poly_ring_of(tup)
-        X, M, Y, K = _ratio_matrices_symbolic(tup, s)
-        adjM = ringmat.adjugate(ring, M.entries)
-        detM = hw_det(M)
-        if K is None:
-            lhs = ringmat.mat_mul(ring, X.entries, adjM)
-            rhs = ringmat.mat_scal(ring, detM, Y.entries)
-        else:
-            adjK = ringmat.adjugate(ring, K.entries)
-            detK = hw_det(K)
-            lhs = ringmat.mat_scal(
-                ring, detK, ringmat.mat_mul(ring, X.entries, adjM)
-            )
-            rhs = ringmat.mat_scal(
-                ring, detM, ringmat.mat_mul(ring, Y.entries, adjK)
-            )
-        diff = ringmat.mat_sub(ring, lhs, rhs)
-        observed, witness = _mat_min_val_with_witness(ring, diff, {})
-        return _finish("ratio", desc, "symbolic", s, observed, ctx.N,
-                       witness if observed < s else None, config=config)
 
-    sring = ringmat.scalar_ring(ctx)
+    def one(kit):
+        ring = kit.ring
+        X, M, Y, K = _ratio_matrices(kit, tup, s)
+        dM, dK = (kit.unit(
+            ringmat.det(ring, mat), DegenerateTuple,
+            f"det A({lev}, W_{lev}^(1)) has valuation {{v}} at the test point")
+            for lev, mat in ((s, M), (s - 1, K)))
+        diff = _cleared(ring, X, ringmat.adjugate(ring, M), dM,
+                        Y, ringmat.adjugate(ring, K), dK)
+        return _mat_min_val_with_witness(ring, diff, kit.label)
 
-    def one_point(item):
-        idx, a = item
-        kit = PointKit(tup, a)
-        X = kit.A(s + 1, s, 0).entries
-        Minv = kit.A_inv(s, s, 1, twist=1)
-        Y = kit.A(s, s - 1, 0).entries
-        lhs = ringmat.mat_mul(sring, X, Minv)
-        if s >= 2:
-            Kinv = kit.A_inv(s - 1, s - 1, 1, twist=1)
-            rhs = ringmat.mat_mul(sring, Y, Kinv)
-        else:
-            rhs = Y
-        diff = ringmat.mat_sub(sring, lhs, rhs)
-        return _mat_min_val_with_witness(sring, diff, {"point_index": idx})
-
-    observed, witness = _pointwise_scan(points, one_point, s, ctx.N)
-    return _finish("ratio", desc, "pointwise", s, observed, ctx.N,
-                   witness if observed < s else None,
-                   points=len(points), config=config)
+    scan = _pointwise_scan(_tuple_kits(tup, s, mode, points), one, s)
+    return _finish("ratio", desc, s, ctx.N, scan, config)
 
 
 def verify_det_congruence(tup, s, mode="symbolic", points=None):
@@ -441,40 +309,41 @@ def verify_det_congruence(tup, s, mode="symbolic", points=None):
     _require_precision(ctx, s)
     config = {"p": ctx.p, "N": ctx.N, "s": s}
     desc = "determinant form of the ratio congruence"
-    if mode == "symbolic":
-        _sym_gate(tup, s)
-        _check_nondegenerate_symbolic(tup, s)
-        ring = _poly_ring_of(tup)
-        X, M, Y, K = _ratio_matrices_symbolic(tup, s)
-        dX, dM, dY = hw_det(X), hw_det(M), hw_det(Y)
-        dK = hw_det(K) if K is not None else ring.one
-        diff = dX * dK - dY * dM
-        observed = diff.valuation()
-        witness = None if observed >= s else {"entry": "det"}
-        return _finish("det-ratio", desc, "symbolic", s, observed, ctx.N,
-                       witness, config=config)
 
-    def one_point(item):
-        idx, a = item
-        kit = PointKit(tup, a)
-        dX = hw_det(kit.A(s + 1, s, 0))
-        dM = hw_det(kit.A(s, s, 1, twist=1))
-        dY = hw_det(kit.A(s, s - 1, 0))
-        dK = hw_det(kit.A(s - 1, s - 1, 1, twist=1)) if s >= 2 else ctx.one()
-        if not (ctx.is_unit(dM) and ctx.is_unit(dK)):
-            raise DegenerateTuple("ratio determinant not a unit at the test point")
-        diff = ctx.sub(ctx.mul(dX, dK), ctx.mul(dY, dM))
-        v = ctx.val(diff)
-        return v, {"point_index": idx, "entry": "det"}
+    def one(kit):
+        ring = kit.ring
+        dX, dM, dY, dK = (ringmat.det(ring, mat)
+                          for mat in _ratio_matrices(kit, tup, s))
+        for d in (dM, dK):
+            kit.unit(d, DegenerateTuple,
+                     "ratio determinant not a unit at the test point")
+        diff = ring.sub(ring.mul(dX, dK), ring.mul(dY, dM))
+        return ring.val(diff), {**kit.label, "entry": "det"}
 
-    observed, witness = _pointwise_scan(points, one_point, s, ctx.N)
-    return _finish("det-ratio", desc, "pointwise", s, observed, ctx.N,
-                   witness if observed < s else None,
-                   points=len(points), config=config)
+    scan = _pointwise_scan(_tuple_kits(tup, s, mode, points), one, s)
+    return _finish("det-ratio", desc, s, ctx.N, scan, config)
 
 
 # ---------------------------------------------------------------------------
 # derivative congruences
+
+
+def _cleared_log_derivatives(kit, tup, s, twist, derive):
+    """(D X) adj(X) det Y - (D Y) adj(Y) det X for X = A(s+1, W_s) and
+    Y = A(s, W_{s-1}) at the twist, with derive(level, W) -> D A(level, W):
+    the cleared (D X) X^-1 - (D Y) Y^-1."""
+    ring = kit.ring
+    read = []
+    for level in (s + 1, s):
+        W = tup.W(level - 1, 0)
+        A = kit.A(level, W, twist)
+        d = kit.unit(ringmat.det(ring, A), DegenerateTuple,
+                     f"det A({level}, W_{level - 1}^(0)) has valuation {{v}} "
+                     f"at the test point")
+        read.append((W, ringmat.adjugate(ring, A), d))
+    (WX, adjX, dX), (WY, adjY, dY) = read
+    return _cleared(ring, derive(s + 1, WX), adjX, dX,
+                    derive(s, WY), adjY, dY)
 
 
 def verify_derivative_congruence(tup, s, m=0, v=1, mode="symbolic", points=None):
@@ -490,59 +359,18 @@ def verify_derivative_congruence(tup, s, m=0, v=1, mode="symbolic", points=None)
     _require_precision(ctx, claimed)
     config = {"p": ctx.p, "N": ctx.N, "s": s, "m": m, "v": v}
     desc = "logarithmic z-derivative columns agree modulo p^(s+m)"
-    if mode == "symbolic":
-        _sym_gate(tup, s)
-        _check_nondegenerate_symbolic(tup, s)
-        ring = _poly_ring_of(tup)
-        X = _sym_A(tup, s + 1, s, 0)
-        Y = _sym_A(tup, s, s - 1, 0)
-        DX = hw_partial_z(X, v)
-        DY = hw_partial_z(Y, v)
-        adjX = ringmat.adjugate(ring, X.entries)
-        adjY = ringmat.adjugate(ring, Y.entries)
-        dX, dY = hw_det(X), hw_det(Y)
-        lhs = ringmat.mat_scal(ring, dY, ringmat.mat_mul(ring, DX.entries, adjX))
-        rhs = ringmat.mat_scal(ring, dX, ringmat.mat_mul(ring, DY.entries, adjY))
-        diff = ringmat.mat_sub(ring, lhs, rhs)
-        if m > 0:
-            # sigma^m of the cleared identity, times the chain-rule factor
-            from .laurent import LaurentPoly
 
-            zfac = LaurentPoly(
-                ctx, 0, tup.lam(0).n,
-                {tuple(ctx.p**m - 1 if i == v - 1 else 0
-                       for i in range(tup.lam(0).n)): ctx.from_int(ctx.p**m)},
-            )
-            diff = [[zfac * e.frobenius_sub(m) for e in row] for row in diff]
-        observed, witness = _mat_min_val_with_witness(ring, diff, {})
-        return _finish("derivative", desc, "symbolic", claimed, observed, ctx.N,
-                       witness if observed < claimed else None, config=config)
+    def one(kit):
+        ring = kit.ring
+        diff = _cleared_log_derivatives(
+            kit, tup, s, m, lambda level, W: kit.dA(level, W, v, twist=m))
+        if m:
+            factor = ring.scal(ctx.from_int(ctx.p**m), kit.z(v, ctx.p**m - 1))
+            diff = ringmat.mat_scal(ring, factor, diff)
+        return _mat_min_val_with_witness(ring, diff, kit.label)
 
-    sring = ringmat.scalar_ring(ctx)
-
-    def one_point(item):
-        idx, a = item
-        kit = PointKit(tup, a)
-        Xinv = kit.A_inv(s + 1, s, 0, twist=m)
-        Yinv = kit.A_inv(s, s - 1, 0, twist=m)
-        DX = kit.dA(s + 1, s, 0, v, twist=m).entries
-        DY = kit.dA(s, s - 1, 0, v, twist=m).entries
-        diff = ringmat.mat_sub(
-            sring,
-            ringmat.mat_mul(sring, DX, Xinv),
-            ringmat.mat_mul(sring, DY, Yinv),
-        )
-        if m > 0:
-            factor = ctx.scal_int(
-                ctx.pow(a[v - 1], ctx.p**m - 1), ctx.p**m
-            )
-            diff = ringmat.mat_scal(sring, factor, diff)
-        return _mat_min_val_with_witness(sring, diff, {"point_index": idx})
-
-    observed, witness = _pointwise_scan(points, one_point, claimed, ctx.N)
-    return _finish("derivative", desc, "pointwise", claimed, observed, ctx.N,
-                   witness if observed < claimed else None,
-                   points=len(points), config=config)
+    scan = _pointwise_scan(_tuple_kits(tup, s, mode, points), one, claimed)
+    return _finish("derivative", desc, claimed, ctx.N, scan, config)
 
 
 def verify_second_derivative_congruence(tup, s, u=1, v=1, mode="symbolic",
@@ -558,41 +386,11 @@ def verify_second_derivative_congruence(tup, s, u=1, v=1, mode="symbolic",
     _require_precision(ctx, s)
     config = {"p": ctx.p, "N": ctx.N, "s": s, "u": u, "v": v}
     desc = "second z-derivatives against the inverse agree modulo p^s"
-    if mode == "symbolic":
-        _sym_gate(tup, s)
-        _check_nondegenerate_symbolic(tup, s)
-        ring = _poly_ring_of(tup)
-        X = _sym_A(tup, s + 1, s, 0)
-        Y = _sym_A(tup, s, s - 1, 0)
-        DX = hw_partial_z(hw_partial_z(X, v), u)
-        DY = hw_partial_z(hw_partial_z(Y, v), u)
-        adjX = ringmat.adjugate(ring, X.entries)
-        adjY = ringmat.adjugate(ring, Y.entries)
-        dX, dY = hw_det(X), hw_det(Y)
-        lhs = ringmat.mat_scal(ring, dY, ringmat.mat_mul(ring, DX.entries, adjX))
-        rhs = ringmat.mat_scal(ring, dX, ringmat.mat_mul(ring, DY.entries, adjY))
-        diff = ringmat.mat_sub(ring, lhs, rhs)
-        observed, witness = _mat_min_val_with_witness(ring, diff, {})
-        return _finish("second-derivative", desc, "symbolic", s, observed,
-                       ctx.N, witness if observed < s else None, config=config)
 
-    sring = ringmat.scalar_ring(ctx)
+    def one(kit):
+        diff = _cleared_log_derivatives(
+            kit, tup, s, 0, lambda level, W: kit.d2A(level, W, u, v))
+        return _mat_min_val_with_witness(kit.ring, diff, kit.label)
 
-    def one_point(item):
-        idx, a = item
-        kit = PointKit(tup, a)
-        Xinv = kit.A_inv(s + 1, s, 0)
-        Yinv = kit.A_inv(s, s - 1, 0)
-        DX = kit.d2A(s + 1, s, 0, u, v).entries
-        DY = kit.d2A(s, s - 1, 0, u, v).entries
-        diff = ringmat.mat_sub(
-            sring,
-            ringmat.mat_mul(sring, DX, Xinv),
-            ringmat.mat_mul(sring, DY, Yinv),
-        )
-        return _mat_min_val_with_witness(sring, diff, {"point_index": idx})
-
-    observed, witness = _pointwise_scan(points, one_point, s, ctx.N)
-    return _finish("second-derivative", desc, "pointwise", s, observed, ctx.N,
-                   witness if observed < s else None,
-                   points=len(points), config=config)
+    scan = _pointwise_scan(_tuple_kits(tup, s, mode, points), one, s)
+    return _finish("second-derivative", desc, s, ctx.N, scan, config)

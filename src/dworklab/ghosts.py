@@ -84,10 +84,6 @@ class AdmissibleTuple:
     def g(self):
         return len(self.delta)
 
-    @property
-    def last_index(self):
-        return None if self.periodic else len(self.lams) - 1
-
     def lam(self, idx):
         if idx < 0:
             raise IndexOutOfRange(f"index {idx} is negative")

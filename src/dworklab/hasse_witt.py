@@ -9,6 +9,12 @@ Symbolic entries are z-polynomials; evaluated entries are ring scalars
 extracted from the dense specialization F(t, a), which is where factored
 master polynomials pay off: one dense expansion serves the whole matrix and,
 through synthetic division, all of its z-derivatives.
+
+The verifiers read every matrix through a kit with one interface:
+:class:`SymbolicKit` stands for the whole z-domain (entries through
+``coeffs_t``, twists by ``hw_sigma``, derivatives by ``hw_partial_z``),
+:class:`PointKit` for one point a (ring scalars at a and its twists
+a^(p^k), memoized by :class:`DenseCache`).
 """
 
 from __future__ import annotations
@@ -20,8 +26,11 @@ from .errors import (
     DirectionOutOfRange,
     NotFactored,
     SingularModP,
+    SizeCapExceeded,
     UnsupportedArity,
 )
+from .ghosts import ghost_sequence
+from .laurent import SOFT_TERM_CAP, LaurentPoly
 
 
 @dataclass
@@ -42,9 +51,6 @@ class HWMatrix:
             return ringmat.scalar_ring(self.ctx)
         sample = self.entries[0][0]
         return ringmat.poly_ring(self.ctx, sample.r, sample.n)
-
-    def min_valuation(self):
-        return ringmat.min_val(self.ring(), self.entries)
 
     def to_json(self):
         if self.pointwise:
@@ -154,8 +160,8 @@ class DenseCache:
     exact quotient of the expansion by (t - root), keyed by (factored form,
     point, root), so the frames I_s, their z-derivatives and the derivatives
     of A(s, F) at one point share n synthetic divisions.  ``diff_inverse``
-    keeps the inverses of the point's coordinate differences.  Unfactored F
-    is never memoized.
+    keeps the inverses of the point's coordinate differences.  An unfactored
+    F is keyed by its identity and kept alive while the memo is.
     """
 
     def __init__(self):
@@ -163,37 +169,37 @@ class DenseCache:
         self._half = {}
         self._quot = {}
         self._inv = {}
+        self._forms = {}
 
-    @staticmethod
-    def _key(F, a):
-        return (F.ctx, F.factored, a) if F.factored is not None else None
+    def _key(self, F, a):
+        if F.factored is not None:
+            return F.ctx, F.factored, a
+        self._forms[id(F)] = F
+        return id(F), a
 
     def get(self, F, a):
         a = tuple(a)
         key = self._key(F, a)
-        if key is not None:
-            got = self._store.get(key)
-            if got is not None:
-                return got
+        got = self._store.get(key)
+        if got is None:
             half = self._half.pop(key, None)
-            if half is not None:
+            if half is None:
+                got = F.dense_t(a)
+            else:
                 R, T = half
                 full = dense.dense_mul(F.ctx, R, R)
                 if len(T) > 1:
                     full = dense.dense_mul(F.ctx, full, T)
-                got = self._store[key] = 0, full
-                return got
-        val = F.dense_t(a)
-        if key is not None:
-            self._store[key] = val
-        return val
+                got = 0, full
+            self._store[key] = got
+        return got
 
     def hw_at(self, level, F, delta, a, source=""):
         """A(level, F) at the point a, through the cheapest stored form."""
         a = tuple(a)
         ctx = F.ctx
         key = self._key(F, a)
-        if key is not None and key not in self._store:
+        if F.factored is not None and key not in self._store:
             half = self._half.get(key)
             if half is None:
                 pairs = F.roots_at(a)
@@ -208,13 +214,11 @@ class DenseCache:
     def quotient(self, F, a, root):
         """(offset, coeffs) of F(t, a) / (t - root); NotDivisible if inexact."""
         a = tuple(a)
-        key = (F.ctx, F.factored, a, root) if F.factored is not None else None
-        got = self._quot.get(key) if key is not None else None
+        key = (*self._key(F, a), root)
+        got = self._quot.get(key)
         if got is None:
             off, co = self.get(F, a)
-            got = off, dense.dense_div_linear_exact(F.ctx, co, root)
-            if key is not None:
-                self._quot[key] = got
+            got = self._quot[key] = off, dense.dense_div_linear_exact(F.ctx, co, root)
         return got
 
     def diff_inverse(self, ctx, a, i, k):
@@ -244,10 +248,17 @@ def _factored_mult(F, z_index):
     return 0
 
 
-def _scaled(Aw, k):
-    """Aw with its entries times the integer k: g^2 products, not one per
-    coefficient of the quotient."""
-    Aw.entries = ringmat.mat_scal(Aw.ring(), Aw.ctx.from_int(k), Aw.entries)
+def _quotient_matrix(level, F, delta, a, roots, factor, cache, source):
+    """factor * A(level, F / prod_r (t - r)) at a, for roots r of F(t, a):
+    the z-derivatives of a factored F, at the cost of g^2 scalings."""
+    ctx = F.ctx
+    if factor % ctx.q == 0:
+        return hw_from_dense(ctx, level, 0, [], delta, source)
+    off, quot = (cache or DenseCache()).quotient(F, a, roots[0])
+    for r in roots[1:]:
+        quot = dense.dense_div_linear_exact(ctx, quot, r)
+    Aw = hw_from_dense(ctx, level, off, quot, delta, source)
+    Aw.entries = [[ctx.scal_int(x, factor) for x in row] for row in Aw.entries]
     return Aw
 
 
@@ -257,34 +268,206 @@ def hw_derivative_at(level, F, delta, a, v, cache=None, source=""):
     dF/dz_v = -e_v * F / (t - z_v) when (t - z_v) occurs with multiplicity
     e_v, so one synthetic division of the cached dense form suffices.
     """
-    ctx = F.ctx
     ev = _factored_mult(F, v)
-    delta = _normalize_delta_ints(delta)
-    if ev % ctx.q == 0:
-        g = len(delta)
-        zero = ctx.zero()
-        return HWMatrix(ctx, level, delta, [[zero] * g for _ in range(g)], True, source)
-    cache = cache or DenseCache()
-    off, quot = cache.quotient(F, a, a[v - 1])
-    return _scaled(hw_from_dense(ctx, level, off, quot, delta, source), -ev)
+    return _quotient_matrix(level, F, delta, a, [a[v - 1]], -ev, cache, source)
 
 
 def hw_second_derivative_at(level, F, delta, a, u, v, cache=None, source=""):
     """Second partials d2F/(dz_u dz_v) of a factored F, at the point a.
 
     With multiplicities e_u, e_v this is e_u (e_v - [u == v]) * F divided by
-    (t - z_u)(t - z_v); the diagonal case needs multiplicity >= 2.
+    (t - z_u)(t - z_v); the factor vanishes unless the divisions are exact.
     """
-    ctx = F.ctx
     eu = _factored_mult(F, u)
     ev = _factored_mult(F, v)
     factor = eu * (ev - 1) if u == v else eu * ev
-    delta = _normalize_delta_ints(delta)
-    if factor % ctx.q == 0 or eu == 0 or ev == 0:
-        g = len(delta)
-        zero = ctx.zero()
-        return HWMatrix(ctx, level, delta, [[zero] * g for _ in range(g)], True, source)
-    cache = cache or DenseCache()
-    off, quot = cache.quotient(F, a, a[u - 1])
-    quot = dense.dense_div_linear_exact(ctx, quot, a[v - 1])
-    return _scaled(hw_from_dense(ctx, level, off, quot, delta, source), factor)
+    return _quotient_matrix(level, F, delta, a, [a[u - 1], a[v - 1]], factor,
+                            cache, source)
+
+
+class SymbolicKit:
+    """The verifiers' matrices over the whole z-domain: z-polynomial entries
+    over ``ringmat.poly_ring`` with n variables.
+
+    Cleared verifiers need no inverse, so ``unit`` returns the determinant
+    unchecked; its nonvanishing mod p is checked before the kit is made.
+    Each A(level, F) is read once and shared by its twists and derivatives.
+    """
+
+    mode = "symbolic"
+    index = None
+    label = {}
+
+    def __init__(self, ctx, delta, n, ghosts=None):
+        self.ctx, self.delta, self.n = ctx, delta, n
+        self.ring = ringmat.poly_ring(ctx, 0, n)
+        self._ghosts = ghosts
+        self._read = {}
+
+    def _hw(self, level, F):
+        key = (level, id(F))
+        if key not in self._read:  # F is kept alive with its matrix
+            self._read[key] = F, hw_matrix(level, F, self.delta)
+        return self._read[key][1]
+
+    def A(self, level, F, twist=0):
+        return hw_sigma(self._hw(level, F), twist).entries
+
+    def dA(self, level, F, v, twist=0):
+        return hw_sigma(hw_partial_z(self._hw(level, F), v), twist).entries
+
+    def d2A(self, level, F, u, v):
+        return hw_partial_z(hw_partial_z(self._hw(level, F), v), u).entries
+
+    def frame(self, F, indices):
+        """Row i: the coefficients at indices of F/(t - z_i), i = 1..n."""
+        return _capped_reads(
+            [F.synth_div_linear(z_index=i) for i in range(1, self.n + 1)],
+            indices)
+
+    def frame_derivative(self, F, i, e, indices):
+        """Row k: the coefficients of d(F/(t - z_k))/dz_i for F with every
+        multiplicity e: -e D_ik off the diagonal and -(e - 1) D_ii on it,
+        D_ik = F/((t - z_i)(t - z_k))."""
+        q = self.ctx.q
+        Fi = F.synth_div_linear(z_index=i)
+        scales = [-(e - 1) if k == i else -e for k in range(1, self.n + 1)]
+        forms = {k: Fi.synth_div_linear(z_index=k)
+                 for k, c in enumerate(scales, 1) if c % q}
+        reads = dict(zip(forms, _capped_reads(list(forms.values()), indices)))
+        return [[x.cmul(c) for x in reads[k]] if k in reads
+                else [self.ring.zero] * len(indices)
+                for k, c in enumerate(scales, 1)]
+
+    def z(self, i, e=1):
+        exps = [0] * self.n
+        exps[i - 1] = e
+        return LaurentPoly(self.ctx, 0, self.n, {tuple(exps): self.ctx.one()})
+
+    def unit(self, d, error, message):
+        return d
+
+    def ghosts(self, tup, l):
+        if self._ghosts is None:
+            self._ghosts = ghost_sequence(tup, l)
+        return self._ghosts.V
+
+
+def _capped_reads(forms, indices):
+    """[f.coeffs_t(indices) for f in forms], refused before any term is
+    formed when the reads together would pass SOFT_TERM_CAP."""
+    if sum(f.read_size(indices) for f in forms) > SOFT_TERM_CAP:
+        raise SizeCapExceeded(
+            f"reading {len(forms)} quotients would exceed {SOFT_TERM_CAP} terms")
+    return [f.coeffs_t(indices) for f in forms]
+
+
+class PointKit(DenseCache):
+    """The verifiers' matrices at one point a, as scalars over Z/p^N.
+
+    The kit is the memo of its point: A, its z-derivatives and the frames at
+    a and at the twists a^(p^k) share expansions, half splits and
+    quotients.  ``unit`` raises when a determinant is not a unit at the
+    point; where it is, clearing by it keeps every valuation.
+    """
+
+    mode = "pointwise"
+
+    def __init__(self, ctx, delta, a, index=0):
+        super().__init__()
+        self.ctx, self.delta, self.index = ctx, delta, index
+        self.label = {"point_index": index}
+        self.ring = ringmat.scalar_ring(ctx)
+        self._points = {0: tuple(ctx.from_int(x) if isinstance(x, int) else x
+                                 for x in a)}
+
+    def point(self, k):
+        got = self._points.get(k)
+        if got is None:
+            got = self._points[k] = tuple(self.ctx.frob(x, 1)
+                                          for x in self.point(k - 1))
+        return got
+
+    def A(self, level, F, twist=0):
+        """A(level, F) at the twisted point; F may also be an expansion
+        (offset, coeffs) at the point, such as a ghost."""
+        if isinstance(F, tuple):
+            return hw_from_dense(self.ctx, level, *F, self.delta).entries
+        return self.hw_at(level, F, self.delta, self.point(twist)).entries
+
+    def dA(self, level, F, v, twist=0):
+        return hw_derivative_at(level, F, self.delta, self.point(twist), v,
+                                self).entries
+
+    def d2A(self, level, F, u, v):
+        return hw_second_derivative_at(level, F, self.delta, self.point(0),
+                                       u, v, self).entries
+
+    def frame(self, F, indices):
+        a = self.point(0)
+        return [_coeffs_at(self.ctx, *self.quotient(F, a, x), indices)
+                for x in a]
+
+    def frame_derivative(self, F, i, e, indices):
+        """The rows of ``SymbolicKit.frame_derivative`` at the point.
+
+        With Q_k = F/(t - a_k) from the quotient memo, exact partial
+        fractions over Z/p^N give, for k != i,
+
+            D_ik = (Q_i - Q_k) (a_i - a_k)^-1,
+            -(e-1) D_ii = -Q_i' + e sum_{k != i} D_ik   (Q_i' = dQ_i/dt),
+
+        the second from the product rule for Q_i'.  Only the extracted
+        coefficients are formed, with Q_i'[idx] = (idx+1) Q_i[idx+1]; no
+        second division runs and e - 1 is never inverted.  If some a_i - a_k
+        is not a unit, every D_ik with k != i comes instead from a second
+        synthetic division of Q_i by (t - a_k).
+        """
+        ctx = self.ctx
+        a = self.point(0)
+        off, qi = self.quotient(F, a, a[i - 1])
+        others = [k for k in range(1, len(a) + 1) if k != i]
+        Qi = _coeffs_at(ctx, off, qi, indices)
+        if all(ctx.is_unit(ctx.sub(a[i - 1], a[k - 1])) for k in others):
+            D = []
+            for k in others:
+                inv = self.diff_inverse(ctx, a, i, k)
+                Qk = _coeffs_at(ctx, *self.quotient(F, a, a[k - 1]), indices)
+                D.append([ctx.mul(ctx.sub(x, y), inv) for x, y in zip(Qi, Qk)])
+        else:
+            D = [_coeffs_at(ctx, off, dense.dense_div_linear_exact(
+                     ctx, qi, a[k - 1]), indices) for k in others]
+        rows = [[ctx.scal_int(x, -e) for x in row] for row in D]
+        diag = [ctx.neg(ctx.scal_int(c, idx + 1)) for c, idx in
+                zip(_coeffs_at(ctx, off, qi, [idx + 1 for idx in indices]),
+                    indices)]
+        for row in rows:
+            diag = [ctx.sub(x, r) for x, r in zip(diag, row)]
+        rows.insert(i - 1, diag)
+        return rows
+
+    def z(self, i, e=1):
+        return self.ctx.pow(self.point(0)[i - 1], e)
+
+    def unit(self, d, error, message):
+        """d, or error(message) with {v} its valuation if d is no unit."""
+        if not self.ctx.is_unit(d):
+            raise error(message.format(v=self.ctx.val(d)))
+        return d
+
+    def dense_W(self, W, twist=0):
+        """The expansion of W at the twisted point."""
+        return self.get(W, self.point(twist))
+
+    def ghosts(self, tup, l):
+        """Dense (offset, coeffs) of the ghosts V_s(t, a), s = 0..l."""
+        ctx, p = self.ctx, self.ctx.p
+        V = []
+        for s in range(l + 1):
+            off, co = self.dense_W(tup.W(s, 0))
+            acc = (off, list(co))
+            for j in range(1, s + 1):
+                tw = dense.off_stride(ctx, self.dense_W(tup.W(s, j), j), p**j)
+                acc = dense.off_sub(ctx, acc, dense.off_mul(ctx, V[j - 1], tw))
+            V.append(acc)
+        return V

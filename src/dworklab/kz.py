@@ -11,31 +11,39 @@ coefficient of t^(l p^s - 1) in the quotient vector (Phi_s/(t - z_i))_i.
 
 The same factored shape feeds the Hasse-Witt matrices A(s, Phi_s), whose
 first-row gradient reproduces I_s exactly up to the scalar (1 - p^s)/2, and
-the frame congruences I_{s+1} A(s+1)^-1 = I_s A(s)^-1 mod p^s.
+the frame congruences I_{s+1} A(s+1)^-1 = I_s A(s)^-1 mod p^s.  Frames are
+read through the kits of ``hasse_witt``; the residual and the frame
+congruences are stated once, with denominators cleared, over either kit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from functools import reduce
+
 from . import ringmat
-from .dwork import _finish, _mat_min_val_with_witness, _pointwise_scan
+from .dwork import (
+    Scan,
+    _cleared,
+    _finish,
+    _kits,
+    _mat_min_val_with_witness,
+    _pointwise_scan,
+)
 from .errors import (
     InvalidParameter,
     NonUnitDifference,
     OutsideDomain,
     SizeCapExceeded,
 )
-from .hasse_witt import (
-    DenseCache,
-    _coeffs_at,
-    check_direction,
-    hw_det,
-    hw_matrix,
-)
+from .hasse_witt import SymbolicKit, check_direction
 from .laurent import LaurentPoly
-from . import dense as dense_mod
 from .ghosts import AdmissibleTuple
+
+# Largest (e + 1)^n, e the multiplicity of Phi_s, that the symbolic frame
+# checks expand.
+FRAME_TERM_GATE = 200_000
 
 
 @dataclass(eq=False)
@@ -105,13 +113,8 @@ class SolutionMatrix:
 
     def column_sums(self):
         ring = self._ring()
-        out = []
-        for l in range(self.g):
-            acc = ring.zero
-            for i in range(self.n):
-                acc = ring.add(acc, self.entries[i][l])
-            out.append(acc)
-        return out
+        return [reduce(ring.add, (row[l] for row in self.entries), ring.zero)
+                for l in range(self.g)]
 
     def _ring(self):
         if self.pointwise:
@@ -138,92 +141,45 @@ class SolutionMatrix:
         }
 
 
-def ps_solutions(cfg, s, a=None, cache=None):
-    """Frame entries I[i][l] = coeff of t^(l p^s - 1) in Phi_s / (t - z_i).
+def _frame_indices(cfg, s):
+    ps = cfg.ctx.p**s
+    return tuple(l * ps - 1 for l in range(1, cfg.g + 1))
+
+
+def _kit(cfg, kit):
+    return kit or SymbolicKit(cfg.ctx, cfg.delta, cfg.n)
+
+
+def ps_solutions(cfg, s, kit=None):
+    """Frame entries I[i][l] = coeff of t^(l p^s - 1) in Phi_s / (t - z_i),
+    read by the kit (symbolic by default).
 
     Out-of-range column indices extract zero; only l = 1..g is stored.
     """
-    ctx = cfg.ctx
-    ps = ctx.p**s
-    phi = master_polynomial(cfg, s)
-    indices = tuple(l * ps - 1 for l in range(1, cfg.g + 1))
-    if a is None:
-        rows = [phi.synth_div_linear(z_index=i).coeffs_t(indices)
-                for i in range(1, cfg.n + 1)]
-        return SolutionMatrix(cfg, s, rows, False, indices)
-    cache = cache or DenseCache()
-    rows = [_coeffs_at(ctx, *cache.quotient(phi, a, a[i - 1]), indices)
-            for i in range(1, cfg.n + 1)]
-    return SolutionMatrix(cfg, s, rows, True, indices)
+    kit = _kit(cfg, kit)
+    indices = _frame_indices(cfg, s)
+    rows = kit.frame(master_polynomial(cfg, s), indices)
+    return SolutionMatrix(cfg, s, rows, kit.mode == "pointwise", indices)
 
 
-def solution_coefficient(cfg, s, ell, i, a=None):
+def solution_coefficient(cfg, s, ell, i, kit=None):
     """Single entry for any column index; zero outside 1..g."""
-    ctx = cfg.ctx
-    phi = master_polynomial(cfg, s)
-    idx = ell * ctx.p**s - 1
-    if a is None:
-        return phi.synth_div_linear(z_index=i).coeff_t(idx)
-    return _coeffs_at(ctx, *DenseCache().quotient(phi, a, a[i - 1]), (idx,))[0]
+    rows = _kit(cfg, kit).frame(master_polynomial(cfg, s),
+                                (ell * cfg.ctx.p**s - 1,))
+    return rows[i - 1][0]
 
 
-def ps_solution_derivative(cfg, s, i, a=None, cache=None):
+def ps_solution_derivative(cfg, s, i, kit=None):
     """The n x g matrix of dI_s/dz_i entries.
 
     Row k, column l is the coefficient of t^(l p^s - 1) in
     d(Phi_s/(t - z_k))/dz_i.  On the factored form this is -e D_ik off the
-    diagonal and -(e-1) D_ii on it, with D_ik = Phi_s/((t-z_i)(t-z_k)).
-
-    At a point a, with Q_k = Phi_s/(t - a_k) from the cache's quotient memo,
-    exact partial fractions over Z/p^N give, for k != i,
-
-        D_ik = (Q_i - Q_k) (a_i - a_k)^-1,
-        -(e-1) D_ii = -Q_i' + e sum_{k != i} D_ik   (Q_i' = dQ_i/dt),
-
-    the second from the product rule for Q_i'.  Only the g extracted
-    coefficients are formed, with Q_i'[idx] = (idx+1) Q_i[idx+1]; no second
-    division runs and e - 1 is never inverted.  If some a_i - a_k is not a
-    unit, every D_ik with k != i comes instead from a second synthetic
-    division of Q_i by (t - a_k); the diagonal identity holds either way.
+    diagonal and -(e-1) D_ii on it, with D_ik = Phi_s/((t-z_i)(t-z_k)); at
+    a point the kit forms it by partial fractions of the n quotients.
     """
-    ctx = cfg.ctx
     check_direction("i", i, cfg.n)
-    e = cfg.exponent(s)
-    ps = ctx.p**s
-    phi = master_polynomial(cfg, s)
-    indices = tuple(l * ps - 1 for l in range(1, cfg.g + 1))
-    zero_sym = LaurentPoly.zero(ctx, 0, cfg.n)
-    if a is None:
-        rows = []
-        for k in range(1, cfg.n + 1):
-            scale = -(e - 1) if k == i else -e
-            if scale % ctx.q == 0:
-                rows.append([zero_sym] * cfg.g)
-                continue
-            d = phi.synth_div_linear(z_index=i).synth_div_linear(z_index=k)
-            rows.append([x.cmul(scale) for x in d.coeffs_t(indices)])
-        return rows
-    cache = cache or DenseCache()
-    off, qi = cache.quotient(phi, a, a[i - 1])
-    others = [k for k in range(1, cfg.n + 1) if k != i]
-    diffs = [ctx.sub(a[i - 1], a[k - 1]) for k in others]
-    Qi = _coeffs_at(ctx, off, qi, indices)
-    if all(ctx.is_unit(d) for d in diffs):
-        D = []
-        for k in others:
-            inv = cache.diff_inverse(ctx, a, i, k)
-            Qk = _coeffs_at(ctx, *cache.quotient(phi, a, a[k - 1]), indices)
-            D.append([ctx.mul(ctx.sub(x, y), inv) for x, y in zip(Qi, Qk)])
-    else:
-        D = [_coeffs_at(ctx, off, dense_mod.dense_div_linear_exact(
-                 ctx, qi, a[k - 1]), indices) for k in others]
-    rows = ringmat.mat_scal(ringmat.scalar_ring(ctx), ctx.from_int(-e), D)
-    diag = [ctx.neg(ctx.scal_int(c, idx + 1)) for c, idx in
-            zip(_coeffs_at(ctx, off, qi, [idx + 1 for idx in indices]), indices)]
-    for row in rows:
-        diag = [ctx.sub(x, r) for x, r in zip(diag, row)]
-    rows.insert(i - 1, diag)
-    return rows
+    return _kit(cfg, kit).frame_derivative(
+        master_polynomial(cfg, s), i, cfg.exponent(s), _frame_indices(cfg, s))
 
 
 def gaudin(cfg, i, a):
@@ -251,48 +207,50 @@ def gaudin(cfg, i, a):
     return H
 
 
-def _axis_polys(ctx, n):
-    return [LaurentPoly.z_var(ctx, 0, n, i) for i in range(1, n + 1)]
+def _cleared_products(ring, z, i):
+    """P = prod_{j != i} (z_i - z_j) and, for each k != i, the cofactor
+    prod_{j not in (i, k)} (z_i - z_j) = P/(z_i - z_k)."""
+    diffs = {j: ring.sub(z[i - 1], z[j - 1])
+             for j in range(1, len(z) + 1) if j != i}
+    prods = {k: reduce(ring.mul, (d for j, d in diffs.items() if j != k),
+                       ring.one) for k in diffs}
+    return reduce(ring.mul, diffs.values(), ring.one), prods
 
 
-def _cleared_gaudin_action(cfg, i, I_entries):
-    """Rows of prod_{j != i}(z_i - z_j) * (H_i I) as z-polynomials."""
-    ctx = cfg.ctx
-    n = cfg.n
-    z = _axis_polys(ctx, n)
-    half = ctx.inv(ctx.from_int(2))
-    prods = {}
-    for k in range(1, n + 1):
-        if k == i:
-            continue
-        acc = LaurentPoly.one(ctx, 0, n)
-        for j in range(1, n + 1):
-            if j in (i, k):
-                continue
-            acc = acc * (z[i - 1] - z[j - 1])
-        prods[k] = acc
-    g = cfg.g
-    out = [[LaurentPoly.zero(ctx, 0, n) for _ in range(g)] for _ in range(n)]
+def _cleared_gaudin_action(ring, i, I_entries, prods, half):
+    """Rows of prod_{j != i}(z_i - z_j) * (H_i I), from the cofactors of
+    ``_cleared_products``."""
+    n, g = len(I_entries), len(I_entries[0])
+    out = [[ring.zero] * g for _ in range(n)]
     for l in range(g):
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            diffI = I_entries[j - 1][l] - I_entries[i - 1][l]
-            out[i - 1][l] = out[i - 1][l] + (prods[j] * diffI).cmul(half)
-        for k in range(1, n + 1):
-            if k == i:
-                continue
-            diffI = I_entries[i - 1][l] - I_entries[k - 1][l]
-            out[k - 1][l] = (prods[k] * diffI).cmul(half)
+        Ii = I_entries[i - 1][l]
+        for k, c in prods.items():
+            term = ring.scal(half, ring.mul(c, ring.sub(Ii, I_entries[k - 1][l])))
+            out[i - 1][l] = ring.sub(out[i - 1][l], term)
+            out[k - 1][l] = term
     return out
+
+
+def _frame_gate(cfg, s, what):
+    if (cfg.exponent(s) + 1) ** cfg.n > FRAME_TERM_GATE:
+        raise SizeCapExceeded(what)
+
+
+def _kz_kits(cfg, mode, points, level, what):
+    def symbolic():
+        _frame_gate(cfg, level, what)
+        return SymbolicKit(cfg.ctx, cfg.delta, cfg.n)
+
+    return _kits(mode, points, symbolic, cfg.ctx, cfg.delta)
 
 
 def kz_residual(cfg, s, i=None, mode="symbolic", points=None):
     """Residual of the KZ system for the level-s frame, modulo p^s.
 
     Checks prod_{j != i}(z_i - z_j) (dI_s/dz_i - H_i I_s) = 0 mod p^s for
-    each direction i (denominators cleared symbolically; evaluated directly
-    pointwise), together with column sums = 0 mod p^s.
+    each direction i, together with column sums = 0 mod p^s.  At a point
+    the cleared product is a unit, so the valuations are those of
+    dI_s/dz_i - H_i I_s.
     """
     ctx = cfg.ctx
     if i is not None:
@@ -301,58 +259,37 @@ def kz_residual(cfg, s, i=None, mode="symbolic", points=None):
     config = {"p": ctx.p, "N": ctx.N, "g": cfg.g, "s": s,
               "directions": dirs}
     desc = "level-s coefficient frame solves the KZ system modulo p^s"
-    if mode == "symbolic":
-        if (cfg.exponent(s) + 1) ** cfg.n > 200_000:
-            raise SizeCapExceeded("symbolic residual too large; use points")
-        ring = ringmat.poly_ring(ctx, 0, cfg.n)
-        I = ps_solutions(cfg, s)
-        observed = ctx.N
-        witness = None
-        z = _axis_polys(ctx, cfg.n)
+    half = ctx.inv(ctx.from_int(2))
+
+    def one(kit):
+        ring = kit.ring
+        I = ps_solutions(cfg, s, kit)
+        z = [kit.z(j) for j in range(1, cfg.n + 1)]
+        worst, wit = ctx.N, None
         for d in dirs:
-            P = LaurentPoly.one(ctx, 0, cfg.n)
             for j in range(1, cfg.n + 1):
                 if j != d:
-                    P = P * (z[d - 1] - z[j - 1])
-            dI = ps_solution_derivative(cfg, s, d)
-            lhs = [[(P * entry) for entry in row] for row in dI]
-            rhs = _cleared_gaudin_action(cfg, d, I.entries)
-            diff = ringmat.mat_sub(ring, lhs, rhs)
-            v, w = _mat_min_val_with_witness(ring, diff, {"direction": d})
-            if v < observed:
-                observed, witness = v, w
-        sums = I.column_sum_valuations()
-        observed = min([observed] + sums)
-        return _finish("kz-residual", desc, "symbolic", s, observed, ctx.N,
-                       witness if observed < s else None, config=config,
-                       extra={"column_sum_valuations": sums})
-
-    sring = ringmat.scalar_ring(ctx)
-
-    def one_point(item):
-        idx, a = item
-        cache = DenseCache()
-        I = ps_solutions(cfg, s, a, cache=cache)
-        worst = ctx.N
-        wit = None
-        for d in dirs:
-            H = gaudin(cfg, d, a)
-            dI = ps_solution_derivative(cfg, s, d, a, cache=cache)
-            HI = ringmat.mat_mul(sring, H, I.entries)
-            diff = ringmat.mat_sub(sring, dI, HI)
-            v, w = _mat_min_val_with_witness(
-                sring, diff, {"point_index": idx, "direction": d}
-            )
+                    kit.unit(ring.sub(z[d - 1], z[j - 1]), NonUnitDifference,
+                             f"z_{d} - z_{j} has valuation {{v}} at the point")
+            P, prods = _cleared_products(ring, z, d)
+            dI = ps_solution_derivative(cfg, s, d, kit)
+            lhs = [[ring.mul(P, x) for x in row] for row in dI]
+            diff = ringmat.mat_sub(
+                ring, lhs, _cleared_gaudin_action(ring, d, I.entries, prods, half))
+            v, w = _mat_min_val_with_witness(ring, diff,
+                                             {**kit.label, "direction": d})
             if v < worst:
                 worst, wit = v, w
         sums = I.column_sum_valuations()
-        worst = min([worst] + sums)
-        return worst, wit
+        return min([worst] + sums), wit, sums
 
-    observed, witness = _pointwise_scan(points, one_point, s, ctx.N)
-    return _finish("kz-residual", desc, "pointwise", s, observed, ctx.N,
-                   witness if observed < s else None,
-                   points=len(points), config=config)
+    scan = _pointwise_scan(
+        _kz_kits(cfg, mode, points, s, "symbolic residual too large; use points"),
+        one, s)
+    # one symbolic frame has column sums to show; points have one each
+    return _finish("kz-residual", desc, s, ctx.N, scan, config,
+                   {"column_sum_valuations": scan.results[0][2]}
+                   if scan.points is None else None)
 
 
 def verify_phi_identities(cfg, s):
@@ -367,54 +304,42 @@ def verify_phi_identities(cfg, s):
     ctx = cfg.ctx
     n = cfg.n
     e = cfg.exponent(s)
-    if (e + 1) ** n > 200_000:
-        raise SizeCapExceeded("symbolic identity check too large")
+    _frame_gate(cfg, s, "symbolic identity check too large")
+    ring = ringmat.poly_ring(ctx, 1, n)
+
+    def expanded(F):
+        return LaurentPoly(ctx, 1, n, dict(F.terms))
+
     phi = master_polynomial(cfg, s)
-    quot = [phi.synth_div_linear(z_index=i) for i in range(1, n + 1)]
-    quot = [LaurentPoly(ctx, 1, n, dict(qq.terms)) for qq in quot]
-    phit = LaurentPoly(ctx, 1, n, dict(phi.terms))
+    fquot = [phi.synth_div_linear(z_index=i) for i in range(1, n + 1)]
+    quot = [expanded(q) for q in fquot]
     lhs1 = LaurentPoly.zero(ctx, 1, n)
     for q in quot:
         lhs1 = lhs1 + q
-    lhs1 = lhs1.cmul(e)
-    rhs1 = phit.partial_t()
-    diff1 = lhs1 - rhs1
+    diff1 = lhs1.cmul(e) - expanded(phi).partial_t()
     observed = diff1.valuation() if not diff1.is_zero() else ctx.N
     witness = None if diff1.is_zero() else {"identity": 1}
 
+    second = {}  # D_ik = Phi_s/((t - z_i)(t - z_k)), one per unordered pair
     zpolys = [LaurentPoly.z_var(ctx, 1, n, i) for i in range(1, n + 1)]
     Ee = ctx.from_int(e)
     for i in range(1, n + 1):
-        P = LaurentPoly.one(ctx, 1, n)
-        for j in range(1, n + 1):
-            if j != i:
-                P = P * (zpolys[i - 1] - zpolys[j - 1])
-        prods = {}
-        for k in range(1, n + 1):
-            if k == i:
-                continue
-            acc = LaurentPoly.one(ctx, 1, n)
-            for j in range(1, n + 1):
-                if j in (i, k):
-                    continue
-                acc = acc * (zpolys[i - 1] - zpolys[j - 1])
-            prods[k] = acc
+        P, prods = _cleared_products(ring, zpolys, i)
         for k in range(1, n + 1):
             # cleared row k of identity (2) for direction i
             scale = -(e - 1) if k == i else -e
             if scale % ctx.q == 0:
-                dq = LaurentPoly.zero(ctx, 1, n)
+                lhs = LaurentPoly.zero(ctx, 1, n)
             else:
-                base = phi.synth_div_linear(z_index=i)
-                dq = base.synth_div_linear(z_index=k).cmul(scale)
-                dq = LaurentPoly(ctx, 1, n, dict(dq.terms))
-            lhs = P * dq
+                pair = (min(i, k), max(i, k))
+                if pair not in second:
+                    second[pair] = expanded(
+                        fquot[pair[0] - 1].synth_div_linear(z_index=pair[1]))
+                lhs = P * second[pair].cmul(scale)
             if k == i:
                 acc = LaurentPoly.zero(ctx, 1, n)
-                for j in range(1, n + 1):
-                    if j == i:
-                        continue
-                    acc = acc + prods[j] * (quot[j - 1] - quot[i - 1])
+                for j, c in prods.items():
+                    acc = acc + c * (quot[j - 1] - quot[i - 1])
                 lhs = lhs + acc.cmul(Ee)
                 rhs = -(P * quot[i - 1].partial_t())
             else:
@@ -427,8 +352,9 @@ def verify_phi_identities(cfg, s):
                     observed = v
                     witness = {"identity": 2, "direction": i, "row": k}
     desc = "master-polynomial t-derivative identities hold exactly"
-    return _finish("phi-identities", desc, "symbolic", ctx.N, observed, ctx.N,
-                   witness, config={"p": ctx.p, "N": ctx.N, "g": cfg.g, "s": s})
+    return _finish("phi-identities", desc, ctx.N, ctx.N,
+                   Scan("symbolic", observed, witness, None, []),
+                   {"p": ctx.p, "N": ctx.N, "g": cfg.g, "s": s})
 
 
 def verify_solution_congruence(cfg, s, mode="pointwise", points=None):
@@ -436,84 +362,42 @@ def verify_solution_congruence(cfg, s, mode="pointwise", points=None):
 
     (i)  I_{s+1} A(s+1, Phi_{s+1})^-1 = I_s A(s, Phi_s)^-1,
     (ii) the same with d/dz_j applied to the frames, for every j,
-    plus the mod-p stabilization I_s A(s, Phi_s)^-1 = I_1 A(1, Phi_1)^-1.
+    each checked as I_{s+1} adj A(s+1) det A(s) = I_s adj A(s) det A(s+1).
     """
     ctx = cfg.ctx
     config = {"p": ctx.p, "N": ctx.N, "g": cfg.g, "s": s}
     desc = "solution frames against inverse level matrices agree modulo p^s"
-    if mode == "symbolic":
-        if (cfg.exponent(s + 1) + 1) ** cfg.n > 200_000:
-            raise SizeCapExceeded("symbolic frame congruence too large")
-        ring = ringmat.poly_ring(ctx, 0, cfg.n)
-        A1 = hw_matrix(s + 1, master_polynomial(cfg, s + 1), cfg.delta)
-        A0 = hw_matrix(s, master_polynomial(cfg, s), cfg.delta)
-        I1 = ps_solutions(cfg, s + 1)
-        I0 = ps_solutions(cfg, s)
-        adj1 = ringmat.adjugate(ring, A1.entries)
-        adj0 = ringmat.adjugate(ring, A0.entries)
-        d1, d0 = hw_det(A1), hw_det(A0)
-        lhs = ringmat.mat_scal(ring, d0, ringmat.mat_mul(ring, I1.entries, adj1))
-        rhs = ringmat.mat_scal(ring, d1, ringmat.mat_mul(ring, I0.entries, adj0))
-        diff = ringmat.mat_sub(ring, lhs, rhs)
-        observed, witness = _mat_min_val_with_witness(ring, diff, {"part": "frame"})
-        for j in range(1, cfg.n + 1):
-            dI1 = ps_solution_derivative(cfg, s + 1, j)
-            dI0 = ps_solution_derivative(cfg, s, j)
-            lhs = ringmat.mat_scal(ring, d0, ringmat.mat_mul(ring, dI1, adj1))
-            rhs = ringmat.mat_scal(ring, d1, ringmat.mat_mul(ring, dI0, adj0))
-            diff = ringmat.mat_sub(ring, lhs, rhs)
-            v, w = _mat_min_val_with_witness(
-                ring, diff, {"part": "derivative", "direction": j}
-            )
-            if v < observed:
-                observed, witness = v, w
-        return _finish("frame-congruence", desc, "symbolic", s, observed,
-                       ctx.N, witness if observed < s else None, config=config)
 
-    sring = ringmat.scalar_ring(ctx)
-
-    def one_point(item):
-        idx, a = item
-        cache = DenseCache()
-        frames = {}
+    def one(kit):
+        ring = kit.ring
+        adj, det = {}, {}
         for lev in (s, s + 1):
-            phi = master_polynomial(cfg, lev)
-            Aw = cache.hw_at(lev, phi, cfg.delta, a)
-            det = hw_det(Aw)
-            if not ctx.is_unit(det):
-                raise OutsideDomain(
-                    f"det A({lev}, Phi_{lev}) not a unit at point {idx}"
-                )
-            Ainv = ringmat.mat_inv_scalar(ctx, Aw.entries)
-            frames[lev] = (Ainv, cache)
-        worst = ctx.N
-        wit = None
-        I1 = ps_solutions(cfg, s + 1, a, cache=cache)
-        I0 = ps_solutions(cfg, s, a, cache=cache)
-        J1 = ringmat.mat_mul(sring, I1.entries, frames[s + 1][0])
-        J0 = ringmat.mat_mul(sring, I0.entries, frames[s][0])
-        v, w = _mat_min_val_with_witness(
-            sring, ringmat.mat_sub(sring, J1, J0),
-            {"point_index": idx, "part": "frame"},
-        )
-        worst, wit = v, w
+            A = kit.A(lev, master_polynomial(cfg, lev))
+            det[lev] = kit.unit(
+                ringmat.det(ring, A), OutsideDomain,
+                f"det A({lev}, Phi_{lev}) not a unit at point {kit.index}")
+            adj[lev] = ringmat.adjugate(ring, A)
+
+        def cleared(X1, X0, label):
+            return _mat_min_val_with_witness(
+                ring, _cleared(ring, X1, adj[s + 1], det[s + 1],
+                               X0, adj[s], det[s]),
+                {**kit.label, **label})
+
+        worst, wit = cleared(ps_solutions(cfg, s + 1, kit).entries,
+                             ps_solutions(cfg, s, kit).entries, {"part": "frame"})
         for j in range(1, cfg.n + 1):
-            dI1 = ps_solution_derivative(cfg, s + 1, j, a, cache=cache)
-            dI0 = ps_solution_derivative(cfg, s, j, a, cache=cache)
-            K1 = ringmat.mat_mul(sring, dI1, frames[s + 1][0])
-            K0 = ringmat.mat_mul(sring, dI0, frames[s][0])
-            v, w = _mat_min_val_with_witness(
-                sring, ringmat.mat_sub(sring, K1, K0),
-                {"point_index": idx, "part": "derivative", "direction": j},
-            )
+            v, w = cleared(ps_solution_derivative(cfg, s + 1, j, kit),
+                           ps_solution_derivative(cfg, s, j, kit),
+                           {"part": "derivative", "direction": j})
             if v < worst:
                 worst, wit = v, w
         return worst, wit
 
-    observed, witness = _pointwise_scan(points, one_point, s, ctx.N)
-    return _finish("frame-congruence", desc, "pointwise", s, observed, ctx.N,
-                   witness if observed < s else None,
-                   points=len(points), config=config)
+    scan = _pointwise_scan(
+        _kz_kits(cfg, mode, points, s + 1, "symbolic frame congruence too large"),
+        one, s)
+    return _finish("frame-congruence", desc, s, ctx.N, scan, config)
 
 
 def verify_mod_p_stabilization(cfg, s_max, points):
@@ -523,18 +407,13 @@ def verify_mod_p_stabilization(cfg, s_max, points):
     desc = "frames stabilize modulo p to the level-1 frame"
     config = {"p": ctx.p, "N": ctx.N, "g": cfg.g, "s_max": s_max}
 
-    def one_point(item):
-        idx, a = item
-        cache = DenseCache()
-
+    def one(kit):
         def frame(lev):
-            phi = master_polynomial(cfg, lev)
-            Aw = cache.hw_at(lev, phi, cfg.delta, a)
-            if not ctx.is_unit(hw_det(Aw)):
-                raise OutsideDomain(f"point {idx} outside the unit-det domain")
-            Ainv = ringmat.mat_inv_scalar(ctx, Aw.entries)
-            I = ps_solutions(cfg, lev, a, cache=cache)
-            return ringmat.mat_mul(sring, I.entries, Ainv)
+            A = kit.A(lev, master_polynomial(cfg, lev))
+            kit.unit(ringmat.det(sring, A), OutsideDomain,
+                     f"point {kit.index} outside the unit-det domain")
+            return ringmat.mat_mul(sring, ps_solutions(cfg, lev, kit).entries,
+                                   ringmat.mat_inv_scalar(ctx, A))
 
         base = frame(1)
         worst = ctx.N
@@ -542,31 +421,22 @@ def verify_mod_p_stabilization(cfg, s_max, points):
         for lev in range(2, s_max + 1):
             v, w = _mat_min_val_with_witness(
                 sring, ringmat.mat_sub(sring, frame(lev), base),
-                {"point_index": idx, "level": lev},
+                {**kit.label, "level": lev},
             )
             if v < worst:
                 worst, wit = v, w
         return worst, wit
 
-    observed, witness = _pointwise_scan(points, one_point, 1, ctx.N)
-    return _finish("frame-mod-p", desc, "pointwise", 1, observed, ctx.N,
-                   witness if observed < 1 else None,
-                   points=len(points), config=config)
+    scan = _pointwise_scan(_kits("pointwise", points, None, ctx, cfg.delta),
+                           one, 1)
+    return _finish("frame-mod-p", desc, 1, ctx.N, scan, config)
 
 
-def first_row_gradient(cfg, s, a=None, cache=None):
+def first_row_gradient(cfg, s, kit=None):
     """The n x g matrix of z-gradients of the first Hasse-Witt row of
     A(s, Phi_s); equals ((1 - p^s)/2) I_s exactly."""
-    ctx = cfg.ctx
-    e = cfg.exponent(s)
-    phi = master_polynomial(cfg, s)
-    ps = ctx.p**s
-    indices = tuple(l * ps - 1 for l in range(1, cfg.g + 1))
-    if a is None:
-        return [[x.cmul(-e) for x in phi.synth_div_linear(z_index=i).coeffs_t(indices)]
-                for i in range(1, cfg.n + 1)]
-    cache = cache or DenseCache()
-    return ringmat.mat_scal(
-        ringmat.scalar_ring(ctx), ctx.from_int(-e),
-        [_coeffs_at(ctx, *cache.quotient(phi, a, a[i - 1]), indices)
-         for i in range(1, cfg.n + 1)])
+    kit = _kit(cfg, kit)
+    c = cfg.ctx.from_int(-cfg.exponent(s))
+    return [[kit.ring.scal(c, x) for x in row]
+            for row in kit.frame(master_polynomial(cfg, s),
+                                 _frame_indices(cfg, s))]

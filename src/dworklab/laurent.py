@@ -98,15 +98,6 @@ class LaurentPoly:
         return cls(ctx, r, n, {tuple(key): ctx.one()})
 
     @classmethod
-    def from_int_terms(cls, ctx, r, n, int_terms):
-        terms = {}
-        for key, c in int_terms.items():
-            v = ctx.from_int(c) if isinstance(c, int) else c
-            if not ctx.is_zero(v):
-                terms[tuple(key)] = v
-        return cls(ctx, r, n, terms)
-
-    @classmethod
     def from_factors(cls, ctx, n, factors):
         """Monic product of linear factors in the single t variable.
 
@@ -147,14 +138,11 @@ class LaurentPoly:
         SizeCapExceeded.
         """
         ctx, q = self.ctx, self.ctx.q
-        zexp = {}
-        scalar = []
-        for (kind, val), e in self.factored:
-            if kind == "z":
-                zexp[val] = zexp.get(val, 0) + e
-            else:
-                scalar.append((val, e))
-        zfac = sorted(zexp.items())
+        zfac, S, kzs, size = self._plan(out)
+        if size > SOFT_TERM_CAP:
+            raise SizeCapExceeded(
+                f"factored expansion would exceed {SOFT_TERM_CAP} terms"
+            )
         rows = [[(-1) ** (e - j) * math.comb(e, j) % q for j in range(e + 1)]
                 for _, e in zfac]
         caps = [0] * (len(zfac) + 1)
@@ -175,17 +163,6 @@ class LaurentPoly:
                     exps[i] = e - j
                     walk(d + 1, rem - j, w, part)
 
-        S = dense.dense_from_roots(ctx, scalar)
-        kzs = [k - j for k in out for j in range(len(S)) if 0 <= k - j <= caps[0]]
-        top = max(kzs, default=0)
-        count = [1] + [0] * top  # compositions of each kz within the bounds
-        for _, e in zfac:
-            pre = [0, *itertools.accumulate(count)]
-            count = [pre[k + 1] - pre[max(0, k - e)] for k in range(top + 1)]
-        if sum(count[kz] for kz in kzs) > SOFT_TERM_CAP:
-            raise SizeCapExceeded(
-                f"factored expansion would exceed {SOFT_TERM_CAP} terms"
-            )
         for kz in set(kzs):
             exps[0] = kz
             part = {}
@@ -204,6 +181,38 @@ class LaurentPoly:
                     w = ctx.scal_int(sc, c)
                     if not ctx.is_zero(w):
                         acc[(kz + j,) + key[1:]] = w
+
+    def _plan(self, ks):
+        """(z factors, scalar part S, z-degrees, composition count) of a
+        read of the t^k slices of the factored form, k in ks: the count is
+        the number of terms the read forms at most, found by one prefix-sum
+        pass per z factor over prod_i (1 + x + ... + x^(e_i))."""
+        zexp = {}
+        scalar = []
+        for (kind, val), e in self.factored:
+            if kind == "z":
+                zexp[val] = zexp.get(val, 0) + e
+            else:
+                scalar.append((val, e))
+        zfac = sorted(zexp.items())
+        S = dense.dense_from_roots(self.ctx, scalar)
+        deg = sum(zexp.values())
+        kzs = [k - j for k in ks for j in range(len(S)) if 0 <= k - j <= deg]
+        top = max(kzs, default=0)
+        count = [1] + [0] * top  # compositions of each kz within the bounds
+        for _, e in zfac:
+            pre = [0, *itertools.accumulate(count)]
+            count = [pre[k + 1] - pre[max(0, k - e)] for k in range(top + 1)]
+        return zfac, S, kzs, sum(count[kz] for kz in kzs)
+
+    def read_size(self, indices):
+        """Terms a ``coeffs_t`` read of the t-exponents ``indices`` forms at
+        most: the compositions behind them, or the stored terms once
+        expanded."""
+        if self._terms is not None:
+            return len(self._terms)
+        return self._plan([v if isinstance(v, int) else v[0]
+                           for v in indices])[3]
 
     # -- basics -----------------------------------------------------------------
 

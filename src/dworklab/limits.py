@@ -22,12 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from . import ringmat
 from .errors import ConfigError, InvalidParameter, OutsideDomain, TooLarge
-from .hasse_witt import (
-    DenseCache,
-    hw_det,
-    hw_matrix_at,
-    hw_derivative_at,
-)
+from .hasse_witt import PointKit, hw_det, hw_matrix_at
 from .kz import (
     KZConfig,
     gaudin,
@@ -301,13 +296,12 @@ def _check_s_max(ctx, s_max):
         raise InvalidParameter("precision must satisfy N >= s_max + 1")
 
 
-def _level_matrix_inv(cfg, lev, a, cache):
-    ctx = cfg.ctx
-    Aw = cache.hw_at(lev, master_polynomial(cfg, lev), cfg.delta, a)
-    det = hw_det(Aw)
-    if not ctx.is_unit(det):
-        raise OutsideDomain(f"det A({lev}, Phi_{lev}) not a unit")
-    return Aw, ringmat.mat_inv_scalar(ctx, Aw.entries)
+def _level_matrix_inv(cfg, lev, kit, twist=0):
+    """A(lev, Phi_lev) at the kit's point twisted, and its inverse."""
+    A = kit.A(lev, master_polynomial(cfg, lev), twist)
+    kit.unit(ringmat.det(kit.ring, A), OutsideDomain,
+             f"det A({lev}, Phi_{lev}) not a unit")
+    return A, ringmat.mat_inv_scalar(cfg.ctx, A)
 
 
 def limit_A(cfg, point, s_max):
@@ -321,20 +315,15 @@ def limit_A(cfg, point, s_max):
     _check_s_max(ctx, s_max)
     if not point.in_D:
         raise OutsideDomain("point is outside the unit-determinant domain")
-    a = point.lift
-    ap = tuple(ctx.frob(x, 1) for x in a)
     sring = ringmat.scalar_ring(ctx)
-    cache = DenseCache()
-    cache_p = DenseCache()
+    kit = PointKit(ctx, cfg.delta, point.lift)
     ratios = []
     det_vals = []
     for s in range(s_max):
-        Aw, _ = _level_matrix_inv(cfg, s + 1, a, cache)
-        if s == 0:
-            R = Aw.entries
-        else:
-            _, inv = _level_matrix_inv(cfg, s, ap, cache_p)
-            R = ringmat.mat_mul(sring, Aw.entries, inv)
+        R, _ = _level_matrix_inv(cfg, s + 1, kit)
+        if s > 0:
+            _, inv = _level_matrix_inv(cfg, s, kit, twist=1)
+            R = ringmat.mat_mul(sring, R, inv)
         ratios.append(R)
         det_vals.append(ctx.val(ringmat.det(sring, R)))
     decay = []
@@ -360,43 +349,34 @@ def limit_I(cfg, point, s_max):
     _check_s_max(ctx, s_max)
     if not point.in_D_o:
         raise OutsideDomain("point is outside the residue-distinct o-domain")
-    a = point.lift
     sring = ringmat.scalar_ring(ctx)
-    cache = DenseCache()
+    kit = PointKit(ctx, cfg.delta, point.lift)
     J_seq, K_seq, B_seq = [], [], []
     for s in range(1, s_max + 1):
         phi = master_polynomial(cfg, s)
-        Aw, Ainv = _level_matrix_inv(cfg, s, a, cache)
-        I = ps_solutions(cfg, s, a, cache=cache)
+        _, Ainv = _level_matrix_inv(cfg, s, kit)
+        I = ps_solutions(cfg, s, kit)
         J_seq.append(ringmat.mat_mul(sring, I.entries, Ainv))
         K = {}
         B = {}
         for i in range(1, cfg.n + 1):
-            dI = ps_solution_derivative(cfg, s, i, a, cache=cache)
+            dI = ps_solution_derivative(cfg, s, i, kit)
             K[i] = ringmat.mat_mul(sring, dI, Ainv)
-            dA = hw_derivative_at(s, phi, cfg.delta, a, i, cache=cache)
-            B[i] = ringmat.mat_mul(sring, dA.entries, Ainv)
+            B[i] = ringmat.mat_mul(sring, kit.dA(s, phi, i), Ainv)
         K_seq.append(K)
         B_seq.append(B)
-    decay_J, decay_K, decay_B = [], [], []
-    for s in range(1, s_max):
-        decay_J.append(ringmat.min_val(
-            sring, ringmat.mat_sub(sring, J_seq[s], J_seq[s - 1])))
-        decay_K.append(min(
-            ringmat.min_val(sring, ringmat.mat_sub(
-                sring, K_seq[s][i], K_seq[s - 1][i]))
-            for i in range(1, cfg.n + 1)))
-        decay_B.append(min(
-            ringmat.min_val(sring, ringmat.mat_sub(
-                sring, B_seq[s][i], B_seq[s - 1][i]))
-            for i in range(1, cfg.n + 1)))
+    def decay(seq):
+        """Per level, the least valuation of a consecutive difference."""
+        return [min(ringmat.min_val(sring, ringmat.mat_sub(sring, now[i], was[i]))
+                    for i in now) for was, now in zip(seq, seq[1:])]
+
     return {
         "J_seq": J_seq,
         "K_seq": K_seq,
         "B_seq": B_seq,
-        "decay_J": decay_J,
-        "decay_K": decay_K,
-        "decay_B": decay_B,
+        "decay_J": decay([{0: J} for J in J_seq]),
+        "decay_K": decay(K_seq),
+        "decay_B": decay(B_seq),
         "I": J_seq[-1],
         "I_dirs": K_seq[-1],
         "A_dirs": B_seq[-1],
@@ -504,11 +484,10 @@ def rank_check(cfg, point, frag=None):
     ctx = cfg.ctx
     if not point.in_D:
         raise OutsideDomain("point is outside the unit-determinant domain")
-    a = point.lift
     sring = ringmat.scalar_ring(ctx)
-    cache = DenseCache()
-    _, Ainv = _level_matrix_inv(cfg, 1, a, cache)
-    I = ps_solutions(cfg, 1, a, cache=cache)
+    kit = PointKit(ctx, cfg.delta, point.lift)
+    _, Ainv = _level_matrix_inv(cfg, 1, kit)
+    I = ps_solutions(cfg, 1, kit)
     M = ringmat.mat_mul(sring, I.entries, Ainv)
     g = cfg.g
     preferred = tuple(range(0, 2 * g - 1, 2))

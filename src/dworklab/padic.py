@@ -433,7 +433,3 @@ def teichmueller(x, ctx):
 
 def valuation(x, ctx):
     return ctx.val(x)
-
-
-def unit_inverse(x, ctx):
-    return ctx.inv(x)

@@ -25,12 +25,13 @@ class Ring(NamedTuple):
     one: object
     is_zero: Callable
     val: Callable
+    scal: Callable  # scal(c, a): an element of the base ring PadicCtx times a
 
 
 def scalar_ring(ctx):
     return Ring(
         ctx.add, ctx.sub, ctx.mul, ctx.neg, ctx.zero(), ctx.one(),
-        ctx.is_zero, ctx.val,
+        ctx.is_zero, ctx.val, ctx.mul,
     )
 
 
@@ -46,6 +47,7 @@ def poly_ring(ctx, r, n):
         one,
         lambda a: a.is_zero(),
         lambda a: a.valuation(),
+        lambda c, a: a.cmul(c),
     )
 
 

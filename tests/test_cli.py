@@ -115,6 +115,10 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     "hw --p 3 --N 3 --m 1 --g 2",
     "hw --p 3 --N 0 --m 1 --g 1",
     "kz-solve --p 3 --N 3 --g 1 --s 1 --ext 0",
+    "admissible --p 3 --delta x --boxes 0:1",
+    "admissible --p 3 --delta 1..y --boxes 0:1",
+    "admissible --p 3 --delta 1 --boxes 0:1,2",
+    "admissible --p 3 --delta 1 --boxes a:b",
 ])
 def test_invalid_parameters_are_configuration_errors(argv, capsys):
     assert invoke(argv.split()) == (2, [])
@@ -330,6 +334,7 @@ def test_non_positive_counts_exit_2(argv, capsys):
 @pytest.mark.parametrize("argv", [
     "hw --p 7 --N 3 --m 3 --g 2",
     "kz-solve --p 7 --N 4 --g 2 --s 3",
+    "kz-solve --p 5 --N 4 --g 2 --s 3",
 ])
 def test_oversized_symbolic_reads_exit_2_at_once(argv, capsys):
     start = time.perf_counter()
@@ -348,3 +353,22 @@ def test_missing_input_file_exits_2(tmp_path, argv, capsys):
     code, docs = invoke(argv.format(tmp_path / "absent.json").split())
     assert code == 2 and docs == []
     assert "configuration error: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    "[]", "[1.5, 2, 3]", "{}", '{"lambdas": [5]}', '{"lambdas": []}',
+    '"abc"', "{not json",
+])
+@pytest.mark.parametrize("argv", [
+    "hw --p 5 --N 3 --m 1 --g 1 --at {}",
+    "kz-solve --p 5 --N 3 --g 1 --s 1 --at {}",
+    "ghosts --p 3 --N 3 --l 1 --delta 1 --tuple {}",
+    "admissible --p 3 --delta 1 --tuple {}",
+])
+def test_malformed_input_files_exit_2(tmp_path, argv, content, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    code, docs = invoke(argv.format(path).split())
+    err = capsys.readouterr().err
+    assert code == 2 and docs == []
+    assert "configuration error" in err and "Traceback" not in err

@@ -2,7 +2,6 @@ import pytest
 
 import dworklab as dl
 from dworklab import ringmat
-from dworklab.dwork import ghost_dense_at
 from dworklab.errors import (
     ConfigError,
     DegenerateTuple,
@@ -10,6 +9,7 @@ from dworklab.errors import (
     SizeCapExceeded,
 )
 from dworklab.ghosts import AdmissibleTuple
+from dworklab.hasse_witt import PointKit
 from dworklab.laurent import LaurentPoly, TBox
 from conftest import rand_laurent, seeded
 
@@ -60,7 +60,7 @@ def test_ghost_dense_matches_symbolic():
     gs = dl.ghost_sequence(tup, 2)
     rng = seeded(77)
     a = [ctx.rand(rng) for _ in range(3)]
-    Vd, _ = ghost_dense_at(tup, 2, a)
+    Vd = PointKit(ctx, tup.delta, a).ghosts(tup, 2)
     for s in range(3):
         off, co = Vd[s]
         direct = gs.V[s].eval_z(a)

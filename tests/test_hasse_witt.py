@@ -123,15 +123,15 @@ def test_det_scalar_form():
 
 def test_inverse_examples():
     ctx, cfg, F = kz_setup(3, 2, 1)
-    from dworklab.hasse_witt import HWMatrix
+    from dworklab.hasse_witt import HWMatrix, hw_inverse_at
 
     ident = HWMatrix(ctx, 1, (1,), [[1]], True)
-    assert dl.hw_inverse_at(ident).entries == [[1]]
+    assert hw_inverse_at(ident).entries == [[1]]
     A = dl.hw_matrix_at(1, F, cfg.delta, [0, 1, 3])  # entry 5
-    assert dl.hw_inverse_at(A).entries == [[2]]
+    assert hw_inverse_at(A).entries == [[2]]
     singular = HWMatrix(ctx, 1, (1,), [[3]], True)
     with pytest.raises(SingularModP):
-        dl.hw_inverse_at(singular)
+        hw_inverse_at(singular)
 
 
 def test_inverse_random_matrices():

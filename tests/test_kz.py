@@ -3,7 +3,7 @@ import pytest
 import dworklab as dl
 from dworklab import ringmat
 from dworklab.errors import DirectionOutOfRange, NonUnitDifference, NotDivisible
-from dworklab.hasse_witt import DenseCache
+from dworklab.hasse_witt import PointKit
 from dworklab.kz import (
     first_row_gradient,
     ps_solution_derivative,
@@ -53,7 +53,8 @@ def test_solutions_level1():
     assert solution_coefficient(cfg, 1, cfg.g + 1, 1).is_zero()
     rng = seeded(3)
     a = [ctx.rand(rng) for _ in range(3)]
-    assert ctx.is_zero(solution_coefficient(cfg, 1, cfg.g + 1, 2, a))
+    assert ctx.is_zero(solution_coefficient(cfg, 1, cfg.g + 1, 2,
+                                            PointKit(ctx, cfg.delta, a)))
 
 
 def test_gradient_relation_exact():
@@ -70,8 +71,8 @@ def test_gradient_relation_exact():
                     for i in range(cfg.n) for l in range(cfg.g)
                 )
             a = [ctx.rand(rng) for _ in range(cfg.n)]
-            Ga = first_row_gradient(cfg, s, a)
-            Ia = dl.ps_solutions(cfg, s, a)
+            Ga = first_row_gradient(cfg, s, PointKit(ctx, cfg.delta, a))
+            Ia = dl.ps_solutions(cfg, s, PointKit(ctx, cfg.delta, a))
             assert all(
                 Ga[i][l] == ctx.mul(scal, Ia.entries[i][l])
                 for i in range(cfg.n) for l in range(cfg.g)
@@ -98,13 +99,14 @@ def test_symbolic_frames_match_pointwise_frames(p, N, g, s, m):
     grad = first_row_gradient(cfg, s)
     for pt in dl.sample_domain_points(p, g, m, 3, 5, ctx):
         a = pt.lift
-        assert at(I.entries, a) == dl.ps_solutions(cfg, s, a).entries
+        kit = PointKit(ctx, cfg.delta, a)
+        assert at(I.entries, a) == dl.ps_solutions(cfg, s, kit).entries
         for i, rows in dI.items():
-            assert at(rows, a) == ps_solution_derivative(cfg, s, i, a)
-        assert at(grad, a) == first_row_gradient(cfg, s, a)
+            assert at(rows, a) == ps_solution_derivative(cfg, s, i, kit)
+        assert at(grad, a) == first_row_gradient(cfg, s, kit)
         for ell in range(g + 2):
             sym = solution_coefficient(cfg, s, ell, 2)
-            assert at([[sym]], a)[0][0] == solution_coefficient(cfg, s, ell, 2, a)
+            assert at([[sym]], a)[0][0] == solution_coefficient(cfg, s, ell, 2, kit)
 
 
 def test_partial_fraction_derivative_matches_two_divisions():
@@ -116,9 +118,9 @@ def test_partial_fraction_derivative_matches_two_divisions():
                 # any lift of an o-domain residue tuple stays in the o-domain
                 a = tuple(ctx.add(x, ctx.scal_int(ctx.rand(rng), p))
                           for x in pt.lift)
-                cache = DenseCache()
+                kit = PointKit(ctx, cfg.delta, a)
                 for i in range(1, cfg.n + 1):
-                    got = ps_solution_derivative(cfg, s, i, a, cache=cache)
+                    got = ps_solution_derivative(cfg, s, i, kit)
                     assert got == _derivative_oracle(ctx, cfg, s, i, a)
 
 
@@ -129,10 +131,10 @@ def test_derivative_inverts_each_difference_once_per_point(monkeypatch):
     real_inv = type(ctx).inv
     monkeypatch.setattr(type(ctx), "inv",
                         lambda self, x: inverted.append(x) or real_inv(self, x))
-    cache = DenseCache()
+    cache = PointKit(ctx, cfg.delta, pt.lift)
     for s in (1, 2):
         for i in range(1, cfg.n + 1):
-            ps_solution_derivative(cfg, s, i, pt.lift, cache=cache)
+            ps_solution_derivative(cfg, s, i, cache)
     a = pt.lift
     assert sorted(inverted) == sorted(ctx.sub(a[i], a[k])
                                       for i in range(cfg.n)
@@ -154,7 +156,7 @@ def test_derivative_fallback_at_non_unit_difference():
         a[1] = ctx.add(a[0], ctx.scal_int(ctx.rand_unit(rng), p))
         for s in (1, 2):
             for i in (1, 2, 3):
-                got = ps_solution_derivative(cfg, s, i, a)
+                got = ps_solution_derivative(cfg, s, i, PointKit(ctx, cfg.delta, a))
                 assert got == _derivative_oracle(ctx, cfg, s, i, a)
 
 
@@ -162,7 +164,7 @@ def test_quotient_memo_rejects_inexact_division():
     ctx, cfg = setup(5, 3, 1, 2)
     (pt,) = dl.sample_domain_points(5, 1, 2, 1, 0, ctx)
     phi = dl.master_polynomial(cfg, 1)
-    cache = DenseCache()
+    cache = PointKit(ctx, cfg.delta, pt.lift)
     off, q1 = cache.quotient(phi, pt.lift, pt.lift[0])
     assert cache.quotient(phi, pt.lift, pt.lift[0]) == (off, q1)
     # a root with a residue distinct from every a_j is not a factor
@@ -179,7 +181,7 @@ def test_direction_indices_are_validated():
     phi = dl.master_polynomial(cfg, 1)
     for bad in (0, cfg.n + 1):
         with pytest.raises(DirectionOutOfRange):
-            ps_solution_derivative(cfg, 1, bad, a)
+            ps_solution_derivative(cfg, 1, bad, PointKit(ctx, cfg.delta, a))
         with pytest.raises(DirectionOutOfRange):
             dl.kz_residual(cfg, 1, i=bad, mode="pointwise", points=[a])
         with pytest.raises(DirectionOutOfRange):
@@ -246,7 +248,7 @@ def test_residual_level1_is_exactly_zero_by_hand():
     pts = dl.sample_domain_points(3, 1, 2, 3, 13, dl.ctx_new(3, 3, 2))
     cfg2 = dl.KZConfig(dl.ctx_new(3, 3, 2), 1)
     for pt in pts:
-        I = dl.ps_solutions(cfg2, 1, pt.lift)
+        I = dl.ps_solutions(cfg2, 1, PointKit(cfg2.ctx, cfg2.delta, pt.lift))
         assert all(x == cfg2.ctx.one() for row in I.entries for x in row)
         for i in (1, 2, 3):
             H = dl.gaudin(cfg2, i, pt.lift)

@@ -5,6 +5,7 @@ import pytest
 import dworklab as dl
 from dworklab import limits, ringmat
 from dworklab.errors import ConfigError, OutsideDomain, TooLarge
+from dworklab.hasse_witt import PointKit
 from dworklab.limits import (
     det_degree,
     nonempty_bound,
@@ -180,7 +181,7 @@ def test_limit_I_profile_and_stabilization():
         A1 = dl.hw_matrix_at(1, phi, cfg.delta, a)
         J1 = ringmat.mat_mul(
             ringmat.scalar_ring(ctx),
-            dl.ps_solutions(cfg, 1, a).entries,
+            dl.ps_solutions(cfg, 1, PointKit(ctx, cfg.delta, a)).entries,
             ringmat.mat_inv_scalar(ctx, A1.entries),
         )
         diff = ringmat.mat_sub(ringmat.scalar_ring(ctx), frag["I"], J1)
