@@ -53,7 +53,7 @@ def _read_input(path, what, parse):
     data = _load_json(path)
     try:
         return parse(data)
-    except (TypeError, ValueError, KeyError, AttributeError, IndexError) as exc:
+    except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"{path} is not {what}: {exc!r}") from exc
 
 
