@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial, reduce
 from typing import NamedTuple
 
 from . import ringmat
@@ -39,10 +40,12 @@ from .hasse_witt import (
     SymbolicKit,
     check_direction,
     hw_det,
+    hw_indices,
     hw_matrix,
 )
 
 SYMBOLIC_TERM_GATE = 300_000
+SYMBOLIC_READ_GATE = 20_000
 
 
 @dataclass
@@ -120,8 +123,26 @@ def _cleared(ring, X, adjM, dM, Y, adjK, dK):
 # shared machinery
 
 
-def _sym_gate(tup, s):
+def _sym_gate(tup, s, reads=None):
+    """Refuse a symbolic job that would not finish in CLI time.
+
+    ``reads`` lists the (level, s', j) of the Hasse-Witt reads
+    A(level, W_s'^(j)) of a verifier that builds no ghosts.  When the tuple
+    is factored, such a verifier is gated on the compositions those reads
+    form (``LaurentPoly.read_size``), which bounds its entries and so its
+    products.  Otherwise (ghosts need W_s expanded, and unfactored members
+    expand anyway) the gate is on the size of the full expansion of W_s.
+    """
     p = tup.ctx.p
+    if reads is not None and all(tup.lam(k).factored is not None
+                                 for k in range(s + 1)):
+        size = sum(tup.W(top, j).read_size(hw_indices(p, level, tup.delta))
+                   for level, top, j in reads)
+        if size > SYMBOLIC_READ_GATE:
+            raise SizeCapExceeded(
+                "symbolic Hasse-Witt reads exceed the term gate; use "
+                "pointwise mode")
+        return size
     merged = {}
     est = 1
     for k in range(s + 1):
@@ -167,9 +188,10 @@ def _kits(mode, points, symbolic, ctx, delta):
     return [symbolic()]
 
 
-def _tuple_kits(tup, s, mode, points, nondegenerate=True, ghosts=None):
+def _tuple_kits(tup, s, mode, points, nondegenerate=True, ghosts=None,
+                reads=None):
     def symbolic():
-        _sym_gate(tup, s)
+        _sym_gate(tup, s, reads)
         if nondegenerate:
             _check_nondegenerate_symbolic(tup, s)
         return SymbolicKit(tup.ctx, tup.delta, tup.lam(0).n, ghosts)
@@ -243,18 +265,20 @@ def verify_frobenius_factorization(tup, s, mode="symbolic", points=None):
     desc = ("level-(s+1) matrix of W_s factors modulo p into twisted "
             "level-1 matrices")
 
+    # (level, s', j) of A(s+1, W_s) and of the twisted A(1, W_k^(k))
+    reads = [(s + 1, s, 0)] + [(1, k, k) for k in range(s + 1)]
+
     def one(kit):
         ring = kit.ring
-        lhs = kit.A(s + 1, tup.W(s, 0))
-        acc = None
-        for k in range(s + 1):
-            Ak = kit.A(1, tup.W(k, k), twist=k)
-            acc = Ak if acc is None else ringmat.mat_mul(ring, acc, Ak)
+        lhs, *factors = [kit.A(level, tup.W(top, j), twist=j)
+                         for level, top, j in reads]
+        acc = reduce(partial(ringmat.mat_mul, ring), factors)
         diff = ringmat.mat_sub(ring, lhs, acc)
         return _mat_min_val_with_witness(ring, diff, kit.label)
 
     scan = _pointwise_scan(
-        _tuple_kits(tup, s, mode, points, nondegenerate=False), one, 1)
+        _tuple_kits(tup, s, mode, points, nondegenerate=False, reads=reads),
+        one, 1)
     return _finish("factorization", desc, 1, ctx.N, scan, config)
 
 
@@ -262,15 +286,21 @@ def verify_frobenius_factorization(tup, s, mode="symbolic", points=None):
 # the ratio congruence and its determinant corollary
 
 
+def _ratio_reads(s):
+    """(level, s', j) of X = A(s+1, W_s), M = sigma A(s, W_s^(1)),
+    Y = A(s, W_{s-1}) and, from s = 2 on, K = sigma A(s-1, W_{s-1}^(1)):
+    each read A(level, W_s'^(j)) is twisted j times."""
+    return [(s + 1, s, 0), (s, s, 1), (s, s - 1, 0)] + (
+        [(s - 1, s - 1, 1)] if s >= 2 else [])
+
+
 def _ratio_matrices(kit, tup, s):
-    """X = A(s+1, W_s), M = sigma A(s, W_s^(1)), Y = A(s, W_{s-1}) and
-    K = sigma A(s-1, W_{s-1}^(1)) (the identity at s = 1) read by the kit."""
-    X = kit.A(s + 1, tup.W(s, 0))
-    M = kit.A(s, tup.W(s, 1), twist=1)
-    Y = kit.A(s, tup.W(s - 1, 0))
-    K = (kit.A(s - 1, tup.W(s - 1, 1), twist=1) if s >= 2
-         else ringmat.identity(kit.ring, len(X)))
-    return X, M, Y, K
+    """X, M, Y and K (the identity at s = 1) read by the kit."""
+    mats = [kit.A(level, tup.W(top, j), twist=j)
+            for level, top, j in _ratio_reads(s)]
+    if s == 1:
+        mats.append(ringmat.identity(kit.ring, len(mats[0])))
+    return mats
 
 
 def verify_dwork_ratio(tup, s, mode="symbolic", points=None):
@@ -295,7 +325,8 @@ def verify_dwork_ratio(tup, s, mode="symbolic", points=None):
                         Y, ringmat.adjugate(ring, K), dK)
         return _mat_min_val_with_witness(ring, diff, kit.label)
 
-    scan = _pointwise_scan(_tuple_kits(tup, s, mode, points), one, s)
+    scan = _pointwise_scan(
+        _tuple_kits(tup, s, mode, points, reads=_ratio_reads(s)), one, s)
     return _finish("ratio", desc, s, ctx.N, scan, config)
 
 
@@ -320,7 +351,8 @@ def verify_det_congruence(tup, s, mode="symbolic", points=None):
         diff = ring.sub(ring.mul(dX, dK), ring.mul(dY, dM))
         return ring.val(diff), {**kit.label, "entry": "det"}
 
-    scan = _pointwise_scan(_tuple_kits(tup, s, mode, points), one, s)
+    scan = _pointwise_scan(
+        _tuple_kits(tup, s, mode, points, reads=_ratio_reads(s)), one, s)
     return _finish("det-ratio", desc, s, ctx.N, scan, config)
 
 
@@ -328,14 +360,19 @@ def verify_det_congruence(tup, s, mode="symbolic", points=None):
 # derivative congruences
 
 
+def _log_derivative_reads(s):
+    """(level, s', j) of X = A(s+1, W_s) and Y = A(s, W_{s-1})."""
+    return [(s + 1, s, 0), (s, s - 1, 0)]
+
+
 def _cleared_log_derivatives(kit, tup, s, twist, derive):
-    """(D X) adj(X) det Y - (D Y) adj(Y) det X for X = A(s+1, W_s) and
-    Y = A(s, W_{s-1}) at the twist, with derive(level, W) -> D A(level, W):
-    the cleared (D X) X^-1 - (D Y) Y^-1."""
+    """(D X) adj(X) det Y - (D Y) adj(Y) det X for X and Y of
+    ``_log_derivative_reads`` at the twist, with derive(level, W) ->
+    D A(level, W): the cleared (D X) X^-1 - (D Y) Y^-1."""
     ring = kit.ring
     read = []
-    for level in (s + 1, s):
-        W = tup.W(level - 1, 0)
+    for level, top, j in _log_derivative_reads(s):
+        W = tup.W(top, j)
         A = kit.A(level, W, twist)
         d = kit.unit(ringmat.det(ring, A), DegenerateTuple,
                      f"det A({level}, W_{level - 1}^(0)) has valuation {{v}} "
@@ -369,7 +406,9 @@ def verify_derivative_congruence(tup, s, m=0, v=1, mode="symbolic", points=None)
             diff = ringmat.mat_scal(ring, factor, diff)
         return _mat_min_val_with_witness(ring, diff, kit.label)
 
-    scan = _pointwise_scan(_tuple_kits(tup, s, mode, points), one, claimed)
+    scan = _pointwise_scan(
+        _tuple_kits(tup, s, mode, points, reads=_log_derivative_reads(s)),
+        one, claimed)
     return _finish("derivative", desc, claimed, ctx.N, scan, config)
 
 
@@ -392,5 +431,7 @@ def verify_second_derivative_congruence(tup, s, u=1, v=1, mode="symbolic",
             kit, tup, s, 0, lambda level, W: kit.d2A(level, W, u, v))
         return _mat_min_val_with_witness(kit.ring, diff, kit.label)
 
-    scan = _pointwise_scan(_tuple_kits(tup, s, mode, points), one, s)
+    scan = _pointwise_scan(
+        _tuple_kits(tup, s, mode, points, reads=_log_derivative_reads(s)),
+        one, s)
     return _finish("second-derivative", desc, s, ctx.N, scan, config)

@@ -90,13 +90,19 @@ def _coeffs_at(ctx, offset, coeffs, indices):
             for idx in indices]
 
 
+def hw_indices(p, level, delta):
+    """The t-exponents p^level v - u of A(level, .), row by row."""
+    delta = _normalize_delta_ints(delta)
+    pm = p**level
+    return [pm * v - u for u in delta for v in delta]
+
+
 def _hw_read(ctx, level, delta, read, source, pointwise=True):
     """A(level, F) from read(indices) -> the coefficients of F at those
     t-exponents: ring scalars of F(t, a), or z-polynomials."""
     delta = _normalize_delta_ints(delta)
-    pm = ctx.p**level
     g = len(delta)
-    flat = read([pm * v - u for u in delta for v in delta])
+    flat = read(hw_indices(ctx.p, level, delta))
     entries = [flat[i * g:(i + 1) * g] for i in range(g)]
     return HWMatrix(ctx, level, delta, entries, pointwise, source)
 

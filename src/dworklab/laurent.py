@@ -12,12 +12,19 @@ point drops into the dense univariate kernels.
 Full expansion (``terms``) and coefficient reads are guarded by a soft cap
 on the terms they would form; configurations beyond it must use the
 pointwise pipeline.
+
+Products of expanded polynomials (cleared forms, ghosts, Phi identities) are
+Kronecker-packed into ``dense.dense_mul`` when the shorter operand has at
+least PACK_MIN_TERMS terms and the packed box is at most 1/PACK_BOX_RATIO of
+the term pairs; the rest keep a dict loop.  Frobenius-twisted operands are
+strided by p^k, so their boxes are mostly empty and they stay sparse.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import dense
@@ -33,6 +40,12 @@ from .errors import (
 
 SOFT_TERM_CAP = 10_000_000
 PAIR_CAP = 60_000_000
+# Dispatch of products to the packed path (see _packed_convolve).  A
+# 105 x 487 product with box/pairs 0.05 takes 1.8 ms packed against 25 ms in
+# the dict loop; a Frobenius-twisted 8 x 2688 one with box/pairs 3.2 takes
+# 64 against 14 ms (the ghost decomposition at p = 3, s = 3).
+PACK_MIN_TERMS = 16
+PACK_BOX_RATIO = 3
 
 
 @dataclass(frozen=True)
@@ -252,10 +265,26 @@ class LaurentPoly:
     # -- ring ops ------------------------------------------------------------------
 
     def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other, built in one copy of self's terms."""
         self._check_compatible(other)
         ctx = self.ctx
         out = dict(self.terms)
+        if ctx.m == 1:
+            q, get = ctx.q, out.get
+            for key, c in other.terms.items():
+                out[key] = (get(key, 0) + sign * c) % q
+            for key in [k for k in other.terms if not out[k]]:
+                del out[key]
+            return self.copy_with(out)
         for key, c in other.terms.items():
+            if sign < 0:
+                c = ctx.neg(c)
             cur = out.get(key)
             v = c if cur is None else ctx.add(cur, c)
             if ctx.is_zero(v):
@@ -263,9 +292,6 @@ class LaurentPoly:
             else:
                 out[key] = v
         return self.copy_with(out)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __neg__(self):
         ctx = self.ctx
@@ -276,14 +302,13 @@ class LaurentPoly:
         ctx = self.ctx
         if isinstance(c, int):
             c = ctx.from_int(c)
-        if ctx.is_zero(c):
-            return LaurentPoly.zero(ctx, self.r, self.n)
-        out = {}
-        for key, v in self.terms.items():
-            w = ctx.mul(v, c)
-            if not ctx.is_zero(w):
-                out[key] = w
-        return self.copy_with(out)
+        if ctx.m == 1:
+            q = ctx.q
+            return self.copy_with({k: w for k, v in self.terms.items()
+                                   if (w := v * c % q)})
+        mul, is_zero = ctx.mul, ctx.is_zero
+        return self.copy_with({k: w for k, v in self.terms.items()
+                               if not is_zero(w := mul(v, c))})
 
     def __mul__(self, other):
         self._check_compatible(other)
@@ -559,6 +584,8 @@ class LaurentPoly:
 
     def valuation(self):
         ctx = self.ctx
+        if ctx.m == 1:  # the gcd with q is p^(least valuation)
+            return ctx.val(math.gcd(ctx.q, *self.terms.values()) % ctx.q)
         return min((ctx.val(c) for c in self.terms.values()), default=ctx.N)
 
     # -- dense bridge ------------------------------------------------------------
@@ -637,6 +664,10 @@ def _convolve(ctx, a, b):
 
     if len(a) > len(b):
         a, b = b, a
+    if len(a) >= PACK_MIN_TERMS:
+        out = _packed_convolve(ctx, a, b)
+        if out is not None:
+            return out
     out = {}
     if ctx.m == 1:
         q = ctx.q
@@ -656,3 +687,54 @@ def _convolve(ctx, a, b):
                 v = add(cur, v)
             out[key] = v
     return {k: v for k, v in out.items() if not is_zero(v)}
+
+
+def _packed_convolve(ctx, a, b):
+    """a * b by Kronecker substitution, or None when its box is more than
+    1/PACK_BOX_RATIO of the term pairs.
+
+    Each exponent, shifted by its operand's minimum, is one digit of an index
+    whose radices are the output ranges, so the two dense lists multiply by
+    ``dense.dense_mul`` without carries between digits; only the nonzero
+    slots are unpacked.  The box is the product of the radices.  When both
+    operands are homogeneous the variable of the widest range is dropped:
+    the output degree fixes it.
+    """
+    cols_a, cols_b = list(zip(*a)), list(zip(*b))
+    lo_a, lo_b = [min(c) for c in cols_a], [min(c) for c in cols_b]
+    ranges = [max(ca) - la + max(cb) - lb + 1
+              for ca, cb, la, lb in zip(cols_a, cols_b, lo_a, lo_b)]
+    kept = list(range(len(ranges)))
+    deg_a, deg_b = set(map(sum, a)), set(map(sum, b))
+    drop = None
+    if len(deg_a) == len(deg_b) == 1:
+        drop = max(kept, key=ranges.__getitem__)
+        kept.remove(drop)
+    radices = [ranges[i] for i in kept]
+    if PACK_BOX_RATIO * math.prod(radices) > len(a) * len(b):
+        return None
+    strides = [math.prod(radices[:i]) for i in range(len(kept))]
+    zero = ctx.zero()
+
+    def dense_list(terms, cols, lows):
+        index = [0] * len(terms)
+        for i, st in zip(kept, strides):
+            lo = lows[i]
+            index = [k + (e - lo) * st for k, e in zip(index, cols[i])]
+        out = [zero] * (max(index) + 1)
+        for k, c in zip(index, terms.values()):
+            out[k] = c
+        return out
+
+    prod = dense.dense_mul(ctx, dense_list(a, cols_a, lo_a),
+                           dense_list(b, cols_b, lo_b))
+    slots = list(itertools.compress(
+        range(len(prod)), prod if ctx.m == 1 else map(any, prod)))
+    cols = [[k // st % rng + lo_a[i] + lo_b[i] for k in slots]
+            for i, st, rng in zip(kept, strides, radices)]
+    if drop is not None:
+        rest = [deg_a.pop() + deg_b.pop()] * len(slots)
+        for col in cols:
+            rest = list(map(operator.sub, rest, col))
+        cols.insert(drop, rest)
+    return dict(zip(zip(*cols), [prod[k] for k in slots]))

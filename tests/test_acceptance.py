@@ -327,3 +327,24 @@ def test_frame_checks_are_sharp_pointwise():
                                               points=pts)):
         assert rep.claimed_valuation == 3
         assert rep.observed_min_valuation == rep.claimed_valuation
+
+
+@pytest.mark.parametrize("theorem,claimed", [("der", 4), ("der2", 3),
+                                             ("1.6i", 1)])
+def test_derivative_and_factorization_are_sharp_pointwise(theorem, claimed):
+    """At p = 5, N = 5, s = 3, g = 2 over four F_25 points the pointwise
+    derivative congruence (twist m = 1), the second-derivative congruence
+    and the factorization mod p reach exactly their claimed exponents."""
+    ctx, cfg = _kz(5, 5, 2, 2)
+    pts = _points(5, 2, 2, 4, 0, ctx)
+    tup = dl.kz_tuple(cfg, length=4, periodic=False)
+    rep = {
+        "der": lambda: dl.verify_derivative_congruence(
+            tup, 3, m=1, v=1, mode="pointwise", points=pts),
+        "der2": lambda: dl.verify_second_derivative_congruence(
+            tup, 3, u=1, v=1, mode="pointwise", points=pts),
+        "1.6i": lambda: dl.verify_frobenius_factorization(
+            tup, 3, mode="pointwise", points=pts),
+    }[theorem]()
+    assert rep.claimed_valuation == claimed
+    assert rep.observed_min_valuation == claimed

@@ -1,7 +1,7 @@
 import pytest
 
 import dworklab as dl
-from dworklab import ringmat
+from dworklab import dwork, ringmat
 from dworklab.errors import (
     ConfigError,
     DegenerateTuple,
@@ -156,6 +156,25 @@ def test_symbolic_gate_raises():
     tup = dl.kz_tuple(cfg, length=3, periodic=False)
     with pytest.raises(SizeCapExceeded):
         dl.verify_dwork_ratio(tup, 2, mode="symbolic")
+
+
+def test_symbolic_gate_counts_the_entries_read():
+    """Verifiers without ghosts are gated on their Hasse-Witt reads: at
+    p = 3, s = 4 these are 9,330 compositions for the ratio (the full W_4
+    would be 122^3 terms), at s = 5 they are 82,662 and refused; the ghost
+    decomposition needs W_s expanded and keeps the full-expansion gate."""
+    ctx = dl.ctx_new(3, 6, 1)
+    tup = dl.kz_tuple(dl.KZConfig(ctx, 1), length=6, periodic=False)
+    assert dwork._sym_gate(tup, 4, dwork._ratio_reads(4)) == 9_330
+    with pytest.raises(SizeCapExceeded):
+        dwork._sym_gate(tup, 4)
+    with pytest.raises(SizeCapExceeded):
+        dl.verify_decomposition(tup, 4, mode="symbolic")
+    for verify in (dl.verify_dwork_ratio, dl.verify_det_congruence,
+                   dl.verify_second_derivative_congruence,
+                   dl.verify_frobenius_factorization):
+        with pytest.raises(SizeCapExceeded):
+            verify(tup, 5, mode="symbolic")
 
 
 # -- derivative congruences ---------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 
 import dworklab as dl
-from dworklab import dense
+from dworklab import dense, laurent
 from dworklab.errors import (
     NonUnitAtNegativeExponent,
     NotDivisible,
@@ -9,8 +9,8 @@ from dworklab.errors import (
     UnsupportedArity,
     ZeroPolynomial,
 )
-from dworklab.laurent import LaurentPoly, TBox
-from conftest import rand_laurent, seeded
+from dworklab.laurent import LaurentPoly, TBox, _convolve, _packed_convolve
+from conftest import rand_coeff, rand_laurent, seeded
 from oracles import (
     oracle_dense_mul,
     oracle_div_linear,
@@ -326,6 +326,81 @@ def test_ring_axioms_against_oracle():
         assert (a + b) * c == a * c + b * c
         assert a * (b * c) == (a * b) * c
         assert a - a == LaurentPoly.zero(ctx, 1, n)
+
+
+def _check_product(ctx, a, b):
+    """_convolve against the oracle loop; True when the packed path ran."""
+    packed = []
+
+    def spy(*args):
+        packed.append(_packed_convolve(*args) is not None)
+        return None  # the dict loop then runs too, as a second witness
+
+    got = _convolve(ctx, a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "_packed_convolve", spy)
+        loop = _convolve(ctx, a, b)
+    assert got == loop == oracle_mul(a, b, ctx.p, ctx.N, ctx.m, ctx.modulus)
+    return packed == [True]
+
+
+def _homogeneous(rng, ctx, n, degree, count, scale=1):
+    """Up to count random terms of total degree ``degree`` in n variables,
+    some exponents negative, every exponent times ``scale``."""
+    terms = {}
+    for _ in range(count):
+        head = [rng.randint(-1, 2) for _ in range(n - 1)]
+        key = tuple(scale * e for e in head + [degree - sum(head)])
+        terms[key] = rand_coeff(rng, ctx, nonzero=True)
+    return terms
+
+
+@pytest.mark.parametrize("p,N,m", [(3, 1, 1), (3, 3, 1), (3, 2, 2), (5, 1, 2)])
+def test_packed_products_match_the_dict_loop(p, N, m):
+    """Laurent products by Kronecker substitution against the oracle loop:
+    negative exponents, homogeneous operands (one variable dropped) and
+    non-homogeneous ones, Frobenius-strided operands (box too sparse, dict
+    loop), cancelling coefficients over N = 1, and empty or single-term
+    operands; both paths must run."""
+    ctx = dl.ctx_new(p, N, m)
+    rng = seeded(100 * p + 10 * N + m)
+    one = {(0, 2, -1): ctx.one()}
+    assert _convolve(ctx, {}, one) == _convolve(ctx, one, {}) == {}
+    paths = []
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        deg = rng.randint(-2, 4)
+        a = _homogeneous(rng, ctx, n, deg, rng.randint(16, 60))
+        b = _homogeneous(rng, ctx, n, rng.randint(0, 5), rng.randint(16, 90))
+        twisted = _homogeneous(rng, ctx, n, deg, rng.randint(16, 40), scale=p)
+        single = {next(iter(b)): rand_coeff(rng, ctx, nonzero=True)}
+        mixed = rand_laurent(rng, ctx, 1, n - 1, -3, 6, 60, zdeg=2,
+                             neg_z=True).terms
+        for x, y in ((a, b), (b, a), (twisted, b), (single, a), (mixed, b),
+                     (mixed, mixed)):
+            if len(next(iter(x))) == len(next(iter(y))):
+                paths.append(_check_product(ctx, x, y))
+    assert any(paths) and not all(paths)
+
+
+@pytest.mark.parametrize("short,stride,packed", [
+    (16, 2, True),   # box 2 * 214, 3 * 428 <= 16 * 100 pairs
+    (16, 3, False),  # box 2 * 313, 3 * 626 > 1600
+    (15, 1, False),  # box 2 * 114 is small, but 15 terms are under 16
+    (16, 1, True),
+])
+def test_packed_product_thresholds(short, stride, packed):
+    """Non-homogeneous operands t^i z^(i mod 2) and t^(stride j) with
+    negative t-exponents, on both sides of each dispatch threshold."""
+    for m in (1, 2):
+        ctx = dl.ctx_new(3, 2, m)
+        rng = seeded(short * stride + m)
+        a = {(i - 7, i % 2): rand_coeff(rng, ctx, nonzero=True)
+             for i in range(short)}
+        b = {(stride * j - 20, 0): rand_coeff(rng, ctx, nonzero=True)
+             for j in range(100)}
+        assert _check_product(ctx, a, b) is packed
+        assert _check_product(ctx, b, a) is packed
 
 
 def test_freshman_and_iterated_congruence():

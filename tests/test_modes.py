@@ -10,35 +10,41 @@ from dworklab.hasse_witt import PointKit, SymbolicKit
 P, N, S, G = 3, 5, 3, 1
 
 CHECKS = {
-    "decomp": lambda cfg, tup, **kw: dl.verify_decomposition(tup, S, **kw),
-    "1.6i": lambda cfg, tup, **kw: dl.verify_frobenius_factorization(
-        tup, S, **kw),
-    "1.6ii": lambda cfg, tup, **kw: dl.verify_dwork_ratio(tup, S, **kw),
-    "det": lambda cfg, tup, **kw: dl.verify_det_congruence(tup, S, **kw),
-    "der": lambda cfg, tup, **kw: dl.verify_derivative_congruence(
-        tup, S, m=0, v=2, **kw),
-    "der2": lambda cfg, tup, **kw: dl.verify_second_derivative_congruence(
-        tup, S, u=1, v=3, **kw),
-    "coS": lambda cfg, tup, **kw: dl.verify_solution_congruence(cfg, S, **kw),
-    "residual": lambda cfg, tup, **kw: dl.kz_residual(cfg, S, **kw),
+    "decomp": lambda cfg, tup, s, **kw: dl.verify_decomposition(tup, s, **kw),
+    "1.6i": lambda cfg, tup, s, **kw: dl.verify_frobenius_factorization(
+        tup, s, **kw),
+    "1.6ii": lambda cfg, tup, s, **kw: dl.verify_dwork_ratio(tup, s, **kw),
+    "det": lambda cfg, tup, s, **kw: dl.verify_det_congruence(tup, s, **kw),
+    "der": lambda cfg, tup, s, **kw: dl.verify_derivative_congruence(
+        tup, s, m=0, v=2, **kw),
+    "der2": lambda cfg, tup, s, **kw: dl.verify_second_derivative_congruence(
+        tup, s, u=1, v=3, **kw),
+    "coS": lambda cfg, tup, s, **kw: dl.verify_solution_congruence(
+        cfg, s, **kw),
+    "residual": lambda cfg, tup, s, **kw: dl.kz_residual(cfg, s, **kw),
 }
 
 
-def _run(name, mode):
+def _run(name, mode, p=P, N=N, s=S, g=G):
     """The check in one mode: symbolic over Z/p^N, pointwise at four
     o-domain points over the unramified extension of degree 2."""
     m = 1 if mode == "symbolic" else 2
-    ctx = dl.ctx_new(P, N, m)
-    cfg = dl.KZConfig(ctx, G)
-    tup = dl.kz_tuple(cfg, length=S + 1, periodic=False)
+    ctx = dl.ctx_new(p, N, m)
+    cfg = dl.KZConfig(ctx, g)
+    tup = dl.kz_tuple(cfg, length=s + 1, periodic=False)
     points = (None if mode == "symbolic" else
-              [pt.lift for pt in dl.sample_domain_points(P, G, m, 4, 7, ctx)])
-    return CHECKS[name](cfg, tup, mode=mode, points=points)
+              [pt.lift for pt in dl.sample_domain_points(p, g, m, 4, 7, ctx)])
+    return CHECKS[name](cfg, tup, s, mode=mode, points=points)
 
 
-@pytest.mark.parametrize("name", sorted(CHECKS))
-def test_symbolic_valuation_bounds_the_pointwise_one(name):
-    sym, pw = _run(name, "symbolic"), _run(name, "pointwise")
+@pytest.mark.parametrize("name,config", [
+    *(pytest.param(name, (P, N, S, G), id=name) for name in sorted(CHECKS)),
+    # past the full-expansion gate, within the gate on the entries read
+    *(pytest.param(name, (3, 6, 4, 1), id=f"{name}-s4") for name in
+      ("1.6ii", "det")),
+])
+def test_symbolic_valuation_bounds_the_pointwise_one(name, config):
+    sym, pw = _run(name, "symbolic", *config), _run(name, "pointwise", *config)
     assert (sym.mode, sym.points, pw.mode, pw.points) == (
         "symbolic", None, "pointwise", 4)
     assert sym.claimed_valuation == pw.claimed_valuation
