@@ -348,40 +348,3 @@ def dense_div_linear_exact(ctx, coeffs, root):
     if not ctx.is_zero(rem):
         raise NotDivisible("nonzero remainder in synthetic division")
     return quot
-
-
-def dense_stride(ctx, coeffs, k):
-    """Substitute t -> t^k."""
-    if k == 1 or len(coeffs) <= 1:
-        return list(coeffs)
-    out = [ctx.zero()] * ((len(coeffs) - 1) * k + 1)
-    for i, c in enumerate(coeffs):
-        out[i * k] = c
-    return out
-
-
-# -- (offset, coeffs) pairs for Laurent-style dense work ----------------------
-
-
-def off_mul(ctx, A, B):
-    (ao, ac), (bo, bc) = A, B
-    return ao + bo, dense_mul(ctx, ac, bc)
-
-
-def off_sub(ctx, A, B):
-    (ao, ac), (bo, bc) = A, B
-    if not ac and not bc:
-        return 0, []
-    lo = min(ao, bo) if ac and bc else (ao if ac else bo)
-    hi = max(ao + len(ac) if ac else lo, bo + len(bc) if bc else lo)
-    out = [ctx.zero()] * (hi - lo)
-    for i, c in enumerate(ac):
-        out[ao - lo + i] = c
-    for i, c in enumerate(bc):
-        out[bo - lo + i] = ctx.sub(out[bo - lo + i], c)
-    return lo, out
-
-
-def off_stride(ctx, A, k):
-    off, co = A
-    return off * k, dense_stride(ctx, co, k)

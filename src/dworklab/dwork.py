@@ -123,26 +123,28 @@ def _cleared(ring, X, adjM, dM, Y, adjK, dK):
 # shared machinery
 
 
-def _sym_gate(tup, s, reads=None):
+def _sym_gate(tup, s, reads=None, slices=()):
     """Refuse a symbolic job that would not finish in CLI time.
 
     ``reads`` lists the (level, s', j) of the Hasse-Witt reads
-    A(level, W_s'^(j)) of a verifier that builds no ghosts.  When the tuple
-    is factored, such a verifier is gated on the compositions those reads
-    form (``LaurentPoly.read_size``), which bounds its entries and so its
-    products.  Otherwise (ghosts need W_s expanded, and unfactored members
-    expand anyway) the gate is on the size of the full expansion of W_s.
+    A(level, W_s'^(j)) of a verifier, and ``slices`` the (s', j, indices)
+    of its reads of single t-coefficients of W_s'^(j) (the ghost
+    recursion).  When the tuple is factored, a verifier that gives its
+    reads passes on the compositions those reads form
+    (``LaurentPoly.read_size``), which bound its entries and so its
+    products.  Otherwise, and when those pass SYMBOLIC_READ_GATE, it passes
+    on the size of the full expansion of W_s, which bounds every read.
     """
     p = tup.ctx.p
+    size = None
     if reads is not None and all(tup.lam(k).factored is not None
                                  for k in range(s + 1)):
         size = sum(tup.W(top, j).read_size(hw_indices(p, level, tup.delta))
                    for level, top, j in reads)
-        if size > SYMBOLIC_READ_GATE:
-            raise SizeCapExceeded(
-                "symbolic Hasse-Witt reads exceed the term gate; use "
-                "pointwise mode")
-        return size
+        size += sum(tup.W(top, j).read_size(indices)
+                    for top, j, indices in slices)
+        if size <= SYMBOLIC_READ_GATE:
+            return size
     merged = {}
     est = 1
     for k in range(s + 1):
@@ -160,7 +162,9 @@ def _sym_gate(tup, s, reads=None):
     if est > SYMBOLIC_TERM_GATE:
         raise SizeCapExceeded(
             "symbolic mode exceeds the term gate; use pointwise mode"
-        )
+            if size is None else
+            "symbolic Hasse-Witt reads exceed the term gate; use pointwise "
+            "mode")
     return est
 
 
@@ -188,13 +192,13 @@ def _kits(mode, points, symbolic, ctx, delta):
     return [symbolic()]
 
 
-def _tuple_kits(tup, s, mode, points, nondegenerate=True, ghosts=None,
-                reads=None):
+def _tuple_kits(tup, s, mode, points, nondegenerate=True, reads=None,
+                slices=()):
     def symbolic():
-        _sym_gate(tup, s, reads)
+        _sym_gate(tup, s, reads, slices)
         if nondegenerate:
             _check_nondegenerate_symbolic(tup, s)
-        return SymbolicKit(tup.ctx, tup.delta, tup.lam(0).n, ghosts)
+        return SymbolicKit(tup.ctx, tup.delta, tup.lam(0).n)
 
     return _kits(mode, points, symbolic, tup.ctx, tup.delta)
 
@@ -222,32 +226,112 @@ def _pointwise_scan(kit_list, one, claimed):
 # ghost decomposition
 
 
+def _ghost_plan(tup, s):
+    """The t-slices of the ghosts V_0..V_s that A(j+1, V_j), j = 0..s, and
+    the recursion behind them need, and the slices of W_i^(j) they read:
+
+        [t^k] V_i = [t^k] W_i - sum_{j=1..i} sum_m [t^(k - p^j m)] V_{j-1}
+                                                 sigma^j([t^m] W_i^(j)),
+
+    with m over the t-range of W_i^(j) and k - p^j m over that of V_{j-1}.
+    The t-range of W_i^(j) is the sum of p^(k-j) box(L_k), k = j..i, read
+    off the members' Newton boxes (a superset of the box of the expansion,
+    which may lose extreme terms mod p^N).  That of V_i is the hull of the
+    ranges of W_i and of the products subtracted from it, which by
+    induction on i is again the range of W_i; members may be Laurent.
+
+    Returns (need, reads): need[i] maps each needed k to the (j, m) of its
+    products, and reads[(i, j)] lists the m read off W_i^(j), ascending.
+    """
+    p = tup.ctx.p
+    boxes = [tup.lam(k).newton_box() for k in range(s + 1)]
+
+    def w_range(i, j):
+        return (sum(p**(k - j) * boxes[k].lo[0] for k in range(j, i + 1)),
+                sum(p**(k - j) * boxes[k].hi[0] for k in range(j, i + 1)))
+
+    need = [{} for _ in range(s + 1)]
+    reads = {}
+    for i in range(s, -1, -1):
+        lo, hi = w_range(i, 0)
+        for k in hw_indices(p, i + 1, tup.delta):
+            if lo <= k <= hi:
+                need[i].setdefault(k, None)
+        for k in need[i]:
+            pairs = need[i][k] = []
+            for j in range(1, i + 1):
+                pj = p**j
+                (vlo, vhi), (wlo, whi) = w_range(j - 1, 0), w_range(i, j)
+                for m in range(max(wlo, -((vhi - k) // pj)),
+                               min(whi, (k - vlo) // pj) + 1):
+                    pairs.append((j, m))
+                    reads.setdefault((i, j), set()).add(m)
+                    need[j - 1].setdefault(k - pj * m, None)
+        if need[i]:
+            reads[i, 0] = set(need[i])
+    return need, {key: sorted(ms) for key, ms in reads.items()}
+
+
+def _ghost_blocks(kit, tup, s):
+    """A(j+1, V_j) for j = 0..s over kit.ring, from the ghost slices of
+    ``_ghost_plan``: each W_i^(j) is read once, at the planned exponents,
+    through ``kit.coeffs``, and each slice of V_i is formed once."""
+    p, ring = tup.ctx.p, kit.ring
+    need, reads = _ghost_plan(tup, s)
+    got = {(i, j): dict(zip(ms, kit.coeffs(tup.W(i, j), ms, twist=j)))
+           for (i, j), ms in reads.items()}
+    V = {}
+    for i, slices in enumerate(need):
+        for k, pairs in slices.items():
+            x = got[i, 0][k]
+            for j, m in pairs:
+                x = ring.sub(x, ring.mul(V[j - 1, k - p**j * m], got[i, j][m]))
+            V[i, k] = x
+    g = len(tup.delta)
+    blocks = []
+    for i in range(s + 1):
+        flat = [V.get((i, k), ring.zero)
+                for k in hw_indices(p, i + 1, tup.delta)]
+        blocks.append([flat[r * g:(r + 1) * g] for r in range(g)])
+    return blocks
+
+
 def verify_decomposition(ghost_seq_or_tuple, s, mode="symbolic", points=None):
     """Exact identity A(s+1, W_s) = sum_j A(j, V_{j-1}) sigma^j A(s-j+1, W_s^(j))
-    + A(s+1, V_s); the claimed valuation is the full working precision."""
-    gs = ghost_seq_or_tuple if isinstance(ghost_seq_or_tuple, GhostSeq) else None
-    tup = ghost_seq_or_tuple if gs is None else gs.tup
+    + A(s+1, V_s); the claimed valuation is the full working precision.
+
+    The ghost blocks A(j+1, V_j) are read slice by slice (``_ghost_blocks``);
+    a ``GhostSeq`` stands for its tuple."""
+    tup = (ghost_seq_or_tuple.tup if isinstance(ghost_seq_or_tuple, GhostSeq)
+           else ghost_seq_or_tuple)
     tup.require_admissible()
     N = tup.ctx.N
+    if N < s:
+        raise PrecisionTooLow(
+            f"precision N={N} cannot witness divisibility up to p^{s}")
     config = {"p": tup.ctx.p, "N": N, "s": s}
     desc = ("level-(s+1) matrix of W_s decomposes through Frobenius twists "
             "of the ghost blocks")
+    # (level, s', j) of A(s+1, W_s) and of S_j = sigma^j A(s-j+1, W_s^(j))
+    reads = [(s + 1, s, 0)] + [(s - j + 1, s, j) for j in range(1, s + 1)]
 
     def one(kit):
         ring = kit.ring
-        V = kit.ghosts(tup, s)
-        lhs = kit.A(s + 1, tup.W(s, 0))
-        acc = ghost_block = kit.A(s + 1, V[s])
-        for j in range(1, s + 1):
-            Sj = kit.A(s - j + 1, tup.W(s, j), twist=j)
+        blocks = _ghost_blocks(kit, tup, s)
+        lhs, *S = [kit.A(level, tup.W(top, j), twist=j)
+                   for level, top, j in reads]
+        acc = blocks[s]
+        for j, Sj in enumerate(S, 1):
             acc = ringmat.mat_add(ring, acc,
-                                  ringmat.mat_mul(ring, kit.A(j, V[j - 1]), Sj))
+                                  ringmat.mat_mul(ring, blocks[j - 1], Sj))
         diff = ringmat.mat_sub(ring, lhs, acc)
         return (*_mat_min_val_with_witness(ring, diff, kit.label),
-                ringmat.min_val(ring, ghost_block))
+                ringmat.min_val(ring, blocks[s]))
 
+    slices = [(i, j, ms) for (i, j), ms in _ghost_plan(tup, s)[1].items()]
     scan = _pointwise_scan(
-        _tuple_kits(tup, s, mode, points, nondegenerate=False, ghosts=gs),
+        _tuple_kits(tup, s, mode, points, nondegenerate=False, reads=reads,
+                    slices=slices),
         one, N)
     return _finish("decomposition", desc, N, N, scan, config,
                    {"ghost_block_valuation": min(r[2] for r in scan.results)})

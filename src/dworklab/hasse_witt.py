@@ -10,7 +10,8 @@ extracted from the dense specialization F(t, a), which is where factored
 master polynomials pay off: one dense expansion serves the whole matrix and,
 through synthetic division, all of its z-derivatives.
 
-The verifiers read every matrix through a kit with one interface:
+The verifiers read every matrix, and the ghost recursion every single
+t-coefficient (``coeffs``), through a kit with one interface:
 :class:`SymbolicKit` stands for the whole z-domain (entries through
 ``coeffs_t``, twists by ``hw_sigma``, derivatives by ``hw_partial_z``),
 :class:`PointKit` for one point a (ring scalars at a and its twists
@@ -29,7 +30,6 @@ from .errors import (
     SizeCapExceeded,
     UnsupportedArity,
 )
-from .ghosts import ghost_sequence
 from .laurent import SOFT_TERM_CAP, LaurentPoly
 
 
@@ -304,10 +304,9 @@ class SymbolicKit:
     index = None
     label = {}
 
-    def __init__(self, ctx, delta, n, ghosts=None):
+    def __init__(self, ctx, delta, n):
         self.ctx, self.delta, self.n = ctx, delta, n
         self.ring = ringmat.poly_ring(ctx, 0, n)
-        self._ghosts = ghosts
         self._read = {}
 
     def _hw(self, level, F):
@@ -318,6 +317,10 @@ class SymbolicKit:
 
     def A(self, level, F, twist=0):
         return hw_sigma(self._hw(level, F), twist).entries
+
+    def coeffs(self, F, indices, twist=0):
+        """The z-polynomials at the t-exponents of F, twisted."""
+        return [x.frobenius_sub(twist) for x in F.coeffs_t(indices)]
 
     def dA(self, level, F, v, twist=0):
         return hw_sigma(hw_partial_z(self._hw(level, F), v), twist).entries
@@ -352,11 +355,6 @@ class SymbolicKit:
 
     def unit(self, d, error, message):
         return d
-
-    def ghosts(self, tup, l):
-        if self._ghosts is None:
-            self._ghosts = ghost_sequence(tup, l)
-        return self._ghosts.V
 
 
 def _capped_reads(forms, indices):
@@ -395,11 +393,12 @@ class PointKit(DenseCache):
         return got
 
     def A(self, level, F, twist=0):
-        """A(level, F) at the twisted point; F may also be an expansion
-        (offset, coeffs) at the point, such as a ghost."""
-        if isinstance(F, tuple):
-            return hw_from_dense(self.ctx, level, *F, self.delta).entries
+        """A(level, F) at the twisted point."""
         return self.hw_at(level, F, self.delta, self.point(twist)).entries
+
+    def coeffs(self, F, indices, twist=0):
+        """The coefficients at the t-exponents of F at the twisted point."""
+        return _coeffs_at(self.ctx, *self.dense_W(F, twist), indices)
 
     def dA(self, level, F, v, twist=0):
         return hw_derivative_at(level, F, self.delta, self.point(twist), v,
@@ -464,16 +463,3 @@ class PointKit(DenseCache):
     def dense_W(self, W, twist=0):
         """The expansion of W at the twisted point."""
         return self.get(W, self.point(twist))
-
-    def ghosts(self, tup, l):
-        """Dense (offset, coeffs) of the ghosts V_s(t, a), s = 0..l."""
-        ctx, p = self.ctx, self.ctx.p
-        V = []
-        for s in range(l + 1):
-            off, co = self.dense_W(tup.W(s, 0))
-            acc = (off, list(co))
-            for j in range(1, s + 1):
-                tw = dense.off_stride(ctx, self.dense_W(tup.W(s, j), j), p**j)
-                acc = dense.off_sub(ctx, acc, dense.off_mul(ctx, V[j - 1], tw))
-            V.append(acc)
-        return V

@@ -322,10 +322,7 @@ class LaurentPoly:
                 self.ctx, self.r, self.n, None,
                 tuple(sorted(merged.items(), key=_factor_key)),
             )
-        a, b = self.terms, other.terms
-        if len(a) * len(b) > PAIR_CAP:
-            raise SizeCapExceeded("product would exceed the convolution cap")
-        return self.copy_with(_convolve(self.ctx, a, b))
+        return self.copy_with(_convolve(self.ctx, self.terms, other.terms))
 
     def __pow__(self, e):
         if e < 0:
@@ -621,14 +618,6 @@ class LaurentPoly:
             poly = self.eval_z(a)
         return [(val, e) for (_, val), e in poly.factored]
 
-    @classmethod
-    def from_dense(cls, ctx, coeffs, offset=0, n=0):
-        terms = {}
-        for k, c in enumerate(coeffs):
-            if not ctx.is_zero(c):
-                terms[(offset + k,) + (0,) * n] = c
-        return cls(ctx, 1, n, terms)
-
     # -- serialization -------------------------------------------------------------
 
     def to_json(self):
@@ -668,6 +657,8 @@ def _convolve(ctx, a, b):
         out = _packed_convolve(ctx, a, b)
         if out is not None:
             return out
+    if len(a) * len(b) > PAIR_CAP:
+        raise SizeCapExceeded("product would exceed the convolution cap")
     out = {}
     if ctx.m == 1:
         q = ctx.q
@@ -691,7 +682,8 @@ def _convolve(ctx, a, b):
 
 def _packed_convolve(ctx, a, b):
     """a * b by Kronecker substitution, or None when its box is more than
-    1/PACK_BOX_RATIO of the term pairs.
+    1/PACK_BOX_RATIO of the term pairs.  The box is capped at SOFT_TERM_CAP
+    slots; PAIR_CAP caps only the dict loop.
 
     Each exponent, shifted by its operand's minimum, is one digit of an index
     whose radices are the output ranges, so the two dense lists multiply by
@@ -711,8 +703,11 @@ def _packed_convolve(ctx, a, b):
         drop = max(kept, key=ranges.__getitem__)
         kept.remove(drop)
     radices = [ranges[i] for i in kept]
-    if PACK_BOX_RATIO * math.prod(radices) > len(a) * len(b):
+    box = math.prod(radices)
+    if PACK_BOX_RATIO * box > len(a) * len(b):
         return None
+    if box > SOFT_TERM_CAP:
+        raise SizeCapExceeded("packed product would exceed the term cap")
     strides = [math.prod(radices[:i]) for i in range(len(kept))]
     zero = ctx.zero()
 

@@ -6,12 +6,13 @@ from dworklab.errors import (
     ConfigError,
     DegenerateTuple,
     InvalidParameter,
+    PrecisionTooLow,
     SizeCapExceeded,
 )
 from dworklab.ghosts import AdmissibleTuple
-from dworklab.hasse_witt import PointKit
+from dworklab.hasse_witt import PointKit, SymbolicKit, hw_indices
 from dworklab.laurent import LaurentPoly, TBox
-from conftest import rand_laurent, seeded
+from conftest import rand_admissible_tuple, rand_laurent, seeded
 
 
 def kz_bits(p, N, g, length):
@@ -60,12 +61,39 @@ def test_ghost_dense_matches_symbolic():
     gs = dl.ghost_sequence(tup, 2)
     rng = seeded(77)
     a = [ctx.rand(rng) for _ in range(3)]
-    Vd = PointKit(ctx, tup.delta, a).ghosts(tup, 2)
+    blocks = dwork._ghost_blocks(PointKit(ctx, tup.delta, a), tup, 2)
     for s in range(3):
-        off, co = Vd[s]
-        direct = gs.V[s].eval_z(a)
-        got = LaurentPoly.from_dense(ctx, co, offset=off)
-        assert got == LaurentPoly(ctx, 1, 0, dict(direct.terms))
+        direct = dl.hw_matrix_at(s + 1, gs.V[s], tup.delta, a)
+        assert blocks[s] == direct.entries
+
+
+def test_ghost_blocks_match_the_full_ghosts():
+    """The slice recursion against A(j+1, V_j) of the expanded ghosts, for
+    random tuples (unfactored, some Laurent in t and z) and kz tuples:
+    symbolically, and at a unit point against V_j evaluated there."""
+    rng = seeded(91)
+    tuples = [rand_admissible_tuple(rng) for _ in range(20)]
+    tuples += [kz_bits(3, N, 1, N)[2] for N in (3, 4)]
+    assert any(lam.factored is None and lam.newton_box().lo[0] < 0
+               for tup in tuples for lam in tup.lams)
+    for tup in tuples:
+        ctx, l, n = tup.ctx, len(tup.lams) - 1, tup.lam(0).n
+        gs = dl.ghost_sequence(tup, l)
+        a = [ctx.rand_unit(rng) for _ in range(n)]
+        sym = dwork._ghost_blocks(SymbolicKit(ctx, tup.delta, n), tup, l)
+        at = dwork._ghost_blocks(PointKit(ctx, tup.delta, a), tup, l)
+        for j in range(l + 1):
+            assert sym[j] == dl.hw_matrix(j + 1, gs.V[j], tup.delta).entries
+            assert at[j] == dl.hw_matrix_at(j + 1, gs.V[j], tup.delta,
+                                            a).entries
+
+
+def test_decomposition_needs_precision_for_the_ghosts():
+    ctx, pts = ext_points(3, 1, 2, 2, 5, N=2)
+    tup = dl.kz_tuple(dl.KZConfig(ctx, 1), length=4, periodic=False)
+    for mode in ("symbolic", "pointwise"):
+        with pytest.raises(PrecisionTooLow):
+            dl.verify_decomposition(tup, 3, mode=mode, points=pts)
 
 
 # -- factorization mod p ------------------------------------------------------
@@ -159,22 +187,41 @@ def test_symbolic_gate_raises():
 
 
 def test_symbolic_gate_counts_the_entries_read():
-    """Verifiers without ghosts are gated on their Hasse-Witt reads: at
-    p = 3, s = 4 these are 9,330 compositions for the ratio (the full W_4
-    would be 122^3 terms), at s = 5 they are 82,662 and refused; the ghost
-    decomposition needs W_s expanded and keeps the full-expansion gate."""
+    """Verifiers are gated on their Hasse-Witt reads: at p = 3, s = 4
+    these are 9,330 compositions for the ratio (the full W_4 would be 122^3
+    terms), at s = 5 they are 82,662 and refused; the ghost decomposition
+    adds its slice reads, 18,102 compositions at s = 4 and 160,179 (refused)
+    at s = 5."""
     ctx = dl.ctx_new(3, 6, 1)
     tup = dl.kz_tuple(dl.KZConfig(ctx, 1), length=6, periodic=False)
     assert dwork._sym_gate(tup, 4, dwork._ratio_reads(4)) == 9_330
     with pytest.raises(SizeCapExceeded):
         dwork._sym_gate(tup, 4)
+    rep = dl.verify_decomposition(tup, 4, mode="symbolic")
+    assert rep.passed and rep.extra["ghost_block_valuation"] >= 4
+    tup7 = dl.kz_tuple(dl.KZConfig(dl.ctx_new(3, 7, 1), 1), length=6,
+                       periodic=False)
     with pytest.raises(SizeCapExceeded):
-        dl.verify_decomposition(tup, 4, mode="symbolic")
+        dl.verify_decomposition(tup7, 5, mode="symbolic")
     for verify in (dl.verify_dwork_ratio, dl.verify_det_congruence,
                    dl.verify_second_derivative_congruence,
                    dl.verify_frobenius_factorization):
         with pytest.raises(SizeCapExceeded):
             verify(tup, 5, mode="symbolic")
+
+
+def test_symbolic_gate_passes_on_either_bound():
+    """A job whose reads pass SYMBOLIC_READ_GATE still runs when the full
+    expansion of W_s is within SYMBOLIC_TERM_GATE, which bounds every read:
+    at p = 11, g = 3, s = 0 the full W_0 has 6^7 = 279,936 compositions."""
+    ctx = dl.ctx_new(11, 2, 1)
+    tup = dl.kz_tuple(dl.KZConfig(ctx, 3), length=1, periodic=False)
+    reads = [(1, 0, 0), (1, 0, 0)]
+    indices = hw_indices(11, 1, tup.delta)
+    assert 2 * tup.W(0).read_size(indices) > dwork.SYMBOLIC_READ_GATE
+    assert dwork._sym_gate(tup, 0, reads) == 6**7
+    rep = dl.verify_decomposition(tup, 0, mode="symbolic")
+    assert rep.passed and rep.observed_min_valuation == ctx.N
 
 
 # -- derivative congruences ---------------------------------------------------

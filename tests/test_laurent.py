@@ -403,6 +403,29 @@ def test_packed_product_thresholds(short, stride, packed):
         assert _check_product(ctx, b, a) is packed
 
 
+def test_pair_cap_applies_to_the_dict_loop_only(monkeypatch):
+    """Packed products are capped by their box, not by their term pairs:
+    under a low PAIR_CAP a dense homogeneous product still packs (the dict
+    loop would refuse it), a Frobenius-twisted one is refused, and a low
+    SOFT_TERM_CAP refuses the packed one."""
+    ctx = C(3, 2)
+    rng = seeded(1)
+    a = _homogeneous(rng, ctx, 3, 2, 60)
+    b = _homogeneous(rng, ctx, 3, 3, 90)
+    twisted = _homogeneous(rng, ctx, 3, 2, 40, scale=3)
+    poly = {key: LaurentPoly(ctx, 0, 3, terms)
+            for key, terms in (("a", a), ("b", b), ("twisted", twisted))}
+    monkeypatch.setattr(laurent, "PAIR_CAP", 100)
+    assert min(len(a), len(twisted)) * len(b) > 100
+    product = poly["a"] * poly["b"]
+    assert product.terms == oracle_mul(a, b, ctx.p, ctx.N)
+    with pytest.raises(SizeCapExceeded):
+        poly["twisted"] * poly["b"]
+    monkeypatch.setattr(laurent, "SOFT_TERM_CAP", 10)
+    with pytest.raises(SizeCapExceeded):
+        poly["a"] * poly["b"]
+
+
 def test_freshman_and_iterated_congruence():
     rng = seeded(8)
     for _ in range(25):

@@ -72,3 +72,22 @@ def test_planted_fault_fails_both_modes(name, monkeypatch):
         assert rep.verdict == "fail"
         assert rep.observed_min_valuation == rep.claimed_valuation - 1
         assert rep.witness["entry"] == ("det" if name == "det" else [0, 0])
+
+
+def test_planted_slice_fault_fails_decomp_in_both_modes(monkeypatch):
+    """Kits whose read of W_s^(1) for the ghost recursion has p^(N-1) added
+    to its first slice: only the ghost block A(s+1, V_s) sees it."""
+    target = dl.master_polynomial(dl.KZConfig(dl.ctx_new(P, N), G), S)
+    for cls in (SymbolicKit, PointKit):
+        def faulty(kit, F, indices, twist=0, real=cls.coeffs):
+            out = real(kit, F, indices, twist)
+            if (twist, F.factored) == (1, target.factored):
+                shift = kit.ring.scal(kit.ctx.from_int(P ** (N - 1)),
+                                      kit.ring.one)
+                out[0] = kit.ring.add(out[0], shift)
+            return out
+        monkeypatch.setattr(cls, "coeffs", faulty)
+    for mode in ("symbolic", "pointwise"):
+        rep = _run("decomp", mode)
+        assert rep.verdict == "fail"
+        assert rep.observed_min_valuation == N - 1
