@@ -297,6 +297,7 @@ def cmd_admissible(args):
                 lo, hi = map(int, chunk.split(":"))
             except ValueError as exc:
                 raise ConfigError(f"malformed box {chunk!r}") from exc
+            _require(lo <= hi, f"malformed box {chunk!r}: lo > hi")
             boxes.append(TBox((lo,), (hi,)))
         cert = check_admissible(boxes, delta, p=args.p,
                                 periodic=args.periodic, depth=args.depth)

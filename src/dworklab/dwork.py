@@ -151,8 +151,8 @@ def _sym_gate(tup, s, reads=None, slices=()):
         lam = tup.lam(k)
         if lam.factored is not None:
             # factored forms merge under products, so estimate on the merge
-            for f, e in lam.factored:
-                merged[f] = merged.get(f, 0) + e * p**k
+            for i, e in lam.factored:
+                merged[i] = merged.get(i, 0) + e * p**k
         else:
             nt = len(lam.terms)
             t = math.comb(p**k + nt - 1, nt - 1) if nt else 1
@@ -302,6 +302,8 @@ def verify_decomposition(ghost_seq_or_tuple, s, mode="symbolic", points=None):
 
     The ghost blocks A(j+1, V_j) are read slice by slice (``_ghost_blocks``);
     a ``GhostSeq`` stands for its tuple."""
+    if s < 0:
+        raise InvalidParameter("the decomposition needs s >= 0")
     tup = (ghost_seq_or_tuple.tup if isinstance(ghost_seq_or_tuple, GhostSeq)
            else ghost_seq_or_tuple)
     tup.require_admissible()
@@ -343,6 +345,8 @@ def verify_decomposition(ghost_seq_or_tuple, s, mode="symbolic", points=None):
 
 def verify_frobenius_factorization(tup, s, mode="symbolic", points=None):
     """A(s+1, W_s) = A(1, L_0) sigma(A(1, L_1)) ... sigma^s(A(1, L_s)) mod p."""
+    if s < 0:
+        raise InvalidParameter("the factorization needs s >= 0")
     tup.require_admissible()
     ctx = tup.ctx
     config = {"p": ctx.p, "N": ctx.N, "s": s}
@@ -471,8 +475,9 @@ def verify_derivative_congruence(tup, s, m=0, v=1, mode="symbolic", points=None)
     """D_v(sigma^m A(s+1, W_s)) sigma^m(A(s+1, W_s))^-1 agrees with the
     level-s version modulo p^(s+m); the twist contributes the chain-rule
     factor p^m z_v^(p^m - 1)."""
-    if s < 1:
-        raise InvalidParameter("the derivative congruence needs s >= 1")
+    if s < 1 or m < 0:
+        raise InvalidParameter(
+            "the derivative congruence needs s >= 1 and m >= 0")
     check_direction("v", v, tup.lam(0).n)
     tup.require_admissible()
     ctx = tup.ctx

@@ -21,6 +21,8 @@ stabilization and returns a verdict valid for every window.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,6 +35,7 @@ from .errors import (
     UnsupportedArity,
 )
 from .laurent import LaurentPoly, TBox
+from .padic import check_prime
 
 ENUM_CAP = 100_000
 _STAB_HARD_CAP = 10_000
@@ -58,12 +61,13 @@ class AdmissibleTuple:
     delta: tuple
     periodic: bool = False
     depth: int = 8
-    source: str = ""
     certificate: AdmissibilityCertificate = None
     _w_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.lams = tuple(self.lams)
+        if not self.lams:
+            raise InvalidParameter("a tuple needs at least one member")
         first = self.lams[0]
         for lam in self.lams:
             if (lam.ctx, lam.r, lam.n) != (first.ctx, first.r, first.n):
@@ -180,6 +184,17 @@ def _ceil_div(a, b):
     return -((-a) // b)
 
 
+def _first_outside(ranges, dset):
+    """The first point of the lattice box prod(ranges), in lexicographic
+    order, that is not in dset, or None; boxes past ENUM_CAP are refused."""
+    total = math.prod(map(len, ranges))
+    if total > ENUM_CAP:
+        raise UnsupportedArity(
+            f"window enumeration needs {total} lattice points (cap {ENUM_CAP})"
+        )
+    return next((q for q in itertools.product(*ranges) if q not in dset), None)
+
+
 def _window_ok(boxes, delta, p, i, j, lam_at):
     """Check one window (N_i, ..., N_j); returns None or a witness dict."""
     r = len(delta[0])
@@ -196,35 +211,9 @@ def _window_ok(boxes, delta, p, i, j, lam_at):
         scale *= p
     dset = set(delta)
     for dl in delta:
-        ranges = []
-        total = 1
-        for d in range(r):
-            qlo = _ceil_div(dl[d] + lo[d], pw)
-            qhi = (dl[d] + hi[d]) // pw
-            if qhi < qlo:
-                total = 0
-                break
-            ranges.append(range(qlo, qhi + 1))
-            total *= qhi - qlo + 1
-        if total == 0:
-            continue
-        if total > ENUM_CAP:
-            raise UnsupportedArity(
-                f"window enumeration needs {total} lattice points (cap {ENUM_CAP})"
-            )
-
-        def walk(dim, prefix):
-            if dim == r:
-                if tuple(prefix) not in dset:
-                    return tuple(prefix)
-                return None
-            for q in ranges[dim]:
-                bad = walk(dim + 1, prefix + [q])
-                if bad is not None:
-                    return bad
-            return None
-
-        bad = walk(0, [])
+        bad = _first_outside([range(_ceil_div(dl[d] + lo[d], pw),
+                                    (dl[d] + hi[d]) // pw + 1)
+                              for d in range(r)], dset)
         if bad is not None:
             return {"i": i, "j": j, "delta": dl, "q": bad}
     return None
@@ -262,34 +251,15 @@ def _constant_ok(box, delta, p):
         all_stable = True
         for dl, per_dim in zip(delta, limits):
             ranges = []
-            empty = False
             for d in range(r):
                 qlo = _ceil_div(dl[d] + box.lo[d] * S, pw)
                 qhi = (dl[d] + box.hi[d] * S) // pw
                 if (qlo, qhi) != per_dim[d]:
                     all_stable = False
-                if qhi < qlo:
-                    empty = True
-                    break
                 ranges.append(range(qlo, qhi + 1))
-            if empty:
-                continue
-            total = 1
-            for rg in ranges:
-                total *= len(rg)
-            if total > ENUM_CAP:
-                raise UnsupportedArity("window enumeration exceeds the cap")
-
-            def walk(dim, prefix):
-                if dim == r:
-                    return None if tuple(prefix) in dset else tuple(prefix)
-                for q in ranges[dim]:
-                    bad = walk(dim + 1, prefix + [q])
-                    if bad is not None:
-                        return bad
-                return None
-
-            bad = walk(0, [])
+                if qhi < qlo:
+                    break
+            bad = _first_outside(ranges, dset)
             if bad is not None:
                 return False, w, {"window_length": w, "delta": dl, "q": bad}
         if all_stable:
@@ -306,6 +276,9 @@ def check_admissible_boxes(boxes, delta, p, periodic=False, depth=8):
     lengths (stabilization); other periodic patterns are checked up to
     ``depth`` and flagged as depth-bounded.
     """
+    check_prime(p)
+    if depth < 1:
+        raise InvalidParameter(f"depth must be >= 1, got {depth}")
     delta = normalize_delta(delta, _infer_r(boxes))
     boxes = [_as_box(b, len(delta[0])) for b in boxes]
     if not periodic:

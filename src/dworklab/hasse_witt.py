@@ -40,7 +40,6 @@ class HWMatrix:
     delta: tuple
     entries: list
     pointwise: bool
-    source: str = ""
 
     @property
     def g(self):
@@ -76,11 +75,11 @@ def _normalize_delta_ints(delta):
     return tuple(out)
 
 
-def hw_matrix(level, F, delta, source=""):
+def hw_matrix(level, F, delta):
     """Symbolic Hasse-Witt matrix; entries are z-polynomials read off F."""
     if F.r != 1:
         raise UnsupportedArity("Hasse-Witt extraction needs r = 1")
-    return _hw_read(F.ctx, level, delta, F.coeffs_t, source, pointwise=False)
+    return _hw_read(F.ctx, level, delta, F.coeffs_t, pointwise=False)
 
 
 def _coeffs_at(ctx, offset, coeffs, indices):
@@ -97,31 +96,31 @@ def hw_indices(p, level, delta):
     return [pm * v - u for u in delta for v in delta]
 
 
-def _hw_read(ctx, level, delta, read, source, pointwise=True):
+def _hw_read(ctx, level, delta, read, pointwise=True):
     """A(level, F) from read(indices) -> the coefficients of F at those
     t-exponents: ring scalars of F(t, a), or z-polynomials."""
     delta = _normalize_delta_ints(delta)
     g = len(delta)
     flat = read(hw_indices(ctx.p, level, delta))
     entries = [flat[i * g:(i + 1) * g] for i in range(g)]
-    return HWMatrix(ctx, level, delta, entries, pointwise, source)
+    return HWMatrix(ctx, level, delta, entries, pointwise)
 
 
-def hw_from_dense(ctx, level, offset, coeffs, delta, source=""):
+def hw_from_dense(ctx, level, offset, coeffs, delta):
     return _hw_read(ctx, level, delta,
-                    lambda idx: _coeffs_at(ctx, offset, coeffs, idx), source)
+                    lambda idx: _coeffs_at(ctx, offset, coeffs, idx))
 
 
-def hw_matrix_at(level, F, delta, a, source=""):
+def hw_matrix_at(level, F, delta, a):
     """Hasse-Witt matrix evaluated at the point a (z = a)."""
     off, co = F.dense_t(a)
-    return hw_from_dense(F.ctx, level, off, co, delta, source)
+    return hw_from_dense(F.ctx, level, off, co, delta)
 
 
 def hw_eval(Aw, a):
     """Point evaluation of a symbolic matrix (consistency path)."""
     entries = [[entry.eval_z(a).eval_all([], []) for entry in row] for row in Aw.entries]
-    return HWMatrix(Aw.ctx, Aw.level, Aw.delta, entries, True, Aw.source)
+    return HWMatrix(Aw.ctx, Aw.level, Aw.delta, entries, True)
 
 
 def hw_sigma(Aw, k=1):
@@ -129,12 +128,12 @@ def hw_sigma(Aw, k=1):
     if Aw.pointwise:
         raise UnsupportedArity("twist pointwise matrices by evaluating at a^(p^k)")
     entries = [[entry.frobenius_sub(k) for entry in row] for row in Aw.entries]
-    return HWMatrix(Aw.ctx, Aw.level, Aw.delta, entries, False, Aw.source)
+    return HWMatrix(Aw.ctx, Aw.level, Aw.delta, entries, False)
 
 
 def hw_partial_z(Aw, i):
     entries = [[entry.partial_z(i) for entry in row] for row in Aw.entries]
-    return HWMatrix(Aw.ctx, Aw.level, Aw.delta, entries, False, Aw.source)
+    return HWMatrix(Aw.ctx, Aw.level, Aw.delta, entries, False)
 
 
 def hw_det(Aw):
@@ -150,7 +149,7 @@ def hw_inverse_at(Aw):
             f"determinant has valuation {Aw.ctx.val(det)} > 0"
         )
     inv = ringmat.mat_inv_scalar(Aw.ctx, Aw.entries)
-    return HWMatrix(Aw.ctx, Aw.level, Aw.delta, inv, True, Aw.source)
+    return HWMatrix(Aw.ctx, Aw.level, Aw.delta, inv, True)
 
 
 class DenseCache:
@@ -200,7 +199,7 @@ class DenseCache:
             self._store[key] = got
         return got
 
-    def hw_at(self, level, F, delta, a, source=""):
+    def hw_at(self, level, F, delta, a):
         """A(level, F) at the point a, through the cheapest stored form."""
         a = tuple(a)
         ctx = F.ctx
@@ -213,9 +212,8 @@ class DenseCache:
                     half = self._half[key] = dense.dense_half_split(ctx, pairs)
             if half is not None:
                 return _hw_read(ctx, level, delta,
-                                lambda idx: dense.dense_half_coeffs(ctx, *half, idx),
-                                source)
-        return hw_from_dense(ctx, level, *self.get(F, a), delta, source)
+                                lambda idx: dense.dense_half_coeffs(ctx, *half, idx))
+        return hw_from_dense(ctx, level, *self.get(F, a), delta)
 
     def quotient(self, F, a, root):
         """(offset, coeffs) of F(t, a) / (t - root); NotDivisible if inexact."""
@@ -248,37 +246,34 @@ def _factored_mult(F, z_index):
     if F.factored is None:
         raise NotFactored("operation needs a factored master-polynomial shape")
     check_direction("direction", z_index, F.n)
-    for (kind, val), e in F.factored:
-        if kind == "z" and val == z_index:
-            return e
-    return 0
+    return dict(F.factored).get(z_index, 0)
 
 
-def _quotient_matrix(level, F, delta, a, roots, factor, cache, source):
+def _quotient_matrix(level, F, delta, a, roots, factor, cache):
     """factor * A(level, F / prod_r (t - r)) at a, for roots r of F(t, a):
     the z-derivatives of a factored F, at the cost of g^2 scalings."""
     ctx = F.ctx
     if factor % ctx.q == 0:
-        return hw_from_dense(ctx, level, 0, [], delta, source)
+        return hw_from_dense(ctx, level, 0, [], delta)
     off, quot = (cache or DenseCache()).quotient(F, a, roots[0])
     for r in roots[1:]:
         quot = dense.dense_div_linear_exact(ctx, quot, r)
-    Aw = hw_from_dense(ctx, level, off, quot, delta, source)
+    Aw = hw_from_dense(ctx, level, off, quot, delta)
     Aw.entries = [[ctx.scal_int(x, factor) for x in row] for row in Aw.entries]
     return Aw
 
 
-def hw_derivative_at(level, F, delta, a, v, cache=None, source=""):
+def hw_derivative_at(level, F, delta, a, v, cache=None):
     """Entries coeff_(p^level w - u)(dF/dz_v) at the point a, for factored F.
 
     dF/dz_v = -e_v * F / (t - z_v) when (t - z_v) occurs with multiplicity
     e_v, so one synthetic division of the cached dense form suffices.
     """
     ev = _factored_mult(F, v)
-    return _quotient_matrix(level, F, delta, a, [a[v - 1]], -ev, cache, source)
+    return _quotient_matrix(level, F, delta, a, [a[v - 1]], -ev, cache)
 
 
-def hw_second_derivative_at(level, F, delta, a, u, v, cache=None, source=""):
+def hw_second_derivative_at(level, F, delta, a, u, v, cache=None):
     """Second partials d2F/(dz_u dz_v) of a factored F, at the point a.
 
     With multiplicities e_u, e_v this is e_u (e_v - [u == v]) * F divided by
@@ -288,7 +283,7 @@ def hw_second_derivative_at(level, F, delta, a, u, v, cache=None, source=""):
     ev = _factored_mult(F, v)
     factor = eu * (ev - 1) if u == v else eu * ev
     return _quotient_matrix(level, F, delta, a, [a[u - 1], a[v - 1]], factor,
-                            cache, source)
+                            cache)
 
 
 class SymbolicKit:

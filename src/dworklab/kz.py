@@ -79,8 +79,8 @@ def master_polynomial(cfg, s):
     if s < 1:
         raise InvalidParameter("level must be >= 1")
     e = cfg.exponent(s)
-    factors = [(("z", i), e) for i in range(1, cfg.n + 1)]
-    return LaurentPoly.from_factors(cfg.ctx, cfg.n, factors)
+    return LaurentPoly.from_factors(cfg.ctx, cfg.n,
+                                    [(i, e) for i in range(1, cfg.n + 1)])
 
 
 def kz_tuple(cfg, length=None, periodic=None):
@@ -89,8 +89,7 @@ def kz_tuple(cfg, length=None, periodic=None):
     if periodic is None:
         periodic = length is None
     lams = (F,) * (1 if periodic else length)
-    return AdmissibleTuple(lams, cfg.delta, periodic=periodic,
-                           source=f"kz(p={cfg.ctx.p}, g={cfg.g})")
+    return AdmissibleTuple(lams, cfg.delta, periodic=periodic)
 
 
 @dataclass

@@ -3,8 +3,8 @@
 Variables come in two blocks: r "t" variables followed by n "z" variables.
 A polynomial is a map from exponent vectors (tuples of r + n signed ints) to
 nonzero coefficients.  Master-polynomial shapes additionally carry a factored
-form, a multiset of monic linear factors (t - z_i) or (t - c); the factored
-form is load-bearing: products, powers, synthetic division and derivatives of
+form, the multiplicities of monic linear factors (t - z_i); the factored form
+is load-bearing: products, powers, synthetic division and derivatives of
 master polynomials never expand symbolically, coefficient reads (``coeffs_t``)
 generate only the terms of the requested t-exponents, and specialization at a
 point drops into the dense univariate kernels.
@@ -78,7 +78,7 @@ class LaurentPoly:
         self.r = r
         self.n = n
         self._terms = terms
-        self.factored = factored  # tuple of ((kind, value), mult)
+        self.factored = factored  # sorted tuple of (z index, mult)
 
     # -- constructors --------------------------------------------------------
 
@@ -112,13 +112,15 @@ class LaurentPoly:
 
     @classmethod
     def from_factors(cls, ctx, n, factors):
-        """Monic product of linear factors in the single t variable.
-
-        ``factors`` is an iterable of ((kind, value), mult) with kind "z"
-        (value a 1-based z index) or "c" (value a ring element).
+        """Monic product of the (t - z_i)^e over the (i, e) in ``factors``,
+        in the single t variable.  Repeated indices merge and multiplicities
+        that are not positive drop, so equal products have equal keys.
         """
-        fac = tuple(((k, v), e) for (k, v), e in factors if e > 0)
-        return cls(ctx, 1, n, None, fac)
+        merged = {}
+        for i, e in factors:
+            merged[i] = merged.get(i, 0) + e
+        return cls(ctx, 1, n, None,
+                   tuple(sorted((i, e) for i, e in merged.items() if e > 0)))
 
     # -- expansion ------------------------------------------------------------
 
@@ -142,31 +144,30 @@ class LaurentPoly:
         0 <= j_i <= e_i of prod_i C(e_i, j_i) (-z_i)^(e_i - j_i).  The terms
         are generated one composition at a time, each j_i kept within what
         the later factors can still absorb, so only the requested t-slices
-        are formed.  Scalar factors (t - c)^e are one dense t-polynomial S,
-        and [t^k] F = sum_j S_j [t^(k-j)] of the z-part; the z-degree of a
-        term fixes j, so no two of these products share a key.
+        are formed.
 
         Before any term is formed, the number of compositions behind the
         requested slices is counted; past SOFT_TERM_CAP the read raises
         SizeCapExceeded.
         """
         ctx, q = self.ctx, self.ctx.q
-        zfac, S, kzs, size = self._plan(out)
+        fac = self.factored
+        ks, size = self._plan(out)
         if size > SOFT_TERM_CAP:
             raise SizeCapExceeded(
                 f"factored expansion would exceed {SOFT_TERM_CAP} terms"
             )
         rows = [[(-1) ** (e - j) * math.comb(e, j) % q for j in range(e + 1)]
-                for _, e in zfac]
-        caps = [0] * (len(zfac) + 1)
-        for d in range(len(zfac) - 1, -1, -1):
-            caps[d] = caps[d + 1] + zfac[d][1]
+                for _, e in fac]
+        caps = [0] * (len(fac) + 1)
+        for d in range(len(fac) - 1, -1, -1):
+            caps[d] = caps[d + 1] + fac[d][1]
         exps = [0] * (1 + self.n)
 
         def walk(d, rem, c, part):
-            i, e = zfac[d]
+            i, e = fac[d]
             row = rows[d]
-            if d == len(zfac) - 1:  # the bounds above leave j = rem
+            if d == len(fac) - 1:  # the bounds above leave j = rem
                 if w := c * row[rem] % q:
                     exps[i] = e - rem
                     part[tuple(exps)] = w
@@ -176,47 +177,30 @@ class LaurentPoly:
                     exps[i] = e - j
                     walk(d + 1, rem - j, w, part)
 
-        for kz in set(kzs):
-            exps[0] = kz
+        for k in set(ks):
+            exps[0] = k
             part = {}
-            if zfac:
-                walk(0, kz, 1, part)
+            if fac:
+                walk(0, k, 1, part)
             else:
                 part[tuple(exps)] = 1
-            for j, sc in enumerate(S):
-                acc = out.get(kz + j)
-                if acc is None:
-                    continue
-                if j == 0 and sc == 1:  # m = 1, nothing to rescale or rekey
-                    acc.update(part)
-                    continue
-                for key, c in part.items():
-                    w = ctx.scal_int(sc, c)
-                    if not ctx.is_zero(w):
-                        acc[(kz + j,) + key[1:]] = w
+            if ctx.m > 1:
+                part = {key: ctx.from_int(c) for key, c in part.items()}
+            out[k].update(part)
 
     def _plan(self, ks):
-        """(z factors, scalar part S, z-degrees, composition count) of a
-        read of the t^k slices of the factored form, k in ks: the count is
-        the number of terms the read forms at most, found by one prefix-sum
-        pass per z factor over prod_i (1 + x + ... + x^(e_i))."""
-        zexp = {}
-        scalar = []
-        for (kind, val), e in self.factored:
-            if kind == "z":
-                zexp[val] = zexp.get(val, 0) + e
-            else:
-                scalar.append((val, e))
-        zfac = sorted(zexp.items())
-        S = dense.dense_from_roots(self.ctx, scalar)
-        deg = sum(zexp.values())
-        kzs = [k - j for k in ks for j in range(len(S)) if 0 <= k - j <= deg]
-        top = max(kzs, default=0)
-        count = [1] + [0] * top  # compositions of each kz within the bounds
-        for _, e in zfac:
+        """(t-exponents, composition count) of a read of the t^k slices of
+        the factored form, k in ks: the exponents within the degree, and the
+        number of terms the read forms at most, found by one prefix-sum pass
+        per factor over prod_i (1 + x + ... + x^(e_i))."""
+        deg = sum(e for _, e in self.factored)
+        ks = [k for k in ks if 0 <= k <= deg]
+        top = max(ks, default=0)
+        count = [1] + [0] * top  # compositions of each k within the bounds
+        for _, e in self.factored:
             pre = [0, *itertools.accumulate(count)]
             count = [pre[k + 1] - pre[max(0, k - e)] for k in range(top + 1)]
-        return zfac, S, kzs, sum(count[kz] for kz in kzs)
+        return ks, sum(count[k] for k in ks)
 
     def read_size(self, indices):
         """Terms a ``coeffs_t`` read of the t-exponents ``indices`` forms at
@@ -225,7 +209,7 @@ class LaurentPoly:
         if self._terms is not None:
             return len(self._terms)
         return self._plan([v if isinstance(v, int) else v[0]
-                           for v in indices])[3]
+                           for v in indices])[1]
 
     # -- basics -----------------------------------------------------------------
 
@@ -313,15 +297,8 @@ class LaurentPoly:
     def __mul__(self, other):
         self._check_compatible(other)
         if self.factored is not None and other.factored is not None:
-            merged = {}
-            for f, e in self.factored:
-                merged[f] = merged.get(f, 0) + e
-            for f, e in other.factored:
-                merged[f] = merged.get(f, 0) + e
-            return LaurentPoly(
-                self.ctx, self.r, self.n, None,
-                tuple(sorted(merged.items(), key=_factor_key)),
-            )
+            return LaurentPoly.from_factors(self.ctx, self.n,
+                                            self.factored + other.factored)
         return self.copy_with(_convolve(self.ctx, self.terms, other.terms))
 
     def __pow__(self, e):
@@ -332,7 +309,7 @@ class LaurentPoly:
         if self.factored is not None:
             return LaurentPoly(
                 self.ctx, self.r, self.n, None,
-                tuple((f, k * e) for f, k in self.factored),
+                tuple((i, k * e) for i, k in self.factored),
             )
         result = None
         base = self
@@ -385,35 +362,24 @@ class LaurentPoly:
     def partial_z(self, i):
         if not 1 <= i <= self.n:
             raise UnsupportedArity(f"z-index {i} out of range")
-        ctx = self.ctx
-        pos = self.r + i - 1
-        out = {}
-        for key, c in self.terms.items():
-            e = key[pos]
-            if e == 0:
-                continue
-            w = ctx.scal_int(c, e)
-            if ctx.is_zero(w):
-                continue
-            nk = key[:pos] + (e - 1,) + key[pos + 1:]
-            out[nk] = w
-        return self.copy_with(out)
+        return self._partial(self.r + i - 1)
 
     def partial_t(self, j=1):
         if not 1 <= j <= self.r:
             raise UnsupportedArity(f"t-index {j} out of range")
+        return self._partial(j - 1)
+
+    def _partial(self, pos):
+        """Derivative in the variable whose exponent sits at key[pos]."""
         ctx = self.ctx
-        pos = j - 1
         out = {}
         for key, c in self.terms.items():
             e = key[pos]
             if e == 0:
                 continue
             w = ctx.scal_int(c, e)
-            if ctx.is_zero(w):
-                continue
-            nk = key[:pos] + (e - 1,) + key[pos + 1:]
-            out[nk] = w
+            if not ctx.is_zero(w):
+                out[key[:pos] + (e - 1,) + key[pos + 1:]] = w
         return self.copy_with(out)
 
     def eval_z(self, a):
@@ -422,14 +388,6 @@ class LaurentPoly:
         if len(a) != self.n:
             raise UnsupportedArity("point arity mismatch")
         a = [ctx.from_int(x) if isinstance(x, int) else x for x in a]
-        if self.factored is not None:
-            fac = []
-            for (kind, val), e in self.factored:
-                if kind == "z":
-                    fac.append((("c", a[val - 1]), e))
-                else:
-                    fac.append(((kind, val), e))
-            return LaurentPoly(ctx, self.r, 0, None, tuple(fac))
         powers = {}
 
         def zpow(i, e):
@@ -485,84 +443,20 @@ class LaurentPoly:
             acc = ctx.add(acc, v)
         return acc
 
-    def synth_div_linear(self, z_index=None, scalar=None):
-        """Exact quotient by (t - z_i) or (t - scalar); r must be 1."""
-        if self.r != 1:
-            raise UnsupportedArity("synthetic division needs a single t variable")
-        if (z_index is None) == (scalar is None):
-            raise ValueError("give exactly one of z_index or scalar")
-        ctx = self.ctx
-        if self.factored is not None:
-            target = ("z", z_index) if z_index is not None else ("c", scalar)
-            out = []
-            found = False
-            for f, e in self.factored:
-                if not found and f == target:
-                    found = True
-                    if e > 1:
-                        out.append((f, e - 1))
-                else:
-                    out.append((f, e))
-            if not found:
-                raise NotDivisible("factor not present in the factored form")
-            return LaurentPoly(ctx, 1, self.n, None, tuple(out))
-        # group terms by t-exponent; coefficients are z-only term dicts
-        by_t = {}
-        for key, c in self.terms.items():
-            by_t.setdefault(key[0], {})[key[1:]] = c
-        if not by_t:
-            raise NotDivisible("cannot divide the zero polynomial")
-        lo = min(by_t)
-        hi = max(by_t)
-        if z_index is not None:
-            pos = z_index - 1
-
-            def mul_root(d):
-                return {
-                    k[:pos] + (k[pos] + 1,) + k[pos + 1:]: c for k, c in d.items()
-                }
-        else:
-            root = ctx.from_int(scalar) if isinstance(scalar, int) else scalar
-
-            def mul_root(d):
-                out = {}
-                for k, c in d.items():
-                    v = ctx.mul(c, root)
-                    if not ctx.is_zero(v):
-                        out[k] = v
-                return out
-
-        def z_add(d1, d2):
-            out = dict(d1)
-            for k, c in d2.items():
-                cur = out.get(k)
-                v = c if cur is None else ctx.add(cur, c)
-                if ctx.is_zero(v):
-                    out.pop(k, None)
-                else:
-                    out[k] = v
-            return out
-
-        quot = {}
-        acc = by_t.get(hi, {})
-        for k in range(hi - 1, lo - 1, -1):
-            if acc:
-                quot[k] = acc
-            acc = z_add(by_t.get(k, {}), mul_root(acc))
-        if acc:
-            raise NotDivisible("nonzero remainder")
-        out = {}
-        for k, d in quot.items():
-            for zk, c in d.items():
-                out[(k,) + zk] = c
-        return LaurentPoly(ctx, 1, self.n, out)
+    def synth_div_linear(self, z_index):
+        """The factored form divided by (t - z_i), i = z_index."""
+        if self.factored is None:
+            raise NotFactored("synthetic division needs a factored form")
+        fac = dict(self.factored)
+        if z_index not in fac:
+            raise NotDivisible("factor not present in the factored form")
+        fac[z_index] -= 1
+        return LaurentPoly.from_factors(self.ctx, self.n, fac.items())
 
     def newton_box(self):
         """Componentwise min/max of the t-exponents over the support."""
         if self.factored is not None:
-            if all(kind == "z" for (kind, _), _ in self.factored):
-                d = sum(e for _, e in self.factored)
-                return TBox((0,) * self.r, (d,) + (0,) * (self.r - 1))
+            return TBox((0,), (sum(e for _, e in self.factored),))
         if not self.terms:
             raise ZeroPolynomial("the zero polynomial has no Newton polytope")
         keys = [key[: self.r] for key in self.terms]
@@ -609,14 +503,13 @@ class LaurentPoly:
             out[key[0] - lo] = c
         return lo, out
 
-    def roots_at(self, a=None):
-        """(root, mult) pairs in t of a factored form, with z = a substituted."""
-        poly = self
-        if any(kind == "z" for (kind, _), _ in self.factored):
-            if a is None:
-                raise NotFactored("symbolic factored form needs a point")
-            poly = self.eval_z(a)
-        return [(val, e) for (_, val), e in poly.factored]
+    def roots_at(self, a):
+        """(root, mult) pairs in t of the factored form at the point z = a."""
+        if len(a) != self.n:
+            raise UnsupportedArity("point arity mismatch")
+        ctx = self.ctx
+        a = [ctx.from_int(x) if isinstance(x, int) else x for x in a]
+        return [(a[i - 1], e) for i, e in self.factored]
 
     # -- serialization -------------------------------------------------------------
 
@@ -641,11 +534,6 @@ class LaurentPoly:
             if not ctx.is_zero(c):
                 terms[key] = c
         return cls(ctx, r, n, terms)
-
-
-def _factor_key(item):
-    (kind, val), _ = item
-    return (kind, val if kind == "z" else str(val))
 
 
 def _convolve(ctx, a, b):

@@ -398,6 +398,14 @@ class PadicCtx:
                    tuple(int(c) for c in data["modulus"]))
 
 
+def check_prime(p):
+    """Raise unless p is an odd prime."""
+    if p == 2:
+        raise OddPrimeRequired("p = 2 is not supported")
+    if p < 2 or not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+
+
 def ctx_new(p, N, m=1):
     """Build a context with the deterministic smallest irreducible modulus.
 
@@ -405,10 +413,7 @@ def ctx_new(p, N, m=1):
     polynomial over F_p (coefficients compared high degree first), lifted
     with coefficients in [0, p).
     """
-    if p == 2:
-        raise OddPrimeRequired("p = 2 is not supported")
-    if p < 2 or not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    check_prime(p)
     if N < 1:
         raise InvalidParameter("precision N must be >= 1")
     if m < 1:

@@ -125,21 +125,16 @@ def oracle_kz_derivative(a, i, e, g, p, N, m=1, modulus=None):
 
 
 def oracle_expand_factors(p, N, m, modulus, n, factors):
-    """Terms of prod (t - x)^e over ((kind, value), e) factors, x = z_value
-    for kind "z" and the scalar value for kind "c", multiplied out one
+    """Terms of prod (t - z_i)^e over (i, e) factors, multiplied out one
     linear factor at a time; keys are (t, z_1, ..., z_n)."""
     one = 1 if m == 1 else (1,) + (0,) * (m - 1)
     acc = {(0,) * (1 + n): one}
-    for (kind, val), e in factors:
-        lin = {(1,) + (0,) * n: one}
-        if kind == "z":
-            key = [0] * (1 + n)
-            key[val] = 1
-            lin[tuple(key)] = coeff_reduce(-1 if m == 1 else (-1,) + (0,) * (m - 1),
-                                           p, N, m, modulus)
-        else:
-            neg = -val if m == 1 else tuple(-x for x in val)
-            lin[(0,) * (1 + n)] = coeff_reduce(neg, p, N, m, modulus)
+    for i, e in factors:
+        key = [0] * (1 + n)
+        key[i] = 1
+        lin = {(1,) + (0,) * n: one,
+               tuple(key): coeff_reduce(-1 if m == 1 else (-1,) + (0,) * (m - 1),
+                                        p, N, m, modulus)}
         for _ in range(e):
             acc = oracle_mul(acc, lin, p, N, m, modulus)
     return acc

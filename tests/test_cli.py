@@ -119,6 +119,19 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     "admissible --p 3 --delta 1..y --boxes 0:1",
     "admissible --p 3 --delta 1 --boxes 0:1,2",
     "admissible --p 3 --delta 1 --boxes a:b",
+    # negative levels once raised IndexError, TypeError or RecursionError
+    "congruence --theorem decomp --p 3 --N 3 --s -1 --symbolic",
+    "congruence --theorem 1.6i --p 3 --N 3 --s -1 --symbolic",
+    "congruence --theorem decomp --p 5 --N 3 --s -1 --points 2 --ext 2",
+    "congruence --theorem der --p 3 --N 4 --s 1 --m -1 --symbolic",
+    "congruence --theorem der --p 5 --N 4 --s 1 --m -1 --points 2 --ext 2",
+    # admissible once passed without a window, a prime or an ordered box
+    "admissible --p 3 --delta 1 --boxes 0:9,0:1 --periodic --depth 0",
+    "admissible --p 3 --delta 1 --boxes 0:9,0:1 --periodic --depth -2",
+    "admissible --p 4 --delta 1 --boxes 0:2",
+    "admissible --p 1 --delta 1 --boxes 0:2",
+    "admissible --p 9 --delta 1 --boxes 0:2",
+    "admissible --p 3 --delta 1 --boxes 5:1",
 ])
 def test_invalid_parameters_are_configuration_errors(argv, capsys):
     assert invoke(argv.split()) == (2, [])

@@ -156,13 +156,14 @@ def test_half_power_reader_matches_the_expansion(p, N, m, modulus, kind):
 
 @pytest.mark.parametrize("p,N,m", [(7, 6, 1), (5, 5, 2), (3, 3, 3)])
 def test_half_power_reader_on_a_scalar_factored_form(p, N, m):
-    """A factored form of constant roots alone needs no point."""
+    """The half power reader on the scalar roots of a factored form at a
+    point, with mixed multiplicities."""
     ctx = dl.ctx_new(p, N, m)
     rng = seeded(17 * p + m)
-    F = LaurentPoly.from_factors(
-        ctx, 0, [(("c", ctx.rand(rng)), e) for e in (9, 4, 1)])
-    pairs = F.roots_at()
-    off, coeffs = F.dense_t()
+    F = LaurentPoly.from_factors(ctx, 3, [(1, 9), (2, 4), (3, 1)])
+    a = [ctx.rand(rng) for _ in range(3)]
+    pairs = F.roots_at(a)
+    off, coeffs = F.dense_t(a)
     indices = list(range(-2, off + len(coeffs) + 2))
     assert dense.dense_half_coeffs(ctx, *dense.dense_half_split(ctx, pairs),
                                    indices) == _coeffs_at(ctx, off, coeffs, indices)

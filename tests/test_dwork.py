@@ -426,9 +426,17 @@ def test_user_parameter_checks_raise_invalid_parameter():
         lambda: dl.verify_det_congruence(tup, 0),
         lambda: dl.verify_derivative_congruence(tup, 0),
         lambda: dl.verify_second_derivative_congruence(tup, 0),
+        lambda: dl.verify_decomposition(tup, -1),
+        lambda: dl.verify_frobenius_factorization(tup, -1),
+        lambda: dl.verify_derivative_congruence(tup, 1, m=-1),
+        lambda: dl.verify_derivative_congruence(
+            tup, 1, m=-1, mode="pointwise", points=[(1, 2, 4)]),
+        lambda: AdmissibleTuple((), (1,)),
         lambda: dl.limit_A(dl.KZConfig(dl.ctx_new(3, 3, 2), 1), pt, 3),
         lambda: AdmissibleTuple(tup.lams, ()),
         lambda: dl.check_admissible([TBox((0,), (1,))], (0,)),
+        lambda: dl.check_admissible([TBox((0,), (1,))] * 2, (1,), p=3,
+                                    periodic=True, depth=0),
     ]
     for check in checks:
         with pytest.raises(InvalidParameter):

@@ -1,7 +1,8 @@
 import pytest
 
 import dworklab as dl
-from dworklab.errors import IndexOutOfRange, PrecisionTooLow
+from dworklab import ghosts
+from dworklab.errors import IndexOutOfRange, PrecisionTooLow, UnsupportedArity
 from dworklab.ghosts import AdmissibleTuple, check_admissible
 from dworklab.laurent import LaurentPoly, TBox
 from conftest import PlantedGhostFault, rand_admissible_tuple, seeded
@@ -145,6 +146,22 @@ def test_check_admissible_finite_windows():
         (1,), p=3, periodic=False,
     )
     assert not cert2.ok
+
+
+def test_admissibility_witness_is_the_first_missing_lattice_point(monkeypatch):
+    """The q-box of a window is walked in lexicographic order, the last
+    coordinate fastest, and refused past ENUM_CAP points."""
+    boxes = [TBox((0, 0), (5, 5))] * 2  # one window, q in {0, 1}^2
+    for delta, first in ((((0, 0),), (0, 1)), (((0, 0), (0, 1)), (1, 0))):
+        cert = check_admissible(boxes, delta, p=3, periodic=False)
+        assert not cert.ok and cert.witness["q"] == first
+        cert = check_admissible(boxes[:1], delta, p=3, periodic=True)
+        assert cert.witness == {"window_length": 1, "delta": (0, 0),
+                                "q": first}
+    monkeypatch.setattr(ghosts, "ENUM_CAP", 3)
+    for periodic in (False, True):
+        with pytest.raises(UnsupportedArity):
+            check_admissible(boxes, ((0, 0),), p=3, periodic=periodic)
 
 
 def test_subtuple_admissibility():

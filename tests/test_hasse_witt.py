@@ -197,13 +197,12 @@ def test_second_derivative_matches_symbolic():
 def _cache_forms(ctx, g):
     """Factored forms whose halved part is past the schoolbook cutoff: a
     KZ master polynomial with odd multiplicity (p = 3, 7) or even (p = 5),
-    and a mixed form with a constant root."""
+    and a form with mixed multiplicities."""
     cfg = dl.KZConfig(ctx, g)
     s = {3: 3, 5: 2, 7: 3}[ctx.p]
-    mixed = LaurentPoly.from_factors(
-        ctx, 2, [(("z", 1), 37), (("z", 2), 50), (("c", ctx.from_int(2)), 5)])
+    mixed = LaurentPoly.from_factors(ctx, 3, [(1, 37), (2, 50), (3, 5)])
     return [(dl.master_polynomial(cfg, s), cfg.delta, cfg.n),
-            (mixed, (1, 2), 2)]
+            (mixed, (1, 2), 3)]
 
 
 @pytest.mark.parametrize("p,N,m,g", [(7, 4, 1, 2), (5, 3, 2, 2), (3, 3, 3, 1)])

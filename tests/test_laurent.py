@@ -5,10 +5,12 @@ from dworklab import dense, laurent
 from dworklab.errors import (
     NonUnitAtNegativeExponent,
     NotDivisible,
+    NotFactored,
     SizeCapExceeded,
     UnsupportedArity,
     ZeroPolynomial,
 )
+from dworklab.hasse_witt import DenseCache
 from dworklab.laurent import LaurentPoly, TBox, _convolve, _packed_convolve
 from conftest import rand_coeff, rand_laurent, seeded
 from oracles import (
@@ -125,30 +127,17 @@ def test_coeffs_t_filters_expanded_polynomials():
         f.coeffs_t([(1, 2)])
 
 
-def _factored_case(p, N, m, n, factors):
-    ctx = dl.ctx_new(p, N, m)
-    factors = [((kind, ctx.from_coeffs(v) if kind == "c" else v), e)
-               for (kind, v), e in factors]
-    return ctx, LaurentPoly.from_factors(ctx, n, factors), factors
-
-
 FACTORED_CASES = {
     # odd degree: a sign (-1)^j in place of (-1)^(e-j) negates F
-    "z-only": (3, 2, 1, 3, [(("z", 1), 3), (("z", 2), 1), (("z", 3), 3)]),
+    "z-only": (3, 2, 1, 3, [(1, 3), (2, 1), (3, 3)]),
     # z indices listed out of order and not 1..k
-    "sparse z indices": (5, 2, 1, 4, [(("z", 4), 2), (("z", 2), 3)]),
-    "repeated z index": (3, 3, 1, 2,
-                         [(("z", 1), 2), (("z", 2), 1), (("z", 1), 3)]),
-    "scalar only": (5, 3, 1, 2, [(("c", (2,)), 3), (("c", (7,)), 1)]),
-    "mixed": (3, 3, 1, 2, [(("z", 2), 3), (("c", (4,)), 2), (("z", 1), 1)]),
-    "m = 2 z-only": (3, 2, 2, 3, [(("z", 1), 2), (("z", 3), 3), (("z", 2), 1)]),
-    "m = 2 mixed": (5, 2, 2, 2,
-                    [(("z", 1), 2), (("c", (1, 2)), 2), (("z", 2), 3),
-                     (("c", (0, 3)), 1)]),
+    "sparse z indices": (5, 2, 1, 4, [(4, 2), (2, 3)]),
+    "repeated z index": (3, 3, 1, 2, [(1, 2), (2, 1), (1, 3)]),
+    "m = 2 z-only": (3, 2, 2, 3, [(1, 2), (3, 3), (2, 1)]),
     # C(3, 1) = C(3, 2) = 3 vanish mod 3
-    "binomials vanish mod q": (3, 1, 1, 2, [(("z", 1), 3), (("z", 2), 3)]),
+    "binomials vanish mod q": (3, 1, 1, 2, [(1, 3), (2, 3)]),
     # 3 * 3 vanishes mod 9 although neither factor does
-    "products vanish mod q": (3, 2, 1, 2, [(("z", 1), 3), (("z", 2), 3)]),
+    "products vanish mod q": (3, 2, 1, 2, [(1, 3), (2, 3)]),
     "no factors": (3, 2, 1, 2, []),
 }
 
@@ -156,7 +145,8 @@ FACTORED_CASES = {
 @pytest.mark.parametrize("case", sorted(FACTORED_CASES))
 def test_coeffs_t_on_factored_forms_matches_expand_and_filter(case):
     p, N, m, n, factors = FACTORED_CASES[case]
-    ctx, F, factors = _factored_case(p, N, m, n, factors)
+    ctx = dl.ctx_new(p, N, m)
+    F = LaurentPoly.from_factors(ctx, n, factors)
     ref = oracle_expand_factors(p, N, m, ctx.modulus, n, factors)
     deg = sum(e for _, e in factors)
     ks = list(range(-2, deg + 3))
@@ -174,14 +164,10 @@ def test_coeffs_t_on_random_factored_forms():
     for _ in range(40):
         p, N, m = rng.choice([(3, 1, 1), (3, 2, 1), (5, 2, 1), (3, 2, 2)])
         n = rng.randint(1, 4)
-        factors = []
-        for _ in range(rng.randint(1, 4)):
-            if rng.random() < 0.25:
-                val = tuple(rng.randrange(p**N) for _ in range(m))
-                factors.append((("c", val), rng.randint(1, 3)))
-            else:
-                factors.append((("z", rng.randint(1, n)), rng.randint(1, 5)))
-        ctx, F, factors = _factored_case(p, N, m, n, factors)
+        factors = [(rng.randint(1, n), rng.randint(1, 5))
+                   for _ in range(rng.randint(1, 4))]
+        ctx = dl.ctx_new(p, N, m)
+        F = LaurentPoly.from_factors(ctx, n, factors)
         ref = oracle_expand_factors(p, N, m, ctx.modulus, n, factors)
         ks = [rng.randint(-1, sum(e for _, e in factors) + 1) for _ in range(4)]
         for k, poly in zip(ks, F.coeffs_t(ks)):
@@ -192,7 +178,7 @@ def test_coeffs_t_on_random_factored_forms():
 
 def test_coeffs_t_caps_the_terms_a_read_would_form():
     ctx = C(7, 1)
-    F = LaurentPoly.from_factors(ctx, 5, [(("z", i), 100) for i in range(1, 6)])
+    F = LaurentPoly.from_factors(ctx, 5, [(i, 100) for i in range(1, 6)])
     # 101^5 terms in all, 15 of them at t^2, tens of millions at t^250
     assert F.coeff_t(2).term_count() == 15
     with pytest.raises(SizeCapExceeded):
@@ -224,8 +210,7 @@ def test_eval_z():
     assert got.terms == {(): 3}
     cfg = dl.KZConfig(ctx, 1)
     phi = dl.master_polynomial(cfg, 1)
-    spec = phi.eval_z([0, 1, 3])
-    off, co = spec.dense_t()
+    off, co = phi.dense_t([0, 1, 3])
     assert off == 0
     # t(t-1)(t-3) = t^3 - 4t^2 + 3t mod 9
     assert co == [0, 3, 5, 1]
@@ -246,24 +231,47 @@ def test_synth_div_linear():
     n = 3
     t = tvar(ctx, n)
     zs = [zvar(ctx, i) for i in (1, 2, 3)]
-    f = (t - zs[0]) * (t - zs[1]) * (t - zs[2])
-    q = LaurentPoly(ctx, 1, n, dict(f.terms)).synth_div_linear(z_index=1)
-    assert q == LaurentPoly(ctx, 1, n, dict(((t - zs[1]) * (t - zs[2])).terms))
-    # factored path just drops the factor
     cfg = dl.KZConfig(ctx, 1)
     phi = dl.master_polynomial(cfg, 1)
+    # the factor is dropped from the factored form
     qf = phi.synth_div_linear(z_index=1)
+    assert qf.factored == ((2, 1), (3, 1)) and not qf.is_expanded()
     assert qf.newton_box() == TBox((0,), (2,))
-    tsq = t * t - LaurentPoly.one(ctx, 1, n)
+    assert qf.terms == ((t - zs[1]) * (t - zs[2])).terms
+    # a multiplicity goes down by one per division
+    q = dl.master_polynomial(cfg, 2)  # every multiplicity is 4
+    for _ in range(3):
+        q = q.synth_div_linear(z_index=2)
+    assert q.factored == ((1, 4), (2, 1), (3, 4))
+    assert q.synth_div_linear(z_index=2).factored == ((1, 4), (3, 4))
+    # an expanded form is refused, and so is an absent factor
+    with pytest.raises(NotFactored):
+        LaurentPoly(ctx, 1, 3, dict(phi.terms)).synth_div_linear(z_index=1)
     with pytest.raises(NotDivisible):
-        tsq.synth_div_linear(z_index=1)
-    # symbolic division round-trips with multiplication
-    rng = seeded(9)
-    for _ in range(30):
-        g = rand_laurent(rng, ctx, 1, 2, -1, 3, 4)
-        z1 = LaurentPoly.z_var(ctx, 1, 2, 1)
-        prod = g * (LaurentPoly.t_var(ctx, 1, 2) - z1)
-        assert prod.synth_div_linear(z_index=1) == g
+        phi.synth_div_linear(z_index=1).synth_div_linear(z_index=1)
+    with pytest.raises(NotDivisible):
+        LaurentPoly.from_factors(ctx, 3, [(2, 1)]).synth_div_linear(z_index=3)
+
+
+def test_from_factors_merges_repeated_indices_into_one_key():
+    ctx = C(3, 2)
+    F = LaurentPoly.from_factors(ctx, 3, [(3, 2), (1, 1), (2, 0), (3, 1), (1, 2)])
+    G = LaurentPoly.from_factors(ctx, 3, [(1, 3), (3, 3)])
+    assert F.factored == G.factored == ((1, 3), (3, 3))
+    assert F.terms == oracle_expand_factors(3, 2, 1, ctx.modulus, 3,
+                                            [(1, 3), (3, 3)])
+    # equal forms share one DenseCache entry
+    cache, a = DenseCache(), (1, 2, 4)
+    assert cache.get(F, a) is cache.get(G, a)
+
+
+def test_roots_at_checks_the_arity_of_the_point():
+    ctx = C(3, 2)
+    phi = dl.master_polynomial(dl.KZConfig(ctx, 1), 1)
+    assert phi.roots_at([0, 1, 3]) == [(0, 1), (1, 1), (3, 1)]
+    for a in ([0, 1], [0, 1, 3, 4]):
+        with pytest.raises(UnsupportedArity):
+            phi.roots_at(a)
 
 
 def test_newton_box():
