@@ -100,6 +100,7 @@ def _tuple_from_file(ctx, path):
 
 def cmd_ghosts(args):
     ctx = ctx_new(args.p, args.N, 1)
+    _require(args.l >= 0, "need l >= 0")
     _require(args.N >= args.l + 1, "need N >= l + 1 for ghost divisibility headroom")
     lams, periodic = _tuple_from_file(ctx, args.tuple)
     delta = _parse_delta(args.delta)
@@ -208,6 +209,8 @@ def cmd_kz_solve(args):
 
 
 def cmd_kz_verify(args):
+    _require(args.check != "phi" or (args.points, args.ext, args.i) == (0, 1, None),
+             "phi is symbolic only: --points, --ext and --i do not apply")
     ctx = ctx_new(args.p, args.N, args.ext if not args.symbolic else 1)
     _require(args.N >= args.s + 1, "need N >= s + 1 precision headroom")
     cfg = kz.KZConfig(ctx, args.g)
@@ -286,6 +289,8 @@ def cmd_limit(args):
 def cmd_admissible(args):
     delta = _parse_delta(args.delta)
     if args.tuple:
+        _require(not args.periodic, "--periodic does not apply to --tuple: "
+                 "the file's \"periodic\" key decides")
         ctx = ctx_new(args.p, args.N, 1)
         lams, periodic = _tuple_from_file(ctx, args.tuple)
         cert = check_admissible(lams, delta, p=args.p, periodic=periodic,

@@ -362,16 +362,7 @@ class LaurentPoly:
     def partial_z(self, i):
         if not 1 <= i <= self.n:
             raise UnsupportedArity(f"z-index {i} out of range")
-        return self._partial(self.r + i - 1)
-
-    def partial_t(self, j=1):
-        if not 1 <= j <= self.r:
-            raise UnsupportedArity(f"t-index {j} out of range")
-        return self._partial(j - 1)
-
-    def _partial(self, pos):
-        """Derivative in the variable whose exponent sits at key[pos]."""
-        ctx = self.ctx
+        ctx, pos = self.ctx, self.r + i - 1  # z_i's place in the key
         out = {}
         for key, c in self.terms.items():
             e = key[pos]

@@ -132,6 +132,10 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     "admissible --p 1 --delta 1 --boxes 0:2",
     "admissible --p 9 --delta 1 --boxes 0:2",
     "admissible --p 3 --delta 1 --boxes 5:1",
+    # phi is symbolic only; it once ran and passed ignoring these flags
+    "kz-verify --check phi --p 3 --N 3 --g 1 --s 1 --points 2",
+    "kz-verify --check phi --p 3 --N 3 --g 1 --s 1 --ext 2",
+    "kz-verify --check phi --p 3 --N 3 --g 1 --s 1 --i 1",
 ])
 def test_invalid_parameters_are_configuration_errors(argv, capsys):
     assert invoke(argv.split()) == (2, [])
@@ -184,6 +188,20 @@ def test_ghosts_command_fails_on_planted_fault(tmp_path, monkeypatch):
     assert [d["verdict"] for d in docs] == ["pass", "fail"]
     assert docs[1]["min_coefficient_valuation"] == 0
     assert docs[1]["claimed"] == 1
+
+
+def test_flags_a_tuple_file_makes_void_exit_2(tmp_path, capsys):
+    """On a real tuple file, ghosts --l -1 once checked no ghost and exited
+    0, and admissible ignored --periodic, which the file's key decides."""
+    argv = _ghosts_argv(tmp_path)
+    tuple_file = argv[argv.index("--tuple") + 1]
+    admissible = ["admissible", "--p", "3", "--N", "3", "--delta", "1..1",
+                  "--tuple", tuple_file]
+    assert invoke(admissible)[0] == 0
+    for bad in (argv[:argv.index("--l") + 1] + ["-1"]
+                + argv[argv.index("--l") + 2:], admissible + ["--periodic"]):
+        assert invoke(bad) == (2, [])
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_empty_o_domain_exits_2_without_sampling():

@@ -91,3 +91,32 @@ def test_planted_slice_fault_fails_decomp_in_both_modes(monkeypatch):
         rep = _run("decomp", mode)
         assert rep.verdict == "fail"
         assert rep.observed_min_valuation == N - 1
+
+
+@pytest.mark.parametrize("divisors,witness", [
+    # Q_2 enters identity (1) first
+    pytest.param((2,), {"identity": 1}, id="Q2"),
+    # D_23 enters row 2 of direction 2 (through e D_23) before row 3
+    pytest.param((2, 3), {"identity": 2, "direction": 2, "row": 2}, id="D23"),
+])
+def test_planted_slice_fault_fails_phi(divisors, witness, monkeypatch):
+    """A symbolic kit whose read of Phi_s over the (t - z_i), i in divisors,
+    has p^(N-1) added to its first slice.  D_ii is left alone: it enters
+    only through e - 1, of valuation 1 at p = 3, which kills such a fault."""
+    cfg = dl.KZConfig(dl.ctx_new(P, N), G)
+    target = dl.master_polynomial(cfg, S)
+    for i in divisors:
+        target = target.synth_div_linear(z_index=i)
+
+    def faulty(kit, F, indices, twist=0, real=SymbolicKit.coeffs):
+        out = real(kit, F, indices, twist)
+        if F.factored == target.factored:
+            out[0] = kit.ring.add(out[0], kit.ring.scal(
+                kit.ctx.from_int(P ** (N - 1)), kit.ring.one))
+        return out
+
+    monkeypatch.setattr(SymbolicKit, "coeffs", faulty)
+    rep = dl.verify_phi_identities(cfg, S)
+    assert rep.verdict == "fail"
+    assert rep.observed_min_valuation == N - 1
+    assert rep.witness == witness
