@@ -159,7 +159,9 @@ def cmd_hw(args):
 def cmd_congruence(args):
     theorem = _THEOREM_ALIASES.get(args.theorem, args.theorem)
     _require(theorem in THEOREM_CHOICES, f"unknown theorem id {args.theorem}")
-    ctx = ctx_new(args.p, args.N, args.ext if not args.symbolic else 1)
+    _require(not args.symbolic or (args.points, args.ext) == (0, 1),
+             "--symbolic takes no --points or --ext")
+    ctx = ctx_new(args.p, args.N, args.ext)
     _require(args.N >= args.s + 1, "need N >= s + 1 precision headroom")
     if theorem == "der":
         _require(args.N >= args.s + args.m + 1,
@@ -209,9 +211,14 @@ def cmd_kz_solve(args):
 
 
 def cmd_kz_verify(args):
-    _require(args.check != "phi" or (args.points, args.ext, args.i) == (0, 1, None),
-             "phi is symbolic only: --points, --ext and --i do not apply")
-    ctx = ctx_new(args.p, args.N, args.ext if not args.symbolic else 1)
+    symbolic = args.symbolic or args.check == "phi"  # phi is symbolic only
+    _require(args.i is None or args.check == "residual",
+             "--i applies only to --check residual")
+    _require(not (symbolic and args.check == "minor"),
+             "minor is pointwise only: --symbolic does not apply")
+    _require(not symbolic or (args.points, args.ext) == (0, 1),
+             "symbolic checks take no --points or --ext")
+    ctx = ctx_new(args.p, args.N, args.ext)
     _require(args.N >= args.s + 1, "need N >= s + 1 precision headroom")
     cfg = kz.KZConfig(ctx, args.g)
     if args.check == "phi":

@@ -9,7 +9,13 @@ the whole convolution.  Results are bit-identical on every path.
 
 - Shorter operand of length <= KRONECKER_CUTOFF (8 for m >= 2): schoolbook,
   on three plain-int accumulators per coefficient for m = 2.
-- Up to NTT_CUTOFF: Python ints packed through ``bytes`` (Karatsuba).
+- Up to NTT_CUTOFF: Python ints packed through ``bytes`` (Karatsuba).  Slots
+  of up to 8 bytes convert through 64-bit little-endian words: one
+  ``struct.pack`` and one strided copy per slot byte to pack, one strided
+  copy per slot byte into zeroed words and one ``struct.unpack`` to unpack,
+  so no int is made per slot.  The multiply still sees ``width``-byte slots
+  (8-byte slots would slow it).  Wider slots convert one coefficient at a
+  time.
 - Above NTT_CUTOFF: ``decimal`` numbers packed in base 10^d through a
   zero-padded string join, which libmpdec multiplies by a number-theoretic
   transform.  ``Decimal(int)`` would be quadratic, so ints never cross over.
@@ -46,13 +52,28 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
 
 
 def _pack_bytes(coeffs, width):
-    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]),
-                          "little")
+    if width > 8:
+        return int.from_bytes(
+            b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
+    # Every coefficient is < q <= bound < 2^(8 width), so it fits one
+    # little-endian word, whose low `width` bytes are its slot.
+    words = struct.pack(f"<{len(coeffs)}Q", *coeffs)
+    out = bytearray(width * len(coeffs))
+    for j in range(width):
+        out[j::width] = words[j::8]
+    return int.from_bytes(out, "little")
 
 
 def _unpack_bytes(x, width, count, q):
-    slots = struct.iter_unpack(f"{width}s", x.to_bytes(width * count, "little"))
-    return [int.from_bytes(c, "little") % q for (c,) in slots]
+    raw = x.to_bytes(width * count, "little")
+    if width > 8:
+        slots = struct.iter_unpack(f"{width}s", raw)
+        return [int.from_bytes(c, "little") % q for (c,) in slots]
+    # Widen each slot to a zero-padded word, then read all words at once.
+    buf = bytearray(8 * count)
+    for j in range(width):
+        buf[j::8] = raw[j::width]
+    return [c % q for c in struct.unpack(f"<{count}Q", buf)]
 
 
 def _pack_dec(coeffs, width):

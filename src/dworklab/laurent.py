@@ -64,11 +64,6 @@ class TBox:
     def scale(self, k):
         return TBox(tuple(a * k for a in self.lo), tuple(a * k for a in self.hi))
 
-    def contains(self, other):
-        return all(a <= b for a, b in zip(self.lo, other.lo)) and all(
-            a >= b for a, b in zip(self.hi, other.hi)
-        )
-
 
 class LaurentPoly:
     __slots__ = ("ctx", "r", "n", "_terms", "factored")
@@ -99,18 +94,6 @@ class LaurentPoly:
         return cls.const(ctx, r, n, 1)
 
     @classmethod
-    def t_var(cls, ctx, r, n, j=1):
-        key = [0] * (r + n)
-        key[j - 1] = 1
-        return cls(ctx, r, n, {tuple(key): ctx.one()})
-
-    @classmethod
-    def z_var(cls, ctx, r, n, i):
-        key = [0] * (r + n)
-        key[r + i - 1] = 1
-        return cls(ctx, r, n, {tuple(key): ctx.one()})
-
-    @classmethod
     def from_factors(cls, ctx, n, factors):
         """Monic product of the (t - z_i)^e over the (i, e) in ``factors``,
         in the single t variable.  Repeated indices merge and multiplicities
@@ -132,9 +115,6 @@ class LaurentPoly:
             self._read_factored(dict.fromkeys(range(deg + 1), terms))
             self._terms = terms
         return self._terms
-
-    def is_expanded(self):
-        return self._terms is not None
 
     def _read_factored(self, out):
         """Add the terms of t^k of the factored form to out[k], for every k
@@ -223,9 +203,6 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def term_count(self):
-        return len(self.terms)
 
     def copy_with(self, terms):
         return LaurentPoly(self.ctx, self.r, self.n, terms)
@@ -354,10 +331,6 @@ class LaurentPoly:
                     d[key[self.r:]] = c
         polys = {v: LaurentPoly(self.ctx, 0, self.n, d) for v, d in found.items()}
         return [polys[v] for v in keys]
-
-    def coeff_t(self, v):
-        """Coefficient of t^v; the result is a z-only polynomial (r = 0)."""
-        return self.coeffs_t([v])[0]
 
     def partial_z(self, i):
         if not 1 <= i <= self.n:

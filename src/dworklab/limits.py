@@ -506,12 +506,6 @@ def rank_check(cfg, point, frag=None):
     return Certificate("rank-g-minor", passed, 0, 0 if passed else v, details)
 
 
-def rank_fraction(cfg, points):
-    """Fraction of points at which some g x g minor of the frame is a unit."""
-    results = [rank_check(cfg, pt).passed for pt in points]
-    return sum(results) / len(results) if results else 0.0
-
-
 @dataclass
 class LimitReport:
     cfg: KZConfig

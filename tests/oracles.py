@@ -1,8 +1,11 @@
 """Brute-force reference implementations, independent of the library paths.
 
 Everything here works on raw integers / tuples with explicit reduction, so
-library results can be checked against genuinely different code.
+library results can be checked against genuinely different code.  The last
+section holds small helpers over the library's types that only tests need.
 """
+
+from dworklab.laurent import LaurentPoly
 
 
 def coeff_reduce(c, p, N, m, modulus):
@@ -138,3 +141,30 @@ def oracle_expand_factors(p, N, m, modulus, n, factors):
         for _ in range(e):
             acc = oracle_mul(acc, lin, p, N, m, modulus)
     return acc
+
+
+# -- helpers over the library's types that only tests use ---------------------
+
+
+def _monomial(ctx, r, n, place):
+    key = [0] * (r + n)
+    key[place] = 1
+    return LaurentPoly(ctx, r, n, {tuple(key): ctx.one()})
+
+
+def t_var(ctx, r, n, j=1):
+    return _monomial(ctx, r, n, j - 1)
+
+
+def z_var(ctx, r, n, i):
+    return _monomial(ctx, r, n, r + i - 1)
+
+
+def coeff_t(f, v):
+    """Coefficient of t^v; a z-only polynomial (r = 0)."""
+    return f.coeffs_t([v])[0]
+
+
+def is_expanded(f):
+    """Whether f's terms have been formed, not only its factored form."""
+    return f._terms is not None

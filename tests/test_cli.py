@@ -136,6 +136,16 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     "kz-verify --check phi --p 3 --N 3 --g 1 --s 1 --points 2",
     "kz-verify --check phi --p 3 --N 3 --g 1 --s 1 --ext 2",
     "kz-verify --check phi --p 3 --N 3 --g 1 --s 1 --i 1",
+    # symbolic runs once ignored the pointwise flags, and --i was ignored
+    # by every check but residual; each ran and passed
+    "congruence --theorem ratio --p 3 --N 3 --s 1 --g 1 --symbolic --points 4",
+    "congruence --theorem ratio --p 3 --N 3 --s 1 --g 1 --symbolic --ext 2",
+    "kz-verify --check residual --p 3 --N 3 --g 1 --s 1 --symbolic --points 5",
+    "kz-verify --check coS --p 3 --N 3 --g 1 --s 1 --symbolic --ext 2",
+    "kz-verify --check coS --p 3 --N 3 --g 1 --s 1 --points 2 --ext 2 --i 1",
+    "kz-verify --check minor --p 7 --N 2 --g 2 --s 1 --points 3 --ext 2 --i 1",
+    "kz-verify --check minor --p 7 --N 2 --g 2 --s 1 --points 3 --ext 2"
+    " --symbolic",
 ])
 def test_invalid_parameters_are_configuration_errors(argv, capsys):
     assert invoke(argv.split()) == (2, [])

@@ -3,7 +3,8 @@
 dense_mul chooses its path from the shorter operand's length: schoolbook up
 to 8 (m >= 2) or KRONECKER_CUTOFF (m = 1), bytes-packed ints up to
 NTT_CUTOFF, decimal above it; a square (``a is b``) takes its own branch in
-both packed paths.  The random loops lower NTT_CUTOFF so that the oracle can
+both packed paths.  Bytes-packed slots of up to 8 bytes convert through
+64-bit words, wider ones one coefficient at a time.  The random loops lower NTT_CUTOFF so that the oracle can
 check operands on both sides of all three cutovers; extremal coefficients
 then check the real cutover, where they fill every packed slot to its bound.
 The half-power reader (coefficients of R^2 T by dot products over R) and the
@@ -19,7 +20,11 @@ from dworklab.laurent import LaurentPoly
 from conftest import seeded
 from oracles import oracle_dense_mul
 
-CONTEXTS = [(7, 6, 1), (3, 3, 1), (5, 5, 2), (3, 2, 2), (3, 3, 3), (5, 2, 3)]
+# (3, 16, 1) packs most products in slots of exactly 8 bytes, the widest that
+# go through 64-bit words; (7, 12, 1) needs slots of 9-10 bytes, which are
+# packed one coefficient at a time.
+CONTEXTS = [(7, 6, 1), (3, 3, 1), (5, 5, 2), (3, 2, 2), (3, 3, 3), (5, 2, 3),
+            (3, 16, 1), (7, 12, 1)]
 LOW_NTT_CUTOFF = 40
 
 
@@ -64,6 +69,19 @@ def test_dense_mul_with_zero_components(monkeypatch, p, N, m):
             a, b, p, N, m, ctx.modulus)
 
 
+@pytest.mark.parametrize("width", range(1, 11))
+def test_bytes_packing_round_trips(width):
+    """Unpacking a packed column gives it back, for slots narrower than,
+    equal to and wider than a 64-bit word."""
+    q = 3 ** (5 * width)  # the largest power of 3 below 256^width
+    rng = seeded(width)
+    for n in (1, 7, 64):
+        for col in ([rng.randrange(q) for _ in range(n)], [0] * n,
+                    [q - 1] * n):
+            x = dense._pack_bytes(col, width)
+            assert dense._unpack_bytes(x, width, n, q) == col
+
+
 def _extremal_product(ctx, la, lb):
     """Product of two all-(q-1) operands: pair counts times top*top."""
     top = ctx.q - 1 if ctx.m == 1 else (ctx.q - 1,) * ctx.m
@@ -73,7 +91,8 @@ def _extremal_product(ctx, la, lb):
                  for k in range(count)]
 
 
-@pytest.mark.parametrize("p,N,m", [(7, 6, 1), (5, 5, 2), (3, 3, 3)])
+@pytest.mark.parametrize("p,N,m", [(7, 6, 1), (5, 5, 2), (3, 3, 3),
+                                   (3, 16, 1), (7, 12, 1)])
 def test_dense_mul_extremal_coefficients_at_the_ntt_cutoff(p, N, m):
     ctx = dl.ctx_new(p, N, m)
     for la in (dense.NTT_CUTOFF, dense.NTT_CUTOFF + 1):

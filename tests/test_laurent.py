@@ -18,6 +18,10 @@ from oracles import (
     oracle_div_linear,
     oracle_expand_factors,
     oracle_mul,
+    coeff_t,
+    is_expanded,
+    t_var,
+    z_var,
 )
 
 
@@ -26,11 +30,11 @@ def C(p=3, N=2, m=1):
 
 
 def tvar(ctx, n=0):
-    return LaurentPoly.t_var(ctx, 1, n)
+    return t_var(ctx, 1, n)
 
 
 def zvar(ctx, i, n=3):
-    return LaurentPoly.z_var(ctx, 1, n, i)
+    return z_var(ctx, 1, n, i)
 
 
 def test_mul_examples():
@@ -56,8 +60,8 @@ def test_coeff_t4_of_square_matches_symmetric_functions():
     sq = f * f
     e1 = zs[0] + zs[1] + zs[2]
     e2 = zs[0] * zs[1] + zs[0] * zs[2] + zs[1] * zs[2]
-    got = sq.coeff_t(4)
-    want = (e1 * e1 + e2.cmul(2)).coeff_t(0)
+    got = coeff_t(sq, 4)
+    want = coeff_t(e1 * e1 + e2.cmul(2), 0)
     assert got == want
     # and against the convolution oracle
     assert sq.terms == oracle_mul(f.terms, f.terms, 3, 2)
@@ -86,7 +90,7 @@ def test_pow_examples():
 
 def test_frobenius_sub():
     ctx = C(3, 2)
-    f = tvar(ctx, 1) + LaurentPoly.z_var(ctx, 1, 1, 1)
+    f = tvar(ctx, 1) + z_var(ctx, 1, 1, 1)
     assert f.frobenius_sub(0) == f
     g = f.frobenius_sub(1)
     assert g == LaurentPoly(ctx, 1, 1, {(3, 0): 1, (0, 3): 1})
@@ -105,15 +109,15 @@ def test_frobenius_sub():
 def test_coeff_t_examples():
     ctx = C(3, 2)
     f = LaurentPoly(ctx, 1, 1, {(2, 1): 1, (1, 0): 3})  # t^2 z1 + 3t
-    assert f.coeff_t(2) == LaurentPoly(ctx, 0, 1, {(1,): 1})
+    assert coeff_t(f, 2) == LaurentPoly(ctx, 0, 1, {(1,): 1})
     n = 3
     t = tvar(ctx, n)
     zs = [zvar(ctx, i) for i in (1, 2, 3)]
     f = (t - zs[0]) * (t - zs[1]) * (t - zs[2])
-    got = f.coeff_t(2)
-    e1 = (zs[0] + zs[1] + zs[2]).coeff_t(0)
+    got = coeff_t(f, 2)
+    e1 = coeff_t(zs[0] + zs[1] + zs[2], 0)
     assert got == -e1
-    assert f.coeff_t(7).is_zero()
+    assert coeff_t(f, 7).is_zero()
 
 
 def test_coeffs_t_filters_expanded_polynomials():
@@ -151,11 +155,11 @@ def test_coeffs_t_on_factored_forms_matches_expand_and_filter(case):
     deg = sum(e for _, e in factors)
     ks = list(range(-2, deg + 3))
     got = F.coeffs_t(ks)
-    assert not F.is_expanded()
+    assert not is_expanded(F)
     for k, poly in zip(ks, got):
         assert poly.r == 0 and poly.n == n
         assert poly.terms == {key[1:]: c for key, c in ref.items() if key[0] == k}
-    assert F.coeff_t(deg) == got[ks.index(deg)]
+    assert coeff_t(F, deg) == got[ks.index(deg)]
     assert F.terms == ref
 
 
@@ -173,31 +177,31 @@ def test_coeffs_t_on_random_factored_forms():
         for k, poly in zip(ks, F.coeffs_t(ks)):
             assert poly.terms == {key[1:]: c for key, c in ref.items()
                                   if key[0] == k}, (factors, k)
-        assert not F.is_expanded()
+        assert not is_expanded(F)
 
 
 def test_coeffs_t_caps_the_terms_a_read_would_form():
     ctx = C(7, 1)
     F = LaurentPoly.from_factors(ctx, 5, [(i, 100) for i in range(1, 6)])
     # 101^5 terms in all, 15 of them at t^2, tens of millions at t^250
-    assert F.coeff_t(2).term_count() == 15
+    assert len(coeff_t(F, 2).terms) == 15
     with pytest.raises(SizeCapExceeded):
         F.coeffs_t([2, 250])
     with pytest.raises(SizeCapExceeded):
         F.terms
-    assert not F.is_expanded()
+    assert not is_expanded(F)
 
 
 def test_partial_z():
     ctx = C(3, 2)
-    z1 = LaurentPoly.z_var(ctx, 0, 2, 1)
+    z1 = z_var(ctx, 0, 2, 1)
     sq = z1 * z1
     assert sq.partial_z(1) == z1.cmul(2)
     n = 3
     t = tvar(ctx, n)
     zs = [zvar(ctx, i) for i in (1, 2, 3)]
     f = (t - zs[0]) * (t - zs[1]) * (t - zs[2])
-    d = f.coeff_t(2).partial_z(1)
+    d = coeff_t(f, 2).partial_z(1)
     assert d == LaurentPoly(ctx, 0, 3, {(0, 0, 0): 8})  # -1 mod 9
     inv = LaurentPoly(ctx, 0, 1, {(-1,): 1})
     assert inv.partial_z(1) == LaurentPoly(ctx, 0, 1, {(-2,): 8})
@@ -219,8 +223,8 @@ def test_eval_z():
         h = rand_laurent(rng, ctx, 1, 2, 0, 3, 5)
         a = [ctx.rand(rng) for _ in range(2)]
         v = rng.randint(0, 3)
-        assert h.eval_z(a).coeff_t(v).eval_all([], []) == \
-            h.coeff_t(v).eval_z(a).eval_all([], [])
+        assert coeff_t(h.eval_z(a), v).eval_all([], []) == \
+            coeff_t(h, v).eval_z(a).eval_all([], [])
     bad = LaurentPoly(ctx, 0, 1, {(-1,): 1})
     with pytest.raises(NonUnitAtNegativeExponent):
         bad.eval_z([3])
@@ -235,7 +239,7 @@ def test_synth_div_linear():
     phi = dl.master_polynomial(cfg, 1)
     # the factor is dropped from the factored form
     qf = phi.synth_div_linear(z_index=1)
-    assert qf.factored == ((2, 1), (3, 1)) and not qf.is_expanded()
+    assert qf.factored == ((2, 1), (3, 1)) and not is_expanded(qf)
     assert qf.newton_box() == TBox((0,), (2,))
     assert qf.terms == ((t - zs[1]) * (t - zs[2])).terms
     # a multiplicity goes down by one per division
@@ -293,7 +297,6 @@ def test_newton_box():
             continue
         box = prod.newton_box()
         outer = a.newton_box() + b.newton_box()
-        assert outer.contains(box)
         # equality holds for r = 1 products of nonzero polynomials mod p
         assert box == outer
 

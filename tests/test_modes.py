@@ -74,6 +74,31 @@ def test_planted_fault_fails_both_modes(name, monkeypatch):
         assert rep.witness["entry"] == ("det" if name == "det" else [0, 0])
 
 
+@pytest.mark.parametrize("name,method", [("der", "dA"), ("der2", "d2A")])
+def test_planted_derivative_fault_fails_both_modes(name, method, monkeypatch):
+    """Kits whose z-derivative of A(s+1, W_s) has p^(claimed-1) added to
+    entry [0][0].  The fault enters the cleared difference as row 0 of
+    p^(claimed-1) adj(A) det A(s, W_(s-1)), and adj(A) is invertible, so
+    row 0 holds the witness."""
+    claimed = S  # der at m = 0 and der2 both claim p^s
+    target = dl.master_polynomial(dl.KZConfig(dl.ctx_new(P, N), G), S + 1)
+    for cls in (SymbolicKit, PointKit):
+        def faulty(kit, level, F, *args, real=getattr(cls, method), **kw):
+            out = [list(row) for row in real(kit, level, F, *args, **kw)]
+            if (level, F.factored) == (S + 1, target.factored):
+                shift = kit.ring.scal(kit.ctx.from_int(P ** (claimed - 1)),
+                                      kit.ring.one)
+                out[0][0] = kit.ring.add(out[0][0], shift)
+            return out
+        monkeypatch.setattr(cls, method, faulty)
+    for mode in ("symbolic", "pointwise"):
+        rep = _run(name, mode)
+        assert rep.verdict == "fail"
+        assert rep.claimed_valuation == claimed
+        assert rep.observed_min_valuation == claimed - 1
+        assert rep.witness["entry"][0] == 0
+
+
 def test_planted_slice_fault_fails_decomp_in_both_modes(monkeypatch):
     """Kits whose read of W_s^(1) for the ghost recursion has p^(N-1) added
     to its first slice: only the ghost block A(s+1, V_s) sees it."""
