@@ -390,38 +390,6 @@ def verify_solution_congruence(cfg, s, mode="pointwise", points=None):
     return _finish("frame-congruence", desc, s, ctx.N, scan, config)
 
 
-def verify_mod_p_stabilization(cfg, s_max, points):
-    """Corollary of the frame congruence: I_s A(s)^-1 = I_1 A(1)^-1 mod p."""
-    ctx = cfg.ctx
-    sring = ringmat.scalar_ring(ctx)
-    desc = "frames stabilize modulo p to the level-1 frame"
-    config = {"p": ctx.p, "N": ctx.N, "g": cfg.g, "s_max": s_max}
-
-    def one(kit):
-        def frame(lev):
-            A = kit.A(lev, master_polynomial(cfg, lev))
-            kit.unit(ringmat.det(sring, A), OutsideDomain,
-                     f"point {kit.index} outside the unit-det domain")
-            return ringmat.mat_mul(sring, ps_solutions(cfg, lev, kit).entries,
-                                   ringmat.mat_inv_scalar(ctx, A))
-
-        base = frame(1)
-        worst = ctx.N
-        wit = None
-        for lev in range(2, s_max + 1):
-            v, w = _mat_min_val_with_witness(
-                sring, ringmat.mat_sub(sring, frame(lev), base),
-                {**kit.label, "level": lev},
-            )
-            if v < worst:
-                worst, wit = v, w
-        return worst, wit
-
-    scan = _pointwise_scan(_kits("pointwise", points, None, ctx, cfg.delta),
-                           one, 1)
-    return _finish("frame-mod-p", desc, 1, ctx.N, scan, config)
-
-
 def first_row_gradient(cfg, s, kit=None):
     """The n x g matrix of z-gradients of the first Hasse-Witt row of
     A(s, Phi_s); equals ((1 - p^s)/2) I_s exactly."""

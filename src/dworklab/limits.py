@@ -9,8 +9,9 @@ residues, which keeps every Gaudin denominator integral.
 The limits themselves are approximated by iterating the congruence ratios:
 the valuation of consecutive differences must grow by at least one per
 level (Dwork decay), which is the numerical shadow of the convergence
-theorems.  Certificates pass at valuation >= s_max - 1, one digit of
-headroom below the raw expectation; raw valuations are always reported.
+theorems.  A point's report passes only when every decay profile does.
+Certificates pass at valuation >= s_max - 1, one digit of headroom below
+the raw expectation; raw valuations are always reported.
 """
 
 from __future__ import annotations
@@ -304,7 +305,25 @@ def _level_matrix_inv(cfg, lev, kit, twist=0):
     return A, ringmat.mat_inv_scalar(cfg.ctx, A)
 
 
-def limit_A(cfg, point, s_max):
+def _frame(cfg, s, kit):
+    """J_s = I_s A(s, Phi_s)^-1 at the kit's point, and A(s, Phi_s)^-1."""
+    _, Ainv = _level_matrix_inv(cfg, s, kit)
+    I = ps_solutions(cfg, s, kit)
+    return ringmat.mat_mul(kit.ring, I.entries, Ainv), Ainv
+
+
+def _point_kit(cfg, point):
+    return PointKit(cfg.ctx, cfg.delta, point.lift)
+
+
+def _decay(ring, seq):
+    """Per level, the least valuation of a consecutive difference of the
+    iterates in seq, each a {key: matrix} dict."""
+    return [min(ringmat.min_val(ring, ringmat.mat_sub(ring, now[i], was[i]))
+                for i in now) for was, now in zip(seq, seq[1:])]
+
+
+def limit_A(cfg, point, s_max, kit=None):
     """Iterate R_s = A(s+1, Phi_{s+1})(a) A(s, Phi_s)(a^p)^-1, s = 0..s_max-1.
 
     Valuations of consecutive differences must be >= s+1; every ratio has a
@@ -316,7 +335,7 @@ def limit_A(cfg, point, s_max):
     if not point.in_D:
         raise OutsideDomain("point is outside the unit-determinant domain")
     sring = ringmat.scalar_ring(ctx)
-    kit = PointKit(ctx, cfg.delta, point.lift)
+    kit = kit or _point_kit(cfg, point)
     ratios = []
     det_vals = []
     for s in range(s_max):
@@ -326,37 +345,33 @@ def limit_A(cfg, point, s_max):
             R = ringmat.mat_mul(sring, R, inv)
         ratios.append(R)
         det_vals.append(ctx.val(ringmat.det(sring, R)))
-    decay = []
-    for s in range(1, s_max):
-        diff = ringmat.mat_sub(sring, ratios[s], ratios[s - 1])
-        decay.append(ringmat.min_val(sring, diff))
     return {
         "ratios": ratios,
-        "decay": decay,
+        "decay": _decay(sring, [{0: R} for R in ratios]),
         "det_valuations": det_vals,
         "A": ratios[-1],
     }
 
 
-def limit_I(cfg, point, s_max):
+def limit_I(cfg, point, s_max, kit=None):
     """Iterate the three frame sequences at a Teichmueller point:
 
     J_s = I_s A(s, Phi_s)^-1, K_s^(i) = (dI_s/dz_i) A(s, Phi_s)^-1 and
     B_s^(i) = (d A(s, Phi_s)/dz_i) A(s, Phi_s)^-1, for s = 1..s_max.
-    Differences of consecutive iterates must have valuation >= s.
+    Differences of consecutive iterates must have valuation >= s; summed,
+    they give J_s = J_1 mod p.
     """
     ctx = cfg.ctx
     _check_s_max(ctx, s_max)
     if not point.in_D_o:
         raise OutsideDomain("point is outside the residue-distinct o-domain")
     sring = ringmat.scalar_ring(ctx)
-    kit = PointKit(ctx, cfg.delta, point.lift)
+    kit = kit or _point_kit(cfg, point)
     J_seq, K_seq, B_seq = [], [], []
     for s in range(1, s_max + 1):
         phi = master_polynomial(cfg, s)
-        _, Ainv = _level_matrix_inv(cfg, s, kit)
-        I = ps_solutions(cfg, s, kit)
-        J_seq.append(ringmat.mat_mul(sring, I.entries, Ainv))
+        J, Ainv = _frame(cfg, s, kit)
+        J_seq.append(J)
         K = {}
         B = {}
         for i in range(1, cfg.n + 1):
@@ -365,41 +380,37 @@ def limit_I(cfg, point, s_max):
             B[i] = ringmat.mat_mul(sring, kit.dA(s, phi, i), Ainv)
         K_seq.append(K)
         B_seq.append(B)
-    def decay(seq):
-        """Per level, the least valuation of a consecutive difference."""
-        return [min(ringmat.min_val(sring, ringmat.mat_sub(sring, now[i], was[i]))
-                    for i in now) for was, now in zip(seq, seq[1:])]
-
     return {
         "J_seq": J_seq,
         "K_seq": K_seq,
         "B_seq": B_seq,
-        "decay_J": decay([{0: J} for J in J_seq]),
-        "decay_K": decay(K_seq),
-        "decay_B": decay(B_seq),
+        "decay_J": _decay(sring, [{0: J} for J in J_seq]),
+        "decay_K": _decay(sring, K_seq),
+        "decay_B": _decay(sring, B_seq),
         "I": J_seq[-1],
         "I_dirs": K_seq[-1],
         "A_dirs": B_seq[-1],
     }
 
 
-def verify_kz_mc(cfg, point, s_max, frag=None):
+def _gaudin_defects(cfg, point, frag):
+    """K^(i) - H_i J for each direction i, from the limits in frag."""
+    sring = ringmat.scalar_ring(cfg.ctx)
+    J = frag["I"]
+    return {i: ringmat.mat_sub(sring, frag["I_dirs"][i], ringmat.mat_mul(
+                sring, gaudin(cfg, i, point.lift), J))
+            for i in range(1, cfg.n + 1)}
+
+
+def verify_kz_mc(cfg, point, s_max, frag=None, defects=None):
     """Certificate that the direction limits are the Gaudin action:
     K^(i) = H_i J entrywise to valuation >= s_max - 1."""
     ctx = cfg.ctx
     frag = frag or limit_I(cfg, point, s_max)
+    defects = defects or _gaudin_defects(cfg, point, frag)
     sring = ringmat.scalar_ring(ctx)
-    a = point.lift
-    J = frag["I"]
-    observed = ctx.N
-    per_dir = {}
-    for i in range(1, cfg.n + 1):
-        H = gaudin(cfg, i, a)
-        HJ = ringmat.mat_mul(sring, H, J)
-        diff = ringmat.mat_sub(sring, frag["I_dirs"][i], HJ)
-        v = ringmat.min_val(sring, diff)
-        per_dir[i] = v
-        observed = min(observed, v)
+    per_dir = {i: ringmat.min_val(sring, D) for i, D in defects.items()}
+    observed = min(ctx.N, *per_dir.values())
     threshold = s_max - 1
     return Certificate(
         "kz-gaudin-match", observed >= threshold, threshold, observed,
@@ -423,19 +434,19 @@ def _unit_minor_rows(cfg, M):
     return None
 
 
-def verify_invariance(cfg, point, s_max, frag=None):
+def verify_invariance(cfg, point, s_max, frag=None, defects=None):
     """Certificate that the KZ covariant derivative of the frame stays in
     the frame's column span with coefficient matrix -B^(i).
 
     The finite-level covariant derivative is KD_i = K^(i) - J B^(i) - H_i J
     (the middle term is the exact derivative of the inverse); the check is
-    KD_i + J B^(i) = 0 to valuation >= s_max - 1, plus recovery of the
-    coefficients by solving on a unit minor.
+    KD_i + J B^(i) = K^(i) - H_i J = 0 to valuation >= s_max - 1, plus
+    recovery of the coefficients by solving on a unit minor.
     """
     ctx = cfg.ctx
     frag = frag or limit_I(cfg, point, s_max)
+    defects = defects or _gaudin_defects(cfg, point, frag)
     sring = ringmat.scalar_ring(ctx)
-    a = point.lift
     J = frag["I"]
     rows = _unit_minor_rows(cfg, J)
     threshold = s_max - 1
@@ -443,15 +454,9 @@ def verify_invariance(cfg, point, s_max, frag=None):
     recovery = ctx.N
     per_dir = {}
     for i in range(1, cfg.n + 1):
-        H = gaudin(cfg, i, a)
         B = frag["A_dirs"][i]
-        JB = ringmat.mat_mul(sring, J, B)
-        KD = ringmat.mat_sub(
-            sring, ringmat.mat_sub(sring, frag["I_dirs"][i], JB),
-            ringmat.mat_mul(sring, H, J),
-        )
-        resid = ringmat.mat_add(sring, KD, JB)
-        v = ringmat.min_val(sring, resid)
+        KD = ringmat.mat_sub(sring, defects[i], ringmat.mat_mul(sring, J, B))
+        v = ringmat.min_val(sring, defects[i])
         per_dir[i] = v
         observed = min(observed, v)
         if rows is not None:
@@ -478,17 +483,16 @@ def verify_invariance(cfg, point, s_max, frag=None):
 def rank_check(cfg, point, frag=None):
     """Certificate that the limit frame has rank g modulo p.
 
-    Checks the g x g minor of I_1(a) A(1, Phi_1)(a)^-1 in rows 1, 3, ...,
-    2g-1 first; any other unit minor still certifies full rank.
+    Checks the g x g minor of J_1 = I_1(a) A(1, Phi_1)(a)^-1 in rows 1, 3,
+    ..., 2g-1 first; any other unit minor still certifies full rank.  J_1
+    is frag's first frame iterate when given, else read at the point.
     """
     ctx = cfg.ctx
     if not point.in_D:
         raise OutsideDomain("point is outside the unit-determinant domain")
     sring = ringmat.scalar_ring(ctx)
-    kit = PointKit(ctx, cfg.delta, point.lift)
-    _, Ainv = _level_matrix_inv(cfg, 1, kit)
-    I = ps_solutions(cfg, 1, kit)
-    M = ringmat.mat_mul(sring, I.entries, Ainv)
+    M = (frag["J_seq"][0] if frag
+         else _frame(cfg, 1, _point_kit(cfg, point))[0])
     g = cfg.g
     preferred = tuple(range(0, 2 * g - 1, 2))
     sub = [M[r] for r in preferred]
@@ -515,6 +519,17 @@ class LimitReport:
     i_frag: dict
     certificates: list
 
+    @property
+    def passed(self):
+        """The verdict: each of the four decay profiles is >= s + 1 at index
+        s, every ratio determinant is a unit and every certificate passes."""
+        profiles = (self.a_frag["decay"], self.i_frag["decay_J"],
+                    self.i_frag["decay_K"], self.i_frag["decay_B"])
+        return (all(v >= s + 1 for prof in profiles
+                    for s, v in enumerate(prof))
+                and all(v == 0 for v in self.a_frag["det_valuations"])
+                and all(c.passed for c in self.certificates))
+
     def to_json(self):
         ctx = self.cfg.ctx
 
@@ -537,12 +552,15 @@ class LimitReport:
 
 
 def limit_report(cfg, point, s_max):
-    """Full per-point pipeline: decay profiles plus all certificates."""
-    a_frag = limit_A(cfg, point, s_max)
-    i_frag = limit_I(cfg, point, s_max)
+    """Full per-point pipeline, every read through one kit: decay profiles
+    plus all certificates."""
+    kit = _point_kit(cfg, point)
+    a_frag = limit_A(cfg, point, s_max, kit)
+    i_frag = limit_I(cfg, point, s_max, kit)
+    defects = _gaudin_defects(cfg, point, i_frag)
     certs = [
-        verify_kz_mc(cfg, point, s_max, frag=i_frag),
-        verify_invariance(cfg, point, s_max, frag=i_frag),
-        rank_check(cfg, point),
+        verify_kz_mc(cfg, point, s_max, i_frag, defects),
+        verify_invariance(cfg, point, s_max, i_frag, defects),
+        rank_check(cfg, point, i_frag),
     ]
     return LimitReport(cfg, point, s_max, a_frag, i_frag, certs)

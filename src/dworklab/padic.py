@@ -210,17 +210,6 @@ class PadicCtx:
     def coeffs(self, x):
         return (x,) if self.m == 1 else x
 
-    def rand(self, rng):
-        if self.m == 1:
-            return rng.randrange(self.q)
-        return tuple(rng.randrange(self.q) for _ in range(self.m))
-
-    def rand_unit(self, rng):
-        while True:
-            x = self.rand(rng)
-            if self.is_unit(x):
-                return x
-
     # -- ring operations -----------------------------------------------------
 
     def add(self, a, b):
@@ -311,9 +300,6 @@ class PadicCtx:
             v += 1
         return v
 
-    def val_label(self, v):
-        return f">={self.N}" if v >= self.N else str(v)
-
     def is_unit(self, a):
         return self.val(a) == 0
 
@@ -366,18 +352,6 @@ class PadicCtx:
                 break
             x = nxt
         return x
-
-    # -- context conversions --------------------------------------------------
-
-    def embed(self, other_ctx, x):
-        """Map an element of a context with the same p, m and lower N here."""
-        if (other_ctx.p, other_ctx.m) != (self.p, self.m):
-            raise ValueError("incompatible contexts")
-        return self.from_coeffs(other_ctx.coeffs(x))
-
-    def reduce_to(self, other_ctx, x):
-        """Reduce an element into a context with the same p, m and lower N."""
-        return other_ctx.from_coeffs(self.coeffs(x))
 
     # -- serialization ---------------------------------------------------------
 

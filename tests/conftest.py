@@ -8,11 +8,12 @@ import random
 import dworklab as dl
 from dworklab.ghosts import AdmissibleTuple
 from dworklab.laurent import LaurentPoly
+from oracles import rand
 
 
 def rand_coeff(rng, ctx, nonzero=False):
     while True:
-        c = ctx.rand(rng)
+        c = rand(ctx, rng)
         if not nonzero or not ctx.is_zero(c):
             return c
 

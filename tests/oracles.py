@@ -168,3 +168,33 @@ def coeff_t(f, v):
 def is_expanded(f):
     """Whether f's terms have been formed, not only its factored form."""
     return f._terms is not None
+
+
+def rand(ctx, rng):
+    """A uniform element of ctx."""
+    if ctx.m == 1:
+        return rng.randrange(ctx.q)
+    return tuple(rng.randrange(ctx.q) for _ in range(ctx.m))
+
+
+def rand_unit(ctx, rng):
+    while True:
+        x = rand(ctx, rng)
+        if ctx.is_unit(x):
+            return x
+
+
+def val_label(ctx, v):
+    return f">={ctx.N}" if v >= ctx.N else str(v)
+
+
+def embed(ctx, other_ctx, x):
+    """Map an element of a context with the same p, m and lower N into ctx."""
+    if (other_ctx.p, other_ctx.m) != (ctx.p, ctx.m):
+        raise ValueError("incompatible contexts")
+    return ctx.from_coeffs(other_ctx.coeffs(x))
+
+
+def reduce_to(ctx, other_ctx, x):
+    """Reduce an element of ctx into a context with the same p, m and lower N."""
+    return other_ctx.from_coeffs(ctx.coeffs(x))

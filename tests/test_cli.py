@@ -9,6 +9,7 @@ import pytest
 import dworklab as dl
 from dworklab import cli
 from dworklab.cli import run
+from dworklab.hasse_witt import PointKit
 from dworklab.laurent import LaurentPoly
 from conftest import PlantedGhostFault
 
@@ -337,6 +338,38 @@ def test_limit_certifies_the_kth_o_domain_point(o_domain_3_1_2, which):
     assert docs[0]["point_index"] == eligible[k].index
     want.update({"command": "limit", "$schema": "dworklab/report-v1"})
     assert docs == [json.loads(json.dumps(want))]
+
+
+@pytest.mark.parametrize("method,profile", [
+    ("frame", "I_decay"),
+    ("frame_derivative", "I_dirs_decay"),
+    ("dA", "A_dirs_decay"),
+])
+def test_limit_gates_each_frame_profile(method, profile, monkeypatch):
+    """A kit that adds p to entry [0][0] of one level-2 read, in direction
+    1: the profile's level-2 to level-3 difference falls to valuation 1,
+    below its bound 2.  The certificates read the last level and still
+    pass, so only the decay gate turns the exit code to 1."""
+    argv = "limit --p 5 --N 6 --g 1 --m 2 --point 0 --smax 4".split()
+    code, clean = invoke(argv)
+    assert code == 0 and clean[0][profile][1] >= 2
+    target = dl.master_polynomial(dl.KZConfig(dl.ctx_new(5, 6, 2), 1), 2)
+    direction = {"frame": lambda args: 1,
+                 "frame_derivative": lambda args: args[1],
+                 "dA": lambda args: args[2]}[method]
+
+    def faulty(kit, *args, real=getattr(PointKit, method), **kw):
+        out = [list(row) for row in real(kit, *args, **kw)]
+        F = next(x for x in args if isinstance(x, LaurentPoly))
+        if (F.factored, direction(args)) == (target.factored, 1):
+            out[0][0] = kit.ctx.add(out[0][0], kit.ctx.from_int(5))
+        return out
+
+    monkeypatch.setattr(PointKit, method, faulty)
+    code, docs = invoke(argv)
+    assert code == 1 and len(docs) == 1
+    assert docs[0][profile][1] == 1
+    assert all(c["passed"] for c in docs[0]["certificates"])
 
 
 def test_limit_point_out_of_range_exits_2(o_domain_3_1_2, capsys):

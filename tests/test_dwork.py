@@ -13,6 +13,7 @@ from dworklab.ghosts import AdmissibleTuple
 from dworklab.hasse_witt import PointKit, SymbolicKit, hw_indices
 from dworklab.laurent import LaurentPoly, TBox
 from conftest import rand_admissible_tuple, rand_laurent, seeded
+from oracles import rand, rand_unit
 
 
 def kz_bits(p, N, g, length):
@@ -60,7 +61,7 @@ def test_ghost_dense_matches_symbolic():
     ctx, cfg, tup = kz_bits(3, 4, 1, 3)
     gs = dl.ghost_sequence(tup, 2)
     rng = seeded(77)
-    a = [ctx.rand(rng) for _ in range(3)]
+    a = [rand(ctx, rng) for _ in range(3)]
     blocks = dwork._ghost_blocks(PointKit(ctx, tup.delta, a), tup, 2)
     for s in range(3):
         direct = dl.hw_matrix_at(s + 1, gs.V[s], tup.delta, a)
@@ -79,7 +80,7 @@ def test_ghost_blocks_match_the_full_ghosts():
     for tup in tuples:
         ctx, l, n = tup.ctx, len(tup.lams) - 1, tup.lam(0).n
         gs = dl.ghost_sequence(tup, l)
-        a = [ctx.rand_unit(rng) for _ in range(n)]
+        a = [rand_unit(ctx, rng) for _ in range(n)]
         sym = dwork._ghost_blocks(SymbolicKit(ctx, tup.delta, n), tup, l)
         at = dwork._ghost_blocks(PointKit(ctx, tup.delta, a), tup, l)
         for j in range(l + 1):
@@ -136,7 +137,7 @@ def test_ratio_symbolic_and_points_coherent():
     rep = dl.verify_dwork_ratio(tup, 2, mode="symbolic")
     assert rep.passed and rep.observed_min_valuation >= 2
     rng = seeded(15)
-    pts = [[ctx.rand_unit(rng) for _ in range(3)] for _ in range(20)]
+    pts = [[rand_unit(ctx, rng) for _ in range(3)] for _ in range(20)]
     good = [
         a for a in pts
         if ctx.is_unit(dl.hw_det(dl.hw_matrix_at(
@@ -300,7 +301,7 @@ def test_second_derivative_diagonal_matches_symbolic():
         sym = dl.hw_matrix(s, phi, cfg.delta)
         dsyms = {u: hw_partial_z(hw_partial_z(sym, u), u) for u in (1, 2, 3)}
         for _ in range(20):
-            a = [ctx.rand(rng) for _ in range(3)]
+            a = [rand(ctx, rng) for _ in range(3)]
             for u in range(1, 4):
                 direct = hw_second_derivative_at(s, phi, cfg.delta, a, u, u)
                 assert direct.entries == hw_eval(dsyms[u], a).entries
@@ -337,7 +338,7 @@ def test_matrix_calculus_identity_exact():
     for _ in range(5):
         g = 2
         while True:
-            C = [[ctx.rand(rng) for _ in range(g)] for _ in range(g)]
+            C = [[rand(ctx, rng) for _ in range(g)] for _ in range(g)]
             if ctx.is_unit(ringmat.det(ringmat.scalar_ring(ctx), C)):
                 break
         A = [

@@ -8,11 +8,10 @@ from dworklab.kz import (
     first_row_gradient,
     ps_solution_derivative,
     solution_coefficient,
-    verify_mod_p_stabilization,
 )
 from dworklab.laurent import LaurentPoly
 from conftest import seeded
-from oracles import oracle_kz_derivative
+from oracles import oracle_kz_derivative, rand, rand_unit
 
 
 def setup(p, N, g, m=1):
@@ -52,7 +51,7 @@ def test_solutions_level1():
     # out-of-range column extracts zero
     assert solution_coefficient(cfg, 1, cfg.g + 1, 1).is_zero()
     rng = seeded(3)
-    a = [ctx.rand(rng) for _ in range(3)]
+    a = [rand(ctx, rng) for _ in range(3)]
     assert ctx.is_zero(solution_coefficient(cfg, 1, cfg.g + 1, 2,
                                             PointKit(ctx, cfg.delta, a)))
 
@@ -70,7 +69,7 @@ def test_gradient_relation_exact():
                     G[i][l] == I.entries[i][l].cmul(scal)
                     for i in range(cfg.n) for l in range(cfg.g)
                 )
-            a = [ctx.rand(rng) for _ in range(cfg.n)]
+            a = [rand(ctx, rng) for _ in range(cfg.n)]
             Ga = first_row_gradient(cfg, s, PointKit(ctx, cfg.delta, a))
             Ia = dl.ps_solutions(cfg, s, PointKit(ctx, cfg.delta, a))
             assert all(
@@ -116,7 +115,7 @@ def test_partial_fraction_derivative_matches_two_divisions():
         for s in (1, 2):
             for pt in dl.sample_domain_points(p, g, m, 2, rng.randrange(99), ctx):
                 # any lift of an o-domain residue tuple stays in the o-domain
-                a = tuple(ctx.add(x, ctx.scal_int(ctx.rand(rng), p))
+                a = tuple(ctx.add(x, ctx.scal_int(rand(ctx, rng), p))
                           for x in pt.lift)
                 kit = PointKit(ctx, cfg.delta, a)
                 for i in range(1, cfg.n + 1):
@@ -153,7 +152,7 @@ def test_derivative_fallback_at_non_unit_difference():
         rng = seeded(40 + m)
         (pt,) = dl.sample_domain_points(p, 2, m, 1, 3, ctx)
         a = list(pt.lift)
-        a[1] = ctx.add(a[0], ctx.scal_int(ctx.rand_unit(rng), p))
+        a[1] = ctx.add(a[0], ctx.scal_int(rand_unit(ctx, rng), p))
         for s in (1, 2):
             for i in (1, 2, 3):
                 got = ps_solution_derivative(cfg, s, i, PointKit(ctx, cfg.delta, a))
@@ -275,8 +274,8 @@ def test_phi_identities():
     phi = dl.master_polynomial(cfg, 1)
     e = cfg.exponent(1)
     for _ in range(100):
-        a = [ctx.rand(rng) for _ in range(3)]
-        tv = ctx.rand(rng)
+        a = [rand(ctx, rng) for _ in range(3)]
+        tv = rand(ctx, rng)
         lhs = ctx.zero()
         for i in (1, 2, 3):
             off, co = phi.synth_div_linear(z_index=i).dense_t(a)
@@ -299,15 +298,21 @@ def test_solution_congruence_symbolic_and_pointwise():
     assert rep.passed and rep.observed_min_valuation >= 1
     ctx2 = dl.ctx_new(3, 5, 2)
     cfg2 = dl.KZConfig(ctx2, 1)
-    pts = [pt.lift for pt in dl.sample_domain_points(3, 1, 2, 6, 19, ctx2)]
-    vals = []
+    domain = dl.sample_domain_points(3, 1, 2, 6, 19, ctx2)
+    pts = [pt.lift for pt in domain]
     for s in (1, 2, 3):
         rep = dl.verify_solution_congruence(cfg2, s, mode="pointwise",
                                             points=pts)
         assert rep.passed and rep.observed_min_valuation >= s
-        vals.append(rep.observed_min_valuation)
-    rep = verify_mod_p_stabilization(cfg2, 3, pts)
-    assert rep.passed
+    # corollary at the same points: J_s = J_1 mod p, by limit_I's gated
+    # I_decay (consecutive differences >= s) and by the differences to J_1
+    ring = ringmat.scalar_ring(ctx2)
+    for pt in domain:
+        frag = dl.limit_I(cfg2, pt, 3)
+        assert frag["decay_J"] == [1, 2]
+        for J in frag["J_seq"][1:]:
+            diff = ringmat.mat_sub(ring, J, frag["J_seq"][0])
+            assert ringmat.min_val(ring, diff) >= 1
 
 
 def test_solution_minor_leading_term():

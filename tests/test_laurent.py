@@ -19,6 +19,8 @@ from oracles import (
     oracle_expand_factors,
     oracle_mul,
     coeff_t,
+    rand,
+    rand_unit,
     is_expanded,
     t_var,
     z_var,
@@ -97,12 +99,12 @@ def test_frobenius_sub():
     rng = seeded(2)
     for _ in range(100):
         h = rand_laurent(rng, ctx, 1, 2, -2, 3, 4)
-        a = [ctx.rand_unit(rng) for _ in range(2)]
+        a = [rand_unit(ctx, rng) for _ in range(2)]
         ap = [ctx.frob(x, 1) for x in a]
         lhs = h.frobenius_sub(1).eval_z(a)
         rhs = h.eval_z(ap)
         # sigma(F)(a) = F(a^p) including the t variable twist
-        tv = ctx.rand_unit(rng)
+        tv = rand_unit(ctx, rng)
         assert lhs.eval_all([tv], []) == rhs.eval_all([ctx.frob(tv, 1)], [])
 
 
@@ -221,7 +223,7 @@ def test_eval_z():
     rng = seeded(4)
     for _ in range(100):
         h = rand_laurent(rng, ctx, 1, 2, 0, 3, 5)
-        a = [ctx.rand(rng) for _ in range(2)]
+        a = [rand(ctx, rng) for _ in range(2)]
         v = rng.randint(0, 3)
         assert coeff_t(h.eval_z(a), v).eval_all([], []) == \
             coeff_t(h, v).eval_z(a).eval_all([], [])
@@ -458,8 +460,8 @@ def test_dense_kernels_cross_check():
     for p, N, m in [(3, 3, 1), (5, 4, 1), (3, 2, 2), (5, 3, 2)]:
         ctx = dl.ctx_new(p, N, m)
         for ln in (3, 40, 90):
-            a = [ctx.rand(rng) for _ in range(ln)]
-            b = [ctx.rand(rng) for _ in range(ln + 7)]
+            a = [rand(ctx, rng) for _ in range(ln)]
+            b = [rand(ctx, rng) for _ in range(ln + 7)]
             got = dense.dense_mul(ctx, a, b)
             school = (
                 dense._school_mul_int(a, b, ctx.q) if m == 1
@@ -468,8 +470,8 @@ def test_dense_kernels_cross_check():
             assert got == school
             assert got == oracle_dense_mul(a, b, p, N, m, ctx.modulus)
         # kronecker path explicitly
-        a = [ctx.rand(rng) for _ in range(200)]
-        b = [ctx.rand(rng) for _ in range(150)]
+        a = [rand(ctx, rng) for _ in range(200)]
+        b = [rand(ctx, rng) for _ in range(150)]
         fast = dense._kron_mul(ctx, a, b)
         slow = (
             dense._school_mul_int(a, b, ctx.q) if m == 1
@@ -481,7 +483,7 @@ def test_dense_kernels_cross_check():
 def test_dense_pow_and_division():
     ctx = dl.ctx_new(5, 3, 2)
     rng = seeded(6)
-    root = ctx.rand(rng)
+    root = rand(ctx, rng)
     f = dense.dense_linear_pow(ctx, root, 9)
     assert len(f) == 10
     quot, rem = dense.dense_div_linear(ctx, f, root)
@@ -497,14 +499,14 @@ def test_dense_div_linear_matches_reference_loop():
         ctx = dl.ctx_new(p, N, m)
         rng = seeded(100 * m + p)
         for d in (0, 1, 2, 17, 300):
-            f = [ctx.rand(rng) for _ in range(d + 1)]
-            root = ctx.rand(rng)
+            f = [rand(ctx, rng) for _ in range(d + 1)]
+            root = rand(ctx, rng)
             got = dense.dense_div_linear(ctx, f, root)
             assert got == oracle_div_linear(f, root, p, N, m, ctx.modulus)
         # an exact division round-trips; a unit shift of the root leaves a
         # nonzero remainder, and the exact form rejects it
-        g = [ctx.rand(rng) for _ in range(40)]
-        root = ctx.rand(rng)
+        g = [rand(ctx, rng) for _ in range(40)]
+        root = rand(ctx, rng)
         f = dense.dense_mul(ctx, g, [ctx.neg(root), ctx.one()])
         assert dense.dense_div_linear_exact(ctx, f, root) == g
         other = ctx.add(root, ctx.one())

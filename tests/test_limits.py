@@ -287,12 +287,46 @@ def test_unit_minor_rows_fallback():
     assert ctx.is_unit(ringmat.det(ringmat.scalar_ring(ctx), sub))
 
 
-def test_limit_report_bundle():
+def test_limit_report_bundle(monkeypatch):
+    made = []
+
+    class CountingKit(PointKit):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(limits, "PointKit", CountingKit)
     ctx = dl.ctx_new(3, 5, 2)
     cfg = dl.KZConfig(ctx, 1)
     pt = dl.sample_domain_points(3, 1, 2, 1, 41, ctx)[0]
     rep = dl.limit_report(cfg, pt, 3)
+    assert len(made) == 1  # every read of the point goes through one kit
+    assert rep.passed
     doc = rep.to_json()
     assert doc["s_max"] == 3
     assert len(doc["certificates"]) == 3
     assert doc["ctx"]["p"] == 3 and doc["ctx"]["m"] == 2
+    # both KZ certificates read the same residual K^(i) - H_i J
+    kz_mc, span, rank = rep.certificates
+    assert kz_mc.details["per_direction"] == span.details["per_direction"]
+    # the rank certificate took J_1 from the frame iteration; on its own it
+    # reads the same frame through a kit of its own
+    assert dl.rank_check(cfg, pt).to_json() == rank.to_json()
+    assert len(made) == 2
+
+
+def test_limit_verdict_gates_every_profile():
+    ctx = dl.ctx_new(3, 5, 2)
+    cfg = dl.KZConfig(ctx, 1)
+    pt = dl.sample_domain_points(3, 1, 2, 1, 41, ctx)[0]
+    rep = dl.limit_report(cfg, pt, 3)
+    assert rep.passed
+    for frag, name in ((rep.a_frag, "decay"), (rep.i_frag, "decay_J"),
+                       (rep.i_frag, "decay_K"), (rep.i_frag, "decay_B")):
+        good = frag[name]
+        frag[name] = [good[0], 1]  # index 1 must be >= 2
+        assert not rep.passed, name
+        frag[name] = good
+    assert rep.passed
+    rep.a_frag["det_valuations"][0] = 1
+    assert not rep.passed

@@ -145,3 +145,32 @@ def test_planted_slice_fault_fails_phi(divisors, witness, monkeypatch):
     assert rep.verdict == "fail"
     assert rep.observed_min_valuation == N - 1
     assert rep.witness == witness
+
+
+@pytest.mark.parametrize("name,level,row,part", [
+    ("residual", S, 0, {"direction": 1}),
+    ("coS", S + 1, 1, {"part": "frame"}),
+])
+def test_planted_frame_fault_fails_both_modes(name, level, row, part,
+                                              monkeypatch):
+    """Kits whose level frame has p^(s-1) added to entry [row][0]; both
+    checks claim p^s.  coS clears I_(s+1) A(s+1)^-1 by det A(s) det A(s+1),
+    which keeps the fault in its row.  The residual's Gaudin action puts
+    I_1 - I_k in row 0 of direction 1 for every k, so a fault in row 0
+    shows there first."""
+    target = dl.master_polynomial(dl.KZConfig(dl.ctx_new(P, N), G), level)
+    for cls in (SymbolicKit, PointKit):
+        def faulty(kit, F, indices, real=cls.frame):
+            out = [list(row) for row in real(kit, F, indices)]
+            if F.factored == target.factored:
+                shift = kit.ring.scal(kit.ctx.from_int(P ** (S - 1)),
+                                      kit.ring.one)
+                out[row][0] = kit.ring.add(out[row][0], shift)
+            return out
+        monkeypatch.setattr(cls, "frame", faulty)
+    for mode in ("symbolic", "pointwise"):
+        rep = _run(name, mode)
+        assert rep.verdict == "fail"
+        assert (rep.claimed_valuation, rep.observed_min_valuation) == (S, S - 1)
+        assert rep.witness["entry"] == [row, 0]
+        assert rep.witness.items() >= part.items()

@@ -5,7 +5,7 @@ import pytest
 import dworklab as dl
 from dworklab.errors import NotAUnit, NotPrime, OddPrimeRequired
 from conftest import seeded
-from oracles import poly_divides
+from oracles import embed, poly_divides, rand, rand_unit, reduce_to, val_label
 
 
 def test_ctx_examples():
@@ -85,7 +85,7 @@ def test_teichmueller_fixed_point_exhaustive(p, N, m):
 def test_valuation_examples():
     ctx = dl.ctx_new(3, 3, 1)
     assert ctx.val(0) == 3
-    assert ctx.val_label(ctx.val(0)) == ">=3"
+    assert val_label(ctx, ctx.val(0)) == ">=3"
     assert ctx.val(3) == 1
     ctx2 = dl.ctx_new(3, 2, 1)
     assert ctx2.val(ctx2.sub(ctx2.teichmueller(2), 2)) == 1  # 8 - 2 = 6
@@ -120,7 +120,7 @@ def test_unit_inverse_involution(p, N, m):
     ctx = dl.ctx_new(p, N, m)
     rng = seeded(5)
     for _ in range(60):
-        x = ctx.rand_unit(rng)
+        x = rand_unit(ctx, rng)
         y = ctx.inv(x)
         assert ctx.mul(x, y) == ctx.one()
         assert ctx.inv(y) == x
@@ -148,7 +148,7 @@ def test_frobenius_is_exponentiation():
     ctx = dl.ctx_new(3, 3, 2)
     rng = seeded(3)
     for _ in range(20):
-        x = ctx.rand(rng)
+        x = rand(ctx, rng)
         assert ctx.frob(x, 1) == ctx.pow(x, 3)
         assert ctx.frob(x, 2) == ctx.pow(ctx.pow(x, 3), 3)
 
@@ -157,9 +157,9 @@ def test_embed_and_reduce():
     lo = dl.ctx_new(3, 1, 2)
     hi = dl.ctx_new(3, 4, 2)
     x = (2, 1)
-    up = hi.embed(lo, x)
+    up = embed(hi, lo, x)
     assert up == (2, 1)
-    assert hi.reduce_to(lo, hi.add(up, hi.scal_int(hi.one(), 9))) == x
+    assert reduce_to(hi, lo, hi.add(up, hi.scal_int(hi.one(), 9))) == x
 
 
 def test_serialization_roundtrip():
@@ -169,5 +169,5 @@ def test_serialization_roundtrip():
         back = dl.PadicCtx.from_json(doc)
         assert back == ctx
         rng = seeded(7)
-        x = ctx.rand(rng)
+        x = rand(ctx, rng)
         assert ctx.elem_from_json(ctx.elem_to_json(x)) == x

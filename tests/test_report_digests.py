@@ -1,9 +1,10 @@
 """The benchmark jobs emit the reports whose digests the benchmark recorded,
 so a report that drifts fails here and not only in the benchmark: every
-symbolic job, and the pointwise jobs that finish in well under a second (the
+symbolic job, every domain_scan job (the exhaustive and sampled scans and
+`limit`), and the pointwise jobs that finish in well under a second (the
 four division jobs and the m = 2 ratio job, whose dense products take the
-bytes-packed Kronecker path).  perfbench/ is only read: its job list, its
-gate and its digests."""
+bytes-packed Kronecker path).  Each job runs at variant 0.  perfbench/ is
+only read: its job list, its gate and its digests."""
 
 import importlib.util
 import json
@@ -46,4 +47,12 @@ def test_pointwise_reports_match_the_recorded_digests(bench):
         job for job in bench.jobs_for("pointwise_kron", 0)
         if job.id == "pointwise_kron/ratio_p5_ext2"]
     assert len(jobs) == 5
+    _check_jobs(bench, jobs)
+
+
+def test_domain_scan_reports_match_the_recorded_digests(bench):
+    jobs = bench.jobs_for("domain_scan", 0)
+    assert [job.id for job in jobs] == [
+        "domain_scan/scan_exhaustive_g1", "domain_scan/scan_sample_g2",
+        "domain_scan/limit_g1"]
     _check_jobs(bench, jobs)
