@@ -7,22 +7,24 @@ done here by Kronecker substitution: each basis component becomes one big
 number with a fixed-width slot per coefficient, and one big multiply replaces
 the whole convolution.  Results are bit-identical on every path.
 
-- Shorter operand of length <= KRONECKER_CUTOFF (8 for m >= 2): schoolbook,
-  on three plain-int accumulators per coefficient for m = 2.
-- Up to NTT_CUTOFF: Python ints packed through ``bytes`` (Karatsuba).  Slots
-  of up to 8 bytes convert through 64-bit little-endian words: one
-  ``struct.pack`` and one strided copy per slot byte to pack, one strided
-  copy per slot byte into zeroed words and one ``struct.unpack`` to unpack,
-  so no int is made per slot.  The multiply still sees ``width``-byte slots
-  (8-byte slots would slow it).  Wider slots convert one coefficient at a
-  time.
+- At most SCHOOL_PAIRS coefficient pairs len(a) * len(b), and m <= 2:
+  schoolbook, on three plain-int accumulators per coefficient for m = 2.
+- Shorter operand up to NTT_CUTOFF: Python ints packed through ``bytes``
+  (Karatsuba).  Slots of up to 8 bytes convert through 64-bit words (one
+  ``struct.pack`` or ``struct.unpack`` and one strided copy per slot byte),
+  so no int is made per slot; the multiply still sees ``width``-byte slots.
+  Wider slots convert one coefficient at a time.
 - Above NTT_CUTOFF: ``decimal`` numbers packed in base 10^d through a
   zero-padded string join, which libmpdec multiplies by a number-theoretic
   transform.  ``Decimal(int)`` would be quadratic, so ints never cross over.
 
 A square (``a is b``) is packed once and multiplied by itself.  For m >= 2 the
 reduction modulo the defining polynomial is folded into the packed columns
-before unpacking, so only m columns are ever unpacked.
+before unpacking, so only m columns are ever unpacked.  The fold rows are
+signed (-2 for x^2 + 2), and each column is lifted by a multiple of q that
+keeps its slots nonnegative: slots hold about 3 (q - 1)^2 short for x^2 + 2,
+not q (q - 1)^2 short.  dense_pow goes left to right, so every product of
+its chain is a square or has the short base as one operand.
 
 A product of linear factors prod (t - r)^e is also kept as a half split
 R^2 T, R = prod (t - r)^(e // 2) and T = prod (t - r)^(e mod 2), from which
@@ -33,14 +35,15 @@ Hasse-Witt matrix needs g^2 coefficients, not the whole square.
 from __future__ import annotations
 
 import decimal
-import math
 import struct
 from operator import mul
 
 from .errors import NotDivisible
 
-# Schoolbook below this operand length (m = 1); packing overhead dominates.
-KRONECKER_CUTOFF = 32
+# Schoolbook up to this many coefficient pairs len(a) * len(b) (m <= 2): the
+# packed product wins from 150-250 pairs at q = 7^6, 5^5, 3^16 (m = 1) and
+# 5^5, 5^7, 7^6 (m = 2), a little later for 1 x n and 2 x n shapes.
+SCHOOL_PAIRS = 200
 # libmpdec NTT above this shorter-operand length.  The kernels alone cross
 # over between about 1.5k and 2.6k coefficients (q = 7^6 and 5^5); 1024 gave
 # the best pointwise expansion throughput end to end.
@@ -88,15 +91,14 @@ def _unpack_dec(x, width, count, q):
 
 
 def _fold_rows(ctx):
-    """x^k mod (modulus, q) for k = m..2m-2, as coefficient lists in [0, q)."""
-    q, m = ctx.q, ctx.m
-    row = [(-c) % q for c in ctx.modulus[:-1]]
-    rows = [row]
-    for _ in range(m - 2):
-        top = row[-1]
-        row = [(lo + top * r) % q for lo, r in zip([0] + row[:-1], rows[0])]
-        rows.append(row)
-    return rows
+    """x^k mod (modulus, q) for k = m..2m-2, as coefficient lists of signed
+    representatives in (-q/2, q/2]: -2, not q - 2, for x^2 + 2."""
+    q, half = ctx.q, ctx.q // 2
+    rows = [[-c for c in ctx.modulus[:-1]]]
+    for _ in range(ctx.m - 2):  # x^(k+1) = x * x^k, x^m = rows[0]
+        prev = rows[-1]
+        rows.append([lo + prev[-1] * r for lo, r in zip([0] + prev[:-1], rows[0])])
+    return [[(r + half) % q - half for r in row] for row in rows]
 
 
 def _kron_mul(ctx, a, b):
@@ -111,13 +113,18 @@ def _kron_mul(ctx, a, b):
         cols_a = list(zip(*a))
         cols_b = cols_a if square else list(zip(*b))
         rows = _fold_rows(ctx)
-    # terms[k]: products a_i * b_j with i + j = k in the column convolution.
-    # After folding, column i holds its own terms plus rows[k - m][i] < q
-    # times column k's, which sets the slot bound.
-    terms = [min(k, 2 * m - 2 - k) + 1 for k in range(2 * m - 1)]
-    worst = max(terms[i] + sum(r[i] * t for r, t in zip(rows, terms[m:]))
-                for i in range(m))
-    bound = (q - 1) * (q - 1) * short * worst
+    # Slots of column k of the convolution sum min(k, 2m - 2 - k) + 1
+    # products a_i * b_j, each at most (q - 1)^2 short.  Folding adds
+    # rows[k - m][i] times column k to column i; lift[i], the least multiple
+    # of q that covers its negative part, is added to every slot of column i
+    # and vanishes mod q, so every slot stays in [0, bound].
+    cap = [(q - 1) * (q - 1) * short * (min(k, 2 * m - 2 - k) + 1)
+           for k in range(2 * m - 1)]
+    lift, bound = [0] * m, cap[0]
+    for i in range(m):
+        terms = [r[i] * c for r, c in zip(rows, cap[m:])]
+        lift[i] = -(sum(t for t in terms if t < 0) // q) * q
+        bound = max(bound, cap[i] + lift[i] + sum(t for t in terms if t > 0))
     if short > NTT_CUTOFF:
         pack, unpack, width = _pack_dec, _unpack_dec, len(str(bound))
     else:
@@ -126,24 +133,24 @@ def _kron_mul(ctx, a, b):
         pa = [pack(col, width) for col in cols_a]
         pb = pa if square else [pack(col, width) for col in cols_b]
         prods = [0] * (2 * m - 1)
-        for i in range(m):
-            if not pa[i]:
-                continue
-            if square:
-                prods[2 * i] += pa[i] * pa[i]
-                for j in range(i + 1, m):
-                    if pa[j]:
-                        prods[i + j] += 2 * pa[i] * pa[j]
-            else:
-                for j in range(m):
-                    if pb[j]:
-                        prods[i + j] += pa[i] * pb[j]
+        for i in range(m):  # a square forms each cross product once, doubled
+            for j in range(i if square else 0, m):
+                if pa[i] and pb[j]:
+                    x = pa[i] * pb[j]
+                    prods[i + j] += x + x if square and j > i else x
         # x^k = sum_i rows[k - m][i] x^i: reduce before unpacking
         for row, pk in zip(rows, prods[m:]):
             if pk:
                 for i, r in enumerate(row):
                     if r:
                         prods[i] += r * pk
+        if any(lift):  # ones: 1 in each of the count slots
+            if pack is _pack_bytes:
+                ones = int.from_bytes(b"\1".ljust(width, b"\0") * count, "little")
+            else:  # (10^(width count) - 1) / (10^width - 1)
+                ones = (decimal.Decimal(1).scaleb(width * count) - 1) // (10**width - 1)
+            for i, x in enumerate(lift):
+                prods[i] += x * ones
     cols = [unpack(x, width, count, q) if x else [0] * count for x in prods[:m]]
     return cols[0] if m == 1 else list(zip(*cols))
 
@@ -158,40 +165,32 @@ def _school_mul_int(a, b, q):
 
 
 def _school_mul_ext(ctx, a, b):
-    if ctx.m == 2:
-        # three int accumulators per coefficient (1, x, x^2), then one fold
-        # of x^2 = -m0 - m1 x
-        q = ctx.q
-        m0, m1 = ctx.modulus[0], ctx.modulus[1]
-        count = len(a) + len(b) - 1
-        c0, c1, c2 = [0] * count, [0] * count, [0] * count
-        for i, (a0, a1) in enumerate(a):
-            if a0 or a1:
-                for k, (b0, b1) in enumerate(b, i):
-                    c0[k] += a0 * b0
-                    c1[k] += a0 * b1 + a1 * b0
-                    c2[k] += a1 * b1
-        return [((x - m0 * z) % q, (y - m1 * z) % q)
-                for x, y, z in zip(c0, c1, c2)]
-    mul, add = ctx.mul, ctx.add
-    zero = ctx.zero()
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if any(ai):
-            for j, bj in enumerate(b):
-                out[i + j] = add(out[i + j], mul(ai, bj))
-    return out
+    """m = 2: three int accumulators per coefficient (1, x, x^2), then one
+    fold of x^2 = -m0 - m1 x."""
+    q = ctx.q
+    m0, m1 = ctx.modulus[0], ctx.modulus[1]
+    count = len(a) + len(b) - 1
+    c0, c1, c2 = [0] * count, [0] * count, [0] * count
+    for i, (a0, a1) in enumerate(a):
+        if a0 or a1:
+            for k, (b0, b1) in enumerate(b, i):
+                c0[k] += a0 * b0
+                c1[k] += a0 * b1 + a1 * b0
+                c2[k] += a1 * b1
+    return [((x - m0 * z) % q, (y - m1 * z) % q)
+            for x, y, z in zip(c0, c1, c2)]
 
 
-def school_cutoff(ctx):
-    """Longest shorter operand that dense_mul multiplies by schoolbook."""
-    return KRONECKER_CUTOFF if ctx.m == 1 else 8
+def schoolbook(ctx, la, lb):
+    """Whether dense_mul multiplies operands of lengths la and lb by
+    schoolbook: at most SCHOOL_PAIRS coefficient pairs, and m <= 2."""
+    return ctx.m <= 2 and la * lb <= SCHOOL_PAIRS
 
 
 def dense_mul(ctx, a, b):
     if not a or not b:
         return []
-    if min(len(a), len(b)) <= school_cutoff(ctx):
+    if schoolbook(ctx, len(a), len(b)):
         if ctx.m == 1:
             return _school_mul_int(a, b, ctx.q)
         return _school_mul_ext(ctx, a, b)
@@ -199,16 +198,15 @@ def dense_mul(ctx, a, b):
 
 
 def dense_pow(ctx, a, e):
+    """a^e left to right: square, then multiply by a at each set bit of e,
+    so every product but the squares has the short base as one operand."""
     if e == 0:
         return [ctx.one()]
-    result = None
-    base = a
-    while e:
-        if e & 1:
-            result = base if result is None else dense_mul(ctx, result, base)
-        e >>= 1
-        if e:
-            base = dense_mul(ctx, base, base)
+    result = a
+    for bit in bin(e)[3:]:
+        result = dense_mul(ctx, result, result)
+        if bit == "1":
+            result = dense_mul(ctx, result, a)
     return list(result)
 
 
@@ -217,8 +215,10 @@ def dense_linear_pow(ctx, root, e):
     out = [ctx.zero()] * (e + 1)
     neg = ctx.neg(root)
     pw = ctx.one()
+    binom = 1  # comb(e, k), stepped down exactly
     for k in range(e, -1, -1):
-        out[k] = ctx.scal_int(pw, math.comb(e, k))
+        out[k] = ctx.scal_int(pw, binom)
+        binom = binom * k // (e - k + 1)
         if k:
             pw = ctx.mul(pw, neg)
     return out
@@ -263,12 +263,10 @@ def dense_from_roots(ctx, pairs):
     mults = {e for _, e in pairs}
     if len(mults) == 1:
         return dense_pow(ctx, _linear_product(ctx, [r for r, _ in pairs]), mults.pop())
-    polys = sorted((dense_linear_pow(ctx, r, e) for r, e in pairs), key=len)
+    polys = [dense_linear_pow(ctx, r, e) for r, e in pairs]
     while len(polys) > 1:
         polys.sort(key=len)
-        a = polys.pop(0)
-        b = polys.pop(0)
-        polys.append(dense_mul(ctx, a, b))
+        polys.append(dense_mul(ctx, polys.pop(0), polys.pop(0)))
     return polys[0]
 
 

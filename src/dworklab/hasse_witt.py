@@ -159,8 +159,9 @@ class DenseCache:
     the factored form and the point.  ``hw_at`` reads A(level, F) at a: from
     that expansion when it is stored, otherwise from the half split
     F(t, a) = R^2 T (R with the halved multiplicities, T with their parities,
-    kept under the same key) when R is past dense_mul's schoolbook cutoff, so
-    that only g^2 coefficients of the square are formed.  A later ``get``
+    kept under the same key) when dense_mul would not square R by schoolbook
+    (``dense.schoolbook``), so that only g^2 coefficients of the square are
+    formed.  A later ``get``
     builds the expansion as R R T from a stored split.  ``quotient`` keeps the
     exact quotient of the expansion by (t - root), keyed by (factored form,
     point, root), so the frames I_s, their z-derivatives and the derivatives
@@ -208,7 +209,8 @@ class DenseCache:
             half = self._half.get(key)
             if half is None:
                 pairs = F.roots_at(a)
-                if 1 + sum(e // 2 for _, e in pairs) > dense.school_cutoff(ctx):
+                n = 1 + sum(e // 2 for _, e in pairs)
+                if not dense.schoolbook(ctx, n, n):
                     half = self._half[key] = dense.dense_half_split(ctx, pairs)
             if half is not None:
                 return _hw_read(ctx, level, delta,

@@ -7,7 +7,7 @@ import time
 import pytest
 
 import dworklab as dl
-from dworklab import cli
+from dworklab import cli, limits
 from dworklab.cli import run
 from dworklab.hasse_witt import PointKit
 from dworklab.laurent import LaurentPoly
@@ -370,6 +370,31 @@ def test_limit_gates_each_frame_profile(method, profile, monkeypatch):
     assert code == 1 and len(docs) == 1
     assert docs[0][profile][1] == 1
     assert all(c["passed"] for c in docs[0]["certificates"])
+
+
+def test_minor_fails_on_a_rank_deficient_frame(monkeypatch):
+    """J_1 with its second column a copy of the first has rank 1 < g = 2
+    mod p: every 2 x 2 minor vanishes, so each point's certificate fails
+    with no fallback rows, and the command exits 1 (it exits 0 unplanted,
+    in test_kz_verify_other_checks)."""
+    real = limits._frame
+
+    def rank_deficient(cfg, s, kit):
+        J, Ainv = real(cfg, s, kit)
+        return [[row[0], row[0]] for row in J], Ainv
+
+    monkeypatch.setattr(limits, "_frame", rank_deficient)
+    code, docs = invoke(
+        ["kz-verify", "--check", "minor", "--p", "7", "--N", "2", "--g", "2",
+         "--s", "1", "--points", "3", "--seed", "5", "--ext", "2"]
+    )
+    assert code == 1 and docs[0]["verdict"] == "fail"
+    certs = docs[0]["certificates"]
+    assert len(certs) == 3
+    for cert in certs:
+        assert not cert["passed"] and cert["observed"] >= 1
+        assert cert["details"]["preferred_minor_valuation"] >= 1
+        assert cert["details"]["fallback_rows"] is None
 
 
 def test_limit_point_out_of_range_exits_2(o_domain_3_1_2, capsys):

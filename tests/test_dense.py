@@ -1,15 +1,22 @@
 """Differential tests for every dense_mul path against the brute-force oracle.
 
-dense_mul chooses its path from the shorter operand's length: schoolbook up
-to 8 (m >= 2) or KRONECKER_CUTOFF (m = 1), bytes-packed ints up to
-NTT_CUTOFF, decimal above it; a square (``a is b``) takes its own branch in
-both packed paths.  Bytes-packed slots of up to 8 bytes convert through
-64-bit words, wider ones one coefficient at a time.  The random loops lower NTT_CUTOFF so that the oracle can
-check operands on both sides of all three cutovers; extremal coefficients
-then check the real cutover, where they fill every packed slot to its bound.
-The half-power reader (coefficients of R^2 T by dot products over R) and the
-one-pass product of linear factors are checked against oracle expansions.
+dense_mul multiplies by schoolbook when len(a) * len(b) is at most
+SCHOOL_PAIRS (m <= 2 only), otherwise by Kronecker substitution: bytes-packed
+ints while the shorter operand is at most NTT_CUTOFF long, decimal above it;
+a square (``a is b``) takes its own branch in both packed paths.
+Bytes-packed slots of up to 8 bytes convert through 64-bit words, wider ones
+one coefficient at a time.  The random loops lower NTT_CUTOFF so that the
+oracle can check operands on both sides of every cutover; extremal
+coefficients then check the real cutover, where they fill every packed slot
+to its bound, and an empty x^0 column against full other columns checks that
+the lift of the signed m >= 2 fold covers the folded negative terms on both
+packed paths.  dense_pow's left-to-right chain is checked against the
+binomial expansion of (t - r)^e.  The half-power reader (coefficients of
+R^2 T by dot products over R) and the one-pass product of linear factors are
+checked against oracle expansions.
 """
+
+import math
 
 import pytest
 
@@ -29,9 +36,10 @@ LOW_NTT_CUTOFF = 40
 
 
 def _lengths(rng):
-    """Shorter-operand lengths on both sides of 8, 32 and the NTT cutoff."""
-    edges = (8, dense.KRONECKER_CUTOFF, LOW_NTT_CUTOFF)
-    return [e + d for e in edges for d in (0, 1)] + [rng.randrange(1, 70)]
+    """Shorter-operand lengths on both sides of the schoolbook rule's square
+    edge (len(a) * len(b) <= SCHOOL_PAIRS) and of the NTT cutoff."""
+    edges = (math.isqrt(dense.SCHOOL_PAIRS), LOW_NTT_CUTOFF)
+    return [1, 2] + [e + d for e in edges for d in (0, 1)] + [rng.randrange(1, 70)]
 
 
 @pytest.mark.parametrize("p,N,m", CONTEXTS)
@@ -103,9 +111,78 @@ def test_dense_mul_extremal_coefficients_at_the_ntt_cutoff(p, N, m):
             assert dense.dense_mul(ctx, a, b) == want
 
 
+# x^2 + x + 2 is irreducible over F_3 and F_5; ctx_new picks moduli with no
+# x term at m = 2, so this one exercises the m1 part of the x^2 fold.
+M1_MODULUS = (2, 1, 1)
+
+
+@pytest.mark.parametrize("p,N,m,modulus", [
+    (5, 5, 2, None), (3, 2, 2, None), (5, 4, 2, M1_MODULUS), (3, 3, 3, None),
+    (5, 2, 3, None)])
+@pytest.mark.parametrize("ntt", [False, True], ids=["bytes", "decimal"])
+def test_fold_lift_covers_an_empty_column(monkeypatch, p, N, m, modulus, ntt):
+    """The x^0 column all 0 and every other column all q - 1.  Every fold row
+    of these moduli is <= 0, so the folded negative terms reach their bound
+    in full against an empty column, and a lift one q short would borrow
+    across slots."""
+    if ntt:
+        monkeypatch.setattr(dense, "NTT_CUTOFF", LOW_NTT_CUTOFF)
+    ctx = dl.PadicCtx(p, N, m, modulus) if modulus else dl.ctx_new(p, N, m)
+    assert all(r <= 0 for row in dense._fold_rows(ctx) for r in row)
+    top = (0,) + (ctx.q - 1,) * (m - 1)
+    la = LOW_NTT_CUTOFF + 5
+    for lb in (la, la + 12):
+        a = [top] * la
+        b = a if lb == la else [top] * lb
+        want = oracle_dense_mul(a, b, p, N, m, ctx.modulus)
+        assert dense.dense_mul(ctx, a, b) == want
+        assert dense.dense_mul(ctx, b, list(a)) == want
+
+
+@pytest.mark.parametrize("p,N,m", [(7, 6, 1), (5, 5, 2), (3, 3, 3)])
+def test_dense_mul_on_both_sides_of_the_pair_rule(p, N, m):
+    """Schoolbook exactly up to SCHOOL_PAIRS coefficient pairs for m <= 2,
+    never for m >= 3; short-by-long products on both sides of the edge."""
+    ctx = dl.ctx_new(p, N, m)
+    rng = seeded(11 * p + m)
+    for la in (1, 2, 6, 14):
+        lb = dense.SCHOOL_PAIRS // la
+        assert dense.schoolbook(ctx, la, lb) == (m <= 2)
+        assert not dense.schoolbook(ctx, la, lb + 1)
+        for n in (lb, lb + 1):
+            a = [rand(ctx, rng) for _ in range(la)]
+            b = [rand(ctx, rng) for _ in range(n)]
+            want = oracle_dense_mul(a, b, p, N, m, ctx.modulus)
+            assert dense.dense_mul(ctx, a, b) == want
+            assert dense.dense_mul(ctx, b, a) == want
+
+
+@pytest.mark.parametrize("p,N,m", [(7, 6, 1), (5, 5, 2), (3, 3, 3)])
+@pytest.mark.parametrize("e", [4201, 600, 156, 4096, 4095, 8, 7])
+def test_dense_pow_matches_the_binomial_expansion(monkeypatch, p, N, m, e):
+    """(t - r)^e by the left-to-right chain equals the binomial expansion,
+    and every product of the chain is a square or has the base as an
+    operand."""
+    ctx = dl.ctx_new(p, N, m)
+    r = rand(ctx, seeded(e + m))
+    base = [ctx.neg(r), ctx.one()]
+    shapes = []
+    mul = dense.dense_mul
+
+    def recording_mul(ctx, a, b):
+        shapes.append((a is b, len(b)))
+        return mul(ctx, a, b)
+
+    monkeypatch.setattr(dense, "dense_mul", recording_mul)
+    assert dense.dense_pow(ctx, base, e) == dense.dense_linear_pow(ctx, r, e)
+    assert len(shapes) == e.bit_length() - 1 + bin(e).count("1") - 1
+    assert all(square or lb == len(base) for square, lb in shapes)
+
+
 @pytest.mark.parametrize("p,N", [(5, 5), (3, 2), (7, 6)])
 def test_m2_schoolbook_matches_oracle(p, N):
-    """Shorter operands of length 1-8 at m = 2 take the unrolled schoolbook:
+    """Operands of at most SCHOOL_PAIRS coefficient pairs at m = 2 take the
+    unrolled schoolbook:
     all-(q-1) operands fill every accumulator, seeded random ones carry zero
     elements and zero components, and a = b shares one list."""
     ctx = dl.ctx_new(p, N, 2)
@@ -139,11 +216,6 @@ def _multiplicities(rng, kind, n):
     if kind == "odd":
         return [2 * rng.randrange(0, 7) + 1 for _ in range(n)]
     return [rng.randrange(1, 14) for _ in range(n - 1)] + [3]
-
-
-# x^2 + x + 2 is irreducible over F_3 and F_5; ctx_new picks moduli with no
-# x term at m = 2, so this one exercises the m1 part of the x^2 fold.
-M1_MODULUS = (2, 1, 1)
 
 
 @pytest.mark.parametrize("p,N,m,modulus", [

@@ -1,10 +1,12 @@
 """The benchmark jobs emit the reports whose digests the benchmark recorded,
 so a report that drifts fails here and not only in the benchmark: every
 symbolic job, every domain_scan job (the exhaustive and sampled scans and
-`limit`), and the pointwise jobs that finish in well under a second (the
-four division jobs and the m = 2 ratio job, whose dense products take the
-bytes-packed Kronecker path).  Each job runs at variant 0.  perfbench/ is
-only read: its job list, its gate and its digests."""
+`limit`) and every pointwise job: the four division jobs, the m = 2 ratio
+job, whose dense products take the bytes-packed Kronecker path, and the
+p = 7 ratio and det jobs (about 0.3 s each), whose top squares take the
+decimal path and whose powers are the longest chains.  Each job runs at
+variant 0.  perfbench/ is only read: its job list, its gate and its
+digests."""
 
 import importlib.util
 import json
@@ -43,10 +45,11 @@ def test_symbolic_reports_match_the_recorded_digests(bench):
 
 
 def test_pointwise_reports_match_the_recorded_digests(bench):
-    jobs = bench.jobs_for("pointwise_division", 0) + [
-        job for job in bench.jobs_for("pointwise_kron", 0)
-        if job.id == "pointwise_kron/ratio_p5_ext2"]
-    assert len(jobs) == 5
+    jobs = (bench.jobs_for("pointwise_division", 0)
+            + bench.jobs_for("pointwise_kron", 0))
+    assert [job.id for job in jobs][4:] == [
+        "pointwise_kron/ratio_p7", "pointwise_kron/det_p7",
+        "pointwise_kron/ratio_p5_ext2"]
     _check_jobs(bench, jobs)
 
 
