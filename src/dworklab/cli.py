@@ -1,9 +1,13 @@
 """Command-line entry point: JSON-lines reports for every verifier.
 
-Every emitted document carries the schema tag, the command configuration and
-the full coefficient context, so any run can be replayed from its own
-output.  Exit codes: 0 all verdicts pass, 1 verification failure, 2
-configuration error.
+One table, ``COMMANDS``, declares each subcommand: the function that does
+its work, its help and its flags in order, the shared flags spelled once.
+A command returns its report documents and whether every verdict in them
+passed; ``run`` alone tags each document with the schema and the command,
+writes it as one JSON line and maps the verdicts to the exit code.  Every
+document carries the command configuration and the full coefficient
+context, so any run can be replayed from its own output.  Exit codes: 0
+all verdicts pass, 1 verification failure, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -21,10 +25,18 @@ from .padic import ctx_new
 
 SCHEMA = "dworklab/report-v1"
 
-THEOREM_CHOICES = ("1.6i", "1.6ii", "det", "der", "der2", "decomp")
-_THEOREM_ALIASES = {
-    "factorization": "1.6i",
-    "ratio": "1.6ii",
+# --theorem id or alias -> (verifier in ``dwork``, the flags it takes).  The
+# verifier is looked up by name at each run, so that a wrapper installed on
+# the module (a tracer, a test's patch) sees the call.
+THEOREMS = {
+    "1.6i": ("verify_frobenius_factorization", ()),
+    "factorization": ("verify_frobenius_factorization", ()),
+    "1.6ii": ("verify_dwork_ratio", ()),
+    "ratio": ("verify_dwork_ratio", ()),
+    "det": ("verify_det_congruence", ()),
+    "der": ("verify_derivative_congruence", ("m", "v")),
+    "der2": ("verify_second_derivative_congruence", ("u", "v")),
+    "decomp": ("verify_decomposition", ()),
 }
 
 
@@ -38,30 +50,19 @@ def _parse_delta(text):
         raise ConfigError(f"malformed --delta {text!r}") from exc
 
 
-def _load_json(path):
+def _read_input(path, what, parse):
+    """parse(the JSON of path), any read or shape error in it a ConfigError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not JSON: {exc}") from exc
-
-
-def _read_input(path, what, parse):
-    """parse(the JSON of path), any shape error in it a ConfigError."""
-    data = _load_json(path)
     try:
         return parse(data)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"{path} is not {what}: {exc!r}") from exc
-
-
-def _emit(doc, args):
-    doc = {"$schema": SCHEMA, **doc}
-    line = json.dumps(doc, sort_keys=True)
-    out = getattr(args, "_out", sys.stdout)
-    out.write(line + "\n")
 
 
 def _require(cond, message):
@@ -69,13 +70,22 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
-def _kz_points(args, ctx, g):
-    return [
-        pt.lift
-        for pt in limits.sample_domain_points(
-            ctx.p, g, args.ext, args.points, args.seed, ctx
-        )
-    ]
+def _kz_family(args, m):
+    """The context Z_(p^m)/p^N and the genus-g KZ family over it."""
+    ctx = ctx_new(args.p, args.N, m)
+    return ctx, kz.KZConfig(ctx, args.g)
+
+
+def _points(args, ctx, symbolic):
+    """None for a symbolic run, which takes no --points or --ext; else the
+    run's --points sampled o-domain points, lifted into ctx."""
+    if symbolic:
+        _require((args.points, args.ext) == (0, 1),
+                 "symbolic checks take no --points or --ext")
+        return None
+    _require(args.points > 0, "pointwise mode needs --points")
+    return limits.sample_domain_points(ctx.p, args.g, args.ext, args.points,
+                                       args.seed, ctx)
 
 
 def _point_from_file(ctx, path, n):
@@ -106,29 +116,23 @@ def cmd_ghosts(args):
     delta = _parse_delta(args.delta)
     tup = AdmissibleTuple(lams, delta, periodic=periodic)
     gs = ghost_sequence(tup, args.l)
-    ok = True
+    docs = []
     for s, (v, val) in enumerate(zip(gs.V, gs.min_vals)):
-        passed = val >= min(s, ctx.N)
-        ok = ok and passed
-        _emit(
-            {
-                "command": "ghosts",
-                "ctx": ctx.to_json(),
-                "s": s,
-                "min_coefficient_valuation": val,
-                "claimed": min(s, ctx.N),
-                "verdict": "pass" if passed else "fail",
-                "ghost": v.to_json(),
-                "admissible": tup.certificate.ok,
-            },
-            args,
-        )
-    return 0 if ok else 1
+        claimed = min(s, ctx.N)
+        docs.append({
+            "ctx": ctx.to_json(),
+            "s": s,
+            "min_coefficient_valuation": val,
+            "claimed": claimed,
+            "verdict": "pass" if val >= claimed else "fail",
+            "ghost": v.to_json(),
+            "admissible": tup.certificate.ok,
+        })
+    return docs, all(doc["verdict"] == "pass" for doc in docs)
 
 
 def cmd_hw(args):
-    ctx = ctx_new(args.p, args.N, args.ext)
-    cfg = kz.KZConfig(ctx, args.g)
+    ctx, cfg = _kz_family(args, args.ext)
     phi = kz.master_polynomial(cfg, args.m)
     if args.at:
         a = _point_from_file(ctx, args.at, cfg.n)
@@ -141,73 +145,44 @@ def cmd_hw(args):
         det = hw_det(Aw)
         det_json = det.to_json()
         det_val = det.valuation()
-    _emit(
-        {
-            "command": "hw",
-            "ctx": ctx.to_json(),
-            "level": args.m,
-            "g": args.g,
-            "matrix": Aw.to_json(),
-            "det": det_json,
-            "det_valuation": det_val,
-        },
-        args,
-    )
-    return 0
+    return [{
+        "ctx": ctx.to_json(),
+        "level": args.m,
+        "g": args.g,
+        "matrix": Aw.to_json(),
+        "det": det_json,
+        "det_valuation": det_val,
+    }], True
 
 
 def cmd_congruence(args):
-    theorem = _THEOREM_ALIASES.get(args.theorem, args.theorem)
-    _require(theorem in THEOREM_CHOICES, f"unknown theorem id {args.theorem}")
-    _require(not args.symbolic or (args.points, args.ext) == (0, 1),
-             "--symbolic takes no --points or --ext")
-    ctx = ctx_new(args.p, args.N, args.ext)
     _require(args.N >= args.s + 1, "need N >= s + 1 precision headroom")
-    if theorem == "der":
+    if args.theorem == "der":
         _require(args.N >= args.s + args.m + 1,
                  "need N >= s + m + 1 precision headroom")
-    cfg = kz.KZConfig(ctx, args.g)
-    length = args.s + 1
-    tup = kz.kz_tuple(cfg, length=length, periodic=False)
-    mode = "symbolic" if args.symbolic else "pointwise"
-    points = None
-    if not args.symbolic:
-        _require(args.points > 0, "pointwise mode needs --points")
-        points = _kz_points(args, ctx, args.g)
-    verify, kwargs = {
-        "decomp": (dwork.verify_decomposition, {}),
-        "1.6i": (dwork.verify_frobenius_factorization, {}),
-        "1.6ii": (dwork.verify_dwork_ratio, {}),
-        "det": (dwork.verify_det_congruence, {}),
-        "der": (dwork.verify_derivative_congruence, {"m": args.m, "v": args.v}),
-        "der2": (dwork.verify_second_derivative_congruence,
-                 {"u": args.u, "v": args.v}),
-    }[theorem]
-    rep = verify(tup, args.s, mode=mode, points=points, **kwargs)
-    doc = rep.to_json()
-    doc.update({"command": "congruence", "theorem": args.theorem,
-                "ctx": ctx.to_json(), "seed": args.seed})
-    _emit(doc, args)
-    return 0 if rep.passed else 1
+    ctx, cfg = _kz_family(args, args.ext)
+    tup = kz.kz_tuple(cfg, length=args.s + 1, periodic=False)
+    points = _points(args, ctx, args.symbolic)
+    name, flags = THEOREMS[args.theorem]
+    rep = getattr(dwork, name)(
+        tup, args.s, mode="symbolic" if args.symbolic else "pointwise",
+        points=points and [pt.lift for pt in points],
+        **{flag: getattr(args, flag) for flag in flags})
+    return [{**rep.to_json(), "theorem": args.theorem, "ctx": ctx.to_json(),
+             "seed": args.seed}], rep.passed
 
 
 def cmd_kz_solve(args):
-    ctx = ctx_new(args.p, args.N, args.ext)
-    cfg = kz.KZConfig(ctx, args.g)
+    ctx, cfg = _kz_family(args, args.ext)
     kit = None
     if args.at:
         kit = PointKit(ctx, cfg.delta, _point_from_file(ctx, args.at, cfg.n))
     sol = kz.ps_solutions(cfg, args.s, kit)
-    _emit(
-        {
-            "command": "kz-solve",
-            "ctx": ctx.to_json(),
-            "solution": sol.to_json(),
-            "column_sum_valuations": sol.column_sum_valuations(),
-        },
-        args,
-    )
-    return 0
+    return [{
+        "ctx": ctx.to_json(),
+        "solution": sol.to_json(),
+        "column_sum_valuations": sol.column_sum_valuations(),
+    }], True
 
 
 def cmd_kz_verify(args):
@@ -216,78 +191,55 @@ def cmd_kz_verify(args):
              "--i applies only to --check residual")
     _require(not (symbolic and args.check == "minor"),
              "minor is pointwise only: --symbolic does not apply")
-    _require(not symbolic or (args.points, args.ext) == (0, 1),
-             "symbolic checks take no --points or --ext")
-    ctx = ctx_new(args.p, args.N, args.ext)
     _require(args.N >= args.s + 1, "need N >= s + 1 precision headroom")
-    cfg = kz.KZConfig(ctx, args.g)
-    if args.check == "phi":
-        rep = kz.verify_phi_identities(cfg, args.s)
-    elif args.check == "minor":
-        points = limits.sample_domain_points(
-            ctx.p, args.g, args.ext, args.points, args.seed, ctx)
+    ctx, cfg = _kz_family(args, args.ext)
+    points = _points(args, ctx, symbolic)
+    if args.check == "minor":
         certs = [limits.rank_check(cfg, pt) for pt in points]
         ok = all(c.passed for c in certs)
-        _emit(
-            {
-                "command": "kz-verify",
-                "check": "minor",
-                "ctx": ctx.to_json(),
-                "certificates": [c.to_json() for c in certs],
-                "verdict": "pass" if ok else "fail",
-            },
-            args,
-        )
-        return 0 if ok else 1
+        return [{
+            "check": "minor",
+            "ctx": ctx.to_json(),
+            "certificates": [c.to_json() for c in certs],
+            "verdict": "pass" if ok else "fail",
+        }], ok
+    if args.check == "phi":
+        rep = kz.verify_phi_identities(cfg, args.s)
     else:
-        mode = "symbolic" if args.symbolic else "pointwise"
-        points = None if args.symbolic else _kz_points(args, ctx, args.g)
+        mode = "symbolic" if symbolic else "pointwise"
+        lifts = points and [pt.lift for pt in points]
         if args.check == "residual":
-            rep = kz.kz_residual(cfg, args.s, i=args.i, mode=mode, points=points)
+            rep = kz.kz_residual(cfg, args.s, i=args.i, mode=mode, points=lifts)
         else:
             rep = kz.verify_solution_congruence(cfg, args.s, mode=mode,
-                                               points=points)
-    doc = rep.to_json()
-    doc.update({"command": "kz-verify", "check": args.check,
-                "ctx": ctx.to_json(), "seed": args.seed})
-    _emit(doc, args)
-    return 0 if rep.passed else 1
+                                               points=lifts)
+    return [{**rep.to_json(), "check": args.check, "ctx": ctx.to_json(),
+             "seed": args.seed}], rep.passed
 
 
 def cmd_domain_scan(args):
-    if args.exhaustive:
-        res = limits.scan_domain(args.p, args.g, args.m, mode="exhaustive",
-                                 keep_points=args.emit_points)
-    else:
-        _require(args.sample is not None, "give --exhaustive or --sample K")
-        res = limits.scan_domain(args.p, args.g, args.m, mode="sample",
-                                 k=args.sample, seed=args.seed,
-                                 keep_points=args.emit_points)
+    _require(args.exhaustive or args.sample is not None,
+             "give --exhaustive or --sample K")
+    res = limits.scan_domain(args.p, args.g, args.m,
+                             mode="exhaustive" if args.exhaustive else "sample",
+                             k=args.sample, seed=args.seed,
+                             keep_points=args.emit_points)
     ctx1 = ctx_new(args.p, 1, args.m)
-    doc = res.to_json(ctx1)
-    doc["ctx"] = ctx1.to_json()
-    if not args.emit_points:
-        doc["points"] = []
+    doc = {**res.to_json(ctx1), "ctx": ctx1.to_json()}
     ok = True
     if res.nonempty_bound is not None and res.mode == "exhaustive":
         ok = res.in_d_count >= res.nonempty_bound
         doc["bound_verdict"] = "pass" if ok else "fail"
-    doc["command"] = "domain-scan"
-    _emit(doc, args)
-    return 0 if ok else 1
+    return [doc], ok
 
 
 def cmd_limit(args):
     _require(args.N >= args.smax + 1, "need N >= s_max + 1 precision headroom")
-    ctx = ctx_new(args.p, args.N, args.m)
-    cfg = kz.KZConfig(ctx, args.g)
+    ctx, cfg = _kz_family(args, args.m)
     pt = limits.nth_domain_point(args.p, args.g, args.m, args.point,
                                  args.seed, ctx)
     report = limits.limit_report(cfg, pt, args.smax)
-    doc = report.to_json()
-    doc["command"] = "limit"
-    _emit(doc, args)
-    return 0 if report.passed else 1
+    return [report.to_json()], report.passed
 
 
 def cmd_admissible(args):
@@ -312,19 +264,70 @@ def cmd_admissible(args):
                                 periodic=args.periodic, depth=args.depth)
     else:
         raise ConfigError("give --tuple FILE or --boxes lo:hi,...")
-    _emit(
-        {
-            "command": "admissible",
-            "p": args.p,
-            "delta": list(delta),
-            "ok": cert.ok,
-            "complete": cert.complete,
-            "checked_depth": cert.checked_depth,
-            "witness": cert.witness,
-        },
-        args,
-    )
-    return 0 if cert.ok else 1
+    return [{
+        "p": args.p,
+        "delta": list(delta),
+        "ok": cert.ok,
+        "complete": cert.complete,
+        "checked_depth": cert.checked_depth,
+        "witness": cert.witness,
+    }], cert.ok
+
+
+_INT = {"type": int, "required": True}
+_REQUIRED = {"required": True}
+_P = {"--p": _INT}
+_N = {"--N": _INT}
+_EXT = {"--ext": {"type": int, "default": 1,
+                  "help": "extension degree of the point coefficients"}}
+_SEED = {"--seed": {"type": int, "default": 0}}
+_SAMPLED = {"--symbolic": {"action": "store_true"},
+            "--points": {"type": int, "default": 0}}
+_AT = {"--at": {"help": "JSON file with a point"}}
+
+# subcommand -> (function, help, {flag: add_argument keywords} in order)
+COMMANDS = {
+    "ghosts": (cmd_ghosts, "ghost sequence of a tuple file", {
+        **_P, **_N, "--l": _INT, "--tuple": _REQUIRED, "--delta": _REQUIRED}),
+    "hw": (cmd_hw, "Hasse-Witt matrix of the master polynomial", {
+        **_P, **_N, **_EXT, "--m": {**_INT, "help": "matrix level"},
+        "--g": _INT, **_AT}),
+    "congruence": (cmd_congruence, "run one congruence verifier", {
+        **_P, **_N, **_EXT, **_SEED,
+        "--theorem": {**_REQUIRED, "choices": sorted(THEOREMS)},
+        "--s": _INT,
+        "--m": {"type": int, "default": 0, "help": "twist power for der"},
+        "--g": {"type": int, "default": 1},
+        "--u": {"type": int, "default": 1},
+        "--v": {"type": int, "default": 1},
+        **_SAMPLED}),
+    "kz-solve": (cmd_kz_solve, "emit the level-s solution frame", {
+        **_P, **_N, **_EXT, "--g": _INT, "--s": _INT, **_AT}),
+    "kz-verify": (cmd_kz_verify, "KZ residual and frame checks", {
+        **_P, **_N, **_EXT, **_SEED,
+        "--check": {**_REQUIRED,
+                    "choices": ("residual", "phi", "coS", "minor")},
+        "--g": _INT, "--s": _INT,
+        "--i": {"type": int, "default": None,
+                "help": "single direction (default: all)"},
+        **_SAMPLED}),
+    "domain-scan": (cmd_domain_scan, "enumerate or sample the domain", {
+        **_P, "--g": _INT, "--m": _INT,
+        "--exhaustive": {"action": "store_true"},
+        "--sample": {"type": int, "default": None},
+        **_SEED, "--emit-points": {"action": "store_true"}}),
+    "limit": (cmd_limit, "limit iteration report at one point", {
+        **_P, **_N, "--g": _INT, "--m": _INT,
+        "--point": {**_INT, "help": "index into the deterministic o-domain "
+                    "enumeration"},
+        "--smax": _INT, **_SEED}),
+    "admissible": (cmd_admissible, "admissibility of boxes or a tuple", {
+        **_P, "--N": {"type": int, "default": 2}, "--delta": _REQUIRED,
+        "--tuple": {}, "--boxes": {"help": "comma list of lo:hi t-support "
+                                           "intervals"},
+        "--periodic": {"action": "store_true"},
+        "--depth": {"type": int, "default": 8}}),
+}
 
 
 def build_parser():
@@ -333,94 +336,10 @@ def build_parser():
         description="exact p-adic congruence verification toolkit",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp, N=True, ext=True, seed=True):
-        sp.add_argument("--p", type=int, required=True)
-        if N:
-            sp.add_argument("--N", type=int, required=True)
-        if ext:
-            sp.add_argument("--ext", type=int, default=1,
-                            help="extension degree of the point coefficients")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
-
-    sp = sub.add_parser("ghosts", help="ghost sequence of a tuple file")
-    common(sp, ext=False, seed=False)
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--tuple", required=True)
-    sp.add_argument("--delta", required=True)
-    sp.set_defaults(fn=cmd_ghosts)
-
-    sp = sub.add_parser("hw", help="Hasse-Witt matrix of the master polynomial")
-    common(sp, seed=False)
-    sp.add_argument("--m", type=int, required=True, help="matrix level")
-    sp.add_argument("--g", type=int, required=True)
-    sp.add_argument("--at", help="JSON file with a point")
-    sp.set_defaults(fn=cmd_hw)
-
-    sp = sub.add_parser("congruence", help="run one congruence verifier")
-    common(sp)
-    sp.add_argument("--theorem", required=True,
-                    choices=sorted(set(THEOREM_CHOICES) | set(_THEOREM_ALIASES)))
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--m", type=int, default=0, help="twist power for der")
-    sp.add_argument("--g", type=int, default=1)
-    sp.add_argument("--u", type=int, default=1)
-    sp.add_argument("--v", type=int, default=1)
-    sp.add_argument("--symbolic", action="store_true")
-    sp.add_argument("--points", type=int, default=0)
-    sp.set_defaults(fn=cmd_congruence)
-
-    sp = sub.add_parser("kz-solve", help="emit the level-s solution frame")
-    common(sp, seed=False)
-    sp.add_argument("--g", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--at", help="JSON file with a point")
-    sp.set_defaults(fn=cmd_kz_solve)
-
-    sp = sub.add_parser("kz-verify", help="KZ residual and frame checks")
-    common(sp)
-    sp.add_argument("--check", required=True,
-                    choices=("residual", "phi", "coS", "minor"))
-    sp.add_argument("--g", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--i", type=int, default=None,
-                    help="single direction (default: all)")
-    sp.add_argument("--symbolic", action="store_true")
-    sp.add_argument("--points", type=int, default=0)
-    sp.set_defaults(fn=cmd_kz_verify)
-
-    sp = sub.add_parser("domain-scan", help="enumerate or sample the domain")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--g", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--sample", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--emit-points", action="store_true")
-    sp.set_defaults(fn=cmd_domain_scan)
-
-    sp = sub.add_parser("limit", help="limit iteration report at one point")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--g", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--point", type=int, required=True,
-                    help="index into the deterministic o-domain enumeration")
-    sp.add_argument("--smax", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(fn=cmd_limit)
-
-    sp = sub.add_parser("admissible", help="admissibility of boxes or a tuple")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--N", type=int, default=2)
-    sp.add_argument("--delta", required=True)
-    sp.add_argument("--tuple")
-    sp.add_argument("--boxes", help="comma list of lo:hi t-support intervals")
-    sp.add_argument("--periodic", action="store_true")
-    sp.add_argument("--depth", type=int, default=8)
-    sp.set_defaults(fn=cmd_admissible)
-
+    for name, (_, help_text, flags) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kwargs in flags.items():
+            sp.add_argument(flag, **kwargs)
     return ap
 
 
@@ -428,6 +347,8 @@ _PARSER = None
 
 
 def run(argv, out=None):
+    """Run one command line: write its report documents to out (stdout by
+    default), one JSON line each, and return the exit code."""
     global _PARSER
     if _PARSER is None:  # built once per process: it takes milliseconds
         _PARSER = build_parser()
@@ -435,16 +356,19 @@ def run(argv, out=None):
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if out is not None:
-        args._out = out
     try:
-        return args.fn(args)
+        docs, passed = COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DworkLabError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
+    out = sys.stdout if out is None else out
+    for doc in docs:
+        out.write(json.dumps({"$schema": SCHEMA, "command": args.command,
+                              **doc}, sort_keys=True) + "\n")
+    return 0 if passed else 1
 
 
 def main():

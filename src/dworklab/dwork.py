@@ -186,9 +186,14 @@ def _kits(mode, points, symbolic, ctx, delta):
     """The kits a verifier runs over: one point kit per point, made as the
     scan reaches it so that one point's memo is alive at a time, or in
     symbolic mode the single kit that ``symbolic()`` makes after its size
-    and degeneracy checks."""
-    if mode != "symbolic":
+    and degeneracy checks.  Any other mode, or points given to the symbolic
+    mode, would check something other than what was asked: both raise."""
+    if mode == "pointwise":
         return (PointKit(ctx, delta, a, idx) for idx, a in enumerate(points or ()))
+    if mode != "symbolic":
+        raise InvalidParameter(f"unknown mode {mode!r}: symbolic or pointwise")
+    if points is not None:
+        raise InvalidParameter("symbolic mode takes no points")
     return [symbolic()]
 
 
@@ -299,6 +304,9 @@ def _ghost_blocks(kit, tup, s):
 def verify_decomposition(ghost_seq_or_tuple, s, mode="symbolic", points=None):
     """Exact identity A(s+1, W_s) = sum_j A(j, V_{j-1}) sigma^j A(s-j+1, W_s^(j))
     + A(s+1, V_s); the claimed valuation is the full working precision.
+    The identity holds by the construction of V_s, so the verdict also
+    requires the theorem's content, A(s+1, V_s) = 0 mod p^s, read at
+    ``extra["ghost_block_valuation"]``.
 
     The ghost blocks A(j+1, V_j) are read slice by slice (``_ghost_blocks``);
     a ``GhostSeq`` stands for its tuple."""
@@ -335,8 +343,12 @@ def verify_decomposition(ghost_seq_or_tuple, s, mode="symbolic", points=None):
         _tuple_kits(tup, s, mode, points, nondegenerate=False, reads=reads,
                     slices=slices),
         one, N)
-    return _finish("decomposition", desc, N, N, scan, config,
-                   {"ghost_block_valuation": min(r[2] for r in scan.results)})
+    ghost = min(r[2] for r in scan.results)
+    rep = _finish("decomposition", desc, N, N, scan, config,
+                  {"ghost_block_valuation": ghost})
+    if ghost < min(s, N):  # the ghost divisibility A(s+1, V_s) = 0 mod p^s
+        rep.verdict = "fail"
+    return rep
 
 
 # ---------------------------------------------------------------------------

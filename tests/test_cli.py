@@ -1,8 +1,10 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -305,15 +307,55 @@ def test_reports_are_reproducible():
 
 
 def test_console_entry_point():
+    src = str(Path(dl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dworklab", "congruence", "--theorem",
          "ratio", "--p", "3", "--N", "3", "--s", "1", "--symbolic",
          "--g", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["verdict"] == "pass"
+
+
+# every required flag of each subcommand, and nothing else
+REQUIRED_ONLY = {
+    "ghosts": "--p 3 --N 3 --l 1 --tuple t.json --delta 1",
+    "hw": "--p 3 --N 3 --m 1 --g 1",
+    "congruence": "--p 3 --N 3 --theorem ratio --s 1",
+    "kz-solve": "--p 3 --N 3 --g 1 --s 1",
+    "kz-verify": "--p 3 --N 3 --check coS --g 1 --s 1",
+    "domain-scan": "--p 3 --g 1 --m 1",
+    "limit": "--p 3 --N 3 --g 1 --m 1 --point 0 --smax 1",
+    "admissible": "--p 3 --delta 1",
+}
+
+
+def test_parser_defaults(capsys):
+    parser = cli.build_parser()
+    parsed = {name: vars(parser.parse_args([name] + argv.split()))
+              for name, argv in REQUIRED_ONLY.items()}
+    assert (parsed["admissible"]["N"], parsed["admissible"]["depth"]) == (2, 8)
+    assert {k: parsed["congruence"][k] for k in "guvm"} == {
+        "g": 1, "u": 1, "v": 1, "m": 0}
+    for flag, want, names in (
+        ("ext", 1, {"hw", "congruence", "kz-solve", "kz-verify"}),
+        ("seed", 0, {"congruence", "kz-verify", "domain-scan", "limit"}),
+        ("points", 0, {"congruence", "kz-verify"}),
+        ("i", None, {"kz-verify"}),
+        ("sample", None, {"domain-scan"}),
+    ):
+        assert {name for name, ns in parsed.items() if flag in ns} == names
+        assert all(parsed[name][flag] == want for name in names), flag
+    for name, argv in REQUIRED_ONLY.items():
+        words = argv.split()
+        for k in range(0, len(words), 2):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([name] + words[:k] + words[k + 2:])
+            assert exc.value.code == 2, (name, words[k])
+    capsys.readouterr()
 
 
 LIMIT_3_1_2 = ["limit", "--p", "3", "--N", "4", "--g", "1", "--m", "2",

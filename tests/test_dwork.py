@@ -44,8 +44,8 @@ def test_decomposition_symbolic():
         rep = dl.verify_decomposition(gs, s, mode="symbolic")
         assert rep.passed
         assert rep.observed_min_valuation == ctx.N
-        # Lemma-style ghost block divisibility
-        assert rep.extra["ghost_block_valuation"] >= s
+        # Lemma-style ghost block divisibility, and it is sharp
+        assert rep.extra["ghost_block_valuation"] == s
 
 
 def test_decomposition_pointwise():
@@ -54,7 +54,7 @@ def test_decomposition_pointwise():
     tup = dl.kz_tuple(cfg, length=4, periodic=False)
     rep = dl.verify_decomposition(tup, 3, mode="pointwise", points=pts)
     assert rep.passed and rep.observed_min_valuation == ctx.N
-    assert rep.extra["ghost_block_valuation"] >= 3
+    assert rep.extra["ghost_block_valuation"] == 3
 
 
 def test_ghost_dense_matches_symbolic():
@@ -199,7 +199,7 @@ def test_symbolic_gate_counts_the_entries_read():
     with pytest.raises(SizeCapExceeded):
         dwork._sym_gate(tup, 4)
     rep = dl.verify_decomposition(tup, 4, mode="symbolic")
-    assert rep.passed and rep.extra["ghost_block_valuation"] >= 4
+    assert rep.passed and rep.extra["ghost_block_valuation"] == 4
     tup7 = dl.kz_tuple(dl.KZConfig(dl.ctx_new(3, 7, 1), 1), length=6,
                        periodic=False)
     with pytest.raises(SizeCapExceeded):

@@ -2,9 +2,15 @@
 point kits.  Evaluation at a point can only raise a valuation, and a fault
 planted in the kits' matrices fails both modes."""
 
+import io
+import json
+
 import pytest
 
 import dworklab as dl
+from dworklab import dwork
+from dworklab.cli import run
+from dworklab.errors import InvalidParameter
 from dworklab.hasse_witt import PointKit, SymbolicKit
 
 P, N, S, G = 3, 5, 3, 1
@@ -116,6 +122,57 @@ def test_planted_slice_fault_fails_decomp_in_both_modes(monkeypatch):
         rep = _run("decomp", mode)
         assert rep.verdict == "fail"
         assert rep.observed_min_valuation == N - 1
+
+
+def test_planted_ghost_divisibility_fault_fails_decomp(monkeypatch):
+    """Kits whose ghost block A(s+1, V_s) and A(s+1, W_s) both have
+    p^(s-1) added to entry [0][0]: the decomposition identity still holds,
+    the ghost divisibility A(s+1, V_s) = 0 mod p^s does not.  The verdict
+    once gated the identity alone and passed."""
+    target = dl.master_polynomial(dl.KZConfig(dl.ctx_new(P, N), G), S + 1)
+
+    def shifted(kit, x):
+        return kit.ring.add(x, kit.ring.scal(kit.ctx.from_int(P ** (S - 1)),
+                                             kit.ring.one))
+
+    def blocks(kit, tup, s, real=dwork._ghost_blocks):
+        out = real(kit, tup, s)
+        out[s][0][0] = shifted(kit, out[s][0][0])
+        return out
+
+    monkeypatch.setattr(dwork, "_ghost_blocks", blocks)
+    for cls in (SymbolicKit, PointKit):
+        def faulty(kit, level, F, twist=0, real=cls.A):
+            out = [list(row) for row in real(kit, level, F, twist)]
+            if (level, twist, getattr(F, "factored", None)) == (
+                    S + 1, 0, target.factored):
+                out[0][0] = shifted(kit, out[0][0])
+            return out
+        monkeypatch.setattr(cls, "A", faulty)
+    argv = ["congruence", "--theorem", "decomp", "--p", str(P), "--N", str(N),
+            "--s", str(S), "--g", str(G)]
+    for mode, flags in (("symbolic", ["--symbolic"]),
+                        ("pointwise", ["--points", "4", "--ext", "2"])):
+        rep = _run("decomp", mode)
+        assert rep.verdict == "fail"
+        assert rep.observed_min_valuation == rep.claimed_valuation == N
+        assert rep.extra["ghost_block_valuation"] == S - 1
+        out = io.StringIO()
+        assert run(argv + flags, out=out) == 1
+        assert json.loads(out.getvalue())["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("name", ["1.6ii", "residual"])
+def test_modes_refuse_what_they_would_ignore(name):
+    """Points given to the symbolic mode, or a mode that is neither
+    symbolic nor pointwise, once ran the other evaluation and passed."""
+    ctx = dl.ctx_new(P, N, 2)
+    cfg = dl.KZConfig(ctx, G)
+    tup = dl.kz_tuple(cfg, length=S + 1, periodic=False)
+    points = [pt.lift for pt in dl.sample_domain_points(P, G, 2, 2, 7, ctx)]
+    for mode in ("symbolic", "Symbolic", "points"):
+        with pytest.raises(InvalidParameter):
+            CHECKS[name](cfg, tup, S, mode=mode, points=points)
 
 
 @pytest.mark.parametrize("divisors,witness", [
