@@ -346,7 +346,7 @@ def verify_decomposition(ghost_seq_or_tuple, s, mode="symbolic", points=None):
     ghost = min(r[2] for r in scan.results)
     rep = _finish("decomposition", desc, N, N, scan, config,
                   {"ghost_block_valuation": ghost})
-    if ghost < min(s, N):  # the ghost divisibility A(s+1, V_s) = 0 mod p^s
+    if ghost < s:  # the ghost divisibility A(s+1, V_s) = 0 mod p^s; N >= s
         rep.verdict = "fail"
     return rep
 
