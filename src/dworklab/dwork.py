@@ -306,7 +306,7 @@ def verify_decomposition(ghost_seq_or_tuple, s, mode="symbolic", points=None):
     + A(s+1, V_s); the claimed valuation is the full working precision.
     The identity holds by the construction of V_s, so the verdict also
     requires the theorem's content, A(s+1, V_s) = 0 mod p^s, read at
-    ``extra["ghost_block_valuation"]``.
+    ``extra["ghost_block_valuation"]`` (with the witness if it alone fails).
 
     The ghost blocks A(j+1, V_j) are read slice by slice (``_ghost_blocks``);
     a ``GhostSeq`` stands for its tuple."""
@@ -336,7 +336,7 @@ def verify_decomposition(ghost_seq_or_tuple, s, mode="symbolic", points=None):
                                   ringmat.mat_mul(ring, blocks[j - 1], Sj))
         diff = ringmat.mat_sub(ring, lhs, acc)
         return (*_mat_min_val_with_witness(ring, diff, kit.label),
-                ringmat.min_val(ring, blocks[s]))
+                *_mat_min_val_with_witness(ring, blocks[s], kit.label))
 
     slices = [(i, j, ms) for (i, j), ms in _ghost_plan(tup, s)[1].items()]
     scan = _pointwise_scan(
@@ -347,7 +347,8 @@ def verify_decomposition(ghost_seq_or_tuple, s, mode="symbolic", points=None):
     rep = _finish("decomposition", desc, N, N, scan, config,
                   {"ghost_block_valuation": ghost})
     if ghost < s:  # the ghost divisibility A(s+1, V_s) = 0 mod p^s; N >= s
-        rep.verdict = "fail"
+        rep.verdict = "fail"  # if the identity holds, point at the block
+        rep.witness = rep.witness or next(r[3] for r in scan.results if r[2] < s)
     return rep
 
 

@@ -15,14 +15,17 @@ the frame congruences I_{s+1} A(s+1)^-1 = I_s A(s)^-1 mod p^s.  Frames are
 read through the kits of ``hasse_witt``; the residual and the frame
 congruences are stated once, with denominators cleared, over either kit.
 The two identities of Phi_s behind the residual are checked symbolically
-only, slice by slice, in a reduced form with no cleared factors.
+only, in a reduced form with no cleared factors, on one flat list per
+factored form: its Kronecker image in z at t = 1.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 from . import ringmat
 from .dwork import (
@@ -44,7 +47,7 @@ from .laurent import LaurentPoly
 from .ghosts import AdmissibleTuple
 
 # Largest (e + 1)^n, e the multiplicity of Phi_s, that the symbolic frame
-# checks expand.
+# checks expand; it is the length of each flat list the phi check reads.
 FRAME_TERM_GATE = 200_000
 
 
@@ -59,10 +62,8 @@ class KZConfig:
         if self.g < 1:
             raise InvalidParameter("genus must be >= 1")
         if self.ctx.p < 2 * self.g + 1:
-            raise InvalidParameter(
-                f"p = {self.ctx.p} is too small for genus {self.g}; "
-                f"need p >= 2g+1"
-            )
+            raise InvalidParameter(f"p = {self.ctx.p} is too small for genus "
+                                   f"{self.g}; need p >= 2g+1")
 
     @property
     def n(self):
@@ -161,13 +162,6 @@ def ps_solutions(cfg, s, kit=None):
     indices = _frame_indices(cfg, s)
     rows = kit.frame(master_polynomial(cfg, s), indices)
     return SolutionMatrix(cfg, s, rows, kit.mode == "pointwise", indices)
-
-
-def solution_coefficient(cfg, s, ell, i, kit=None):
-    """Single entry for any column index; zero outside 1..g."""
-    rows = _kit(cfg, kit).frame(master_polynomial(cfg, s),
-                                (ell * cfg.ctx.p**s - 1,))
-    return rows[i - 1][0]
 
 
 def ps_solution_derivative(cfg, s, i, kit=None):
@@ -284,6 +278,17 @@ def kz_residual(cfg, s, i=None, mode="symbolic", points=None):
                    if scan.points is None else None)
 
 
+def _flat(F, base):
+    """F at t = 1 as integers mod q, z^alpha at sum_i alpha_i base^(i-1):
+    the outer product of the rows (-1)^a C(e_i, a), each padded to base."""
+    q, mult, out = F.ctx.q, dict(F.factored), [1]
+    for i in range(1, F.n + 1):
+        e = mult.get(i, 0)
+        row = [(-1) ** a * math.comb(e, a) % q for a in range(e + 1)]
+        out = [r * x % q for r in row + [0] * (base - 1 - e) for x in out]
+    return out
+
+
 def verify_phi_identities(cfg, s):
     """The two master-polynomial identities behind the residual theorem,
     with e = (p^s - 1)/2, Q_i = Phi_s/(t - z_i) and, one per unordered
@@ -298,46 +303,48 @@ def verify_phi_identities(cfg, s):
     P = prod_{j != i}(z_i - z_j), its row k is e P/(z_i - z_k) times row k
     above, and once those hold its row i is P times row i above.  e is a
     unit and P/(z_i - z_k) has a unit coefficient, so by Gauss's lemma
-    (F_q[z] has no zero divisors) neither changes a valuation.  Every
-    t-slice is read through a ``SymbolicKit``; D_ii is not read when
-    e - 1 = 0 mod p^N (at p^s = 3 it does not exist).
+    (F_q[z] has no zero divisors) neither changes a valuation.
+
+    Each form is read once by ``_flat`` at t = 1 and base e + 1, which
+    loses nothing: every form and both sides of (1) and (2) are homogeneous
+    in (t, z) of known degree d, so z^alpha comes with t^(d - |alpha|), and
+    no z-exponent exceeds e, not even in z_i D_ik.  So z_i is a shift by
+    (e + 1)^(i-1), d/dt the weight d - |alpha|, and a valuation that of the
+    gcd with q.  D_ii is not read when e - 1 = 0 mod p^N (p^s = 3 has none).
     """
     ctx, n, e = cfg.ctx, cfg.n, cfg.exponent(s)
     _frame_gate(cfg, s, "symbolic identity check too large")
-    kit = SymbolicKit(ctx, cfg.delta, n)
-    ring, phi, dirs = kit.ring, master_polynomial(cfg, s), range(1, n + 1)
-    ts = range(n * e + 1)  # the t-degree of Phi_s bounds every read
+    q, base, dirs = ctx.q, e + 1, range(1, n + 1)
+    dq = [n * e - 1]  # d/dt of the term z^alpha of Q_i: n e - 1 - |alpha|
+    for _ in dirs:
+        dq = [d - a for a in range(base) for d in dq]
+    # lazy maps over the lists; map stops at the shortest, so z_i u is cut
+    add, sub, mul = (partial(map, f) for f in
+                     (operator.add, operator.sub, operator.mul))
+    const, chain = itertools.repeat, itertools.chain
 
-    def dt(F):
-        return [ring.scal(k, x) for k, x in enumerate(F)][1:] + [ring.zero]
+    def least(u):
+        return ctx.val(ctx.from_int(math.gcd(q, *u)))
 
-    def worst(diffs):
-        return min(map(ring.val, diffs))
-
+    phi = master_polynomial(cfg, s)
     quot = [phi.synth_div_linear(z_index=i) for i in dirs]
-    Q = [kit.coeffs(F, ts) for F in quot]
+    Q = [_flat(F, base) for F in quot]
     D = {}
     for i, k in itertools.combinations_with_replacement(dirs, 2):
         D[i, k] = D[k, i] = (
-            kit.coeffs(quot[i - 1].synth_div_linear(z_index=k), ts)
-            if k != i or (e - 1) % ctx.q else [ring.zero] * len(ts))
-    z = [kit.z(i) for i in dirs]
-
-    def row(i, k):  # the slices of lhs - rhs of row k of (2), direction i
-        if k != i:
-            zik = ring.sub(z[i - 1], z[k - 1])
-            return (ring.sub(ring.sub(a, b), ring.mul(zik, d))
-                    for a, b, d in zip(Q[i - 1], Q[k - 1], D[i, k]))
-        return (ring.sub(dq, ring.add(
-            ring.scal(e - 1, D[i, i][m]),
-            ring.scal(e, reduce(ring.add, (D[i, j][m] for j in dirs if j != i)))))
-            for m, dq in enumerate(dt(Q[i - 1])))
-
-    val = {(): worst(ring.sub(ring.scal(e, reduce(ring.add, col)), d)
-                     for col, d in zip(zip(*Q), dt(kit.coeffs(phi, ts))))}
-    for i, k in itertools.product(dirs, dirs):
+            _flat(quot[i - 1].synth_div_linear(z_index=k), base)
+            if k != i or (e - 1) % q else [0] * base**n)
+    val = {(): least(sub(mul(const(e), reduce(add, Q)),
+                         mul(add(dq, const(1)), _flat(phi, base))))}
+    for i, k in itertools.combinations_with_replacement(dirs, 2):
         # row k of direction i and row i of direction k are one identity
-        val[i, k] = val[k, i] if (k, i) in val else worst(row(i, k))
+        val[i, k] = least(
+            sub(sub(Q[i - 1], Q[k - 1]),
+                sub(chain(const(0, base**(i - 1)), D[i, k]),
+                    chain(const(0, base**(k - 1)), D[i, k])))
+            if k != i else sub(mul(dq, Q[i - 1]), add(
+                mul(const(e - 1), D[i, i]),
+                mul(const(e), reduce(add, (D[i, j] for j in dirs if j != i))))))
     where, observed = min(val.items(), key=lambda kv: kv[1])  # first least
     witness = (None if observed == ctx.N else {"identity": 1} if not where
                else {"identity": 2, "direction": where[0], "row": where[1]})
@@ -389,12 +396,3 @@ def verify_solution_congruence(cfg, s, mode="pointwise", points=None):
         one, s)
     return _finish("frame-congruence", desc, s, ctx.N, scan, config)
 
-
-def first_row_gradient(cfg, s, kit=None):
-    """The n x g matrix of z-gradients of the first Hasse-Witt row of
-    A(s, Phi_s); equals ((1 - p^s)/2) I_s exactly."""
-    kit = _kit(cfg, kit)
-    c = cfg.ctx.from_int(-cfg.exponent(s))
-    return [[kit.ring.scal(c, x) for x in row]
-            for row in kit.frame(master_polynomial(cfg, s),
-                                 _frame_indices(cfg, s))]

@@ -5,6 +5,7 @@ library results can be checked against genuinely different code.  The last
 section holds small helpers over the library's types that only tests need.
 """
 
+from dworklab.kz import _frame_indices, _kit, master_polynomial
 from dworklab.laurent import LaurentPoly
 
 
@@ -168,6 +169,24 @@ def coeff_t(f, v):
 def is_expanded(f):
     """Whether f's terms have been formed, not only its factored form."""
     return f._terms is not None
+
+
+def solution_coefficient(cfg, s, ell, i, kit=None):
+    """Entry (i, ell) of the level-s frame for any column index ell; zero
+    outside 1..g."""
+    rows = _kit(cfg, kit).frame(master_polynomial(cfg, s),
+                                (ell * cfg.ctx.p**s - 1,))
+    return rows[i - 1][0]
+
+
+def first_row_gradient(cfg, s, kit=None):
+    """The n x g matrix of z-gradients of the first Hasse-Witt row of
+    A(s, Phi_s); equals ((1 - p^s)/2) I_s exactly."""
+    kit = _kit(cfg, kit)
+    c = cfg.ctx.from_int(-cfg.exponent(s))
+    return [[kit.ring.scal(c, x) for x in row]
+            for row in kit.frame(master_polynomial(cfg, s),
+                                 _frame_indices(cfg, s))]
 
 
 def rand(ctx, rng):

@@ -4,14 +4,16 @@ import dworklab as dl
 from dworklab import ringmat
 from dworklab.errors import DirectionOutOfRange, NonUnitDifference, NotDivisible
 from dworklab.hasse_witt import PointKit
-from dworklab.kz import (
-    first_row_gradient,
-    ps_solution_derivative,
-    solution_coefficient,
-)
+from dworklab.kz import _flat, ps_solution_derivative
 from dworklab.laurent import LaurentPoly
 from conftest import seeded
-from oracles import oracle_kz_derivative, rand, rand_unit
+from oracles import (
+    first_row_gradient,
+    oracle_kz_derivative,
+    rand,
+    rand_unit,
+    solution_coefficient,
+)
 
 
 def setup(p, N, g, m=1):
@@ -290,6 +292,36 @@ def test_phi_identities():
         for k in reversed(range(len(dphi))):
             rhs = ctx.add(ctx.mul(rhs, tv), dphi[k])
         assert lhs == rhs
+    # the forms have integer coefficients, so m = 2 checks the same lists
+    cfg2 = setup(3, 4, 1, m=2)[1]
+    for s in (1, 2):
+        assert (dl.verify_phi_identities(cfg2, s).to_json()
+                == dl.verify_phi_identities(setup(3, 4, 1)[1], s).to_json())
+
+
+def test_flat_read_is_the_image_of_the_terms():
+    """_flat on random factored forms (uneven multiplicities, a missing
+    index, a single factor) is the image of the expanded terms at t = 1,
+    and each term's t-exponent is the degree minus |alpha|, so that image
+    loses nothing."""
+    rng = seeded(23)
+    ctx = dl.ctx_new(3, 3)
+    for trial in range(12):
+        n = rng.randint(2, 4)
+        idx = list(range(1, n + 1))
+        if trial % 3 == 1:
+            idx.remove(rng.choice(idx))
+        elif trial % 3 == 2:
+            idx = [rng.choice(idx)]
+        F = LaurentPoly.from_factors(ctx, n,
+                                     [(i, rng.randint(1, 6)) for i in idx])
+        deg = sum(e for _, e in F.factored)
+        base = max(e for _, e in F.factored) + 1 + trial % 2
+        image = [0] * base**n
+        for (k, *alpha), c in F.terms.items():
+            assert k == deg - sum(alpha)
+            image[sum(a * base**j for j, a in enumerate(alpha))] = c
+        assert _flat(F, base) == image
 
 
 def test_solution_congruence_symbolic_and_pointwise():

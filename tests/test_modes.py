@@ -8,7 +8,7 @@ import json
 import pytest
 
 import dworklab as dl
-from dworklab import dwork
+from dworklab import dwork, kz
 from dworklab.cli import run
 from dworklab.errors import InvalidParameter
 from dworklab.hasse_witt import PointKit, SymbolicKit
@@ -128,7 +128,8 @@ def test_planted_ghost_divisibility_fault_fails_decomp(monkeypatch):
     """Kits whose ghost block A(s+1, V_s) and A(s+1, W_s) both have
     p^(s-1) added to entry [0][0]: the decomposition identity still holds,
     the ghost divisibility A(s+1, V_s) = 0 mod p^s does not.  The verdict
-    once gated the identity alone and passed."""
+    once gated the identity alone and passed, and then failed with no
+    witness; the witness is now the block's entry."""
     target = dl.master_polynomial(dl.KZConfig(dl.ctx_new(P, N), G), S + 1)
 
     def shifted(kit, x):
@@ -157,9 +158,12 @@ def test_planted_ghost_divisibility_fault_fails_decomp(monkeypatch):
         assert rep.verdict == "fail"
         assert rep.observed_min_valuation == rep.claimed_valuation == N
         assert rep.extra["ghost_block_valuation"] == S - 1
+        assert rep.witness["entry"] == [0, 0]
         out = io.StringIO()
         assert run(argv + flags, out=out) == 1
-        assert json.loads(out.getvalue())["verdict"] == "fail"
+        printed = json.loads(out.getvalue())
+        assert printed["verdict"] == "fail"
+        assert printed["witness"]["entry"] == [0, 0]
 
 
 @pytest.mark.parametrize("name", ["1.6ii", "residual"])
@@ -175,32 +179,39 @@ def test_modes_refuse_what_they_would_ignore(name):
             CHECKS[name](cfg, tup, S, mode=mode, points=points)
 
 
-@pytest.mark.parametrize("divisors,witness", [
-    # Q_2 enters identity (1) first
-    pytest.param((2,), {"identity": 1}, id="Q2"),
-    # D_23 enters row 2 of direction 2 (through e D_23) before row 3
-    pytest.param((2, 3), {"identity": 2, "direction": 2, "row": 2}, id="D23"),
+@pytest.mark.parametrize("divisors,witness,config", [
+    pytest.param(divisors, witness, config, id=name + suffix)
+    for config, suffix in (((P, N, S), ""), ((3, 6, 4), "-s4"))
+    for name, divisors, witness in (
+        # Q_2 enters identity (1) first
+        ("Q2", (2,), {"identity": 1}),
+        # D_23 enters row 2 of direction 2 (through e D_23) before row 3
+        ("D23", (2, 3), {"identity": 2, "direction": 2, "row": 2}),
+    )
 ])
-def test_planted_slice_fault_fails_phi(divisors, witness, monkeypatch):
-    """A symbolic kit whose read of Phi_s over the (t - z_i), i in divisors,
-    has p^(N-1) added to its first slice.  D_ii is left alone: it enters
-    only through e - 1, of valuation 1 at p = 3, which kills such a fault."""
-    cfg = dl.KZConfig(dl.ctx_new(P, N), G)
-    target = dl.master_polynomial(cfg, S)
+def test_planted_slice_fault_fails_phi(divisors, witness, config, monkeypatch):
+    """A flat read of Phi_s over the (t - z_i), i in divisors, with
+    p^(N-1) added to one coefficient of its t^0 slice: that of
+    prod_i z_i^(e_i), at flat index sum_i e_i base^(i-1).  D_ii is left
+    alone: it enters only through e - 1, of valuation 1 at p = 3, which
+    kills such a fault."""
+    p, prec, s = config
+    cfg = dl.KZConfig(dl.ctx_new(p, prec), G)
+    target = dl.master_polynomial(cfg, s)
     for i in divisors:
         target = target.synth_div_linear(z_index=i)
 
-    def faulty(kit, F, indices, twist=0, real=SymbolicKit.coeffs):
-        out = real(kit, F, indices, twist)
+    def faulty(F, base, real=kz._flat):
+        out = real(F, base)
         if F.factored == target.factored:
-            out[0] = kit.ring.add(out[0], kit.ring.scal(
-                kit.ctx.from_int(P ** (N - 1)), kit.ring.one))
+            out[sum(e * base ** (i - 1) for i, e in F.factored)] += (
+                p ** (prec - 1))
         return out
 
-    monkeypatch.setattr(SymbolicKit, "coeffs", faulty)
-    rep = dl.verify_phi_identities(cfg, S)
+    monkeypatch.setattr(kz, "_flat", faulty)
+    rep = dl.verify_phi_identities(cfg, s)
     assert rep.verdict == "fail"
-    assert rep.observed_min_valuation == N - 1
+    assert rep.observed_min_valuation == prec - 1
     assert rep.witness == witness
 
 
