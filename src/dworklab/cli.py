@@ -156,6 +156,12 @@ def cmd_hw(args):
 
 
 def cmd_congruence(args):
+    name, flags = THEOREMS[args.theorem]
+    table = COMMANDS["congruence"][2]
+    for flag in ("m", "u", "v"):  # the run would ignore a flag not listed
+        _require(flag in flags
+                 or getattr(args, flag) == table[f"--{flag}"]["default"],
+                 f"--{flag} does not apply to --theorem {args.theorem}")
     _require(args.N >= args.s + 1, "need N >= s + 1 precision headroom")
     if args.theorem == "der":
         _require(args.N >= args.s + args.m + 1,
@@ -163,7 +169,6 @@ def cmd_congruence(args):
     ctx, cfg = _kz_family(args, args.ext)
     tup = kz.kz_tuple(cfg, length=args.s + 1, periodic=False)
     points = _points(args, ctx, args.symbolic)
-    name, flags = THEOREMS[args.theorem]
     rep = getattr(dwork, name)(
         tup, args.s, mode="symbolic" if args.symbolic else "pointwise",
         points=points and [pt.lift for pt in points],

@@ -4,8 +4,11 @@ Each verifier returns a :class:`CongruenceReport` with the claimed modulus
 exponent and the observed minimum deviation valuation.  Each congruence is
 stated once, with its inverse matrices eliminated by Cramer clearing:
 X M^-1 and Y K^-1 agree mod p^s iff X adj(M) det(K) = Y adj(K) det(M) mod
-p^s, since the determinants are units.  The mode only picks the kits the
-statement is evaluated over (see ``hasse_witt``):
+p^s, since the determinants are units.  A verifier keeps only its
+statement one(kit) -> (valuation, witness, ...), its claim, the Hasse-Witt
+reads it plans and what is its own; one driver, ``_verify``, checks s, the
+directions, admissibility and the precision the claim needs, makes the
+kits of the mode (see ``hasse_witt``), scans them and reports:
 
 * symbolic: one kit of z-polynomial matrices, so the congruence is checked
   as a polynomial identity; gated by a term cap, and the determinants are
@@ -15,8 +18,9 @@ statement is evaluated over (see ``hasse_witt``):
   report is the one of X M^-1 - Y K^-1.  The sigma twist acts on points as
   a -> a^p.
 
-Claimed valuations come verbatim from the congruence statements; observed
-valuations are never rounded up.
+The driver's kits, scan and report (``_report``) also serve the KZ frame
+checks of ``kz``.  Claimed valuations come verbatim from the congruence
+statements; observed valuations are never rounded up.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import partial, reduce
-from typing import NamedTuple
 
 from . import ringmat
 from .errors import (
@@ -70,33 +73,6 @@ class CongruenceReport:
 
     def to_json(self):
         return asdict(self)
-
-
-class Scan(NamedTuple):
-    """A verifier's pass over its kits: the kits' mode, the minimum
-    valuation, the witness of the first kit below the claim, the number of
-    points (None for the symbolic kit) and each kit's result."""
-
-    mode: str
-    observed: int
-    witness: dict | None
-    points: int | None
-    results: list
-
-
-def _finish(theorem_id, description, claimed, N, scan, config, extra=None):
-    return CongruenceReport(
-        theorem_id, description, scan.mode, claimed, scan.observed,
-        "pass" if scan.observed >= claimed else "fail", N, scan.witness,
-        scan.points, config, extra or {})
-
-
-def _require_precision(ctx, claimed):
-    if claimed > ctx.N:
-        raise PrecisionTooLow(
-            f"a congruence modulo p^{claimed} cannot be witnessed at "
-            f"precision N={ctx.N}"
-        )
 
 
 def _mat_min_val_with_witness(ring, M, label):
@@ -182,49 +158,83 @@ def _check_nondegenerate_symbolic(tup, upto):
             )
 
 
-def _kits(mode, points, symbolic, ctx, delta):
-    """The kits a verifier runs over: one point kit per point, made as the
-    scan reaches it so that one point's memo is alive at a time, or in
-    symbolic mode the single kit that ``symbolic()`` makes after its size
-    and degeneracy checks.  Any other mode, or points given to the symbolic
-    mode, would check something other than what was asked: both raise."""
+def _pointwise_scan(kits, one, claimed):
+    """Run one(kit) -> (valuation, witness, ...) over the kits, merging by
+    minimum valuation; the symbolic kit counts as a single point.
+
+    Returns the minimum, the witness of the first kit below the claim (in
+    input order) and each kit's result.  No points would be a vacuous
+    pass, so it is a configuration error.
+    """
+    results = [one(kit) for kit in kits]
+    if not results:
+        raise ConfigError("pointwise mode needs at least one point")
+    witness = next((r[1] for r in results if r[0] < claimed), None)
+    return min(r[0] for r in results), witness, results
+
+
+def _report(theorem_id, description, claimed, config, family, mode, points,
+            symbolic, one, finish=None):
+    """The report of one(kit) against the claim over the kits of the mode:
+    one PointKit per point over the family's (a tuple's or a KZ family's)
+    ctx and delta, made as the scan reaches it so that one point's memo is
+    alive at a time, or the one kit symbolic() makes after its checks.  Any
+    other mode, or points given to the symbolic mode, would check something
+    other than what was asked: both raise.  ``config`` adds to p and N, and
+    finish(report, results) adds what is the verifier's own."""
+    ctx = family.ctx
     if mode == "pointwise":
-        return (PointKit(ctx, delta, a, idx) for idx, a in enumerate(points or ()))
-    if mode != "symbolic":
+        kits = (PointKit(ctx, family.delta, a, idx)
+                for idx, a in enumerate(points or ()))
+    elif mode != "symbolic":
         raise InvalidParameter(f"unknown mode {mode!r}: symbolic or pointwise")
-    if points is not None:
+    elif points is not None:
         raise InvalidParameter("symbolic mode takes no points")
-    return [symbolic()]
+    else:
+        kits = [symbolic()]
+    observed, witness, results = _pointwise_scan(kits, one, claimed)
+    rep = CongruenceReport(
+        theorem_id, description, mode, claimed, observed,
+        "pass" if observed >= claimed else "fail", ctx.N, witness,
+        None if mode == "symbolic" else len(results),
+        {"p": ctx.p, "N": ctx.N, **config})
+    if finish:
+        finish(rep, results)
+    return rep
 
 
-def _tuple_kits(tup, s, mode, points, nondegenerate=True, reads=None,
-                slices=()):
+def _verify(theorem_id, description, tup, s, mode, points, one, *, claimed,
+            reads, least=1, precision=None, slices=None, nondegenerate=True,
+            finish=None, **params):
+    """``_report`` of a tuple verifier after the checks, in this order:
+    s >= least; among ``params``, the directions u and v in 1..n and the
+    twist m >= 0; admissibility; and N >= precision (by default the claim).
+    The symbolic kit passes ``_sym_gate`` on the reads and on the slices()
+    they need, planned once the checks pass, and, when the statement
+    inverts matrices, the nondegeneracy check."""
+    if s < least:
+        raise InvalidParameter(f"the {theorem_id} check needs s >= {least}")
+    for name, value in params.items():
+        if name in ("u", "v"):
+            check_direction(name, value, tup.lam(0).n)
+        elif value < 0:
+            raise InvalidParameter(f"the {theorem_id} check needs {name} >= 0")
+    tup.require_admissible()
+    ctx = tup.ctx
+    precision = claimed if precision is None else precision
+    if precision > ctx.N:
+        raise PrecisionTooLow(f"a congruence modulo p^{precision} cannot be "
+                              f"witnessed at precision N={ctx.N}")
+    slices = slices() if slices else ()
+
     def symbolic():
         _sym_gate(tup, s, reads, slices)
         if nondegenerate:
             _check_nondegenerate_symbolic(tup, s)
-        return SymbolicKit(tup.ctx, tup.delta, tup.lam(0).n)
+        return SymbolicKit(ctx, tup.delta, tup.lam(0).n)
 
-    return _kits(mode, points, symbolic, tup.ctx, tup.delta)
-
-
-def _pointwise_scan(kit_list, one, claimed):
-    """Run one(kit) -> (valuation, witness, ...) over the kits, merging by
-    minimum valuation; the symbolic kit counts as a single point.
-
-    The witness is the first one below the claim, in input order.  No
-    points would be a vacuous pass, so it is a configuration error.
-    """
-    results = []
-    for kit in kit_list:
-        results.append(one(kit))
-        mode, index = kit.mode, kit.index
-    if not results:
-        raise ConfigError("pointwise mode needs at least one point")
-    observed = min(r[0] for r in results)
-    witness = next((r[1] for r in results if r[0] < claimed), None)
-    return Scan(mode, observed, witness,
-                None if index is None else len(results), results)
+    return _report(theorem_id, description, claimed, {"s": s, **params}, tup,
+                   mode, points, symbolic, one, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +320,8 @@ def verify_decomposition(ghost_seq_or_tuple, s, mode="symbolic", points=None):
 
     The ghost blocks A(j+1, V_j) are read slice by slice (``_ghost_blocks``);
     a ``GhostSeq`` stands for its tuple."""
-    if s < 0:
-        raise InvalidParameter("the decomposition needs s >= 0")
     tup = (ghost_seq_or_tuple.tup if isinstance(ghost_seq_or_tuple, GhostSeq)
            else ghost_seq_or_tuple)
-    tup.require_admissible()
-    N = tup.ctx.N
-    if N < s:
-        raise PrecisionTooLow(
-            f"precision N={N} cannot witness divisibility up to p^{s}")
-    config = {"p": tup.ctx.p, "N": N, "s": s}
-    desc = ("level-(s+1) matrix of W_s decomposes through Frobenius twists "
-            "of the ghost blocks")
     # (level, s', j) of A(s+1, W_s) and of S_j = sigma^j A(s-j+1, W_s^(j))
     reads = [(s + 1, s, 0)] + [(s - j + 1, s, j) for j in range(1, s + 1)]
 
@@ -338,18 +338,20 @@ def verify_decomposition(ghost_seq_or_tuple, s, mode="symbolic", points=None):
         return (*_mat_min_val_with_witness(ring, diff, kit.label),
                 *_mat_min_val_with_witness(ring, blocks[s], kit.label))
 
-    slices = [(i, j, ms) for (i, j), ms in _ghost_plan(tup, s)[1].items()]
-    scan = _pointwise_scan(
-        _tuple_kits(tup, s, mode, points, nondegenerate=False, reads=reads,
-                    slices=slices),
-        one, N)
-    ghost = min(r[2] for r in scan.results)
-    rep = _finish("decomposition", desc, N, N, scan, config,
-                  {"ghost_block_valuation": ghost})
-    if ghost < s:  # the ghost divisibility A(s+1, V_s) = 0 mod p^s; N >= s
-        rep.verdict = "fail"  # if the identity holds, point at the block
-        rep.witness = rep.witness or next(r[3] for r in scan.results if r[2] < s)
-    return rep
+    def ghost_gate(rep, results):
+        # the ghost divisibility A(s+1, V_s) = 0 mod p^s; N >= s
+        ghost = rep.extra["ghost_block_valuation"] = min(r[2] for r in results)
+        if ghost < s:
+            rep.verdict = "fail"  # if the identity holds, point at the block
+            rep.witness = rep.witness or next(r[3] for r in results if r[2] < s)
+
+    return _verify(
+        "decomposition", "level-(s+1) matrix of W_s decomposes through "
+        "Frobenius twists of the ghost blocks", tup, s, mode, points, one,
+        claimed=tup.ctx.N, reads=reads, least=0, precision=s,
+        slices=lambda: [(i, j, ms)
+                        for (i, j), ms in _ghost_plan(tup, s)[1].items()],
+        nondegenerate=False, finish=ghost_gate)
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +360,6 @@ def verify_decomposition(ghost_seq_or_tuple, s, mode="symbolic", points=None):
 
 def verify_frobenius_factorization(tup, s, mode="symbolic", points=None):
     """A(s+1, W_s) = A(1, L_0) sigma(A(1, L_1)) ... sigma^s(A(1, L_s)) mod p."""
-    if s < 0:
-        raise InvalidParameter("the factorization needs s >= 0")
-    tup.require_admissible()
-    ctx = tup.ctx
-    config = {"p": ctx.p, "N": ctx.N, "s": s}
-    desc = ("level-(s+1) matrix of W_s factors modulo p into twisted "
-            "level-1 matrices")
-
     # (level, s', j) of A(s+1, W_s) and of the twisted A(1, W_k^(k))
     reads = [(s + 1, s, 0)] + [(1, k, k) for k in range(s + 1)]
 
@@ -377,10 +371,10 @@ def verify_frobenius_factorization(tup, s, mode="symbolic", points=None):
         diff = ringmat.mat_sub(ring, lhs, acc)
         return _mat_min_val_with_witness(ring, diff, kit.label)
 
-    scan = _pointwise_scan(
-        _tuple_kits(tup, s, mode, points, nondegenerate=False, reads=reads),
-        one, 1)
-    return _finish("factorization", desc, 1, ctx.N, scan, config)
+    return _verify(
+        "factorization", "level-(s+1) matrix of W_s factors modulo p into "
+        "twisted level-1 matrices", tup, s, mode, points, one,
+        claimed=1, reads=reads, least=0, nondegenerate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +401,6 @@ def _ratio_matrices(kit, tup, s):
 def verify_dwork_ratio(tup, s, mode="symbolic", points=None):
     """A(s+1, W_s) sigma(A(s, W_s^(1)))^-1 = A(s, W_{s-1})
     sigma(A(s-1, W_{s-1}^(1)))^-1 mod p^s (identity matrix at s = 1)."""
-    if s < 1:
-        raise InvalidParameter("the ratio congruence needs s >= 1")
-    tup.require_admissible()
-    ctx = tup.ctx
-    _require_precision(ctx, s)
-    config = {"p": ctx.p, "N": ctx.N, "s": s}
-    desc = "consecutive ratio matrices agree modulo p^s"
-
     def one(kit):
         ring = kit.ring
         X, M, Y, K = _ratio_matrices(kit, tup, s)
@@ -426,22 +412,13 @@ def verify_dwork_ratio(tup, s, mode="symbolic", points=None):
                         Y, ringmat.adjugate(ring, K), dK)
         return _mat_min_val_with_witness(ring, diff, kit.label)
 
-    scan = _pointwise_scan(
-        _tuple_kits(tup, s, mode, points, reads=_ratio_reads(s)), one, s)
-    return _finish("ratio", desc, s, ctx.N, scan, config)
+    return _verify("ratio", "consecutive ratio matrices agree modulo p^s",
+                   tup, s, mode, points, one, claimed=s, reads=_ratio_reads(s))
 
 
 def verify_det_congruence(tup, s, mode="symbolic", points=None):
     """det A(s+1, W_s) det sigma(A(s-1, W_{s-1}^(1))) = det A(s, W_{s-1})
     det sigma(A(s, W_s^(1))) mod p^s."""
-    if s < 1:
-        raise InvalidParameter("the determinant congruence needs s >= 1")
-    tup.require_admissible()
-    ctx = tup.ctx
-    _require_precision(ctx, s)
-    config = {"p": ctx.p, "N": ctx.N, "s": s}
-    desc = "determinant form of the ratio congruence"
-
     def one(kit):
         ring = kit.ring
         dX, dM, dY, dK = (ringmat.det(ring, mat)
@@ -452,9 +429,8 @@ def verify_det_congruence(tup, s, mode="symbolic", points=None):
         diff = ring.sub(ring.mul(dX, dK), ring.mul(dY, dM))
         return ring.val(diff), {**kit.label, "entry": "det"}
 
-    scan = _pointwise_scan(
-        _tuple_kits(tup, s, mode, points, reads=_ratio_reads(s)), one, s)
-    return _finish("det-ratio", desc, s, ctx.N, scan, config)
+    return _verify("det-ratio", "determinant form of the ratio congruence",
+                   tup, s, mode, points, one, claimed=s, reads=_ratio_reads(s))
 
 
 # ---------------------------------------------------------------------------
@@ -488,19 +464,8 @@ def verify_derivative_congruence(tup, s, m=0, v=1, mode="symbolic", points=None)
     """D_v(sigma^m A(s+1, W_s)) sigma^m(A(s+1, W_s))^-1 agrees with the
     level-s version modulo p^(s+m); the twist contributes the chain-rule
     factor p^m z_v^(p^m - 1)."""
-    if s < 1 or m < 0:
-        raise InvalidParameter(
-            "the derivative congruence needs s >= 1 and m >= 0")
-    check_direction("v", v, tup.lam(0).n)
-    tup.require_admissible()
-    ctx = tup.ctx
-    claimed = s + m
-    _require_precision(ctx, claimed)
-    config = {"p": ctx.p, "N": ctx.N, "s": s, "m": m, "v": v}
-    desc = "logarithmic z-derivative columns agree modulo p^(s+m)"
-
     def one(kit):
-        ring = kit.ring
+        ring, ctx = kit.ring, kit.ctx
         diff = _cleared_log_derivatives(
             kit, tup, s, m, lambda level, W: kit.dA(level, W, v, twist=m))
         if m:
@@ -508,32 +473,23 @@ def verify_derivative_congruence(tup, s, m=0, v=1, mode="symbolic", points=None)
             diff = ringmat.mat_scal(ring, factor, diff)
         return _mat_min_val_with_witness(ring, diff, kit.label)
 
-    scan = _pointwise_scan(
-        _tuple_kits(tup, s, mode, points, reads=_log_derivative_reads(s)),
-        one, claimed)
-    return _finish("derivative", desc, claimed, ctx.N, scan, config)
+    return _verify(
+        "derivative", "logarithmic z-derivative columns agree modulo p^(s+m)",
+        tup, s, mode, points, one, claimed=s + m,
+        reads=_log_derivative_reads(s), m=m, v=v)
 
 
 def verify_second_derivative_congruence(tup, s, u=1, v=1, mode="symbolic",
                                         points=None):
     """D_u D_v A(s+1, W_s) A(s+1, W_s)^-1 agrees with the level-s version
     modulo p^s (untwisted reading)."""
-    if s < 1:
-        raise InvalidParameter("the second-derivative congruence needs s >= 1")
-    check_direction("u", u, tup.lam(0).n)
-    check_direction("v", v, tup.lam(0).n)
-    tup.require_admissible()
-    ctx = tup.ctx
-    _require_precision(ctx, s)
-    config = {"p": ctx.p, "N": ctx.N, "s": s, "u": u, "v": v}
-    desc = "second z-derivatives against the inverse agree modulo p^s"
-
     def one(kit):
         diff = _cleared_log_derivatives(
             kit, tup, s, 0, lambda level, W: kit.d2A(level, W, u, v))
         return _mat_min_val_with_witness(kit.ring, diff, kit.label)
 
-    scan = _pointwise_scan(
-        _tuple_kits(tup, s, mode, points, reads=_log_derivative_reads(s)),
-        one, s)
-    return _finish("second-derivative", desc, s, ctx.N, scan, config)
+    return _verify(
+        "second-derivative",
+        "second z-derivatives against the inverse agree modulo p^s",
+        tup, s, mode, points, one, claimed=s, reads=_log_derivative_reads(s),
+        u=u, v=v)

@@ -12,11 +12,13 @@ coefficient of t^(l p^s - 1) in the quotient vector (Phi_s/(t - z_i))_i.
 The same factored shape feeds the Hasse-Witt matrices A(s, Phi_s), whose
 first-row gradient reproduces I_s exactly up to the scalar (1 - p^s)/2, and
 the frame congruences I_{s+1} A(s+1)^-1 = I_s A(s)^-1 mod p^s.  Frames are
-read through the kits of ``hasse_witt``; the residual and the frame
-congruences are stated once, with denominators cleared, over either kit.
-The two identities of Phi_s behind the residual are checked symbolically
-only, in a reduced form with no cleared factors, on one flat list per
-factored form: its Kronecker image in z at t = 1.
+read through the kits of ``hasse_witt``.  The residual and the frame
+congruences are stated once, with denominators cleared, as one(kit); the
+``dwork`` driver's kits, scan and report (``_report``) run them over
+either kit, past ``_frame_gate`` when symbolic.  The two identities of
+Phi_s behind the residual are checked symbolically only, in a reduced
+form with no cleared factors, on one flat list per factored form: its
+Kronecker image in z at t = 1.
 """
 
 from __future__ import annotations
@@ -29,12 +31,10 @@ from functools import partial, reduce
 
 from . import ringmat
 from .dwork import (
-    Scan,
+    CongruenceReport,
     _cleared,
-    _finish,
-    _kits,
     _mat_min_val_with_witness,
-    _pointwise_scan,
+    _report,
 )
 from .errors import (
     InvalidParameter,
@@ -224,12 +224,11 @@ def _frame_gate(cfg, s, what):
         raise SizeCapExceeded(what)
 
 
-def _kz_kits(cfg, mode, points, level, what):
-    def symbolic():
-        _frame_gate(cfg, level, what)
-        return SymbolicKit(cfg.ctx, cfg.delta, cfg.n)
-
-    return _kits(mode, points, symbolic, cfg.ctx, cfg.delta)
+def _frame_kit(cfg, level, what):
+    """The symbolic kit of a frame check, refused (``what``) when the
+    frames of this level pass the gate."""
+    _frame_gate(cfg, level, what)
+    return _kit(cfg, None)
 
 
 def kz_residual(cfg, s, i=None, mode="symbolic", points=None):
@@ -244,9 +243,6 @@ def kz_residual(cfg, s, i=None, mode="symbolic", points=None):
     if i is not None:
         check_direction("i", i, cfg.n)
     dirs = [i] if i is not None else list(range(1, cfg.n + 1))
-    config = {"p": ctx.p, "N": ctx.N, "g": cfg.g, "s": s,
-              "directions": dirs}
-    desc = "level-s coefficient frame solves the KZ system modulo p^s"
     half = ctx.inv(ctx.from_int(2))
 
     def one(kit):
@@ -269,13 +265,17 @@ def kz_residual(cfg, s, i=None, mode="symbolic", points=None):
         sums = I.column_sum_valuations()
         return min([worst] + sums), wit, sums
 
-    scan = _pointwise_scan(
-        _kz_kits(cfg, mode, points, s, "symbolic residual too large; use points"),
-        one, s)
-    # one symbolic frame has column sums to show; points have one each
-    return _finish("kz-residual", desc, s, ctx.N, scan, config,
-                   {"column_sum_valuations": scan.results[0][2]}
-                   if scan.points is None else None)
+    def column_sums(rep, results):
+        # one symbolic frame has column sums to show; points have one each
+        if rep.points is None:
+            rep.extra["column_sum_valuations"] = results[0][2]
+
+    return _report(
+        "kz-residual", "level-s coefficient frame solves the KZ system "
+        "modulo p^s", s, {"g": cfg.g, "s": s, "directions": dirs}, cfg, mode,
+        points, partial(_frame_kit, cfg, s,
+                        "symbolic residual too large; use points"),
+        one, column_sums)
 
 
 def _flat(F, base):
@@ -348,10 +348,11 @@ def verify_phi_identities(cfg, s):
     where, observed = min(val.items(), key=lambda kv: kv[1])  # first least
     witness = (None if observed == ctx.N else {"identity": 1} if not where
                else {"identity": 2, "direction": where[0], "row": where[1]})
-    desc = "master-polynomial t-derivative identities hold exactly"
-    return _finish("phi-identities", desc, ctx.N, ctx.N,
-                   Scan("symbolic", observed, witness, None, []),
-                   {"p": ctx.p, "N": ctx.N, "g": cfg.g, "s": s})
+    return CongruenceReport(
+        "phi-identities",
+        "master-polynomial t-derivative identities hold exactly", "symbolic",
+        ctx.N, observed, "pass" if observed >= ctx.N else "fail", ctx.N,
+        witness, None, {"p": ctx.p, "N": ctx.N, "g": cfg.g, "s": s})
 
 
 def verify_solution_congruence(cfg, s, mode="pointwise", points=None):
@@ -361,10 +362,6 @@ def verify_solution_congruence(cfg, s, mode="pointwise", points=None):
     (ii) the same with d/dz_j applied to the frames, for every j,
     each checked as I_{s+1} adj A(s+1) det A(s) = I_s adj A(s) det A(s+1).
     """
-    ctx = cfg.ctx
-    config = {"p": ctx.p, "N": ctx.N, "g": cfg.g, "s": s}
-    desc = "solution frames against inverse level matrices agree modulo p^s"
-
     def one(kit):
         ring = kit.ring
         adj, det = {}, {}
@@ -391,8 +388,9 @@ def verify_solution_congruence(cfg, s, mode="pointwise", points=None):
                 worst, wit = v, w
         return worst, wit
 
-    scan = _pointwise_scan(
-        _kz_kits(cfg, mode, points, s + 1, "symbolic frame congruence too large"),
-        one, s)
-    return _finish("frame-congruence", desc, s, ctx.N, scan, config)
+    return _report(
+        "frame-congruence", "solution frames against inverse level matrices "
+        "agree modulo p^s", s, {"g": cfg.g, "s": s}, cfg, mode, points,
+        partial(_frame_kit, cfg, s + 1, "symbolic frame congruence too large"),
+        one)
 

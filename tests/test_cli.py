@@ -155,6 +155,24 @@ def test_invalid_parameters_are_configuration_errors(argv, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theorem,flag", [
+    (theorem, flag) for theorem, (_, flags) in sorted(cli.THEOREMS.items())
+    for flag in ("m", "u", "v") if flag not in flags
+])
+def test_theorem_flags_a_theorem_would_ignore_exit_2(theorem, flag, capsys):
+    """--m, --u and --v apply only to the theorems that list them.  Off its
+    default, such a flag was once dropped and the run passed; at its
+    default it cannot be told from an absent flag and is accepted."""
+    argv = (f"congruence --theorem {theorem} --p 3 --N 4 --s 2 --g 1"
+            " --symbolic").split()
+    changed = {"m": "1", "u": "2", "v": "3"}[flag]
+    assert invoke(argv + [f"--{flag}", changed]) == (2, [])
+    assert (f"--{flag} does not apply to --theorem {theorem}"
+            in capsys.readouterr().err)
+    default = {"m": "0", "u": "1", "v": "1"}[flag]
+    assert invoke(argv + [f"--{flag}", default])[0] == 0
+
+
 def test_kz_verify_other_checks():
     code, docs = invoke(
         ["kz-verify", "--check", "phi", "--p", "3", "--N", "3", "--g", "1",

@@ -6,6 +6,7 @@ from dworklab.errors import (
     ConfigError,
     DegenerateTuple,
     InvalidParameter,
+    NotAdmissible,
     PrecisionTooLow,
     SizeCapExceeded,
 )
@@ -177,6 +178,23 @@ def test_degenerate_tuple_detected():
     if tup.certificate.ok:
         with pytest.raises(DegenerateTuple):
             dl.verify_dwork_ratio(tup, 1, mode="symbolic")
+
+
+@pytest.mark.parametrize("verify", [
+    dl.verify_decomposition, dl.verify_frobenius_factorization,
+    dl.verify_dwork_ratio, dl.verify_det_congruence,
+    dl.verify_derivative_congruence, dl.verify_second_derivative_congruence,
+], ids=lambda f: f.__name__)
+def test_non_admissible_tuples_are_refused_in_both_modes(verify):
+    """F = t^5 + z_1 has the t-box [0, 5], whose certificate fails at
+    q = 2 for Delta = {1}; no verifier may scan such a tuple."""
+    ctx = dl.ctx_new(3, 4)
+    F = LaurentPoly(ctx, 1, 1, {(5, 0): 1, (0, 1): 1})
+    tup = AdmissibleTuple([F] * 3, (1,))
+    assert not tup.certificate.ok
+    for mode, points in (("symbolic", None), ("pointwise", [(2,)])):
+        with pytest.raises(NotAdmissible):
+            verify(tup, 1, mode=mode, points=points)
 
 
 def test_symbolic_gate_raises():

@@ -10,7 +10,7 @@ import pytest
 import dworklab as dl
 from dworklab import dwork, kz
 from dworklab.cli import run
-from dworklab.errors import InvalidParameter
+from dworklab.errors import ConfigError, InvalidParameter
 from dworklab.hasse_witt import PointKit, SymbolicKit
 
 P, N, S, G = 3, 5, 3, 1
@@ -166,10 +166,11 @@ def test_planted_ghost_divisibility_fault_fails_decomp(monkeypatch):
         assert printed["witness"]["entry"] == [0, 0]
 
 
-@pytest.mark.parametrize("name", ["1.6ii", "residual"])
+@pytest.mark.parametrize("name", sorted(CHECKS))
 def test_modes_refuse_what_they_would_ignore(name):
     """Points given to the symbolic mode, or a mode that is neither
-    symbolic nor pointwise, once ran the other evaluation and passed."""
+    symbolic nor pointwise, once ran the other evaluation and passed; no
+    points at all would pass vacuously."""
     ctx = dl.ctx_new(P, N, 2)
     cfg = dl.KZConfig(ctx, G)
     tup = dl.kz_tuple(cfg, length=S + 1, periodic=False)
@@ -177,6 +178,8 @@ def test_modes_refuse_what_they_would_ignore(name):
     for mode in ("symbolic", "Symbolic", "points"):
         with pytest.raises(InvalidParameter):
             CHECKS[name](cfg, tup, S, mode=mode, points=points)
+    with pytest.raises(ConfigError, match="at least one point"):
+        CHECKS[name](cfg, tup, S, mode="pointwise", points=[])
 
 
 @pytest.mark.parametrize("divisors,witness,config", [

@@ -59,3 +59,25 @@ def test_domain_scan_reports_match_the_recorded_digests(bench):
         "domain_scan/scan_exhaustive_g1", "domain_scan/scan_sample_g2",
         "domain_scan/limit_g1"]
     _check_jobs(bench, jobs)
+
+
+def test_the_tracer_resolves_every_name_the_benchmark_measures(bench):
+    """The tracer rebinds every dworklab name it plans to wrap, and every
+    per-layer metric that BENCHMARK.json names resolves to something it
+    measures (a span of the plan, a counter or a derived ratio), read here
+    over one empty untraced and one empty traced pass.  A renamed layer,
+    say ``dwork._pointwise_scan``, fails here and not only in a traced
+    benchmark run, which exits with "BENCHMARK.json names ..."."""
+    tracer = bench.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missed == []
+    finally:
+        tracer.uninstall()
+    names = [metric["name"] for metric in bench.load_spec()["per_layer"]]
+    try:
+        values, _ = bench.per_layer(names, tracer,
+                                    [(False, 1.0, []), (True, 1.0, [])])
+    except SystemExit as exc:
+        pytest.fail(str(exc))
+    assert sorted(values) == sorted(names)
