@@ -5,14 +5,17 @@ exponent and the observed minimum deviation valuation.  Each congruence is
 stated once, with its inverse matrices eliminated by Cramer clearing:
 X M^-1 and Y K^-1 agree mod p^s iff X adj(M) det(K) = Y adj(K) det(M) mod
 p^s, since the determinants are units.  A verifier keeps only its
-statement one(kit) -> (valuation, witness, ...), its claim, the Hasse-Witt
-reads it plans and what is its own; one driver, ``_verify``, checks s, the
-directions, admissibility and the precision the claim needs, makes the
+statement one(kit) -> (valuation, witness, ...), its claim and what is its
+own; one driver, ``_verify``, checks s, the directions, admissibility, the
+precision the claim needs and that the tuple has a member L_s, makes the
 kits of the mode (see ``hasse_witt``), scans them and reports:
 
 * symbolic: one kit of z-polynomial matrices, so the congruence is checked
-  as a polynomial identity; gated by a term cap, and the determinants are
-  checked to be nonzero mod p through det A(1, L_k).
+  as a polynomial identity.  The kit charges every read against
+  SYMBOLIC_READ_CAP, and a statement reads all its entries before its first
+  product, so an oversized job is refused before any product is formed.
+  Once the statement has run, the determinants it clears are checked to be
+  nonzero mod p through det A(1, L_k).
 * pointwise: one kit per supplied point, over Z/p^N; a determinant that is
   not a unit there raises.  Clearing by units keeps every valuation, so the
   report is the one of X M^-1 - Y K^-1.  The sigma twist acts on points as
@@ -25,7 +28,6 @@ statements; observed valuations are never rounded up.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from functools import partial, reduce
 
@@ -35,7 +37,6 @@ from .errors import (
     DegenerateTuple,
     InvalidParameter,
     PrecisionTooLow,
-    SizeCapExceeded,
 )
 from .ghosts import GhostSeq
 from .hasse_witt import (
@@ -46,9 +47,7 @@ from .hasse_witt import (
     hw_indices,
     hw_matrix,
 )
-
-SYMBOLIC_TERM_GATE = 300_000
-SYMBOLIC_READ_GATE = 20_000
+from .laurent import SYMBOLIC_READ_CAP
 
 
 @dataclass
@@ -99,52 +98,13 @@ def _cleared(ring, X, adjM, dM, Y, adjK, dK):
 # shared machinery
 
 
-def _sym_gate(tup, s, reads=None, slices=()):
-    """Refuse a symbolic job that would not finish in CLI time.
-
-    ``reads`` lists the (level, s', j) of the Hasse-Witt reads
-    A(level, W_s'^(j)) of a verifier, and ``slices`` the (s', j, indices)
-    of its reads of single t-coefficients of W_s'^(j) (the ghost
-    recursion).  When the tuple is factored, a verifier that gives its
-    reads passes on the compositions those reads form
-    (``LaurentPoly.read_size``), which bound its entries and so its
-    products.  Otherwise, and when those pass SYMBOLIC_READ_GATE, it passes
-    on the size of the full expansion of W_s, which bounds every read.
-    """
-    p = tup.ctx.p
-    size = None
-    if reads is not None and all(tup.lam(k).factored is not None
-                                 for k in range(s + 1)):
-        size = sum(tup.W(top, j).read_size(hw_indices(p, level, tup.delta))
-                   for level, top, j in reads)
-        size += sum(tup.W(top, j).read_size(indices)
-                    for top, j, indices in slices)
-        if size <= SYMBOLIC_READ_GATE:
-            return size
-    merged = {}
-    est = 1
-    for k in range(s + 1):
-        lam = tup.lam(k)
-        if lam.factored is not None:
-            # factored forms merge under products, so estimate on the merge
-            for i, e in lam.factored:
-                merged[i] = merged.get(i, 0) + e * p**k
-        else:
-            nt = len(lam.terms)
-            t = math.comb(p**k + nt - 1, nt - 1) if nt else 1
-            est *= min(t, SYMBOLIC_TERM_GATE + 1)
-    for e in merged.values():
-        est *= min(e + 1, SYMBOLIC_TERM_GATE + 1)
-    if est > SYMBOLIC_TERM_GATE:
-        raise SizeCapExceeded(
-            "symbolic mode exceeds the term gate; use pointwise mode"
-            if size is None else
-            "symbolic Hasse-Witt reads exceed the term gate; use pointwise "
-            "mode")
-    return est
-
-
-def _check_nondegenerate_symbolic(tup, upto):
+def _nondegenerate(tup, upto, rep, results):
+    """The finish() of a statement that inverts matrices: over the symbolic
+    kit, det A(1, L_k), k = 0..upto, must be nonzero mod p.  It runs after
+    the statement, whose reads the kit has charged, so that an oversized
+    job is refused before this check forms any product."""
+    if rep.mode != "symbolic":
+        return
     seen = set()
     for k in range(upto + 1):
         lam = tup.lam(k)
@@ -178,9 +138,9 @@ def _report(theorem_id, description, claimed, config, family, mode, points,
     """The report of one(kit) against the claim over the kits of the mode:
     one PointKit per point over the family's (a tuple's or a KZ family's)
     ctx and delta, made as the scan reaches it so that one point's memo is
-    alive at a time, or the one kit symbolic() makes after its checks.  Any
-    other mode, or points given to the symbolic mode, would check something
-    other than what was asked: both raise.  ``config`` adds to p and N, and
+    alive at a time, or the one kit symbolic() makes.  Any other mode, or
+    points given to the symbolic mode, would check something other than
+    what was asked: both raise.  ``config`` adds to p and N, and
     finish(report, results) adds what is the verifier's own."""
     ctx = family.ctx
     if mode == "pointwise":
@@ -204,14 +164,11 @@ def _report(theorem_id, description, claimed, config, family, mode, points,
 
 
 def _verify(theorem_id, description, tup, s, mode, points, one, *, claimed,
-            reads, least=1, precision=None, slices=None, nondegenerate=True,
-            finish=None, **params):
+            least=1, precision=None, finish=None, **params):
     """``_report`` of a tuple verifier after the checks, in this order:
     s >= least; among ``params``, the directions u and v in 1..n and the
-    twist m >= 0; admissibility; and N >= precision (by default the claim).
-    The symbolic kit passes ``_sym_gate`` on the reads and on the slices()
-    they need, planned once the checks pass, and, when the statement
-    inverts matrices, the nondegeneracy check."""
+    twist m >= 0; admissibility; N >= precision (by default the claim); and
+    a member L_s.  The symbolic kit's budget is SYMBOLIC_READ_CAP."""
     if s < least:
         raise InvalidParameter(f"the {theorem_id} check needs s >= {least}")
     for name, value in params.items():
@@ -225,16 +182,12 @@ def _verify(theorem_id, description, tup, s, mode, points, one, *, claimed,
     if precision > ctx.N:
         raise PrecisionTooLow(f"a congruence modulo p^{precision} cannot be "
                               f"witnessed at precision N={ctx.N}")
-    slices = slices() if slices else ()
-
-    def symbolic():
-        _sym_gate(tup, s, reads, slices)
-        if nondegenerate:
-            _check_nondegenerate_symbolic(tup, s)
-        return SymbolicKit(ctx, tup.delta, tup.lam(0).n)
+    tup.lam(s)  # IndexOutOfRange when the tuple has no member L_s
 
     return _report(theorem_id, description, claimed, {"s": s, **params}, tup,
-                   mode, points, symbolic, one, finish)
+                   mode, points, partial(SymbolicKit, ctx, tup.delta,
+                                         tup.lam(0).n, SYMBOLIC_READ_CAP),
+                   one, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +280,9 @@ def verify_decomposition(ghost_seq_or_tuple, s, mode="symbolic", points=None):
 
     def one(kit):
         ring = kit.ring
-        blocks = _ghost_blocks(kit, tup, s)
         lhs, *S = [kit.A(level, tup.W(top, j), twist=j)
                    for level, top, j in reads]
+        blocks = _ghost_blocks(kit, tup, s)
         acc = blocks[s]
         for j, Sj in enumerate(S, 1):
             acc = ringmat.mat_add(ring, acc,
@@ -348,10 +301,7 @@ def verify_decomposition(ghost_seq_or_tuple, s, mode="symbolic", points=None):
     return _verify(
         "decomposition", "level-(s+1) matrix of W_s decomposes through "
         "Frobenius twists of the ghost blocks", tup, s, mode, points, one,
-        claimed=tup.ctx.N, reads=reads, least=0, precision=s,
-        slices=lambda: [(i, j, ms)
-                        for (i, j), ms in _ghost_plan(tup, s)[1].items()],
-        nondegenerate=False, finish=ghost_gate)
+        claimed=tup.ctx.N, least=0, precision=s, finish=ghost_gate)
 
 
 # ---------------------------------------------------------------------------
@@ -374,25 +324,20 @@ def verify_frobenius_factorization(tup, s, mode="symbolic", points=None):
     return _verify(
         "factorization", "level-(s+1) matrix of W_s factors modulo p into "
         "twisted level-1 matrices", tup, s, mode, points, one,
-        claimed=1, reads=reads, least=0, nondegenerate=False)
+        claimed=1, least=0)
 
 
 # ---------------------------------------------------------------------------
 # the ratio congruence and its determinant corollary
 
 
-def _ratio_reads(s):
-    """(level, s', j) of X = A(s+1, W_s), M = sigma A(s, W_s^(1)),
-    Y = A(s, W_{s-1}) and, from s = 2 on, K = sigma A(s-1, W_{s-1}^(1)):
-    each read A(level, W_s'^(j)) is twisted j times."""
-    return [(s + 1, s, 0), (s, s, 1), (s, s - 1, 0)] + (
-        [(s - 1, s - 1, 1)] if s >= 2 else [])
-
-
 def _ratio_matrices(kit, tup, s):
-    """X, M, Y and K (the identity at s = 1) read by the kit."""
-    mats = [kit.A(level, tup.W(top, j), twist=j)
-            for level, top, j in _ratio_reads(s)]
+    """X = A(s+1, W_s), M = sigma A(s, W_s^(1)), Y = A(s, W_{s-1}) and, from
+    s = 2 on, K = sigma A(s-1, W_{s-1}^(1)), read by the kit (K is the
+    identity at s = 1): each read A(level, W_s'^(j)) is twisted j times."""
+    reads = [(s + 1, s, 0), (s, s, 1), (s, s - 1, 0)] + (
+        [(s - 1, s - 1, 1)] if s >= 2 else [])
+    mats = [kit.A(level, tup.W(top, j), twist=j) for level, top, j in reads]
     if s == 1:
         mats.append(ringmat.identity(kit.ring, len(mats[0])))
     return mats
@@ -413,7 +358,8 @@ def verify_dwork_ratio(tup, s, mode="symbolic", points=None):
         return _mat_min_val_with_witness(ring, diff, kit.label)
 
     return _verify("ratio", "consecutive ratio matrices agree modulo p^s",
-                   tup, s, mode, points, one, claimed=s, reads=_ratio_reads(s))
+                   tup, s, mode, points, one, claimed=s,
+                   finish=partial(_nondegenerate, tup, s))
 
 
 def verify_det_congruence(tup, s, mode="symbolic", points=None):
@@ -430,34 +376,28 @@ def verify_det_congruence(tup, s, mode="symbolic", points=None):
         return ring.val(diff), {**kit.label, "entry": "det"}
 
     return _verify("det-ratio", "determinant form of the ratio congruence",
-                   tup, s, mode, points, one, claimed=s, reads=_ratio_reads(s))
+                   tup, s, mode, points, one, claimed=s,
+                   finish=partial(_nondegenerate, tup, s))
 
 
 # ---------------------------------------------------------------------------
 # derivative congruences
 
 
-def _log_derivative_reads(s):
-    """(level, s', j) of X = A(s+1, W_s) and Y = A(s, W_{s-1})."""
-    return [(s + 1, s, 0), (s, s - 1, 0)]
-
-
 def _cleared_log_derivatives(kit, tup, s, twist, derive):
-    """(D X) adj(X) det Y - (D Y) adj(Y) det X for X and Y of
-    ``_log_derivative_reads`` at the twist, with derive(level, W) ->
-    D A(level, W): the cleared (D X) X^-1 - (D Y) Y^-1."""
+    """(D X) adj(X) det Y - (D Y) adj(Y) det X for X = A(s+1, W_s) and
+    Y = A(s, W_{s-1}) at the twist, with derive(level, W) -> D A(level, W):
+    the cleared (D X) X^-1 - (D Y) Y^-1.  X and Y are both read before
+    either determinant is formed."""
     ring = kit.ring
-    read = []
-    for level, top, j in _log_derivative_reads(s):
-        W = tup.W(top, j)
-        A = kit.A(level, W, twist)
-        d = kit.unit(ringmat.det(ring, A), DegenerateTuple,
-                     f"det A({level}, W_{level - 1}^(0)) has valuation {{v}} "
-                     f"at the test point")
-        read.append((W, ringmat.adjugate(ring, A), d))
-    (WX, adjX, dX), (WY, adjY, dY) = read
-    return _cleared(ring, derive(s + 1, WX), adjX, dX,
-                    derive(s, WY), adjY, dY)
+    W = {level: tup.W(level - 1) for level in (s + 1, s)}
+    A = {level: kit.A(level, W[level], twist) for level in W}
+    dX, dY = (kit.unit(ringmat.det(ring, A[level]), DegenerateTuple,
+                       f"det A({level}, W_{level - 1}^(0)) has valuation "
+                       f"{{v}} at the test point") for level in W)
+    return _cleared(ring, derive(s + 1, W[s + 1]),
+                    ringmat.adjugate(ring, A[s + 1]), dX,
+                    derive(s, W[s]), ringmat.adjugate(ring, A[s]), dY)
 
 
 def verify_derivative_congruence(tup, s, m=0, v=1, mode="symbolic", points=None):
@@ -476,7 +416,7 @@ def verify_derivative_congruence(tup, s, m=0, v=1, mode="symbolic", points=None)
     return _verify(
         "derivative", "logarithmic z-derivative columns agree modulo p^(s+m)",
         tup, s, mode, points, one, claimed=s + m,
-        reads=_log_derivative_reads(s), m=m, v=v)
+        finish=partial(_nondegenerate, tup, s), m=m, v=v)
 
 
 def verify_second_derivative_congruence(tup, s, u=1, v=1, mode="symbolic",
@@ -491,5 +431,5 @@ def verify_second_derivative_congruence(tup, s, u=1, v=1, mode="symbolic",
     return _verify(
         "second-derivative",
         "second z-derivatives against the inverse agree modulo p^s",
-        tup, s, mode, points, one, claimed=s, reads=_log_derivative_reads(s),
-        u=u, v=v)
+        tup, s, mode, points, one, claimed=s,
+        finish=partial(_nondegenerate, tup, s), u=u, v=v)

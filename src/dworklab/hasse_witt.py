@@ -293,22 +293,39 @@ class SymbolicKit:
     over ``ringmat.poly_ring`` with n variables.
 
     Cleared verifiers need no inverse, so ``unit`` returns the determinant
-    unchecked; its nonvanishing mod p is checked before the kit is made.
+    unchecked; its nonvanishing mod p is checked once the statement has run
+    (``dwork._nondegenerate``).
     Each A(level, F) is read once and shared by its twists and derivatives.
+
+    The kit is its own size gate.  Before a read forms any term, the kit
+    adds the terms it will form (``LaurentPoly.read_size``) to ``charged``;
+    once that passes ``budget`` it raises SizeCapExceeded.  A statement
+    reads all its entries before its first product, so a job is refused
+    before any product is formed.
     """
 
     mode = "symbolic"
     index = None
     label = {}
 
-    def __init__(self, ctx, delta, n):
+    def __init__(self, ctx, delta, n, budget=SOFT_TERM_CAP):
         self.ctx, self.delta, self.n = ctx, delta, n
         self.ring = ringmat.poly_ring(ctx, 0, n)
+        self.budget, self.charged = budget, 0
         self._read = {}
+
+    def _charge(self, forms, indices):
+        """Charge reads of the forms at the t-exponents ``indices``."""
+        self.charged += sum(F.read_size(indices) for F in forms)
+        if self.charged > self.budget:
+            raise SizeCapExceeded(
+                f"symbolic reads would form {self.charged} terms, past the "
+                f"cap of {self.budget}; use pointwise mode")
 
     def _hw(self, level, F):
         key = (level, id(F))
         if key not in self._read:  # F is kept alive with its matrix
+            self._charge([F], hw_indices(self.ctx.p, level, self.delta))
             self._read[key] = F, hw_matrix(level, F, self.delta)
         return self._read[key][1]
 
@@ -317,6 +334,7 @@ class SymbolicKit:
 
     def coeffs(self, F, indices, twist=0):
         """The z-polynomials at the t-exponents of F, twisted."""
+        self._charge([F], indices)
         return [x.frobenius_sub(twist) for x in F.coeffs_t(indices)]
 
     def dA(self, level, F, v, twist=0):
@@ -327,9 +345,9 @@ class SymbolicKit:
 
     def frame(self, F, indices):
         """Row i: the coefficients at indices of F/(t - z_i), i = 1..n."""
-        return _capped_reads(
-            [F.synth_div_linear(z_index=i) for i in range(1, self.n + 1)],
-            indices)
+        forms = [F.synth_div_linear(z_index=i) for i in range(1, self.n + 1)]
+        self._charge(forms, indices)
+        return [f.coeffs_t(indices) for f in forms]
 
     def frame_derivative(self, F, i, e, indices):
         """Row k: the coefficients of d(F/(t - z_k))/dz_i for F with every
@@ -340,8 +358,8 @@ class SymbolicKit:
         scales = [-(e - 1) if k == i else -e for k in range(1, self.n + 1)]
         forms = {k: Fi.synth_div_linear(z_index=k)
                  for k, c in enumerate(scales, 1) if c % q}
-        reads = dict(zip(forms, _capped_reads(list(forms.values()), indices)))
-        return [[x.cmul(c) for x in reads[k]] if k in reads
+        self._charge(forms.values(), indices)
+        return [[x.cmul(c) for x in forms[k].coeffs_t(indices)] if k in forms
                 else [self.ring.zero] * len(indices)
                 for k, c in enumerate(scales, 1)]
 
@@ -352,15 +370,6 @@ class SymbolicKit:
 
     def unit(self, d, error, message):
         return d
-
-
-def _capped_reads(forms, indices):
-    """[f.coeffs_t(indices) for f in forms], refused before any term is
-    formed when the reads together would pass SOFT_TERM_CAP."""
-    if sum(f.read_size(indices) for f in forms) > SOFT_TERM_CAP:
-        raise SizeCapExceeded(
-            f"reading {len(forms)} quotients would exceed {SOFT_TERM_CAP} terms")
-    return [f.coeffs_t(indices) for f in forms]
 
 
 class PointKit(DenseCache):

@@ -15,10 +15,13 @@ the frame congruences I_{s+1} A(s+1)^-1 = I_s A(s)^-1 mod p^s.  Frames are
 read through the kits of ``hasse_witt``.  The residual and the frame
 congruences are stated once, with denominators cleared, as one(kit); the
 ``dwork`` driver's kits, scan and report (``_report``) run them over
-either kit, past ``_frame_gate`` when symbolic.  The two identities of
-Phi_s behind the residual are checked symbolically only, in a reduced
-form with no cleared factors, on one flat list per factored form: its
-Kronecker image in z at t = 1.
+either kit; a symbolic kit charges their reads against SYMBOLIC_READ_CAP,
+and each statement reads all its frames before its first product.  Frames
+read outside a verifier (``ps_solutions`` and ``ps_solution_derivative``
+without a kit) are charged against SOFT_TERM_CAP.  The two identities of
+Phi_s behind the residual are checked symbolically only, in a reduced form
+with no cleared factors, on one flat list per factored form: its Kronecker
+image in z at t = 1, whose length (e + 1)^n is held to SYMBOLIC_READ_CAP.
 """
 
 from __future__ import annotations
@@ -43,12 +46,8 @@ from .errors import (
     SizeCapExceeded,
 )
 from .hasse_witt import SymbolicKit, check_direction
-from .laurent import LaurentPoly
+from .laurent import SYMBOLIC_READ_CAP, LaurentPoly
 from .ghosts import AdmissibleTuple
-
-# Largest (e + 1)^n, e the multiplicity of Phi_s, that the symbolic frame
-# checks expand; it is the length of each flat list the phi check reads.
-FRAME_TERM_GATE = 200_000
 
 
 @dataclass(eq=False)
@@ -219,18 +218,6 @@ def _cleared_gaudin_action(ring, z, i, I_entries, half):
     return reduce(ring.mul, diffs.values(), ring.one), out
 
 
-def _frame_gate(cfg, s, what):
-    if (cfg.exponent(s) + 1) ** cfg.n > FRAME_TERM_GATE:
-        raise SizeCapExceeded(what)
-
-
-def _frame_kit(cfg, level, what):
-    """The symbolic kit of a frame check, refused (``what``) when the
-    frames of this level pass the gate."""
-    _frame_gate(cfg, level, what)
-    return _kit(cfg, None)
-
-
 def kz_residual(cfg, s, i=None, mode="symbolic", points=None):
     """Residual of the KZ system for the level-s frame, modulo p^s.
 
@@ -248,6 +235,7 @@ def kz_residual(cfg, s, i=None, mode="symbolic", points=None):
     def one(kit):
         ring = kit.ring
         I = ps_solutions(cfg, s, kit)
+        dI = {d: ps_solution_derivative(cfg, s, d, kit) for d in dirs}
         z = [kit.z(j) for j in range(1, cfg.n + 1)]
         worst, wit = ctx.N, None
         for d in dirs:
@@ -256,8 +244,8 @@ def kz_residual(cfg, s, i=None, mode="symbolic", points=None):
                     kit.unit(ring.sub(z[d - 1], z[j - 1]), NonUnitDifference,
                              f"z_{d} - z_{j} has valuation {{v}} at the point")
             P, action = _cleared_gaudin_action(ring, z, d, I.entries, half)
-            dI = ps_solution_derivative(cfg, s, d, kit)
-            diff = ringmat.mat_sub(ring, ringmat.mat_scal(ring, P, dI), action)
+            diff = ringmat.mat_sub(ring, ringmat.mat_scal(ring, P, dI[d]),
+                                   action)
             v, w = _mat_min_val_with_witness(ring, diff,
                                              {**kit.label, "direction": d})
             if v < worst:
@@ -273,8 +261,7 @@ def kz_residual(cfg, s, i=None, mode="symbolic", points=None):
     return _report(
         "kz-residual", "level-s coefficient frame solves the KZ system "
         "modulo p^s", s, {"g": cfg.g, "s": s, "directions": dirs}, cfg, mode,
-        points, partial(_frame_kit, cfg, s,
-                        "symbolic residual too large; use points"),
+        points, partial(SymbolicKit, ctx, cfg.delta, cfg.n, SYMBOLIC_READ_CAP),
         one, column_sums)
 
 
@@ -313,7 +300,10 @@ def verify_phi_identities(cfg, s):
     gcd with q.  D_ii is not read when e - 1 = 0 mod p^N (p^s = 3 has none).
     """
     ctx, n, e = cfg.ctx, cfg.n, cfg.exponent(s)
-    _frame_gate(cfg, s, "symbolic identity check too large")
+    if (e + 1) ** n > SYMBOLIC_READ_CAP:  # the length of each flat list
+        raise SizeCapExceeded(
+            f"the Phi_{s} identities read lists of {(e + 1) ** n} terms, "
+            f"past the cap of {SYMBOLIC_READ_CAP}")
     q, base, dirs = ctx.q, e + 1, range(1, n + 1)
     dq = [n * e - 1]  # d/dt of the term z^alpha of Q_i: n e - 1 - |alpha|
     for _ in dirs:
@@ -362,27 +352,31 @@ def verify_solution_congruence(cfg, s, mode="pointwise", points=None):
     (ii) the same with d/dz_j applied to the frames, for every j,
     each checked as I_{s+1} adj A(s+1) det A(s) = I_s adj A(s) det A(s+1).
     """
+    dirs = range(1, cfg.n + 1)
+
     def one(kit):
         ring = kit.ring
-        adj, det = {}, {}
-        for lev in (s, s + 1):
-            A = kit.A(lev, master_polynomial(cfg, lev))
-            det[lev] = kit.unit(
-                ringmat.det(ring, A), OutsideDomain,
-                f"det A({lev}, Phi_{lev}) not a unit at point {kit.index}")
-            adj[lev] = ringmat.adjugate(ring, A)
+        A = {lev: kit.A(lev, master_polynomial(cfg, lev))
+             for lev in (s, s + 1)}
+        frames = {lev: ps_solutions(cfg, lev, kit).entries
+                  for lev in (s + 1, s)}
+        derivs = {(lev, j): ps_solution_derivative(cfg, lev, j, kit)
+                  for j in dirs for lev in (s + 1, s)}
+        det = {lev: kit.unit(
+            ringmat.det(ring, A[lev]), OutsideDomain,
+            f"det A({lev}, Phi_{lev}) not a unit at point {kit.index}")
+            for lev in A}
+        adj = {lev: ringmat.adjugate(ring, A[lev]) for lev in A}
 
-        def cleared(X1, X0, label):
+        def cleared(X, label):
             return _mat_min_val_with_witness(
-                ring, _cleared(ring, X1, adj[s + 1], det[s + 1],
-                               X0, adj[s], det[s]),
+                ring, _cleared(ring, X[s + 1], adj[s + 1], det[s + 1],
+                               X[s], adj[s], det[s]),
                 {**kit.label, **label})
 
-        worst, wit = cleared(ps_solutions(cfg, s + 1, kit).entries,
-                             ps_solutions(cfg, s, kit).entries, {"part": "frame"})
-        for j in range(1, cfg.n + 1):
-            v, w = cleared(ps_solution_derivative(cfg, s + 1, j, kit),
-                           ps_solution_derivative(cfg, s, j, kit),
+        worst, wit = cleared(frames, {"part": "frame"})
+        for j in dirs:
+            v, w = cleared({lev: derivs[lev, j] for lev in A},
                            {"part": "derivative", "direction": j})
             if v < worst:
                 worst, wit = v, w
@@ -391,6 +385,6 @@ def verify_solution_congruence(cfg, s, mode="pointwise", points=None):
     return _report(
         "frame-congruence", "solution frames against inverse level matrices "
         "agree modulo p^s", s, {"g": cfg.g, "s": s}, cfg, mode, points,
-        partial(_frame_kit, cfg, s + 1, "symbolic frame congruence too large"),
+        partial(SymbolicKit, cfg.ctx, cfg.delta, cfg.n, SYMBOLIC_READ_CAP),
         one)
 

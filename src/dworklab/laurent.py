@@ -10,8 +10,11 @@ generate only the terms of the requested t-exponents, and specialization at a
 point drops into the dense univariate kernels.
 
 Full expansion (``terms``) and coefficient reads are guarded by a soft cap
-on the terms they would form; configurations beyond it must use the
-pointwise pipeline.
+on the terms they would form (SOFT_TERM_CAP); configurations beyond it must
+use the pointwise pipeline.  ``read_size`` gives that count before a read,
+so a caller can budget a sequence of reads: the symbolic kit of
+``hasse_witt`` charges every read it makes, against SOFT_TERM_CAP for frames
+read on their own and against SYMBOLIC_READ_CAP for verifier statements.
 
 Products of expanded polynomials (cleared forms, ghosts, Phi identities) are
 Kronecker-packed into ``dense.dense_mul`` when the shorter operand has at
@@ -39,6 +42,9 @@ from .errors import (
 )
 
 SOFT_TERM_CAP = 10_000_000
+# The reads of one symbolic verifier statement; the products after them
+# grow with the reads, and past this they no longer finish in CLI time.
+SYMBOLIC_READ_CAP = 300_000
 PAIR_CAP = 60_000_000
 # Dispatch of products to the packed path (see _packed_convolve).  A
 # 105 x 487 product with box/pairs 0.05 takes 1.8 ms packed against 25 ms in
@@ -184,12 +190,12 @@ class LaurentPoly:
 
     def read_size(self, indices):
         """Terms a ``coeffs_t`` read of the t-exponents ``indices`` forms at
-        most: the compositions behind them, or the stored terms once
-        expanded."""
+        most: the compositions behind them, or, once expanded, the stored
+        terms at those exponents."""
+        keys = {(v,) if isinstance(v, int) else tuple(v) for v in indices}
         if self._terms is not None:
-            return len(self._terms)
-        return self._plan([v if isinstance(v, int) else v[0]
-                           for v in indices])[1]
+            return sum(key[:self.r] in keys for key in self._terms)
+        return self._plan([v[0] for v in keys])[1]
 
     # -- basics -----------------------------------------------------------------
 

@@ -5,8 +5,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import random
 
+import pytest
+
 import dworklab as dl
+from dworklab import laurent
 from dworklab.ghosts import AdmissibleTuple
+from dworklab.hasse_witt import SymbolicKit
 from dworklab.laurent import LaurentPoly
 from oracles import rand
 
@@ -86,3 +90,23 @@ class PlantedGhostFault(AdmissibleTuple):
         if s >= 1 and j == 0:
             return w + LaurentPoly.one(self.ctx, w.r, w.n)
         return w
+
+
+@pytest.fixture
+def kit_log(monkeypatch):
+    """In order, every SymbolicKit made and a "product" for every product
+    of expanded polynomials (``laurent._convolve``)."""
+    log = []
+    init, convolve = SymbolicKit.__init__, laurent._convolve
+
+    def made(kit, *args):
+        init(kit, *args)
+        log.append(kit)
+
+    def product(*args):
+        log.append("product")
+        return convolve(*args)
+
+    monkeypatch.setattr(SymbolicKit, "__init__", made)
+    monkeypatch.setattr(laurent, "_convolve", product)
+    return log

@@ -494,6 +494,8 @@ def test_non_positive_counts_exit_2(argv, capsys):
     "hw --p 7 --N 3 --m 3 --g 2",
     "kz-solve --p 7 --N 4 --g 2 --s 3",
     "kz-solve --p 5 --N 4 --g 2 --s 3",
+    "congruence --theorem ratio --symbolic --p 7 --N 3 --s 1 --g 2",
+    "kz-verify --check residual --symbolic --p 11 --N 2 --s 1 --g 3",
 ])
 def test_oversized_symbolic_reads_exit_2_at_once(argv, capsys):
     start = time.perf_counter()
@@ -501,6 +503,14 @@ def test_oversized_symbolic_reads_exit_2_at_once(argv, capsys):
     assert code == 2 and docs == []
     assert "SizeCapExceeded" in capsys.readouterr().err
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("theorem", ["1.6i", "factorization", "decomp",
+                                     "ratio"])
+def test_symbolic_genus_2_runs_within_the_read_cap(theorem):
+    code, docs = invoke(f"congruence --theorem {theorem} --symbolic --p 5 "
+                        "--N 2 --s 1 --g 2".split())
+    assert code == 0 and docs[0]["verdict"] == "pass"
 
 
 @pytest.mark.parametrize("argv", [

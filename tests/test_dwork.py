@@ -5,13 +5,14 @@ from dworklab import dwork, ringmat
 from dworklab.errors import (
     ConfigError,
     DegenerateTuple,
+    IndexOutOfRange,
     InvalidParameter,
     NotAdmissible,
     PrecisionTooLow,
     SizeCapExceeded,
 )
 from dworklab.ghosts import AdmissibleTuple
-from dworklab.hasse_witt import PointKit, SymbolicKit, hw_indices
+from dworklab.hasse_witt import PointKit, SymbolicKit
 from dworklab.laurent import LaurentPoly, TBox
 from conftest import rand_admissible_tuple, rand_laurent, seeded
 from oracles import rand, rand_unit
@@ -197,6 +198,22 @@ def test_non_admissible_tuples_are_refused_in_both_modes(verify):
             verify(tup, 1, mode=mode, points=points)
 
 
+@pytest.mark.parametrize("mode,points", [
+    ("symbolic", None), ("pointwise", [(2, 3, 4)]), ("points", [(2, 3, 4)])],
+    ids=["symbolic", "pointwise", "bad-mode"])
+@pytest.mark.parametrize("verify", [
+    dl.verify_decomposition, dl.verify_frobenius_factorization,
+    dl.verify_dwork_ratio, dl.verify_det_congruence,
+    dl.verify_derivative_congruence, dl.verify_second_derivative_congruence,
+], ids=lambda f: f.__name__)
+def test_a_tuple_without_L_s_is_refused_before_the_mode(verify, mode, points):
+    """Every verifier checks for a member L_s with its other checks, so a
+    too-short tuple raises IndexOutOfRange whatever the mode."""
+    ctx, cfg, tup = kz_bits(3, 4, 1, 2)
+    with pytest.raises(IndexOutOfRange):
+        verify(tup, 2, mode=mode, points=points)
+
+
 def test_symbolic_gate_raises():
     ctx = dl.ctx_new(5, 4, 1)
     cfg = dl.KZConfig(ctx, 2)
@@ -205,42 +222,51 @@ def test_symbolic_gate_raises():
         dl.verify_dwork_ratio(tup, 2, mode="symbolic")
 
 
-def test_symbolic_gate_counts_the_entries_read():
-    """Verifiers are gated on their Hasse-Witt reads: at p = 3, s = 4
-    these are 9,330 compositions for the ratio (the full W_4 would be 122^3
-    terms), at s = 5 they are 82,662 and refused; the ghost decomposition
-    adds its slice reads, 18,102 compositions at s = 4 and 160,179 (refused)
-    at s = 5."""
+def _charged(kit_log, verify, tup, s):
+    """The symbolic report of verify(tup, s), which must pass, and the terms
+    its kit charged."""
+    rep = verify(tup, s, mode="symbolic")
+    assert rep.passed
+    return rep, [x for x in kit_log if isinstance(x, SymbolicKit)][-1].charged
+
+
+def test_symbolic_gate_counts_the_entries_read(kit_log):
+    """The symbolic kit charges the compositions its reads form: at p = 3,
+    s = 4 these are 9,330 for the ratio (the full W_4 would be 122^3 terms)
+    and 18,102 for the ghost decomposition, which adds the slice reads of
+    its recursion.  At s = 5 decomp charges 160,179, within
+    SYMBOLIC_READ_CAP, and passes, and so do the ratio, det, der2 and 1.6i;
+    at p = 7, g = 2, s = 1 every verifier's reads pass the cap."""
     ctx = dl.ctx_new(3, 6, 1)
     tup = dl.kz_tuple(dl.KZConfig(ctx, 1), length=6, periodic=False)
-    assert dwork._sym_gate(tup, 4, dwork._ratio_reads(4)) == 9_330
-    with pytest.raises(SizeCapExceeded):
-        dwork._sym_gate(tup, 4)
-    rep = dl.verify_decomposition(tup, 4, mode="symbolic")
-    assert rep.passed and rep.extra["ghost_block_valuation"] == 4
+    assert _charged(kit_log, dl.verify_dwork_ratio, tup, 4)[1] == 9_330
+    rep, charged = _charged(kit_log, dl.verify_decomposition, tup, 4)
+    assert charged == 18_102 and rep.extra["ghost_block_valuation"] == 4
     tup7 = dl.kz_tuple(dl.KZConfig(dl.ctx_new(3, 7, 1), 1), length=6,
                        periodic=False)
-    with pytest.raises(SizeCapExceeded):
-        dl.verify_decomposition(tup7, 5, mode="symbolic")
+    assert _charged(kit_log, dl.verify_decomposition, tup7, 5)[1] == 160_179
     for verify in (dl.verify_dwork_ratio, dl.verify_det_congruence,
                    dl.verify_second_derivative_congruence,
                    dl.verify_frobenius_factorization):
+        _charged(kit_log, verify, tup7, 5)
+    big = dl.kz_tuple(dl.KZConfig(dl.ctx_new(7, 3, 1), 2), length=2,
+                      periodic=False)
+    for verify in (dl.verify_decomposition, dl.verify_frobenius_factorization,
+                   dl.verify_dwork_ratio, dl.verify_det_congruence,
+                   dl.verify_derivative_congruence,
+                   dl.verify_second_derivative_congruence):
         with pytest.raises(SizeCapExceeded):
-            verify(tup, 5, mode="symbolic")
+            verify(big, 1, mode="symbolic")
 
 
-def test_symbolic_gate_passes_on_either_bound():
-    """A job whose reads pass SYMBOLIC_READ_GATE still runs when the full
-    expansion of W_s is within SYMBOLIC_TERM_GATE, which bounds every read:
-    at p = 11, g = 3, s = 0 the full W_0 has 6^7 = 279,936 compositions."""
+def test_symbolic_gate_passes_on_either_bound(kit_log):
+    """The charge is what the reads form, whatever the size of the full
+    expansion: at p = 11, g = 3, s = 0 the full W_0 has 6^7 = 279,936
+    compositions, and decomp reads 153,610 of them."""
     ctx = dl.ctx_new(11, 2, 1)
     tup = dl.kz_tuple(dl.KZConfig(ctx, 3), length=1, periodic=False)
-    reads = [(1, 0, 0), (1, 0, 0)]
-    indices = hw_indices(11, 1, tup.delta)
-    assert 2 * tup.W(0).read_size(indices) > dwork.SYMBOLIC_READ_GATE
-    assert dwork._sym_gate(tup, 0, reads) == 6**7
-    rep = dl.verify_decomposition(tup, 0, mode="symbolic")
-    assert rep.passed and rep.observed_min_valuation == ctx.N
+    rep, charged = _charged(kit_log, dl.verify_decomposition, tup, 0)
+    assert charged == 153_610 and rep.observed_min_valuation == ctx.N
 
 
 # -- derivative congruences ---------------------------------------------------

@@ -194,6 +194,18 @@ def test_coeffs_t_caps_the_terms_a_read_would_form():
     assert not is_expanded(F)
 
 
+def test_read_size_counts_the_terms_a_read_forms():
+    """A read is charged the terms it forms at each distinct requested
+    t-exponent: the compositions of a factored form, the stored terms at
+    those exponents once expanded (not every stored term)."""
+    F = LaurentPoly.from_factors(C(5, 2), 3, [(1, 2), (2, 3), (3, 1)])
+    ks = [1, 4, 4, 9]  # 9 is past the degree
+    factored = F.read_size(ks)
+    formed = sum(len(coeff_t(F, k).terms) for k in set(ks))
+    assert not is_expanded(F)
+    assert len(F.terms) > F.read_size(ks) == factored == formed == 3 + 5
+
+
 def test_partial_z():
     ctx = C(3, 2)
     z1 = z_var(ctx, 0, 2, 1)

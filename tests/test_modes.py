@@ -10,7 +10,7 @@ import pytest
 import dworklab as dl
 from dworklab import dwork, kz
 from dworklab.cli import run
-from dworklab.errors import ConfigError, InvalidParameter
+from dworklab.errors import ConfigError, InvalidParameter, SizeCapExceeded
 from dworklab.hasse_witt import PointKit, SymbolicKit
 
 P, N, S, G = 3, 5, 3, 1
@@ -56,6 +56,25 @@ def test_symbolic_valuation_bounds_the_pointwise_one(name, config):
     assert sym.claimed_valuation == pw.claimed_valuation
     assert sym.passed and pw.passed
     assert sym.observed_min_valuation <= pw.observed_min_valuation
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_the_read_budget_refuses_before_any_product(name, kit_log,
+                                                    monkeypatch):
+    """A statement reads all its entries before its first product, so with
+    the cap one term below the job's charge T the kit refuses it at its last
+    read, and no product is formed after the kit is made."""
+    assert _run(name, "symbolic").passed
+    (kit,) = [x for x in kit_log if isinstance(x, SymbolicKit)]
+    total = kit.charged
+    for module in (dwork, kz):
+        monkeypatch.setattr(module, "SYMBOLIC_READ_CAP", total - 1)
+    kit_log.clear()
+    with pytest.raises(SizeCapExceeded,
+                       match=f"{total} terms, past the cap of {total - 1};"):
+        _run(name, "symbolic")
+    (kit,) = [x for x in kit_log if isinstance(x, SymbolicKit)]
+    assert "product" not in kit_log[kit_log.index(kit):]
 
 
 @pytest.mark.parametrize("name", ["decomp", "1.6i", "1.6ii", "det"])
