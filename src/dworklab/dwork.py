@@ -29,7 +29,7 @@ statements; observed valuations are never rounded up.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import partial, reduce
+from functools import cache, partial, reduce
 
 from . import ringmat
 from .errors import (
@@ -240,12 +240,11 @@ def _ghost_plan(tup, s):
     return need, {key: sorted(ms) for key, ms in reads.items()}
 
 
-def _ghost_blocks(kit, tup, s):
-    """A(j+1, V_j) for j = 0..s over kit.ring, from the ghost slices of
-    ``_ghost_plan``: each W_i^(j) is read once, at the planned exponents,
-    through ``kit.coeffs``, and each slice of V_i is formed once."""
+def _ghost_blocks(kit, tup, need, reads):
+    """A(j+1, V_j) for j = 0..s over kit.ring, from the ghost slices (need,
+    reads) = ``_ghost_plan(tup, s)``: each W_i^(j) is read once, at the planned
+    exponents, through ``kit.coeffs``, and each slice of V_i is formed once."""
     p, ring = tup.ctx.p, kit.ring
-    need, reads = _ghost_plan(tup, s)
     got = {(i, j): dict(zip(ms, kit.coeffs(tup.W(i, j), ms, twist=j)))
            for (i, j), ms in reads.items()}
     V = {}
@@ -257,7 +256,7 @@ def _ghost_blocks(kit, tup, s):
             V[i, k] = x
     g = len(tup.delta)
     blocks = []
-    for i in range(s + 1):
+    for i in range(len(need)):
         flat = [V.get((i, k), ring.zero)
                 for k in hw_indices(p, i + 1, tup.delta)]
         blocks.append([flat[r * g:(r + 1) * g] for r in range(g)])
@@ -271,18 +270,19 @@ def verify_decomposition(ghost_seq_or_tuple, s, mode="symbolic", points=None):
     requires the theorem's content, A(s+1, V_s) = 0 mod p^s, read at
     ``extra["ghost_block_valuation"]`` (with the witness if it alone fails).
 
-    The ghost blocks A(j+1, V_j) are read slice by slice (``_ghost_blocks``);
-    a ``GhostSeq`` stands for its tuple."""
+    The ghost blocks A(j+1, V_j) are read slice by slice (``_ghost_blocks``)
+    on one plan for all kits; a ``GhostSeq`` stands for its tuple."""
     tup = (ghost_seq_or_tuple.tup if isinstance(ghost_seq_or_tuple, GhostSeq)
            else ghost_seq_or_tuple)
     # (level, s', j) of A(s+1, W_s) and of S_j = sigma^j A(s-j+1, W_s^(j))
     reads = [(s + 1, s, 0)] + [(s - j + 1, s, j) for j in range(1, s + 1)]
+    plan = cache(partial(_ghost_plan, tup, s))
 
     def one(kit):
         ring = kit.ring
         lhs, *S = [kit.A(level, tup.W(top, j), twist=j)
                    for level, top, j in reads]
-        blocks = _ghost_blocks(kit, tup, s)
+        blocks = _ghost_blocks(kit, tup, *plan())
         acc = blocks[s]
         for j, Sj in enumerate(S, 1):
             acc = ringmat.mat_add(ring, acc,

@@ -17,10 +17,10 @@ so a caller can budget a sequence of reads: the symbolic kit of
 read on their own and against SYMBOLIC_READ_CAP for verifier statements.
 
 Products of expanded polynomials (cleared forms, ghosts, Phi identities) are
-Kronecker-packed into ``dense.dense_mul`` when the shorter operand has at
-least PACK_MIN_TERMS terms and the packed box is at most 1/PACK_BOX_RATIO of
-the term pairs; the rest keep a dict loop.  Frobenius-twisted operands are
-strided by p^k, so their boxes are mostly empty and they stay sparse.
+Kronecker-packed into ``dense.dense_mul`` when the packed box is at most
+1/PACK_BOX_RATIO of the term pairs, else kept in a dict loop.  Operands
+strided by p^k (Frobenius twists) pack only against one dense enough to
+fill the box; operands of one to three terms never pack.
 """
 
 from __future__ import annotations
@@ -46,11 +46,9 @@ SOFT_TERM_CAP = 10_000_000
 # grow with the reads, and past this they no longer finish in CLI time.
 SYMBOLIC_READ_CAP = 300_000
 PAIR_CAP = 60_000_000
-# Dispatch of products to the packed path (see _packed_convolve).  A
-# 105 x 487 product with box/pairs 0.05 takes 1.8 ms packed against 25 ms in
-# the dict loop; a Frobenius-twisted 8 x 2688 one with box/pairs 3.2 takes
-# 64 against 14 ms (the ghost decomposition at p = 3, s = 3).
-PACK_MIN_TERMS = 16
+# Products pack when box <= pairs / PACK_BOX_RATIO (see _packed_convolve).
+# At (3, 5, 3, 1), 2-core Xeon: a twisted 15 x 678 one, box/pairs 0.28, takes
+# 1.2 ms packed, 5.0 in the dict loop; a twisted 12 x 15, 8.9: 0.41 vs 0.14.
 PACK_BOX_RATIO = 3
 
 
@@ -511,7 +509,9 @@ def _convolve(ctx, a, b):
 
     if len(a) > len(b):
         a, b = b, a
-    if len(a) >= PACK_MIN_TERMS:
+    # The box exceeds len(b) unless a has one term, so the box rule never
+    # packs an operand of at most PACK_BOX_RATIO terms (nor an empty one).
+    if len(a) > PACK_BOX_RATIO:
         out = _packed_convolve(ctx, a, b)
         if out is not None:
             return out

@@ -23,11 +23,12 @@ def rand_coeff(rng, ctx, nonzero=False):
 
 
 def rand_laurent(rng, ctx, r, n, tlo, thi, max_terms, zdeg=2, neg_z=False):
-    """Random polynomial with t-support inside [tlo, thi]."""
+    """Random polynomial in r t-variables and n z-variables, with t-support
+    inside [tlo, thi]."""
     terms = {}
     for _ in range(rng.randrange(1, max_terms + 1)):
         key = tuple(
-            [rng.randint(tlo, thi)]
+            [rng.randint(tlo, thi) for _ in range(r)]
             + [rng.randint(-zdeg if neg_z else 0, zdeg) for _ in range(n)]
         )
         terms[key] = rand_coeff(rng, ctx, nonzero=True)

@@ -1,7 +1,7 @@
 import pytest
 
 import dworklab as dl
-from dworklab import dwork, ringmat
+from dworklab import dwork, laurent, ringmat
 from dworklab.errors import (
     ConfigError,
     DegenerateTuple,
@@ -64,7 +64,8 @@ def test_ghost_dense_matches_symbolic():
     gs = dl.ghost_sequence(tup, 2)
     rng = seeded(77)
     a = [rand(ctx, rng) for _ in range(3)]
-    blocks = dwork._ghost_blocks(PointKit(ctx, tup.delta, a), tup, 2)
+    blocks = dwork._ghost_blocks(PointKit(ctx, tup.delta, a), tup,
+                                  *dwork._ghost_plan(tup, 2))
     for s in range(3):
         direct = dl.hw_matrix_at(s + 1, gs.V[s], tup.delta, a)
         assert blocks[s] == direct.entries
@@ -83,12 +84,29 @@ def test_ghost_blocks_match_the_full_ghosts():
         ctx, l, n = tup.ctx, len(tup.lams) - 1, tup.lam(0).n
         gs = dl.ghost_sequence(tup, l)
         a = [rand_unit(ctx, rng) for _ in range(n)]
-        sym = dwork._ghost_blocks(SymbolicKit(ctx, tup.delta, n), tup, l)
-        at = dwork._ghost_blocks(PointKit(ctx, tup.delta, a), tup, l)
+        plan = dwork._ghost_plan(tup, l)
+        sym = dwork._ghost_blocks(SymbolicKit(ctx, tup.delta, n), tup, *plan)
+        at = dwork._ghost_blocks(PointKit(ctx, tup.delta, a), tup, *plan)
         for j in range(l + 1):
             assert sym[j] == dl.hw_matrix(j + 1, gs.V[j], tup.delta).entries
             assert at[j] == dl.hw_matrix_at(j + 1, gs.V[j], tup.delta,
                                             a).entries
+
+
+def test_decomposition_plans_the_ghost_recursion_once(monkeypatch):
+    """The plan depends on the tuple and s alone: four points, one plan."""
+    ctx, pts = ext_points(5, 2, 2, 4, 3, N=5)
+    tup = dl.kz_tuple(dl.KZConfig(ctx, 2), length=4, periodic=False)
+    calls = []
+
+    def counted(*args, real=dwork._ghost_plan):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dwork, "_ghost_plan", counted)
+    rep = dl.verify_decomposition(tup, 3, mode="pointwise", points=pts)
+    assert rep.passed and rep.points == 4
+    assert calls == [(tup, 3)]
 
 
 def test_decomposition_needs_precision_for_the_ghosts():
@@ -148,6 +166,23 @@ def test_ratio_symbolic_and_points_coherent():
     rep_pw = dl.verify_dwork_ratio(tup, 2, mode="pointwise", points=good)
     # pointwise evaluations inherit at least the symbolic valuation
     assert rep_pw.observed_min_valuation >= rep.observed_min_valuation
+
+
+def test_symbolic_ratio_packs_its_twisted_product(monkeypatch):
+    """At (p, N, s, g) = (3, 5, 3, 1) the symbolic ratio multiplies a
+    15-term Frobenius-twisted determinant by a 678-term entry; its box is
+    dense enough that the product goes through Kronecker substitution."""
+    tup = kz_bits(3, 5, 1, 4)[2]
+    shapes = []
+
+    def spy(ctx, a, b, real=laurent._packed_convolve):
+        out = real(ctx, a, b)
+        shapes.append((len(a), len(b), out is not None))
+        return out
+
+    monkeypatch.setattr(laurent, "_packed_convolve", spy)
+    assert dl.verify_dwork_ratio(tup, 3, mode="symbolic").passed
+    assert (15, 678, True) in shapes
 
 
 def test_det_congruence():

@@ -337,6 +337,15 @@ def test_leading_term_lex():
         assert cp == ctx7.mul(ca, cb)
 
 
+def test_rand_laurent_keys_have_one_part_per_variable():
+    rng = seeded(5)
+    ctx = C(3, 2)
+    for r in (0, 1):
+        for n in (1, 2, 3):
+            f = rand_laurent(rng, ctx, r, n, -2, 3, 6, neg_z=True)
+            assert {len(key) for key in f.terms} == {r + n}
+
+
 def test_ring_axioms_against_oracle():
     rng = seeded(31)
     for _ in range(300):
@@ -411,12 +420,14 @@ def test_packed_products_match_the_dict_loop(p, N, m):
 @pytest.mark.parametrize("short,stride,packed", [
     (16, 2, True),   # box 2 * 214, 3 * 428 <= 16 * 100 pairs
     (16, 3, False),  # box 2 * 313, 3 * 626 > 1600
-    (15, 1, False),  # box 2 * 114 is small, but 15 terms are under 16
+    (15, 1, True),   # box 2 * 114, 3 * 228 <= 1500
     (16, 1, True),
 ])
 def test_packed_product_thresholds(short, stride, packed):
     """Non-homogeneous operands t^i z^(i mod 2) and t^(stride j) with
-    negative t-exponents, on both sides of each dispatch threshold."""
+    negative t-exponents, on both sides of the box rule: the product packs
+    when its box is at most a third of the term pairs, whatever the
+    shorter operand's term count."""
     for m in (1, 2):
         ctx = dl.ctx_new(3, 2, m)
         rng = seeded(short * stride + m)
@@ -426,6 +437,34 @@ def test_packed_product_thresholds(short, stride, packed):
              for j in range(100)}
         assert _check_product(ctx, a, b) is packed
         assert _check_product(ctx, b, a) is packed
+
+
+def test_operands_under_four_terms_never_pack():
+    """The box is at least the longer operand's term count, with equality
+    only for a single-term operand, so the box rule never packs an operand
+    of 1, 2 or 3 terms (and ``_convolve`` does not ask it to): not against
+    a dense square, an interval or a homogeneous diagonal.  Four terms in a
+    2 x 2 square pack against a dense 10 x 10 square (box 11 * 11,
+    3 * 121 <= 400 pairs)."""
+    ctx = C(3, 2)
+    rng = seeded(4)
+    square = {(i, j): rand_coeff(rng, ctx, nonzero=True)
+              for i in range(10) for j in range(10)}
+    corners = [(0, 0), (1, 1), (0, 1), (1, 0)]
+    for k in range(1, 5):
+        a = {key: rand_coeff(rng, ctx, nonzero=True) for key in corners[:k]}
+        assert (_packed_convolve(ctx, a, square) is None) is (k < 4)
+        assert _check_product(ctx, a, square) is (k == 4)
+    line = {(j, 0): 1 for j in range(100)}
+    diagonal = {(j, 9 - j): 1 for j in range(-40, 60)}
+    for _ in range(30):
+        heads = rng.sample(range(-3, 4), rng.randint(1, 3))
+        for key, b in ((lambda h: (h, rng.randint(-3, 3)), square),
+                       (lambda h: (h, 0), line),
+                       (lambda h: (h, 2 - h), diagonal)):
+            a = {key(h): 1 for h in heads}
+            assert _packed_convolve(ctx, a, b) is None
+            _check_product(ctx, a, b)
 
 
 def test_pair_cap_applies_to_the_dict_loop_only(monkeypatch):

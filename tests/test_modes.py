@@ -155,9 +155,9 @@ def test_planted_ghost_divisibility_fault_fails_decomp(monkeypatch):
         return kit.ring.add(x, kit.ring.scal(kit.ctx.from_int(P ** (S - 1)),
                                              kit.ring.one))
 
-    def blocks(kit, tup, s, real=dwork._ghost_blocks):
-        out = real(kit, tup, s)
-        out[s][0][0] = shifted(kit, out[s][0][0])
+    def blocks(kit, tup, *plan, real=dwork._ghost_blocks):
+        out = real(kit, tup, *plan)
+        out[S][0][0] = shifted(kit, out[S][0][0])
         return out
 
     monkeypatch.setattr(dwork, "_ghost_blocks", blocks)
