@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import decimal
 import struct
+from functools import partial, reduce
 from operator import mul
 
 from .errors import NotDivisible
@@ -210,20 +211,6 @@ def dense_pow(ctx, a, e):
     return list(result)
 
 
-def dense_linear_pow(ctx, root, e):
-    """(t - root)^e via binomial coefficients."""
-    out = [ctx.zero()] * (e + 1)
-    neg = ctx.neg(root)
-    pw = ctx.one()
-    binom = 1  # comb(e, k), stepped down exactly
-    for k in range(e, -1, -1):
-        out[k] = ctx.scal_int(pw, binom)
-        binom = binom * k // (e - k + 1)
-        if k:
-            pw = ctx.mul(pw, neg)
-    return out
-
-
 def _linear_product(ctx, roots):
     """prod (t - root), one root at a time: new[k] = old[k-1] - root * old[k].
 
@@ -256,18 +243,17 @@ def _linear_product(ctx, roots):
 
 
 def dense_from_roots(ctx, pairs):
-    """Expand prod (t - root)^mult for a list of (root, mult) pairs."""
-    pairs = [(r, e) for r, e in pairs if e > 0]
-    if not pairs:
+    """Expand prod (t - root)^mult for a list of (root, mult) pairs: one
+    linear product per multiplicity, raised to it, and the groups multiplied."""
+    groups = {}
+    for r, e in pairs:
+        if e > 0:
+            groups.setdefault(e, []).append(r)
+    if not groups:
         return [ctx.one()]
-    mults = {e for _, e in pairs}
-    if len(mults) == 1:
-        return dense_pow(ctx, _linear_product(ctx, [r for r, _ in pairs]), mults.pop())
-    polys = [dense_linear_pow(ctx, r, e) for r, e in pairs]
-    while len(polys) > 1:
-        polys.sort(key=len)
-        polys.append(dense_mul(ctx, polys.pop(0), polys.pop(0)))
-    return polys[0]
+    return reduce(partial(dense_mul, ctx),
+                  [dense_pow(ctx, _linear_product(ctx, roots), e)
+                   for e, roots in groups.items()])
 
 
 def dense_half_split(ctx, pairs):

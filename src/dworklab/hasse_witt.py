@@ -26,7 +26,6 @@ from . import dense, ringmat
 from .errors import (
     DirectionOutOfRange,
     NotFactored,
-    SingularModP,
     SizeCapExceeded,
     UnsupportedArity,
 )
@@ -143,13 +142,8 @@ def hw_det(Aw):
 def hw_inverse_at(Aw):
     if not Aw.pointwise:
         raise UnsupportedArity("symbolic inverses are handled by clearing denominators")
-    det = hw_det(Aw)
-    if not Aw.ctx.is_unit(det):
-        raise SingularModP(
-            f"determinant has valuation {Aw.ctx.val(det)} > 0"
-        )
-    inv = ringmat.mat_inv_scalar(Aw.ctx, Aw.entries)
-    return HWMatrix(Aw.ctx, Aw.level, Aw.delta, inv, True)
+    return HWMatrix(Aw.ctx, Aw.level, Aw.delta,
+                    ringmat.mat_inv_scalar(Aw.ctx, Aw.entries), True)
 
 
 class DenseCache:

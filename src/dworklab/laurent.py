@@ -65,9 +65,6 @@ class TBox:
             tuple(a + b for a, b in zip(self.hi, other.hi)),
         )
 
-    def scale(self, k):
-        return TBox(tuple(a * k for a in self.lo), tuple(a * k for a in self.hi))
-
 
 class LaurentPoly:
     __slots__ = ("ctx", "r", "n", "_terms", "factored")
@@ -497,6 +494,8 @@ class LaurentPoly:
         r, n = int(data["r"]), int(data["n"])
         terms = {}
         for item in data["terms"]:
+            if (len(item["t"]), len(item["z"])) != (r, n):
+                raise ValueError(f"a term needs {r} t and {n} z exponents")
             key = tuple(int(e) for e in item["t"]) + tuple(int(e) for e in item["z"])
             c = ctx.elem_from_json(item["c"])
             if not ctx.is_zero(c):

@@ -52,99 +52,43 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# F_p[x] helpers for the irreducible-modulus search (dense lists, low first).
+# The irreducible-modulus search: residues mod f live in PadicCtx(p, 1, m, f),
+# and only the gcd works on dense lists over F_p (low first).
 
 
-def _fp_trim(a):
-    while a and a[-1] == 0:
+def _fp_rem(a, b, p):
+    """a mod b over F_p, without leading zeros; b has a nonzero top."""
+    a = [c % p for c in a]
+    inv = pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        c = a.pop() * inv % p
+        shift = len(a) - len(b) + 1
+        for i, bc in enumerate(b[:-1]):
+            a[shift + i] = (a[shift + i] - c * bc) % p
+    while a and not a[-1]:
         a.pop()
     return a
 
 
-def _fp_rem(a, f, p):
-    # remainder of a modulo monic f
-    a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        c = a[-1] % p
-        if c:
-            shift = len(a) - 1 - df
-            for i, fc in enumerate(f):
-                a[shift + i] = (a[shift + i] - c * fc) % p
-        a.pop()
-    return _fp_trim([c % p for c in a])
-
-
-def _fp_mulmod(a, b, f, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_rem(out, f, p)
-
-
-def _fp_pow_x(e, f, p):
-    # x^e modulo monic f over F_p, by binary exponentiation
-    result = [1]
-    base = _fp_rem([0, 1], f, p)
-    while e:
-        if e & 1:
-            result = _fp_mulmod(result, base, f, p)
-        base = _fp_mulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _fp_gcd(a, b, p):
-    a, b = list(a), list(b)
+def _coprime(a, b, p):
+    """Whether a and b have no common factor of positive degree over F_p;
+    b has a nonzero top."""
     while b:
-        inv = pow(b[-1], -1, p)
-        bm = [(c * inv) % p for c in b]
-        a, b = b, _fp_rem(a, bm, p)
-    return a
+        a, b = b, _fp_rem(a, b, p)
+    return len(a) == 1
 
 
 def _is_irreducible_mod_p(coeffs, p):
-    """Exact irreducibility test for a monic polynomial over F_p."""
-    f = [c % p for c in coeffs]
-    m = len(f) - 1
-    if m == 1:
-        return True
-    # x^(p^m) must equal x mod f, and x^(p^(m/l)) - x must be coprime to f
-    # for every prime divisor l of m.
-    top = _fp_pow_x(p**m, f, p)
-    x = _fp_rem([0, 1], f, p)
-    if _fp_trim([(a - b) % p for a, b in _zip_pad(top, x)]):
-        return False
-    for ell in _prime_divisors(m):
-        g = _fp_pow_x(p ** (m // ell), f, p)
-        diff = _fp_trim([(a - b) % p for a, b in _zip_pad(g, x)])
-        gcd = _fp_gcd(f, diff, p) if diff else f
-        if len(gcd) - 1 > 0:
+    """Ben-Or's exact test: a monic f of degree m is irreducible over F_p
+    iff x^(p^i) - x is prime to f for i = 1, ..., m // 2."""
+    m = len(coeffs) - 1
+    field = PadicCtx(p, 1, m, [c % p for c in coeffs])
+    x = y = field.from_coeffs([0, 1])
+    for _ in range(m // 2):
+        y = field.pow(y, p)
+        if not _coprime(field.sub(y, x), field.modulus, p):
             return False
     return True
-
-
-def _zip_pad(a, b):
-    la, lb = len(a), len(b)
-    n = max(la, lb)
-    for i in range(n):
-        yield (a[i] if i < la else 0), (b[i] if i < lb else 0)
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +177,7 @@ class PadicCtx:
     def mul(self, a, b):
         if self.m == 1:
             return a * b % self.q
-        return self._tuple_mul(a, b, self.q)
+        return self._tuple_mul(a, b)
 
     def scal_int(self, a, k):
         """Multiply an element by a plain integer."""
@@ -242,8 +186,8 @@ class PadicCtx:
         q = self.q
         return tuple(x * k % q for x in a)
 
-    def _tuple_mul(self, a, b, q):
-        m = self.m
+    def _tuple_mul(self, a, b):
+        m, q = self.m, self.q
         prod = [0] * (2 * m - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -310,26 +254,14 @@ class PadicCtx:
         p = self.p
         if self.m == 1:
             y = pow(a % p, -1, p)
-        else:
-            ap = tuple(c % p for c in a)
-            # Fermat inverse in F_{p^m}
-            y = self._field_pow(ap, p**self.m - 2)
+        else:  # Fermat inverse in F_(p^m) = PadicCtx(p, 1, m, modulus)
+            field = PadicCtx(p, 1, self.m, self.modulus)
+            y = field.pow(tuple(c % p for c in a), p**self.m - 2)
         steps = max(1, (self.N - 1).bit_length())
         two = self.from_int(2)
         for _ in range(steps):
             y = self.mul(y, self.sub(two, self.mul(a, y)))
         return y
-
-    def _field_pow(self, a, e):
-        p = self.p
-        result = (1,) + (0,) * (self.m - 1)
-        base = a
-        while e:
-            if e & 1:
-                result = self._tuple_mul(result, base, p)
-            base = self._tuple_mul(base, base, p)
-            e >>= 1
-        return tuple(c % self.q for c in result)
 
     # -- Teichmueller lift ---------------------------------------------------
 
@@ -361,6 +293,8 @@ class PadicCtx:
     def elem_from_json(self, data):
         if isinstance(data, (int, str)):
             return self.from_int(int(data))
+        if len(data) > self.m:
+            raise ValueError(f"an element has at most m = {self.m} coefficients")
         return self.from_coeffs([int(c) for c in data])
 
     def to_json(self):

@@ -3,9 +3,8 @@
 The same code paths serve scalar matrices over a PadicCtx and symbolic
 matrices with LaurentPoly entries; a :class:`Ring` bundle supplies the ring
 operations.  Determinants and adjugates use division-free minor expansion
-(the matrices here are at most a handful of rows); scalar inverses use
-Gauss-Jordan elimination with unit pivots, which always exist when the
-determinant is a unit mod p.
+(the matrices here are at most a handful of rows); a scalar inverse is the
+adjugate times the inverse of the determinant, which must be a unit mod p.
 """
 
 from __future__ import annotations
@@ -139,33 +138,13 @@ def min_val(ring, A):
 
 
 def mat_inv_scalar(ctx, A):
-    """Inverse of a scalar matrix over Z/p^N with unit determinant."""
-    g = len(A)
-    work = [
-        list(A[i]) + [ctx.one() if i == j else ctx.zero() for j in range(g)]
-        for i in range(g)
-    ]
-    for col in range(g):
-        pivot = None
-        for r in range(col, g):
-            if ctx.is_unit(work[r][col]):
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularModP("no unit pivot; matrix is singular mod p")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = ctx.inv(work[col][col])
-        work[col] = [ctx.mul(inv, x) for x in work[col]]
-        for r in range(g):
-            if r == col:
-                continue
-            f = work[r][col]
-            if ctx.is_zero(f):
-                continue
-            work[r] = [
-                ctx.sub(x, ctx.mul(f, y)) for x, y in zip(work[r], work[col])
-            ]
-    return [row[g:] for row in work]
+    """Inverse adj(A) det(A)^-1 of a scalar matrix over Z/p^N; raises
+    SingularModP unless det A is a unit."""
+    ring = scalar_ring(ctx)
+    d = det(ring, A)
+    if not ctx.is_unit(d):
+        raise SingularModP(f"determinant has valuation {ctx.val(d)} > 0")
+    return mat_scal(ring, ctx.inv(d), adjugate(ring, A))
 
 
 def mat_solve_scalar(ctx, A, B):

@@ -189,6 +189,20 @@ def first_row_gradient(cfg, s, kit=None):
                                  _frame_indices(cfg, s))]
 
 
+def dense_linear_pow(ctx, root, e):
+    """(t - root)^e as a dense list, by binomial coefficients."""
+    out = [ctx.zero()] * (e + 1)
+    neg = ctx.neg(root)
+    pw = ctx.one()
+    binom = 1  # comb(e, k), stepped down exactly
+    for k in range(e, -1, -1):
+        out[k] = ctx.scal_int(pw, binom)
+        binom = binom * k // (e - k + 1)
+        if k:
+            pw = ctx.mul(pw, neg)
+    return out
+
+
 def rand(ctx, rng):
     """A uniform element of ctx."""
     if ctx.m == 1:

@@ -524,6 +524,44 @@ def test_missing_input_file_exits_2(tmp_path, argv, capsys):
     assert "configuration error: cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    "ghosts --p 3 --N 3 --l 1 --delta 1..1 --tuple {}",
+    "admissible --p 3 --N 3 --delta 1..1 --tuple {}",
+])
+def test_a_term_with_the_wrong_number_of_exponents_exits_2(tmp_path, argv,
+                                                           capsys):
+    """A term has "r" t-exponents and "n" z-exponents.  A term with two
+    t-exponents at r = n = 1 was once read as a key of length 3, and both
+    commands exited 0."""
+    def lam(t):
+        return {"r": 1, "n": 1, "terms": [{"t": t, "z": [1], "c": "1"},
+                                          {"t": [1], "z": [0], "c": "1"}]}
+
+    path = tmp_path / "tuple.json"
+    for t, code in (([0], 0), ([0, 0], 2), ([], 2)):
+        path.write_text(json.dumps({"lambdas": [lam(t)] * 2}))
+        assert invoke(argv.format(path).split())[0] == code
+    assert capsys.readouterr().err.count("is not a tuple") == 2
+
+
+@pytest.mark.parametrize("argv,m,point", [
+    ("hw --p 3 --N 2 --m 1 --g 1 --at {}", 1, [["1", "5"], "2", "4"]),
+    ("kz-solve --p 3 --N 3 --g 1 --s 1 --ext 2 --at {}", 2,
+     [["1", "0", "1"], ["0", "1"], "2"]),
+])
+def test_an_element_with_more_than_m_coefficients_exits_2(tmp_path, argv, m,
+                                                          point, capsys):
+    """A coordinate past the extension degree m was once cut to its first m
+    coefficients, and the run exited 0 at that other point."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(point))
+    assert invoke(argv.format(path).split()) == (2, [])
+    assert "is not a point" in capsys.readouterr().err
+    path.write_text(json.dumps(
+        [x[:m] if isinstance(x, list) else x for x in point]))
+    assert invoke(argv.format(path).split())[0] == 0
+
+
 @pytest.mark.parametrize("content", [
     "[]", "[1.5, 2, 3]", "{}", '{"lambdas": [5]}', '{"lambdas": []}',
     '"abc"', "{not json",

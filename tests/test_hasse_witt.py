@@ -135,18 +135,32 @@ def test_inverse_examples():
 
 
 def test_inverse_random_matrices():
-    rng = seeded(23)
-    ctx = dl.ctx_new(5, 3, 1)
+    """A unit determinant gives a two-sided inverse; any other raises
+    SingularModP in mat_inv_scalar itself."""
+    for m in (1, 2):
+        _check_random_inverses(dl.ctx_new(5, 3, m), seeded(23 + m))
+
+
+def _check_random_inverses(ctx, rng):
     ring = ringmat.scalar_ring(ctx)
-    count = 0
-    while count < 100:
+    units = singular = 0
+    while units < 100 or singular < 20:
         g = rng.randint(1, 3)
         M = [[rand(ctx, rng) for _ in range(g)] for _ in range(g)]
-        if not ctx.is_unit(ringmat.det(ring, M)):
-            continue
-        count += 1
-        inv = ringmat.mat_inv_scalar(ctx, M)
-        assert ringmat.mat_mul(ring, M, inv) == ringmat.identity(ring, g)
+        if rng.random() < 0.3:  # row i = c row j + p row i: det = 0 mod p
+            i, j = rng.randrange(g), rng.randrange(g)
+            c = rand(ctx, rng) if i != j else ctx.zero()
+            M[i] = [ctx.add(ctx.mul(c, y), ctx.scal_int(x, ctx.p))
+                    for x, y in zip(M[i], M[j])]
+        if ctx.is_unit(ringmat.det(ring, M)):
+            units += 1
+            inv = ringmat.mat_inv_scalar(ctx, M)
+            assert ringmat.mat_mul(ring, M, inv) == ringmat.identity(ring, g)
+            assert ringmat.mat_mul(ring, inv, M) == ringmat.identity(ring, g)
+        else:
+            singular += 1
+            with pytest.raises(SingularModP):
+                ringmat.mat_inv_scalar(ctx, M)
 
 
 def test_derivative_at_examples():

@@ -51,6 +51,23 @@ def test_modulus_is_minimal_lex():
             )
 
 
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6),
+                                 (5, 2), (5, 3), (7, 2)])
+def test_irreducibility_test_agrees_with_trial_division(p, m):
+    """Ben-Or's test against trial division by every monic polynomial of
+    degree 1..m//2, on every monic polynomial of degree m.  At m = 4 and 6
+    the test must see factors of degree 2 and 3 with no root, such as
+    x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2) over F_3."""
+    from dworklab.padic import _is_irreducible_mod_p
+
+    divisors = [list(tail) + [1] for d in range(1, m // 2 + 1)
+                for tail in itertools.product(range(p), repeat=d)]
+    for tail in itertools.product(range(p), repeat=m):
+        f = list(tail) + [1]
+        assert _is_irreducible_mod_p(f, p) == (
+            not any(poly_divides(d, f, p) for d in divisors)), f
+
+
 def test_teichmueller_examples():
     ctx = dl.ctx_new(3, 2, 1)
     assert ctx.teichmueller(1) == 1
