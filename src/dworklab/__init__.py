@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedArity,
     ZeroPolynomial,
 )
-from .padic import PadicCtx, ctx_new, teichmueller, valuation
+from .padic import PadicCtx, ctx_new
 from .laurent import LaurentPoly, TBox
 from .ghosts import (
     AdmissibilityCertificate,
@@ -54,7 +54,6 @@ from .dwork import (
 from .kz import (
     KZConfig,
     SolutionMatrix,
-    gaudin,
     kz_residual,
     kz_tuple,
     master_polynomial,

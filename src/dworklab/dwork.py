@@ -38,7 +38,6 @@ from .errors import (
     InvalidParameter,
     PrecisionTooLow,
 )
-from .ghosts import GhostSeq
 from .hasse_witt import (
     PointKit,
     SymbolicKit,
@@ -134,14 +133,15 @@ def _pointwise_scan(kits, one, claimed):
 
 
 def _report(theorem_id, description, claimed, config, family, mode, points,
-            symbolic, one, finish=None):
+            one, finish=None):
     """The report of one(kit) against the claim over the kits of the mode:
     one PointKit per point over the family's (a tuple's or a KZ family's)
     ctx and delta, made as the scan reaches it so that one point's memo is
-    alive at a time, or the one kit symbolic() makes.  Any other mode, or
-    points given to the symbolic mode, would check something other than
-    what was asked: both raise.  ``config`` adds to p and N, and
-    finish(report, results) adds what is the verifier's own."""
+    alive at a time, or one SymbolicKit over its ctx, delta and n with the
+    budget SYMBOLIC_READ_CAP.  Any other mode, or points given to the
+    symbolic mode, would check something other than what was asked: both
+    raise.  ``config`` adds to p and N, and finish(report, results) adds
+    what is the verifier's own."""
     ctx = family.ctx
     if mode == "pointwise":
         kits = (PointKit(ctx, family.delta, a, idx)
@@ -151,7 +151,7 @@ def _report(theorem_id, description, claimed, config, family, mode, points,
     elif points is not None:
         raise InvalidParameter("symbolic mode takes no points")
     else:
-        kits = [symbolic()]
+        kits = [SymbolicKit(ctx, family.delta, family.n, SYMBOLIC_READ_CAP)]
     observed, witness, results = _pointwise_scan(kits, one, claimed)
     rep = CongruenceReport(
         theorem_id, description, mode, claimed, observed,
@@ -168,26 +168,23 @@ def _verify(theorem_id, description, tup, s, mode, points, one, *, claimed,
     """``_report`` of a tuple verifier after the checks, in this order:
     s >= least; among ``params``, the directions u and v in 1..n and the
     twist m >= 0; admissibility; N >= precision (by default the claim); and
-    a member L_s.  The symbolic kit's budget is SYMBOLIC_READ_CAP."""
+    a member L_s."""
     if s < least:
         raise InvalidParameter(f"the {theorem_id} check needs s >= {least}")
     for name, value in params.items():
         if name in ("u", "v"):
-            check_direction(name, value, tup.lam(0).n)
+            check_direction(name, value, tup.n)
         elif value < 0:
             raise InvalidParameter(f"the {theorem_id} check needs {name} >= 0")
     tup.require_admissible()
-    ctx = tup.ctx
     precision = claimed if precision is None else precision
-    if precision > ctx.N:
+    if precision > tup.ctx.N:
         raise PrecisionTooLow(f"a congruence modulo p^{precision} cannot be "
-                              f"witnessed at precision N={ctx.N}")
+                              f"witnessed at precision N={tup.ctx.N}")
     tup.lam(s)  # IndexOutOfRange when the tuple has no member L_s
 
     return _report(theorem_id, description, claimed, {"s": s, **params}, tup,
-                   mode, points, partial(SymbolicKit, ctx, tup.delta,
-                                         tup.lam(0).n, SYMBOLIC_READ_CAP),
-                   one, finish)
+                   mode, points, one, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +260,7 @@ def _ghost_blocks(kit, tup, need, reads):
     return blocks
 
 
-def verify_decomposition(ghost_seq_or_tuple, s, mode="symbolic", points=None):
+def verify_decomposition(tup, s, mode="symbolic", points=None):
     """Exact identity A(s+1, W_s) = sum_j A(j, V_{j-1}) sigma^j A(s-j+1, W_s^(j))
     + A(s+1, V_s); the claimed valuation is the full working precision.
     The identity holds by the construction of V_s, so the verdict also
@@ -271,9 +268,7 @@ def verify_decomposition(ghost_seq_or_tuple, s, mode="symbolic", points=None):
     ``extra["ghost_block_valuation"]`` (with the witness if it alone fails).
 
     The ghost blocks A(j+1, V_j) are read slice by slice (``_ghost_blocks``)
-    on one plan for all kits; a ``GhostSeq`` stands for its tuple."""
-    tup = (ghost_seq_or_tuple.tup if isinstance(ghost_seq_or_tuple, GhostSeq)
-           else ghost_seq_or_tuple)
+    on one plan for all kits."""
     # (level, s', j) of A(s+1, W_s) and of S_j = sigma^j A(s-j+1, W_s^(j))
     reads = [(s + 1, s, 0)] + [(s - j + 1, s, j) for j in range(1, s + 1)]
     plan = cache(partial(_ghost_plan, tup, s))

@@ -34,7 +34,7 @@ from .errors import (
     PrecisionTooLow,
     UnsupportedArity,
 )
-from .laurent import LaurentPoly, TBox
+from .laurent import LaurentPoly
 from .padic import check_prime
 
 ENUM_CAP = 100_000
@@ -87,6 +87,10 @@ class AdmissibleTuple:
     @property
     def g(self):
         return len(self.delta)
+
+    @property
+    def n(self):
+        return self.lams[0].n
 
     def lam(self, idx):
         if idx < 0:
@@ -167,17 +171,6 @@ def normalize_delta(delta, r):
     if not out:
         raise InvalidParameter("Delta must be nonempty")
     return tuple(sorted(set(out)))
-
-
-def _as_box(b, r):
-    if isinstance(b, TBox):
-        return b
-    lo, hi = b
-    if isinstance(lo, int):
-        lo, hi = (lo,), (hi,)
-    if len(lo) != r or len(hi) != r:
-        raise UnsupportedArity("box arity mismatch")
-    return TBox(tuple(lo), tuple(hi))
 
 
 def _ceil_div(a, b):
@@ -279,8 +272,7 @@ def check_admissible_boxes(boxes, delta, p, periodic=False, depth=8):
     check_prime(p)
     if depth < 1:
         raise InvalidParameter(f"depth must be >= 1, got {depth}")
-    delta = normalize_delta(delta, _infer_r(boxes))
-    boxes = [_as_box(b, len(delta[0])) for b in boxes]
+    delta = normalize_delta(delta, len(boxes[0].lo))
     if not periodic:
         l = len(boxes) - 1
         for i in range(l):
@@ -304,29 +296,13 @@ def check_admissible_boxes(boxes, delta, p, periodic=False, depth=8):
     return AdmissibilityCertificate(True, False, depth)
 
 
-def _infer_r(boxes):
-    b = boxes[0]
-    if isinstance(b, TBox):
-        return len(b.lo)
-    lo = b[0]
-    return 1 if isinstance(lo, int) else len(lo)
-
-
-def check_admissible(tuple_or_boxes, delta, p=None, periodic=False, depth=8):
-    """Entry point accepting an AdmissibleTuple, polynomials, or boxes."""
-    if isinstance(tuple_or_boxes, AdmissibleTuple):
-        tup = tuple_or_boxes
-        boxes = [lam.newton_box() for lam in tup.lams]
-        return check_admissible_boxes(
-            boxes, delta or tup.delta, tup.ctx.p,
-            periodic=tup.periodic, depth=depth,
-        )
-    items = list(tuple_or_boxes)
+def check_admissible(polys_or_boxes, delta, p=None, periodic=False, depth=8):
+    """Entry point accepting Laurent polynomials (p defaults to theirs) or
+    ``TBox``es."""
+    items = list(polys_or_boxes)
     if items and isinstance(items[0], LaurentPoly):
-        if p is None:
-            p = items[0].ctx.p
-        boxes = [f.newton_box() for f in items]
-        return check_admissible_boxes(boxes, delta, p, periodic=periodic, depth=depth)
-    if p is None:
-        raise InvalidParameter("p is required when passing raw boxes")
+        p = items[0].ctx.p if p is None else p
+        items = [f.newton_box() for f in items]
+    elif p is None:
+        raise InvalidParameter("p is required when passing boxes")
     return check_admissible_boxes(items, delta, p, periodic=periodic, depth=depth)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from . import dense, ringmat
 from .errors import (
     DirectionOutOfRange,
+    InvalidParameter,
     NotFactored,
     SizeCapExceeded,
     UnsupportedArity,
@@ -114,12 +115,6 @@ def hw_matrix_at(level, F, delta, a):
     """Hasse-Witt matrix evaluated at the point a (z = a)."""
     off, co = F.dense_t(a)
     return hw_from_dense(F.ctx, level, off, co, delta)
-
-
-def hw_eval(Aw, a):
-    """Point evaluation of a symbolic matrix (consistency path)."""
-    entries = [[entry.eval_z(a).eval_all([], []) for entry in row] for row in Aw.entries]
-    return HWMatrix(Aw.ctx, Aw.level, Aw.delta, entries, True)
 
 
 def hw_sigma(Aw, k=1):
@@ -372,12 +367,17 @@ class PointKit(DenseCache):
     The kit is the memo of its point: A, its z-derivatives and the frames at
     a and at the twists a^(p^k) share expansions, half splits and
     quotients.  ``unit`` raises when a determinant is not a unit at the
-    point; where it is, clearing by it keeps every valuation.
+    point; where it is, clearing by it keeps every valuation.  A missing
+    point, or a coordinate neither an int nor an m-tuple, is refused.
     """
 
     mode = "pointwise"
 
     def __init__(self, ctx, delta, a, index=0):
+        if a is None or not all(isinstance(x, int) or isinstance(x, tuple)
+                                and len(x) == ctx.m > 1 for x in a):
+            raise InvalidParameter(f"point {index} is not a tuple of "
+                                   f"elements of {ctx}: {a!r}")
         super().__init__()
         self.ctx, self.delta, self.index = ctx, delta, index
         self.label = {"point_index": index}

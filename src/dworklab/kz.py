@@ -176,46 +176,19 @@ def ps_solution_derivative(cfg, s, i, kit=None):
         master_polynomial(cfg, s), i, cfg.exponent(s), _frame_indices(cfg, s))
 
 
-def gaudin(cfg, i, a):
-    """Gaudin Hamiltonian H_i at a residue-distinct point, an n x n matrix."""
-    ctx = cfg.ctx
-    n = cfg.n
-    a = [ctx.from_int(x) if isinstance(x, int) else x for x in a]
-    half = ctx.inv(ctx.from_int(2))
-    H = [[ctx.zero() for _ in range(n)] for _ in range(n)]
-    ii = i - 1
-    for j in range(1, n + 1):
-        if j == i:
-            continue
-        jj = j - 1
-        d = ctx.sub(a[ii], a[jj])
-        if not ctx.is_unit(d):
-            raise NonUnitDifference(
-                f"z_{i} - z_{j} has valuation {ctx.val(d)} at the point"
-            )
-        c = ctx.mul(half, ctx.inv(d))
-        H[ii][ii] = ctx.sub(H[ii][ii], c)
-        H[jj][jj] = ctx.sub(H[jj][jj], c)
-        H[ii][jj] = ctx.add(H[ii][jj], c)
-        H[jj][ii] = ctx.add(H[jj][ii], c)
-    return H
-
-
-def _cleared_gaudin_action(ring, z, i, I_entries, half):
-    """P = prod_{j != i}(z_i - z_j) and the rows of P (H_i I), built from
-    the cofactors P/(z_i - z_k), k != i."""
-    diffs = {j: ring.sub(z[i - 1], z[j - 1])
-             for j in range(1, len(z) + 1) if j != i}
-    g = len(I_entries[0])
-    out = [[ring.zero] * g for _ in I_entries]
-    for k in diffs:
-        c = reduce(ring.mul, (d for j, d in diffs.items() if j != k), ring.one)
-        for l in range(g):
-            term = ring.scal(half, ring.mul(
-                c, ring.sub(I_entries[i - 1][l], I_entries[k - 1][l])))
+def gaudin_action(ring, i, I, half, coef):
+    """The rows of (sum_{k != i} coef[k] Omega_ik / 2) I for the n x g I,
+    where half is 1/2: H_i I when coef[k] = (z_i - z_k)^-1, and P H_i I,
+    P = prod_{k != i}(z_i - z_k), when coef[k] are the cofactors
+    P/(z_i - z_k).  Row k != i is coef[k] (I_i - I_k) / 2; row i is minus
+    their sum."""
+    out = [[ring.zero] * len(I[0]) for _ in I]
+    for k, c in coef.items():
+        for l, (x, y) in enumerate(zip(I[i - 1], I[k - 1])):
+            term = ring.scal(half, ring.mul(c, ring.sub(x, y)))
             out[i - 1][l] = ring.sub(out[i - 1][l], term)
             out[k - 1][l] = term
-    return reduce(ring.mul, diffs.values(), ring.one), out
+    return out
 
 
 def kz_residual(cfg, s, i=None, mode="symbolic", points=None):
@@ -239,13 +212,17 @@ def kz_residual(cfg, s, i=None, mode="symbolic", points=None):
         z = [kit.z(j) for j in range(1, cfg.n + 1)]
         worst, wit = ctx.N, None
         for d in dirs:
-            for j in range(1, cfg.n + 1):
-                if j != d:
-                    kit.unit(ring.sub(z[d - 1], z[j - 1]), NonUnitDifference,
-                             f"z_{d} - z_{j} has valuation {{v}} at the point")
-            P, action = _cleared_gaudin_action(ring, z, d, I.entries, half)
-            diff = ringmat.mat_sub(ring, ringmat.mat_scal(ring, P, dI[d]),
-                                   action)
+            diffs = {j: kit.unit(
+                ring.sub(z[d - 1], z[j - 1]), NonUnitDifference,
+                f"z_{d} - z_{j} has valuation {{v}} at the point")
+                for j in range(1, cfg.n + 1) if j != d}
+            cofactors = {k: reduce(ring.mul, (x for j, x in diffs.items()
+                                              if j != k), ring.one)
+                         for k in diffs}
+            P = reduce(ring.mul, diffs.values(), ring.one)
+            diff = ringmat.mat_sub(
+                ring, ringmat.mat_scal(ring, P, dI[d]),
+                gaudin_action(ring, d, I.entries, half, cofactors))
             v, w = _mat_min_val_with_witness(ring, diff,
                                              {**kit.label, "direction": d})
             if v < worst:
@@ -261,8 +238,7 @@ def kz_residual(cfg, s, i=None, mode="symbolic", points=None):
     return _report(
         "kz-residual", "level-s coefficient frame solves the KZ system "
         "modulo p^s", s, {"g": cfg.g, "s": s, "directions": dirs}, cfg, mode,
-        points, partial(SymbolicKit, ctx, cfg.delta, cfg.n, SYMBOLIC_READ_CAP),
-        one, column_sums)
+        points, one, column_sums)
 
 
 def _flat(F, base):
@@ -384,7 +360,5 @@ def verify_solution_congruence(cfg, s, mode="pointwise", points=None):
 
     return _report(
         "frame-congruence", "solution frames against inverse level matrices "
-        "agree modulo p^s", s, {"g": cfg.g, "s": s}, cfg, mode, points,
-        partial(SymbolicKit, cfg.ctx, cfg.delta, cfg.n, SYMBOLIC_READ_CAP),
-        one)
+        "agree modulo p^s", s, {"g": cfg.g, "s": s}, cfg, mode, points, one)
 

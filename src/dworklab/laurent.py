@@ -70,6 +70,8 @@ class LaurentPoly:
     __slots__ = ("ctx", "r", "n", "_terms", "factored")
 
     def __init__(self, ctx, r, n, terms=None, factored=None):
+        if terms and set(map(len, terms)) != {r + n}:
+            raise ValueError(f"an exponent key needs r + n = {r + n} entries")
         self.ctx = ctx
         self.r = r
         self.n = n
@@ -389,25 +391,6 @@ class LaurentPoly:
                 out[tkey] = v
         return LaurentPoly(ctx, self.r, 0, out)
 
-    def eval_all(self, tvals, zvals):
-        """Full evaluation to a ring element."""
-        spec = self.eval_z(zvals) if self.n else self
-        ctx = self.ctx
-        tvals = [ctx.from_int(x) if isinstance(x, int) else x for x in tvals]
-        acc = ctx.zero()
-        for key, c in spec.terms.items():
-            v = c
-            for j in range(self.r):
-                e = key[j]
-                if e:
-                    base = tvals[j]
-                    if e < 0:
-                        base = ctx.inv(base)
-                        e = -e
-                    v = ctx.mul(v, ctx.pow(base, e))
-            acc = ctx.add(acc, v)
-        return acc
-
     def synth_div_linear(self, z_index):
         """The factored form divided by (t - z_i), i = z_index."""
         if self.factored is None:
@@ -428,15 +411,6 @@ class LaurentPoly:
         lo = tuple(min(k[i] for k in keys) for i in range(self.r))
         hi = tuple(max(k[i] for k in keys) for i in range(self.r))
         return TBox(lo, hi)
-
-    def leading_term_lex(self):
-        """Largest term for the lexicographic order with z1 > z2 > ...; r = 0."""
-        if self.r != 0:
-            raise UnsupportedArity("leading term is defined for z-only polynomials")
-        if not self.terms:
-            raise ZeroPolynomial("the zero polynomial has no leading term")
-        key = max(self.terms)
-        return self.terms[key], key
 
     def valuation(self):
         ctx = self.ctx

@@ -22,11 +22,17 @@ import random
 from dataclasses import dataclass, field, replace
 
 from . import ringmat
-from .errors import ConfigError, InvalidParameter, OutsideDomain, TooLarge
+from .errors import (
+    ConfigError,
+    InvalidParameter,
+    NonUnitDifference,
+    OutsideDomain,
+    TooLarge,
+)
 from .hasse_witt import PointKit, hw_det, hw_matrix_at
 from .kz import (
     KZConfig,
-    gaudin,
+    gaudin_action,
     master_polynomial,
     ps_solution_derivative,
     ps_solutions,
@@ -47,16 +53,13 @@ class DomainPoint:
     in_D_o: bool
     index: int
 
-    def to_json(self, residue_ctx, lift_ctx=None):
-        out = {
+    def to_json(self, residue_ctx):
+        return {
             "index": self.index,
             "residues": [residue_ctx.elem_to_json(u) for u in self.residues],
             "in_D": self.in_D,
             "in_D_o": self.in_D_o,
         }
-        if self.lift is not None and lift_ctx is not None:
-            out["lift"] = [lift_ctx.elem_to_json(x) for x in self.lift]
-        return out
 
 
 @dataclass
@@ -394,20 +397,31 @@ def limit_I(cfg, point, s_max, kit=None):
 
 
 def _gaudin_defects(cfg, point, frag):
-    """K^(i) - H_i J for each direction i, from the limits in frag."""
-    sring = ringmat.scalar_ring(cfg.ctx)
-    J = frag["I"]
-    return {i: ringmat.mat_sub(sring, frag["I_dirs"][i], ringmat.mat_mul(
-                sring, gaudin(cfg, i, point.lift), J))
-            for i in range(1, cfg.n + 1)}
+    """K^(i) - H_i J for each direction i, from the limits in frag: the
+    Gaudin action by the inverses (a_i - a_k)^-1 at the point."""
+    ctx, a = cfg.ctx, point.lift
+    ring = ringmat.scalar_ring(ctx)
+    half = ctx.inv(ctx.from_int(2))
+    defects = {}
+    for i in range(1, cfg.n + 1):
+        diffs = {k: ctx.sub(a[i - 1], a[k - 1])
+                 for k in range(1, cfg.n + 1) if k != i}
+        for k, d in diffs.items():
+            if not ctx.is_unit(d):
+                raise NonUnitDifference(f"z_{i} - z_{k} has valuation "
+                                        f"{ctx.val(d)} at the point")
+        inverses = {k: ctx.inv(d) for k, d in diffs.items()}
+        defects[i] = ringmat.mat_sub(ring, frag["I_dirs"][i], gaudin_action(
+            ring, i, frag["I"], half, inverses))
+    return defects
 
 
-def verify_kz_mc(cfg, point, s_max, frag=None, defects=None):
+def verify_kz_mc(cfg, point, s_max, frag=None):
     """Certificate that the direction limits are the Gaudin action:
     K^(i) = H_i J entrywise to valuation >= s_max - 1."""
     ctx = cfg.ctx
     frag = frag or limit_I(cfg, point, s_max)
-    defects = defects or _gaudin_defects(cfg, point, frag)
+    defects = _gaudin_defects(cfg, point, frag)
     sring = ringmat.scalar_ring(ctx)
     per_dir = {i: ringmat.min_val(sring, D) for i, D in defects.items()}
     observed = min(ctx.N, *per_dir.values())
@@ -434,7 +448,7 @@ def _unit_minor_rows(cfg, M):
     return None
 
 
-def verify_invariance(cfg, point, s_max, frag=None, defects=None):
+def verify_invariance(cfg, point, s_max, frag=None):
     """Certificate that the KZ covariant derivative of the frame stays in
     the frame's column span with coefficient matrix -B^(i).
 
@@ -445,7 +459,7 @@ def verify_invariance(cfg, point, s_max, frag=None, defects=None):
     """
     ctx = cfg.ctx
     frag = frag or limit_I(cfg, point, s_max)
-    defects = defects or _gaudin_defects(cfg, point, frag)
+    defects = _gaudin_defects(cfg, point, frag)
     sring = ringmat.scalar_ring(ctx)
     J = frag["I"]
     rows = _unit_minor_rows(cfg, J)
@@ -557,10 +571,9 @@ def limit_report(cfg, point, s_max):
     kit = _point_kit(cfg, point)
     a_frag = limit_A(cfg, point, s_max, kit)
     i_frag = limit_I(cfg, point, s_max, kit)
-    defects = _gaudin_defects(cfg, point, i_frag)
     certs = [
-        verify_kz_mc(cfg, point, s_max, i_frag, defects),
-        verify_invariance(cfg, point, s_max, i_frag, defects),
+        verify_kz_mc(cfg, point, s_max, i_frag),
+        verify_invariance(cfg, point, s_max, i_frag),
         rank_check(cfg, point, i_frag),
     ]
     return LimitReport(cfg, point, s_max, a_frag, i_frag, certs)

@@ -338,11 +338,3 @@ def ctx_new(p, N, m=1):
         if _is_irreducible_mod_p(coeffs, p):
             return PadicCtx(p, N, m, coeffs)
     raise SearchExhausted(f"no irreducible monic polynomial of degree {m} found")
-
-
-def teichmueller(x, ctx):
-    return ctx.teichmueller(x)
-
-
-def valuation(x, ctx):
-    return ctx.val(x)

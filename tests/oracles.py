@@ -5,6 +5,8 @@ library results can be checked against genuinely different code.  The last
 section holds small helpers over the library's types that only tests need.
 """
 
+from dworklab.errors import NonUnitDifference, UnsupportedArity, ZeroPolynomial
+from dworklab.hasse_witt import HWMatrix
 from dworklab.kz import _frame_indices, _kit, master_polynomial
 from dworklab.laurent import LaurentPoly
 
@@ -169,6 +171,63 @@ def coeff_t(f, v):
 def is_expanded(f):
     """Whether f's terms have been formed, not only its factored form."""
     return f._terms is not None
+
+
+def eval_all(f, tvals, zvals):
+    """Full evaluation of f to a ring element."""
+    ctx = f.ctx
+    spec = f.eval_z(zvals) if f.n else f
+    tvals = [ctx.from_int(x) if isinstance(x, int) else x for x in tvals]
+    acc = ctx.zero()
+    for key, c in spec.terms.items():
+        for base, e in zip(tvals, key[:f.r]):
+            if e:
+                base = ctx.inv(base) if e < 0 else base
+                c = ctx.mul(c, ctx.pow(base, abs(e)))
+        acc = ctx.add(acc, c)
+    return acc
+
+
+def leading_term_lex(f):
+    """(coefficient, key) of the largest term of a z-only f (r = 0) for the
+    lexicographic order with z1 > z2 > ..."""
+    if f.r != 0:
+        raise UnsupportedArity("leading term is defined for z-only polynomials")
+    if not f.terms:
+        raise ZeroPolynomial("the zero polynomial has no leading term")
+    key = max(f.terms)
+    return f.terms[key], key
+
+
+def hw_eval(Aw, a):
+    """A symbolic Hasse-Witt matrix evaluated at the point a."""
+    entries = [[eval_all(x, [], a) for x in row] for row in Aw.entries]
+    return HWMatrix(Aw.ctx, Aw.level, Aw.delta, entries, True)
+
+
+def gaudin(cfg, i, a):
+    """Gaudin Hamiltonian H_i = 1/2 sum_{j != i} Omega_ij / (a_i - a_j) at a
+    residue-distinct point, as an n x n matrix."""
+    ctx = cfg.ctx
+    n = cfg.n
+    a = [ctx.from_int(x) if isinstance(x, int) else x for x in a]
+    half = ctx.inv(ctx.from_int(2))
+    H = [[ctx.zero() for _ in range(n)] for _ in range(n)]
+    ii = i - 1
+    for j in range(1, n + 1):
+        if j == i:
+            continue
+        jj = j - 1
+        d = ctx.sub(a[ii], a[jj])
+        if not ctx.is_unit(d):
+            raise NonUnitDifference(
+                f"z_{i} - z_{j} has valuation {ctx.val(d)} at the point")
+        c = ctx.mul(half, ctx.inv(d))
+        H[ii][ii] = ctx.sub(H[ii][ii], c)
+        H[jj][jj] = ctx.sub(H[jj][jj], c)
+        H[ii][jj] = ctx.add(H[ii][jj], c)
+        H[jj][ii] = ctx.add(H[jj][ii], c)
+    return H
 
 
 def solution_coefficient(cfg, s, ell, i, kit=None):

@@ -43,7 +43,7 @@ def test_decomposition_symbolic():
     ctx, cfg, tup = kz_bits(3, 4, 1, 3)
     gs = dl.ghost_sequence(tup, 2)
     for s in (1, 2):
-        rep = dl.verify_decomposition(gs, s, mode="symbolic")
+        rep = dl.verify_decomposition(gs.tup, s, mode="symbolic")
         assert rep.passed
         assert rep.observed_min_valuation == ctx.N
         # Lemma-style ghost block divisibility, and it is sharp
@@ -370,7 +370,8 @@ def test_second_derivative():
 
 
 def test_second_derivative_diagonal_matches_symbolic():
-    from dworklab.hasse_witt import hw_eval, hw_partial_z, hw_second_derivative_at
+    from dworklab.hasse_witt import hw_partial_z, hw_second_derivative_at
+    from oracles import hw_eval
 
     ctx = dl.ctx_new(3, 3, 1)
     cfg = dl.KZConfig(ctx, 1)
@@ -517,6 +518,22 @@ def test_user_parameter_checks_raise_invalid_parameter():
         lambda: dl.check_admissible([TBox((0,), (1,))], (0,)),
         lambda: dl.check_admissible([TBox((0,), (1,))] * 2, (1,), p=3,
                                     periodic=True, depth=0),
+    ]
+    # a malformed point: m-tuple coordinates over m = 1, or no lift at all
+    cfg5 = dl.KZConfig(dl.ctx_new(5, 4, 1), 1)
+    tup5 = dl.kz_tuple(cfg5, length=3, periodic=False)
+    bad = [((1, 0), (2, 0), (3, 0))]
+    checks += [
+        lambda: dl.verify_dwork_ratio(tup5, 1, mode="pointwise", points=bad),
+        lambda: dl.verify_decomposition(tup5, 1, mode="pointwise", points=bad),
+        lambda: dl.kz_residual(cfg5, 1, mode="pointwise", points=bad),
+    ]
+    unlifted = next(q for q in dl.scan_domain(5, 1, 1).points if q.in_D_o)
+    assert unlifted.lift is None
+    checks += [
+        lambda: dl.limit_A(cfg5, unlifted, 3),
+        lambda: dl.rank_check(cfg5, unlifted),
+        lambda: dl.limit_report(cfg5, unlifted, 3),
     ]
     for check in checks:
         with pytest.raises(InvalidParameter):

@@ -139,7 +139,8 @@ def test_sigma_stability_of_domain():
         assert ctx.is_unit(det)
         # frobenius/point compatibility on a symbolic matrix
         sym = dl.hw_matrix(1, phi, cfg.delta)
-        from dworklab.hasse_witt import hw_eval, hw_sigma
+        from dworklab.hasse_witt import hw_sigma
+        from oracles import hw_eval
 
         assert hw_eval(hw_sigma(sym, 1), pt.lift).entries == \
             dl.hw_matrix_at(1, phi, cfg.delta, ap).entries

@@ -1,0 +1,55 @@
+"""Checks on the library's source text, read with ``ast`` and not imported:
+the runtime imports only the standard library and its own modules, no
+module imports a name it does not use, and ``src/`` stays within its line
+budget, counted as ``perfbench/run.py`` counts ``src_lines``."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted((SRC / "dworklab").rglob("*.py"))
+SRC_LINE_BUDGET = 4_200
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imports(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_runtime_imports_only_the_standard_library(path):
+    outside = []
+    for node in _imports(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            continue  # relative: a module of the package
+        names = ([node.module] if isinstance(node, ast.ImportFrom)
+                 else [alias.name for alias in node.names])
+        outside += [name for name in names
+                    if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"],  # re-exports
+    ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = _tree(path)
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in _imports(tree)
+                if getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
+
+
+def test_src_lines_stay_within_the_budget():
+    lines = sum(len(f.read_text().splitlines())
+                for f in sorted(SRC.rglob("*.py")))
+    assert lines <= SRC_LINE_BUDGET
