@@ -66,16 +66,14 @@ from .limits import (
     DomainPoint,
     LimitReport,
     ScanResult,
-    limit_A,
-    limit_I,
+    kz_certificates,
+    limit_frames,
     limit_report,
     lift_point,
     nth_domain_point,
     rank_check,
     sample_domain_points,
     scan_domain,
-    verify_invariance,
-    verify_kz_mc,
 )
 
 __version__ = "0.1.0"

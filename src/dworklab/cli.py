@@ -200,7 +200,9 @@ def cmd_kz_verify(args):
     ctx, cfg = _kz_family(args, args.ext)
     points = _points(args, ctx, symbolic)
     if args.check == "minor":
-        certs = [limits.rank_check(cfg, pt) for pt in points]
+        certs = [limits.rank_check(cfg, pt, PointKit(ctx, cfg.delta, pt.lift,
+                                                     pt.index))
+                 for pt in points]
         ok = all(c.passed for c in certs)
         return [{
             "check": "minor",
@@ -225,6 +227,8 @@ def cmd_kz_verify(args):
 def cmd_domain_scan(args):
     _require(args.exhaustive or args.sample is not None,
              "give --exhaustive or --sample K")
+    _require(not (args.exhaustive and args.sample is not None),
+             "--exhaustive and --sample K are exclusive")
     res = limits.scan_domain(args.p, args.g, args.m,
                              mode="exhaustive" if args.exhaustive else "sample",
                              k=args.sample, seed=args.seed,
@@ -252,6 +256,7 @@ def cmd_admissible(args):
     if args.tuple:
         _require(not args.periodic, "--periodic does not apply to --tuple: "
                  "the file's \"periodic\" key decides")
+        _require(not args.boxes, "--boxes does not apply to --tuple")
         ctx = ctx_new(args.p, args.N, 1)
         lams, periodic = _tuple_from_file(ctx, args.tuple)
         cert = check_admissible(lams, delta, p=args.p, periodic=periodic,

@@ -9,7 +9,9 @@ residues, which keeps every Gaudin denominator integral.
 The limits themselves are approximated by iterating the congruence ratios:
 the valuation of consecutive differences must grow by at least one per
 level (Dwork decay), which is the numerical shadow of the convergence
-theorems.  A point's report passes only when every decay profile does.
+theorems.  One pass over one point kit forms every iterate, and the
+certificates read that pass's record through the same kit.  A point's
+report passes only when every decay profile does.
 Certificates pass at valuation >= s_max - 1, one digit of headroom below
 the raw expectation; raw valuations are always reported.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from . import ringmat
 from .errors import (
@@ -283,13 +285,7 @@ class Certificate:
     details: dict = field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "threshold": self.threshold,
-            "observed": self.observed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _check_s_max(ctx, s_max):
@@ -309,14 +305,9 @@ def _level_matrix_inv(cfg, lev, kit, twist=0):
 
 
 def _frame(cfg, s, kit):
-    """J_s = I_s A(s, Phi_s)^-1 at the kit's point, and A(s, Phi_s)^-1."""
+    """J_s = I_s A(s, Phi_s)^-1 at the kit's point."""
     _, Ainv = _level_matrix_inv(cfg, s, kit)
-    I = ps_solutions(cfg, s, kit)
-    return ringmat.mat_mul(kit.ring, I.entries, Ainv), Ainv
-
-
-def _point_kit(cfg, point):
-    return PointKit(cfg.ctx, cfg.delta, point.lift)
+    return ringmat.mat_mul(kit.ring, ps_solutions(cfg, s, kit).entries, Ainv)
 
 
 def _decay(ring, seq):
@@ -326,110 +317,49 @@ def _decay(ring, seq):
                 for i in now) for was, now in zip(seq, seq[1:])]
 
 
-def limit_A(cfg, point, s_max, kit=None):
-    """Iterate R_s = A(s+1, Phi_{s+1})(a) A(s, Phi_s)(a^p)^-1, s = 0..s_max-1.
+def limit_frames(cfg, point, s_max, kit):
+    """The four iterations at the kit's point, in one pass over s = 1..s_max:
 
-    Valuations of consecutive differences must be >= s+1; every ratio has a
-    unit determinant.  The last iterate approximates the limit matrix to
-    p^(s_max).
+    R_(s-1) = A(s, Phi_s)(a) A(s-1, Phi_(s-1))(a^p)^-1 (R_0 = A(1, Phi_1)),
+    J_s = I_s A(s, Phi_s)^-1, K_s^(i) = (dI_s/dz_i) A(s, Phi_s)^-1 and
+    B_s^(i) = (d A(s, Phi_s)/dz_i) A(s, Phi_s)^-1.
+
+    Each (level, twist) inverse is formed once.  The valuations of
+    consecutive differences must be >= s + 1 at index s; summed, they give
+    J_s = J_1 mod p.  The last iterates approximate the limits to p^s_max.
     """
-    ctx = cfg.ctx
+    ctx, ring = cfg.ctx, kit.ring
     _check_s_max(ctx, s_max)
     if not point.in_D:
         raise OutsideDomain("point is outside the unit-determinant domain")
-    sring = ringmat.scalar_ring(ctx)
-    kit = kit or _point_kit(cfg, point)
-    ratios = []
-    det_vals = []
-    for s in range(s_max):
-        R, _ = _level_matrix_inv(cfg, s + 1, kit)
-        if s > 0:
-            _, inv = _level_matrix_inv(cfg, s, kit, twist=1)
-            R = ringmat.mat_mul(sring, R, inv)
-        ratios.append(R)
-        det_vals.append(ctx.val(ringmat.det(sring, R)))
-    return {
-        "ratios": ratios,
-        "decay": _decay(sring, [{0: R} for R in ratios]),
-        "det_valuations": det_vals,
-        "A": ratios[-1],
-    }
-
-
-def limit_I(cfg, point, s_max, kit=None):
-    """Iterate the three frame sequences at a Teichmueller point:
-
-    J_s = I_s A(s, Phi_s)^-1, K_s^(i) = (dI_s/dz_i) A(s, Phi_s)^-1 and
-    B_s^(i) = (d A(s, Phi_s)/dz_i) A(s, Phi_s)^-1, for s = 1..s_max.
-    Differences of consecutive iterates must have valuation >= s; summed,
-    they give J_s = J_1 mod p.
-    """
-    ctx = cfg.ctx
-    _check_s_max(ctx, s_max)
     if not point.in_D_o:
         raise OutsideDomain("point is outside the residue-distinct o-domain")
-    sring = ringmat.scalar_ring(ctx)
-    kit = kit or _point_kit(cfg, point)
-    J_seq, K_seq, B_seq = [], [], []
+    dirs = range(1, cfg.n + 1)
+    ratios, J_seq, K_seq, B_seq = [], [], [], []
     for s in range(1, s_max + 1):
+        A, Ainv = _level_matrix_inv(cfg, s, kit)
+        ratios.append(A if s == 1 else ringmat.mat_mul(
+            ring, A, _level_matrix_inv(cfg, s - 1, kit, twist=1)[1]))
+        J_seq.append(ringmat.mat_mul(ring, ps_solutions(cfg, s, kit).entries,
+                                     Ainv))
         phi = master_polynomial(cfg, s)
-        J, Ainv = _frame(cfg, s, kit)
-        J_seq.append(J)
-        K = {}
-        B = {}
-        for i in range(1, cfg.n + 1):
-            dI = ps_solution_derivative(cfg, s, i, kit)
-            K[i] = ringmat.mat_mul(sring, dI, Ainv)
-            B[i] = ringmat.mat_mul(sring, kit.dA(s, phi, i), Ainv)
-        K_seq.append(K)
-        B_seq.append(B)
+        K_seq.append({i: ringmat.mat_mul(
+            ring, ps_solution_derivative(cfg, s, i, kit), Ainv) for i in dirs})
+        B_seq.append({i: ringmat.mat_mul(ring, kit.dA(s, phi, i), Ainv)
+                      for i in dirs})
     return {
+        "ratios": ratios,
+        "det_valuations": [ctx.val(ringmat.det(ring, R)) for R in ratios],
+        "decay_A": _decay(ring, [{0: R} for R in ratios]),
         "J_seq": J_seq,
-        "K_seq": K_seq,
-        "B_seq": B_seq,
-        "decay_J": _decay(sring, [{0: J} for J in J_seq]),
-        "decay_K": _decay(sring, K_seq),
-        "decay_B": _decay(sring, B_seq),
+        "decay_J": _decay(ring, [{0: J} for J in J_seq]),
+        "decay_K": _decay(ring, K_seq),
+        "decay_B": _decay(ring, B_seq),
+        "A": ratios[-1],
         "I": J_seq[-1],
         "I_dirs": K_seq[-1],
         "A_dirs": B_seq[-1],
     }
-
-
-def _gaudin_defects(cfg, point, frag):
-    """K^(i) - H_i J for each direction i, from the limits in frag: the
-    Gaudin action by the inverses (a_i - a_k)^-1 at the point."""
-    ctx, a = cfg.ctx, point.lift
-    ring = ringmat.scalar_ring(ctx)
-    half = ctx.inv(ctx.from_int(2))
-    defects = {}
-    for i in range(1, cfg.n + 1):
-        diffs = {k: ctx.sub(a[i - 1], a[k - 1])
-                 for k in range(1, cfg.n + 1) if k != i}
-        for k, d in diffs.items():
-            if not ctx.is_unit(d):
-                raise NonUnitDifference(f"z_{i} - z_{k} has valuation "
-                                        f"{ctx.val(d)} at the point")
-        inverses = {k: ctx.inv(d) for k, d in diffs.items()}
-        defects[i] = ringmat.mat_sub(ring, frag["I_dirs"][i], gaudin_action(
-            ring, i, frag["I"], half, inverses))
-    return defects
-
-
-def verify_kz_mc(cfg, point, s_max, frag=None):
-    """Certificate that the direction limits are the Gaudin action:
-    K^(i) = H_i J entrywise to valuation >= s_max - 1."""
-    ctx = cfg.ctx
-    frag = frag or limit_I(cfg, point, s_max)
-    defects = _gaudin_defects(cfg, point, frag)
-    sring = ringmat.scalar_ring(ctx)
-    per_dir = {i: ringmat.min_val(sring, D) for i, D in defects.items()}
-    observed = min(ctx.N, *per_dir.values())
-    threshold = s_max - 1
-    return Certificate(
-        "kz-gaudin-match", observed >= threshold, threshold, observed,
-        {"per_direction": per_dir, "point_index": point.index},
-    )
 
 
 def _unit_minor_rows(cfg, M):
@@ -448,65 +378,70 @@ def _unit_minor_rows(cfg, M):
     return None
 
 
-def verify_invariance(cfg, point, s_max, frag=None):
-    """Certificate that the KZ covariant derivative of the frame stays in
-    the frame's column span with coefficient matrix -B^(i).
+def kz_certificates(cfg, point, s_max, frag, kit):
+    """The two KZ certificates of the limits in frag, from one defect set
+    D_i = K^(i) - H_i J, with H_i the Gaudin action by the kit's inverses
+    (a_i - a_k)^-1.
 
-    The finite-level covariant derivative is KD_i = K^(i) - J B^(i) - H_i J
-    (the middle term is the exact derivative of the inverse); the check is
-    KD_i + J B^(i) = K^(i) - H_i J = 0 to valuation >= s_max - 1, plus
-    recovery of the coefficients by solving on a unit minor.
+    kz-gaudin-match: D_i = 0 entrywise to valuation >= s_max - 1.
+
+    kz-invariant-span: the finite-level covariant derivative is
+    KD_i = K^(i) - J B^(i) - H_i J (the middle term is the exact derivative
+    of the inverse), so KD_i + J B^(i) = D_i = 0 to valuation >= s_max - 1;
+    in addition, solving KD_i = J C on a unit minor of J recovers
+    C = -B^(i), and the residual KD_i - J C is held to the same valuation.
     """
-    ctx = cfg.ctx
-    frag = frag or limit_I(cfg, point, s_max)
-    defects = _gaudin_defects(cfg, point, frag)
-    sring = ringmat.scalar_ring(ctx)
-    J = frag["I"]
+    ctx, ring, J = cfg.ctx, kit.ring, frag["I"]
+    a = kit.point(0)
+    half = ctx.inv(ctx.from_int(2))
     rows = _unit_minor_rows(cfg, J)
     threshold = s_max - 1
-    observed = ctx.N
-    recovery = ctx.N
     per_dir = {}
+    span = recovery = ctx.N
     for i in range(1, cfg.n + 1):
-        B = frag["A_dirs"][i]
-        KD = ringmat.mat_sub(sring, defects[i], ringmat.mat_mul(sring, J, B))
-        v = ringmat.min_val(sring, defects[i])
-        per_dir[i] = v
-        observed = min(observed, v)
+        others = [k for k in range(1, cfg.n + 1) if k != i]
+        for k in others:
+            kit.unit(ctx.sub(a[i - 1], a[k - 1]), NonUnitDifference,
+                     f"z_{i} - z_{k} has valuation {{v}} at the point")
+        inverses = {k: kit.diff_inverse(ctx, a, i, k) for k in others}
+        D = ringmat.mat_sub(ring, frag["I_dirs"][i],
+                            gaudin_action(ring, i, J, half, inverses))
+        per_dir[i] = ringmat.min_val(ring, D)
         if rows is not None:
-            # solve KD = J C on the unit rows; expect C = -B^(i)
-            sub = [J[r] for r in rows]
-            rhs = [KD[r] for r in rows]
-            C = ringmat.mat_solve_scalar(ctx, sub, rhs)
-            against = ringmat.mat_add(sring, C, B)
-            recovery = min(recovery, ringmat.min_val(sring, against))
-            full = ringmat.mat_sub(sring, KD, ringmat.mat_mul(
-                sring, J, C))
-            observed = min(observed, ringmat.min_val(sring, full))
-    return Certificate(
-        "kz-invariant-span", observed >= threshold, threshold, observed,
-        {
+            B = frag["A_dirs"][i]
+            KD = ringmat.mat_sub(ring, D, ringmat.mat_mul(ring, J, B))
+            C = ringmat.mat_solve_scalar(ctx, [J[r] for r in rows],
+                                         [KD[r] for r in rows])
+            recovery = min(recovery, ringmat.min_val(
+                ring, ringmat.mat_add(ring, C, B)))
+            span = min(span, ringmat.min_val(ring, ringmat.mat_sub(
+                ring, KD, ringmat.mat_mul(ring, J, C))))
+    gaudin = min(ctx.N, *per_dir.values())
+    span = min(gaudin, span)
+    return [
+        Certificate("kz-gaudin-match", gaudin >= threshold, threshold, gaudin,
+                    {"per_direction": per_dir, "point_index": point.index}),
+        Certificate("kz-invariant-span", span >= threshold, threshold, span, {
             "per_direction": per_dir,
             "coefficient_recovery_valuation": recovery,
             "minor_rows": list(rows) if rows is not None else None,
             "point_index": point.index,
-        },
-    )
+        }),
+    ]
 
 
-def rank_check(cfg, point, frag=None):
+def rank_check(cfg, point, kit):
     """Certificate that the limit frame has rank g modulo p.
 
-    Checks the g x g minor of J_1 = I_1(a) A(1, Phi_1)(a)^-1 in rows 1, 3,
-    ..., 2g-1 first; any other unit minor still certifies full rank.  J_1
-    is frag's first frame iterate when given, else read at the point.
+    Checks the g x g minor of J_1 = I_1(a) A(1, Phi_1)(a)^-1, read through
+    the kit, in rows 1, 3, ..., 2g-1 first; any other unit minor still
+    certifies full rank.
     """
     ctx = cfg.ctx
     if not point.in_D:
         raise OutsideDomain("point is outside the unit-determinant domain")
     sring = ringmat.scalar_ring(ctx)
-    M = (frag["J_seq"][0] if frag
-         else _frame(cfg, 1, _point_kit(cfg, point))[0])
+    M = _frame(cfg, 1, kit)
     g = cfg.g
     preferred = tuple(range(0, 2 * g - 1, 2))
     sub = [M[r] for r in preferred]
@@ -529,23 +464,22 @@ class LimitReport:
     cfg: KZConfig
     point: DomainPoint
     s_max: int
-    a_frag: dict
-    i_frag: dict
+    frag: dict
     certificates: list
 
     @property
     def passed(self):
         """The verdict: each of the four decay profiles is >= s + 1 at index
         s, every ratio determinant is a unit and every certificate passes."""
-        profiles = (self.a_frag["decay"], self.i_frag["decay_J"],
-                    self.i_frag["decay_K"], self.i_frag["decay_B"])
-        return (all(v >= s + 1 for prof in profiles
-                    for s, v in enumerate(prof))
-                and all(v == 0 for v in self.a_frag["det_valuations"])
+        frag = self.frag
+        return (all(v >= s + 1 for name in ("decay_A", "decay_J", "decay_K",
+                                            "decay_B")
+                    for s, v in enumerate(frag[name]))
+                and all(v == 0 for v in frag["det_valuations"])
                 and all(c.passed for c in self.certificates))
 
     def to_json(self):
-        ctx = self.cfg.ctx
+        ctx, frag = self.cfg.ctx, self.frag
 
         def mat(M):
             return [[ctx.elem_to_json(x) for x in row] for row in M]
@@ -553,27 +487,23 @@ class LimitReport:
         return {
             "point_index": self.point.index,
             "s_max": self.s_max,
-            "A_decay": self.a_frag["decay"],
-            "A_det_valuations": self.a_frag["det_valuations"],
-            "A": mat(self.a_frag["A"]),
-            "I_decay": self.i_frag["decay_J"],
-            "I_dirs_decay": self.i_frag["decay_K"],
-            "A_dirs_decay": self.i_frag["decay_B"],
-            "I": mat(self.i_frag["I"]),
+            "A_decay": frag["decay_A"],
+            "A_det_valuations": frag["det_valuations"],
+            "A": mat(frag["A"]),
+            "I_decay": frag["decay_J"],
+            "I_dirs_decay": frag["decay_K"],
+            "A_dirs_decay": frag["decay_B"],
+            "I": mat(frag["I"]),
             "certificates": [c.to_json() for c in self.certificates],
             "ctx": ctx.to_json(),
         }
 
 
 def limit_report(cfg, point, s_max):
-    """Full per-point pipeline, every read through one kit: decay profiles
-    plus all certificates."""
-    kit = _point_kit(cfg, point)
-    a_frag = limit_A(cfg, point, s_max, kit)
-    i_frag = limit_I(cfg, point, s_max, kit)
-    certs = [
-        verify_kz_mc(cfg, point, s_max, i_frag),
-        verify_invariance(cfg, point, s_max, i_frag),
-        rank_check(cfg, point, i_frag),
-    ]
-    return LimitReport(cfg, point, s_max, a_frag, i_frag, certs)
+    """Full per-point pipeline, every read through one kit: the limit
+    iteration and its decay profiles, then every certificate."""
+    kit = PointKit(cfg.ctx, cfg.delta, point.lift, point.index)
+    frag = limit_frames(cfg, point, s_max, kit)
+    certs = [*kz_certificates(cfg, point, s_max, frag, kit),
+             rank_check(cfg, point, kit)]
+    return LimitReport(cfg, point, s_max, frag, certs)

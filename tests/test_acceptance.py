@@ -10,6 +10,7 @@ import pytest
 
 import dworklab as dl
 from dworklab import ringmat
+from dworklab.hasse_witt import PointKit
 from conftest import rand_admissible_tuple, rand_laurent, seeded
 from oracles import leading_term_lex, oracle_mul
 
@@ -169,12 +170,13 @@ def test_criterion_6_kz_residual():
 
 
 def _stabilizes_mod_p(cfg, domain, s_max):
-    """J_s = J_1 mod p for s <= s_max at each point, through limit_I: its
+    """J_s = J_1 mod p for s <= s_max at each point, through limit_frames: its
     I_decay profile is >= s + 1 at index s, which telescopes to the
     corollary, and each difference to J_1 is checked as well."""
     ring = ringmat.scalar_ring(cfg.ctx)
     for pt in domain:
-        frag = dl.limit_I(cfg, pt, s_max)
+        frag = dl.limit_frames(cfg, pt, s_max,
+                               PointKit(cfg.ctx, cfg.delta, pt.lift))
         if not all(v >= s + 1 for s, v in enumerate(frag["decay_J"])):
             return False
         J1 = frag["J_seq"][0]
@@ -258,12 +260,10 @@ def test_criterion_10_limit_certificates():
         pts = dl.sample_domain_points(p, g, 2, 5, seed, ctx)
         for pt in pts:
             rep = dl.limit_report(cfg, pt, s_max)
-            ok = ok and all(
-                v >= s + 1 for s, v in enumerate(rep.a_frag["decay"]))
-            ok = ok and all(v == 0 for v in rep.a_frag["det_valuations"])
-            for name in ("decay_J", "decay_K", "decay_B"):
+            ok = ok and all(v == 0 for v in rep.frag["det_valuations"])
+            for name in ("decay_A", "decay_J", "decay_K", "decay_B"):
                 ok = ok and all(
-                    v >= s + 1 for s, v in enumerate(rep.i_frag[name]))
+                    v >= s + 1 for s, v in enumerate(rep.frag[name]))
             for cert in rep.certificates:
                 ok = ok and cert.passed
             ok = ok and rep.passed  # the verdict `limit` exits with

@@ -149,6 +149,8 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     "kz-verify --check minor --p 7 --N 2 --g 2 --s 1 --points 3 --ext 2 --i 1",
     "kz-verify --check minor --p 7 --N 2 --g 2 --s 1 --points 3 --ext 2"
     " --symbolic",
+    # an exhaustive scan once ran and passed ignoring --sample
+    "domain-scan --p 5 --g 1 --m 1 --exhaustive --sample 4",
 ])
 def test_invalid_parameters_are_configuration_errors(argv, capsys):
     assert invoke(argv.split()) == (2, [])
@@ -223,14 +225,16 @@ def test_ghosts_command_fails_on_planted_fault(tmp_path, monkeypatch):
 
 def test_flags_a_tuple_file_makes_void_exit_2(tmp_path, capsys):
     """On a real tuple file, ghosts --l -1 once checked no ghost and exited
-    0, and admissible ignored --periodic, which the file's key decides."""
+    0, and admissible ignored --periodic, which the file's key decides, and
+    --boxes, which the file's lambdas replace."""
     argv = _ghosts_argv(tmp_path)
     tuple_file = argv[argv.index("--tuple") + 1]
     admissible = ["admissible", "--p", "3", "--N", "3", "--delta", "1..1",
                   "--tuple", tuple_file]
     assert invoke(admissible)[0] == 0
     for bad in (argv[:argv.index("--l") + 1] + ["-1"]
-                + argv[argv.index("--l") + 2:], admissible + ["--periodic"]):
+                + argv[argv.index("--l") + 2:], admissible + ["--periodic"],
+                admissible + ["--boxes=5:9"]):
         assert invoke(bad) == (2, [])
         assert "configuration error" in capsys.readouterr().err
 
@@ -440,8 +444,7 @@ def test_minor_fails_on_a_rank_deficient_frame(monkeypatch):
     real = limits._frame
 
     def rank_deficient(cfg, s, kit):
-        J, Ainv = real(cfg, s, kit)
-        return [[row[0], row[0]] for row in J], Ainv
+        return [[row[0], row[0]] for row in real(cfg, s, kit)]
 
     monkeypatch.setattr(limits, "_frame", rank_deficient)
     code, docs = invoke(

@@ -496,7 +496,8 @@ def test_user_parameter_checks_raise_invalid_parameter():
     ctx = dl.ctx_new(3, 3, 1)
     cfg = dl.KZConfig(ctx, 1)
     tup = dl.kz_tuple(cfg, length=2, periodic=False)
-    pt = dl.sample_domain_points(3, 1, 2, 1, 0, dl.ctx_new(3, 3, 2))[0]
+    cfg32 = dl.KZConfig(dl.ctx_new(3, 3, 2), 1)
+    pt = dl.sample_domain_points(3, 1, 2, 1, 0, cfg32.ctx)[0]
     checks = [
         lambda: dl.ctx_new(3, 0),
         lambda: dl.ctx_new(3, 2, 0),
@@ -513,7 +514,8 @@ def test_user_parameter_checks_raise_invalid_parameter():
         lambda: dl.verify_derivative_congruence(
             tup, 1, m=-1, mode="pointwise", points=[(1, 2, 4)]),
         lambda: AdmissibleTuple((), (1,)),
-        lambda: dl.limit_A(dl.KZConfig(dl.ctx_new(3, 3, 2), 1), pt, 3),
+        lambda: dl.limit_frames(cfg32, pt, 3,
+                                PointKit(cfg32.ctx, cfg32.delta, pt.lift)),
         lambda: AdmissibleTuple(tup.lams, ()),
         lambda: dl.check_admissible([TBox((0,), (1,))], (0,)),
         lambda: dl.check_admissible([TBox((0,), (1,))] * 2, (1,), p=3,
@@ -528,13 +530,16 @@ def test_user_parameter_checks_raise_invalid_parameter():
         lambda: dl.verify_decomposition(tup5, 1, mode="pointwise", points=bad),
         lambda: dl.kz_residual(cfg5, 1, mode="pointwise", points=bad),
     ]
-    unlifted = next(q for q in dl.scan_domain(5, 1, 1).points if q.in_D_o)
-    assert unlifted.lift is None
-    checks += [
-        lambda: dl.limit_A(cfg5, unlifted, 3),
-        lambda: dl.rank_check(cfg5, unlifted),
-        lambda: dl.limit_report(cfg5, unlifted, 3),
-    ]
     for check in checks:
         with pytest.raises(InvalidParameter):
+            check()
+    # an unlifted point is refused under its own index, not as point 0
+    unlifted = next(q for q in dl.scan_domain(5, 1, 1).points if q.in_D_o)
+    assert unlifted.lift is None and unlifted.index == 7
+    for check in (
+        lambda: dl.rank_check(cfg5, unlifted, PointKit(
+            cfg5.ctx, cfg5.delta, unlifted.lift, unlifted.index)),
+        lambda: dl.limit_report(cfg5, unlifted, 3),
+    ):
+        with pytest.raises(InvalidParameter, match="point 7 "):
             check()

@@ -365,11 +365,12 @@ def test_solution_congruence_symbolic_and_pointwise():
         rep = dl.verify_solution_congruence(cfg2, s, mode="pointwise",
                                             points=pts)
         assert rep.passed and rep.observed_min_valuation >= s
-    # corollary at the same points: J_s = J_1 mod p, by limit_I's gated
+    # corollary at the same points: J_s = J_1 mod p, by limit_frames' gated
     # I_decay (consecutive differences >= s) and by the differences to J_1
     ring = ringmat.scalar_ring(ctx2)
     for pt in domain:
-        frag = dl.limit_I(cfg2, pt, 3)
+        frag = dl.limit_frames(cfg2, pt, 3,
+                               PointKit(ctx2, cfg2.delta, pt.lift))
         assert frag["decay_J"] == [1, 2]
         for J in frag["J_seq"][1:]:
             diff = ringmat.mat_sub(ring, J, frag["J_seq"][0])

@@ -80,9 +80,8 @@ def test_non_positive_counts_are_rejected():
     with pytest.raises(ConfigError, match="at least one point"):
         dl.verify_solution_congruence(cfg, 2, mode="pointwise", points=[])
     pt = dl.sample_domain_points(3, 1, 2, 1, 0, ctx)[0]
-    for frag in (dl.limit_A, dl.limit_I):
-        with pytest.raises(ConfigError, match="s_max must be >= 2"):
-            frag(cfg, pt, 0)
+    with pytest.raises(ConfigError, match="s_max must be >= 2"):
+        dl.limit_frames(cfg, pt, 0, _kit(cfg, pt))
 
 
 def test_scan_membership_cases():
@@ -146,13 +145,21 @@ def test_sigma_stability_of_domain():
             dl.hw_matrix_at(1, phi, cfg.delta, ap).entries
 
 
-def test_limit_A_profile():
+def _kit(cfg, pt):
+    return PointKit(cfg.ctx, cfg.delta, pt.lift, pt.index)
+
+
+def _frames(cfg, pt, s_max):
+    return dl.limit_frames(cfg, pt, s_max, _kit(cfg, pt))
+
+
+def test_ratio_profile():
     ctx = dl.ctx_new(3, 5, 2)
     cfg = dl.KZConfig(ctx, 1)
     pts = dl.sample_domain_points(3, 1, 2, 3, 7, ctx)
     for pt in pts:
-        frag = dl.limit_A(cfg, pt, 4)
-        assert all(v >= s + 1 for s, v in enumerate(frag["decay"]))
+        frag = _frames(cfg, pt, 4)
+        assert all(v >= s + 1 for s, v in enumerate(frag["decay_A"]))
         assert all(v == 0 for v in frag["det_valuations"])
         # R_0 is the level-1 matrix itself
         phi = dl.master_polynomial(cfg, 1)
@@ -160,12 +167,12 @@ def test_limit_A_profile():
             1, phi, cfg.delta, pt.lift).entries
 
 
-def test_limit_I_profile_and_stabilization():
+def test_frame_profiles_and_stabilization():
     ctx = dl.ctx_new(3, 5, 2)
     cfg = dl.KZConfig(ctx, 1)
     pts = dl.sample_domain_points(3, 1, 2, 3, 11, ctx)
     for pt in pts:
-        frag = dl.limit_I(cfg, pt, 4)
+        frag = _frames(cfg, pt, 4)
         for name in ("decay_J", "decay_K", "decay_B"):
             assert all(v >= s + 1 for s, v in enumerate(frag[name]))
         # mod-p value of the limit frame: (1,1,1)^T (-(a1+a2+a3))^-1
@@ -209,10 +216,20 @@ def test_limit_requires_domain_point():
     ctx = dl.ctx_new(3, 5, 1)
     cfg = dl.KZConfig(ctx, 1)
     bad = dl.DomainPoint((0, 1, 2), (0, 1, 2), False, False, 0)
-    with pytest.raises(OutsideDomain):
-        dl.limit_A(cfg, bad, 3)
-    with pytest.raises(OutsideDomain):
-        dl.limit_I(cfg, bad, 3)
+    with pytest.raises(OutsideDomain, match="unit-determinant domain"):
+        _frames(cfg, bad, 3)
+    # in D but with a repeated residue: refused as outside the o-domain
+    twice = dl.DomainPoint((0, 1, 1), (0, 1, 1), True, False, 0)
+    with pytest.raises(OutsideDomain, match="residue-distinct o-domain"):
+        _frames(cfg, twice, 3)
+
+
+def _shift_J(ctx, frag, shift):
+    """frag with the entry (0, 0) of the limit frame J moved by shift."""
+    bad = dict(frag)
+    bad["I"] = [list(row) for row in frag["I"]]
+    bad["I"][0][0] = ctx.add(bad["I"][0][0], ctx.from_int(shift))
+    return bad
 
 
 def test_kz_mc_certificate_and_perturbation():
@@ -220,17 +237,18 @@ def test_kz_mc_certificate_and_perturbation():
     cfg = dl.KZConfig(ctx, 1)
     pt = dl.sample_domain_points(3, 1, 2, 1, 5, ctx)[0]
     s_max = 3
-    frag = dl.limit_I(cfg, pt, s_max)
-    cert = dl.verify_kz_mc(cfg, pt, s_max, frag=frag)
+    kit = _kit(cfg, pt)
+    frag = dl.limit_frames(cfg, pt, s_max, kit)
+    cert = dl.kz_certificates(cfg, pt, s_max, frag, kit)[0]
+    assert cert.name == "kz-gaudin-match"
     assert cert.passed and cert.observed >= s_max - 1
-    # sensitivity control: a single-entry error one digit below the
-    # threshold flips the verdict (a uniform shift would be invisible:
-    # Gaudin rows sum to zero, so H kills constant frames)
-    bad = dict(frag)
-    bad["I"] = [list(row) for row in frag["I"]]
-    bad["I"][0][0] = ctx.add(bad["I"][0][0], ctx.from_int(3 ** (s_max - 2)))
-    cert_bad = dl.verify_kz_mc(cfg, pt, s_max, frag=bad)
-    assert not cert_bad.passed
+    # sharpness: a single-entry error at the threshold passes and one digit
+    # below it fails (a uniform shift would be invisible: Gaudin rows sum to
+    # zero, so H kills constant frames)
+    for shift, passes in ((3 ** (s_max - 1), True), (3 ** (s_max - 2), False)):
+        bad = _shift_J(ctx, frag, shift)
+        cert_bad = dl.kz_certificates(cfg, pt, s_max, bad, kit)[0]
+        assert cert_bad.passed == passes, shift
 
 
 def test_invariance_certificate():
@@ -238,8 +256,10 @@ def test_invariance_certificate():
     cfg = dl.KZConfig(ctx, 1)
     pts = dl.sample_domain_points(3, 1, 2, 2, 29, ctx)
     for pt in pts:
-        frag = dl.limit_I(cfg, pt, 3)
-        cert = dl.verify_invariance(cfg, pt, 3, frag=frag)
+        kit = _kit(cfg, pt)
+        frag = dl.limit_frames(cfg, pt, 3, kit)
+        cert = dl.kz_certificates(cfg, pt, 3, frag, kit)[1]
+        assert cert.name == "kz-invariant-span"
         assert cert.passed and cert.observed >= 2
         # the recovered span coefficients match -A^(i)
         assert cert.details["coefficient_recovery_valuation"] >= 2
@@ -248,8 +268,11 @@ def test_invariance_certificate():
             i: [[ctx.add(x, ctx.from_int(3)) for x in row] for row in M]
             for i, M in frag["I_dirs"].items()
         }
-        cert_bad = dl.verify_invariance(cfg, pt, 3, frag=bad)
-        assert not cert_bad.passed
+        assert not dl.kz_certificates(cfg, pt, 3, bad, kit)[1].passed
+        for shift, passes in ((9, True), (3, False)):  # p^(s_max-1), p^(s_max-2)
+            bad = _shift_J(ctx, frag, shift)
+            cert_bad = dl.kz_certificates(cfg, pt, 3, bad, kit)[1]
+            assert cert_bad.passed == passes, shift
 
 
 def test_rank_check_g1_always_unit():
@@ -257,7 +280,7 @@ def test_rank_check_g1_always_unit():
     cfg = dl.KZConfig(ctx, 1)
     pts = dl.sample_domain_points(3, 1, 2, 6, 31, ctx)
     for pt in pts:
-        cert = dl.rank_check(cfg, pt)
+        cert = dl.rank_check(cfg, pt, _kit(cfg, pt))
         assert cert.passed
         assert cert.details["preferred_minor_valuation"] == 0
 
@@ -267,7 +290,7 @@ def test_rank_check_g2():
     cfg = dl.KZConfig(ctx, 2)
     pts = dl.sample_domain_points(7, 2, 2, 4, 37, ctx)
     for pt in pts:
-        assert dl.rank_check(cfg, pt).passed
+        assert dl.rank_check(cfg, pt, _kit(cfg, pt)).passed
 
 
 def test_unit_minor_rows_fallback():
@@ -310,10 +333,47 @@ def test_limit_report_bundle(monkeypatch):
     # both KZ certificates read the same residual K^(i) - H_i J
     kz_mc, span, rank = rep.certificates
     assert kz_mc.details["per_direction"] == span.details["per_direction"]
-    # the rank certificate took J_1 from the frame iteration; on its own it
+    # the rank certificate read J_1 through the report's kit; on its own it
     # reads the same frame through a kit of its own
-    assert dl.rank_check(cfg, pt).to_json() == rank.to_json()
-    assert len(made) == 2
+    assert dl.rank_check(cfg, pt, _kit(cfg, pt)).to_json() == rank.to_json()
+
+
+def test_limit_report_forms_each_gaudin_action_once(monkeypatch):
+    """Both KZ certificates share one defect set: n Gaudin actions, one per
+    direction, where a defect set per certificate would take 2n."""
+    calls = []
+    real = limits.gaudin_action
+
+    def counting(ring, i, *rest):
+        calls.append(i)
+        return real(ring, i, *rest)
+
+    monkeypatch.setattr(limits, "gaudin_action", counting)
+    ctx = dl.ctx_new(7, 4, 1)
+    cfg = dl.KZConfig(ctx, 2)
+    pt = dl.sample_domain_points(7, 2, 1, 1, 3, ctx)[0]
+    assert dl.limit_report(cfg, pt, 3).passed
+    assert calls == list(range(1, cfg.n + 1))
+
+
+def test_limit_frames_inverts_each_level_once(monkeypatch):
+    """One pass forms each (level, twist) inverse once: A(s, Phi_s) at the
+    point for s = 1..s_max and at its twist for s = 1..s_max-1."""
+    calls = []
+    real = limits._level_matrix_inv
+
+    def counting(cfg, lev, kit, twist=0):
+        calls.append((lev, twist))
+        return real(cfg, lev, kit, twist)
+
+    monkeypatch.setattr(limits, "_level_matrix_inv", counting)
+    ctx = dl.ctx_new(3, 5, 2)
+    cfg = dl.KZConfig(ctx, 1)
+    pt = dl.sample_domain_points(3, 1, 2, 1, 41, ctx)[0]
+    _frames(cfg, pt, 4)
+    assert len(calls) == len(set(calls))
+    assert sorted(calls) == sorted([(s, 0) for s in range(1, 5)]
+                                   + [(s, 1) for s in range(1, 4)])
 
 
 def test_limit_verdict_gates_every_profile():
@@ -322,12 +382,11 @@ def test_limit_verdict_gates_every_profile():
     pt = dl.sample_domain_points(3, 1, 2, 1, 41, ctx)[0]
     rep = dl.limit_report(cfg, pt, 3)
     assert rep.passed
-    for frag, name in ((rep.a_frag, "decay"), (rep.i_frag, "decay_J"),
-                       (rep.i_frag, "decay_K"), (rep.i_frag, "decay_B")):
-        good = frag[name]
-        frag[name] = [good[0], 1]  # index 1 must be >= 2
+    for name in ("decay_A", "decay_J", "decay_K", "decay_B"):
+        good = rep.frag[name]
+        rep.frag[name] = [good[0], 1]  # index 1 must be >= 2
         assert not rep.passed, name
-        frag[name] = good
+        rep.frag[name] = good
     assert rep.passed
-    rep.a_frag["det_valuations"][0] = 1
+    rep.frag["det_valuations"][0] = 1
     assert not rep.passed
