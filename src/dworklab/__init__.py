@@ -36,7 +36,6 @@ from .ghosts import (
     ghost_sequence,
 )
 from .hasse_witt import (
-    HWMatrix,
     hw_derivative_at,
     hw_det,
     hw_matrix,
@@ -53,7 +52,6 @@ from .dwork import (
 )
 from .kz import (
     KZConfig,
-    SolutionMatrix,
     kz_residual,
     kz_tuple,
     master_polynomial,

@@ -16,10 +16,10 @@ import argparse
 import json
 import sys
 
-from . import dwork, kz, limits
+from . import dwork, kz, limits, ringmat
 from .errors import ConfigError, DworkLabError
 from .ghosts import AdmissibleTuple, check_admissible, ghost_sequence
-from .hasse_witt import PointKit, hw_det, hw_matrix, hw_matrix_at
+from .hasse_witt import PointKit, SymbolicKit, hw_det, hw_matrix, hw_matrix_at
 from .laurent import LaurentPoly, TBox
 from .padic import ctx_new
 
@@ -136,22 +136,21 @@ def cmd_hw(args):
     phi = kz.master_polynomial(cfg, args.m)
     if args.at:
         a = _point_from_file(ctx, args.at, cfg.n)
-        Aw = hw_matrix_at(args.m, phi, cfg.delta, a)
-        det = hw_det(Aw)
-        det_json = ctx.elem_to_json(det)
-        det_val = ctx.val(det)
+        A = hw_matrix_at(args.m, phi, cfg.delta, a)
+        ring, elem = ringmat.scalar_ring(ctx), ctx.elem_to_json
     else:
-        Aw = hw_matrix(args.m, phi, cfg.delta)
-        det = hw_det(Aw)
-        det_json = det.to_json()
-        det_val = det.valuation()
+        A = hw_matrix(args.m, phi, cfg.delta)
+        ring, elem = ringmat.poly_ring(ctx, 0, cfg.n), LaurentPoly.to_json
+    det = hw_det(ring, A)
     return [{
         "ctx": ctx.to_json(),
         "level": args.m,
         "g": args.g,
-        "matrix": Aw.to_json(),
-        "det": det_json,
-        "det_valuation": det_val,
+        "matrix": {"level": args.m, "delta": list(cfg.delta),
+                   "pointwise": bool(args.at),
+                   "entries": [[elem(x) for x in row] for row in A]},
+        "det": elem(det),
+        "det_valuation": ring.val(det),
     }], True
 
 
@@ -179,14 +178,19 @@ def cmd_congruence(args):
 
 def cmd_kz_solve(args):
     ctx, cfg = _kz_family(args, args.ext)
-    kit = None
     if args.at:
         kit = PointKit(ctx, cfg.delta, _point_from_file(ctx, args.at, cfg.n))
-    sol = kz.ps_solutions(cfg, args.s, kit)
+        elem = ctx.elem_to_json
+    else:
+        kit, elem = SymbolicKit(ctx, cfg.delta, cfg.n), LaurentPoly.to_json
+    I = kz.ps_solutions(cfg, args.s, kit)
     return [{
         "ctx": ctx.to_json(),
-        "solution": sol.to_json(),
-        "column_sum_valuations": sol.column_sum_valuations(),
+        "solution": {"s": args.s, "n": cfg.n, "g": cfg.g,
+                     "pointwise": bool(args.at),
+                     "provenance": list(kz._frame_indices(cfg, args.s)),
+                     "entries": [[elem(x) for x in row] for row in I]},
+        "column_sum_valuations": kz.column_sum_valuations(kit.ring, I),
     }], True
 
 
@@ -200,8 +204,8 @@ def cmd_kz_verify(args):
     ctx, cfg = _kz_family(args, args.ext)
     points = _points(args, ctx, symbolic)
     if args.check == "minor":
-        certs = [limits.rank_check(cfg, pt, PointKit(ctx, cfg.delta, pt.lift,
-                                                     pt.index))
+        certs = [limits.rank_check(cfg, pt, limits._frame(
+                     cfg, 1, PointKit(ctx, cfg.delta, pt.lift, pt.index)))
                  for pt in points]
         ok = all(c.passed for c in certs)
         return [{

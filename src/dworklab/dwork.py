@@ -41,6 +41,7 @@ from .errors import (
 from .hasse_witt import (
     PointKit,
     SymbolicKit,
+    _rows,
     check_direction,
     hw_det,
     hw_indices,
@@ -110,7 +111,8 @@ def _nondegenerate(tup, upto, rep, results):
         if id(lam) in seen:
             continue
         seen.add(id(lam))
-        d = hw_det(hw_matrix(1, lam, tup.delta))
+        d = hw_det(ringmat.poly_ring(lam.ctx, 0, lam.n),
+                   hw_matrix(1, lam, tup.delta))
         if d.is_zero() or d.valuation() > 0:
             raise DegenerateTuple(
                 f"det A(1, L_{k}) vanishes modulo p; the tuple is degenerate"
@@ -251,13 +253,9 @@ def _ghost_blocks(kit, tup, need, reads):
             for j, m in pairs:
                 x = ring.sub(x, ring.mul(V[j - 1, k - p**j * m], got[i, j][m]))
             V[i, k] = x
-    g = len(tup.delta)
-    blocks = []
-    for i in range(len(need)):
-        flat = [V.get((i, k), ring.zero)
-                for k in hw_indices(p, i + 1, tup.delta)]
-        blocks.append([flat[r * g:(r + 1) * g] for r in range(g)])
-    return blocks
+    return [_rows([V.get((i, k), ring.zero)
+                   for k in hw_indices(p, i + 1, tup.delta)], len(tup.delta))
+            for i in range(len(need))]
 
 
 def verify_decomposition(tup, s, mode="symbolic", points=None):

@@ -5,22 +5,21 @@ set Delta of size g, and a level m, the matrix is
 
     A(m, F) = ( coeff of t^(p^m * v - u) in F )_{u in Delta (rows), v (cols)}.
 
-Symbolic entries are z-polynomials; evaluated entries are ring scalars
-extracted from the dense specialization F(t, a), which is where factored
-master polynomials pay off: one dense expansion serves the whole matrix and,
-through synthetic division, all of its z-derivatives.
+A matrix is a list of g rows.  Symbolic entries are z-polynomials;
+evaluated entries are ring scalars extracted from the dense specialization
+F(t, a), which is where factored master polynomials pay off: one dense
+expansion serves the whole matrix and, through synthetic division, all of
+its z-derivatives.
 
 The verifiers read every matrix, and the ghost recursion every single
 t-coefficient (``coeffs``), through a kit with one interface:
 :class:`SymbolicKit` stands for the whole z-domain (entries through
-``coeffs_t``, twists by ``hw_sigma``, derivatives by ``hw_partial_z``),
-:class:`PointKit` for one point a (ring scalars at a and its twists
-a^(p^k), memoized by :class:`DenseCache`).
+``coeffs_t``, twisted by ``frobenius_sub`` and differentiated by
+``partial_z`` entry by entry), :class:`PointKit` for one point a (ring
+scalars at a and its twists a^(p^k), memoized by :class:`DenseCache`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import dense, ringmat
 from .errors import (
@@ -31,37 +30,6 @@ from .errors import (
     UnsupportedArity,
 )
 from .laurent import SOFT_TERM_CAP, LaurentPoly
-
-
-@dataclass
-class HWMatrix:
-    ctx: object
-    level: int
-    delta: tuple
-    entries: list
-    pointwise: bool
-
-    @property
-    def g(self):
-        return len(self.delta)
-
-    def ring(self):
-        if self.pointwise:
-            return ringmat.scalar_ring(self.ctx)
-        sample = self.entries[0][0]
-        return ringmat.poly_ring(self.ctx, sample.r, sample.n)
-
-    def to_json(self):
-        if self.pointwise:
-            ent = [[self.ctx.elem_to_json(x) for x in row] for row in self.entries]
-        else:
-            ent = [[x.to_json() for x in row] for row in self.entries]
-        return {
-            "level": self.level,
-            "delta": list(self.delta),
-            "pointwise": self.pointwise,
-            "entries": ent,
-        }
 
 
 def _normalize_delta_ints(delta):
@@ -79,7 +47,7 @@ def hw_matrix(level, F, delta):
     """Symbolic Hasse-Witt matrix; entries are z-polynomials read off F."""
     if F.r != 1:
         raise UnsupportedArity("Hasse-Witt extraction needs r = 1")
-    return _hw_read(F.ctx, level, delta, F.coeffs_t, pointwise=False)
+    return _rows(F.coeffs_t(hw_indices(F.ctx.p, level, delta)), len(delta))
 
 
 def _coeffs_at(ctx, offset, coeffs, indices):
@@ -96,19 +64,10 @@ def hw_indices(p, level, delta):
     return [pm * v - u for u in delta for v in delta]
 
 
-def _hw_read(ctx, level, delta, read, pointwise=True):
-    """A(level, F) from read(indices) -> the coefficients of F at those
-    t-exponents: ring scalars of F(t, a), or z-polynomials."""
-    delta = _normalize_delta_ints(delta)
-    g = len(delta)
-    flat = read(hw_indices(ctx.p, level, delta))
-    entries = [flat[i * g:(i + 1) * g] for i in range(g)]
-    return HWMatrix(ctx, level, delta, entries, pointwise)
-
-
-def hw_from_dense(ctx, level, offset, coeffs, delta):
-    return _hw_read(ctx, level, delta,
-                    lambda idx: _coeffs_at(ctx, offset, coeffs, idx))
+def _rows(flat, g):
+    """The g x g matrix of a row-major list, such as the coefficients read
+    at ``hw_indices``."""
+    return [flat[i * g:(i + 1) * g] for i in range(g)]
 
 
 def hw_matrix_at(level, F, delta, a):
@@ -117,28 +76,21 @@ def hw_matrix_at(level, F, delta, a):
     return hw_from_dense(F.ctx, level, off, co, delta)
 
 
-def hw_sigma(Aw, k=1):
-    """Frobenius twist z -> z^(p^k) of a symbolic matrix."""
-    if Aw.pointwise:
-        raise UnsupportedArity("twist pointwise matrices by evaluating at a^(p^k)")
-    entries = [[entry.frobenius_sub(k) for entry in row] for row in Aw.entries]
-    return HWMatrix(Aw.ctx, Aw.level, Aw.delta, entries, False)
+# hw_from_dense, hw_det and hw_inverse_at are per-layer metrics of
+# BENCHMARK.json by name; ROADMAP item 8 decides their fate.
+def hw_from_dense(ctx, level, offset, coeffs, delta):
+    """A(level, F) at a point from the dense expansion (offset, coeffs) of
+    F(t, a)."""
+    return _rows(_coeffs_at(ctx, offset, coeffs,
+                            hw_indices(ctx.p, level, delta)), len(delta))
 
 
-def hw_partial_z(Aw, i):
-    entries = [[entry.partial_z(i) for entry in row] for row in Aw.entries]
-    return HWMatrix(Aw.ctx, Aw.level, Aw.delta, entries, False)
+def hw_det(ring, A):
+    return ringmat.det(ring, A)
 
 
-def hw_det(Aw):
-    return ringmat.det(Aw.ring(), Aw.entries)
-
-
-def hw_inverse_at(Aw):
-    if not Aw.pointwise:
-        raise UnsupportedArity("symbolic inverses are handled by clearing denominators")
-    return HWMatrix(Aw.ctx, Aw.level, Aw.delta,
-                    ringmat.mat_inv_scalar(Aw.ctx, Aw.entries), True)
+def hw_inverse_at(ctx, A):
+    return ringmat.mat_inv_scalar(ctx, A)
 
 
 class DenseCache:
@@ -202,8 +154,8 @@ class DenseCache:
                 if not dense.schoolbook(ctx, n, n):
                     half = self._half[key] = dense.dense_half_split(ctx, pairs)
             if half is not None:
-                return _hw_read(ctx, level, delta,
-                                lambda idx: dense.dense_half_coeffs(ctx, *half, idx))
+                return _rows(dense.dense_half_coeffs(
+                    ctx, *half, hw_indices(ctx.p, level, delta)), len(delta))
         return hw_from_dense(ctx, level, *self.get(F, a), delta)
 
     def quotient(self, F, a, root):
@@ -249,9 +201,8 @@ def _quotient_matrix(level, F, delta, a, roots, factor, cache):
     off, quot = (cache or DenseCache()).quotient(F, a, roots[0])
     for r in roots[1:]:
         quot = dense.dense_div_linear_exact(ctx, quot, r)
-    Aw = hw_from_dense(ctx, level, off, quot, delta)
-    Aw.entries = [[ctx.scal_int(x, factor) for x in row] for row in Aw.entries]
-    return Aw
+    return [[ctx.scal_int(x, factor) for x in row]
+            for row in hw_from_dense(ctx, level, off, quot, delta)]
 
 
 def hw_derivative_at(level, F, delta, a, v, cache=None):
@@ -319,7 +270,8 @@ class SymbolicKit:
         return self._read[key][1]
 
     def A(self, level, F, twist=0):
-        return hw_sigma(self._hw(level, F), twist).entries
+        return [[x.frobenius_sub(twist) for x in row]
+                for row in self._hw(level, F)]
 
     def coeffs(self, F, indices, twist=0):
         """The z-polynomials at the t-exponents of F, twisted."""
@@ -327,10 +279,12 @@ class SymbolicKit:
         return [x.frobenius_sub(twist) for x in F.coeffs_t(indices)]
 
     def dA(self, level, F, v, twist=0):
-        return hw_sigma(hw_partial_z(self._hw(level, F), v), twist).entries
+        return [[x.partial_z(v).frobenius_sub(twist) for x in row]
+                for row in self._hw(level, F)]
 
     def d2A(self, level, F, u, v):
-        return hw_partial_z(hw_partial_z(self._hw(level, F), v), u).entries
+        return [[x.partial_z(v).partial_z(u) for x in row]
+                for row in self._hw(level, F)]
 
     def frame(self, F, indices):
         """Row i: the coefficients at indices of F/(t - z_i), i = 1..n."""
@@ -394,7 +348,7 @@ class PointKit(DenseCache):
 
     def A(self, level, F, twist=0):
         """A(level, F) at the twisted point."""
-        return self.hw_at(level, F, self.delta, self.point(twist)).entries
+        return self.hw_at(level, F, self.delta, self.point(twist))
 
     def coeffs(self, F, indices, twist=0):
         """The coefficients at the t-exponents of F at the twisted point."""
@@ -402,11 +356,11 @@ class PointKit(DenseCache):
 
     def dA(self, level, F, v, twist=0):
         return hw_derivative_at(level, F, self.delta, self.point(twist), v,
-                                self).entries
+                                self)
 
     def d2A(self, level, F, u, v):
         return hw_second_derivative_at(level, F, self.delta, self.point(0),
-                                       u, v, self).entries
+                                       u, v, self)
 
     def frame(self, F, indices):
         a = self.point(0)

@@ -16,12 +16,13 @@ read through the kits of ``hasse_witt``.  The residual and the frame
 congruences are stated once, with denominators cleared, as one(kit); the
 ``dwork`` driver's kits, scan and report (``_report``) run them over
 either kit; a symbolic kit charges their reads against SYMBOLIC_READ_CAP,
-and each statement reads all its frames before its first product.  Frames
-read outside a verifier (``ps_solutions`` and ``ps_solution_derivative``
-without a kit) are charged against SOFT_TERM_CAP.  The two identities of
-Phi_s behind the residual are checked symbolically only, in a reduced form
-with no cleared factors, on one flat list per factored form: its Kronecker
-image in z at t = 1, whose length (e + 1)^n is held to SYMBOLIC_READ_CAP.
+and each statement reads all its frames before its first product.  A frame
+is a list of n rows, read through the kit its caller passes; ``kz-solve``
+passes a SymbolicKit with the default budget SOFT_TERM_CAP.  The two
+identities of Phi_s behind the residual are checked symbolically only, in a
+reduced form with no cleared factors, on one flat list per factored form:
+its Kronecker image in z at t = 1, whose length (e + 1)^n is held to
+SYMBOLIC_READ_CAP.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .errors import (
     OutsideDomain,
     SizeCapExceeded,
 )
-from .hasse_witt import SymbolicKit, check_direction
+from .hasse_witt import check_direction
 from .laurent import SYMBOLIC_READ_CAP, LaurentPoly
 from .ghosts import AdmissibleTuple
 
@@ -94,76 +95,21 @@ def kz_tuple(cfg, length=None, periodic=None):
     return AdmissibleTuple(lams, cfg.delta, periodic=periodic)
 
 
-@dataclass
-class SolutionMatrix:
-    """The n x g frame of coefficient vectors at level s."""
-
-    cfg: KZConfig
-    s: int
-    entries: list  # n rows, g columns
-    pointwise: bool
-    provenance: tuple = ()
-
-    @property
-    def n(self):
-        return self.cfg.n
-
-    @property
-    def g(self):
-        return self.cfg.g
-
-    def column_sums(self):
-        ring = self._ring()
-        return [reduce(ring.add, (row[l] for row in self.entries), ring.zero)
-                for l in range(self.g)]
-
-    def _ring(self):
-        if self.pointwise:
-            return ringmat.scalar_ring(self.cfg.ctx)
-        return ringmat.poly_ring(self.cfg.ctx, 0, self.n)
-
-    def column_sum_valuations(self):
-        ring = self._ring()
-        return [ring.val(c) for c in self.column_sums()]
-
-    def to_json(self):
-        ctx = self.cfg.ctx
-        if self.pointwise:
-            ent = [[ctx.elem_to_json(x) for x in row] for row in self.entries]
-        else:
-            ent = [[x.to_json() for x in row] for row in self.entries]
-        return {
-            "s": self.s,
-            "n": self.n,
-            "g": self.g,
-            "pointwise": self.pointwise,
-            "provenance": list(self.provenance),
-            "entries": ent,
-        }
-
-
 def _frame_indices(cfg, s):
     ps = cfg.ctx.p**s
     return tuple(l * ps - 1 for l in range(1, cfg.g + 1))
 
 
-def _kit(cfg, kit):
-    return kit or SymbolicKit(cfg.ctx, cfg.delta, cfg.n)
-
-
-def ps_solutions(cfg, s, kit=None):
+def ps_solutions(cfg, s, kit):
     """Frame entries I[i][l] = coeff of t^(l p^s - 1) in Phi_s / (t - z_i),
-    read by the kit (symbolic by default).
+    read by the kit: n rows, g columns.
 
     Out-of-range column indices extract zero; only l = 1..g is stored.
     """
-    kit = _kit(cfg, kit)
-    indices = _frame_indices(cfg, s)
-    rows = kit.frame(master_polynomial(cfg, s), indices)
-    return SolutionMatrix(cfg, s, rows, kit.mode == "pointwise", indices)
+    return kit.frame(master_polynomial(cfg, s), _frame_indices(cfg, s))
 
 
-def ps_solution_derivative(cfg, s, i, kit=None):
+def ps_solution_derivative(cfg, s, i, kit):
     """The n x g matrix of dI_s/dz_i entries.
 
     Row k, column l is the coefficient of t^(l p^s - 1) in
@@ -172,8 +118,13 @@ def ps_solution_derivative(cfg, s, i, kit=None):
     a point the kit forms it by partial fractions of the n quotients.
     """
     check_direction("i", i, cfg.n)
-    return _kit(cfg, kit).frame_derivative(
+    return kit.frame_derivative(
         master_polynomial(cfg, s), i, cfg.exponent(s), _frame_indices(cfg, s))
+
+
+def column_sum_valuations(ring, I):
+    """The valuation of each column sum of the frame I over ring."""
+    return [ring.val(reduce(ring.add, col, ring.zero)) for col in zip(*I)]
 
 
 def gaudin_action(ring, i, I, half, coef):
@@ -222,12 +173,12 @@ def kz_residual(cfg, s, i=None, mode="symbolic", points=None):
             P = reduce(ring.mul, diffs.values(), ring.one)
             diff = ringmat.mat_sub(
                 ring, ringmat.mat_scal(ring, P, dI[d]),
-                gaudin_action(ring, d, I.entries, half, cofactors))
+                gaudin_action(ring, d, I, half, cofactors))
             v, w = _mat_min_val_with_witness(ring, diff,
                                              {**kit.label, "direction": d})
             if v < worst:
                 worst, wit = v, w
-        sums = I.column_sum_valuations()
+        sums = column_sum_valuations(ring, I)
         return min([worst] + sums), wit, sums
 
     def column_sums(rep, results):
@@ -334,8 +285,7 @@ def verify_solution_congruence(cfg, s, mode="pointwise", points=None):
         ring = kit.ring
         A = {lev: kit.A(lev, master_polynomial(cfg, lev))
              for lev in (s, s + 1)}
-        frames = {lev: ps_solutions(cfg, lev, kit).entries
-                  for lev in (s + 1, s)}
+        frames = {lev: ps_solutions(cfg, lev, kit) for lev in (s + 1, s)}
         derivs = {(lev, j): ps_solution_derivative(cfg, lev, j, kit)
                   for j in dirs for lev in (s + 1, s)}
         det = {lev: kit.unit(

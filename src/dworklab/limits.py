@@ -132,6 +132,7 @@ class _Membership:
         cfg = KZConfig(self.ctx, g)
         self.n, self.delta = cfg.n, cfg.delta
         self.phi = master_polynomial(cfg, 1)
+        self.ring = ringmat.scalar_ring(self.ctx)
         self.residues = [_residue_from_index(self.ctx, c) for c in range(p**m)]
         self._memo = {}
 
@@ -141,7 +142,7 @@ class _Membership:
         if ok is None:
             a = tuple(self.residues[c] for c in key)
             Aw = hw_matrix_at(1, self.phi, self.delta, a)
-            ok = self._memo[key] = self.ctx.is_unit(hw_det(Aw))
+            ok = self._memo[key] = self.ctx.is_unit(hw_det(self.ring, Aw))
         return ok
 
 
@@ -307,7 +308,7 @@ def _level_matrix_inv(cfg, lev, kit, twist=0):
 def _frame(cfg, s, kit):
     """J_s = I_s A(s, Phi_s)^-1 at the kit's point."""
     _, Ainv = _level_matrix_inv(cfg, s, kit)
-    return ringmat.mat_mul(kit.ring, ps_solutions(cfg, s, kit).entries, Ainv)
+    return ringmat.mat_mul(kit.ring, ps_solutions(cfg, s, kit), Ainv)
 
 
 def _decay(ring, seq):
@@ -340,8 +341,7 @@ def limit_frames(cfg, point, s_max, kit):
         A, Ainv = _level_matrix_inv(cfg, s, kit)
         ratios.append(A if s == 1 else ringmat.mat_mul(
             ring, A, _level_matrix_inv(cfg, s - 1, kit, twist=1)[1]))
-        J_seq.append(ringmat.mat_mul(ring, ps_solutions(cfg, s, kit).entries,
-                                     Ainv))
+        J_seq.append(ringmat.mat_mul(ring, ps_solutions(cfg, s, kit), Ainv))
         phi = master_polynomial(cfg, s)
         K_seq.append({i: ringmat.mat_mul(
             ring, ps_solution_derivative(cfg, s, i, kit), Ainv) for i in dirs})
@@ -430,18 +430,17 @@ def kz_certificates(cfg, point, s_max, frag, kit):
     ]
 
 
-def rank_check(cfg, point, kit):
+def rank_check(cfg, point, M):
     """Certificate that the limit frame has rank g modulo p.
 
-    Checks the g x g minor of J_1 = I_1(a) A(1, Phi_1)(a)^-1, read through
-    the kit, in rows 1, 3, ..., 2g-1 first; any other unit minor still
+    Checks the g x g minor of M = J_1 = I_1(a) A(1, Phi_1)(a)^-1 at the
+    point in rows 1, 3, ..., 2g-1 first; any other unit minor still
     certifies full rank.
     """
     ctx = cfg.ctx
     if not point.in_D:
         raise OutsideDomain("point is outside the unit-determinant domain")
     sring = ringmat.scalar_ring(ctx)
-    M = _frame(cfg, 1, kit)
     g = cfg.g
     preferred = tuple(range(0, 2 * g - 1, 2))
     sub = [M[r] for r in preferred]
@@ -505,5 +504,5 @@ def limit_report(cfg, point, s_max):
     kit = PointKit(cfg.ctx, cfg.delta, point.lift, point.index)
     frag = limit_frames(cfg, point, s_max, kit)
     certs = [*kz_certificates(cfg, point, s_max, frag, kit),
-             rank_check(cfg, point, kit)]
+             rank_check(cfg, point, frag["J_seq"][0])]
     return LimitReport(cfg, point, s_max, frag, certs)

@@ -6,8 +6,8 @@ section holds small helpers over the library's types that only tests need.
 """
 
 from dworklab.errors import NonUnitDifference, UnsupportedArity, ZeroPolynomial
-from dworklab.hasse_witt import HWMatrix
-from dworklab.kz import _frame_indices, _kit, master_polynomial
+from dworklab.hasse_witt import SymbolicKit
+from dworklab.kz import _frame_indices, master_polynomial
 from dworklab.laurent import LaurentPoly
 
 
@@ -199,10 +199,9 @@ def leading_term_lex(f):
     return f.terms[key], key
 
 
-def hw_eval(Aw, a):
-    """A symbolic Hasse-Witt matrix evaluated at the point a."""
-    entries = [[eval_all(x, [], a) for x in row] for row in Aw.entries]
-    return HWMatrix(Aw.ctx, Aw.level, Aw.delta, entries, True)
+def hw_eval(A, a):
+    """The rows of a symbolic matrix evaluated at the point a."""
+    return [[eval_all(x, [], a) for x in row] for row in A]
 
 
 def gaudin(cfg, i, a):
@@ -228,6 +227,11 @@ def gaudin(cfg, i, a):
         H[ii][jj] = ctx.add(H[ii][jj], c)
         H[jj][ii] = ctx.add(H[jj][ii], c)
     return H
+
+
+def _kit(cfg, kit):
+    """kit, or by default the family's symbolic kit."""
+    return kit or SymbolicKit(cfg.ctx, cfg.delta, cfg.n)
 
 
 def solution_coefficient(cfg, s, ell, i, kit=None):

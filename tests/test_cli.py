@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -277,6 +278,69 @@ def test_kz_solve_command(tmp_path):
                          "--s", "2", "--at", str(point)])
     assert code == 0
     assert docs[0]["column_sum_valuations"][0] >= 2
+
+
+def test_solution_matrix_json():
+    code, docs = invoke(["kz-solve", "--p", "3", "--N", "3", "--g", "1",
+                         "--s", "1"])
+    assert code == 0
+    doc = docs[0]["solution"]
+    assert doc["s"] == 1 and doc["n"] == 3 and doc["g"] == 1
+    assert not doc["pointwise"]
+    assert doc["provenance"] == [2]  # l p^s - 1 for l = 1, s = 1
+
+
+PIN_POINTS = {
+    "p5": ["0", "1", "3"],
+    "p3e2": [[0, 1], [1, 0], [2, 2]],
+    "p7g2": ["0", "1", "2", "3", "4"],
+    "p7g2e2": [[0, 1], [1, 0], [2, 3], [3, 1], [4, 4]],
+}
+
+
+@pytest.mark.parametrize("argv,point,digest", [
+    ("hw --p 5 --N 3 --m 1 --g 1", None,
+     "ad7938a23ba3f53cc192050167d2680a3980e02611199a6ff64e298d23fb3794"),
+    ("hw --p 3 --N 3 --m 2 --g 1", None,
+     "f14e90e9582f8078bafb62b199316707ee95ae5db050fd5a27a68f00d18720cd"),
+    ("hw --p 7 --N 2 --m 1 --g 2", None,
+     "8e26888bd31f699b3001af8ff1897a4f5b24aae76a7a651adc0c9e3c958b4048"),
+    ("hw --p 5 --N 3 --m 1 --g 1", "p5",
+     "d497bfaac9cc5c79b40f55dcd368e56cccaf9faa85f41334af6af5eda0aa6ad0"),
+    ("hw --p 5 --N 4 --m 2 --g 1", "p5",
+     "e74e9c6b2f02c55210580bd55b60c1515d58a3899c3319314f6720aa19d7e6aa"),
+    ("hw --p 3 --N 3 --m 2 --g 1 --ext 2", "p3e2",
+     "1ea63ea65d24a0ad97138ffb6fbd2104624f27201da3c2933bccb10e573c2aa5"),
+    ("hw --p 7 --N 3 --m 2 --g 2", "p7g2",
+     "852aeebd26d738c7b3f153c81592881447651423612f0e4bafba1d5ad784c4a1"),
+    ("hw --p 7 --N 2 --m 1 --g 2 --ext 2", "p7g2e2",
+     "1dc780ab8bc8f8ae6fb9b3f203a07887f26a0b36c8e414ee4943e66fe7de99f9"),
+    ("kz-solve --p 3 --N 3 --g 1 --s 1", None,
+     "df4ae22d2ba3fde4402d151935709c95856b3523cd2d79218d2541eb58c509c6"),
+    ("kz-solve --p 5 --N 3 --g 1 --s 2", None,
+     "27c5540ca4ca0ce23d5e2cd93fb277826b59e1323c10c19609d9b6f68a2ea9d4"),
+    ("kz-solve --p 7 --N 2 --g 2 --s 1", None,
+     "efa7cebde99d599214aab4a6ac356f78c0a26cfe9d82302e37b462bc88da22c8"),
+    ("kz-solve --p 5 --N 4 --g 1 --s 2", "p5",
+     "860a70096861b331a20d13179fb87619a434d3499ea48a5ec515aa8758f73e72"),
+    ("kz-solve --p 3 --N 3 --g 1 --s 2 --ext 2", "p3e2",
+     "d6ce70d2df151d18f83b08f9da5ee5b2c67de3376dd51f7d9db48cc42fb3be34"),
+    ("kz-solve --p 7 --N 3 --g 2 --s 2 --ext 2", "p7g2e2",
+     "274f3636d6b8c50cb377ba3e01ec3a89d966ae78b5046b4a0cb2b92672facb75"),
+])
+def test_hw_and_kz_solve_output_is_pinned(tmp_path, argv, point, digest):
+    """The whole output of hw and kz-solve, byte for byte, against the
+    sha256 of a recorded run: symbolic and --at, --ext 1 and 2, g = 1 and
+    2, levels 1 and 2.  The commands write their "matrix" and "solution"
+    objects themselves, with one serializer per mode."""
+    argv = argv.split()
+    if point:
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(PIN_POINTS[point]))
+        argv += ["--at", str(path)]
+    out = io.StringIO()
+    assert run(argv, out=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 def test_domain_scan_command():

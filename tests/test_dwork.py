@@ -1,7 +1,7 @@
 import pytest
 
 import dworklab as dl
-from dworklab import dwork, laurent, ringmat
+from dworklab import dwork, laurent, limits, ringmat
 from dworklab.errors import (
     ConfigError,
     DegenerateTuple,
@@ -67,8 +67,7 @@ def test_ghost_dense_matches_symbolic():
     blocks = dwork._ghost_blocks(PointKit(ctx, tup.delta, a), tup,
                                   *dwork._ghost_plan(tup, 2))
     for s in range(3):
-        direct = dl.hw_matrix_at(s + 1, gs.V[s], tup.delta, a)
-        assert blocks[s] == direct.entries
+        assert blocks[s] == dl.hw_matrix_at(s + 1, gs.V[s], tup.delta, a)
 
 
 def test_ghost_blocks_match_the_full_ghosts():
@@ -88,9 +87,8 @@ def test_ghost_blocks_match_the_full_ghosts():
         sym = dwork._ghost_blocks(SymbolicKit(ctx, tup.delta, n), tup, *plan)
         at = dwork._ghost_blocks(PointKit(ctx, tup.delta, a), tup, *plan)
         for j in range(l + 1):
-            assert sym[j] == dl.hw_matrix(j + 1, gs.V[j], tup.delta).entries
-            assert at[j] == dl.hw_matrix_at(j + 1, gs.V[j], tup.delta,
-                                            a).entries
+            assert sym[j] == dl.hw_matrix(j + 1, gs.V[j], tup.delta)
+            assert at[j] == dl.hw_matrix_at(j + 1, gs.V[j], tup.delta, a)
 
 
 def test_decomposition_plans_the_ghost_recursion_once(monkeypatch):
@@ -160,7 +158,7 @@ def test_ratio_symbolic_and_points_coherent():
     pts = [[rand_unit(ctx, rng) for _ in range(3)] for _ in range(20)]
     good = [
         a for a in pts
-        if ctx.is_unit(dl.hw_det(dl.hw_matrix_at(
+        if ctx.is_unit(dl.hw_det(ringmat.scalar_ring(ctx), dl.hw_matrix_at(
             1, dl.master_polynomial(cfg, 1), cfg.delta, a)))
     ]
     rep_pw = dl.verify_dwork_ratio(tup, 2, mode="pointwise", points=good)
@@ -370,7 +368,7 @@ def test_second_derivative():
 
 
 def test_second_derivative_diagonal_matches_symbolic():
-    from dworklab.hasse_witt import hw_partial_z, hw_second_derivative_at
+    from dworklab.hasse_witt import hw_second_derivative_at
     from oracles import hw_eval
 
     ctx = dl.ctx_new(3, 3, 1)
@@ -378,13 +376,14 @@ def test_second_derivative_diagonal_matches_symbolic():
     rng = seeded(25)
     for s in (1, 2):
         phi = dl.master_polynomial(cfg, s)
-        sym = dl.hw_matrix(s, phi, cfg.delta)
-        dsyms = {u: hw_partial_z(hw_partial_z(sym, u), u) for u in (1, 2, 3)}
+        kit = SymbolicKit(ctx, cfg.delta, cfg.n)
+        dsyms = {u: kit.d2A(s, phi, u, u) for u in (1, 2, 3)}
         for _ in range(20):
             a = [rand(ctx, rng) for _ in range(3)]
+            at = PointKit(ctx, cfg.delta, a)
             for u in range(1, 4):
                 direct = hw_second_derivative_at(s, phi, cfg.delta, a, u, u)
-                assert direct.entries == hw_eval(dsyms[u], a).entries
+                assert direct == hw_eval(dsyms[u], a) == at.d2A(s, phi, u, u)
 
 
 # -- structural identities ----------------------------------------------------
@@ -537,8 +536,8 @@ def test_user_parameter_checks_raise_invalid_parameter():
     unlifted = next(q for q in dl.scan_domain(5, 1, 1).points if q.in_D_o)
     assert unlifted.lift is None and unlifted.index == 7
     for check in (
-        lambda: dl.rank_check(cfg5, unlifted, PointKit(
-            cfg5.ctx, cfg5.delta, unlifted.lift, unlifted.index)),
+        lambda: dl.rank_check(cfg5, unlifted, limits._frame(cfg5, 1, PointKit(
+            cfg5.ctx, cfg5.delta, unlifted.lift, unlifted.index))),
         lambda: dl.limit_report(cfg5, unlifted, 3),
     ):
         with pytest.raises(InvalidParameter, match="point 7 "):

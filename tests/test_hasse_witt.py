@@ -7,8 +7,10 @@ from dworklab import ringmat
 from dworklab.errors import NotFactored, SingularModP
 from dworklab.hasse_witt import (
     DenseCache,
+    PointKit,
+    SymbolicKit,
+    hw_inverse_at,
     hw_second_derivative_at,
-    hw_partial_z,
 )
 from dworklab.laurent import LaurentPoly
 from conftest import seeded
@@ -32,22 +34,22 @@ def test_symbolic_examples():
     ctx, cfg, F = kz_setup(3, 2, 1)
     one = LaurentPoly.one(ctx, 1, 3)
     zero_matrix = dl.hw_matrix(1, one, cfg.delta)
-    assert all(e.is_zero() for row in zero_matrix.entries for e in row)
+    assert all(e.is_zero() for row in zero_matrix for e in row)
     A = dl.hw_matrix(1, F, cfg.delta)
     zs = [z_var(ctx, 0, 3, i) for i in (1, 2, 3)]
-    assert A.entries[0][0] == -(zs[0] + zs[1] + zs[2])
+    assert A[0][0] == -(zs[0] + zs[1] + zs[2])
 
 
 def test_point_examples():
     ctx, cfg, F = kz_setup(3, 2, 1)
     A = dl.hw_matrix_at(1, F, cfg.delta, [0, 1, 3])
-    assert A.entries == [[5]]
+    assert A == [[5]]
     A2 = dl.hw_matrix_at(1, F, cfg.delta, [0, 1, 2])
-    assert A2.entries == [[6]]
-    assert ctx.val(A2.entries[0][0]) == 1
+    assert A2 == [[6]]
+    assert ctx.val(A2[0][0]) == 1
     one = LaurentPoly.one(ctx, 1, 3)
     Z = dl.hw_matrix_at(3, one, cfg.delta, [0, 1, 2])
-    assert Z.entries == [[0]]
+    assert Z == [[0]]
 
 
 def test_point_symbolic_consistency():
@@ -61,7 +63,7 @@ def test_point_symbolic_consistency():
             a = [rand(ctx, rng) for _ in range(cfg.n)]
             via_sym = hw_eval(sym, a)
             direct = dl.hw_matrix_at(level, F, cfg.delta, a)
-            assert via_sym.entries == direct.entries
+            assert via_sym == direct
 
 
 @pytest.mark.parametrize("p,N,g,m,level", [(3, 4, 1, 1, 2), (3, 3, 1, 2, 2),
@@ -73,7 +75,7 @@ def test_hw_matrix_reads_factored_form_without_expanding(p, N, g, m, level):
     assert not is_expanded(W)
     ref = LaurentPoly(ctx, 1, cfg.n, oracle_expand_factors(
         p, N, m, ctx.modulus, cfg.n, W.factored))
-    assert A.entries == dl.hw_matrix(level, ref, cfg.delta).entries
+    assert A == dl.hw_matrix(level, ref, cfg.delta)
 
 
 def leading_term_expected(p, g, u, v):
@@ -97,7 +99,7 @@ def test_entry_leading_terms(p, g):
     A = dl.hw_matrix(1, F, cfg.delta)
     for u in range(1, g + 1):
         for v in range(1, g + 1):
-            coeff, key = leading_term_lex(A.entries[u - 1][v - 1])
+            coeff, key = leading_term_lex(A[u - 1][v - 1])
             exp, b = leading_term_expected(p, g, u, v)
             assert key == exp
             assert coeff % p in (b % p, (-b) % p)
@@ -107,7 +109,7 @@ def test_entry_leading_terms(p, g):
 def test_det_leading_term_and_homogeneity(p, g):
     ctx, cfg, F = kz_setup(p, 1, g)
     A = dl.hw_matrix(1, F, cfg.delta)
-    det = dl.hw_det(A)
+    det = dl.hw_det(ringmat.poly_ring(ctx, 0, cfg.n), A)
     assert not det.is_zero()
     c, key = leading_term_lex(det)
     e = (p - 1) // 2
@@ -124,20 +126,16 @@ def test_det_leading_term_and_homogeneity(p, g):
 def test_det_scalar_form():
     ctx, cfg, F = kz_setup(3, 2, 1)
     A = dl.hw_matrix_at(1, F, cfg.delta, [0, 1, 3])
-    assert dl.hw_det(A) == 5
+    assert dl.hw_det(ringmat.scalar_ring(ctx), A) == 5
 
 
 def test_inverse_examples():
     ctx, cfg, F = kz_setup(3, 2, 1)
-    from dworklab.hasse_witt import HWMatrix, hw_inverse_at
-
-    ident = HWMatrix(ctx, 1, (1,), [[1]], True)
-    assert hw_inverse_at(ident).entries == [[1]]
+    assert hw_inverse_at(ctx, [[1]]) == [[1]]
     A = dl.hw_matrix_at(1, F, cfg.delta, [0, 1, 3])  # entry 5
-    assert hw_inverse_at(A).entries == [[2]]
-    singular = HWMatrix(ctx, 1, (1,), [[3]], True)
+    assert hw_inverse_at(ctx, A) == [[2]]
     with pytest.raises(SingularModP):
-        hw_inverse_at(singular)
+        hw_inverse_at(ctx, [[3]])
 
 
 def test_inverse_random_matrices():
@@ -172,13 +170,13 @@ def _check_random_inverses(ctx, rng):
 def test_derivative_at_examples():
     ctx, cfg, F = kz_setup(3, 2, 1)
     got = dl.hw_derivative_at(1, F, cfg.delta, [0, 1, 3], 1)
-    assert got.entries == [[8]]  # -1 mod 9: d/dz1 of -(z1+z2+z3)
+    assert got == [[8]]  # -1 mod 9: d/dz1 of -(z1+z2+z3)
     # multiplicity congruent to zero modulo p^N kills the matrix
     ctx9 = dl.ctx_new(3, 2, 1)
     cfg9 = dl.KZConfig(ctx9, 1)
     F9 = dl.master_polynomial(cfg9, 1) ** 9  # multiplicities 9 = 0 mod 9
     Z = dl.hw_derivative_at(1, F9, cfg9.delta, [0, 1, 3], 1)
-    assert Z.entries == [[0]]
+    assert Z == [[0]]
     expanded = LaurentPoly(ctx, 1, 3, dict(F.terms))
     with pytest.raises(NotFactored):
         dl.hw_derivative_at(1, expanded, cfg.delta, [0, 1, 3], 1)
@@ -189,14 +187,15 @@ def test_derivative_matches_symbolic(p, g, s):
     ctx = dl.ctx_new(p, 4, 1)
     cfg = dl.KZConfig(ctx, g)
     phi = dl.master_polynomial(cfg, s)
-    sym = dl.hw_matrix(s, phi, cfg.delta)
+    kit = SymbolicKit(ctx, cfg.delta, cfg.n)
     rng = seeded(29)
     for v in range(1, cfg.n + 1):
-        dsym = hw_partial_z(sym, v)
+        dsym = kit.dA(s, phi, v)
         for _ in range(8):
             a = [rand(ctx, rng) for _ in range(cfg.n)]
             direct = dl.hw_derivative_at(s, phi, cfg.delta, a, v)
-            assert hw_eval(dsym, a).entries == direct.entries
+            assert hw_eval(dsym, a) == direct
+            assert PointKit(ctx, cfg.delta, a).dA(s, phi, v) == direct
 
 
 def test_second_derivative_matches_symbolic():
@@ -204,14 +203,15 @@ def test_second_derivative_matches_symbolic():
     cfg = dl.KZConfig(ctx, 1)
     for s in (1, 2):
         phi = dl.master_polynomial(cfg, s)
-        sym = dl.hw_matrix(s, phi, cfg.delta)
+        kit = SymbolicKit(ctx, cfg.delta, cfg.n)
         rng = seeded(31)
         for (u, v) in [(1, 2), (2, 2), (1, 1), (3, 1)]:
-            dsym = hw_partial_z(hw_partial_z(sym, v), u)
+            dsym = kit.d2A(s, phi, u, v)
             for _ in range(10):
                 a = [rand(ctx, rng) for _ in range(cfg.n)]
                 direct = hw_second_derivative_at(s, phi, cfg.delta, a, u, v)
-                assert hw_eval(dsym, a).entries == direct.entries
+                assert hw_eval(dsym, a) == direct
+                assert PointKit(ctx, cfg.delta, a).d2A(s, phi, u, v) == direct
 
 
 def _cache_forms(ctx, g):
@@ -239,14 +239,14 @@ def test_cache_entries_and_expansion_in_either_order(p, N, m, g):
         for a in points:
             want = F.dense_t(a)
             for level in (1, 2, 3, 4):
-                direct = dl.hw_matrix_at(level, F, delta, a).entries
-                assert split_first.hw_at(level, F, delta, a).entries == direct
+                direct = dl.hw_matrix_at(level, F, delta, a)
+                assert split_first.hw_at(level, F, delta, a) == direct
             assert split_first._half and (ctx, F.factored, a) in split_first._half
             assert split_first.get(F, a) == want
             assert (ctx, F.factored, a) not in split_first._half
             assert expand_first.get(F, a) == want
             for level in (1, 2, 3, 4):
-                direct = dl.hw_matrix_at(level, F, delta, a).entries
-                assert split_first.hw_at(level, F, delta, a).entries == direct
-                assert expand_first.hw_at(level, F, delta, a).entries == direct
+                direct = dl.hw_matrix_at(level, F, delta, a)
+                assert split_first.hw_at(level, F, delta, a) == direct
+                assert expand_first.hw_at(level, F, delta, a) == direct
         assert not expand_first._half

@@ -5,7 +5,7 @@ import pytest
 import dworklab as dl
 from dworklab import limits, ringmat
 from dworklab.errors import ConfigError, OutsideDomain, TooLarge
-from dworklab.hasse_witt import PointKit
+from dworklab.hasse_witt import PointKit, SymbolicKit
 from dworklab.limits import (
     det_degree,
     nonempty_bound,
@@ -123,7 +123,8 @@ def test_membership_depends_only_on_residues():
             for x in lifted.lift
         )
         for a in (lifted.lift, nudged):
-            det = dl.hw_det(dl.hw_matrix_at(1, phi, cfg.delta, a))
+            det = dl.hw_det(ringmat.scalar_ring(ctx),
+                            dl.hw_matrix_at(1, phi, cfg.delta, a))
             assert ctx.is_unit(det) == pt.in_D
 
 
@@ -134,15 +135,16 @@ def test_sigma_stability_of_domain():
     pts = dl.sample_domain_points(3, 1, 2, 8, 3, ctx)
     for pt in pts:
         ap = tuple(ctx.frob(x, 1) for x in pt.lift)
-        det = dl.hw_det(dl.hw_matrix_at(1, phi, cfg.delta, ap))
+        det = dl.hw_det(ringmat.scalar_ring(ctx),
+                        dl.hw_matrix_at(1, phi, cfg.delta, ap))
         assert ctx.is_unit(det)
-        # frobenius/point compatibility on a symbolic matrix
-        sym = dl.hw_matrix(1, phi, cfg.delta)
-        from dworklab.hasse_witt import hw_sigma
+        # frobenius/point compatibility: the symbolic kit's twist at the
+        # point, the point kit's twist and the matrix at a^p agree
         from oracles import hw_eval
 
-        assert hw_eval(hw_sigma(sym, 1), pt.lift).entries == \
-            dl.hw_matrix_at(1, phi, cfg.delta, ap).entries
+        sym = SymbolicKit(ctx, cfg.delta, cfg.n).A(1, phi, twist=1)
+        assert hw_eval(sym, pt.lift) == _kit(cfg, pt).A(1, phi, twist=1) \
+            == dl.hw_matrix_at(1, phi, cfg.delta, ap)
 
 
 def _kit(cfg, pt):
@@ -151,6 +153,11 @@ def _kit(cfg, pt):
 
 def _frames(cfg, pt, s_max):
     return dl.limit_frames(cfg, pt, s_max, _kit(cfg, pt))
+
+
+def _J1(cfg, pt):
+    """J_1 at the point, through a kit of its own."""
+    return limits._frame(cfg, 1, _kit(cfg, pt))
 
 
 def test_ratio_profile():
@@ -164,7 +171,7 @@ def test_ratio_profile():
         # R_0 is the level-1 matrix itself
         phi = dl.master_polynomial(cfg, 1)
         assert frag["ratios"][0] == dl.hw_matrix_at(
-            1, phi, cfg.delta, pt.lift).entries
+            1, phi, cfg.delta, pt.lift)
 
 
 def test_frame_profiles_and_stabilization():
@@ -188,8 +195,8 @@ def test_frame_profiles_and_stabilization():
         A1 = dl.hw_matrix_at(1, phi, cfg.delta, a)
         J1 = ringmat.mat_mul(
             ringmat.scalar_ring(ctx),
-            dl.ps_solutions(cfg, 1, PointKit(ctx, cfg.delta, a)).entries,
-            ringmat.mat_inv_scalar(ctx, A1.entries),
+            dl.ps_solutions(cfg, 1, PointKit(ctx, cfg.delta, a)),
+            ringmat.mat_inv_scalar(ctx, A1),
         )
         diff = ringmat.mat_sub(ringmat.scalar_ring(ctx), frag["I"], J1)
         assert ringmat.min_val(ringmat.scalar_ring(ctx), diff) >= 1
@@ -280,7 +287,7 @@ def test_rank_check_g1_always_unit():
     cfg = dl.KZConfig(ctx, 1)
     pts = dl.sample_domain_points(3, 1, 2, 6, 31, ctx)
     for pt in pts:
-        cert = dl.rank_check(cfg, pt, _kit(cfg, pt))
+        cert = dl.rank_check(cfg, pt, _J1(cfg, pt))
         assert cert.passed
         assert cert.details["preferred_minor_valuation"] == 0
 
@@ -290,7 +297,7 @@ def test_rank_check_g2():
     cfg = dl.KZConfig(ctx, 2)
     pts = dl.sample_domain_points(7, 2, 2, 4, 37, ctx)
     for pt in pts:
-        assert dl.rank_check(cfg, pt, _kit(cfg, pt)).passed
+        assert dl.rank_check(cfg, pt, _J1(cfg, pt)).passed
 
 
 def test_unit_minor_rows_fallback():
@@ -333,9 +340,9 @@ def test_limit_report_bundle(monkeypatch):
     # both KZ certificates read the same residual K^(i) - H_i J
     kz_mc, span, rank = rep.certificates
     assert kz_mc.details["per_direction"] == span.details["per_direction"]
-    # the rank certificate read J_1 through the report's kit; on its own it
-    # reads the same frame through a kit of its own
-    assert dl.rank_check(cfg, pt, _kit(cfg, pt)).to_json() == rank.to_json()
+    # the rank certificate read the pass's J_1; the same frame through a kit
+    # of its own gives the same certificate
+    assert rank.to_json() == dl.rank_check(cfg, pt, _J1(cfg, pt)).to_json()
 
 
 def test_limit_report_forms_each_gaudin_action_once(monkeypatch):
@@ -358,22 +365,33 @@ def test_limit_report_forms_each_gaudin_action_once(monkeypatch):
 
 def test_limit_frames_inverts_each_level_once(monkeypatch):
     """One pass forms each (level, twist) inverse once: A(s, Phi_s) at the
-    point for s = 1..s_max and at its twist for s = 1..s_max-1."""
-    calls = []
-    real = limits._level_matrix_inv
+    point for s = 1..s_max and at its twist for s = 1..s_max-1.  The
+    report adds none, and reads no frame beyond the pass's s_max: its rank
+    certificate takes J_1 from the pass."""
+    calls, frames = [], []
+    real, real_frame = limits._level_matrix_inv, limits.ps_solutions
 
     def counting(cfg, lev, kit, twist=0):
         calls.append((lev, twist))
         return real(cfg, lev, kit, twist)
 
+    def counting_frames(cfg, s, kit):
+        frames.append(s)
+        return real_frame(cfg, s, kit)
+
     monkeypatch.setattr(limits, "_level_matrix_inv", counting)
+    monkeypatch.setattr(limits, "ps_solutions", counting_frames)
     ctx = dl.ctx_new(3, 5, 2)
     cfg = dl.KZConfig(ctx, 1)
     pt = dl.sample_domain_points(3, 1, 2, 1, 41, ctx)[0]
+    want = sorted([(s, 0) for s in range(1, 5)] + [(s, 1) for s in range(1, 4)])
     _frames(cfg, pt, 4)
     assert len(calls) == len(set(calls))
-    assert sorted(calls) == sorted([(s, 0) for s in range(1, 5)]
-                                   + [(s, 1) for s in range(1, 4)])
+    assert sorted(calls) == want and frames == [1, 2, 3, 4]
+    calls.clear()
+    frames.clear()
+    assert dl.limit_report(cfg, pt, 4).passed
+    assert sorted(calls) == want and frames == [1, 2, 3, 4]
 
 
 def test_limit_verdict_gates_every_profile():
