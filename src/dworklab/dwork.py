@@ -8,16 +8,18 @@ p^s, since the determinants are units.  A verifier keeps only its
 statement one(kit) -> (valuation, witness, ...), its claim and what is its
 own; one driver, ``_verify``, checks s, the directions, admissibility, the
 precision the claim needs and that the tuple has a member L_s, makes the
-kits of the mode (see ``hasse_witt``), scans them and reports:
+kits of the mode (see ``hasse_witt``), scans them and reports.  In either
+mode a statement certifies, through ``kit.unit``, each determinant it
+clears by (DegenerateTuple when it is 0 mod p):
 
 * symbolic: one kit of z-polynomial matrices, so the congruence is checked
   as a polynomial identity.  The kit charges every read against
   SYMBOLIC_READ_CAP, and a statement reads all its entries before its first
   product, so an oversized job is refused before any product is formed.
-  Once the statement has run, the determinants it clears are checked to be
-  nonzero mod p through det A(1, L_k).
-* pointwise: one kit per supplied point, over Z/p^N; a determinant that is
-  not a unit there raises.  Clearing by units keeps every valuation, so the
+  By the factorization modulo p, the determinants a statement certifies
+  are nonzero mod p exactly when det A(1, L_k), k = 0..s, are.
+* pointwise: one kit per supplied point, over Z/p^N, where the certified
+  determinants are units.  Clearing by units keeps every valuation, so the
   report is the one of X M^-1 - Y K^-1.  The sigma twist acts on points as
   a -> a^p.
 
@@ -43,9 +45,7 @@ from .hasse_witt import (
     SymbolicKit,
     _rows,
     check_direction,
-    hw_det,
     hw_indices,
-    hw_matrix,
 )
 from .laurent import SYMBOLIC_READ_CAP
 
@@ -94,29 +94,16 @@ def _cleared(ring, X, adjM, dM, Y, adjK, dK):
     )
 
 
+def _unit_det(kit, A, level, top, j, twist):
+    """det A for A = sigma^twist A(level, W_top^(j)), certified by the kit:
+    DegenerateTuple unless it is nonzero mod p."""
+    name = f"{f'sigma^{twist} ' if twist else ''}A({level}, W_{top}^({j}))"
+    return kit.unit(ringmat.det(kit.ring, A), DegenerateTuple,
+                    f"det {name} has valuation {{v}}")
+
+
 # ---------------------------------------------------------------------------
 # shared machinery
-
-
-def _nondegenerate(tup, upto, rep, results):
-    """The finish() of a statement that inverts matrices: over the symbolic
-    kit, det A(1, L_k), k = 0..upto, must be nonzero mod p.  It runs after
-    the statement, whose reads the kit has charged, so that an oversized
-    job is refused before this check forms any product."""
-    if rep.mode != "symbolic":
-        return
-    seen = set()
-    for k in range(upto + 1):
-        lam = tup.lam(k)
-        if id(lam) in seen:
-            continue
-        seen.add(id(lam))
-        d = hw_det(ringmat.poly_ring(lam.ctx, 0, lam.n),
-                   hw_matrix(1, lam, tup.delta))
-        if d.is_zero() or d.valuation() > 0:
-            raise DegenerateTuple(
-                f"det A(1, L_{k}) vanishes modulo p; the tuple is degenerate"
-            )
 
 
 def _pointwise_scan(kits, one, claimed):
@@ -327,13 +314,17 @@ def verify_frobenius_factorization(tup, s, mode="symbolic", points=None):
 def _ratio_matrices(kit, tup, s):
     """X = A(s+1, W_s), M = sigma A(s, W_s^(1)), Y = A(s, W_{s-1}) and, from
     s = 2 on, K = sigma A(s-1, W_{s-1}^(1)), read by the kit (K is the
-    identity at s = 1): each read A(level, W_s'^(j)) is twisted j times."""
+    identity at s = 1): each read A(level, W_s'^(j)) is twisted j times.
+    Returns [X, M, Y, K] and the certified [det M, det Y, det K]."""
     reads = [(s + 1, s, 0), (s, s, 1), (s, s - 1, 0)] + (
         [(s - 1, s - 1, 1)] if s >= 2 else [])
     mats = [kit.A(level, tup.W(top, j), twist=j) for level, top, j in reads]
+    dets = [_unit_det(kit, A, level, top, j, j)
+            for A, (level, top, j) in zip(mats[1:], reads[1:])]
     if s == 1:
         mats.append(ringmat.identity(kit.ring, len(mats[0])))
-    return mats
+        dets.append(kit.ring.one)
+    return mats, dets
 
 
 def verify_dwork_ratio(tup, s, mode="symbolic", points=None):
@@ -341,18 +332,13 @@ def verify_dwork_ratio(tup, s, mode="symbolic", points=None):
     sigma(A(s-1, W_{s-1}^(1)))^-1 mod p^s (identity matrix at s = 1)."""
     def one(kit):
         ring = kit.ring
-        X, M, Y, K = _ratio_matrices(kit, tup, s)
-        dM, dK = (kit.unit(
-            ringmat.det(ring, mat), DegenerateTuple,
-            f"det A({lev}, W_{lev}^(1)) has valuation {{v}} at the test point")
-            for lev, mat in ((s, M), (s - 1, K)))
+        (X, M, Y, K), (dM, _, dK) = _ratio_matrices(kit, tup, s)
         diff = _cleared(ring, X, ringmat.adjugate(ring, M), dM,
                         Y, ringmat.adjugate(ring, K), dK)
         return _mat_min_val_with_witness(ring, diff, kit.label)
 
     return _verify("ratio", "consecutive ratio matrices agree modulo p^s",
-                   tup, s, mode, points, one, claimed=s,
-                   finish=partial(_nondegenerate, tup, s))
+                   tup, s, mode, points, one, claimed=s)
 
 
 def verify_det_congruence(tup, s, mode="symbolic", points=None):
@@ -360,17 +346,13 @@ def verify_det_congruence(tup, s, mode="symbolic", points=None):
     det sigma(A(s, W_s^(1))) mod p^s."""
     def one(kit):
         ring = kit.ring
-        dX, dM, dY, dK = (ringmat.det(ring, mat)
-                          for mat in _ratio_matrices(kit, tup, s))
-        for d in (dM, dK):
-            kit.unit(d, DegenerateTuple,
-                     "ratio determinant not a unit at the test point")
+        (X, *_), (dM, dY, dK) = _ratio_matrices(kit, tup, s)
+        dX = ringmat.det(ring, X)
         diff = ring.sub(ring.mul(dX, dK), ring.mul(dY, dM))
         return ring.val(diff), {**kit.label, "entry": "det"}
 
     return _verify("det-ratio", "determinant form of the ratio congruence",
-                   tup, s, mode, points, one, claimed=s,
-                   finish=partial(_nondegenerate, tup, s))
+                   tup, s, mode, points, one, claimed=s)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +367,8 @@ def _cleared_log_derivatives(kit, tup, s, twist, derive):
     ring = kit.ring
     W = {level: tup.W(level - 1) for level in (s + 1, s)}
     A = {level: kit.A(level, W[level], twist) for level in W}
-    dX, dY = (kit.unit(ringmat.det(ring, A[level]), DegenerateTuple,
-                       f"det A({level}, W_{level - 1}^(0)) has valuation "
-                       f"{{v}} at the test point") for level in W)
+    dX, dY = (_unit_det(kit, A[level], level, level - 1, 0, twist)
+              for level in W)
     return _cleared(ring, derive(s + 1, W[s + 1]),
                     ringmat.adjugate(ring, A[s + 1]), dX,
                     derive(s, W[s]), ringmat.adjugate(ring, A[s]), dY)
@@ -408,8 +389,7 @@ def verify_derivative_congruence(tup, s, m=0, v=1, mode="symbolic", points=None)
 
     return _verify(
         "derivative", "logarithmic z-derivative columns agree modulo p^(s+m)",
-        tup, s, mode, points, one, claimed=s + m,
-        finish=partial(_nondegenerate, tup, s), m=m, v=v)
+        tup, s, mode, points, one, claimed=s + m, m=m, v=v)
 
 
 def verify_second_derivative_congruence(tup, s, u=1, v=1, mode="symbolic",
@@ -424,5 +404,4 @@ def verify_second_derivative_congruence(tup, s, u=1, v=1, mode="symbolic",
     return _verify(
         "second-derivative",
         "second z-derivatives against the inverse agree modulo p^s",
-        tup, s, mode, points, one, claimed=s,
-        finish=partial(_nondegenerate, tup, s), u=u, v=v)
+        tup, s, mode, points, one, claimed=s, u=u, v=v)

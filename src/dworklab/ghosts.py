@@ -60,8 +60,7 @@ class AdmissibleTuple:
     lams: tuple
     delta: tuple
     periodic: bool = False
-    depth: int = 8
-    certificate: AdmissibilityCertificate = None
+    certificate: AdmissibilityCertificate = field(init=False)
     _w_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -73,12 +72,9 @@ class AdmissibleTuple:
             if (lam.ctx, lam.r, lam.n) != (first.ctx, first.r, first.n):
                 raise CtxMismatch("tuple members live in different rings")
         self.delta = normalize_delta(self.delta, first.r)
-        if self.certificate is None:
-            boxes = [lam.newton_box() for lam in self.lams]
-            self.certificate = check_admissible_boxes(
-                boxes, self.delta, first.ctx.p,
-                periodic=self.periodic, depth=self.depth,
-            )
+        self.certificate = check_admissible_boxes(
+            [lam.newton_box() for lam in self.lams], self.delta, first.ctx.p,
+            periodic=self.periodic)
 
     @property
     def ctx(self):

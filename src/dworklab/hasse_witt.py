@@ -25,6 +25,7 @@ from . import dense, ringmat
 from .errors import (
     DirectionOutOfRange,
     InvalidParameter,
+    NonUnitDifference,
     NotFactored,
     SizeCapExceeded,
     UnsupportedArity,
@@ -106,16 +107,14 @@ class DenseCache:
     builds the expansion as R R T from a stored split.  ``quotient`` keeps the
     exact quotient of the expansion by (t - root), keyed by (factored form,
     point, root), so the frames I_s, their z-derivatives and the derivatives
-    of A(s, F) at one point share n synthetic divisions.  ``diff_inverse``
-    keeps the inverses of the point's coordinate differences.  An unfactored
-    F is keyed by its identity and kept alive while the memo is.
+    of A(s, F) at one point share n synthetic divisions.  An unfactored F is
+    keyed by its identity and kept alive while the memo is.
     """
 
     def __init__(self):
         self._store = {}
         self._half = {}
         self._quot = {}
-        self._inv = {}
         self._forms = {}
 
     def _key(self, F, a):
@@ -168,16 +167,6 @@ class DenseCache:
             got = self._quot[key] = off, dense.dense_div_linear_exact(F.ctx, co, root)
         return got
 
-    def diff_inverse(self, ctx, a, i, k):
-        """(a_i - a_k)^-1 over ctx: one inversion per unordered pair, since
-        (a_k - a_i)^-1 = -(a_i - a_k)^-1."""
-        lo, hi = min(i, k), max(i, k)
-        key = (ctx, tuple(a), lo, hi)
-        inv = self._inv.get(key)
-        if inv is None:
-            inv = self._inv[key] = ctx.inv(ctx.sub(a[lo - 1], a[hi - 1]))
-        return inv if i == lo else ctx.neg(inv)
-
 
 def check_direction(name, idx, n):
     if not 1 <= idx <= n:
@@ -228,13 +217,25 @@ def hw_second_derivative_at(level, F, delta, a, u, v, cache=None):
                             cache)
 
 
-class SymbolicKit:
+class _Kit:
+    """The one rule of both kits: a statement certifies each determinant
+    and coordinate difference it clears or inverts by."""
+
+    def unit(self, d, error, message):
+        """d, or error(message) with {v} its valuation if d = 0 mod p (over
+        the symbolic kit: the z-polynomial d vanishes mod p)."""
+        v = self.ring.val(d)
+        if v > 0:
+            raise error(message.format(v=v))
+        return d
+
+
+class SymbolicKit(_Kit):
     """The verifiers' matrices over the whole z-domain: z-polynomial entries
     over ``ringmat.poly_ring`` with n variables.
 
-    Cleared verifiers need no inverse, so ``unit`` returns the determinant
-    unchecked; its nonvanishing mod p is checked once the statement has run
-    (``dwork._nondegenerate``).
+    ``unit`` refuses a determinant that vanishes mod p, as the point kit
+    refuses one that is no unit at its point.
     Each A(level, F) is read once and shared by its twists and derivatives.
 
     The kit is its own size gate.  Before a read forms any term, the kit
@@ -245,7 +246,6 @@ class SymbolicKit:
     """
 
     mode = "symbolic"
-    index = None
     label = {}
 
     def __init__(self, ctx, delta, n, budget=SOFT_TERM_CAP):
@@ -311,18 +311,17 @@ class SymbolicKit:
         exps[i - 1] = e
         return LaurentPoly(self.ctx, 0, self.n, {tuple(exps): self.ctx.one()})
 
-    def unit(self, d, error, message):
-        return d
 
-
-class PointKit(DenseCache):
+class PointKit(DenseCache, _Kit):
     """The verifiers' matrices at one point a, as scalars over Z/p^N.
 
     The kit is the memo of its point: A, its z-derivatives and the frames at
     a and at the twists a^(p^k) share expansions, half splits and
-    quotients.  ``unit`` raises when a determinant is not a unit at the
-    point; where it is, clearing by it keeps every valuation.  A missing
-    point, or a coordinate neither an int nor an m-tuple, is refused.
+    quotients, and it keeps the inverses of the point's coordinate
+    differences (``diff_inverse``).  ``unit`` raises when a determinant is
+    not a unit at the point; where it is, clearing by it keeps every
+    valuation.  A missing point, or a coordinate neither an int nor an
+    m-tuple, is refused.
     """
 
     mode = "pointwise"
@@ -333,8 +332,9 @@ class PointKit(DenseCache):
             raise InvalidParameter(f"point {index} is not a tuple of "
                                    f"elements of {ctx}: {a!r}")
         super().__init__()
-        self.ctx, self.delta, self.index = ctx, delta, index
+        self.ctx, self.delta = ctx, delta
         self.label = {"point_index": index}
+        self._inv = {}
         self.ring = ringmat.scalar_ring(ctx)
         self._points = {0: tuple(ctx.from_int(x) if isinstance(x, int) else x
                                  for x in a)}
@@ -390,7 +390,7 @@ class PointKit(DenseCache):
         if all(ctx.is_unit(ctx.sub(a[i - 1], a[k - 1])) for k in others):
             D = []
             for k in others:
-                inv = self.diff_inverse(ctx, a, i, k)
+                inv = self.diff_inverse(i, k)
                 Qk = _coeffs_at(ctx, *self.quotient(F, a, a[k - 1]), indices)
                 D.append([ctx.mul(ctx.sub(x, y), inv) for x, y in zip(Qi, Qk)])
         else:
@@ -408,11 +408,17 @@ class PointKit(DenseCache):
     def z(self, i, e=1):
         return self.ctx.pow(self.point(0)[i - 1], e)
 
-    def unit(self, d, error, message):
-        """d, or error(message) with {v} its valuation if d is no unit."""
-        if not self.ctx.is_unit(d):
-            raise error(message.format(v=self.ctx.val(d)))
-        return d
+    def diff_inverse(self, i, k):
+        """(a_i - a_k)^-1, certified by ``unit`` (NonUnitDifference): one
+        inversion per unordered pair, since (a_k - a_i)^-1 = -(a_i - a_k)^-1."""
+        ctx, a = self.ctx, self.point(0)
+        lo, hi = min(i, k), max(i, k)
+        inv = self._inv.get((lo, hi))
+        if inv is None:
+            inv = self._inv[lo, hi] = ctx.inv(self.unit(
+                ctx.sub(a[lo - 1], a[hi - 1]), NonUnitDifference,
+                f"z_{lo} - z_{hi} has valuation {{v}}"))
+        return inv if i == lo else ctx.neg(inv)
 
     def dense_W(self, W, twist=0):
         """The expansion of W at the twisted point."""

@@ -165,7 +165,7 @@ def kz_residual(cfg, s, i=None, mode="symbolic", points=None):
         for d in dirs:
             diffs = {j: kit.unit(
                 ring.sub(z[d - 1], z[j - 1]), NonUnitDifference,
-                f"z_{d} - z_{j} has valuation {{v}} at the point")
+                f"z_{d} - z_{j} has valuation {{v}}")
                 for j in range(1, cfg.n + 1) if j != d}
             cofactors = {k: reduce(ring.mul, (x for j, x in diffs.items()
                                               if j != k), ring.one)
@@ -290,7 +290,7 @@ def verify_solution_congruence(cfg, s, mode="pointwise", points=None):
                   for j in dirs for lev in (s + 1, s)}
         det = {lev: kit.unit(
             ringmat.det(ring, A[lev]), OutsideDomain,
-            f"det A({lev}, Phi_{lev}) not a unit at point {kit.index}")
+            f"det A({lev}, Phi_{lev}) has valuation {{v}}")
             for lev in A}
         adj = {lev: ringmat.adjugate(ring, A[lev]) for lev in A}
 

@@ -59,12 +59,6 @@ class TBox:
     lo: tuple
     hi: tuple
 
-    def __add__(self, other):
-        return TBox(
-            tuple(a + b for a, b in zip(self.lo, other.lo)),
-            tuple(a + b for a, b in zip(self.hi, other.hi)),
-        )
-
 
 class LaurentPoly:
     __slots__ = ("ctx", "r", "n", "_terms", "factored")

@@ -24,13 +24,7 @@ import random
 from dataclasses import asdict, dataclass, field, replace
 
 from . import ringmat
-from .errors import (
-    ConfigError,
-    InvalidParameter,
-    NonUnitDifference,
-    OutsideDomain,
-    TooLarge,
-)
+from .errors import ConfigError, InvalidParameter, OutsideDomain, TooLarge
 from .hasse_witt import PointKit, hw_det, hw_matrix_at
 from .kz import (
     KZConfig,
@@ -42,6 +36,8 @@ from .kz import (
 from .padic import ctx_new
 
 EXHAUSTIVE_CAP = 10_000_000
+# A scan keeps at most this many of its points.
+POINT_CAP = 200_000
 # Sampling first settles emptiness by scanning residue multisets when there
 # are at most this many; without it an empty domain costs 10^4 draws per point.
 EMPTY_CHECK_CAP = 2_000
@@ -166,7 +162,7 @@ def _random_tuples(seed, pm, n, count):
 
 
 def scan_domain(p, g, m, mode="exhaustive", k=None, seed=None,
-                keep_points=True, point_cap=200_000):
+                keep_points=True):
     """Enumerate or sample residue tuples and flag domain membership.
 
     Membership in the unit-determinant domain depends only on residues, so
@@ -199,7 +195,7 @@ def scan_domain(p, g, m, mode="exhaustive", k=None, seed=None,
         if pt.in_D:
             in_d += 1
             in_do += pt.in_D_o
-        if keep_points and len(points) < point_cap:
+        if keep_points and len(points) < POINT_CAP:
             points.append(pt)
     return ScanResult(p, g, m, mode, total, in_d, in_do, d, bound,
                       points, seed_used)
@@ -301,7 +297,7 @@ def _level_matrix_inv(cfg, lev, kit, twist=0):
     """A(lev, Phi_lev) at the kit's point twisted, and its inverse."""
     A = kit.A(lev, master_polynomial(cfg, lev), twist)
     kit.unit(ringmat.det(kit.ring, A), OutsideDomain,
-             f"det A({lev}, Phi_{lev}) not a unit")
+             f"det A({lev}, Phi_{lev}) has valuation {{v}}")
     return A, ringmat.mat_inv_scalar(cfg.ctx, A)
 
 
@@ -380,8 +376,8 @@ def _unit_minor_rows(cfg, M):
 
 def kz_certificates(cfg, point, s_max, frag, kit):
     """The two KZ certificates of the limits in frag, from one defect set
-    D_i = K^(i) - H_i J, with H_i the Gaudin action by the kit's inverses
-    (a_i - a_k)^-1.
+    D_i = K^(i) - H_i J, with H_i the Gaudin action by the kit's certified
+    inverses (a_i - a_k)^-1.
 
     kz-gaudin-match: D_i = 0 entrywise to valuation >= s_max - 1.
 
@@ -392,18 +388,14 @@ def kz_certificates(cfg, point, s_max, frag, kit):
     C = -B^(i), and the residual KD_i - J C is held to the same valuation.
     """
     ctx, ring, J = cfg.ctx, kit.ring, frag["I"]
-    a = kit.point(0)
     half = ctx.inv(ctx.from_int(2))
     rows = _unit_minor_rows(cfg, J)
     threshold = s_max - 1
     per_dir = {}
     span = recovery = ctx.N
     for i in range(1, cfg.n + 1):
-        others = [k for k in range(1, cfg.n + 1) if k != i]
-        for k in others:
-            kit.unit(ctx.sub(a[i - 1], a[k - 1]), NonUnitDifference,
-                     f"z_{i} - z_{k} has valuation {{v}} at the point")
-        inverses = {k: kit.diff_inverse(ctx, a, i, k) for k in others}
+        inverses = {k: kit.diff_inverse(i, k)
+                    for k in range(1, cfg.n + 1) if k != i}
         D = ringmat.mat_sub(ring, frag["I_dirs"][i],
                             gaudin_action(ring, i, J, half, inverses))
         per_dir[i] = ringmat.min_val(ring, D)

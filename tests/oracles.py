@@ -7,7 +7,7 @@ section holds small helpers over the library's types that only tests need.
 
 from dworklab.errors import NonUnitDifference, UnsupportedArity, ZeroPolynomial
 from dworklab.hasse_witt import SymbolicKit
-from dworklab.kz import _frame_indices, master_polynomial
+from dworklab.kz import master_polynomial
 from dworklab.laurent import LaurentPoly
 
 
@@ -244,12 +244,11 @@ def solution_coefficient(cfg, s, ell, i, kit=None):
 
 def first_row_gradient(cfg, s, kit=None):
     """The n x g matrix of z-gradients of the first Hasse-Witt row of
-    A(s, Phi_s); equals ((1 - p^s)/2) I_s exactly."""
+    A(s, Phi_s): row i is the first row of the kit's dA(s, Phi_s, i).  It
+    equals ((1 - p^s)/2) I_s exactly."""
     kit = _kit(cfg, kit)
-    c = cfg.ctx.from_int(-cfg.exponent(s))
-    return [[kit.ring.scal(c, x) for x in row]
-            for row in kit.frame(master_polynomial(cfg, s),
-                                 _frame_indices(cfg, s))]
+    phi = master_polynomial(cfg, s)
+    return [kit.dA(s, phi, i)[0] for i in range(1, cfg.n + 1)]
 
 
 def dense_linear_pow(ctx, root, e):

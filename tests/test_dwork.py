@@ -204,14 +204,37 @@ def test_ratio_monotone_in_s():
     assert vals == sorted(vals)
 
 
+INVERTING = [dl.verify_dwork_ratio, dl.verify_det_congruence,
+             dl.verify_derivative_congruence,
+             dl.verify_second_derivative_congruence]
+
+
 def test_degenerate_tuple_detected():
     ctx = dl.ctx_new(3, 3, 1)
     # t + z1 has A(1, .) entry Cf_2 = 0: degenerate for Delta = {1}
     lam = LaurentPoly(ctx, 1, 1, {(1, 0): 1, (0, 1): 1})
     tup = AdmissibleTuple([lam, lam], (1,), periodic=False)
-    if tup.certificate.ok:
-        with pytest.raises(DegenerateTuple):
-            dl.verify_dwork_ratio(tup, 1, mode="symbolic")
+    assert tup.certificate.ok
+    for verify in INVERTING:
+        for mode, points in (("symbolic", None), ("pointwise", [(1,), (2,)])):
+            with pytest.raises(DegenerateTuple, match="has valuation 3"):
+                verify(tup, 1, mode=mode, points=points)
+
+
+@pytest.mark.parametrize("verify", INVERTING, ids=lambda f: f.__name__)
+def test_a_degenerate_first_member_is_refused_in_both_modes(verify):
+    """Only det A(1, L_0) vanishes: ratio and det clear by det Y =
+    det A(1, W_0), which the statement certifies, so no point passes
+    vacuously with X = Y = 0."""
+    ctx = dl.ctx_new(3, 4, 1)
+    l0 = LaurentPoly(ctx, 1, 1, {(1, 0): 1, (0, 1): 1})  # t + z1
+    l1 = LaurentPoly(ctx, 1, 1, {(2, 0): 1, (1, 1): 1, (0, 0): 1})
+    tup = AdmissibleTuple([l0, l1, l1], (1,), periodic=False)
+    assert tup.certificate.ok
+    for mode, points in (("symbolic", None),
+                         ("pointwise", [(1,), (2,), (4,)])):
+        with pytest.raises(DegenerateTuple, match="has valuation 4"):
+            verify(tup, 1, mode=mode, points=points)
 
 
 @pytest.mark.parametrize("verify", [

@@ -4,7 +4,12 @@ import pytest
 
 import dworklab as dl
 from dworklab import ringmat
-from dworklab.errors import DirectionOutOfRange, NonUnitDifference, NotDivisible
+from dworklab.errors import (
+    DirectionOutOfRange,
+    NonUnitDifference,
+    NotDivisible,
+    OutsideDomain,
+)
 from dworklab.hasse_witt import PointKit, SymbolicKit
 from dworklab.kz import (
     _flat,
@@ -74,18 +79,19 @@ def test_solutions_level1():
 
 
 def test_gradient_relation_exact():
-    for p, g, m, sym_levels in [(3, 1, 1, (1, 2)), (5, 2, 2, (1,))]:
+    """The z-gradient of the first row of A(s, Phi_s), read through each
+    kit's dA, is ((1 - p^s)/2) I_s."""
+    for p, g, m in [(3, 1, 1), (7, 1, 1), (5, 1, 2), (5, 2, 2)]:
         ctx, cfg = setup(p, 4, g, m)
         rng = seeded(5)
         for s in (1, 2):
             scal = ctx.from_int((1 - ctx.p**s) // 2)
-            if s in sym_levels:
-                G = first_row_gradient(cfg, s)
-                I = dl.ps_solutions(cfg, s, symbolic(cfg))
-                assert all(
-                    G[i][l] == I[i][l].cmul(scal)
-                    for i in range(cfg.n) for l in range(cfg.g)
-                )
+            G = first_row_gradient(cfg, s)
+            I = dl.ps_solutions(cfg, s, symbolic(cfg))
+            assert all(
+                G[i][l] == I[i][l].cmul(scal)
+                for i in range(cfg.n) for l in range(cfg.g)
+            )
             a = [rand(ctx, rng) for _ in range(cfg.n)]
             Ga = first_row_gradient(cfg, s, PointKit(ctx, cfg.delta, a))
             Ia = dl.ps_solutions(cfg, s, PointKit(ctx, cfg.delta, a))
@@ -144,7 +150,7 @@ def test_partial_fraction_derivative_matches_two_divisions():
 
 def test_derivative_inverts_each_difference_once_per_point(monkeypatch):
     ctx, cfg = setup(5, 4, 2, 2)
-    pt, other = dl.sample_domain_points(5, 2, 2, 2, 8, ctx)
+    (pt,) = dl.sample_domain_points(5, 2, 2, 1, 8, ctx)
     inverted = []
     real_inv = type(ctx).inv
     monkeypatch.setattr(type(ctx), "inv",
@@ -157,10 +163,14 @@ def test_derivative_inverts_each_difference_once_per_point(monkeypatch):
     assert sorted(inverted) == sorted(ctx.sub(a[i], a[k])
                                       for i in range(cfg.n)
                                       for k in range(i + 1, cfg.n))
-    for b in (a, other.lift):
-        for i, k in ((4, 2), (2, 4)):
-            inv = cache.diff_inverse(ctx, b, i, k)
-            assert ctx.mul(inv, ctx.sub(b[i - 1], b[k - 1])) == ctx.one()
+    for i, k in ((4, 2), (2, 4)):
+        inv = cache.diff_inverse(i, k)
+        assert ctx.mul(inv, ctx.sub(a[i - 1], a[k - 1])) == ctx.one()
+    # the kit certifies each difference it inverts
+    b = (a[0], ctx.add(a[0], ctx.from_int(5)), *a[2:])
+    for i, k in ((1, 2), (2, 1)):
+        with pytest.raises(NonUnitDifference, match="z_1 - z_2 has valuation 1"):
+            PointKit(ctx, cfg.delta, b).diff_inverse(i, k)
 
 
 def test_derivative_fallback_at_non_unit_difference():
@@ -387,6 +397,23 @@ def test_solution_congruence_symbolic_and_pointwise():
         for J in frag["J_seq"][1:]:
             diff = ringmat.mat_sub(ring, J, frag["J_seq"][0])
             assert ringmat.min_val(ring, diff) >= 1
+
+
+def test_symbolic_frame_congruence_certifies_its_determinants(monkeypatch):
+    """coS clears by det A(s, Phi_s) and det A(s+1, Phi_(s+1)); a symbolic
+    A(s, Phi_s) planted = 0 mod p is refused, not cleared by."""
+    ctx, cfg = setup(3, 4, 1)
+    real = SymbolicKit.A
+
+    def planted(kit, level, F, twist=0):
+        A = real(kit, level, F, twist)
+        return [[x.cmul(ctx.from_int(3)) for x in row] for row in A] \
+            if level == 1 else A
+
+    monkeypatch.setattr(SymbolicKit, "A", planted)
+    with pytest.raises(OutsideDomain,
+                       match=r"det A\(1, Phi_1\) has valuation 1"):
+        dl.verify_solution_congruence(cfg, 1, mode="symbolic")
 
 
 def test_solution_minor_leading_term():
