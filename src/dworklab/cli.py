@@ -166,11 +166,10 @@ def cmd_congruence(args):
         _require(args.N >= args.s + args.m + 1,
                  "need N >= s + m + 1 precision headroom")
     ctx, cfg = _kz_family(args, args.ext)
-    tup = kz.kz_tuple(cfg, length=args.s + 1, periodic=False)
+    tup = kz.kz_tuple(cfg, length=args.s + 1)
     points = _points(args, ctx, args.symbolic)
     rep = getattr(dwork, name)(
-        tup, args.s, mode="symbolic" if args.symbolic else "pointwise",
-        points=points and [pt.lift for pt in points],
+        tup, args.s, points=points and [pt.lift for pt in points],
         **{flag: getattr(args, flag) for flag in flags})
     return [{**rep.to_json(), "theorem": args.theorem, "ctx": ctx.to_json(),
              "seed": args.seed}], rep.passed
@@ -217,13 +216,11 @@ def cmd_kz_verify(args):
     if args.check == "phi":
         rep = kz.verify_phi_identities(cfg, args.s)
     else:
-        mode = "symbolic" if symbolic else "pointwise"
         lifts = points and [pt.lift for pt in points]
         if args.check == "residual":
-            rep = kz.kz_residual(cfg, args.s, i=args.i, mode=mode, points=lifts)
+            rep = kz.kz_residual(cfg, args.s, i=args.i, points=lifts)
         else:
-            rep = kz.verify_solution_congruence(cfg, args.s, mode=mode,
-                                               points=lifts)
+            rep = kz.verify_solution_congruence(cfg, args.s, points=lifts)
     return [{**rep.to_json(), "check": args.check, "ctx": ctx.to_json(),
              "seed": args.seed}], rep.passed
 
@@ -233,14 +230,12 @@ def cmd_domain_scan(args):
              "give --exhaustive or --sample K")
     _require(not (args.exhaustive and args.sample is not None),
              "--exhaustive and --sample K are exclusive")
-    res = limits.scan_domain(args.p, args.g, args.m,
-                             mode="exhaustive" if args.exhaustive else "sample",
-                             k=args.sample, seed=args.seed,
-                             keep_points=args.emit_points)
+    res = limits.scan_domain(args.p, args.g, args.m, k=args.sample,
+                             seed=args.seed, keep_points=args.emit_points)
     ctx1 = ctx_new(args.p, 1, args.m)
     doc = {**res.to_json(ctx1), "ctx": ctx1.to_json()}
     ok = True
-    if res.nonempty_bound is not None and res.mode == "exhaustive":
+    if res.nonempty_bound is not None:  # exhaustive scans only
         ok = res.in_d_count >= res.nonempty_bound
         doc["bound_verdict"] = "pass" if ok else "fail"
     return [doc], ok
@@ -263,9 +258,13 @@ def cmd_admissible(args):
         _require(not args.boxes, "--boxes does not apply to --tuple")
         ctx = ctx_new(args.p, args.N, 1)
         lams, periodic = _tuple_from_file(ctx, args.tuple)
-        cert = check_admissible(lams, delta, p=args.p, periodic=periodic,
-                                depth=args.depth)
+        cert = check_admissible(lams, delta, args.p, periodic, args.depth)
     elif args.boxes:
+        table = COMMANDS["admissible"][2]
+        _require(args.N == table["--N"]["default"],
+                 "--N does not apply to --boxes")
+        _require(args.periodic or args.depth == table["--depth"]["default"],
+                 "--depth applies to --boxes only with --periodic")
         boxes = []
         for chunk in args.boxes.split(","):
             try:
@@ -274,8 +273,8 @@ def cmd_admissible(args):
                 raise ConfigError(f"malformed box {chunk!r}") from exc
             _require(lo <= hi, f"malformed box {chunk!r}: lo > hi")
             boxes.append(TBox((lo,), (hi,)))
-        cert = check_admissible(boxes, delta, p=args.p,
-                                periodic=args.periodic, depth=args.depth)
+        cert = check_admissible(boxes, delta, args.p, args.periodic,
+                                args.depth)
     else:
         raise ConfigError("give --tuple FILE or --boxes lo:hi,...")
     return [{

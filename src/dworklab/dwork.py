@@ -8,20 +8,21 @@ p^s, since the determinants are units.  A verifier keeps only its
 statement one(kit) -> (valuation, witness, ...), its claim and what is its
 own; one driver, ``_verify``, checks s, the directions, admissibility, the
 precision the claim needs and that the tuple has a member L_s, makes the
-kits of the mode (see ``hasse_witt``), scans them and reports.  In either
-mode a statement certifies, through ``kit.unit``, each determinant it
-clears by (DegenerateTuple when it is 0 mod p):
+kits (see ``hasse_witt``), scans them and reports.  The points decide the
+mode, and either way a statement certifies, through ``kit.unit``, each
+determinant it clears by (DegenerateTuple when it is 0 mod p):
 
-* symbolic: one kit of z-polynomial matrices, so the congruence is checked
-  as a polynomial identity.  The kit charges every read against
-  SYMBOLIC_READ_CAP, and a statement reads all its entries before its first
-  product, so an oversized job is refused before any product is formed.
-  By the factorization modulo p, the determinants a statement certifies
-  are nonzero mod p exactly when det A(1, L_k), k = 0..s, are.
-* pointwise: one kit per supplied point, over Z/p^N, where the certified
-  determinants are units.  Clearing by units keeps every valuation, so the
-  report is the one of X M^-1 - Y K^-1.  The sigma twist acts on points as
-  a -> a^p.
+* symbolic, when no points are given (``points=None``): one kit of
+  z-polynomial matrices, so the congruence is checked as a polynomial
+  identity.  The kit charges every read against SYMBOLIC_READ_CAP, and a
+  statement reads all its entries before its first product, so an
+  oversized job is refused before any product is formed.  By the
+  factorization modulo p, the determinants a statement certifies are
+  nonzero mod p exactly when det A(1, L_k), k = 0..s, are.
+* pointwise, at a list of points (an empty list is a ConfigError): one kit
+  per point, over Z/p^N, where the certified determinants are units.
+  Clearing by units keeps every valuation, so the report is the one of
+  X M^-1 - Y K^-1.  The sigma twist acts on points as a -> a^p.
 
 The driver's kits, scan and report (``_report``) also serve the KZ frame
 checks of ``kz``.  Claimed valuations come verbatim from the congruence
@@ -121,38 +122,35 @@ def _pointwise_scan(kits, one, claimed):
     return min(r[0] for r in results), witness, results
 
 
-def _report(theorem_id, description, claimed, config, family, mode, points,
-            one, finish=None):
-    """The report of one(kit) against the claim over the kits of the mode:
-    one PointKit per point over the family's (a tuple's or a KZ family's)
+def _report(theorem_id, description, claimed, config, family, points, one,
+            finish=None):
+    """The report of one(kit) against the claim: pointwise over one PointKit
+    per point of ``points`` over the family's (a tuple's or a KZ family's)
     ctx and delta, made as the scan reaches it so that one point's memo is
-    alive at a time, or one SymbolicKit over its ctx, delta and n with the
-    budget SYMBOLIC_READ_CAP.  Any other mode, or points given to the
-    symbolic mode, would check something other than what was asked: both
-    raise.  ``config`` adds to p and N, and finish(report, results) adds
-    what is the verifier's own."""
+    alive at a time, or, when ``points`` is None, symbolic over one
+    SymbolicKit over its ctx, delta and n with the budget SYMBOLIC_READ_CAP.
+    ``config`` adds to p and N, and finish(report, results) adds what is the
+    verifier's own."""
     ctx = family.ctx
-    if mode == "pointwise":
-        kits = (PointKit(ctx, family.delta, a, idx)
-                for idx, a in enumerate(points or ()))
-    elif mode != "symbolic":
-        raise InvalidParameter(f"unknown mode {mode!r}: symbolic or pointwise")
-    elif points is not None:
-        raise InvalidParameter("symbolic mode takes no points")
-    else:
+    if points is None:
+        mode = "symbolic"
         kits = [SymbolicKit(ctx, family.delta, family.n, SYMBOLIC_READ_CAP)]
+    else:
+        mode = "pointwise"
+        kits = (PointKit(ctx, family.delta, a, idx)
+                for idx, a in enumerate(points))
     observed, witness, results = _pointwise_scan(kits, one, claimed)
     rep = CongruenceReport(
         theorem_id, description, mode, claimed, observed,
         "pass" if observed >= claimed else "fail", ctx.N, witness,
-        None if mode == "symbolic" else len(results),
+        None if points is None else len(results),
         {"p": ctx.p, "N": ctx.N, **config})
     if finish:
         finish(rep, results)
     return rep
 
 
-def _verify(theorem_id, description, tup, s, mode, points, one, *, claimed,
+def _verify(theorem_id, description, tup, s, points, one, *, claimed,
             least=1, precision=None, finish=None, **params):
     """``_report`` of a tuple verifier after the checks, in this order:
     s >= least; among ``params``, the directions u and v in 1..n and the
@@ -173,7 +171,7 @@ def _verify(theorem_id, description, tup, s, mode, points, one, *, claimed,
     tup.lam(s)  # IndexOutOfRange when the tuple has no member L_s
 
     return _report(theorem_id, description, claimed, {"s": s, **params}, tup,
-                   mode, points, one, finish)
+                   points, one, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +243,7 @@ def _ghost_blocks(kit, tup, need, reads):
             for i in range(len(need))]
 
 
-def verify_decomposition(tup, s, mode="symbolic", points=None):
+def verify_decomposition(tup, s, points=None):
     """Exact identity A(s+1, W_s) = sum_j A(j, V_{j-1}) sigma^j A(s-j+1, W_s^(j))
     + A(s+1, V_s); the claimed valuation is the full working precision.
     The identity holds by the construction of V_s, so the verdict also
@@ -280,7 +278,7 @@ def verify_decomposition(tup, s, mode="symbolic", points=None):
 
     return _verify(
         "decomposition", "level-(s+1) matrix of W_s decomposes through "
-        "Frobenius twists of the ghost blocks", tup, s, mode, points, one,
+        "Frobenius twists of the ghost blocks", tup, s, points, one,
         claimed=tup.ctx.N, least=0, precision=s, finish=ghost_gate)
 
 
@@ -288,7 +286,7 @@ def verify_decomposition(tup, s, mode="symbolic", points=None):
 # factorization modulo p
 
 
-def verify_frobenius_factorization(tup, s, mode="symbolic", points=None):
+def verify_frobenius_factorization(tup, s, points=None):
     """A(s+1, W_s) = A(1, L_0) sigma(A(1, L_1)) ... sigma^s(A(1, L_s)) mod p."""
     # (level, s', j) of A(s+1, W_s) and of the twisted A(1, W_k^(k))
     reads = [(s + 1, s, 0)] + [(1, k, k) for k in range(s + 1)]
@@ -303,7 +301,7 @@ def verify_frobenius_factorization(tup, s, mode="symbolic", points=None):
 
     return _verify(
         "factorization", "level-(s+1) matrix of W_s factors modulo p into "
-        "twisted level-1 matrices", tup, s, mode, points, one,
+        "twisted level-1 matrices", tup, s, points, one,
         claimed=1, least=0)
 
 
@@ -327,7 +325,7 @@ def _ratio_matrices(kit, tup, s):
     return mats, dets
 
 
-def verify_dwork_ratio(tup, s, mode="symbolic", points=None):
+def verify_dwork_ratio(tup, s, points=None):
     """A(s+1, W_s) sigma(A(s, W_s^(1)))^-1 = A(s, W_{s-1})
     sigma(A(s-1, W_{s-1}^(1)))^-1 mod p^s (identity matrix at s = 1)."""
     def one(kit):
@@ -338,10 +336,10 @@ def verify_dwork_ratio(tup, s, mode="symbolic", points=None):
         return _mat_min_val_with_witness(ring, diff, kit.label)
 
     return _verify("ratio", "consecutive ratio matrices agree modulo p^s",
-                   tup, s, mode, points, one, claimed=s)
+                   tup, s, points, one, claimed=s)
 
 
-def verify_det_congruence(tup, s, mode="symbolic", points=None):
+def verify_det_congruence(tup, s, points=None):
     """det A(s+1, W_s) det sigma(A(s-1, W_{s-1}^(1))) = det A(s, W_{s-1})
     det sigma(A(s, W_s^(1))) mod p^s."""
     def one(kit):
@@ -352,7 +350,7 @@ def verify_det_congruence(tup, s, mode="symbolic", points=None):
         return ring.val(diff), {**kit.label, "entry": "det"}
 
     return _verify("det-ratio", "determinant form of the ratio congruence",
-                   tup, s, mode, points, one, claimed=s)
+                   tup, s, points, one, claimed=s)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +372,7 @@ def _cleared_log_derivatives(kit, tup, s, twist, derive):
                     derive(s, W[s]), ringmat.adjugate(ring, A[s]), dY)
 
 
-def verify_derivative_congruence(tup, s, m=0, v=1, mode="symbolic", points=None):
+def verify_derivative_congruence(tup, s, m=0, v=1, points=None):
     """D_v(sigma^m A(s+1, W_s)) sigma^m(A(s+1, W_s))^-1 agrees with the
     level-s version modulo p^(s+m); the twist contributes the chain-rule
     factor p^m z_v^(p^m - 1)."""
@@ -389,11 +387,10 @@ def verify_derivative_congruence(tup, s, m=0, v=1, mode="symbolic", points=None)
 
     return _verify(
         "derivative", "logarithmic z-derivative columns agree modulo p^(s+m)",
-        tup, s, mode, points, one, claimed=s + m, m=m, v=v)
+        tup, s, points, one, claimed=s + m, m=m, v=v)
 
 
-def verify_second_derivative_congruence(tup, s, u=1, v=1, mode="symbolic",
-                                        points=None):
+def verify_second_derivative_congruence(tup, s, u=1, v=1, points=None):
     """D_u D_v A(s+1, W_s) A(s+1, W_s)^-1 agrees with the level-s version
     modulo p^s (untwisted reading)."""
     def one(kit):
@@ -404,4 +401,4 @@ def verify_second_derivative_congruence(tup, s, u=1, v=1, mode="symbolic",
     return _verify(
         "second-derivative",
         "second z-derivatives against the inverse agree modulo p^s",
-        tup, s, mode, points, one, claimed=s, u=u, v=v)
+        tup, s, points, one, claimed=s, u=u, v=v)

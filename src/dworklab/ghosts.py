@@ -72,9 +72,8 @@ class AdmissibleTuple:
             if (lam.ctx, lam.r, lam.n) != (first.ctx, first.r, first.n):
                 raise CtxMismatch("tuple members live in different rings")
         self.delta = normalize_delta(self.delta, first.r)
-        self.certificate = check_admissible_boxes(
-            [lam.newton_box() for lam in self.lams], self.delta, first.ctx.p,
-            periodic=self.periodic)
+        self.certificate = check_admissible(self.lams, self.delta,
+                                            first.ctx.p, self.periodic)
 
     @property
     def ctx(self):
@@ -257,8 +256,9 @@ def _constant_ok(box, delta, p):
             raise UnsupportedArity("stabilization not reached")
 
 
-def check_admissible_boxes(boxes, delta, p, periodic=False, depth=8):
-    """Decide Delta-admissibility of a tuple of t-support boxes.
+def check_admissible(items, delta, p, periodic=False, depth=8):
+    """Decide Delta-admissibility of a tuple of Laurent polynomials, by
+    their Newton boxes, or of a tuple of t-support ``TBox``es.
 
     For a finite tuple the windows (i, j) with 0 <= i <= j < l are checked
     exactly.  For the infinite constant tuple the verdict covers all window
@@ -268,6 +268,8 @@ def check_admissible_boxes(boxes, delta, p, periodic=False, depth=8):
     check_prime(p)
     if depth < 1:
         raise InvalidParameter(f"depth must be >= 1, got {depth}")
+    boxes = [f.newton_box() if isinstance(f, LaurentPoly) else f
+             for f in items]
     delta = normalize_delta(delta, len(boxes[0].lo))
     if not periodic:
         l = len(boxes) - 1
@@ -290,15 +292,3 @@ def check_admissible_boxes(boxes, delta, p, periodic=False, depth=8):
             if bad is not None:
                 return AdmissibilityCertificate(False, False, depth, bad)
     return AdmissibilityCertificate(True, False, depth)
-
-
-def check_admissible(polys_or_boxes, delta, p=None, periodic=False, depth=8):
-    """Entry point accepting Laurent polynomials (p defaults to theirs) or
-    ``TBox``es."""
-    items = list(polys_or_boxes)
-    if items and isinstance(items[0], LaurentPoly):
-        p = items[0].ctx.p if p is None else p
-        items = [f.newton_box() for f in items]
-    elif p is None:
-        raise InvalidParameter("p is required when passing boxes")
-    return check_admissible_boxes(items, delta, p, periodic=periodic, depth=depth)

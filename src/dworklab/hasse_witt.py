@@ -183,18 +183,20 @@ def _factored_mult(F, z_index):
 
 def _quotient_matrix(level, F, delta, a, roots, factor, cache):
     """factor * A(level, F / prod_r (t - r)) at a, for roots r of F(t, a):
-    the z-derivatives of a factored F, at the cost of g^2 scalings."""
+    the z-derivatives of a factored F, at the cost of g^2 scalings.  The
+    first quotient comes from the memo ``cache`` (a DenseCache, such as the
+    point kit)."""
     ctx = F.ctx
     if factor % ctx.q == 0:
         return hw_from_dense(ctx, level, 0, [], delta)
-    off, quot = (cache or DenseCache()).quotient(F, a, roots[0])
+    off, quot = cache.quotient(F, a, roots[0])
     for r in roots[1:]:
         quot = dense.dense_div_linear_exact(ctx, quot, r)
     return [[ctx.scal_int(x, factor) for x in row]
             for row in hw_from_dense(ctx, level, off, quot, delta)]
 
 
-def hw_derivative_at(level, F, delta, a, v, cache=None):
+def hw_derivative_at(level, F, delta, a, v, cache):
     """Entries coeff_(p^level w - u)(dF/dz_v) at the point a, for factored F.
 
     dF/dz_v = -e_v * F / (t - z_v) when (t - z_v) occurs with multiplicity
@@ -204,7 +206,7 @@ def hw_derivative_at(level, F, delta, a, v, cache=None):
     return _quotient_matrix(level, F, delta, a, [a[v - 1]], -ev, cache)
 
 
-def hw_second_derivative_at(level, F, delta, a, u, v, cache=None):
+def hw_second_derivative_at(level, F, delta, a, u, v, cache):
     """Second partials d2F/(dz_u dz_v) of a factored F, at the point a.
 
     With multiplicities e_u, e_v this is e_u (e_v - [u == v]) * F divided by
@@ -245,7 +247,6 @@ class SymbolicKit(_Kit):
     before any product is formed.
     """
 
-    mode = "symbolic"
     label = {}
 
     def __init__(self, ctx, delta, n, budget=SOFT_TERM_CAP):
@@ -323,8 +324,6 @@ class PointKit(DenseCache, _Kit):
     valuation.  A missing point, or a coordinate neither an int nor an
     m-tuple, is refused.
     """
-
-    mode = "pointwise"
 
     def __init__(self, ctx, delta, a, index=0):
         if a is None or not all(isinstance(x, int) or isinstance(x, tuple)

@@ -14,9 +14,10 @@ first-row gradient reproduces I_s exactly up to the scalar (1 - p^s)/2, and
 the frame congruences I_{s+1} A(s+1)^-1 = I_s A(s)^-1 mod p^s.  Frames are
 read through the kits of ``hasse_witt``.  The residual and the frame
 congruences are stated once, with denominators cleared, as one(kit); the
-``dwork`` driver's kits, scan and report (``_report``) run them over
-either kit; a symbolic kit charges their reads against SYMBOLIC_READ_CAP,
-and each statement reads all its frames before its first product.  A frame
+``dwork`` driver's kits, scan and report (``_report``) run them over a
+symbolic kit, or over point kits when points are given; a symbolic kit
+charges their reads against SYMBOLIC_READ_CAP, and each statement reads all
+its frames before its first product.  A frame
 is a list of n rows, read through the kit its caller passes; ``kz-solve``
 passes a SymbolicKit with the default budget SOFT_TERM_CAP.  The two
 identities of Phi_s behind the residual are checked symbolically only, in a
@@ -86,13 +87,11 @@ def master_polynomial(cfg, s):
                                     [(i, e) for i in range(1, cfg.n + 1)])
 
 
-def kz_tuple(cfg, length=None, periodic=None):
-    """The constant tuple (F, F, ...) with F = Phi_1, ready for verifiers."""
-    F = master_polynomial(cfg, 1)
-    if periodic is None:
-        periodic = length is None
-    lams = (F,) * (1 if periodic else length)
-    return AdmissibleTuple(lams, cfg.delta, periodic=periodic)
+def kz_tuple(cfg, length=None):
+    """The constant tuple (F, F, ...) with F = Phi_1, ready for verifiers:
+    infinite (periodic) when length is None, else of that many members."""
+    lams = (master_polynomial(cfg, 1),) * (1 if length is None else length)
+    return AdmissibleTuple(lams, cfg.delta, periodic=length is None)
 
 
 def _frame_indices(cfg, s):
@@ -142,7 +141,7 @@ def gaudin_action(ring, i, I, half, coef):
     return out
 
 
-def kz_residual(cfg, s, i=None, mode="symbolic", points=None):
+def kz_residual(cfg, s, i=None, points=None):
     """Residual of the KZ system for the level-s frame, modulo p^s.
 
     Checks prod_{j != i}(z_i - z_j) (dI_s/dz_i - H_i I_s) = 0 mod p^s for
@@ -188,8 +187,8 @@ def kz_residual(cfg, s, i=None, mode="symbolic", points=None):
 
     return _report(
         "kz-residual", "level-s coefficient frame solves the KZ system "
-        "modulo p^s", s, {"g": cfg.g, "s": s, "directions": dirs}, cfg, mode,
-        points, one, column_sums)
+        "modulo p^s", s, {"g": cfg.g, "s": s, "directions": dirs}, cfg, points,
+        one, column_sums)
 
 
 def _flat(F, base):
@@ -272,7 +271,7 @@ def verify_phi_identities(cfg, s):
         witness, None, {"p": ctx.p, "N": ctx.N, "g": cfg.g, "s": s})
 
 
-def verify_solution_congruence(cfg, s, mode="pointwise", points=None):
+def verify_solution_congruence(cfg, s, points=None):
     """Frame congruences across consecutive levels, modulo p^s.
 
     (i)  I_{s+1} A(s+1, Phi_{s+1})^-1 = I_s A(s, Phi_s)^-1,
@@ -310,5 +309,5 @@ def verify_solution_congruence(cfg, s, mode="pointwise", points=None):
 
     return _report(
         "frame-congruence", "solution frames against inverse level matrices "
-        "agree modulo p^s", s, {"g": cfg.g, "s": s}, cfg, mode, points, one)
+        "agree modulo p^s", s, {"g": cfg.g, "s": s}, cfg, points, one)
 

@@ -161,13 +161,13 @@ def _random_tuples(seed, pm, n, count):
     return (tuple(rng.randrange(pm) for _ in range(n)) for _ in range(count))
 
 
-def scan_domain(p, g, m, mode="exhaustive", k=None, seed=None,
-                keep_points=True):
-    """Enumerate or sample residue tuples and flag domain membership.
+def scan_domain(p, g, m, k=None, seed=None, keep_points=True):
+    """Enumerate (k=None) or sample k residue tuples and flag domain
+    membership.
 
     Membership in the unit-determinant domain depends only on residues, so
-    the scan works at precision 1.  Exhaustive mode refuses more than 10^7
-    tuples; sample mode draws k tuples reproducibly from the given seed.
+    the scan works at precision 1.  The exhaustive scan refuses more than
+    10^7 tuples; a sample draws its k tuples reproducibly from the seed.
     """
     member = _Membership(p, g, m)
     n = member.n
@@ -175,22 +175,19 @@ def scan_domain(p, g, m, mode="exhaustive", k=None, seed=None,
     d = det_degree(p, g)
     points = []
     in_d = in_do = 0
-    if mode == "exhaustive":
-        total = pm**n
+    if k is None:  # exhaustive: the seed has no use, and the report no seed
+        mode, total, seed = "exhaustive", pm**n, None
         if total > EXHAUSTIVE_CAP:
             raise TooLarge(
                 f"exhaustive scan over {total} tuples exceeds {EXHAUSTIVE_CAP}"
             )
         draws = itertools.product(range(pm), repeat=n)
         bound = nonempty_bound(p, g, m)
-        seed_used = None
     else:
-        if k is None or k < 1:
+        if k < 1:
             raise ConfigError(f"sample mode needs k >= 1 tuples, got {k}")
-        total = k
+        mode, total, bound = "sample", k, None
         draws = _random_tuples(seed, pm, n, k)
-        bound = None
-        seed_used = seed
     for pt in _walk(member, draws):
         if pt.in_D:
             in_d += 1
@@ -198,7 +195,7 @@ def scan_domain(p, g, m, mode="exhaustive", k=None, seed=None,
         if keep_points and len(points) < POINT_CAP:
             points.append(pt)
     return ScanResult(p, g, m, mode, total, in_d, in_do, d, bound,
-                      points, seed_used)
+                      points, seed)
 
 
 def lift_point(point, ctx):
@@ -209,35 +206,32 @@ def lift_point(point, ctx):
                        point.index)
 
 
-def _require_nonempty(member, distinct):
-    """Raise OutsideDomain when a small residue space has no (o-)domain point.
+def _require_nonempty(member):
+    """Raise OutsideDomain when a small residue space has no o-domain point.
 
     Membership depends only on the multiset of residues, so the scan walks
-    multisets, stops at the first member and draws nothing from the
-    sampler's generator.
+    sets of n distinct residues, stops at the first member and draws nothing
+    from the sampler's generator.
     """
     pm, n = len(member.residues), member.n
-    total = math.comb(pm, n) if distinct else math.comb(pm + n - 1, n)
-    if total > EMPTY_CHECK_CAP:
-        return
-    multisets = (itertools.combinations if distinct
-                 else itertools.combinations_with_replacement)(range(pm), n)
-    if any(pt.in_D for pt in _walk(member, multisets)):
-        return
-    raise OutsideDomain(
-        f"the {'o-' if distinct else ''}domain is empty: none of the {total} "
-        f"residue multisets of size {n} over F_{pm} is in it")
+    total = math.comb(pm, n)
+    sets = _walk(member, itertools.combinations(range(pm), n))
+    if total <= EMPTY_CHECK_CAP and not any(pt.in_D for pt in sets):
+        raise OutsideDomain(
+            f"the o-domain is empty: none of the {total} sets of {n} "
+            f"distinct residues over F_{pm} is in it")
 
 
-def sample_domain_points(p, g, m, count, seed, ctx, require_distinct=True):
-    """Reproducibly sample lifted points of the (o-)domain."""
+def sample_domain_points(p, g, m, count, seed, ctx):
+    """Reproducibly sample lifted points of the o-domain: domain points
+    with pairwise distinct residues."""
     if count < 1:
         raise ConfigError(f"need at least one domain point, got {count}")
     member = _Membership(p, g, m)
-    _require_nonempty(member, require_distinct)
+    _require_nonempty(member)
     draws = _random_tuples(seed, p**m, member.n, 10_000 * count)
     out = []
-    for pt in _walk(member, draws, distinct_only=require_distinct):
+    for pt in _walk(member, draws, distinct_only=True):
         if pt.in_D:
             out.append(lift_point(replace(pt, index=len(out)), ctx))
             if len(out) == count:
@@ -296,9 +290,10 @@ def _check_s_max(ctx, s_max):
 def _level_matrix_inv(cfg, lev, kit, twist=0):
     """A(lev, Phi_lev) at the kit's point twisted, and its inverse."""
     A = kit.A(lev, master_polynomial(cfg, lev), twist)
-    kit.unit(ringmat.det(kit.ring, A), OutsideDomain,
-             f"det A({lev}, Phi_{lev}) has valuation {{v}}")
-    return A, ringmat.mat_inv_scalar(cfg.ctx, A)
+    d = kit.unit(ringmat.det(kit.ring, A), OutsideDomain,
+                 f"det A({lev}, Phi_{lev}) has valuation {{v}}")
+    return A, ringmat.mat_scal(kit.ring, cfg.ctx.inv(d),
+                               ringmat.adjugate(kit.ring, A))
 
 
 def _frame(cfg, s, kit):
@@ -358,20 +353,20 @@ def limit_frames(cfg, point, s_max, kit):
     }
 
 
-def _unit_minor_rows(cfg, M):
-    """Rows giving a unit g x g minor of the n x g matrix M, preferring
-    rows 1, 3, ..., 2g-1; falls back to any unit combination."""
-    ctx = cfg.ctx
-    sring = ringmat.scalar_ring(ctx)
-    g = cfg.g
-    preferred = tuple(range(0, 2 * g - 1, 2))
-    for rows in itertools.chain(
-        [preferred], itertools.combinations(range(cfg.n), g)
-    ):
-        sub = [M[r] for r in rows]
-        if ctx.is_unit(ringmat.det(sring, sub)):
-            return rows
-    return None
+def _unit_minor(cfg, M):
+    """(v, rows) for the n x g matrix M: v the valuation of its g x g minor
+    in the preferred rows 1, 3, ..., 2g-1, and rows giving a unit minor, the
+    preferred ones when v = 0, else the first unit combination (None if no
+    minor is a unit).  Each minor is formed at most once."""
+    ctx, ring = cfg.ctx, ringmat.scalar_ring(cfg.ctx)
+    preferred = tuple(range(0, 2 * cfg.g - 1, 2))
+    v = ctx.val(ringmat.det(ring, [M[r] for r in preferred]))
+    if v == 0:
+        return v, preferred
+    others = (rows for rows in itertools.combinations(range(cfg.n), cfg.g)
+              if rows != preferred)
+    return v, next((rows for rows in others if ctx.is_unit(
+        ringmat.det(ring, [M[r] for r in rows]))), None)
 
 
 def kz_certificates(cfg, point, s_max, frag, kit):
@@ -389,7 +384,7 @@ def kz_certificates(cfg, point, s_max, frag, kit):
     """
     ctx, ring, J = cfg.ctx, kit.ring, frag["I"]
     half = ctx.inv(ctx.from_int(2))
-    rows = _unit_minor_rows(cfg, J)
+    _, rows = _unit_minor(cfg, J)
     threshold = s_max - 1
     per_dir = {}
     span = recovery = ctx.N
@@ -429,22 +424,16 @@ def rank_check(cfg, point, M):
     point in rows 1, 3, ..., 2g-1 first; any other unit minor still
     certifies full rank.
     """
-    ctx = cfg.ctx
     if not point.in_D:
         raise OutsideDomain("point is outside the unit-determinant domain")
-    sring = ringmat.scalar_ring(ctx)
-    g = cfg.g
-    preferred = tuple(range(0, 2 * g - 1, 2))
-    sub = [M[r] for r in preferred]
-    v = ctx.val(ringmat.det(sring, sub))
+    v, rows = _unit_minor(cfg, M)
     details = {
-        "preferred_rows": list(preferred),
+        "preferred_rows": list(range(0, 2 * cfg.g - 1, 2)),
         "preferred_minor_valuation": v,
         "point_index": point.index,
     }
     if v == 0:
         return Certificate("rank-g-minor", True, 0, 0, details)
-    rows = _unit_minor_rows(cfg, M)
     details["fallback_rows"] = list(rows) if rows is not None else None
     passed = rows is not None
     return Certificate("rank-g-minor", passed, 0, 0 if passed else v, details)

@@ -65,18 +65,18 @@ def test_criterion_1_ghost_divisibility():
 def test_criterion_2_decomposition():
     t0 = time.time()
     ctx, cfg = _kz(3, 4, 1)
-    tup = dl.kz_tuple(cfg, length=3, periodic=False)
+    tup = dl.kz_tuple(cfg, length=3)
     gs = dl.ghost_sequence(tup, 2)
     ok = True
     for s in (1, 2):
-        rep = dl.verify_decomposition(gs.tup, s, mode="symbolic")
+        rep = dl.verify_decomposition(gs.tup, s)
         ok = ok and rep.passed and rep.observed_min_valuation == ctx.N
         ok = ok and rep.extra["ghost_block_valuation"] >= s
     ctx5, cfg5 = _kz(5, 4, 2, m=2)
     pts = _points(5, 2, 2, 20, 202, ctx5)
-    tup5 = dl.kz_tuple(cfg5, length=4, periodic=False)
+    tup5 = dl.kz_tuple(cfg5, length=4)
     for s in (1, 2, 3):
-        rep = dl.verify_decomposition(tup5, s, mode="pointwise", points=pts)
+        rep = dl.verify_decomposition(tup5, s, points=pts)
         ok = ok and rep.passed and rep.observed_min_valuation == ctx5.N
         ok = ok and rep.extra["ghost_block_valuation"] >= s
     _verdict(2, "ghost decomposition identity, exact symbolic + 20 points",
@@ -86,18 +86,18 @@ def test_criterion_2_decomposition():
 def test_criterion_3_factorization_mod_p():
     t0 = time.time()
     ctx, cfg = _kz(3, 4, 1)
-    tup = dl.kz_tuple(cfg, length=3, periodic=False)
+    tup = dl.kz_tuple(cfg, length=3)
     ok = True
     for s in (1, 2):
-        rep = dl.verify_frobenius_factorization(tup, s, mode="symbolic")
+        rep = dl.verify_frobenius_factorization(tup, s)
         ok = ok and rep.passed
     for p in (5, 7):
         ctxp, cfgp = _kz(p, 4, 2, m=2)
         pts = _points(p, 2, 2, 5, 303, ctxp)
-        tupp = dl.kz_tuple(cfgp, length=4, periodic=False)
+        tupp = dl.kz_tuple(cfgp, length=4)
         for s in (1, 2, 3):
             rep = dl.verify_frobenius_factorization(
-                tupp, s, mode="pointwise", points=pts)
+                tupp, s, points=pts)
             ok = ok and rep.passed
     _verdict(3, "mod-p factorization into twisted level-1 matrices", ok,
              f"{time.time() - t0:.1f}s")
@@ -106,15 +106,15 @@ def test_criterion_3_factorization_mod_p():
 def test_criterion_4_ratio_and_det():
     t0 = time.time()
     ctx, cfg = _kz(3, 4, 1)
-    tup = dl.kz_tuple(cfg, length=3, periodic=False)
-    r_sym = dl.verify_dwork_ratio(tup, 2, mode="symbolic")
-    d_sym = dl.verify_det_congruence(tup, 2, mode="symbolic")
+    tup = dl.kz_tuple(cfg, length=3)
+    r_sym = dl.verify_dwork_ratio(tup, 2)
+    d_sym = dl.verify_det_congruence(tup, 2)
     ok = r_sym.passed and d_sym.passed
     ctx5, cfg5 = _kz(5, 5, 2, m=2)
     pts = _points(5, 2, 2, 20, 404, ctx5)
-    tup5 = dl.kz_tuple(cfg5, length=4, periodic=False)
-    r_pw = dl.verify_dwork_ratio(tup5, 3, mode="pointwise", points=pts)
-    d_pw = dl.verify_det_congruence(tup5, 3, mode="pointwise", points=pts)
+    tup5 = dl.kz_tuple(cfg5, length=4)
+    r_pw = dl.verify_dwork_ratio(tup5, 3, points=pts)
+    d_pw = dl.verify_det_congruence(tup5, 3, points=pts)
     ok = ok and r_pw.passed and d_pw.passed
     detail = (f"sym vals {r_sym.observed_min_valuation}/"
               f"{d_sym.observed_min_valuation} >= 2, "
@@ -126,25 +126,23 @@ def test_criterion_4_ratio_and_det():
 def test_criterion_5_derivative_congruences():
     t0 = time.time()
     ctx, cfg = _kz(3, 5, 1)
-    tup = dl.kz_tuple(cfg, length=3, periodic=False)
+    tup = dl.kz_tuple(cfg, length=3)
     ok = True
     for m in (0, 1):
-        rep = dl.verify_derivative_congruence(tup, 2, m=m, v=1,
-                                              mode="symbolic")
+        rep = dl.verify_derivative_congruence(tup, 2, m=m, v=1)
         ok = ok and rep.passed and rep.claimed_valuation == 2 + m
-    rep = dl.verify_second_derivative_congruence(tup, 2, u=1, v=2,
-                                                 mode="symbolic")
+    rep = dl.verify_second_derivative_congruence(tup, 2, u=1, v=2)
     ok = ok and rep.passed
     ctx5, cfg5 = _kz(5, 5, 2, m=2)
     pts = _points(5, 2, 2, 20, 505, ctx5)
-    tup5 = dl.kz_tuple(cfg5, length=4, periodic=False)
+    tup5 = dl.kz_tuple(cfg5, length=4)
     for m in (0, 1):
         rep = dl.verify_derivative_congruence(
-            tup5, 3, m=m, v=2, mode="pointwise", points=pts)
+            tup5, 3, m=m, v=2, points=pts)
         ok = ok and rep.passed and rep.claimed_valuation == 3 + m
     for (u, v) in ((1, 2), (4, 4)):
         rep = dl.verify_second_derivative_congruence(
-            tup5, 3, u=u, v=v, mode="pointwise", points=pts)
+            tup5, 3, u=u, v=v, points=pts)
         ok = ok and rep.passed and rep.claimed_valuation == 3
     _verdict(5, "derivative congruences at p^(s+m) and p^s", ok,
              f"{time.time() - t0:.1f}s")
@@ -155,7 +153,7 @@ def test_criterion_6_kz_residual():
     ctx, cfg = _kz(3, 4, 1)
     ok = True
     for s in (1, 2):
-        rep = dl.kz_residual(cfg, s, mode="symbolic")
+        rep = dl.kz_residual(cfg, s)
         ok = ok and rep.passed
         ok = ok and all(v >= s for v in rep.extra["column_sum_valuations"])
         ids = dl.verify_phi_identities(cfg, s)
@@ -163,7 +161,7 @@ def test_criterion_6_kz_residual():
     ctx5, cfg5 = _kz(5, 4, 2, m=2)
     pts = _points(5, 2, 2, 20, 606, ctx5)
     for s in (1, 2, 3):
-        rep = dl.kz_residual(cfg5, s, mode="pointwise", points=pts)
+        rep = dl.kz_residual(cfg5, s, points=pts)
         ok = ok and rep.passed and rep.observed_min_valuation >= s
     _verdict(6, "KZ residual and column sums modulo p^s + proof identities",
              ok, f"{time.time() - t0:.1f}s")
@@ -194,14 +192,14 @@ def test_criterion_7_frame_congruence():
     vals = []
     for s in (1, 2, 3):
         rep = dl.verify_solution_congruence(
-            cfg3, s, mode="pointwise", points=[pt.lift for pt in dom3])
+            cfg3, s, points=[pt.lift for pt in dom3])
         ok = ok and rep.passed and rep.observed_min_valuation >= s
         vals.append(rep.observed_min_valuation)
     ok = ok and _stabilizes_mod_p(cfg3, dom3, 3)
     ctx5, cfg5 = _kz(5, 4, 2, m=2)
     dom5 = dl.sample_domain_points(5, 2, 2, 5, 708, ctx5)
     rep5 = dl.verify_solution_congruence(
-        cfg5, 2, mode="pointwise", points=[pt.lift for pt in dom5])
+        cfg5, 2, points=[pt.lift for pt in dom5])
     ok = ok and rep5.passed and _stabilizes_mod_p(cfg5, dom5, 3)
     _verdict(7, "frame congruences across s = 1..3 and mod-p stabilization",
              ok, f"chain valuations {vals}, {time.time() - t0:.1f}s")
@@ -243,7 +241,7 @@ def test_criterion_8_nonzero_det_and_leading_terms():
 
 def test_criterion_9_nonempty_bound():
     t0 = time.time()
-    res = dl.scan_domain(3, 1, 2, mode="exhaustive")
+    res = dl.scan_domain(3, 1, 2)
     ok = (res.in_d_count == 648 and res.nonempty_bound == 638
           and res.in_d_count >= res.nonempty_bound)
     _verdict(9, "exhaustive domain count vs lower bound", ok,
@@ -305,9 +303,9 @@ def test_ratio_and_det_are_sharp_pointwise(p, N, s, g, m, seed):
     moves the observed valuation."""
     ctx, cfg = _kz(p, N, g, m)
     pts = _points(p, g, m, 4, seed, ctx)
-    tup = dl.kz_tuple(cfg, length=s + 1, periodic=False)
+    tup = dl.kz_tuple(cfg, length=s + 1)
     for verify in (dl.verify_dwork_ratio, dl.verify_det_congruence):
-        rep = verify(tup, s, mode="pointwise", points=pts)
+        rep = verify(tup, s, points=pts)
         assert rep.claimed_valuation == s
         assert rep.observed_min_valuation == s
 
@@ -319,15 +317,15 @@ def test_symbolic_verdicts_are_sharp(theorem, expected):
     the claimed exponent.  Their matrices are read off factored forms, so a
     wrong term in that read lowers the observed valuation."""
     ctx, cfg = _kz(3, 5, 1)
-    tup = dl.kz_tuple(cfg, length=4, periodic=False)
+    tup = dl.kz_tuple(cfg, length=4)
     verify = {
         "ratio": dl.verify_dwork_ratio,
         "det": dl.verify_det_congruence,
-        "der2": lambda t, s, mode: dl.verify_second_derivative_congruence(
-            t, s, u=1, v=1, mode=mode),
+        "der2": lambda t, s: dl.verify_second_derivative_congruence(
+            t, s, u=1, v=1),
         "1.6i": dl.verify_frobenius_factorization,
     }[theorem]
-    rep = verify(tup, 3, mode="symbolic")
+    rep = verify(tup, 3)
     assert rep.claimed_valuation == expected
     assert rep.observed_min_valuation == rep.claimed_valuation
 
@@ -337,9 +335,8 @@ def test_frame_checks_are_sharp_pointwise():
     s = 3, g = 2 over F_25 points reach exactly the claimed exponent 3."""
     ctx, cfg = _kz(5, 5, 2, 2)
     pts = _points(5, 2, 2, 4, 0, ctx)
-    for rep in (dl.kz_residual(cfg, 3, mode="pointwise", points=pts),
-                dl.verify_solution_congruence(cfg, 3, mode="pointwise",
-                                              points=pts)):
+    for rep in (dl.kz_residual(cfg, 3, points=pts),
+                dl.verify_solution_congruence(cfg, 3, points=pts)):
         assert rep.claimed_valuation == 3
         assert rep.observed_min_valuation == rep.claimed_valuation
 
@@ -352,14 +349,14 @@ def test_derivative_and_factorization_are_sharp_pointwise(theorem, claimed):
     and the factorization mod p reach exactly their claimed exponents."""
     ctx, cfg = _kz(5, 5, 2, 2)
     pts = _points(5, 2, 2, 4, 0, ctx)
-    tup = dl.kz_tuple(cfg, length=4, periodic=False)
+    tup = dl.kz_tuple(cfg, length=4)
     rep = {
         "der": lambda: dl.verify_derivative_congruence(
-            tup, 3, m=1, v=1, mode="pointwise", points=pts),
+            tup, 3, m=1, v=1, points=pts),
         "der2": lambda: dl.verify_second_derivative_congruence(
-            tup, 3, u=1, v=1, mode="pointwise", points=pts),
+            tup, 3, u=1, v=1, points=pts),
         "1.6i": lambda: dl.verify_frobenius_factorization(
-            tup, 3, mode="pointwise", points=pts),
+            tup, 3, points=pts),
     }[theorem]()
     assert rep.claimed_valuation == claimed
     assert rep.observed_min_valuation == claimed

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dworklab as dl
-from dworklab import cli, limits
+from dworklab import cli, dwork, limits
 from dworklab.cli import run
 from dworklab.hasse_witt import PointKit
 from dworklab.laurent import LaurentPoly
@@ -238,6 +239,29 @@ def test_flags_a_tuple_file_makes_void_exit_2(tmp_path, capsys):
                 admissible + ["--boxes=5:9"]):
         assert invoke(bad) == (2, [])
         assert "configuration error" in capsys.readouterr().err
+
+
+def test_flags_boxes_would_ignore_exit_2(capsys):
+    """admissible --boxes reads no --N (only a tuple file's ring does), and
+    only a periodic pattern is checked to --depth: off their defaults where
+    unread, both once exited 0."""
+    boxes = ["admissible", "--p", "3", "--delta", "1", "--boxes", "0:2"]
+    for good in (boxes, boxes + ["--N", "2", "--depth", "8"],
+                 boxes + ["--periodic", "--depth", "3"]):
+        assert invoke(good)[0] == 0
+    for bad in (boxes + ["--N", "7"], boxes + ["--depth", "3"]):
+        assert invoke(bad) == (2, [])
+        assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theorem", sorted(cli.THEOREMS))
+def test_each_theorem_entry_matches_its_verifier(theorem):
+    """A THEOREMS entry names a dwork verifier whose parameters are exactly
+    the tuple, s, the entry's flags and the points: the CLI sets every one
+    of them, and the table forgets none."""
+    name, flags = cli.THEOREMS[theorem]
+    params = inspect.signature(getattr(dwork, name)).parameters
+    assert list(params) == ["tup", "s", *flags, "points"]
 
 
 def test_empty_o_domain_exits_2_without_sampling():

@@ -21,7 +21,7 @@ from oracles import rand, rand_unit
 def kz_bits(p, N, g, length):
     ctx = dl.ctx_new(p, N, 1)
     cfg = dl.KZConfig(ctx, g)
-    return ctx, cfg, dl.kz_tuple(cfg, length=length, periodic=False)
+    return ctx, cfg, dl.kz_tuple(cfg, length=length)
 
 
 def ext_points(p, g, m, count, seed, N):
@@ -35,7 +35,7 @@ def ext_points(p, g, m, count, seed, N):
 
 def test_decomposition_s0_trivial():
     ctx, cfg, tup = kz_bits(3, 3, 1, 1)
-    rep = dl.verify_decomposition(tup, 0, mode="symbolic")
+    rep = dl.verify_decomposition(tup, 0)
     assert rep.passed and rep.observed_min_valuation == ctx.N
 
 
@@ -43,7 +43,7 @@ def test_decomposition_symbolic():
     ctx, cfg, tup = kz_bits(3, 4, 1, 3)
     gs = dl.ghost_sequence(tup, 2)
     for s in (1, 2):
-        rep = dl.verify_decomposition(gs.tup, s, mode="symbolic")
+        rep = dl.verify_decomposition(gs.tup, s)
         assert rep.passed
         assert rep.observed_min_valuation == ctx.N
         # Lemma-style ghost block divisibility, and it is sharp
@@ -53,8 +53,8 @@ def test_decomposition_symbolic():
 def test_decomposition_pointwise():
     ctx, pts = ext_points(5, 2, 2, 6, 3, N=4)
     cfg = dl.KZConfig(ctx, 2)
-    tup = dl.kz_tuple(cfg, length=4, periodic=False)
-    rep = dl.verify_decomposition(tup, 3, mode="pointwise", points=pts)
+    tup = dl.kz_tuple(cfg, length=4)
+    rep = dl.verify_decomposition(tup, 3, points=pts)
     assert rep.passed and rep.observed_min_valuation == ctx.N
     assert rep.extra["ghost_block_valuation"] == 3
 
@@ -94,7 +94,7 @@ def test_ghost_blocks_match_the_full_ghosts():
 def test_decomposition_plans_the_ghost_recursion_once(monkeypatch):
     """The plan depends on the tuple and s alone: four points, one plan."""
     ctx, pts = ext_points(5, 2, 2, 4, 3, N=5)
-    tup = dl.kz_tuple(dl.KZConfig(ctx, 2), length=4, periodic=False)
+    tup = dl.kz_tuple(dl.KZConfig(ctx, 2), length=4)
     calls = []
 
     def counted(*args, real=dwork._ghost_plan):
@@ -102,17 +102,17 @@ def test_decomposition_plans_the_ghost_recursion_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(dwork, "_ghost_plan", counted)
-    rep = dl.verify_decomposition(tup, 3, mode="pointwise", points=pts)
+    rep = dl.verify_decomposition(tup, 3, points=pts)
     assert rep.passed and rep.points == 4
     assert calls == [(tup, 3)]
 
 
 def test_decomposition_needs_precision_for_the_ghosts():
     ctx, pts = ext_points(3, 1, 2, 2, 5, N=2)
-    tup = dl.kz_tuple(dl.KZConfig(ctx, 1), length=4, periodic=False)
-    for mode in ("symbolic", "pointwise"):
+    tup = dl.kz_tuple(dl.KZConfig(ctx, 1), length=4)
+    for points in (None, pts):
         with pytest.raises(PrecisionTooLow):
-            dl.verify_decomposition(tup, 3, mode=mode, points=pts)
+            dl.verify_decomposition(tup, 3, points=points)
 
 
 # -- factorization mod p ------------------------------------------------------
@@ -120,22 +120,22 @@ def test_decomposition_needs_precision_for_the_ghosts():
 
 def test_factorization_symbolic_and_trivial():
     ctx, cfg, tup = kz_bits(3, 4, 1, 3)
-    rep0 = dl.verify_frobenius_factorization(tup, 0, mode="symbolic")
+    rep0 = dl.verify_frobenius_factorization(tup, 0)
     assert rep0.passed and rep0.observed_min_valuation == ctx.N
-    rep = dl.verify_frobenius_factorization(tup, 2, mode="symbolic")
+    rep = dl.verify_frobenius_factorization(tup, 2)
     assert rep.passed and rep.observed_min_valuation >= 1
     ones = AdmissibleTuple(
         [LaurentPoly.one(ctx, 1, 1)] * 3, (0,), periodic=False
     )
-    repo = dl.verify_frobenius_factorization(ones, 2, mode="symbolic")
+    repo = dl.verify_frobenius_factorization(ones, 2)
     assert repo.passed
 
 
 def test_factorization_pointwise():
     ctx, pts = ext_points(7, 2, 2, 4, 5, N=4)
     cfg = dl.KZConfig(ctx, 2)
-    tup = dl.kz_tuple(cfg, length=4, periodic=False)
-    rep = dl.verify_frobenius_factorization(tup, 3, mode="pointwise", points=pts)
+    tup = dl.kz_tuple(cfg, length=4)
+    rep = dl.verify_frobenius_factorization(tup, 3, points=pts)
     assert rep.passed
 
 
@@ -144,15 +144,15 @@ def test_factorization_pointwise():
 
 def test_ratio_s1_equals_factorization_statement():
     ctx, cfg, tup = kz_bits(3, 3, 1, 2)
-    r1 = dl.verify_dwork_ratio(tup, 1, mode="symbolic")
-    f1 = dl.verify_frobenius_factorization(tup, 1, mode="symbolic")
+    r1 = dl.verify_dwork_ratio(tup, 1)
+    f1 = dl.verify_frobenius_factorization(tup, 1)
     assert r1.passed and f1.passed
     assert r1.claimed_valuation == 1 == f1.claimed_valuation
 
 
 def test_ratio_symbolic_and_points_coherent():
     ctx, cfg, tup = kz_bits(3, 4, 1, 3)
-    rep = dl.verify_dwork_ratio(tup, 2, mode="symbolic")
+    rep = dl.verify_dwork_ratio(tup, 2)
     assert rep.passed and rep.observed_min_valuation >= 2
     rng = seeded(15)
     pts = [[rand_unit(ctx, rng) for _ in range(3)] for _ in range(20)]
@@ -161,7 +161,7 @@ def test_ratio_symbolic_and_points_coherent():
         if ctx.is_unit(dl.hw_det(ringmat.scalar_ring(ctx), dl.hw_matrix_at(
             1, dl.master_polynomial(cfg, 1), cfg.delta, a)))
     ]
-    rep_pw = dl.verify_dwork_ratio(tup, 2, mode="pointwise", points=good)
+    rep_pw = dl.verify_dwork_ratio(tup, 2, points=good)
     # pointwise evaluations inherit at least the symbolic valuation
     assert rep_pw.observed_min_valuation >= rep.observed_min_valuation
 
@@ -179,26 +179,26 @@ def test_symbolic_ratio_packs_its_twisted_product(monkeypatch):
         return out
 
     monkeypatch.setattr(laurent, "_packed_convolve", spy)
-    assert dl.verify_dwork_ratio(tup, 3, mode="symbolic").passed
+    assert dl.verify_dwork_ratio(tup, 3).passed
     assert (15, 678, True) in shapes
 
 
 def test_det_congruence():
     ctx, cfg, tup = kz_bits(3, 4, 1, 3)
-    rep = dl.verify_det_congruence(tup, 2, mode="symbolic")
+    rep = dl.verify_det_congruence(tup, 2)
     assert rep.passed and rep.observed_min_valuation >= 2
     # for g = 1 the determinant form is the ratio itself
-    r = dl.verify_dwork_ratio(tup, 2, mode="symbolic")
+    r = dl.verify_dwork_ratio(tup, 2)
     assert r.observed_min_valuation == rep.observed_min_valuation
 
 
 def test_ratio_monotone_in_s():
     ctx, pts = ext_points(3, 1, 2, 5, 9, N=6)
     cfg = dl.KZConfig(ctx, 1)
-    tup = dl.kz_tuple(cfg, length=5, periodic=False)
+    tup = dl.kz_tuple(cfg, length=5)
     vals = []
     for s in (1, 2, 3, 4):
-        rep = dl.verify_dwork_ratio(tup, s, mode="pointwise", points=pts)
+        rep = dl.verify_dwork_ratio(tup, s, points=pts)
         assert rep.passed
         vals.append(rep.observed_min_valuation)
     assert vals == sorted(vals)
@@ -216,9 +216,9 @@ def test_degenerate_tuple_detected():
     tup = AdmissibleTuple([lam, lam], (1,), periodic=False)
     assert tup.certificate.ok
     for verify in INVERTING:
-        for mode, points in (("symbolic", None), ("pointwise", [(1,), (2,)])):
+        for points in (None, [(1,), (2,)]):
             with pytest.raises(DegenerateTuple, match="has valuation 3"):
-                verify(tup, 1, mode=mode, points=points)
+                verify(tup, 1, points=points)
 
 
 @pytest.mark.parametrize("verify", INVERTING, ids=lambda f: f.__name__)
@@ -231,10 +231,9 @@ def test_a_degenerate_first_member_is_refused_in_both_modes(verify):
     l1 = LaurentPoly(ctx, 1, 1, {(2, 0): 1, (1, 1): 1, (0, 0): 1})
     tup = AdmissibleTuple([l0, l1, l1], (1,), periodic=False)
     assert tup.certificate.ok
-    for mode, points in (("symbolic", None),
-                         ("pointwise", [(1,), (2,), (4,)])):
+    for points in (None, [(1,), (2,), (4,)]):
         with pytest.raises(DegenerateTuple, match="has valuation 4"):
-            verify(tup, 1, mode=mode, points=points)
+            verify(tup, 1, points=points)
 
 
 @pytest.mark.parametrize("verify", [
@@ -249,39 +248,38 @@ def test_non_admissible_tuples_are_refused_in_both_modes(verify):
     F = LaurentPoly(ctx, 1, 1, {(5, 0): 1, (0, 1): 1})
     tup = AdmissibleTuple([F] * 3, (1,))
     assert not tup.certificate.ok
-    for mode, points in (("symbolic", None), ("pointwise", [(2,)])):
+    for points in (None, [(2,)]):
         with pytest.raises(NotAdmissible):
-            verify(tup, 1, mode=mode, points=points)
+            verify(tup, 1, points=points)
 
 
-@pytest.mark.parametrize("mode,points", [
-    ("symbolic", None), ("pointwise", [(2, 3, 4)]), ("points", [(2, 3, 4)])],
-    ids=["symbolic", "pointwise", "bad-mode"])
+@pytest.mark.parametrize("points", [None, [(2, 3, 4)]],
+                         ids=["symbolic", "pointwise"])
 @pytest.mark.parametrize("verify", [
     dl.verify_decomposition, dl.verify_frobenius_factorization,
     dl.verify_dwork_ratio, dl.verify_det_congruence,
     dl.verify_derivative_congruence, dl.verify_second_derivative_congruence,
 ], ids=lambda f: f.__name__)
-def test_a_tuple_without_L_s_is_refused_before_the_mode(verify, mode, points):
+def test_a_tuple_without_L_s_is_refused_before_the_mode(verify, points):
     """Every verifier checks for a member L_s with its other checks, so a
     too-short tuple raises IndexOutOfRange whatever the mode."""
     ctx, cfg, tup = kz_bits(3, 4, 1, 2)
     with pytest.raises(IndexOutOfRange):
-        verify(tup, 2, mode=mode, points=points)
+        verify(tup, 2, points=points)
 
 
 def test_symbolic_gate_raises():
     ctx = dl.ctx_new(5, 4, 1)
     cfg = dl.KZConfig(ctx, 2)
-    tup = dl.kz_tuple(cfg, length=3, periodic=False)
+    tup = dl.kz_tuple(cfg, length=3)
     with pytest.raises(SizeCapExceeded):
-        dl.verify_dwork_ratio(tup, 2, mode="symbolic")
+        dl.verify_dwork_ratio(tup, 2)
 
 
 def _charged(kit_log, verify, tup, s):
     """The symbolic report of verify(tup, s), which must pass, and the terms
     its kit charged."""
-    rep = verify(tup, s, mode="symbolic")
+    rep = verify(tup, s)
     assert rep.passed
     return rep, [x for x in kit_log if isinstance(x, SymbolicKit)][-1].charged
 
@@ -294,25 +292,23 @@ def test_symbolic_gate_counts_the_entries_read(kit_log):
     SYMBOLIC_READ_CAP, and passes, and so do the ratio, det, der2 and 1.6i;
     at p = 7, g = 2, s = 1 every verifier's reads pass the cap."""
     ctx = dl.ctx_new(3, 6, 1)
-    tup = dl.kz_tuple(dl.KZConfig(ctx, 1), length=6, periodic=False)
+    tup = dl.kz_tuple(dl.KZConfig(ctx, 1), length=6)
     assert _charged(kit_log, dl.verify_dwork_ratio, tup, 4)[1] == 9_330
     rep, charged = _charged(kit_log, dl.verify_decomposition, tup, 4)
     assert charged == 18_102 and rep.extra["ghost_block_valuation"] == 4
-    tup7 = dl.kz_tuple(dl.KZConfig(dl.ctx_new(3, 7, 1), 1), length=6,
-                       periodic=False)
+    tup7 = dl.kz_tuple(dl.KZConfig(dl.ctx_new(3, 7, 1), 1), length=6)
     assert _charged(kit_log, dl.verify_decomposition, tup7, 5)[1] == 160_179
     for verify in (dl.verify_dwork_ratio, dl.verify_det_congruence,
                    dl.verify_second_derivative_congruence,
                    dl.verify_frobenius_factorization):
         _charged(kit_log, verify, tup7, 5)
-    big = dl.kz_tuple(dl.KZConfig(dl.ctx_new(7, 3, 1), 2), length=2,
-                      periodic=False)
+    big = dl.kz_tuple(dl.KZConfig(dl.ctx_new(7, 3, 1), 2), length=2)
     for verify in (dl.verify_decomposition, dl.verify_frobenius_factorization,
                    dl.verify_dwork_ratio, dl.verify_det_congruence,
                    dl.verify_derivative_congruence,
                    dl.verify_second_derivative_congruence):
         with pytest.raises(SizeCapExceeded):
-            verify(big, 1, mode="symbolic")
+            verify(big, 1)
 
 
 def test_symbolic_gate_passes_on_either_bound(kit_log):
@@ -320,7 +316,7 @@ def test_symbolic_gate_passes_on_either_bound(kit_log):
     expansion: at p = 11, g = 3, s = 0 the full W_0 has 6^7 = 279,936
     compositions, and decomp reads 153,610 of them."""
     ctx = dl.ctx_new(11, 2, 1)
-    tup = dl.kz_tuple(dl.KZConfig(ctx, 3), length=1, periodic=False)
+    tup = dl.kz_tuple(dl.KZConfig(ctx, 3), length=1)
     rep, charged = _charged(kit_log, dl.verify_decomposition, tup, 0)
     assert charged == 153_610 and rep.observed_min_valuation == ctx.N
 
@@ -330,18 +326,18 @@ def test_symbolic_gate_passes_on_either_bound(kit_log):
 
 def test_derivative_symbolic():
     ctx, cfg, tup = kz_bits(3, 4, 1, 3)
-    rep = dl.verify_derivative_congruence(tup, 2, m=0, v=1, mode="symbolic")
+    rep = dl.verify_derivative_congruence(tup, 2, m=0, v=1)
     assert rep.passed and rep.observed_min_valuation >= 2
-    rep1 = dl.verify_derivative_congruence(tup, 1, m=1, v=2, mode="symbolic")
+    rep1 = dl.verify_derivative_congruence(tup, 1, m=1, v=2)
     assert rep1.passed and rep1.claimed_valuation == 2
 
 
 def test_derivative_pointwise_with_twist():
     ctx, pts = ext_points(3, 1, 2, 5, 21, N=4)
     cfg = dl.KZConfig(ctx, 1)
-    tup = dl.kz_tuple(cfg, length=3, periodic=False)
+    tup = dl.kz_tuple(cfg, length=3)
     rep = dl.verify_derivative_congruence(
-        tup, 1, m=1, v=2, mode="pointwise", points=pts)
+        tup, 1, m=1, v=2, points=pts)
     assert rep.passed and rep.observed_min_valuation >= 2
 
 
@@ -350,27 +346,25 @@ def test_derivative_constant_tuple_zero():
     lam = LaurentPoly.const(ctx, 1, 2, 2)
     tup = AdmissibleTuple([lam] * 3, (0,), periodic=False)
     for m in (0, 1):
-        rep = dl.verify_derivative_congruence(tup, 2, m=m, v=1,
-                                              mode="symbolic")
+        rep = dl.verify_derivative_congruence(tup, 2, m=m, v=1)
         assert rep.passed and rep.observed_min_valuation == ctx.N
-    rep2 = dl.verify_second_derivative_congruence(tup, 2, u=1, v=2,
-                                                  mode="symbolic")
+    rep2 = dl.verify_second_derivative_congruence(tup, 2, u=1, v=2)
     assert rep2.passed and rep2.observed_min_valuation == ctx.N
     # claims beyond the working precision are rejected, not faked
     from dworklab.errors import PrecisionTooLow
 
     with pytest.raises(PrecisionTooLow):
-        dl.verify_derivative_congruence(tup, 2, m=3, v=1, mode="symbolic")
+        dl.verify_derivative_congruence(tup, 2, m=3, v=1)
 
 
 def test_periodic_tuple_matches_finite():
     ctx = dl.ctx_new(3, 4, 1)
     cfg = dl.KZConfig(ctx, 1)
-    fin = dl.kz_tuple(cfg, length=3, periodic=False)
+    fin = dl.kz_tuple(cfg, length=3)
     per = dl.kz_tuple(cfg)  # infinite constant pattern
     assert per.periodic and per.certificate.ok and per.certificate.complete
-    r1 = dl.verify_dwork_ratio(fin, 2, mode="symbolic")
-    r2 = dl.verify_dwork_ratio(per, 2, mode="symbolic")
+    r1 = dl.verify_dwork_ratio(fin, 2)
+    r2 = dl.verify_dwork_ratio(per, 2)
     assert r1.observed_min_valuation == r2.observed_min_valuation
     assert per.W(4, 2).factored == \
         dl.master_polynomial(cfg, 3).factored
@@ -379,19 +373,19 @@ def test_periodic_tuple_matches_finite():
 def test_second_derivative():
     ctx, cfg, tup = kz_bits(3, 4, 1, 3)
     rep = dl.verify_second_derivative_congruence(
-        tup, 2, u=1, v=2, mode="symbolic")
+        tup, 2, u=1, v=2)
     assert rep.passed and rep.observed_min_valuation >= 2
     ctx2, pts = ext_points(3, 1, 2, 5, 23, N=3)
     cfg2 = dl.KZConfig(ctx2, 1)
-    tup2 = dl.kz_tuple(cfg2, length=2, periodic=False)
+    tup2 = dl.kz_tuple(cfg2, length=2)
     for (u, v) in [(1, 1), (1, 2), (3, 3)]:
         rep = dl.verify_second_derivative_congruence(
-            tup2, 1, u=u, v=v, mode="pointwise", points=pts)
+            tup2, 1, u=u, v=v, points=pts)
         assert rep.passed
 
 
 def test_second_derivative_diagonal_matches_symbolic():
-    from dworklab.hasse_witt import hw_second_derivative_at
+    from dworklab.hasse_witt import DenseCache, hw_second_derivative_at
     from oracles import hw_eval
 
     ctx = dl.ctx_new(3, 3, 1)
@@ -405,7 +399,8 @@ def test_second_derivative_diagonal_matches_symbolic():
             a = [rand(ctx, rng) for _ in range(3)]
             at = PointKit(ctx, cfg.delta, a)
             for u in range(1, 4):
-                direct = hw_second_derivative_at(s, phi, cfg.delta, a, u, u)
+                direct = hw_second_derivative_at(s, phi, cfg.delta, a, u, u,
+                                                 DenseCache())
                 assert direct == hw_eval(dsyms[u], a) == at.d2A(s, phi, u, u)
 
 
@@ -502,7 +497,7 @@ def test_sigma_twist_scaling():
 
 def test_report_shape():
     ctx, cfg, tup = kz_bits(3, 3, 1, 2)
-    rep = dl.verify_dwork_ratio(tup, 1, mode="symbolic")
+    rep = dl.verify_dwork_ratio(tup, 1)
     doc = rep.to_json()
     assert doc["theorem_id"] == "ratio"
     assert doc["verdict"] == "pass"
@@ -517,7 +512,7 @@ def test_user_parameter_checks_raise_invalid_parameter():
     assert issubclass(InvalidParameter, ValueError)
     ctx = dl.ctx_new(3, 3, 1)
     cfg = dl.KZConfig(ctx, 1)
-    tup = dl.kz_tuple(cfg, length=2, periodic=False)
+    tup = dl.kz_tuple(cfg, length=2)
     cfg32 = dl.KZConfig(dl.ctx_new(3, 3, 2), 1)
     pt = dl.sample_domain_points(3, 1, 2, 1, 0, cfg32.ctx)[0]
     checks = [
@@ -534,23 +529,22 @@ def test_user_parameter_checks_raise_invalid_parameter():
         lambda: dl.verify_frobenius_factorization(tup, -1),
         lambda: dl.verify_derivative_congruence(tup, 1, m=-1),
         lambda: dl.verify_derivative_congruence(
-            tup, 1, m=-1, mode="pointwise", points=[(1, 2, 4)]),
+            tup, 1, m=-1, points=[(1, 2, 4)]),
         lambda: AdmissibleTuple((), (1,)),
         lambda: dl.limit_frames(cfg32, pt, 3,
                                 PointKit(cfg32.ctx, cfg32.delta, pt.lift)),
         lambda: AdmissibleTuple(tup.lams, ()),
-        lambda: dl.check_admissible([TBox((0,), (1,))], (0,)),
         lambda: dl.check_admissible([TBox((0,), (1,))] * 2, (1,), p=3,
                                     periodic=True, depth=0),
     ]
     # a malformed point: m-tuple coordinates over m = 1, or no lift at all
     cfg5 = dl.KZConfig(dl.ctx_new(5, 4, 1), 1)
-    tup5 = dl.kz_tuple(cfg5, length=3, periodic=False)
+    tup5 = dl.kz_tuple(cfg5, length=3)
     bad = [((1, 0), (2, 0), (3, 0))]
     checks += [
-        lambda: dl.verify_dwork_ratio(tup5, 1, mode="pointwise", points=bad),
-        lambda: dl.verify_decomposition(tup5, 1, mode="pointwise", points=bad),
-        lambda: dl.kz_residual(cfg5, 1, mode="pointwise", points=bad),
+        lambda: dl.verify_dwork_ratio(tup5, 1, points=bad),
+        lambda: dl.verify_decomposition(tup5, 1, points=bad),
+        lambda: dl.kz_residual(cfg5, 1, points=bad),
     ]
     for check in checks:
         with pytest.raises(InvalidParameter):

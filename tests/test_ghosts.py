@@ -16,7 +16,7 @@ def const_tuple(ctx, n, value, length):
 def test_big_product_examples():
     ctx = dl.ctx_new(3, 3, 1)
     cfg = dl.KZConfig(ctx, 1)
-    tup = dl.kz_tuple(cfg, length=3, periodic=False)
+    tup = dl.kz_tuple(cfg, length=3)
     F = dl.master_polynomial(cfg, 1)
     assert tup.W(2, 2).factored == F.factored
     # constant tuple: W_s = c^(1 + p + ... + p^s)
@@ -35,7 +35,7 @@ def test_big_product_examples():
 def test_ghost_base_cases():
     ctx = dl.ctx_new(3, 3, 1)
     cfg = dl.KZConfig(ctx, 1)
-    tup = dl.kz_tuple(cfg, length=3, periodic=False)
+    tup = dl.kz_tuple(cfg, length=3)
     gs = dl.ghost_sequence(tup, 2)
     F = dl.master_polynomial(cfg, 1)
     assert gs.V[0] == LaurentPoly(ctx, 1, 3, dict(F.terms))
@@ -54,7 +54,7 @@ def test_ghost_base_cases():
 def test_ghost_precision_guard():
     ctx = dl.ctx_new(3, 1, 1)
     cfg = dl.KZConfig(ctx, 1)
-    tup = dl.kz_tuple(cfg, length=3, periodic=False)
+    tup = dl.kz_tuple(cfg, length=3)
     with pytest.raises(PrecisionTooLow):
         dl.ghost_sequence(tup, 2)
 
@@ -181,6 +181,6 @@ def test_subtuple_admissibility():
 def test_admissible_tuple_w_cache():
     ctx = dl.ctx_new(3, 3, 1)
     cfg = dl.KZConfig(ctx, 1)
-    tup = dl.kz_tuple(cfg, length=3, periodic=False)
+    tup = dl.kz_tuple(cfg, length=3)
     first = tup.W(2, 1)
     assert tup.W(2, 1) is first

@@ -169,17 +169,18 @@ def _check_random_inverses(ctx, rng):
 
 def test_derivative_at_examples():
     ctx, cfg, F = kz_setup(3, 2, 1)
-    got = dl.hw_derivative_at(1, F, cfg.delta, [0, 1, 3], 1)
+    got = dl.hw_derivative_at(1, F, cfg.delta, [0, 1, 3], 1, DenseCache())
     assert got == [[8]]  # -1 mod 9: d/dz1 of -(z1+z2+z3)
     # multiplicity congruent to zero modulo p^N kills the matrix
     ctx9 = dl.ctx_new(3, 2, 1)
     cfg9 = dl.KZConfig(ctx9, 1)
     F9 = dl.master_polynomial(cfg9, 1) ** 9  # multiplicities 9 = 0 mod 9
-    Z = dl.hw_derivative_at(1, F9, cfg9.delta, [0, 1, 3], 1)
+    Z = dl.hw_derivative_at(1, F9, cfg9.delta, [0, 1, 3], 1, DenseCache())
     assert Z == [[0]]
     expanded = LaurentPoly(ctx, 1, 3, dict(F.terms))
     with pytest.raises(NotFactored):
-        dl.hw_derivative_at(1, expanded, cfg.delta, [0, 1, 3], 1)
+        dl.hw_derivative_at(1, expanded, cfg.delta, [0, 1, 3], 1,
+                            DenseCache())
 
 
 @pytest.mark.parametrize("p,g,s", [(3, 1, 1), (3, 1, 2), (5, 2, 1)])
@@ -193,7 +194,8 @@ def test_derivative_matches_symbolic(p, g, s):
         dsym = kit.dA(s, phi, v)
         for _ in range(8):
             a = [rand(ctx, rng) for _ in range(cfg.n)]
-            direct = dl.hw_derivative_at(s, phi, cfg.delta, a, v)
+            direct = dl.hw_derivative_at(s, phi, cfg.delta, a, v,
+                                         DenseCache())
             assert hw_eval(dsym, a) == direct
             assert PointKit(ctx, cfg.delta, a).dA(s, phi, v) == direct
 
@@ -209,7 +211,8 @@ def test_second_derivative_matches_symbolic():
             dsym = kit.d2A(s, phi, u, v)
             for _ in range(10):
                 a = [rand(ctx, rng) for _ in range(cfg.n)]
-                direct = hw_second_derivative_at(s, phi, cfg.delta, a, u, v)
+                direct = hw_second_derivative_at(s, phi, cfg.delta, a, u, v,
+                                                 DenseCache())
                 assert hw_eval(dsym, a) == direct
                 assert PointKit(ctx, cfg.delta, a).d2A(s, phi, u, v) == direct
 

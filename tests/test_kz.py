@@ -10,7 +10,7 @@ from dworklab.errors import (
     NotDivisible,
     OutsideDomain,
 )
-from dworklab.hasse_witt import PointKit, SymbolicKit
+from dworklab.hasse_witt import DenseCache, PointKit, SymbolicKit
 from dworklab.kz import (
     _flat,
     column_sum_valuations,
@@ -202,24 +202,33 @@ def test_quotient_memo_rejects_inexact_division():
         cache.quotient(phi, pt.lift, root)
 
 
+def test_kz_tuple_is_periodic_unless_given_a_length():
+    ctx, cfg = setup(3, 4, 1, 1)
+    infinite, finite = dl.kz_tuple(cfg), dl.kz_tuple(cfg, length=3)
+    assert infinite.periodic and len(infinite.lams) == 1
+    assert infinite.lam(7) is infinite.lam(0)
+    assert not finite.periodic and len(finite.lams) == 3
+    with pytest.raises(dl.IndexOutOfRange):
+        finite.lam(3)
+
+
 def test_direction_indices_are_validated():
     ctx, cfg = setup(5, 4, 2, 1)
     a = [0, 1, 2, 3, 4]
-    tup = dl.kz_tuple(cfg, length=3, periodic=False)
+    tup = dl.kz_tuple(cfg, length=3)
     phi = dl.master_polynomial(cfg, 1)
     for bad in (0, cfg.n + 1):
         with pytest.raises(DirectionOutOfRange):
             ps_solution_derivative(cfg, 1, bad, PointKit(ctx, cfg.delta, a))
         with pytest.raises(DirectionOutOfRange):
-            dl.kz_residual(cfg, 1, i=bad, mode="pointwise", points=[a])
+            dl.kz_residual(cfg, 1, i=bad, points=[a])
         with pytest.raises(DirectionOutOfRange):
-            dl.hw_derivative_at(1, phi, cfg.delta, a, bad)
+            dl.hw_derivative_at(1, phi, cfg.delta, a, bad, DenseCache())
         with pytest.raises(DirectionOutOfRange):
-            dl.verify_derivative_congruence(tup, 1, v=bad, mode="pointwise",
-                                            points=[a])
+            dl.verify_derivative_congruence(tup, 1, v=bad, points=[a])
         with pytest.raises(DirectionOutOfRange):
             dl.verify_second_derivative_congruence(
-                tup, 1, u=bad, v=1, mode="pointwise", points=[a])
+                tup, 1, u=bad, v=1, points=[a])
     assert issubclass(DirectionOutOfRange, dl.ConfigError)
 
 
@@ -286,10 +295,10 @@ def test_gaudin_action_by_inverses_and_by_cofactors(p, m, g):
 
 def test_residual_symbolic():
     ctx, cfg = setup(3, 4, 1)
-    rep1 = dl.kz_residual(cfg, 1, mode="symbolic")
+    rep1 = dl.kz_residual(cfg, 1)
     assert rep1.passed
     assert rep1.extra["column_sum_valuations"] == [1]
-    rep2 = dl.kz_residual(cfg, 2, mode="symbolic")
+    rep2 = dl.kz_residual(cfg, 2)
     assert rep2.passed and rep2.observed_min_valuation >= 2
 
 
@@ -312,7 +321,7 @@ def test_residual_pointwise():
     ctx = dl.ctx_new(5, 4, 2)
     cfg = dl.KZConfig(ctx, 2)
     pts = [pt.lift for pt in dl.sample_domain_points(5, 2, 2, 6, 17, ctx)]
-    rep = dl.kz_residual(cfg, 2, mode="pointwise", points=pts)
+    rep = dl.kz_residual(cfg, 2, points=pts)
     assert rep.passed and rep.observed_min_valuation >= 2
 
 
@@ -377,15 +386,14 @@ def test_flat_read_is_the_image_of_the_terms():
 
 def test_solution_congruence_symbolic_and_pointwise():
     ctx, cfg = setup(3, 4, 1)
-    rep = dl.verify_solution_congruence(cfg, 1, mode="symbolic")
+    rep = dl.verify_solution_congruence(cfg, 1)
     assert rep.passed and rep.observed_min_valuation >= 1
     ctx2 = dl.ctx_new(3, 5, 2)
     cfg2 = dl.KZConfig(ctx2, 1)
     domain = dl.sample_domain_points(3, 1, 2, 6, 19, ctx2)
     pts = [pt.lift for pt in domain]
     for s in (1, 2, 3):
-        rep = dl.verify_solution_congruence(cfg2, s, mode="pointwise",
-                                            points=pts)
+        rep = dl.verify_solution_congruence(cfg2, s, points=pts)
         assert rep.passed and rep.observed_min_valuation >= s
     # corollary at the same points: J_s = J_1 mod p, by limit_frames' gated
     # I_decay (consecutive differences >= s) and by the differences to J_1
@@ -413,7 +421,7 @@ def test_symbolic_frame_congruence_certifies_its_determinants(monkeypatch):
     monkeypatch.setattr(SymbolicKit, "A", planted)
     with pytest.raises(OutsideDomain,
                        match=r"det A\(1, Phi_1\) has valuation 1"):
-        dl.verify_solution_congruence(cfg, 1, mode="symbolic")
+        dl.verify_solution_congruence(cfg, 1)
 
 
 def test_solution_minor_leading_term():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -9,13 +10,13 @@ from dworklab.hasse_witt import PointKit, SymbolicKit
 from dworklab.limits import (
     det_degree,
     nonempty_bound,
-    _unit_minor_rows,
+    _unit_minor,
 )
 from conftest import seeded
 
 
 def test_scan_exhaustive_counts():
-    res = dl.scan_domain(3, 1, 2, mode="exhaustive")
+    res = dl.scan_domain(3, 1, 2)
     assert res.total == 729
     assert res.in_d_count == 648
     assert res.nonempty_bound == 638
@@ -39,7 +40,7 @@ def _count_evaluations(monkeypatch):
 
 def test_exhaustive_scan_evaluates_each_residue_multiset_once(monkeypatch):
     calls = _count_evaluations(monkeypatch)
-    res = dl.scan_domain(3, 1, 2, mode="exhaustive")
+    res = dl.scan_domain(3, 1, 2)
     assert res.in_d_count == 648 >= res.nonempty_bound == 638
     # C(3^2 + 3 - 1, 3) multisets, not the 729 ordered tuples
     assert len(calls) <= math.comb(11, 3) == 165
@@ -75,17 +76,17 @@ def test_non_positive_counts_are_rejected():
         with pytest.raises(ConfigError):
             dl.sample_domain_points(3, 1, 2, count, 0, ctx)
         with pytest.raises(ConfigError):
-            dl.scan_domain(3, 1, 2, mode="sample", k=count, seed=0)
+            dl.scan_domain(3, 1, 2, k=count, seed=0)
     cfg = dl.KZConfig(ctx, 1)
     with pytest.raises(ConfigError, match="at least one point"):
-        dl.verify_solution_congruence(cfg, 2, mode="pointwise", points=[])
+        dl.verify_solution_congruence(cfg, 2, points=[])
     pt = dl.sample_domain_points(3, 1, 2, 1, 0, ctx)[0]
     with pytest.raises(ConfigError, match="s_max must be >= 2"):
         dl.limit_frames(cfg, pt, 0, _kit(cfg, pt))
 
 
 def test_scan_membership_cases():
-    res = dl.scan_domain(3, 1, 1, mode="exhaustive")
+    res = dl.scan_domain(3, 1, 1)
     by_res = {pt.residues: pt for pt in res.points}
     # det = -(u1 + u2 + u3): (0,1,2) sums to 0 -> excluded
     assert not by_res[(0, 1, 2)].in_D
@@ -95,23 +96,32 @@ def test_scan_membership_cases():
 
 
 def test_scan_sampling_reproducible():
-    r1 = dl.scan_domain(5, 1, 1, mode="sample", k=50, seed=9)
-    r2 = dl.scan_domain(5, 1, 1, mode="sample", k=50, seed=9)
+    r1 = dl.scan_domain(5, 1, 1, k=50, seed=9)
+    r2 = dl.scan_domain(5, 1, 1, k=50, seed=9)
     assert [pt.residues for pt in r1.points] == [pt.residues for pt in r2.points]
     assert r1.in_d_count == r2.in_d_count
-    r3 = dl.scan_domain(5, 1, 1, mode="sample", k=50, seed=10)
+    r3 = dl.scan_domain(5, 1, 1, k=50, seed=10)
     assert [pt.residues for pt in r3.points] != [pt.residues for pt in r1.points]
+
+
+def test_scan_samples_k_tuples():
+    res = dl.scan_domain(5, 1, 1, k=40, seed=2)
+    assert (res.mode, res.total, res.seed, len(res.points)) == (
+        "sample", 40, 2, 40)
+    assert res.nonempty_bound is None
+    full = dl.scan_domain(5, 1, 1, seed=2)  # no k: every tuple, no seed
+    assert (full.mode, full.total, full.seed) == ("exhaustive", 125, None)
 
 
 def test_scan_too_large():
     with pytest.raises(TooLarge):
-        dl.scan_domain(7, 2, 2, mode="exhaustive")
+        dl.scan_domain(7, 2, 2)
 
 
 def test_membership_depends_only_on_residues():
     ctx = dl.ctx_new(3, 4, 2)
     cfg = dl.KZConfig(ctx, 1)
-    scan = dl.scan_domain(3, 1, 2, mode="exhaustive")
+    scan = dl.scan_domain(3, 1, 2)
     rng = seeded(33)
     pts = [pt for pt in scan.points if pt.in_D][:5] + \
         [pt for pt in scan.points if not pt.in_D][:5]
@@ -206,17 +216,12 @@ def test_sampling_settles_emptiness_like_an_exhaustive_scan():
     # (3, 1, 1): in_D 18 of 27 but in_D_o 0; (5, 2, 1): in_D_o 0 of 3,125
     for p, g, m in [(3, 1, 1), (5, 1, 1), (5, 2, 1)]:
         ctx = dl.ctx_new(p, 2, m)
-        scan = dl.scan_domain(p, g, m, mode="exhaustive", keep_points=False)
-        for distinct, count in ((True, scan.in_do_count),
-                                (False, scan.in_d_count)):
-            if count:
-                pts = dl.sample_domain_points(p, g, m, 3, 1, ctx,
-                                              require_distinct=distinct)
-                assert len(pts) == 3
-            else:
-                with pytest.raises(OutsideDomain, match="is empty"):
-                    dl.sample_domain_points(p, g, m, 3, 1, ctx,
-                                            require_distinct=distinct)
+        if dl.scan_domain(p, g, m, keep_points=False).in_do_count:
+            pts = dl.sample_domain_points(p, g, m, 3, 1, ctx)
+            assert len(pts) == 3 and all(pt.in_D_o for pt in pts)
+        else:
+            with pytest.raises(OutsideDomain, match="o-domain is empty"):
+                dl.sample_domain_points(p, g, m, 3, 1, ctx)
 
 
 def test_limit_requires_domain_point():
@@ -312,8 +317,8 @@ def test_unit_minor_rows_fallback():
         [7, 7],
         [1, 3],
     ]
-    rows = _unit_minor_rows(cfg, M)
-    assert rows is not None
+    v, rows = _unit_minor(cfg, M)
+    assert v > 0 and rows is not None
     sub = [M[r] for r in rows]
     assert ctx.is_unit(ringmat.det(ringmat.scalar_ring(ctx), sub))
 
@@ -392,6 +397,45 @@ def test_limit_frames_inverts_each_level_once(monkeypatch):
     frames.clear()
     assert dl.limit_report(cfg, pt, 4).passed
     assert sorted(calls) == want and frames == [1, 2, 3, 4]
+
+
+def test_limit_inverts_by_the_certified_determinant(monkeypatch):
+    """_level_matrix_inv inverts A by adj(A) times the inverse of the det
+    its unit check certified; mat_inv_scalar would form and check that det
+    again.  Only the direction solves of kz-invariant-span call it."""
+    callers = []
+    real = ringmat.mat_inv_scalar
+
+    def counting(ctx, A):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(ctx, A)
+
+    monkeypatch.setattr(ringmat, "mat_inv_scalar", counting)
+    ctx = dl.ctx_new(3, 5, 2)
+    cfg = dl.KZConfig(ctx, 1)
+    pt = dl.sample_domain_points(3, 1, 2, 1, 41, ctx)[0]
+    assert dl.limit_report(cfg, pt, 4).passed
+    assert callers == ["mat_solve_scalar"] * cfg.n
+
+
+def test_rank_check_forms_each_minor_once(monkeypatch):
+    """A preferred minor that is not a unit is formed once, not again by
+    the fallback search: at g = 1 the minors are rows 0, then 1."""
+    dets = []
+    real = ringmat.det
+
+    def counting(ring, A):
+        dets.append([list(row) for row in A])
+        return real(ring, A)
+
+    monkeypatch.setattr(ringmat, "det", counting)
+    ctx = dl.ctx_new(3, 3, 1)
+    cfg = dl.KZConfig(ctx, 1)
+    pt = dl.DomainPoint((0, 1, 2), (0, 1, 2), True, True, 0)
+    cert = dl.rank_check(cfg, pt, [[3], [1], [1]])
+    assert cert.passed and cert.details["fallback_rows"] == [1]
+    assert cert.details["preferred_minor_valuation"] == 1
+    assert dets == [[[3]], [[1]]]
 
 
 def test_limit_verdict_gates_every_profile():

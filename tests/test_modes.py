@@ -10,7 +10,7 @@ import pytest
 import dworklab as dl
 from dworklab import dwork, kz
 from dworklab.cli import run
-from dworklab.errors import ConfigError, InvalidParameter, SizeCapExceeded
+from dworklab.errors import ConfigError, SizeCapExceeded
 from dworklab.hasse_witt import PointKit, SymbolicKit
 
 P, N, S, G = 3, 5, 3, 1
@@ -37,10 +37,10 @@ def _run(name, mode, p=P, N=N, s=S, g=G):
     m = 1 if mode == "symbolic" else 2
     ctx = dl.ctx_new(p, N, m)
     cfg = dl.KZConfig(ctx, g)
-    tup = dl.kz_tuple(cfg, length=s + 1, periodic=False)
+    tup = dl.kz_tuple(cfg, length=s + 1)
     points = (None if mode == "symbolic" else
               [pt.lift for pt in dl.sample_domain_points(p, g, m, 4, 7, ctx)])
-    return CHECKS[name](cfg, tup, s, mode=mode, points=points)
+    return CHECKS[name](cfg, tup, s, points=points)
 
 
 @pytest.mark.parametrize("name,config", [
@@ -187,18 +187,21 @@ def test_planted_ghost_divisibility_fault_fails_decomp(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
 def test_modes_refuse_what_they_would_ignore(name):
-    """Points given to the symbolic mode, or a mode that is neither
-    symbolic nor pointwise, once ran the other evaluation and passed; no
-    points at all would pass vacuously."""
+    """An empty list of points would pass vacuously, so it is refused."""
     ctx = dl.ctx_new(P, N, 2)
     cfg = dl.KZConfig(ctx, G)
-    tup = dl.kz_tuple(cfg, length=S + 1, periodic=False)
-    points = [pt.lift for pt in dl.sample_domain_points(P, G, 2, 2, 7, ctx)]
-    for mode in ("symbolic", "Symbolic", "points"):
-        with pytest.raises(InvalidParameter):
-            CHECKS[name](cfg, tup, S, mode=mode, points=points)
+    tup = dl.kz_tuple(cfg, length=S + 1)
     with pytest.raises(ConfigError, match="at least one point"):
-        CHECKS[name](cfg, tup, S, mode="pointwise", points=[])
+        CHECKS[name](cfg, tup, S, points=[])
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_a_check_given_no_points_is_symbolic(name):
+    """The points decide the mode: every check called without them runs
+    symbolically, coS too (it once defaulted to pointwise and refused)."""
+    cfg = dl.KZConfig(dl.ctx_new(P, N), G)
+    rep = CHECKS[name](cfg, dl.kz_tuple(cfg, length=S + 1), S)
+    assert (rep.mode, rep.points, rep.passed) == ("symbolic", None, True)
 
 
 @pytest.mark.parametrize("divisors,witness,config", [
