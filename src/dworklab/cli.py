@@ -252,18 +252,21 @@ def cmd_limit(args):
 
 def cmd_admissible(args):
     delta = _parse_delta(args.delta)
+    table = COMMANDS["admissible"][2]
+    default_depth = args.depth == table["--depth"]["default"]
     if args.tuple:
         _require(not args.periodic, "--periodic does not apply to --tuple: "
                  "the file's \"periodic\" key decides")
         _require(not args.boxes, "--boxes does not apply to --tuple")
         ctx = ctx_new(args.p, args.N, 1)
         lams, periodic = _tuple_from_file(ctx, args.tuple)
+        _require(periodic or default_depth, "--depth applies to --tuple only "
+                 "when the file's \"periodic\" key is true")
         cert = check_admissible(lams, delta, args.p, periodic, args.depth)
     elif args.boxes:
-        table = COMMANDS["admissible"][2]
         _require(args.N == table["--N"]["default"],
                  "--N does not apply to --boxes")
-        _require(args.periodic or args.depth == table["--depth"]["default"],
+        _require(args.periodic or default_depth,
                  "--depth applies to --boxes only with --periodic")
         boxes = []
         for chunk in args.boxes.split(","):

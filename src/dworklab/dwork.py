@@ -31,7 +31,6 @@ statements; observed valuations are never rounded up.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from functools import cache, partial, reduce
 
 from . import ringmat
@@ -51,28 +50,31 @@ from .hasse_witt import (
 from .laurent import SYMBOLIC_READ_CAP
 
 
-@dataclass
 class CongruenceReport:
-    """Machine-readable verdict for one congruence check."""
+    """Machine-readable verdict for one congruence check; a verifier's
+    finish hook may still set its verdict, witness and extra."""
 
-    theorem_id: str
-    description: str
-    mode: str
-    claimed_valuation: int
-    observed_min_valuation: int
-    verdict: str
-    precision: int
-    witness: dict | None = None
-    points: int | None = None
-    config: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
+    def __init__(self, theorem_id, description, mode, claimed_valuation,
+                 observed_min_valuation, verdict, precision, witness, points,
+                 config):
+        self.theorem_id = theorem_id
+        self.description = description
+        self.mode = mode
+        self.claimed_valuation = claimed_valuation
+        self.observed_min_valuation = observed_min_valuation
+        self.verdict = verdict
+        self.precision = precision
+        self.witness = witness
+        self.points = points
+        self.config = config
+        self.extra = {}
 
     @property
     def passed(self):
         return self.verdict == "pass"
 
     def to_json(self):
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _mat_min_val_with_witness(ring, M, label):

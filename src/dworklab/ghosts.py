@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     CtxMismatch,
@@ -41,15 +40,13 @@ ENUM_CAP = 100_000
 _STAB_HARD_CAP = 10_000
 
 
-@dataclass
-class AdmissibilityCertificate:
+class AdmissibilityCertificate(NamedTuple):
     ok: bool
     complete: bool  # True when valid for all window lengths
     checked_depth: int
     witness: dict | None = None
 
 
-@dataclass(eq=False)
 class AdmissibleTuple:
     """A tuple of Laurent polynomials with its admissibility certificate.
 
@@ -57,23 +54,19 @@ class AdmissibleTuple:
     ``lams`` cyclically; the finite case is the tuple itself.
     """
 
-    lams: tuple
-    delta: tuple
-    periodic: bool = False
-    certificate: AdmissibilityCertificate = field(init=False)
-    _w_cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self.lams = tuple(self.lams)
+    def __init__(self, lams, delta, periodic=False):
+        self.lams = tuple(lams)
         if not self.lams:
             raise InvalidParameter("a tuple needs at least one member")
         first = self.lams[0]
         for lam in self.lams:
             if (lam.ctx, lam.r, lam.n) != (first.ctx, first.r, first.n):
                 raise CtxMismatch("tuple members live in different rings")
-        self.delta = normalize_delta(self.delta, first.r)
+        self.delta = normalize_delta(delta, first.r)
+        self.periodic = periodic
         self.certificate = check_admissible(self.lams, self.delta,
-                                            first.ctx.p, self.periodic)
+                                            first.ctx.p, periodic)
+        self._w_cache = {}
 
     @property
     def ctx(self):
@@ -117,8 +110,7 @@ class AdmissibleTuple:
         return got
 
 
-@dataclass
-class GhostSeq:
+class GhostSeq(NamedTuple):
     tup: AdmissibleTuple
     V: list
     min_vals: list
@@ -215,18 +207,14 @@ def _constant_ok(box, delta, p):
     for dl in delta:
         per_dim = []
         for d in range(r):
-            L_hi = Fraction(box.hi[d], p - 1)
-            L_lo = Fraction(box.lo[d], p - 1)
-            c_hi = dl[d] - L_hi
-            c_lo = dl[d] - L_lo
-            if c_hi < 0 and L_hi.denominator == 1:
-                lim_hi = int(L_hi) - 1
-            else:
-                lim_hi = L_hi.__floor__()
-            if c_lo > 0 and L_lo.denominator == 1:
-                lim_lo = int(L_lo) + 1
-            else:
-                lim_lo = L_lo.__ceil__()
+            # the q-range tends to [lo, hi] / (p - 1); an integer end is
+            # never reached when dl lies strictly inside it
+            lim_lo = _ceil_div(box.lo[d], p - 1)
+            lim_hi = box.hi[d] // (p - 1)
+            if box.lo[d] % (p - 1) == 0 and dl[d] > lim_lo:
+                lim_lo += 1
+            if box.hi[d] % (p - 1) == 0 and dl[d] < lim_hi:
+                lim_hi -= 1
             per_dim.append((lim_lo, lim_hi))
         limits.append(per_dim)
     w = 0

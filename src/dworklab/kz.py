@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import partial, reduce
 
 from . import ringmat
@@ -52,19 +51,17 @@ from .laurent import SYMBOLIC_READ_CAP, LaurentPoly
 from .ghosts import AdmissibleTuple
 
 
-@dataclass(eq=False)
 class KZConfig:
     """Genus, prime and coefficient context of one KZ family."""
 
-    ctx: object
-    g: int
-
-    def __post_init__(self):
-        if self.g < 1:
+    def __init__(self, ctx, g):
+        if g < 1:
             raise InvalidParameter("genus must be >= 1")
-        if self.ctx.p < 2 * self.g + 1:
-            raise InvalidParameter(f"p = {self.ctx.p} is too small for genus "
-                                   f"{self.g}; need p >= 2g+1")
+        if ctx.p < 2 * g + 1:
+            raise InvalidParameter(f"p = {ctx.p} is too small for genus "
+                                   f"{g}; need p >= 2g+1")
+        self.ctx = ctx
+        self.g = g
 
     @property
     def n(self):

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import dense
 from .errors import (
@@ -52,8 +52,7 @@ PAIR_CAP = 60_000_000
 PACK_BOX_RATIO = 3
 
 
-@dataclass(frozen=True)
-class TBox:
+class TBox(NamedTuple):
     """Bounding box of the t-support; the exact Newton polytope for r = 1."""
 
     lo: tuple

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 from . import ringmat
 from .errors import ConfigError, InvalidParameter, OutsideDomain, TooLarge
@@ -43,13 +43,15 @@ POINT_CAP = 200_000
 EMPTY_CHECK_CAP = 2_000
 
 
-@dataclass
 class DomainPoint:
-    residues: tuple
-    lift: tuple | None
-    in_D: bool
-    in_D_o: bool
-    index: int
+    __slots__ = ("residues", "lift", "in_D", "in_D_o", "index")
+
+    def __init__(self, residues, lift, in_D, in_D_o, index):
+        self.residues = residues
+        self.lift = lift  # None until lift_point attaches Teichmueller lifts
+        self.in_D = in_D
+        self.in_D_o = in_D_o
+        self.index = index
 
     def to_json(self, residue_ctx):
         return {
@@ -60,8 +62,7 @@ class DomainPoint:
         }
 
 
-@dataclass
-class ScanResult:
+class ScanResult(NamedTuple):
     p: int
     g: int
     m: int
@@ -71,8 +72,8 @@ class ScanResult:
     in_do_count: int
     degree_bound: int
     nonempty_bound: int | None
-    points: list = field(default_factory=list)
-    seed: int | None = None
+    points: list
+    seed: int | None
 
     def to_json(self, residue_ctx):
         return {
@@ -141,19 +142,24 @@ class _Membership:
             ok = self._memo[key] = self.ctx.is_unit(hw_det(self.ring, Aw))
         return ok
 
+    def point(self, idx, codes, in_D, in_D_o):
+        """The unlifted DomainPoint of a classified code tuple."""
+        return DomainPoint(tuple(self.residues[c] for c in codes), None,
+                           in_D, in_D_o, idx)
+
 
 def _walk(member, draws, distinct_only=False):
-    """Classify the code tuples of draws in order; a point's index is its
-    position in draws.  distinct_only skips tuples that cannot be in the
-    o-domain before any membership lookup."""
-    n, residues = member.n, member.residues
+    """(index, codes, in_D, in_D_o) of the code tuples of draws, in order;
+    a tuple's index is its position in draws.  distinct_only skips tuples
+    that cannot be in the o-domain before any membership lookup.  Callers
+    build a DomainPoint only for the tuples they keep."""
+    n = member.n
     for idx, codes in enumerate(draws):
         distinct = len(set(codes)) == n
         if distinct_only and not distinct:
             continue
         ok = member(codes)
-        yield DomainPoint(tuple(residues[c] for c in codes), None, ok,
-                          ok and distinct, idx)
+        yield idx, codes, ok, ok and distinct
 
 
 def _random_tuples(seed, pm, n, count):
@@ -188,12 +194,12 @@ def scan_domain(p, g, m, k=None, seed=None, keep_points=True):
             raise ConfigError(f"sample mode needs k >= 1 tuples, got {k}")
         mode, total, bound = "sample", k, None
         draws = _random_tuples(seed, pm, n, k)
-    for pt in _walk(member, draws):
-        if pt.in_D:
+    for idx, codes, ok, ok_o in _walk(member, draws):
+        if ok:
             in_d += 1
-            in_do += pt.in_D_o
+            in_do += ok_o
         if keep_points and len(points) < POINT_CAP:
-            points.append(pt)
+            points.append(member.point(idx, codes, ok, ok_o))
     return ScanResult(p, g, m, mode, total, in_d, in_do, d, bound,
                       points, seed)
 
@@ -216,7 +222,7 @@ def _require_nonempty(member):
     pm, n = len(member.residues), member.n
     total = math.comb(pm, n)
     sets = _walk(member, itertools.combinations(range(pm), n))
-    if total <= EMPTY_CHECK_CAP and not any(pt.in_D for pt in sets):
+    if total <= EMPTY_CHECK_CAP and not any(ok for _, _, ok, _ in sets):
         raise OutsideDomain(
             f"the o-domain is empty: none of the {total} sets of {n} "
             f"distinct residues over F_{pm} is in it")
@@ -231,9 +237,10 @@ def sample_domain_points(p, g, m, count, seed, ctx):
     _require_nonempty(member)
     draws = _random_tuples(seed, p**m, member.n, 10_000 * count)
     out = []
-    for pt in _walk(member, draws, distinct_only=True):
-        if pt.in_D:
-            out.append(lift_point(replace(pt, index=len(out)), ctx))
+    for _, codes, ok, _ in _walk(member, draws, distinct_only=True):
+        if ok:
+            pt = member.point(len(out), codes, True, True)
+            out.append(lift_point(pt, ctx))
             if len(out) == count:
                 return out
     raise OutsideDomain("sampling failed to find enough domain points")
@@ -255,10 +262,10 @@ def nth_domain_point(p, g, m, k, seed, ctx):
     member = _Membership(p, g, m)
     found = 0
     ordered = itertools.product(range(p**m), repeat=n)
-    for pt in _walk(member, ordered, distinct_only=True):
-        if pt.in_D_o:
+    for idx, codes, _, ok_o in _walk(member, ordered, distinct_only=True):
+        if ok_o:
             if found == k:
-                return lift_point(pt, ctx)
+                return lift_point(member.point(idx, codes, True, True), ctx)
             found += 1
     raise ConfigError(f"point index {k} out of range ({found} points)")
 
@@ -267,16 +274,15 @@ def nth_domain_point(p, g, m, k, seed, ctx):
 # limit iteration
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     name: str
     passed: bool
     threshold: int
     observed: int
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def to_json(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def _check_s_max(ctx, s_max):
@@ -439,8 +445,7 @@ def rank_check(cfg, point, M):
     return Certificate("rank-g-minor", passed, 0, 0 if passed else v, details)
 
 
-@dataclass
-class LimitReport:
+class LimitReport(NamedTuple):
     cfg: KZConfig
     point: DomainPoint
     s_max: int

@@ -5,6 +5,10 @@ library results can be checked against genuinely different code.  The last
 section holds small helpers over the library's types that only tests need.
 """
 
+import itertools
+import math
+from fractions import Fraction
+
 from dworklab.errors import NonUnitDifference, UnsupportedArity, ZeroPolynomial
 from dworklab.hasse_witt import SymbolicKit
 from dworklab.kz import master_polynomial
@@ -144,6 +148,47 @@ def oracle_expand_factors(p, N, m, modulus, n, factors):
         for _ in range(e):
             acc = oracle_mul(acc, lin, p, N, m, modulus)
     return acc
+
+
+def oracle_constant_ok(box, delta, p):
+    """(ok, window length, witness) of the all-window admissibility check of
+    the constant infinite tuple (N, N, ...) with t-support box N, in exact
+    rationals.  delta is a sorted tuple of r-tuples.
+
+    A window of length w has the q-range [(d + lo S) / p^w, (d + hi S) / p^w]
+    with S = 1 + p + ... + p^(w-1).  As w grows it tends to [lo, hi] / (p - 1)
+    and never reaches an integer end with d strictly inside it.  Windows
+    grow until every range equals that limit; the witness is the first q of
+    a range box, in lexicographic order, outside delta.
+    """
+    r = len(delta[0])
+    limits = []
+    for dl in delta:
+        per_dim = []
+        for d in range(r):
+            L_lo, L_hi = Fraction(box.lo[d], p - 1), Fraction(box.hi[d], p - 1)
+            per_dim.append((
+                int(L_lo) + 1 if dl[d] > L_lo and L_lo.denominator == 1
+                else math.ceil(L_lo),
+                int(L_hi) - 1 if dl[d] < L_hi and L_hi.denominator == 1
+                else math.floor(L_hi)))
+        limits.append(per_dim)
+    for w in range(1, 10_001):
+        S = Fraction(p**w - 1, p - 1)
+        stable = True
+        for dl, per_dim in zip(delta, limits):
+            ranges = [(math.ceil((dl[d] + box.lo[d] * S) / p**w),
+                       math.floor((dl[d] + box.hi[d] * S) / p**w))
+                      for d in range(r)]
+            stable = stable and ranges == per_dim
+            bad = next((q for q in itertools.product(
+                *(range(a, b + 1) for a, b in ranges)) if q not in delta),
+                None)
+            if bad is not None:
+                return False, w, {"window_length": w, "delta": dl, "q": bad}
+        if stable:
+            return True, w, None
+    raise UnsupportedArity("stabilization not reached")
 
 
 # -- helpers over the library's types that only tests use ---------------------

@@ -227,8 +227,9 @@ def test_ghosts_command_fails_on_planted_fault(tmp_path, monkeypatch):
 
 def test_flags_a_tuple_file_makes_void_exit_2(tmp_path, capsys):
     """On a real tuple file, ghosts --l -1 once checked no ghost and exited
-    0, and admissible ignored --periodic, which the file's key decides, and
-    --boxes, which the file's lambdas replace."""
+    0, and admissible ignored --periodic, which the file's key decides,
+    --boxes, which the file's lambdas replace, and --depth, which only a
+    periodic file is checked to."""
     argv = _ghosts_argv(tmp_path)
     tuple_file = argv[argv.index("--tuple") + 1]
     admissible = ["admissible", "--p", "3", "--N", "3", "--delta", "1..1",
@@ -236,9 +237,13 @@ def test_flags_a_tuple_file_makes_void_exit_2(tmp_path, capsys):
     assert invoke(admissible)[0] == 0
     for bad in (argv[:argv.index("--l") + 1] + ["-1"]
                 + argv[argv.index("--l") + 2:], admissible + ["--periodic"],
-                admissible + ["--boxes=5:9"]):
+                admissible + ["--boxes=5:9"], admissible + ["--depth", "3"]):
         assert invoke(bad) == (2, [])
         assert "configuration error" in capsys.readouterr().err
+    path = Path(tuple_file)
+    path.write_text(json.dumps({**json.loads(path.read_text()),
+                                "periodic": True}))
+    assert invoke(admissible + ["--depth", "3"])[0] == 0
 
 
 def test_flags_boxes_would_ignore_exit_2(capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import dworklab as dl
@@ -6,6 +8,7 @@ from dworklab.errors import IndexOutOfRange, PrecisionTooLow, UnsupportedArity
 from dworklab.ghosts import AdmissibleTuple, check_admissible
 from dworklab.laurent import LaurentPoly, TBox
 from conftest import PlantedGhostFault, rand_admissible_tuple, seeded
+from oracles import oracle_constant_ok
 
 
 def const_tuple(ctx, n, value, length):
@@ -130,6 +133,23 @@ def test_check_admissible_examples():
     assert not cert.ok
     assert cert.witness["window_length"] == 1
     assert cert.witness["q"][0] in (2, 3)
+
+
+def test_all_window_check_matches_exact_rationals():
+    """The constant tuple's limit q-ranges, found by integer division,
+    agree with the exact-rational reference over a grid of boxes and
+    Deltas."""
+    deltas = [dl for k in (1, 2)
+              for dl in itertools.combinations(range(-3, 4), k)]
+    for p in (3, 5, 7):
+        for lo in range(-12, 13):
+            for hi in range(lo, 13):
+                box = TBox((lo,), (hi,))
+                for dl in deltas:
+                    ok, w, witness = oracle_constant_ok(
+                        box, tuple((d,) for d in dl), p)
+                    assert check_admissible([box], dl, p, periodic=True) == (
+                        ok, True, w, witness), (p, box, dl)
 
 
 def test_check_admissible_finite_windows():

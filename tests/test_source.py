@@ -2,9 +2,11 @@
 the runtime imports only the standard library and its own modules, no
 module imports a name it does not use, every function and class has a
 caller or an export, and ``src/`` stays within its line budget, counted as
-``perfbench/run.py`` counts ``src_lines``."""
+``perfbench/run.py`` counts ``src_lines``.  One check does import: the CLI,
+in a fresh interpreter, to see which modules its start-up loads."""
 
 import ast
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -82,3 +84,18 @@ def test_src_lines_stay_within_the_budget():
     lines = sum(len(f.read_text().splitlines())
                 for f in sorted(SRC.rglob("*.py")))
     assert lines <= SRC_LINE_BUDGET
+
+
+def test_importing_the_cli_loads_no_slow_stdlib_module():
+    """Every CLI run starts a process, so start-up is paid per verdict:
+    ``dataclasses`` (which pulls in ``inspect``, ``ast`` and ``dis``) and
+    ``fractions`` once took about half of it.  A module-set check, not a
+    timing."""
+    probe = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+             "before = set(sys.modules); import dworklab.cli; "
+             "print(*set(sys.modules) - before)")
+    loaded = subprocess.run([sys.executable, "-I", "-c", probe],
+                            capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "dworklab.cli" in loaded
+    assert {"dataclasses", "inspect", "fractions"}.isdisjoint(loaded)
