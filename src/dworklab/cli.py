@@ -262,11 +262,12 @@ def cmd_admissible(args):
         lams, periodic = _tuple_from_file(ctx, args.tuple)
         _require(periodic or default_depth, "--depth applies to --tuple only "
                  "when the file's \"periodic\" key is true")
-        cert = check_admissible(lams, delta, args.p, periodic, args.depth)
+        boxes = [f.newton_box() for f in lams]
     elif args.boxes:
         _require(args.N == table["--N"]["default"],
                  "--N does not apply to --boxes")
-        _require(args.periodic or default_depth,
+        periodic = args.periodic
+        _require(periodic or default_depth,
                  "--depth applies to --boxes only with --periodic")
         boxes = []
         for chunk in args.boxes.split(","):
@@ -276,10 +277,11 @@ def cmd_admissible(args):
                 raise ConfigError(f"malformed box {chunk!r}") from exc
             _require(lo <= hi, f"malformed box {chunk!r}: lo > hi")
             boxes.append(TBox((lo,), (hi,)))
-        cert = check_admissible(boxes, delta, args.p, args.periodic,
-                                args.depth)
     else:
         raise ConfigError("give --tuple FILE or --boxes lo:hi,...")
+    _require(default_depth or len(set(boxes)) > 1, "--depth applies to a "
+             "periodic tuple only when its members' boxes differ")
+    cert = check_admissible(boxes, delta, args.p, periodic, args.depth)
     return [{
         "p": args.p,
         "delta": list(delta),

@@ -29,7 +29,9 @@ its chain is a square or has the short base as one operand.
 A product of linear factors prod (t - r)^e is also kept as a half split
 R^2 T, R = prod (t - r)^(e // 2) and T = prod (t - r)^(e mod 2), from which
 dense_half_coeffs reads single coefficients by dot products over R: a
-Hasse-Witt matrix needs g^2 coefficients, not the whole square.
+Hasse-Witt matrix needs g^2 coefficients, not the whole square.  Both it
+and the point kit's quotient reads end in dense_window_coeffs, coefficients
+of a long polynomial times a short cofactor, formed one dot product each.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ import decimal
 import struct
 from functools import partial, reduce
 from operator import mul
-
-from .errors import NotDivisible
 
 # Schoolbook up to this many coefficient pairs len(a) * len(b) (m <= 2): the
 # packed product wins from 150-250 pairs at q = 7^6, 5^5, 3^16 (m = 1) and
@@ -298,58 +298,52 @@ def dense_half_coeffs(ctx, R, T, indices):
             for k in range(lo, i - lo + 1):
                 acc = ctx.add(acc, ctx.mul(R[k], R[i - k]))
             return acc
-    memo = {}
+    S = [None] * (2 * d + 1)  # S_i, formed where a coefficient reads it
+    for k in indices:
+        for i in range(max(0, k - len(T) + 1), min(k, 2 * d) + 1):
+            if S[i] is None:
+                S[i] = square_at(i, max(0, i - d))
+    return dense_window_coeffs(ctx, S, T, indices)
+
+
+def dense_window_coeffs(ctx, B, c, indices):
+    """Coefficients of t^k in B c at the given indices, zero out of range.
+
+    [t^k] B c = sum_j c_j B_(k-j), so a window of a long B against a short
+    c costs len(c) products per coefficient and no product B c.  For m = 2
+    each sum runs on three plain-int accumulators (1, x, x^2) and folds
+    x^2 = -m0 - m1 x once, as in _school_mul_ext.
+    """
+    q, m = ctx.q, ctx.m
     out = []
     for k in indices:
-        terms = []
-        for j, tj in enumerate(T):
-            i = k - j
-            if 0 <= i <= 2 * d:
-                s = memo.get(i)
-                if s is None:
-                    s = memo[i] = square_at(i, max(0, i - d))
-                terms.append((tj, s))
+        pairs = [(c[j], B[k - j])
+                 for j in range(max(0, k - len(B) + 1), min(len(c), k + 1))]
         if m == 1:
-            out.append(sum(tj * s for tj, s in terms) % q)
+            out.append(sum(x * y for x, y in pairs) % q)
+        elif m == 2:
+            a0 = a1 = a2 = 0
+            for (x0, x1), (y0, y1) in pairs:
+                a0 += x0 * y0
+                a1 += x0 * y1 + x1 * y0
+                a2 += x1 * y1
+            out.append(((a0 - ctx.modulus[0] * a2) % q,
+                        (a1 - ctx.modulus[1] * a2) % q))
         else:
             acc = ctx.zero()
-            for tj, s in terms:
-                acc = ctx.add(acc, ctx.mul(tj, s))
+            for x, y in pairs:
+                acc = ctx.add(acc, ctx.mul(x, y))
             out.append(acc)
     return out
 
 
+# No caller in src/: BENCHMARK.json's per_layer metrics name dense_div_linear
+# (ROADMAP item 8).
 def dense_div_linear(ctx, coeffs, root):
-    """Synthetic division by (t - root): returns (quotient, remainder).
-
-    Each step is acc -> c + root * acc.  For m = 2 multiplication by root is
-    the fixed 2x2 matrix M built once below, so each step is
-    acc -> (c + M acc) mod q on unrolled local ints.
-    """
-    d = len(coeffs) - 1
-    if d < 0:
-        return [], ctx.zero()
-    quot = [ctx.zero()] * d
-    if ctx.m == 2:
-        q = ctx.q
-        m00, m10 = ctx.mul(root, (1, 0))
-        m01, m11 = ctx.mul(root, (0, 1))
-        a0, a1 = coeffs[d]
-        for i in range(d - 1, -1, -1):
-            quot[i] = (a0, a1)
-            c0, c1 = coeffs[i]
-            a0, a1 = ((c0 + m00 * a0 + m01 * a1) % q,
-                      (c1 + m10 * a0 + m11 * a1) % q)
-        return quot, (a0, a1)
-    acc = coeffs[d]
-    for i in range(d - 1, -1, -1):
-        quot[i] = acc
-        acc = ctx.add(coeffs[i], ctx.mul(root, acc))
-    return quot, acc
-
-
-def dense_div_linear_exact(ctx, coeffs, root):
-    quot, rem = dense_div_linear(ctx, coeffs, root)
-    if not ctx.is_zero(rem):
-        raise NotDivisible("nonzero remainder in synthetic division")
-    return quot
+    """Synthetic division by (t - root): returns (quotient, remainder), by
+    the steps acc -> c + root * acc from the top coefficient down."""
+    acc, quot = ctx.zero(), []
+    for c in reversed(coeffs):
+        quot.append(acc)
+        acc = ctx.add(c, ctx.mul(root, acc))
+    return quot[:0:-1], acc

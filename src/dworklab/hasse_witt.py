@@ -7,9 +7,9 @@ set Delta of size g, and a level m, the matrix is
 
 A matrix is a list of g rows.  Symbolic entries are z-polynomials;
 evaluated entries are ring scalars extracted from the dense specialization
-F(t, a), which is where factored master polynomials pay off: one dense
-expansion serves the whole matrix and, through synthetic division, all of
-its z-derivatives.
+F(t, a), which is where factored master polynomials pay off: one base
+serves the whole matrix and every quotient by one or two factors (t - z_i),
+so all of its z-derivatives, each entry a window of the base (DenseCache).
 
 The verifiers read every matrix, and the ghost recursion every single
 t-coefficient (``coeffs``), through a kit with one interface:
@@ -26,6 +26,7 @@ from .errors import (
     DirectionOutOfRange,
     InvalidParameter,
     NonUnitDifference,
+    NotDivisible,
     NotFactored,
     SizeCapExceeded,
     UnsupportedArity,
@@ -95,26 +96,29 @@ def hw_inverse_at(ctx, A):
 
 
 class DenseCache:
-    """Memo of dense specializations F(t, a) and of their linear quotients.
+    """Memo of dense specializations F(t, a) and of the bases and cofactors
+    that F and its quotients are read off.
 
     ``get`` keeps the (offset, coeffs) expansion of F at the point a, keyed by
-    the factored form and the point.  ``hw_at`` reads A(level, F) at a: from
-    that expansion when it is stored, otherwise from the half split
-    F(t, a) = R^2 T (R with the halved multiplicities, T with their parities,
-    kept under the same key) when dense_mul would not square R by schoolbook
-    (``dense.schoolbook``), so that only g^2 coefficients of the square are
-    formed.  A later ``get``
-    builds the expansion as R R T from a stored split.  ``quotient`` keeps the
-    exact quotient of the expansion by (t - root), keyed by (factored form,
-    point, root), so the frames I_s, their z-derivatives and the derivatives
-    of A(s, F) at one point share n synthetic divisions.  An unfactored F is
-    keyed by its identity and kept alive while the memo is.
+    the factored form and the point.  ``base`` keeps, under the same key,
+    B = prod (t - a_i)^max(e_i - 2, 0) for F = prod (t - z_i)^e_i, and
+    ``window`` reads F and its quotients by one or two factors (t - z_i) as
+    coefficients of B c, c = prod (t - a_i)^min(e_i, 2) less the divided
+    factors, of degree at most 2n and kept per point and root multiset for
+    every level.  ``hw_at`` reads A(level, F) at a: off the base once it is
+    built, from the expansion when it is stored, otherwise from the half
+    split F(t, a) = R^2 T (R with the halved multiplicities, T with their
+    parities, kept under the same key) when dense_mul would not square R by
+    schoolbook (``dense.schoolbook``), so that only g^2 coefficients of the
+    square are formed.  A later ``get`` builds the expansion as R R T from a
+    stored split.  An unfactored F is keyed by its identity and kept alive
+    while the memo is.
     """
 
     def __init__(self):
         self._store = {}
         self._half = {}
-        self._quot = {}
+        self._base, self._cofactor = {}, {}
         self._forms = {}
 
     def _key(self, F, a):
@@ -140,11 +144,41 @@ class DenseCache:
             self._store[key] = got
         return got
 
+    def base(self, F, a):
+        """The base of the factored F at the point a, built once."""
+        a = tuple(a)
+        key = self._key(F, a)
+        if key not in self._base:
+            self._base[key] = dense.dense_from_roots(
+                F.ctx, [(r, max(e - 2, 0)) for r, e in F.roots_at(a)])
+        return self._base[key]
+
+    def window(self, F, a, divided, indices):
+        """The coefficients at indices of F / prod_(i in divided) (t - z_i)
+        at the point a, for a factored F; NotDivisible if one is no factor."""
+        if F.factored is None:
+            raise NotFactored("quotients need a factored form")
+        a, mult = tuple(a), {i: min(e, 2) for i, e in F.factored}
+        for i in divided:
+            mult[i] = mult.get(i, 0) - 1
+            if mult[i] < 0:
+                raise NotDivisible(f"t - z_{i} does not divide the form")
+        key = a, tuple(sorted(mult.items()))
+        if key not in self._cofactor:
+            self._cofactor[key] = dense.dense_from_roots(F.ctx, [
+                (r, mult[i]) for (i, _), (r, _) in zip(F.factored,
+                                                       F.roots_at(a))])
+        return dense.dense_window_coeffs(F.ctx, self.base(F, a),
+                                         self._cofactor[key], indices)
+
     def hw_at(self, level, F, delta, a):
         """A(level, F) at the point a, through the cheapest stored form."""
         a = tuple(a)
         ctx = F.ctx
         key = self._key(F, a)
+        if key in self._base:
+            return _rows(self.window(F, a, [], hw_indices(ctx.p, level, delta)),
+                         len(delta))
         if F.factored is not None and key not in self._store:
             half = self._half.get(key)
             if half is None:
@@ -156,16 +190,6 @@ class DenseCache:
                 return _rows(dense.dense_half_coeffs(
                     ctx, *half, hw_indices(ctx.p, level, delta)), len(delta))
         return hw_from_dense(ctx, level, *self.get(F, a), delta)
-
-    def quotient(self, F, a, root):
-        """(offset, coeffs) of F(t, a) / (t - root); NotDivisible if inexact."""
-        a = tuple(a)
-        key = (*self._key(F, a), root)
-        got = self._quot.get(key)
-        if got is None:
-            off, co = self.get(F, a)
-            got = self._quot[key] = off, dense.dense_div_linear_exact(F.ctx, co, root)
-        return got
 
 
 def check_direction(name, idx, n):
@@ -181,29 +205,24 @@ def _factored_mult(F, z_index):
     return dict(F.factored).get(z_index, 0)
 
 
-def _quotient_matrix(level, F, delta, a, roots, factor, cache):
-    """factor * A(level, F / prod_r (t - r)) at a, for roots r of F(t, a):
-    the z-derivatives of a factored F, at the cost of g^2 scalings.  The
-    first quotient comes from the memo ``cache`` (a DenseCache, such as the
-    point kit)."""
-    ctx = F.ctx
+def _window_rows(level, F, delta, a, divided, factor, cache):
+    """factor * A(level, F / prod_(i in divided) (t - z_i)) at a, read off
+    the base of F in ``cache`` (a DenseCache, such as the point kit); zero,
+    and nothing read, when factor = 0 mod q."""
+    ctx, g = F.ctx, len(delta)
     if factor % ctx.q == 0:
-        return hw_from_dense(ctx, level, 0, [], delta)
-    off, quot = cache.quotient(F, a, roots[0])
-    for r in roots[1:]:
-        quot = dense.dense_div_linear_exact(ctx, quot, r)
-    return [[ctx.scal_int(x, factor) for x in row]
-            for row in hw_from_dense(ctx, level, off, quot, delta)]
+        return _rows([ctx.zero()] * (g * g), g)
+    return _rows([ctx.scal_int(x, factor) for x in cache.window(
+        F, a, divided, hw_indices(ctx.p, level, delta))], g)
 
 
 def hw_derivative_at(level, F, delta, a, v, cache):
     """Entries coeff_(p^level w - u)(dF/dz_v) at the point a, for factored F.
 
     dF/dz_v = -e_v * F / (t - z_v) when (t - z_v) occurs with multiplicity
-    e_v, so one synthetic division of the cached dense form suffices.
+    e_v, so the entries are a window of the base of F in the memo ``cache``.
     """
-    ev = _factored_mult(F, v)
-    return _quotient_matrix(level, F, delta, a, [a[v - 1]], -ev, cache)
+    return _window_rows(level, F, delta, a, [v], -_factored_mult(F, v), cache)
 
 
 def hw_second_derivative_at(level, F, delta, a, u, v, cache):
@@ -212,11 +231,9 @@ def hw_second_derivative_at(level, F, delta, a, u, v, cache):
     With multiplicities e_u, e_v this is e_u (e_v - [u == v]) * F divided by
     (t - z_u)(t - z_v); the factor vanishes unless the divisions are exact.
     """
-    eu = _factored_mult(F, u)
-    ev = _factored_mult(F, v)
-    factor = eu * (ev - 1) if u == v else eu * ev
-    return _quotient_matrix(level, F, delta, a, [a[u - 1], a[v - 1]], factor,
-                            cache)
+    eu, ev = _factored_mult(F, u), _factored_mult(F, v)
+    return _window_rows(level, F, delta, a, [u, v], eu * (ev - (u == v)),
+                        cache)
 
 
 class _Kit:
@@ -270,6 +287,10 @@ class SymbolicKit(_Kit):
             self._read[key] = F, hw_matrix(level, F, self.delta)
         return self._read[key][1]
 
+    def expand(self, F, twist=0):
+        """F: the point kit's bases have no symbolic part."""
+        return F
+
     def A(self, level, F, twist=0):
         return [[x.frobenius_sub(twist) for x in row]
                 for row in self._hw(level, F)]
@@ -317,8 +338,8 @@ class PointKit(DenseCache, _Kit):
     """The verifiers' matrices at one point a, as scalars over Z/p^N.
 
     The kit is the memo of its point: A, its z-derivatives and the frames at
-    a and at the twists a^(p^k) share expansions, half splits and
-    quotients, and it keeps the inverses of the point's coordinate
+    a and at the twists a^(p^k) share expansions, half splits, bases and
+    cofactors, and it keeps the inverses of the point's coordinate
     differences (``diff_inverse``).  ``unit`` raises when a determinant is
     not a unit at the point; where it is, clearing by it keeps every
     valuation.  A missing point, or a coordinate neither an int nor an
@@ -345,6 +366,15 @@ class PointKit(DenseCache, _Kit):
                                           for x in self.point(k - 1))
         return got
 
+    def expand(self, F, twist=0):
+        """F, after building its base at the twisted point if F is factored:
+        every later read of F there, A included, is a window of it.  A
+        statement that reads quotients of F expands it before its first read
+        of F, so that A is not read off a half split that nothing else uses."""
+        if F.factored is not None:
+            self.base(F, self.point(twist))
+        return F
+
     def A(self, level, F, twist=0):
         """A(level, F) at the twisted point."""
         return self.hw_at(level, F, self.delta, self.point(twist))
@@ -363,46 +393,17 @@ class PointKit(DenseCache, _Kit):
 
     def frame(self, F, indices):
         a = self.point(0)
-        return [_coeffs_at(self.ctx, *self.quotient(F, a, x), indices)
-                for x in a]
+        return [self.window(F, a, [i], indices) for i in range(1, len(a) + 1)]
 
     def frame_derivative(self, F, i, e, indices):
-        """The rows of ``SymbolicKit.frame_derivative`` at the point.
-
-        With Q_k = F/(t - a_k) from the quotient memo, exact partial
-        fractions over Z/p^N give, for k != i,
-
-            D_ik = (Q_i - Q_k) (a_i - a_k)^-1,
-            -(e-1) D_ii = -Q_i' + e sum_{k != i} D_ik   (Q_i' = dQ_i/dt),
-
-        the second from the product rule for Q_i'.  Only the extracted
-        coefficients are formed, with Q_i'[idx] = (idx+1) Q_i[idx+1]; no
-        second division runs and e - 1 is never inverted.  If some a_i - a_k
-        is not a unit, every D_ik with k != i comes instead from a second
-        synthetic division of Q_i by (t - a_k).
-        """
-        ctx = self.ctx
-        a = self.point(0)
-        off, qi = self.quotient(F, a, a[i - 1])
-        others = [k for k in range(1, len(a) + 1) if k != i]
-        Qi = _coeffs_at(ctx, off, qi, indices)
-        if all(ctx.is_unit(ctx.sub(a[i - 1], a[k - 1])) for k in others):
-            D = []
-            for k in others:
-                inv = self.diff_inverse(i, k)
-                Qk = _coeffs_at(ctx, *self.quotient(F, a, a[k - 1]), indices)
-                D.append([ctx.mul(ctx.sub(x, y), inv) for x, y in zip(Qi, Qk)])
-        else:
-            D = [_coeffs_at(ctx, off, dense.dense_div_linear_exact(
-                     ctx, qi, a[k - 1]), indices) for k in others]
-        rows = [[ctx.scal_int(x, -e) for x in row] for row in D]
-        diag = [ctx.neg(ctx.scal_int(c, idx + 1)) for c, idx in
-                zip(_coeffs_at(ctx, off, qi, [idx + 1 for idx in indices]),
-                    indices)]
-        for row in rows:
-            diag = [ctx.sub(x, r) for x, r in zip(diag, row)]
-        rows.insert(i - 1, diag)
-        return rows
+        """The rows of ``SymbolicKit.frame_derivative`` at the point: windows
+        of the base against the cofactors P_i P_k (k != i) and P_i^2, with
+        P_i = prod_(j != i) (t - a_j) for F = Phi_s."""
+        ctx, a = self.ctx, self.point(0)
+        scales = [-(e - 1) if k == i else -e for k in range(1, len(a) + 1)]
+        return [[ctx.scal_int(x, c) for x in self.window(F, a, [i, k], indices)]
+                if c % ctx.q else [ctx.zero()] * len(indices)
+                for k, c in enumerate(scales, 1)]
 
     def z(self, i, e=1):
         return self.ctx.pow(self.point(0)[i - 1], e)

@@ -9,7 +9,12 @@ import itertools
 import math
 from fractions import Fraction
 
-from dworklab.errors import NonUnitDifference, UnsupportedArity, ZeroPolynomial
+from dworklab.errors import (
+    NonUnitDifference,
+    NotDivisible,
+    UnsupportedArity,
+    ZeroPolynomial,
+)
 from dworklab.hasse_witt import SymbolicKit
 from dworklab.kz import master_polynomial
 from dworklab.laurent import LaurentPoly
@@ -132,6 +137,44 @@ def oracle_kz_derivative(a, i, e, g, p, N, m=1, modulus=None):
                      if l * ps - 1 < len(d) else zero
                      for l in range(1, g + 1)])
     return rows
+
+
+def oracle_power(x, e, p, N, m=1, modulus=None):
+    """x^e by e - 1 products; the twisted point a^(p^k) for e = p^k."""
+    out = x
+    for _ in range(e - 1):
+        out = coeff_mul(out, x, p, N, m, modulus)
+    return out
+
+
+def oracle_expand_roots(a, mults, p, N, m=1, modulus=None):
+    """prod_i (t - a_i)^mults[i] over the 1-based i of mults, as a dense
+    list, multiplied out one linear factor at a time."""
+    one = 1 if m == 1 else (1,) + (0,) * (m - 1)
+    out = [one]
+    for i, e in mults.items():
+        for _ in range(e):
+            out = oracle_dense_mul(out, [coeff_neg(a[i - 1], p, N, m), one],
+                                   p, N, m, modulus)
+    return out
+
+
+def oracle_quotient_coeffs(full, a, mults, divided, indices, p, N, m=1,
+                           modulus=None):
+    """Coefficients at indices of full = ``oracle_expand_roots(a, mults)``
+    divided by (t - a_i) for each i in divided, by synthetic division of
+    the full expansion, zero out of range.  NotDivisible when divided names
+    a factor more often than mults holds it; every division that runs must
+    leave a zero remainder."""
+    left = dict(mults)
+    for i in divided:
+        left[i] = left.get(i, 0) - 1
+        if left[i] < 0:
+            raise NotDivisible(f"t - z_{i} is not a factor")
+        full, rem = oracle_div_linear(full, a[i - 1], p, N, m, modulus)
+        assert coeff_is_zero(rem, m)
+    zero = 0 if m == 1 else (0,) * m
+    return [full[k] if 0 <= k < len(full) else zero for k in indices]
 
 
 def oracle_expand_factors(p, N, m, modulus, n, factors):

@@ -229,7 +229,7 @@ def test_flags_a_tuple_file_makes_void_exit_2(tmp_path, capsys):
     """On a real tuple file, ghosts --l -1 once checked no ghost and exited
     0, and admissible ignored --periodic, which the file's key decides,
     --boxes, which the file's lambdas replace, and --depth, which only a
-    periodic file is checked to."""
+    periodic file whose members' Newton boxes differ is checked to."""
     argv = _ghosts_argv(tmp_path)
     tuple_file = argv[argv.index("--tuple") + 1]
     admissible = ["admissible", "--p", "3", "--N", "3", "--delta", "1..1",
@@ -241,9 +241,17 @@ def test_flags_a_tuple_file_makes_void_exit_2(tmp_path, capsys):
         assert invoke(bad) == (2, [])
         assert "configuration error" in capsys.readouterr().err
     path = Path(tuple_file)
-    path.write_text(json.dumps({**json.loads(path.read_text()),
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "periodic": True}))
+    assert invoke(admissible + ["--depth", "3"]) == (2, [])
+    assert "boxes differ" in capsys.readouterr().err
+    ctx = dl.ctx_new(3, 3, 1)
+    square = LaurentPoly.from_json(ctx, doc["lambdas"][0]) ** 2
+    path.write_text(json.dumps({"lambdas": [doc["lambdas"][0],
+                                            square.to_json()],
                                 "periodic": True}))
-    assert invoke(admissible + ["--depth", "3"])[0] == 0
+    code, docs = invoke(admissible + ["--depth", "3"])
+    assert code in (0, 1) and docs[0]["checked_depth"] == 3
 
 
 def test_flags_boxes_would_ignore_exit_2(capsys):
@@ -252,11 +260,24 @@ def test_flags_boxes_would_ignore_exit_2(capsys):
     unread, both once exited 0."""
     boxes = ["admissible", "--p", "3", "--delta", "1", "--boxes", "0:2"]
     for good in (boxes, boxes + ["--N", "2", "--depth", "8"],
-                 boxes + ["--periodic", "--depth", "3"]):
+                 boxes[:-1] + ["0:2,0:1", "--periodic", "--depth", "3"]):
         assert invoke(good)[0] == 0
     for bad in (boxes + ["--N", "7"], boxes + ["--depth", "3"]):
         assert invoke(bad) == (2, [])
         assert "configuration error" in capsys.readouterr().err
+
+
+def test_depth_on_one_shared_box_exits_2(capsys):
+    """A periodic pattern whose boxes are all equal is decided at every
+    window length without reading --depth: --depth 3 and --depth 8 once
+    printed the same report and exited 0."""
+    argv = ["admissible", "--p", "3", "--delta", "0,1", "--periodic"]
+    for boxes in ("--boxes=-1:3", "--boxes=-1:3,-1:3"):
+        assert invoke(argv + [boxes])[0] == 0
+        assert invoke(argv + [boxes, "--depth", "8"])[0] == 0
+        assert invoke(argv + [boxes, "--depth", "3"]) == (2, [])
+        assert ("--depth applies to a periodic tuple only when its members' "
+                "boxes differ") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("theorem", sorted(cli.THEOREMS))

@@ -148,7 +148,11 @@ def test_partial_fraction_derivative_matches_two_divisions():
                     assert got == _derivative_oracle(ctx, cfg, s, i, a)
 
 
-def test_derivative_inverts_each_difference_once_per_point(monkeypatch):
+def test_derivatives_invert_nothing_and_differences_once_per_pair(
+        monkeypatch):
+    """Frame derivatives are windows of the base, with no inversion at all;
+    ``diff_inverse``, which the KZ certificates use, inverts each difference
+    once per unordered pair and certifies it."""
     ctx, cfg = setup(5, 4, 2, 2)
     (pt,) = dl.sample_domain_points(5, 2, 2, 1, 8, ctx)
     inverted = []
@@ -159,6 +163,11 @@ def test_derivative_inverts_each_difference_once_per_point(monkeypatch):
     for s in (1, 2):
         for i in range(1, cfg.n + 1):
             ps_solution_derivative(cfg, s, i, cache)
+    assert inverted == []
+    for i in range(1, cfg.n + 1):
+        for k in range(1, cfg.n + 1):
+            if k != i:
+                cache.diff_inverse(i, k)
     a = pt.lift
     assert sorted(inverted) == sorted(ctx.sub(a[i], a[k])
                                       for i in range(cfg.n)
@@ -173,9 +182,9 @@ def test_derivative_inverts_each_difference_once_per_point(monkeypatch):
             PointKit(ctx, cfg.delta, b).diff_inverse(i, k)
 
 
-def test_derivative_fallback_at_non_unit_difference():
-    # a_1 = a_2 mod p: direction 1 takes the two-division path, direction 3
-    # still uses partial fractions
+def test_derivative_at_non_unit_difference():
+    # a_1 = a_2 mod p: every direction reads the same windows as at a
+    # residue-distinct point; there is no inversion to fall back from
     for p, m in ((7, 1), (5, 2)):
         ctx, cfg = setup(p, 4, 2, m)
         rng = seeded(40 + m)
@@ -188,18 +197,22 @@ def test_derivative_fallback_at_non_unit_difference():
                 assert got == _derivative_oracle(ctx, cfg, s, i, a)
 
 
-def test_quotient_memo_rejects_inexact_division():
+def test_window_reads_share_their_memo_and_reject_a_missing_factor():
     ctx, cfg = setup(5, 3, 1, 2)
     (pt,) = dl.sample_domain_points(5, 1, 2, 1, 0, ctx)
     phi = dl.master_polynomial(cfg, 1)
     cache = PointKit(ctx, cfg.delta, pt.lift)
-    off, q1 = cache.quotient(phi, pt.lift, pt.lift[0])
-    assert cache.quotient(phi, pt.lift, pt.lift[0]) == (off, q1)
-    # a root with a residue distinct from every a_j is not a factor
-    root = next(r for r in (ctx.from_coeffs([k, 1]) for k in range(5))
-                if all(ctx.is_unit(ctx.sub(r, x)) for x in pt.lift))
+    rows = cache.frame(phi, (4, 9))
+    bases, cofactors = dict(cache._base), dict(cache._cofactor)
+    assert len(bases) == 1 and len(cofactors) == cfg.n
+    assert cache.frame(phi, (4, 9)) == rows
+    assert (cache._base, cache._cofactor) == (bases, cofactors)
+    # a factor (t - z_i) absent from the form divides nothing
+    lacking = LaurentPoly.from_factors(ctx, cfg.n, [(1, 2), (2, 2)])
     with pytest.raises(NotDivisible):
-        cache.quotient(phi, pt.lift, root)
+        cache.frame(lacking, (4, 9))
+    with pytest.raises(NotDivisible):
+        cache.window(lacking, pt.lift, [3], (4,))
 
 
 def test_kz_tuple_is_periodic_unless_given_a_length():
