@@ -199,6 +199,8 @@ def cmd_kz_verify(args):
              "--i applies only to --check residual")
     _require(not (symbolic and args.check == "minor"),
              "minor is pointwise only: --symbolic does not apply")
+    _require(args.s == 1 or args.check != "minor",
+             "minor reads the level-1 frame only: --s applies only as 1")
     _require(args.N >= args.s + 1, "need N >= s + 1 precision headroom")
     ctx, cfg = _kz_family(args, args.ext)
     points = _points(args, ctx, symbolic)

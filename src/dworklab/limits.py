@@ -23,9 +23,9 @@ import math
 import random
 from typing import NamedTuple
 
-from . import ringmat
+from . import dense, ringmat
 from .errors import ConfigError, InvalidParameter, OutsideDomain, TooLarge
-from .hasse_witt import PointKit, hw_det, hw_matrix_at
+from .hasse_witt import PointKit, hw_indices
 from .kz import (
     KZConfig,
     gaudin_action,
@@ -121,14 +121,18 @@ class _Membership:
 
     Phi_1 is symmetric in z, so det A(1, Phi_1)(a) mod p depends only on the
     multiset of residues: it is evaluated once per sorted code tuple, at most
-    C(p^m + n - 1, n) times however many ordered tuples are classified.
+    C(p^m + n - 1, n) times however many ordered tuples are classified.  An
+    evaluation (``unit_det``) reads A(1, Phi_1) straight off the linear
+    product L = prod (t - a_i): Phi_1 = L^e with e = (p - 1)/2, so its g^2
+    entries are a window of L^(e - 1) against L, and at precision 1 the
+    determinant is a unit exactly when it is nonzero.
     """
 
     def __init__(self, p, g, m):
         self.ctx = ctx_new(p, 1, m)
         cfg = KZConfig(self.ctx, g)
-        self.n, self.delta = cfg.n, cfg.delta
-        self.phi = master_polynomial(cfg, 1)
+        self.n, self.g, self.e = cfg.n, g, cfg.exponent(1)
+        self.indices = hw_indices(p, 1, cfg.delta)
         self.ring = ringmat.scalar_ring(self.ctx)
         self.residues = [_residue_from_index(self.ctx, c) for c in range(p**m)]
         self._memo = {}
@@ -137,10 +141,18 @@ class _Membership:
         key = tuple(sorted(codes))
         ok = self._memo.get(key)
         if ok is None:
-            a = tuple(self.residues[c] for c in key)
-            Aw = hw_matrix_at(1, self.phi, self.delta, a)
-            ok = self._memo[key] = self.ctx.is_unit(hw_det(self.ring, Aw))
+            ok = self._memo[key] = self.unit_det(key)
         return ok
+
+    def unit_det(self, codes):
+        """Whether det A(1, Phi_1) is a unit at the residues of codes."""
+        ctx, res = self.ctx, self.residues
+        L = dense.dense_from_roots(ctx, [(res[c], 1) for c in codes])
+        entries = dense.dense_window_coeffs(
+            ctx, dense.dense_pow(ctx, L, self.e - 1), L, self.indices)
+        g = self.g
+        return not ctx.is_zero(ringmat.det(
+            self.ring, [entries[i * g:(i + 1) * g] for i in range(g)]))
 
     def point(self, idx, codes, in_D, in_D_o):
         """The unlifted DomainPoint of a classified code tuple."""
@@ -167,13 +179,35 @@ def _random_tuples(seed, pm, n, count):
     return (tuple(rng.randrange(pm) for _ in range(n)) for _ in range(count))
 
 
+def _multiset_counts(member):
+    """(in_D, in_D_o) over every ordered code tuple, from one evaluation per
+    multiset of codes, weighted by its n! / prod(mult!) orderings; a
+    multiset of distinct codes is the one kind with all n! of them."""
+    n = member.n
+    fact = [math.factorial(k) for k in range(n + 1)]
+    in_d = in_do = 0
+    for codes in itertools.combinations_with_replacement(
+            range(len(member.residues)), n):
+        if member.unit_det(codes):
+            w = fact[n]
+            for c in set(codes):
+                w //= fact[codes.count(c)]
+            in_d += w
+            if w == fact[n]:
+                in_do += w
+    return in_d, in_do
+
+
 def scan_domain(p, g, m, k=None, seed=None, keep_points=True):
     """Enumerate (k=None) or sample k residue tuples and flag domain
     membership.
 
     Membership in the unit-determinant domain depends only on residues, so
     the scan works at precision 1.  The exhaustive scan refuses more than
-    10^7 tuples; a sample draws its k tuples reproducibly from the seed.
+    10^7 ordered tuples; without keep_points it counts them from their
+    multisets (``_multiset_counts``), with it it walks them in
+    ``itertools.product`` order.  A sample draws its k tuples reproducibly
+    from the seed.
     """
     member = _Membership(p, g, m)
     n = member.n
@@ -187,8 +221,12 @@ def scan_domain(p, g, m, k=None, seed=None, keep_points=True):
             raise TooLarge(
                 f"exhaustive scan over {total} tuples exceeds {EXHAUSTIVE_CAP}"
             )
-        draws = itertools.product(range(pm), repeat=n)
         bound = nonempty_bound(p, g, m)
+        if not keep_points:
+            in_d, in_do = _multiset_counts(member)
+            return ScanResult(p, g, m, mode, total, in_d, in_do, d, bound,
+                              points, seed)
+        draws = itertools.product(range(pm), repeat=n)
     else:
         if k < 1:
             raise ConfigError(f"sample mode needs k >= 1 tuples, got {k}")

@@ -175,8 +175,14 @@ class PadicCtx:
         return tuple(-x % q for x in a)
 
     def mul(self, a, b):
+        """a b; at m = 2 in closed form, folding x^2 = -m0 - m1 x once."""
         if self.m == 1:
             return a * b % self.q
+        if self.m == 2:
+            (a0, a1), (b0, b1), q = a, b, self.q
+            z = a1 * b1
+            return ((a0 * b0 - self.modulus[0] * z) % q,
+                    (a0 * b1 + a1 * b0 - self.modulus[1] * z) % q)
         return self._tuple_mul(a, b)
 
     def scal_int(self, a, k):
@@ -268,8 +274,10 @@ class PadicCtx:
     def teichmueller(self, a):
         """The unique x with x^(p^m) = x mod p^N and x = a mod p.
 
-        Computed by iterating x <- x^(p^m); each step gains at least one
-        p-adic digit, so N iterations always suffice.  Zero maps to zero.
+        Computed by iterating x <- x^(p^m): x = a is right mod p, and each
+        step gains at least m p-adic digits (x = y mod p^k gives
+        x^p = y^p mod p^(k+1)), so ceil((N - 1) / m) steps give the lift
+        exactly.  Zero maps to zero.
         """
         if self.m == 1:
             if a % self.p == 0:
@@ -277,13 +285,9 @@ class PadicCtx:
         elif all(c % self.p == 0 for c in a):
             return self.zero()
         e = self.p**self.m
-        x = a
-        for _ in range(self.N):
-            nxt = self.pow(x, e)
-            if nxt == x:
-                break
-            x = nxt
-        return x
+        for _ in range(-(-(self.N - 1) // self.m)):
+            a = self.pow(a, e)
+        return a
 
     # -- serialization ---------------------------------------------------------
 

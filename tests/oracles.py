@@ -353,6 +353,21 @@ def dense_linear_pow(ctx, root, e):
     return out
 
 
+def oracle_teichmueller(ctx, a):
+    """The Teichmueller lift of a by iterating x <- x^(p^m) until the value
+    repeats, at most N times: one power past the lift."""
+    p = ctx.p
+    if all(c % p == 0 for c in ctx.coeffs(a)):
+        return ctx.zero()
+    e, x = p**ctx.m, a
+    for _ in range(ctx.N):
+        nxt = ctx.pow(x, e)
+        if nxt == x:
+            break
+        x = nxt
+    return x
+
+
 def rand(ctx, rng):
     """A uniform element of ctx."""
     if ctx.m == 1:

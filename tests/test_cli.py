@@ -151,6 +151,9 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     "kz-verify --check minor --p 7 --N 2 --g 2 --s 1 --points 3 --ext 2 --i 1",
     "kz-verify --check minor --p 7 --N 2 --g 2 --s 1 --points 3 --ext 2"
     " --symbolic",
+    # minor reads only the level-1 frame: --s 3 once printed the bytes of
+    # --s 1 and passed
+    "kz-verify --check minor --p 5 --N 5 --g 1 --s 3 --points 2",
     # an exhaustive scan once ran and passed ignoring --sample
     "domain-scan --p 5 --g 1 --m 1 --exhaustive --sample 4",
 ])
@@ -594,7 +597,7 @@ def test_limit_first_point_of_a_large_domain():
 @pytest.mark.parametrize("argv", [
     "kz-verify --check coS --p 5 --N 4 --g 1 --s 2 --points 0 --ext 2",
     "kz-verify --check coS --p 5 --N 4 --g 1 --s 2 --points -3 --ext 2",
-    "kz-verify --check minor --p 5 --N 4 --g 1 --s 2 --points 0 --ext 2",
+    "kz-verify --check minor --p 5 --N 4 --g 1 --s 1 --points 0 --ext 2",
     "limit --p 3 --N 4 --g 1 --m 2 --point -1 --smax 3",
     "limit --p 3 --N 4 --g 1 --m 2 --point 0 --smax 0",
     "limit --p 3 --N 4 --g 1 --m 2 --point 0 --smax 1",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -26,15 +27,15 @@ def test_scan_exhaustive_counts():
 
 
 def _count_evaluations(monkeypatch):
-    """Record the point of every det A(1, Phi_1) evaluation in limits."""
+    """Record the codes of every det A(1, Phi_1) evaluation in limits."""
     calls = []
-    real = limits.hw_matrix_at
+    real = limits._Membership.unit_det
 
-    def counting(level, F, delta, a, *rest):
-        calls.append(a)
-        return real(level, F, delta, a, *rest)
+    def counting(self, codes):
+        calls.append(codes)
+        return real(self, codes)
 
-    monkeypatch.setattr(limits, "hw_matrix_at", counting)
+    monkeypatch.setattr(limits._Membership, "unit_det", counting)
     return calls
 
 
@@ -45,6 +46,54 @@ def test_exhaustive_scan_evaluates_each_residue_multiset_once(monkeypatch):
     # C(3^2 + 3 - 1, 3) multisets, not the 729 ordered tuples
     assert len(calls) <= math.comb(11, 3) == 165
     assert len(set(calls)) == len(calls)
+
+
+def test_count_only_scan_evaluates_each_multiset_exactly_once(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    res = dl.scan_domain(5, 1, 2, keep_points=False)
+    assert res.total == 25**3 and res.points == []
+    # every multiset of 3 codes out of 25, each once: C(27, 3)
+    assert len(calls) == len(set(calls)) == math.comb(27, 3) == 2_925
+
+
+@pytest.mark.parametrize("p,g,m", [(3, 1, 1), (3, 1, 2), (5, 1, 1),
+                                   (5, 1, 2), (5, 2, 1), (7, 1, 1),
+                                   (7, 2, 1), (3, 1, 3)])
+def test_count_only_scans_match_the_ordered_walk(p, g, m):
+    counted = dl.scan_domain(p, g, m, keep_points=False)
+    walked = dl.scan_domain(p, g, m, keep_points=True)
+    fields = ("mode", "total", "in_d_count", "in_do_count", "nonempty_bound")
+    assert ([getattr(counted, f) for f in fields]
+            == [getattr(walked, f) for f in fields])
+    assert walked.in_d_count == sum(pt.in_D for pt in walked.points)
+    assert walked.in_do_count == sum(pt.in_D_o for pt in walked.points)
+
+
+@pytest.mark.parametrize("p,g,m,sample", [
+    (3, 1, 2, None), (5, 2, 1, None), (3, 1, 3, None),
+    (5, 2, 2, 300), (7, 3, 1, 300)])
+def test_membership_matches_the_hasse_witt_determinant(p, g, m, sample):
+    """The verdict off the linear product equals the unit test of
+    det A(1, Phi_1) read off the full expansion."""
+    member = limits._Membership(p, g, m)
+    ctx, pm, n = member.ctx, p**m, member.n
+    cfg = dl.KZConfig(ctx, g)
+    phi, ring = dl.master_polynomial(cfg, 1), ringmat.scalar_ring(ctx)
+
+    def hasse_witt_verdict(codes):
+        a = [member.residues[c] for c in codes]
+        return ctx.is_unit(dl.hw_det(ring, dl.hw_matrix_at(1, phi, cfg.delta,
+                                                           a)))
+
+    if sample is None:
+        multisets = list(itertools.combinations_with_replacement(range(pm), n))
+    else:
+        rng = seeded(p * 100 + g * 10 + m)
+        multisets = [tuple(sorted(rng.randrange(pm) for _ in range(n)))
+                     for _ in range(sample)]
+    verdicts = [member(codes) for codes in multisets]
+    assert verdicts == [hasse_witt_verdict(c) for c in multisets]
+    assert True in verdicts and False in verdicts
 
 
 def test_nth_domain_point_follows_the_ordered_enumeration():

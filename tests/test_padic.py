@@ -5,7 +5,15 @@ import pytest
 import dworklab as dl
 from dworklab.errors import NotAUnit, NotPrime, OddPrimeRequired
 from conftest import seeded
-from oracles import embed, poly_divides, rand, rand_unit, reduce_to, val_label
+from oracles import (
+    embed,
+    oracle_teichmueller,
+    poly_divides,
+    rand,
+    rand_unit,
+    reduce_to,
+    val_label,
+)
 
 
 def test_ctx_examples():
@@ -97,6 +105,49 @@ def test_teichmueller_fixed_point_exhaustive(p, N, m):
         assert all(
             (a - b) % p == 0 for a, b in zip(ctx.coeffs(t), ctx.coeffs(x))
         )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_teichmueller_runs_ceil_n_minus_1_over_m_powers(monkeypatch, p, m):
+    """Each x -> x^(p^m) gains m digits from a residue, so the lift takes
+    ceil((N - 1) / m) powers and equals the loop that runs until the value
+    repeats."""
+    calls = []
+    real = dl.PadicCtx.pow
+
+    def counting(ctx, a, e):
+        calls.append(e)
+        return real(ctx, a, e)
+
+    monkeypatch.setattr(dl.PadicCtx, "pow", counting)
+    rng = seeded(p * 10 + m)
+    for N in range(1, 9):
+        ctx = dl.ctx_new(p, N, m)
+        for _ in range(15):
+            x = rand_unit(ctx, rng)
+            want = oracle_teichmueller(ctx, x)
+            calls.clear()
+            assert ctx.teichmueller(x) == want
+            assert calls == [p**m] * -(-(N - 1) // m)
+
+
+@pytest.mark.parametrize("p,modulus", [(3, None), (5, None), (7, None),
+                                       (3, (2, 1, 1)), (5, (2, 1, 1))])
+def test_m2_mul_matches_the_generic_tuple_product(p, modulus):
+    """The closed form at m = 2 under x^2 + c (ctx_new's choice) and under
+    x^2 + x + 2, irreducible over F_3 and F_5, whose x term the fold reads."""
+    rng = seeded(p)
+    for N in range(1, 8):
+        ctx = (dl.PadicCtx(p, N, 2, modulus) if modulus
+               else dl.ctx_new(p, N, 2))
+        assert (ctx.modulus[1] != 0) == (modulus is not None)
+        top = (ctx.q - 1, ctx.q - 1)
+        xs = [top, (0, ctx.q - 1), (ctx.q - 1, 0), ctx.zero(), ctx.one()]
+        xs += [rand(ctx, rng) for _ in range(20)]
+        for a in xs:
+            for b in xs:
+                assert ctx.mul(a, b) == ctx._tuple_mul(a, b)
 
 
 def test_valuation_examples():
