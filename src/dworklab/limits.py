@@ -4,7 +4,10 @@ Points live in the unramified extension of degree m, anchored at
 Teichmueller lifts so the sigma twist acts by exponentiation without
 precision loss.  Membership in the unit-determinant domain is a mod-p
 condition on residues; the o-domain additionally demands pairwise distinct
-residues, which keeps every Gaudin denominator integral.
+residues, which keeps every Gaudin denominator integral.  Membership is
+decided for batches of residue multisets at once: each F_{p^m} value of the
+test is held as m plain-int columns with one entry per multiset, so the
+interpreter's cost is paid per column and not per multiset.
 
 The limits themselves are approximated by iterating the congruence ratios:
 the valuation of consecutive differences must grow by at least one per
@@ -21,9 +24,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from operator import add, mul
 from typing import NamedTuple
 
-from . import dense, ringmat
+from . import ringmat
 from .errors import ConfigError, InvalidParameter, OutsideDomain, TooLarge
 from .hasse_witt import PointKit, hw_indices
 from .kz import (
@@ -41,6 +45,8 @@ POINT_CAP = 200_000
 # Sampling first settles emptiness by scanning residue multisets when there
 # are at most this many; without it an empty domain costs 10^4 draws per point.
 EMPTY_CHECK_CAP = 2_000
+# Membership classifies at most this many residue multisets per pass.
+BATCH = 256
 
 
 class DomainPoint:
@@ -106,53 +112,135 @@ def nonempty_bound(p, g, m):
     return (pm**n - 1) // (pm - 1) * (pm - 1 - d) + 1
 
 
-def _residue_from_index(ctx1, idx):
-    if ctx1.m == 1:
-        return idx
-    digits = []
-    for _ in range(ctx1.m):
-        digits.append(idx % ctx1.p)
-        idx //= ctx1.p
-    return tuple(digits)
-
-
 class _Membership:
     """Unit-determinant membership of residue code tuples over F_{p^m}.
 
     Phi_1 is symmetric in z, so det A(1, Phi_1)(a) mod p depends only on the
     multiset of residues: it is evaluated once per sorted code tuple, at most
-    C(p^m + n - 1, n) times however many ordered tuples are classified.  An
-    evaluation (``unit_det``) reads A(1, Phi_1) straight off the linear
-    product L = prod (t - a_i): Phi_1 = L^e with e = (p - 1)/2, so its g^2
-    entries are a window of L^(e - 1) against L, and at precision 1 the
-    determinant is a unit exactly when it is nonzero.
+    C(p^m + n - 1, n) times however many ordered tuples are classified.
+    ``unit_dets`` evaluates a batch of multisets in one pass, reading
+    A(1, Phi_1) straight off the linear product L = prod (t - a_i):
+    Phi_1 = L^e with e = (p - 1)/2, so its g^2 entries are a window of
+    L^(e - 1) against L, and at precision 1 the determinant is a unit exactly
+    when it is nonzero.
+
+    A batch element (one F_{p^m} value per multiset) is a tuple of m columns,
+    plain-int lists indexed by multiset, one per basis coefficient.  Every
+    product runs element-wise down the columns; sums of products stay
+    unreduced until one fold by the modulus tail and one reduction mod p
+    per coefficient.
     """
 
     def __init__(self, p, g, m):
         self.ctx = ctx_new(p, 1, m)
         cfg = KZConfig(self.ctx, g)
+        self.p, self.m, self.tail = p, m, self.ctx.modulus[:-1]
         self.n, self.g, self.e = cfg.n, g, cfg.exponent(1)
         self.indices = hw_indices(p, 1, cfg.delta)
-        self.ring = ringmat.scalar_ring(self.ctx)
-        self.residues = [_residue_from_index(self.ctx, c) for c in range(p**m)]
-        self._memo = {}
+        # digits[u][c]: the x^u coefficient of the residue with code c
+        self.digits = [[c // p**u % p for c in range(p**m)] for u in range(m)]
+        self.residues = self.digits[0] if m == 1 else list(zip(*self.digits))
+        # terms[c]: the (u, v) with u + v = c, u, v < m, of a product's x^c
+        self.terms = [[(u, c - u) for u in range(max(0, c - m + 1),
+                                                 min(c, m - 1) + 1)]
+                      for c in range(2 * m - 1)]
+        self.memo = {}
 
-    def __call__(self, codes):
-        key = tuple(sorted(codes))
-        ok = self._memo.get(key)
-        if ok is None:
-            ok = self._memo[key] = self.unit_det(key)
-        return ok
+    def classify(self, keys):
+        """Memoize the verdicts of the sorted code tuples keys."""
+        self.memo.update(zip(keys, self.unit_dets(keys)))
 
-    def unit_det(self, codes):
-        """Whether det A(1, Phi_1) is a unit at the residues of codes."""
-        ctx, res = self.ctx, self.residues
-        L = dense.dense_from_roots(ctx, [(res[c], 1) for c in codes])
-        entries = dense.dense_window_coeffs(
-            ctx, dense.dense_pow(ctx, L, self.e - 1), L, self.indices)
+    def unit_dets(self, batch):
+        """Whether det A(1, Phi_1) is a unit at the residues of each sorted
+        code tuple of batch, in one pass over the batch."""
+        size = len(batch)
+        # the batch's constants, for the helpers below
+        self.zero = ([0] * size,) * self.m
+        self.one = ([1] * size,) + self.zero[1:]
+        first, *rest = ([[d[c] for c in codes] for d in self.digits]
+                        for codes in zip(*batch))  # each multiset's i-th root
+        L = [self._neg(first), self.one]
+        for r in rest:
+            L = self._times_root(L, r)
+        P = [self.one]
+        if self.e > 1:  # P = L^(e - 1) left to right, as dense_pow goes
+            P = L
+            for bit in bin(self.e - 1)[3:]:
+                P = self._coeffs(P, P)
+                if bit == "1":
+                    P = self._coeffs(P, L)
+        entries = self._coeffs(P, L, self.indices)
+        # the ring of batch elements; zero means zero for every multiset,
+        # and det reads no valuations and no scalars
+        ring = ringmat.Ring(
+            self._add, self._sub, lambda a, b: self._dot([(a, b)]),
+            self._neg, self.zero, self.one,
+            lambda a: not any(map(any, a)), None, None)
         g = self.g
-        return not ctx.is_zero(ringmat.det(
-            self.ring, [entries[i * g:(i + 1) * g] for i in range(g)]))
+        det = ringmat.det(ring, [entries[i * g:(i + 1) * g] for i in range(g)])
+        return list(map(any, zip(*det)))
+
+    def _times_root(self, L, r):
+        """L (t - r) for a monic L of degree d >= 1, coefficientwise:
+        new[k] = old[k-1] - r old[k] below t^d, where at m = 2 r old[k]
+        folds x^2 = -m0 - m1 x in place, then old[d-1] - r and 1."""
+        p, m = self.p, self.m
+        lows, his = [self.zero] + L[:-2], L[:-1]
+        if m == 1:
+            body = [([(lo - x * h) % p for lo, x, h in zip(low, r[0], hi)],)
+                    for (low,), (hi,) in zip(lows, his)]
+        elif m == 2:
+            (m0, m1), (r0, r1) = self.tail, r
+            f0, f1 = [m0 * x for x in r1], [m1 * x for x in r1]
+            body = [([(lo - a * x + f * y) % p
+                      for lo, a, x, f, y in zip(low0, r0, h0, f0, h1)],
+                     [(lo - a * y - b * x + f * y) % p
+                      for lo, a, b, x, f, y in zip(low1, r0, r1, h0, f1, h1)])
+                    for (low0, low1), (h0, h1) in zip(lows, his)]
+        else:
+            body = [self._sub(low, self._dot([(r, hi)]))
+                    for low, hi in zip(lows, his)]
+        return body + [self._sub(L[-2], r), self.one]
+
+    def _coeffs(self, A, B, ks=None):
+        """Coefficients of t^k in A B at each k of ks (all of them by
+        default), zero out of range."""
+        la, lb = len(A), len(B)
+        if ks is None:
+            ks = range(la + lb - 1)
+        return [self._dot([(A[i], B[k - i]) for i in range(
+                    max(0, k - lb + 1), min(la, k + 1))])
+                if k < la + lb - 1 else self.zero for k in ks]
+
+    def _dot(self, pairs):
+        """sum x y over a nonempty list of element pairs, reduced: the
+        products of each coefficient degree are summed unreduced, then the
+        degrees m .. 2m - 2 fold down once by the modulus tail (at m = 2,
+        x^2 = -m0 - m1 x, as in PadicCtx.mul; at m = 1 nothing folds)."""
+        p, m = self.p, self.m
+        acc = [_sums([map(mul, x[u], y[v]) for x, y in pairs
+                      for u, v in terms])
+               for terms in self.terms]
+        for k in range(2 * m - 2, m - 1, -1):
+            for t, mt in enumerate(self.tail):
+                if mt:
+                    acc[k - m + t] = [x - mt * z
+                                      for x, z in zip(acc[k - m + t], acc[k])]
+        return tuple([x % p for x in col] for col in acc[:m])
+
+    def _add(self, a, b):
+        p = self.p
+        return tuple([(x + y) % p for x, y in zip(u, v)]
+                     for u, v in zip(a, b))
+
+    def _sub(self, a, b):
+        p = self.p
+        return tuple([(x - y) % p for x, y in zip(u, v)]
+                     for u, v in zip(a, b))
+
+    def _neg(self, a):
+        p = self.p
+        return tuple([-x % p for x in u] for u in a)
 
     def point(self, idx, codes, in_D, in_D_o):
         """The unlifted DomainPoint of a classified code tuple."""
@@ -160,17 +248,55 @@ class _Membership:
                            in_D, in_D_o, idx)
 
 
+def _sums(columns):
+    """Element-wise sums of a nonempty list of equal-length iterables:
+    pairwise for a few, else one tuple per element."""
+    if len(columns) > 3:
+        return list(map(sum, zip(*columns)))
+    acc = list(columns[0])
+    for col in columns[1:]:
+        acc = list(map(add, acc, col))
+    return acc
+
+
 def _walk(member, draws, distinct_only=False):
     """(index, codes, in_D, in_D_o) of the code tuples of draws, in order;
     a tuple's index is its position in draws.  distinct_only skips tuples
     that cannot be in the o-domain before any membership lookup.  Callers
-    build a DomainPoint only for the tuples they keep."""
-    n = member.n
+    build a DomainPoint only for the tuples they keep.
+
+    Multisets not yet memoized are classified in batches.  A batch closes
+    once it holds ``size`` new multisets, size doubling from 8 to BATCH, so
+    that a caller that stops early has paid for few evaluations past its
+    stop, or once BATCH tuples wait on it, so that a walk that mostly hits
+    the memo holds few; the waiting tuples are yielded when it closes."""
+    n, memo = member.n, member.memo
+    size, fresh, waiting = 8, {}, []
     for idx, codes in enumerate(draws):
         distinct = len(set(codes)) == n
         if distinct_only and not distinct:
             continue
-        ok = member(codes)
+        key = tuple(sorted(codes))
+        waiting.append((idx, codes, key, distinct))
+        if key not in memo:
+            fresh[key] = None
+        if fresh and len(fresh) < size and len(waiting) < BATCH:
+            continue
+        if fresh:
+            member.classify(list(fresh))
+            fresh.clear()
+            size = min(2 * size, BATCH)
+        yield from _settled(memo, waiting)
+        waiting = []
+    if fresh:
+        member.classify(list(fresh))
+    yield from _settled(memo, waiting)
+
+
+def _settled(memo, waiting):
+    """_walk's tuples for the waiting (idx, codes, key, distinct)."""
+    for idx, codes, key, distinct in waiting:
+        ok = memo[key]
         yield idx, codes, ok, ok and distinct
 
 
@@ -186,15 +312,17 @@ def _multiset_counts(member):
     n = member.n
     fact = [math.factorial(k) for k in range(n + 1)]
     in_d = in_do = 0
-    for codes in itertools.combinations_with_replacement(
-            range(len(member.residues)), n):
-        if member.unit_det(codes):
-            w = fact[n]
-            for c in set(codes):
-                w //= fact[codes.count(c)]
-            in_d += w
-            if w == fact[n]:
-                in_do += w
+    multisets = itertools.combinations_with_replacement(
+        range(len(member.residues)), n)
+    while batch := list(itertools.islice(multisets, BATCH)):
+        for codes, ok in zip(batch, member.unit_dets(batch)):
+            if ok:
+                w = fact[n]
+                for c in set(codes):
+                    w //= fact[codes.count(c)]
+                in_d += w
+                if w == fact[n]:
+                    in_do += w
     return in_d, in_do
 
 
@@ -207,7 +335,7 @@ def scan_domain(p, g, m, k=None, seed=None, keep_points=True):
     10^7 ordered tuples; without keep_points it counts them from their
     multisets (``_multiset_counts``), with it it walks them in
     ``itertools.product`` order.  A sample draws its k tuples reproducibly
-    from the seed.
+    from the seed, and refuses k beyond the same 10^7 before drawing.
     """
     member = _Membership(p, g, m)
     n = member.n
@@ -230,6 +358,8 @@ def scan_domain(p, g, m, k=None, seed=None, keep_points=True):
     else:
         if k < 1:
             raise ConfigError(f"sample mode needs k >= 1 tuples, got {k}")
+        if k > EXHAUSTIVE_CAP:
+            raise TooLarge(f"sample of {k} tuples exceeds {EXHAUSTIVE_CAP}")
         mode, total, bound = "sample", k, None
         draws = _random_tuples(seed, pm, n, k)
     for idx, codes, ok, ok_o in _walk(member, draws):
@@ -266,22 +396,28 @@ def _require_nonempty(member):
             f"distinct residues over F_{pm} is in it")
 
 
-def sample_domain_points(p, g, m, count, seed, ctx):
-    """Reproducibly sample lifted points of the o-domain: domain points
-    with pairwise distinct residues."""
+def _sampled_points(p, g, m, count, seed):
+    """The first count o-domain points of the seed's draws, unlifted and
+    indexed by acceptance; at most 10^4 draws per point."""
     if count < 1:
         raise ConfigError(f"need at least one domain point, got {count}")
     member = _Membership(p, g, m)
     _require_nonempty(member)
     draws = _random_tuples(seed, p**m, member.n, 10_000 * count)
-    out = []
-    for _, codes, ok, _ in _walk(member, draws, distinct_only=True):
-        if ok:
-            pt = member.point(len(out), codes, True, True)
-            out.append(lift_point(pt, ctx))
-            if len(out) == count:
-                return out
-    raise OutsideDomain("sampling failed to find enough domain points")
+    accepted = (codes for _, codes, ok, _ in
+                _walk(member, draws, distinct_only=True) if ok)
+    out = [member.point(i, codes, True, True)
+           for i, codes in zip(range(count), accepted)]
+    if len(out) < count:
+        raise OutsideDomain("sampling failed to find enough domain points")
+    return out
+
+
+def sample_domain_points(p, g, m, count, seed, ctx):
+    """Reproducibly sample lifted points of the o-domain: domain points
+    with pairwise distinct residues."""
+    return [lift_point(pt, ctx)
+            for pt in _sampled_points(p, g, m, count, seed)]
 
 
 def nth_domain_point(p, g, m, k, seed, ctx):
@@ -290,13 +426,14 @@ def nth_domain_point(p, g, m, k, seed, ctx):
     Residue tuples are walked lazily in itertools.product order and the walk
     stops at the k-th o-domain point, whose index is its position in the
     full enumeration.  Beyond EXHAUSTIVE_CAP tuples the point is the k-th
-    reproducible sample of sample_domain_points instead.
+    reproducible sample of sample_domain_points instead, and only it is
+    lifted.
     """
     if k < 0:
         raise ConfigError(f"point index {k} must be >= 0")
     n = 2 * g + 1
     if (p**m)**n > EXHAUSTIVE_CAP:
-        return sample_domain_points(p, g, m, k + 1, seed, ctx)[k]
+        return lift_point(_sampled_points(p, g, m, k + 1, seed)[k], ctx)
     member = _Membership(p, g, m)
     found = 0
     ordered = itertools.product(range(p**m), repeat=n)

@@ -611,6 +611,18 @@ def test_non_positive_counts_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    "domain-scan --p 7 --g 2 --m 2 --exhaustive",
+    f"domain-scan --p 3 --g 1 --m 2 --sample {limits.EXHAUSTIVE_CAP + 1}",
+])
+def test_oversized_scans_exit_2_at_once(argv, capsys):
+    start = time.perf_counter()
+    code, docs = invoke(argv.split())
+    assert code == 2 and docs == []
+    assert "TooLarge" in capsys.readouterr().err
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("argv", [
     "hw --p 7 --N 3 --m 3 --g 2",
     "kz-solve --p 7 --N 4 --g 2 --s 3",
     "kz-solve --p 5 --N 4 --g 2 --s 3",

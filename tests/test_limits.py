@@ -27,15 +27,16 @@ def test_scan_exhaustive_counts():
 
 
 def _count_evaluations(monkeypatch):
-    """Record the codes of every det A(1, Phi_1) evaluation in limits."""
+    """Record the codes of every multiset handed to a det A(1, Phi_1)
+    evaluation in limits."""
     calls = []
-    real = limits._Membership.unit_det
+    real = limits._Membership.unit_dets
 
-    def counting(self, codes):
-        calls.append(codes)
-        return real(self, codes)
+    def counting(self, batch):
+        calls.extend(batch)
+        return real(self, batch)
 
-    monkeypatch.setattr(limits._Membership, "unit_det", counting)
+    monkeypatch.setattr(limits._Membership, "unit_dets", counting)
     return calls
 
 
@@ -70,11 +71,12 @@ def test_count_only_scans_match_the_ordered_walk(p, g, m):
 
 
 @pytest.mark.parametrize("p,g,m,sample", [
-    (3, 1, 2, None), (5, 2, 1, None), (3, 1, 3, None),
-    (5, 2, 2, 300), (7, 3, 1, 300)])
+    (3, 1, 2, None), (5, 2, 1, None), (3, 1, 3, None), (7, 1, 2, None),
+    (5, 2, 2, 300), (7, 3, 1, 300), (13, 2, 1, 300)])
 def test_membership_matches_the_hasse_witt_determinant(p, g, m, sample):
-    """The verdict off the linear product equals the unit test of
-    det A(1, Phi_1) read off the full expansion."""
+    """The batched verdicts off the linear product equal the unit test of
+    det A(1, Phi_1) read off the full expansion, in batches of 1, 7 and
+    BATCH multisets."""
     member = limits._Membership(p, g, m)
     ctx, pm, n = member.ctx, p**m, member.n
     cfg = dl.KZConfig(ctx, g)
@@ -91,9 +93,13 @@ def test_membership_matches_the_hasse_witt_determinant(p, g, m, sample):
         rng = seeded(p * 100 + g * 10 + m)
         multisets = [tuple(sorted(rng.randrange(pm) for _ in range(n)))
                      for _ in range(sample)]
-    verdicts = [member(codes) for codes in multisets]
-    assert verdicts == [hasse_witt_verdict(c) for c in multisets]
-    assert True in verdicts and False in verdicts
+    expected = [hasse_witt_verdict(c) for c in multisets]
+    assert True in expected and False in expected
+    for size in (1, 7, limits.BATCH):
+        verdicts = []
+        for i in range(0, len(multisets), size):
+            verdicts += member.unit_dets(multisets[i:i + size])
+        assert verdicts == expected
 
 
 def test_nth_domain_point_follows_the_ordered_enumeration():
@@ -117,6 +123,48 @@ def test_nth_domain_point_stops_at_the_point(monkeypatch):
     pt = dl.nth_domain_point(5, 2, 2, 0, 0, dl.ctx_new(5, 3, 2))
     assert pt.in_D_o and len(set(pt.residues)) == 5
     assert 1 <= len(calls) < 100
+
+
+def test_nth_domain_point_above_the_cap_lifts_only_its_point(monkeypatch):
+    # (7, 2, 2) has 49^5 ordered tuples, beyond EXHAUSTIVE_CAP: the point is
+    # the k-th reproducible sample
+    assert 49**5 > limits.EXHAUSTIVE_CAP
+    ctx, k = dl.ctx_new(7, 3, 2), 3
+    sampled = dl.sample_domain_points(7, 2, 2, k + 1, 5, ctx)[k]
+    lifts = []
+    real = limits.lift_point
+
+    def counting(point, ctx):
+        lifts.append(point.index)
+        return real(point, ctx)
+
+    monkeypatch.setattr(limits, "lift_point", counting)
+    pt = dl.nth_domain_point(7, 2, 2, k, 5, ctx)
+    assert (pt.residues, pt.index, pt.lift) == (sampled.residues,
+                                                sampled.index, sampled.lift)
+    assert lifts == [k]
+
+
+def test_membership_makes_no_per_element_ring_calls(monkeypatch):
+    """Scans classify multisets on plain-int columns: past building the
+    residue field, neither PadicCtx.mul nor PadicCtx.add is called."""
+    calls = []
+    for name in ("mul", "add"):
+        real = getattr(dl.PadicCtx, name)
+
+        def counting(self, a, b, real=real, name=name):
+            calls.append(name)
+            return real(self, a, b)
+
+        monkeypatch.setattr(dl.PadicCtx, name, counting)
+    for (p, g, m), k in (((5, 1, 2), None), ((5, 2, 2), 5000)):
+        calls.clear()
+        limits._Membership(p, g, m)
+        setup = len(calls)
+        calls.clear()
+        res = dl.scan_domain(p, g, m, k=k, seed=1, keep_points=False)
+        assert res.in_d_count > 0
+        assert len(calls) == setup
 
 
 def test_non_positive_counts_are_rejected():
@@ -162,9 +210,18 @@ def test_scan_samples_k_tuples():
     assert (full.mode, full.total, full.seed) == ("exhaustive", 125, None)
 
 
-def test_scan_too_large():
+def test_scan_too_large(monkeypatch):
     with pytest.raises(TooLarge):
         dl.scan_domain(7, 2, 2)
+
+    def no_draws(*args):
+        raise AssertionError("drew tuples for a refused sample")
+
+    monkeypatch.setattr(limits, "_random_tuples", no_draws)
+    k = limits.EXHAUSTIVE_CAP + 1
+    with pytest.raises(TooLarge, match=rf"sample of {k} tuples exceeds "
+                                       rf"{limits.EXHAUSTIVE_CAP}"):
+        dl.scan_domain(3, 1, 2, k=k, seed=0)
 
 
 def test_membership_depends_only_on_residues():
