@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from functools import partial, reduce
 from operator import add, mul
 from typing import NamedTuple
 
@@ -153,44 +154,37 @@ class _Membership:
     def unit_dets(self, batch):
         """Whether det A(1, Phi_1) is a unit at the residues of each sorted
         code tuple of batch, in one pass over the batch."""
-        size = len(batch)
-        # the batch's constants, for the helpers below
-        self.zero = ([0] * size,) * self.m
-        self.one = ([1] * size,) + self.zero[1:]
+        zero = ([0] * len(batch),) * self.m
+        one = ([1] * len(batch),) + zero[1:]
         first, *rest = ([[d[c] for c in codes] for d in self.digits]
                         for codes in zip(*batch))  # each multiset's i-th root
-        L = [self._neg(first), self.one]
+        L = [self._neg(first), one]
         for r in rest:
-            L = self._times_root(L, r)
-        P = [self.one]
+            L = self._times_root(L, r, zero, one)
+        P = [one]
         if self.e > 1:  # P = L^(e - 1) left to right, as dense_pow goes
             P = L
             for bit in bin(self.e - 1)[3:]:
-                P = self._coeffs(P, P)
+                P = self._coeffs(P, P, zero)
                 if bit == "1":
-                    P = self._coeffs(P, L)
-        entries = self._coeffs(P, L, self.indices)
+                    P = self._coeffs(P, L, zero)
+        entries = self._coeffs(P, L, zero, self.indices)
         # the ring of batch elements; zero means zero for every multiset,
         # and det reads no valuations and no scalars
         ring = ringmat.Ring(
             self._add, self._sub, lambda a, b: self._dot([(a, b)]),
-            self._neg, self.zero, self.one,
-            lambda a: not any(map(any, a)), None, None)
+            self._neg, zero, one, lambda a: not any(map(any, a)), None, None)
         g = self.g
         det = ringmat.det(ring, [entries[i * g:(i + 1) * g] for i in range(g)])
         return list(map(any, zip(*det)))
 
-    def _times_root(self, L, r):
+    def _times_root(self, L, r, zero, one):
         """L (t - r) for a monic L of degree d >= 1, coefficientwise:
         new[k] = old[k-1] - r old[k] below t^d, where at m = 2 r old[k]
         folds x^2 = -m0 - m1 x in place, then old[d-1] - r and 1."""
-        p, m = self.p, self.m
-        lows, his = [self.zero] + L[:-2], L[:-1]
-        if m == 1:
-            body = [([(lo - x * h) % p for lo, x, h in zip(low, r[0], hi)],)
-                    for (low,), (hi,) in zip(lows, his)]
-        elif m == 2:
-            (m0, m1), (r0, r1) = self.tail, r
+        lows, his = [zero] + L[:-2], L[:-1]
+        if self.m == 2:
+            p, (m0, m1), (r0, r1) = self.p, self.tail, r
             f0, f1 = [m0 * x for x in r1], [m1 * x for x in r1]
             body = [([(lo - a * x + f * y) % p
                       for lo, a, x, f, y in zip(low0, r0, h0, f0, h1)],
@@ -200,9 +194,9 @@ class _Membership:
         else:
             body = [self._sub(low, self._dot([(r, hi)]))
                     for low, hi in zip(lows, his)]
-        return body + [self._sub(L[-2], r), self.one]
+        return body + [self._sub(L[-2], r), one]
 
-    def _coeffs(self, A, B, ks=None):
+    def _coeffs(self, A, B, zero, ks=None):
         """Coefficients of t^k in A B at each k of ks (all of them by
         default), zero out of range."""
         la, lb = len(A), len(B)
@@ -210,7 +204,7 @@ class _Membership:
             ks = range(la + lb - 1)
         return [self._dot([(A[i], B[k - i]) for i in range(
                     max(0, k - lb + 1), min(la, k + 1))])
-                if k < la + lb - 1 else self.zero for k in ks]
+                if k < la + lb - 1 else zero for k in ks]
 
     def _dot(self, pairs):
         """sum x y over a nonempty list of element pairs, reduced: the
@@ -218,8 +212,9 @@ class _Membership:
         degrees m .. 2m - 2 fold down once by the modulus tail (at m = 2,
         x^2 = -m0 - m1 x, as in PadicCtx.mul; at m = 1 nothing folds)."""
         p, m = self.p, self.m
-        acc = [_sums([map(mul, x[u], y[v]) for x, y in pairs
-                      for u, v in terms])
+        acc = [list(reduce(partial(map, add), [map(mul, x[u], y[v])
+                                               for x, y in pairs
+                                               for u, v in terms]))
                for terms in self.terms]
         for k in range(2 * m - 2, m - 1, -1):
             for t, mt in enumerate(self.tail):
@@ -246,17 +241,6 @@ class _Membership:
         """The unlifted DomainPoint of a classified code tuple."""
         return DomainPoint(tuple(self.residues[c] for c in codes), None,
                            in_D, in_D_o, idx)
-
-
-def _sums(columns):
-    """Element-wise sums of a nonempty list of equal-length iterables:
-    pairwise for a few, else one tuple per element."""
-    if len(columns) > 3:
-        return list(map(sum, zip(*columns)))
-    acc = list(columns[0])
-    for col in columns[1:]:
-        acc = list(map(add, acc, col))
-    return acc
 
 
 def _walk(member, draws, distinct_only=False):
@@ -398,9 +382,12 @@ def _require_nonempty(member):
 
 def _sampled_points(p, g, m, count, seed):
     """The first count o-domain points of the seed's draws, unlifted and
-    indexed by acceptance; at most 10^4 draws per point."""
+    indexed by acceptance; at most 10^4 draws per point.  Like a scan's
+    sample, it refuses count beyond 10^7 before drawing."""
     if count < 1:
         raise ConfigError(f"need at least one domain point, got {count}")
+    if count > EXHAUSTIVE_CAP:
+        raise TooLarge(f"sample of {count} points exceeds {EXHAUSTIVE_CAP}")
     member = _Membership(p, g, m)
     _require_nonempty(member)
     draws = _random_tuples(seed, p**m, member.n, 10_000 * count)
@@ -427,7 +414,7 @@ def nth_domain_point(p, g, m, k, seed, ctx):
     stops at the k-th o-domain point, whose index is its position in the
     full enumeration.  Beyond EXHAUSTIVE_CAP tuples the point is the k-th
     reproducible sample of sample_domain_points instead, and only it is
-    lifted.
+    lifted; there k + 1 beyond EXHAUSTIVE_CAP is refused before drawing.
     """
     if k < 0:
         raise ConfigError(f"point index {k} must be >= 0")

@@ -613,6 +613,7 @@ def test_non_positive_counts_exit_2(argv, capsys):
 @pytest.mark.parametrize("argv", [
     "domain-scan --p 7 --g 2 --m 2 --exhaustive",
     f"domain-scan --p 3 --g 1 --m 2 --sample {limits.EXHAUSTIVE_CAP + 1}",
+    f"limit --p 7 --N 4 --g 2 --m 2 --point {limits.EXHAUSTIVE_CAP} --smax 3",
 ])
 def test_oversized_scans_exit_2_at_once(argv, capsys):
     start = time.perf_counter()

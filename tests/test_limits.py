@@ -222,6 +222,11 @@ def test_scan_too_large(monkeypatch):
     with pytest.raises(TooLarge, match=rf"sample of {k} tuples exceeds "
                                        rf"{limits.EXHAUSTIVE_CAP}"):
         dl.scan_domain(3, 1, 2, k=k, seed=0)
+    # above the cap, the point index k needs a sample of k + 1 points
+    assert 49**5 > limits.EXHAUSTIVE_CAP
+    with pytest.raises(TooLarge, match=rf"sample of {k} points exceeds "
+                                       rf"{limits.EXHAUSTIVE_CAP}"):
+        dl.nth_domain_point(7, 2, 2, k - 1, 0, dl.ctx_new(7, 3, 2))
 
 
 def test_membership_depends_only_on_residues():
