@@ -10,17 +10,15 @@ the whole convolution.  Results are bit-identical on every path.
 - At most SCHOOL_PAIRS coefficient pairs len(a) * len(b), and m <= 2:
   schoolbook, on three plain-int accumulators per coefficient for m = 2.
 - Shorter operand up to NTT_CUTOFF: Python ints packed through ``bytes``
-  (Karatsuba).  Slots of up to 8 bytes convert through 64-bit words (one
-  ``struct.pack`` or ``struct.unpack`` and one strided copy per slot byte),
-  so no int is made per slot; the multiply still sees ``width``-byte slots.
-  Wider slots convert one coefficient at a time.
+  (Karatsuba).  Slots of up to 8 bytes convert through 64-bit words, so no
+  int is made per slot; wider slots convert one coefficient at a time.
 - Above NTT_CUTOFF: ``decimal`` numbers packed in base 10^d through a
   zero-padded string join, which libmpdec multiplies by a number-theoretic
   transform.  ``Decimal(int)`` would be quadratic, so ints never cross over.
 
 A square (``a is b``) is packed once and multiplied by itself.  For m >= 2 the
 reduction modulo the defining polynomial is folded into the packed columns
-before unpacking, so only m columns are ever unpacked.  The fold rows are
+before unpacking, so only m columns are ever unpacked.  The fold steps are
 signed (-2 for x^2 + 2), and each column is lifted by a multiple of q that
 keeps its slots nonnegative: slots hold about 3 (q - 1)^2 short for x^2 + 2,
 not q (q - 1)^2 short.  dense_pow goes left to right, so every product of
@@ -28,18 +26,19 @@ its chain is a square or has the short base as one operand.
 
 A product of linear factors prod (t - r)^e is also kept as a half split
 R^2 T, R = prod (t - r)^(e // 2) and T = prod (t - r)^(e mod 2), from which
-dense_half_coeffs reads single coefficients by dot products over R: a
-Hasse-Witt matrix needs g^2 coefficients, not the whole square.  Both it
-and the point kit's quotient reads end in dense_window_coeffs, coefficients
-of a long polynomial times a short cofactor, formed one dot product each.
+dense_half_coeffs reads single coefficients for every m by squares over the
+m plain-int columns of R, folded once as in _kron_mul: a Hasse-Witt matrix
+needs g^2 coefficients, not the whole square.  Both it and the point kit's
+quotient reads end in dense_window_coeffs, coefficients of a long
+polynomial times a short cofactor, formed one dot product each.
 """
 
 from __future__ import annotations
 
 import decimal
 import struct
-from functools import partial, reduce
-from operator import mul
+from functools import cache, partial, reduce
+from operator import add, mul
 
 # Schoolbook up to this many coefficient pairs len(a) * len(b) (m <= 2): the
 # packed product wins from 150-250 pairs at q = 7^6, 5^5, 3^16 (m = 1) and
@@ -91,15 +90,28 @@ def _unpack_dec(x, width, count, q):
     return out
 
 
-def _fold_rows(ctx):
-    """x^k mod (modulus, q) for k = m..2m-2, as coefficient lists of signed
-    representatives in (-q/2, q/2]: -2, not q - 2, for x^2 + 2."""
-    q, half = ctx.q, ctx.q // 2
-    rows = [[-c for c in ctx.modulus[:-1]]]
-    for _ in range(ctx.m - 2):  # x^(k+1) = x * x^k, x^m = rows[0]
+def _columns(m, a):
+    """The m basis columns of the dense a, as plain-int lists."""
+    return [a] if m == 1 else [list(col) for col in zip(*a)]
+
+
+def _element(m, coords):
+    """The element with the plain-int coordinates coords[:m], unreduced."""
+    return coords[0] if m == 1 else tuple(coords[:m])
+
+
+@cache
+def _fold_steps(ctx):
+    """x^k mod (modulus, q), k = m..2m-2, as steps (i, r, k): add r times
+    coefficient k to coefficient i, r a nonzero signed representative in
+    (-q/2, q/2] (-2, not q - 2, for x^2 + 2); none for m = 1."""
+    q, half, m = ctx.q, ctx.q // 2, ctx.m
+    rows = [[-c for c in ctx.modulus[:-1]]][:m - 1]
+    for _ in range(m - 2):  # x^(k+1) = x * x^k, x^m = rows[0]
         prev = rows[-1]
         rows.append([lo + prev[-1] * r for lo, r in zip([0] + prev[:-1], rows[0])])
-    return [[(r + half) % q - half for r in row] for row in rows]
+    return [(i, c, m + k) for k, row in enumerate(rows)
+            for i, c in enumerate((r + half) % q - half for r in row) if c]
 
 
 def _kron_mul(ctx, a, b):
@@ -109,21 +121,21 @@ def _kron_mul(ctx, a, b):
     count = len(a) + len(b) - 1
     square = a is b
     if m == 1:
-        cols_a, cols_b, rows = [a], [b], []
+        cols_a, cols_b = [a], [b]
     else:
         cols_a = list(zip(*a))
         cols_b = cols_a if square else list(zip(*b))
-        rows = _fold_rows(ctx)
+    fold = _fold_steps(ctx)
     # Slots of column k of the convolution sum min(k, 2m - 2 - k) + 1
-    # products a_i * b_j, each at most (q - 1)^2 short.  Folding adds
-    # rows[k - m][i] times column k to column i; lift[i], the least multiple
-    # of q that covers its negative part, is added to every slot of column i
-    # and vanishes mod q, so every slot stays in [0, bound].
+    # products a_i * b_j, each at most (q - 1)^2 short.  Folding adds r
+    # times column k to column i per step (i, r, k); lift[i], the least
+    # multiple of q that covers its negative part, is added to every slot
+    # of column i and vanishes mod q, so every slot stays in [0, bound].
     cap = [(q - 1) * (q - 1) * short * (min(k, 2 * m - 2 - k) + 1)
            for k in range(2 * m - 1)]
     lift, bound = [0] * m, cap[0]
     for i in range(m):
-        terms = [r[i] * c for r, c in zip(rows, cap[m:])]
+        terms = [r * cap[k] for j, r, k in fold if j == i]
         lift[i] = -(sum(t for t in terms if t < 0) // q) * q
         bound = max(bound, cap[i] + lift[i] + sum(t for t in terms if t > 0))
     if short > NTT_CUTOFF:
@@ -139,12 +151,9 @@ def _kron_mul(ctx, a, b):
                 if pa[i] and pb[j]:
                     x = pa[i] * pb[j]
                     prods[i + j] += x + x if square and j > i else x
-        # x^k = sum_i rows[k - m][i] x^i: reduce before unpacking
-        for row, pk in zip(rows, prods[m:]):
-            if pk:
-                for i, r in enumerate(row):
-                    if r:
-                        prods[i] += r * pk
+        for i, r, k in fold:  # reduce before unpacking
+            if prods[k]:
+                prods[i] += r * prods[k]
         if any(lift):  # ones: 1 in each of the count slots
             if pack is _pack_bytes:
                 ones = int.from_bytes(b"\1".ljust(width, b"\0") * count, "little")
@@ -274,35 +283,29 @@ def dense_half_coeffs(ctx, R, T, indices):
     """Coefficients of t^k in R^2 T at the given indices, zero out of range.
 
     [t^k] R^2 T = sum_j T_j S_(k-j) with S_i = sum_a R_a R_(i-a), so a few
-    coefficients cost a few dot products over R and no square of R.  For
-    m = 2 S_i comes from three column dot products and one fold of
-    x^2 = -m0 - m1 x, as in _school_mul_ext.
+    coefficients cost a few dot products over R and no square of R.  Each
+    S_i sums squares over the m plain-int columns of R on 2m - 1
+    accumulators (1, x, ..., x^(2m-2)) and folds them once by _fold_steps.
     """
-    q, m = ctx.q, ctx.m
-    d = len(R) - 1
-    if m == 1:
-        def square_at(i, lo):
-            return _square_at(R, i, lo) % q
-    elif m == 2:
-        m0, m1 = ctx.modulus[0], ctx.modulus[1]
-        R0, R1 = (list(col) for col in zip(*R))
-
-        def square_at(i, lo):
-            c0 = _square_at(R0, i, lo)
-            c2 = _square_at(R1, i, lo)
-            c1 = 2 * sum(map(mul, R0[lo:i - lo + 1], reversed(R1[lo:i - lo + 1])))
-            return (c0 - m0 * c2) % q, (c1 - m1 * c2) % q
-    else:
-        def square_at(i, lo):
-            acc = ctx.zero()
-            for k in range(lo, i - lo + 1):
-                acc = ctx.add(acc, ctx.mul(R[k], R[i - k]))
-            return acc
-    S = [None] * (2 * d + 1)  # S_i, formed where a coefficient reads it
+    m, d = ctx.m, len(R) - 1
+    cols, fold = _columns(m, R), _fold_steps(ctx)
+    # 2 R_u R_v = (R_u + R_v)^2 - R_u^2 - R_v^2: every dot product a square
+    sums = [(u, v, list(map(add, cols[u], cols[v])))
+            for u in range(m) for v in range(u + 1, m)]
+    S = [None] * (2 * d + 1)  # S_i where read, unreduced: the window reduces
     for k in indices:
         for i in range(max(0, k - len(T) + 1), min(k, 2 * d) + 1):
             if S[i] is None:
-                S[i] = square_at(i, max(0, i - d))
+                lo = max(0, i - d)
+                acc = [0] * (2 * m - 1)
+                for u, x in enumerate(cols):
+                    acc[2 * u] = _square_at(x, i, lo)
+                sq = acc[::2]
+                for u, v, x in sums:
+                    acc[u + v] += _square_at(x, i, lo) - sq[u] - sq[v]
+                for j, r, h in fold:
+                    acc[j] += r * acc[h]
+                S[i] = _element(m, acc)
     return dense_window_coeffs(ctx, S, T, indices)
 
 

@@ -6,10 +6,9 @@ set Delta of size g, and a level m, the matrix is
     A(m, F) = ( coeff of t^(p^m * v - u) in F )_{u in Delta (rows), v (cols)}.
 
 A matrix is a list of g rows.  Symbolic entries are z-polynomials;
-evaluated entries are ring scalars extracted from the dense specialization
-F(t, a), which is where factored master polynomials pay off: one base
-serves the whole matrix and every quotient by one or two factors (t - z_i),
-so all of its z-derivatives, each entry a window of the base (DenseCache).
+evaluated entries are ring scalars read off the dense specialization F(t, a)
+of a factored F by one rule (DenseCache): off its half split, or off its
+base, which also serves every quotient by one or two factors (t - z_i).
 
 The verifiers read every matrix, and the ghost recursion every single
 t-coefficient (``coeffs``), through a kit with one interface:
@@ -20,6 +19,8 @@ scalars at a and its twists a^(p^k), memoized by :class:`DenseCache`).
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 from . import dense, ringmat
 from .errors import (
@@ -74,8 +75,7 @@ def _rows(flat, g):
 
 def hw_matrix_at(level, F, delta, a):
     """Hasse-Witt matrix evaluated at the point a (z = a)."""
-    off, co = F.dense_t(a)
-    return hw_from_dense(F.ctx, level, off, co, delta)
+    return hw_from_dense(F.ctx, level, *F.dense_t(a), delta)
 
 
 # hw_from_dense, hw_det and hw_inverse_at are per-layer metrics of
@@ -96,30 +96,22 @@ def hw_inverse_at(ctx, A):
 
 
 class DenseCache:
-    """Memo of dense specializations F(t, a) and of the bases and cofactors
-    that F and its quotients are read off.
+    """Memo of the dense forms that F(t, a) is read off at a point a.
 
-    ``get`` keeps the (offset, coeffs) expansion of F at the point a, keyed by
-    the factored form and the point.  ``base`` keeps, under the same key,
-    B = prod (t - a_i)^max(e_i - 2, 0) for F = prod (t - z_i)^e_i, and
+    A factored F = prod (t - z_i)^e_i is read (``read``) off its base B =
+    prod (t - a_i)^max(e_i - 2, 0) once ``base`` has built it, and off its
+    half split F(t, a) = R^2 T otherwise (R with the halved multiplicities,
+    T with their parities), built on the first read whatever its size.
     ``window`` reads F and its quotients by one or two factors (t - z_i) as
     coefficients of B c, c = prod (t - a_i)^min(e_i, 2) less the divided
-    factors, of degree at most 2n and kept per point and root multiset for
-    every level.  ``hw_at`` reads A(level, F) at a: off the base once it is
-    built, from the expansion when it is stored, otherwise from the half
-    split F(t, a) = R^2 T (R with the halved multiplicities, T with their
-    parities, kept under the same key) when dense_mul would not square R by
-    schoolbook (``dense.schoolbook``), so that only g^2 coefficients of the
-    square are formed.  A later ``get`` builds the expansion as R R T from a
-    stored split.  An unfactored F is keyed by its identity and kept alive
-    while the memo is.
+    factors, kept per point and root multiset for every level.  ``get``
+    keeps the (offset, coeffs) expansion of an unfactored F, keyed by its
+    identity and kept alive while the memo is.
     """
 
     def __init__(self):
-        self._store = {}
-        self._half = {}
+        self._store, self._half, self._forms = {}, {}, {}
         self._base, self._cofactor = {}, {}
-        self._forms = {}
 
     def _key(self, F, a):
         if F.factored is not None:
@@ -128,26 +120,30 @@ class DenseCache:
         return id(F), a
 
     def get(self, F, a):
-        a = tuple(a)
+        """The (offset, coeffs) expansion of F at the point a."""
+        key = self._key(F, tuple(a))
+        if key not in self._store:
+            self._store[key] = F.dense_t(a)
+        return self._store[key]
+
+    def read(self, F, a, indices):
+        """The coefficients at indices of the factored F at the point a,
+        zero out of range: off its base if built, else off its half split
+        (a middle-product read, no square of R), each index set once."""
+        a, indices = tuple(a), tuple(indices)
         key = self._key(F, a)
-        got = self._store.get(key)
-        if got is None:
-            half = self._half.pop(key, None)
-            if half is None:
-                got = F.dense_t(a)
-            else:
-                R, T = half
-                full = dense.dense_mul(F.ctx, R, R)
-                if len(T) > 1:
-                    full = dense.dense_mul(F.ctx, full, T)
-                got = 0, full
-            self._store[key] = got
-        return got
+        if key in self._base:
+            return self.window(F, a, [], indices)
+        if key not in self._half:
+            self._half[key] = dense.dense_half_split(F.ctx, F.roots_at(a)), {}
+        (R, T), got = self._half[key]
+        if indices not in got:
+            got[indices] = dense.dense_half_coeffs(F.ctx, R, T, indices)
+        return got[indices]
 
     def base(self, F, a):
         """The base of the factored F at the point a, built once."""
-        a = tuple(a)
-        key = self._key(F, a)
+        key = self._key(F, tuple(a))
         if key not in self._base:
             self._base[key] = dense.dense_from_roots(
                 F.ctx, [(r, max(e - 2, 0)) for r, e in F.roots_at(a)])
@@ -172,24 +168,11 @@ class DenseCache:
                                          self._cofactor[key], indices)
 
     def hw_at(self, level, F, delta, a):
-        """A(level, F) at the point a, through the cheapest stored form."""
-        a = tuple(a)
-        ctx = F.ctx
-        key = self._key(F, a)
-        if key in self._base:
-            return _rows(self.window(F, a, [], hw_indices(ctx.p, level, delta)),
-                         len(delta))
-        if F.factored is not None and key not in self._store:
-            half = self._half.get(key)
-            if half is None:
-                pairs = F.roots_at(a)
-                n = 1 + sum(e // 2 for _, e in pairs)
-                if not dense.schoolbook(ctx, n, n):
-                    half = self._half[key] = dense.dense_half_split(ctx, pairs)
-            if half is not None:
-                return _rows(dense.dense_half_coeffs(
-                    ctx, *half, hw_indices(ctx.p, level, delta)), len(delta))
-        return hw_from_dense(ctx, level, *self.get(F, a), delta)
+        """A(level, F) at the point a, through ``read`` if F is factored."""
+        if F.factored is None:
+            return hw_from_dense(F.ctx, level, *self.get(F, a), delta)
+        return _rows(self.read(F, a, hw_indices(F.ctx.p, level, delta)),
+                     len(delta))
 
 
 def check_direction(name, idx, n):
@@ -206,9 +189,9 @@ def _factored_mult(F, z_index):
 
 
 def _window_rows(level, F, delta, a, divided, factor, cache):
-    """factor * A(level, F / prod_(i in divided) (t - z_i)) at a, read off
-    the base of F in ``cache`` (a DenseCache, such as the point kit); zero,
-    and nothing read, when factor = 0 mod q."""
+    """factor * A(level, F / prod_(i in divided) (t - z_i)) at a, off the
+    base of F in the DenseCache ``cache``; zero, read off nothing, when
+    factor = 0 mod q."""
     ctx, g = F.ctx, len(delta)
     if factor % ctx.q == 0:
         return _rows([ctx.zero()] * (g * g), g)
@@ -217,28 +200,24 @@ def _window_rows(level, F, delta, a, divided, factor, cache):
 
 
 def hw_derivative_at(level, F, delta, a, v, cache):
-    """Entries coeff_(p^level w - u)(dF/dz_v) at the point a, for factored F.
-
-    dF/dz_v = -e_v * F / (t - z_v) when (t - z_v) occurs with multiplicity
-    e_v, so the entries are a window of the base of F in the memo ``cache``.
-    """
+    """Entries coeff_(p^level w - u)(dF/dz_v) at the point a, for factored
+    F: dF/dz_v = -e_v F/(t - z_v), a window of the base of F in ``cache``."""
     return _window_rows(level, F, delta, a, [v], -_factored_mult(F, v), cache)
 
 
 def hw_second_derivative_at(level, F, delta, a, u, v, cache):
-    """Second partials d2F/(dz_u dz_v) of a factored F, at the point a.
-
-    With multiplicities e_u, e_v this is e_u (e_v - [u == v]) * F divided by
-    (t - z_u)(t - z_v); the factor vanishes unless the divisions are exact.
-    """
+    """Second partials d2F/(dz_u dz_v) of a factored F at the point a:
+    e_u (e_v - [u == v]) F/((t - z_u)(t - z_v)), whose factor vanishes
+    unless the divisions are exact."""
     eu, ev = _factored_mult(F, u), _factored_mult(F, v)
     return _window_rows(level, F, delta, a, [u, v], eu * (ev - (u == v)),
                         cache)
 
 
 class _Kit:
-    """The one rule of both kits: a statement certifies each determinant
-    and coordinate difference it clears or inverts by."""
+    """What both kits state once: ``unit`` certifies each determinant and
+    coordinate difference a statement clears by, and ``frame`` and
+    ``frame_derivative`` read through each kit's ``_quotients``."""
 
     def unit(self, d, error, message):
         """d, or error(message) with {v} its valuation if d = 0 mod p (over
@@ -248,14 +227,30 @@ class _Kit:
             raise error(message.format(v=v))
         return d
 
+    def frame(self, F, indices):
+        """Row i: the coefficients at indices of F/(t - z_i), i = 1..n."""
+        return self._quotients(F, [[i] for i in range(1, self.n + 1)], indices)
+
+    def frame_derivative(self, F, i, e, indices):
+        """Row k: the coefficients of d(F/(t - z_k))/dz_i for F with every
+        multiplicity e: -e D_ik off the diagonal, -(e - 1) D_ii on it, D_ik =
+        F/((t - z_i)(t - z_k)), and a zero row, read off nothing, where the
+        scale is 0 mod q."""
+        q = self.ctx.q
+        scales = [-(e - (k == i)) for k in range(1, self.n + 1)]
+        rows = iter(self._quotients(
+            F, [[i, k] for k, c in enumerate(scales, 1) if c % q], indices))
+        return [[self.ring.scal(self.ctx.from_int(c), x) for x in next(rows)]
+                if c % q else [self.ring.zero] * len(indices) for c in scales]
+
 
 class SymbolicKit(_Kit):
     """The verifiers' matrices over the whole z-domain: z-polynomial entries
     over ``ringmat.poly_ring`` with n variables.
 
     ``unit`` refuses a determinant that vanishes mod p, as the point kit
-    refuses one that is no unit at its point.
-    Each A(level, F) is read once and shared by its twists and derivatives.
+    refuses one that is no unit at its point.  Each A(level, F) is read
+    once and shared by its twists and derivatives.
 
     The kit is its own size gate.  Before a read forms any term, the kit
     adds the terms it will form (``LaurentPoly.read_size``) to ``charged``;
@@ -308,25 +303,13 @@ class SymbolicKit(_Kit):
         return [[x.partial_z(v).partial_z(u) for x in row]
                 for row in self._hw(level, F)]
 
-    def frame(self, F, indices):
-        """Row i: the coefficients at indices of F/(t - z_i), i = 1..n."""
-        forms = [F.synth_div_linear(z_index=i) for i in range(1, self.n + 1)]
+    def _quotients(self, F, divided, indices):
+        """Per list in divided, the coefficients at indices of F divided by
+        its factors (t - z_i); every read is charged before the first."""
+        forms = [reduce(lambda f, i: f.synth_div_linear(z_index=i), d, F)
+                 for d in divided]
         self._charge(forms, indices)
         return [f.coeffs_t(indices) for f in forms]
-
-    def frame_derivative(self, F, i, e, indices):
-        """Row k: the coefficients of d(F/(t - z_k))/dz_i for F with every
-        multiplicity e: -e D_ik off the diagonal and -(e - 1) D_ii on it,
-        D_ik = F/((t - z_i)(t - z_k))."""
-        q = self.ctx.q
-        Fi = F.synth_div_linear(z_index=i)
-        scales = [-(e - 1) if k == i else -e for k in range(1, self.n + 1)]
-        forms = {k: Fi.synth_div_linear(z_index=k)
-                 for k, c in enumerate(scales, 1) if c % q}
-        self._charge(forms.values(), indices)
-        return [[x.cmul(c) for x in forms[k].coeffs_t(indices)] if k in forms
-                else [self.ring.zero] * len(indices)
-                for k, c in enumerate(scales, 1)]
 
     def z(self, i, e=1):
         exps = [0] * self.n
@@ -338,12 +321,11 @@ class PointKit(DenseCache, _Kit):
     """The verifiers' matrices at one point a, as scalars over Z/p^N.
 
     The kit is the memo of its point: A, its z-derivatives and the frames at
-    a and at the twists a^(p^k) share expansions, half splits, bases and
-    cofactors, and it keeps the inverses of the point's coordinate
-    differences (``diff_inverse``).  ``unit`` raises when a determinant is
-    not a unit at the point; where it is, clearing by it keeps every
-    valuation.  A missing point, or a coordinate neither an int nor an
-    m-tuple, is refused.
+    a and at the twists a^(p^k) share half splits, bases and cofactors, and
+    it keeps the inverses of the point's coordinate differences
+    (``diff_inverse``).  ``unit`` raises when a determinant is not a unit at
+    the point, so clearing by it keeps every valuation.  A missing point,
+    or a coordinate neither an int nor an m-tuple, is refused.
     """
 
     def __init__(self, ctx, delta, a, index=0):
@@ -352,7 +334,7 @@ class PointKit(DenseCache, _Kit):
             raise InvalidParameter(f"point {index} is not a tuple of "
                                    f"elements of {ctx}: {a!r}")
         super().__init__()
-        self.ctx, self.delta = ctx, delta
+        self.ctx, self.delta, self.n = ctx, delta, len(a)
         self.label = {"point_index": index}
         self._inv = {}
         self.ring = ringmat.scalar_ring(ctx)
@@ -381,7 +363,9 @@ class PointKit(DenseCache, _Kit):
 
     def coeffs(self, F, indices, twist=0):
         """The coefficients at the t-exponents of F at the twisted point."""
-        return _coeffs_at(self.ctx, *self.dense_W(F, twist), indices)
+        if F.factored is None:
+            return _coeffs_at(self.ctx, *self.dense_W(F, twist), indices)
+        return self.read(F, self.point(twist), indices)
 
     def dA(self, level, F, v, twist=0):
         return hw_derivative_at(level, F, self.delta, self.point(twist), v,
@@ -391,19 +375,11 @@ class PointKit(DenseCache, _Kit):
         return hw_second_derivative_at(level, F, self.delta, self.point(0),
                                        u, v, self)
 
-    def frame(self, F, indices):
+    def _quotients(self, F, divided, indices):
+        """Per list in divided, the window at indices of F divided by its
+        factors (t - z_i), at the point."""
         a = self.point(0)
-        return [self.window(F, a, [i], indices) for i in range(1, len(a) + 1)]
-
-    def frame_derivative(self, F, i, e, indices):
-        """The rows of ``SymbolicKit.frame_derivative`` at the point: windows
-        of the base against the cofactors P_i P_k (k != i) and P_i^2, with
-        P_i = prod_(j != i) (t - a_j) for F = Phi_s."""
-        ctx, a = self.ctx, self.point(0)
-        scales = [-(e - 1) if k == i else -e for k in range(1, len(a) + 1)]
-        return [[ctx.scal_int(x, c) for x in self.window(F, a, [i, k], indices)]
-                if c % ctx.q else [ctx.zero()] * len(indices)
-                for k, c in enumerate(scales, 1)]
+        return [self.window(F, a, d, indices) for d in divided]
 
     def z(self, i, e=1):
         return self.ctx.pow(self.point(0)[i - 1], e)

@@ -40,6 +40,7 @@ from .errors import (
     UnsupportedArity,
     ZeroPolynomial,
 )
+from .padic import json_int
 
 SOFT_TERM_CAP = 10_000_000
 # The reads of one symbolic verifier statement; the products after them
@@ -458,12 +459,12 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, ctx, data):
-        r, n = int(data["r"]), int(data["n"])
+        r, n = json_int(data["r"]), json_int(data["n"])
         terms = {}
         for item in data["terms"]:
             if (len(item["t"]), len(item["z"])) != (r, n):
                 raise ValueError(f"a term needs {r} t and {n} z exponents")
-            key = tuple(int(e) for e in item["t"]) + tuple(int(e) for e in item["z"])
+            key = tuple(map(json_int, item["t"])) + tuple(map(json_int, item["z"]))
             c = ctx.elem_from_json(item["c"])
             if not ctx.is_zero(c):
                 terms[key] = c

@@ -296,10 +296,10 @@ class PadicCtx:
 
     def elem_from_json(self, data):
         if isinstance(data, (int, str)):
-            return self.from_int(int(data))
+            return self.from_int(json_int(data))
         if len(data) > self.m:
             raise ValueError(f"an element has at most m = {self.m} coefficients")
-        return self.from_coeffs([int(c) for c in data])
+        return self.from_coeffs([json_int(c) for c in data])
 
     def to_json(self):
         return {"p": self.p, "N": self.N, "m": self.m, "modulus": list(self.modulus)}
@@ -308,6 +308,13 @@ class PadicCtx:
     def from_json(cls, data):
         return cls(int(data["p"]), int(data["N"]), int(data["m"]),
                    tuple(int(c) for c in data["modulus"]))
+
+
+def json_int(x):
+    """x as an int, from an int that is no bool or from a digit string."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise TypeError(f"{x!r} is not an integer")
+    return int(x)
 
 
 def check_prime(p):

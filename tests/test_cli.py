@@ -396,6 +396,49 @@ def test_hw_and_kz_solve_output_is_pinned(tmp_path, argv, point, digest):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ("congruence --theorem decomp --p 5 --N 4 --s 2 --g 1",
+     "2a1dd3a1a3bf0449ddfbbff052b9777c4a61c6309099b8b9b5dd44adb208f62c"),
+    ("congruence --theorem decomp --p 5 --N 5 --s 3 --g 2 --ext 2",
+     "35f2d94d0494f3debe3901827264b703859cd556ba75f6f273af61ae7394b687"),
+    ("congruence --theorem decomp --p 3 --N 6 --s 4 --g 1 --ext 3",
+     "7affbe1863eff7b01e17562ac466bba46c3b45fdd320fea11b9e07aa94ddf4dd"),
+    ("congruence --theorem 1.6i --p 5 --N 4 --s 2 --g 1",
+     "0eeedc2ff3d4aa674032a6cfc6d9d21f80ce5c587d07c4a422333423a149c6f6"),
+    ("congruence --theorem 1.6i --p 5 --N 5 --s 3 --g 2 --ext 2",
+     "43d1d1b4502c759d73cdfc61c34ead2e3f20221d17a8607315e139390769db17"),
+    ("congruence --theorem 1.6i --p 3 --N 6 --s 4 --g 1 --ext 3",
+     "ba7704b933d5d1fe205e49b4cd06c590076133748ee0d3bf4a88c3336aa8658e"),
+    ("congruence --theorem ratio --p 3 --N 6 --s 4 --g 1 --ext 3",
+     "eae43449a837b51874decddc51484e36672c078513f36958fefa99744f2dc696"),
+    ("congruence --theorem ratio --p 7 --N 3 --s 1 --g 2",
+     "f65c335424b9e2817ec95173addba077eebd6d0c91a1b49619b7d6cd9ef1e82e"),
+    ("congruence --theorem decomp --p 7 --N 3 --s 1 --g 2",
+     "de25ee4cdfc28e3c4662bceb851296e5e580ba7330337c7467ebfc9755780b7d"),
+])
+def test_pointwise_reads_are_pinned(argv, digest):
+    """The whole report of pointwise verdicts whose A and ghost reads come
+    off half splits, byte for byte, against the sha256 of a recorded run:
+    decomp and 1.6i at m = 1, 2, 3, ratio at m = 3, and ratio and decomp at
+    p = 7, s = 1, whose level-1 R is short enough for dense_mul to square it
+    by schoolbook."""
+    argv = argv.split()
+    argv += ["--points", "2" if "--ext" in argv else "3", "--seed", "1"]
+    out = io.StringIO()
+    assert run(argv, out=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def test_limit_at_m2_is_pinned():
+    """The whole ``limit`` report at m = 2, whose frames and matrices come
+    off one base per level."""
+    out = io.StringIO()
+    assert run("limit --p 5 --N 4 --g 1 --m 2 --point 0 --smax 3".split(),
+               out=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "44d4e759a25db751b0e550629d537c3d850bd84b8420bc4fd07f557b8706af57")
+
+
 def test_domain_scan_command():
     code, docs = invoke(["domain-scan", "--p", "3", "--g", "1", "--m", "2",
                          "--exhaustive"])
@@ -695,9 +738,29 @@ def test_an_element_with_more_than_m_coefficients_exits_2(tmp_path, argv, m,
     assert invoke(argv.format(path).split())[0] == 0
 
 
+def _lambda(t=(1,), c="1", r=1, n=1):
+    """A term list for the malformed-input tests, well formed by default."""
+    return {"r": r, "n": n, "terms": [{"t": list(t), "z": [1], "c": c},
+                                      {"t": [1], "z": [0], "c": "1"}]}
+
+
+# JSON booleans and non-integral numbers were once read as integers: true
+# as 1 in a point or a coefficient, 1.9 as the exponent 1.
+BOOL_AND_FLOAT_INPUTS = [
+    pytest.param(content, id=name) for name, content in [
+        ("bool-coordinate", "[0, true, 3]"),
+        ("bool-coefficient", '["0", [true], "3"]'),
+        ("float-coordinate", "[0, 1.0, 3]"),
+        ("float-exponent", json.dumps({"lambdas": [_lambda(t=(1.9,))] * 2})),
+        ("bool-c", json.dumps({"lambdas": [_lambda(c=True)] * 2})),
+        ("float-c", json.dumps({"lambdas": [_lambda(c=[1.0])] * 2})),
+        ("bool-r", json.dumps({"lambdas": [_lambda(r=True)] * 2})),
+        ("float-n", json.dumps({"lambdas": [_lambda(n=1.0)] * 2}))]]
+
+
 @pytest.mark.parametrize("content", [
     "[]", "[1.5, 2, 3]", "{}", '{"lambdas": [5]}', '{"lambdas": []}',
-    '"abc"', "{not json",
+    '"abc"', "{not json", *BOOL_AND_FLOAT_INPUTS,
 ])
 @pytest.mark.parametrize("argv", [
     "hw --p 5 --N 3 --m 1 --g 1 --at {}",
@@ -712,3 +775,21 @@ def test_malformed_input_files_exit_2(tmp_path, argv, content, capsys):
     err = capsys.readouterr().err
     assert code == 2 and docs == []
     assert "configuration error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,content", [
+    ("hw --p 5 --N 3 --m 1 --g 1 --at {}", '[0, 1, 3]'),
+    ("hw --p 5 --N 3 --m 1 --g 1 --at {}", '["0", ["1"], "3"]'),
+    ("kz-solve --p 5 --N 3 --g 1 --s 1 --at {}", '[0, 1, 3]'),
+    ("ghosts --p 3 --N 3 --l 1 --delta 1 --tuple {}",
+     json.dumps({"lambdas": [_lambda()] * 2})),
+    ("admissible --p 3 --delta 1 --tuple {}",
+     json.dumps({"lambdas": [_lambda(c=["1"])] * 2})),
+])
+def test_integer_twins_of_the_boolean_and_float_inputs_pass(tmp_path, argv,
+                                                             content):
+    """The malformed inputs above with integers in place of their booleans
+    and floats are read: the exit 2 is the type's, not the shape's."""
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    assert invoke(argv.format(path).split())[0] == 0

@@ -121,14 +121,14 @@ M1_MODULUS = (2, 1, 1)
     (5, 2, 3, None)])
 @pytest.mark.parametrize("ntt", [False, True], ids=["bytes", "decimal"])
 def test_fold_lift_covers_an_empty_column(monkeypatch, p, N, m, modulus, ntt):
-    """The x^0 column all 0 and every other column all q - 1.  Every fold row
-    of these moduli is <= 0, so the folded negative terms reach their bound
-    in full against an empty column, and a lift one q short would borrow
-    across slots."""
+    """The x^0 column all 0 and every other column all q - 1.  Every fold
+    step of these moduli is <= 0, so the folded negative terms reach their
+    bound in full against an empty column, and a lift one q short would
+    borrow across slots."""
     if ntt:
         monkeypatch.setattr(dense, "NTT_CUTOFF", LOW_NTT_CUTOFF)
     ctx = dl.PadicCtx(p, N, m, modulus) if modulus else dl.ctx_new(p, N, m)
-    assert all(r <= 0 for row in dense._fold_rows(ctx) for r in row)
+    assert all(r <= 0 for _, r, _ in dense._fold_steps(ctx))
     top = (0,) + (ctx.q - 1,) * (m - 1)
     la = LOW_NTT_CUTOFF + 5
     for lb in (la, la + 12):
@@ -218,14 +218,24 @@ def _multiplicities(rng, kind, n):
     return [rng.randrange(1, 14) for _ in range(n - 1)] + [3]
 
 
+# Irreducible over F_3 with no zero below the top, unlike ctx_new's x^3 +
+# 2x + 1 and x^4 + x + 2 (tails with zero and nonzero entries).
+M3_FULL_TAIL = (1, 1, 2, 1)
+M4_FULL_TAIL = (1, 1, 1, 1, 1)
+
+
 @pytest.mark.parametrize("p,N,m,modulus", [
     (7, 6, 1, None), (3, 3, 1, None), (5, 5, 2, None), (3, 2, 2, None),
-    (5, 4, 2, M1_MODULUS), (3, 3, 2, M1_MODULUS), (3, 3, 3, None)])
+    (5, 4, 2, M1_MODULUS), (3, 3, 2, M1_MODULUS), (3, 3, 3, None),
+    (5, 2, 3, None), (3, 3, 3, M3_FULL_TAIL), (3, 2, 4, None),
+    (5, 2, 4, None), (3, 2, 4, M4_FULL_TAIL)])
 @pytest.mark.parametrize("kind", ["even", "odd", "mixed", "top"])
 def test_half_power_reader_matches_the_expansion(p, N, m, modulus, kind):
     """Coefficients of R^2 T read by dot products equal the expanded
     product at every index, including below 0, at the degree and past it;
-    "top" takes every root all-(q-1), which fills every accumulator."""
+    "top" takes every root all-(q-1), which fills every accumulator.  For
+    m >= 3 the fold has several steps per row, and the moduli's tails have
+    zero and nonzero entries."""
     ctx = dl.PadicCtx(p, N, m, modulus) if modulus else dl.ctx_new(p, N, m)
     rng = seeded(1000 * p + 100 * N + 10 * m + len(kind))
     top = ctx.q - 1 if m == 1 else (ctx.q - 1,) * m

@@ -9,6 +9,7 @@ from dworklab.hasse_witt import (
     DenseCache,
     PointKit,
     SymbolicKit,
+    _coeffs_at,
     hw_inverse_at,
     hw_second_derivative_at,
 )
@@ -218,9 +219,8 @@ def test_second_derivative_matches_symbolic():
 
 
 def _cache_forms(ctx, g):
-    """Factored forms whose halved part is past the schoolbook cutoff: a
-    KZ master polynomial with odd multiplicity (p = 3, 7) or even (p = 5),
-    and a form with mixed multiplicities."""
+    """Factored forms: a KZ master polynomial with odd multiplicity (p = 3,
+    7) or even (p = 5), and a form with mixed multiplicities."""
     cfg = dl.KZConfig(ctx, g)
     s = {3: 3, 5: 2, 7: 3}[ctx.p]
     mixed = LaurentPoly.from_factors(ctx, 3, [(1, 37), (2, 50), (3, 5)])
@@ -230,26 +230,32 @@ def _cache_forms(ctx, g):
 
 @pytest.mark.parametrize("p,N,m,g", [(7, 4, 1, 2), (5, 3, 2, 2), (3, 3, 3, 1)])
 def test_cache_entries_and_expansion_in_either_order(p, N, m, g):
-    """hw_at before get (entries from the half split, expansion from R R T)
-    and get before hw_at (entries from the expansion) agree with the direct
-    expansion, at every level whose indices fall inside, at and past the
-    degree; two points on one cache keep their own splits."""
+    """A factored form is read off its half split until it is expanded and
+    off its base after: A at every level whose indices fall inside, at and
+    past the degree, and ``coeffs`` below 0, inside and past the degree,
+    agree with the direct expansion either way.  Two points on one cache
+    keep their own splits, and no factored key enters the expansion memo."""
     ctx = dl.ctx_new(p, N, m)
     rng = seeded(97 * p + m)
     for F, delta, n in _cache_forms(ctx, g):
         points = [tuple(rand(ctx, rng) for _ in range(n)) for _ in range(2)]
-        split_first, expand_first = DenseCache(), DenseCache()
+        direct = {(level, a): dl.hw_matrix_at(level, F, delta, a)
+                  for level in (1, 2, 3, 4) for a in points}
+        cache = DenseCache()
+        for _ in range(2):  # the second pass reads the stored splits
+            for (level, a), want in direct.items():
+                assert cache.hw_at(level, F, delta, a) == want
+            assert set(cache._half) == {(ctx, F.factored, a) for a in points}
+        assert not cache._store and not cache._base
         for a in points:
-            want = F.dense_t(a)
-            for level in (1, 2, 3, 4):
-                direct = dl.hw_matrix_at(level, F, delta, a)
-                assert split_first.hw_at(level, F, delta, a) == direct
-            assert split_first._half and (ctx, F.factored, a) in split_first._half
-            assert split_first.get(F, a) == want
-            assert (ctx, F.factored, a) not in split_first._half
-            assert expand_first.get(F, a) == want
-            for level in (1, 2, 3, 4):
-                direct = dl.hw_matrix_at(level, F, delta, a)
-                assert split_first.hw_at(level, F, delta, a) == direct
-                assert expand_first.hw_at(level, F, delta, a) == direct
-        assert not expand_first._half
+            off, full = F.dense_t(a)
+            indices = list(range(-3, off + len(full) + 3))
+            want = _coeffs_at(ctx, off, full, indices)
+            kit = PointKit(ctx, delta, a)
+            for expanded in (False, True):
+                assert kit.coeffs(F, indices) == want
+                for level in (1, 2, 3, 4):
+                    assert kit.A(level, F) == direct[level, a]
+                assert bool(kit._base) == expanded
+                kit.expand(F)
+            assert not kit._store

@@ -9,6 +9,7 @@ from dworklab.errors import (
     NonUnitDifference,
     NotDivisible,
     OutsideDomain,
+    SizeCapExceeded,
 )
 from dworklab.hasse_witt import DenseCache, PointKit, SymbolicKit
 from dworklab.kz import (
@@ -131,6 +132,34 @@ def test_symbolic_frames_match_pointwise_frames(p, N, g, s, m):
         for ell in range(g + 2):
             sym = solution_coefficient(cfg, s, ell, 2)
             assert at([[sym]], a)[0][0] == solution_coefficient(cfg, s, ell, 2, kit)
+
+
+@pytest.mark.parametrize("p,s,g", [(3, 1, 1), (3, 2, 1), (5, 2, 1),
+                                   (7, 1, 1)])
+def test_frame_derivative_charges_every_read_before_the_first(p, s, g,
+                                                              monkeypatch):
+    """The symbolic frame derivative charges all its quotient reads before
+    the first: with the budget one term below the statement's total it is
+    refused at once, with no coeffs_t read, and at the total it reads one
+    quotient per row whose scale is nonzero mod q (at p^s = 3 the diagonal
+    scale e - 1 is 0)."""
+    ctx, cfg = setup(p, 4, g)
+    reads = []
+    real = LaurentPoly.coeffs_t
+    monkeypatch.setattr(LaurentPoly, "coeffs_t",
+                        lambda F, indices: reads.append(F) or real(F, indices))
+    kit = SymbolicKit(ctx, cfg.delta, cfg.n)
+    want = ps_solution_derivative(cfg, s, 2, kit)
+    total = kit.charged
+    assert len(reads) == cfg.n - (cfg.exponent(s) == 1)
+    reads.clear()
+    with pytest.raises(SizeCapExceeded,
+                       match=f"{total} terms, past the cap of {total - 1};"):
+        ps_solution_derivative(cfg, s, 2, SymbolicKit(
+            ctx, cfg.delta, cfg.n, budget=total - 1))
+    assert reads == []
+    assert ps_solution_derivative(cfg, s, 2, SymbolicKit(
+        ctx, cfg.delta, cfg.n, budget=total)) == want
 
 
 def test_partial_fraction_derivative_matches_two_divisions():
