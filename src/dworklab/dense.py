@@ -24,13 +24,13 @@ keeps its slots nonnegative: slots hold about 3 (q - 1)^2 short for x^2 + 2,
 not q (q - 1)^2 short.  dense_pow goes left to right, so every product of
 its chain is a square or has the short base as one operand.
 
-A product of linear factors prod (t - r)^e is also kept as a half split
-R^2 T, R = prod (t - r)^(e // 2) and T = prod (t - r)^(e mod 2), from which
-dense_half_coeffs reads single coefficients for every m by squares over the
-m plain-int columns of R, folded once as in _kron_mul: a Hasse-Witt matrix
-needs g^2 coefficients, not the whole square.  Both it and the point kit's
-quotient reads end in dense_window_coeffs, coefficients of a long
-polynomial times a short cofactor, formed one dot product each.
+A factored form at a point is read off a split R^2 c (see
+hasse_witt.DenseCache): Squares keeps the squares S_i of the long R where
+read, for every m on the m plain-int columns of R folded once as in
+_kron_mul, and dense_window_coeffs reads single coefficients of R^2 c for a
+short cofactor c as sum_j c_j S_(k-j), one dot product each (a middle
+product, Hanrot, Quercia and Zimmermann, AAECC 2004): a Hasse-Witt matrix
+needs g^2 coefficients, not the whole square.
 """
 
 from __future__ import annotations
@@ -88,16 +88,6 @@ def _unpack_dec(x, width, count, q):
     out = [int(c) % q for (c,) in slots]
     out.reverse()
     return out
-
-
-def _columns(m, a):
-    """The m basis columns of the dense a, as plain-int lists."""
-    return [a] if m == 1 else [list(col) for col in zip(*a)]
-
-
-def _element(m, coords):
-    """The element with the plain-int coordinates coords[:m], unreduced."""
-    return coords[0] if m == 1 else tuple(coords[:m])
 
 
 @cache
@@ -265,11 +255,45 @@ def dense_from_roots(ctx, pairs):
                    for e, roots in groups.items()])
 
 
-def dense_half_split(ctx, pairs):
-    """(R, T) with prod (t - root)^mult = R^2 T, where R has the halved
-    multiplicities mult // 2 and T the parities mult % 2."""
-    return (dense_from_roots(ctx, [(r, e // 2) for r, e in pairs]),
-            dense_from_roots(ctx, [(r, e % 2) for r, e in pairs]))
+class Squares:
+    """The squares S_i = sum_a R_a R_(i-a) of a dense R, each formed on its
+    first read and kept, so that single coefficients of R^2 c for a short c
+    cost a few dot products over R and no square of R (a middle product).
+
+    Each S_i sums squares over the m plain-int columns of R on 2m - 1
+    accumulators (1, x, ..., x^(2m-2)), a cross product 2 R_u R_v as
+    (R_u + R_v)^2 - R_u^2 - R_v^2, and folds them once by _fold_steps.  The
+    columns, their pair sums and the fold are made once per R.
+    """
+
+    def __init__(self, ctx, R):
+        self.ctx, self.d, self.fold = ctx, len(R) - 1, _fold_steps(ctx)
+        self.cols = [R] if ctx.m == 1 else [list(col) for col in zip(*R)]
+        self.sums = [(u, v, list(map(add, self.cols[u], self.cols[v])))
+                     for u in range(ctx.m) for v in range(u + 1, ctx.m)]
+        self.S = [None] * (2 * self.d + 1)  # unreduced: the window reduces
+
+    def _square(self, i):
+        m, lo = self.ctx.m, max(0, i - self.d)
+        if m == 1:
+            return _square_at(self.cols[0], i, lo)
+        acc = [0] * (2 * m - 1)
+        acc[::2] = sq = [_square_at(x, i, lo) for x in self.cols]
+        for u, v, x in self.sums:
+            acc[u + v] += _square_at(x, i, lo) - sq[u] - sq[v]
+        for j, r, h in self.fold:
+            acc[j] += r * acc[h]
+        return tuple(acc[:m])
+
+    def window(self, c, indices):
+        """Coefficients of t^k in R^2 c at the given indices, zero out of
+        range: [t^k] R^2 c = sum_j c_j S_(k-j)."""
+        S = self.S
+        for k in indices:
+            for i in range(max(0, k - len(c) + 1), min(k, 2 * self.d) + 1):
+                if S[i] is None:
+                    S[i] = self._square(i)
+        return dense_window_coeffs(self.ctx, S, c, indices)
 
 
 def _square_at(x, i, lo):
@@ -277,36 +301,6 @@ def _square_at(x, i, lo):
     mid = (i + 1) // 2
     acc = 2 * sum(map(mul, x[lo:mid], reversed(x[i - mid + 1:i - lo + 1])))
     return acc if i & 1 else acc + x[i >> 1] * x[i >> 1]
-
-
-def dense_half_coeffs(ctx, R, T, indices):
-    """Coefficients of t^k in R^2 T at the given indices, zero out of range.
-
-    [t^k] R^2 T = sum_j T_j S_(k-j) with S_i = sum_a R_a R_(i-a), so a few
-    coefficients cost a few dot products over R and no square of R.  Each
-    S_i sums squares over the m plain-int columns of R on 2m - 1
-    accumulators (1, x, ..., x^(2m-2)) and folds them once by _fold_steps.
-    """
-    m, d = ctx.m, len(R) - 1
-    cols, fold = _columns(m, R), _fold_steps(ctx)
-    # 2 R_u R_v = (R_u + R_v)^2 - R_u^2 - R_v^2: every dot product a square
-    sums = [(u, v, list(map(add, cols[u], cols[v])))
-            for u in range(m) for v in range(u + 1, m)]
-    S = [None] * (2 * d + 1)  # S_i where read, unreduced: the window reduces
-    for k in indices:
-        for i in range(max(0, k - len(T) + 1), min(k, 2 * d) + 1):
-            if S[i] is None:
-                lo = max(0, i - d)
-                acc = [0] * (2 * m - 1)
-                for u, x in enumerate(cols):
-                    acc[2 * u] = _square_at(x, i, lo)
-                sq = acc[::2]
-                for u, v, x in sums:
-                    acc[u + v] += _square_at(x, i, lo) - sq[u] - sq[v]
-                for j, r, h in fold:
-                    acc[j] += r * acc[h]
-                S[i] = _element(m, acc)
-    return dense_window_coeffs(ctx, S, T, indices)
 
 
 def dense_window_coeffs(ctx, B, c, indices):

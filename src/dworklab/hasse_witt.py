@@ -7,8 +7,10 @@ set Delta of size g, and a level m, the matrix is
 
 A matrix is a list of g rows.  Symbolic entries are z-polynomials;
 evaluated entries are ring scalars read off the dense specialization F(t, a)
-of a factored F by one rule (DenseCache): off its half split, or off its
-base, which also serves every quotient by one or two factors (t - z_i).
+of a factored F by one rule (DenseCache): a window of one split R^2 c per
+(form, point), which also serves every quotient of F by one or two factors
+(t - z_i), and never the whole expansion.  A statement declares the forms
+it reads quotients of (``reads_quotients``), so that each has one split.
 
 The verifiers read every matrix, and the ghost recursion every single
 t-coefficient (``coeffs``), through a kit with one interface:
@@ -98,20 +100,23 @@ def hw_inverse_at(ctx, A):
 class DenseCache:
     """Memo of the dense forms that F(t, a) is read off at a point a.
 
-    A factored F = prod (t - z_i)^e_i is read (``read``) off its base B =
-    prod (t - a_i)^max(e_i - 2, 0) once ``base`` has built it, and off its
-    half split F(t, a) = R^2 T otherwise (R with the halved multiplicities,
-    T with their parities), built on the first read whatever its size.
-    ``window`` reads F and its quotients by one or two factors (t - z_i) as
-    coefficients of B c, c = prod (t - a_i)^min(e_i, 2) less the divided
-    factors, kept per point and root multiset for every level.  ``get``
+    A factored F = prod (t - z_i)^e_i is kept at a as one split F(t, a) =
+    R^2 c, R = prod (t - a_i)^floor(max(e_i - h, 0) / 2) and c the cofactor
+    prod (t - a_i)^(e_i - 2 floor(...)), h in {0, 2}, with the squares of R
+    formed so far (``dense.Squares``).  Every read, ``quotient_coeffs``, of
+    F or of its quotient by one or two factors (t - z_i) is a window of
+    those squares against c less the divided factors, kept per point and
+    root multiset for every level: h = 2 leaves at least min(e_i, 2) of each
+    factor in c.  h = 2 for a divided read and for every read of a form in
+    ``_divided`` (``PointKit.reads_quotients``), else h = 0, whose c has
+    degree at most n and whose windows read the fewest squares.  ``get``
     keeps the (offset, coeffs) expansion of an unfactored F, keyed by its
     identity and kept alive while the memo is.
     """
 
     def __init__(self):
-        self._store, self._half, self._forms = {}, {}, {}
-        self._base, self._cofactor = {}, {}
+        self._store, self._forms, self._splits = {}, {}, {}
+        self._cofactor, self._divided = {}, set()
 
     def _key(self, F, a):
         if F.factored is not None:
@@ -126,53 +131,36 @@ class DenseCache:
             self._store[key] = F.dense_t(a)
         return self._store[key]
 
-    def read(self, F, a, indices):
-        """The coefficients at indices of the factored F at the point a,
-        zero out of range: off its base if built, else off its half split
-        (a middle-product read, no square of R), each index set once."""
-        a, indices = tuple(a), tuple(indices)
-        key = self._key(F, a)
-        if key in self._base:
-            return self.window(F, a, [], indices)
-        if key not in self._half:
-            self._half[key] = dense.dense_half_split(F.ctx, F.roots_at(a)), {}
-        (R, T), got = self._half[key]
-        if indices not in got:
-            got[indices] = dense.dense_half_coeffs(F.ctx, R, T, indices)
-        return got[indices]
-
-    def base(self, F, a):
-        """The base of the factored F at the point a, built once."""
-        key = self._key(F, tuple(a))
-        if key not in self._base:
-            self._base[key] = dense.dense_from_roots(
-                F.ctx, [(r, max(e - 2, 0)) for r, e in F.roots_at(a)])
-        return self._base[key]
-
-    def window(self, F, a, divided, indices):
+    def quotient_coeffs(self, F, a, indices, divided=()):
         """The coefficients at indices of F / prod_(i in divided) (t - z_i)
-        at the point a, for a factored F; NotDivisible if one is no factor."""
+        at the point a, zero out of range, for a factored F; NotDivisible if
+        one is no factor."""
         if F.factored is None:
             raise NotFactored("quotients need a factored form")
-        a, mult = tuple(a), {i: min(e, 2) for i, e in F.factored}
-        for i in divided:
-            mult[i] = mult.get(i, 0) - 1
-            if mult[i] < 0:
-                raise NotDivisible(f"t - z_{i} does not divide the form")
-        key = a, tuple(sorted(mult.items()))
-        if key not in self._cofactor:
-            self._cofactor[key] = dense.dense_from_roots(F.ctx, [
-                (r, mult[i]) for (i, _), (r, _) in zip(F.factored,
-                                                       F.roots_at(a))])
-        return dense.dense_window_coeffs(F.ctx, self.base(F, a),
-                                         self._cofactor[key], indices)
-
-    def hw_at(self, level, F, delta, a):
-        """A(level, F) at the point a, through ``read`` if F is factored."""
-        if F.factored is None:
-            return hw_from_dense(F.ctx, level, *self.get(F, a), delta)
-        return _rows(self.read(F, a, hw_indices(F.ctx.p, level, delta)),
-                     len(delta))
+        a = tuple(a)
+        key = self._key(F, a)
+        h = 2 if divided or key in self._divided else 0
+        split = self._splits.get((key, h))
+        if split is None:
+            roots = {i: r for (i, _), (r, _) in zip(F.factored, F.roots_at(a))}
+            half = {i: max(e - h, 0) // 2 for i, e in F.factored}
+            R = dense.dense_from_roots(F.ctx, [(roots[i], k)
+                                               for i, k in half.items()])
+            split = self._splits[key, h] = dense.Squares(F.ctx, R), roots, {
+                i: e - 2 * half[i] for i, e in F.factored}
+        squares, roots, mult = split
+        if divided:
+            mult = dict(mult)
+            for i in divided:
+                mult[i] = mult.get(i, 0) - 1
+                if mult[i] < 0:
+                    raise NotDivisible(f"t - z_{i} does not divide the form")
+        ckey = a, tuple(mult.items())  # in index order, as F.factored
+        c = self._cofactor.get(ckey)
+        if c is None:
+            c = self._cofactor[ckey] = dense.dense_from_roots(
+                F.ctx, [(roots[i], k) for i, k in mult.items()])
+        return squares.window(c, indices)
 
 
 def check_direction(name, idx, n):
@@ -190,18 +178,18 @@ def _factored_mult(F, z_index):
 
 def _window_rows(level, F, delta, a, divided, factor, cache):
     """factor * A(level, F / prod_(i in divided) (t - z_i)) at a, off the
-    base of F in the DenseCache ``cache``; zero, read off nothing, when
+    split of F in the DenseCache ``cache``; zero, read off nothing, when
     factor = 0 mod q."""
     ctx, g = F.ctx, len(delta)
     if factor % ctx.q == 0:
         return _rows([ctx.zero()] * (g * g), g)
-    return _rows([ctx.scal_int(x, factor) for x in cache.window(
-        F, a, divided, hw_indices(ctx.p, level, delta))], g)
+    return _rows([ctx.scal_int(x, factor) for x in cache.quotient_coeffs(
+        F, a, hw_indices(ctx.p, level, delta), divided)], g)
 
 
 def hw_derivative_at(level, F, delta, a, v, cache):
     """Entries coeff_(p^level w - u)(dF/dz_v) at the point a, for factored
-    F: dF/dz_v = -e_v F/(t - z_v), a window of the base of F in ``cache``."""
+    F: dF/dz_v = -e_v F/(t - z_v), a window of the split of F in ``cache``."""
     return _window_rows(level, F, delta, a, [v], -_factored_mult(F, v), cache)
 
 
@@ -282,8 +270,8 @@ class SymbolicKit(_Kit):
             self._read[key] = F, hw_matrix(level, F, self.delta)
         return self._read[key][1]
 
-    def expand(self, F, twist=0):
-        """F: the point kit's bases have no symbolic part."""
+    def reads_quotients(self, F, twist=0):
+        """F: the point kit's splits have no symbolic part."""
         return F
 
     def A(self, level, F, twist=0):
@@ -321,7 +309,7 @@ class PointKit(DenseCache, _Kit):
     """The verifiers' matrices at one point a, as scalars over Z/p^N.
 
     The kit is the memo of its point: A, its z-derivatives and the frames at
-    a and at the twists a^(p^k) share half splits, bases and cofactors, and
+    a and at the twists a^(p^k) share splits and cofactors, and
     it keeps the inverses of the point's coordinate differences
     (``diff_inverse``).  ``unit`` raises when a determinant is not a unit at
     the point, so clearing by it keeps every valuation.  A missing point,
@@ -348,24 +336,31 @@ class PointKit(DenseCache, _Kit):
                                           for x in self.point(k - 1))
         return got
 
-    def expand(self, F, twist=0):
-        """F, after building its base at the twisted point if F is factored:
-        every later read of F there, A included, is a window of it.  A
-        statement that reads quotients of F expands it before its first read
-        of F, so that A is not read off a half split that nothing else uses."""
+    def reads_quotients(self, F, twist=0):
+        """F, declared to be read for quotients at the twisted point, so
+        that every read of a factored F there, A included, comes off the
+        one split that serves its quotients.  A statement declares F before
+        its first read of F.  Without the declaration A would come off a
+        second split that nothing else uses; with the quotient split for
+        every read, ratio and det would read more squares."""
         if F.factored is not None:
-            self.base(F, self.point(twist))
+            self._divided.add(self._key(F, self.point(twist)))
         return F
 
     def A(self, level, F, twist=0):
-        """A(level, F) at the twisted point."""
-        return self.hw_at(level, F, self.delta, self.point(twist))
+        """A(level, F) at the twisted point, a window of its split if F is
+        factored."""
+        a, delta = self.point(twist), self.delta
+        if F.factored is None:
+            return hw_from_dense(self.ctx, level, *self.get(F, a), delta)
+        return _rows(self.quotient_coeffs(
+            F, a, hw_indices(self.ctx.p, level, delta)), len(delta))
 
     def coeffs(self, F, indices, twist=0):
         """The coefficients at the t-exponents of F at the twisted point."""
         if F.factored is None:
             return _coeffs_at(self.ctx, *self.dense_W(F, twist), indices)
-        return self.read(F, self.point(twist), indices)
+        return self.quotient_coeffs(F, self.point(twist), indices)
 
     def dA(self, level, F, v, twist=0):
         return hw_derivative_at(level, F, self.delta, self.point(twist), v,
@@ -376,10 +371,10 @@ class PointKit(DenseCache, _Kit):
                                        u, v, self)
 
     def _quotients(self, F, divided, indices):
-        """Per list in divided, the window at indices of F divided by its
-        factors (t - z_i), at the point."""
+        """Per list in divided, the coefficients at indices of F divided by
+        its factors (t - z_i), at the point."""
         a = self.point(0)
-        return [self.window(F, a, d, indices) for d in divided]
+        return [self.quotient_coeffs(F, a, indices, d) for d in divided]
 
     def z(self, i, e=1):
         return self.ctx.pow(self.point(0)[i - 1], e)

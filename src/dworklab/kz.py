@@ -111,7 +111,7 @@ def ps_solution_derivative(cfg, s, i, kit):
     Row k, column l is the coefficient of t^(l p^s - 1) in
     d(Phi_s/(t - z_k))/dz_i.  On the factored form this is -e D_ik off the
     diagonal and -(e-1) D_ii on it, with D_ik = Phi_s/((t-z_i)(t-z_k)); at
-    a point each row is a window of the kit's base of Phi_s.
+    a point each row is a window of the kit's split of Phi_s.
     """
     check_direction("i", i, cfg.n)
     return kit.frame_derivative(
@@ -154,7 +154,7 @@ def kz_residual(cfg, s, i=None, points=None):
 
     def one(kit):
         ring = kit.ring
-        kit.expand(master_polynomial(cfg, s))
+        kit.reads_quotients(master_polynomial(cfg, s))
         I = ps_solutions(cfg, s, kit)
         dI = {d: ps_solution_derivative(cfg, s, d, kit) for d in dirs}
         z = [kit.z(j) for j in range(1, cfg.n + 1)]
@@ -280,8 +280,8 @@ def verify_solution_congruence(cfg, s, points=None):
 
     def one(kit):
         ring = kit.ring
-        A = {lev: kit.A(lev, kit.expand(master_polynomial(cfg, lev)))
-             for lev in (s, s + 1)}
+        A = {lev: kit.A(lev, kit.reads_quotients(
+            master_polynomial(cfg, lev))) for lev in (s, s + 1)}
         frames = {lev: ps_solutions(cfg, lev, kit) for lev in (s + 1, s)}
         derivs = {(lev, j): ps_solution_derivative(cfg, lev, j, kit)
                   for j in dirs for lev in (s + 1, s)}

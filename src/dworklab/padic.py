@@ -295,8 +295,11 @@ class PadicCtx:
         return [str(c) for c in self.coeffs(x)]
 
     def elem_from_json(self, data):
+        """An int, a decimal string or a list of at most m of them."""
         if isinstance(data, (int, str)):
             return self.from_int(json_int(data))
+        if not isinstance(data, list):
+            raise TypeError(f"{data!r} is not a ring element")
         if len(data) > self.m:
             raise ValueError(f"an element has at most m = {self.m} coefficients")
         return self.from_coeffs([json_int(c) for c in data])
@@ -311,10 +314,13 @@ class PadicCtx:
 
 
 def json_int(x):
-    """x as an int, from an int that is no bool or from a digit string."""
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise TypeError(f"{x!r} is not an integer")
-    return int(x)
+    """x as an int, from an int that is no bool or from an ASCII string
+    matching -?[0-9]+ (int() alone also takes " 3", "3_0" and non-ASCII
+    digits)."""
+    if (isinstance(x, int) and not isinstance(x, bool) or isinstance(x, str)
+            and x.isascii() and x.removeprefix("-").isdigit()):
+        return int(x)
+    raise TypeError(f"{x!r} is not an integer")
 
 
 def check_prime(p):

@@ -418,7 +418,7 @@ def test_hw_and_kz_solve_output_is_pinned(tmp_path, argv, point, digest):
 ])
 def test_pointwise_reads_are_pinned(argv, digest):
     """The whole report of pointwise verdicts whose A and ghost reads come
-    off half splits, byte for byte, against the sha256 of a recorded run:
+    off h = 0 splits, byte for byte, against the sha256 of a recorded run:
     decomp and 1.6i at m = 1, 2, 3, ratio at m = 3, and ratio and decomp at
     p = 7, s = 1, whose level-1 R is short enough for dense_mul to square it
     by schoolbook."""
@@ -429,9 +429,29 @@ def test_pointwise_reads_are_pinned(argv, digest):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ("limit --p 7 --N 6 --g 1 --m 1 --point 2 --smax 5",
+     "2746ff8f301f9f507a766643371ceaf643792534e33d757004814be99f9199a8"),
+    ("kz-verify --check coS --p 7 --N 6 --g 2 --s 4 --points 2",
+     "8f4c0373131113252cbf73f1287b939b59a690a3e2fd0fa1bc2a272f04da2ae1"),
+    ("kz-verify --check residual --p 5 --N 5 --g 2 --s 3 --points 2 --ext 3",
+     "65d1f0630d516d92272847cfb280dc66ef1456e82ce7019a098ce8d5b06a49c9"),
+    ("congruence --theorem der2 --p 5 --N 5 --s 3 --g 2 --points 2 --ext 3",
+     "421be1a97b44cee288d96e4f4cb638447c3fea08389206c9a864e1980dadde1b"),
+])
+def test_quotient_reads_are_pinned(argv, digest):
+    """The whole report of statements that read quotients, byte for byte,
+    against the sha256 of a recorded run: limit at m = 1 to level 5, coS
+    at p = 7, level 4, and residual and der2 at m = 3.  Their A, frames and
+    derivatives come off one split per (form, point)."""
+    out = io.StringIO()
+    assert run(argv.split(), out=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
 def test_limit_at_m2_is_pinned():
     """The whole ``limit`` report at m = 2, whose frames and matrices come
-    off one base per level."""
+    off one split per level."""
     out = io.StringIO()
     assert run("limit --p 5 --N 4 --g 1 --m 2 --point 0 --smax 3".split(),
                out=out) == 0
@@ -757,10 +777,23 @@ BOOL_AND_FLOAT_INPUTS = [
         ("bool-r", json.dumps({"lambdas": [_lambda(r=True)] * 2})),
         ("float-n", json.dumps({"lambdas": [_lambda(n=1.0)] * 2}))]]
 
+# int() once read these as integers too: an element given as an object
+# (read off its keys), and strings with blanks, underscores or non-ASCII
+# digits.  Integers are ints or ASCII strings matching -?[0-9]+.
+NON_DECIMAL_INPUTS = [
+    pytest.param(content, id=name) for name, content in [
+        ("object-element", '[{"0": 5}, "1", "3"]'),
+        ("blank-digit", '[" 3", "1", "0"]'),
+        ("underscore-digit", '["3_0", "1", "0"]'),
+        ("arabic-indic-digit", '["\u0663", "1", "0"]'),
+        ("blank-c", json.dumps({"lambdas": [_lambda(c=" 1")] * 2})),
+        ("underscore-exponent",
+         json.dumps({"lambdas": [_lambda(t=("1_0",))] * 2}))]]
+
 
 @pytest.mark.parametrize("content", [
     "[]", "[1.5, 2, 3]", "{}", '{"lambdas": [5]}', '{"lambdas": []}',
-    '"abc"', "{not json", *BOOL_AND_FLOAT_INPUTS,
+    '"abc"', "{not json", *BOOL_AND_FLOAT_INPUTS, *NON_DECIMAL_INPUTS,
 ])
 @pytest.mark.parametrize("argv", [
     "hw --p 5 --N 3 --m 1 --g 1 --at {}",

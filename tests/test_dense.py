@@ -210,6 +210,13 @@ def _oracle_expand(ctx, pairs):
     return full
 
 
+def _half_split(ctx, pairs):
+    """(R, T) with prod (t - root)^mult = R^2 T: R has the halved
+    multiplicities mult // 2 and T the parities mult % 2."""
+    return (dense.dense_from_roots(ctx, [(r, e // 2) for r, e in pairs]),
+            dense.dense_from_roots(ctx, [(r, e % 2) for r, e in pairs]))
+
+
 def _multiplicities(rng, kind, n):
     if kind == "even":
         return [2 * rng.randrange(1, 7) for _ in range(n)]
@@ -231,7 +238,7 @@ M4_FULL_TAIL = (1, 1, 1, 1, 1)
     (5, 2, 4, None), (3, 2, 4, M4_FULL_TAIL)])
 @pytest.mark.parametrize("kind", ["even", "odd", "mixed", "top"])
 def test_half_power_reader_matches_the_expansion(p, N, m, modulus, kind):
-    """Coefficients of R^2 T read by dot products equal the expanded
+    """Coefficients of R^2 T read off the squares of R equal the expanded
     product at every index, including below 0, at the degree and past it;
     "top" takes every root all-(q-1), which fills every accumulator.  For
     m >= 3 the fold has several steps per row, and the moduli's tails have
@@ -245,13 +252,15 @@ def test_half_power_reader_matches_the_expansion(p, N, m, modulus, kind):
         else:
             pairs = [(rand(ctx, rng), e)
                      for e in _multiplicities(rng, kind, n)]
-        R, T = dense.dense_half_split(ctx, pairs)
+        R, T = _half_split(ctx, pairs)
         assert len(R) == 1 + sum(e // 2 for _, e in pairs)
         assert len(T) == 1 + sum(e % 2 for _, e in pairs)
         full = _oracle_expand(ctx, pairs)
         indices = list(range(-3, len(full) + 3))
-        assert dense.dense_half_coeffs(ctx, R, T, indices) == _coeffs_at(
-            ctx, 0, full, indices)
+        squares = dense.Squares(ctx, R)
+        for _ in range(2):  # the second pass reads the kept squares
+            assert squares.window(T, indices) == _coeffs_at(
+                ctx, 0, full, indices)
         assert dense.dense_from_roots(ctx, pairs) == full
 
 
@@ -266,6 +275,7 @@ def test_half_power_reader_on_a_scalar_factored_form(p, N, m):
     pairs = F.roots_at(a)
     off, coeffs = F.dense_t(a)
     indices = list(range(-2, off + len(coeffs) + 2))
-    assert dense.dense_half_coeffs(ctx, *dense.dense_half_split(ctx, pairs),
-                                   indices) == _coeffs_at(ctx, off, coeffs, indices)
+    R, T = _half_split(ctx, pairs)
+    assert dense.Squares(ctx, R).window(T, indices) == _coeffs_at(
+        ctx, off, coeffs, indices)
     assert coeffs == _oracle_expand(ctx, pairs)

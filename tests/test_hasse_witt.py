@@ -10,6 +10,8 @@ from dworklab.hasse_witt import (
     PointKit,
     SymbolicKit,
     _coeffs_at,
+    _rows,
+    hw_indices,
     hw_inverse_at,
     hw_second_derivative_at,
 )
@@ -230,11 +232,12 @@ def _cache_forms(ctx, g):
 
 @pytest.mark.parametrize("p,N,m,g", [(7, 4, 1, 2), (5, 3, 2, 2), (3, 3, 3, 1)])
 def test_cache_entries_and_expansion_in_either_order(p, N, m, g):
-    """A factored form is read off its half split until it is expanded and
-    off its base after: A at every level whose indices fall inside, at and
-    past the degree, and ``coeffs`` below 0, inside and past the degree,
-    agree with the direct expansion either way.  Two points on one cache
-    keep their own splits, and no factored key enters the expansion memo."""
+    """A factored form is read off its h = 0 split until a kit is told that
+    quotients of it are read, and off its h = 2 split after: A at every
+    level whose indices fall inside, at and past the degree, and ``coeffs``
+    below 0, inside and past the degree, agree with the direct expansion
+    either way.  Two points on one cache keep their own splits, and no
+    factored key enters the expansion memo."""
     ctx = dl.ctx_new(p, N, m)
     rng = seeded(97 * p + m)
     for F, delta, n in _cache_forms(ctx, g):
@@ -244,18 +247,21 @@ def test_cache_entries_and_expansion_in_either_order(p, N, m, g):
         cache = DenseCache()
         for _ in range(2):  # the second pass reads the stored splits
             for (level, a), want in direct.items():
-                assert cache.hw_at(level, F, delta, a) == want
-            assert set(cache._half) == {(ctx, F.factored, a) for a in points}
-        assert not cache._store and not cache._base
+                assert _rows(cache.quotient_coeffs(F, a, hw_indices(
+                    p, level, delta)), len(delta)) == want
+            assert set(cache._splits) == {((ctx, F.factored, a), 0)
+                                          for a in points}
+        assert not cache._store
         for a in points:
             off, full = F.dense_t(a)
             indices = list(range(-3, off + len(full) + 3))
             want = _coeffs_at(ctx, off, full, indices)
             kit = PointKit(ctx, delta, a)
-            for expanded in (False, True):
+            for declared in (False, True):
                 assert kit.coeffs(F, indices) == want
                 for level in (1, 2, 3, 4):
                     assert kit.A(level, F) == direct[level, a]
-                assert bool(kit._base) == expanded
-                kit.expand(F)
+                assert sorted(h for _, h in kit._splits) == [0, 2][
+                    :1 + declared]
+                assert kit.reads_quotients(F) is F
             assert not kit._store

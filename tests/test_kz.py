@@ -232,16 +232,17 @@ def test_window_reads_share_their_memo_and_reject_a_missing_factor():
     phi = dl.master_polynomial(cfg, 1)
     cache = PointKit(ctx, cfg.delta, pt.lift)
     rows = cache.frame(phi, (4, 9))
-    bases, cofactors = dict(cache._base), dict(cache._cofactor)
-    assert len(bases) == 1 and len(cofactors) == cfg.n
+    splits, cofactors = dict(cache._splits), dict(cache._cofactor)
+    assert list(splits) == [((ctx, phi.factored, cache.point(0)), 2)]
+    assert len(cofactors) == cfg.n
     assert cache.frame(phi, (4, 9)) == rows
-    assert (cache._base, cache._cofactor) == (bases, cofactors)
+    assert (cache._splits, cache._cofactor) == (splits, cofactors)
     # a factor (t - z_i) absent from the form divides nothing
     lacking = LaurentPoly.from_factors(ctx, cfg.n, [(1, 2), (2, 2)])
     with pytest.raises(NotDivisible):
         cache.frame(lacking, (4, 9))
     with pytest.raises(NotDivisible):
-        cache.window(lacking, pt.lift, [3], (4,))
+        cache.quotient_coeffs(lacking, pt.lift, (4,), [3])
 
 
 def test_kz_tuple_is_periodic_unless_given_a_length():

@@ -1,17 +1,23 @@
-"""Quotient reads of the point kit as windows of one base per (form, point).
+"""Point-kit reads as windows of one split per (form, point).
 
-At a point a, a factored F = prod (t - z_i)^e_i has the base
-B = prod (t - a_i)^max(e_i - 2, 0), and each frame row, frame derivative
-row, dA, d2A and, once the base is built, A itself is a window of B times a
-cofactor of degree at most 2n.  These tests check every such read against
-synthetic division of the full expansion (``oracle_quotient_coeffs``), and
-count what the pointwise statements do: no division, no inversion in a
-frame derivative, one base per (form, point) and nothing else expanded for
-a form whose quotients are read, while ratio and det keep reading A off the
-half split.
+At a point a, a factored F = prod (t - z_i)^e_i is kept as one split
+F(t, a) = R^2 c, R = prod (t - a_i)^floor(max(e_i - h, 0) / 2), with the
+squares of R formed where read.  Every read is a window of those squares
+against the cofactor c less the divided factors: with h = 2 each frame
+row, frame derivative row, dA, d2A and A, with h = 0 (c of degree at most
+n) A and ``coeffs`` of a form whose quotients are not read.  A statement
+that reads quotients of F declares it (``reads_quotients``) before its first
+read, so that A comes off the h = 2 split its quotients need and F has no
+second split; the declaration changes what is built, never a report.
+These tests check every read against synthetic division of the full
+expansion (``oracle_quotient_coeffs``), and count what the pointwise
+statements do: no division, no inversion in a frame derivative, one h = 2
+split per (form, point) read for quotients and no longer expansion, while
+ratio and det read A off h = 0 splits only.
 """
 
 import inspect
+import io
 from collections import defaultdict
 from functools import cache
 
@@ -19,6 +25,7 @@ import pytest
 
 import dworklab as dl
 from dworklab import dense, limits
+from dworklab.cli import run
 from dworklab.errors import NotDivisible
 from dworklab.hasse_witt import (
     DenseCache,
@@ -116,7 +123,7 @@ def test_window_reads_match_division_of_the_full_expansion(p, N, m):
                             for r in range(len(delta))]
 
                 for twist in range(3):
-                    kit.expand(F, twist)
+                    kit.reads_quotients(F, twist)
                     assert kit.A(level, F, twist) == rows(oracle([], idx, twist))
                     for v in range(1, n + 1):
                         ev = mults.get(v, 0)
@@ -138,22 +145,23 @@ def test_window_reads_match_division_of_the_full_expansion(p, N, m):
 # what the pointwise statements do, counted
 
 
-KIT_READS = ("expand", "A", "coeffs", "dA", "d2A", "frame",
+KIT_READS = ("reads_quotients", "A", "coeffs", "dA", "d2A", "frame",
              "frame_derivative")
 QUOTIENT_READS = {"dA", "d2A", "frame", "frame_derivative"}
 
 
 class _Counts:
     """Counts of one statement run over its point kits: divisions, PadicCtx
-    inversions inside frame derivatives, half splits, every kit, and per
-    (kit, form, twist) the kit reads in order."""
+    inversions inside frame derivatives, the length of every
+    ``dense_from_roots`` output, every kit, and per (kit, form, twist) the
+    kit reads in order."""
 
     def __init__(self, monkeypatch):
-        self.divisions = self.inversions = self.splits = 0
-        self.kits, self.reads = [], defaultdict(list)
+        self.divisions = self.inversions = 0
+        self.kits, self.reads, self.expansions = [], defaultdict(list), []
         self._in_derivative = False
         init, inv = PointKit.__init__, PadicCtx.inv
-        div, split = dense.dense_div_linear, dense.dense_half_split
+        div, from_roots = dense.dense_div_linear, dense.dense_from_roots
 
         def kit_init(kit, *args, **kwargs):
             init(kit, *args, **kwargs)
@@ -167,14 +175,15 @@ class _Counts:
             self.divisions += 1
             return div(*args)
 
-        def counted_split(*args):
-            self.splits += 1
-            return split(*args)
+        def measured_from_roots(*args):
+            out = from_roots(*args)
+            self.expansions.append(len(out))
+            return out
 
         monkeypatch.setattr(PointKit, "__init__", kit_init)
         monkeypatch.setattr(PadicCtx, "inv", counted_inv)
         monkeypatch.setattr(dense, "dense_div_linear", counted_div)
-        monkeypatch.setattr(dense, "dense_half_split", counted_split)
+        monkeypatch.setattr(dense, "dense_from_roots", measured_from_roots)
         for name in KIT_READS:
             monkeypatch.setattr(PointKit, name, self._logged(name))
 
@@ -207,8 +216,8 @@ def _kz(p, N, g, m):
 
 @cache
 def _quotient_statements():
-    """name -> (run, bases per kit) of the statements that read quotients,
-    at small configurations."""
+    """name -> (run, h = 2 splits per kit) of the statements that read
+    quotients, at small configurations."""
     ctx, cfg = _kz(5, 4, 2, 2)
     (pt,) = dl.sample_domain_points(5, 2, 2, 1, 8, ctx)
     points = [pt.lift]
@@ -234,11 +243,13 @@ def _quotient_statements():
                                   "der2-diagonal", "limit", "rank-frame"])
 def test_quotient_statements_expand_one_base_and_divide_nothing(
         name, monkeypatch):
-    """Each statement that reads quotients asks its kit for the base of a
-    form before any other read of that form, so A comes off the same base
-    and the form is never half split or fully expanded besides; it runs no
-    synthetic division, and its frame derivatives invert nothing."""
-    run, bases = _quotient_statements()[name]
+    """Each statement that reads quotients declares a form to its kit
+    before any other read of that form, so A comes off the form's one
+    h = 2 split, and the form has no h = 0 split and no expansion besides.
+    No ``dense_from_roots`` output is longer than a cofactor (degree at most
+    3n) but the splits' R themselves; the statement runs no synthetic
+    division, and its frame derivatives invert nothing."""
+    run, splits = _quotient_statements()[name]
     counts = _Counts(monkeypatch)
     run()
     assert counts.divisions == 0
@@ -246,11 +257,18 @@ def test_quotient_statements_expand_one_base_and_divide_nothing(
     quotient_forms = counts.quotient_forms()
     assert quotient_forms
     for key, names in quotient_forms.items():
-        assert names[0] == "expand", (name, key, names)
+        assert names[0] == "reads_quotients", (name, key, names)
+    lengths = []
     for kit in counts.kits:
-        assert len(kit._base) == bases
-        for key in kit._base:
-            assert key not in kit._half and key not in kit._store, name
+        assert [h for _, h in kit._splits].count(2) == splits
+        assert len(kit._divided) == splits
+        for key in kit._divided:
+            assert (key, 2) in kit._splits, name
+            assert (key, 0) not in kit._splits and key not in kit._store
+        lengths += [squares.d + 1 for squares, _, _ in kit._splits.values()]
+    cofactor = 3 * counts.kits[0].n + 1
+    assert sorted(n for n in counts.expansions if n > cofactor) == sorted(
+        n for n in lengths if n > cofactor)
 
 
 @pytest.mark.parametrize("theorem", ["ratio", "det"])
@@ -261,7 +279,39 @@ def test_ratio_and_det_read_A_off_the_half_split(theorem, monkeypatch):
               "det": dl.verify_det_congruence}[theorem]
     counts = _Counts(monkeypatch)
     assert verify(dl.kz_tuple(cfg), 3, points=[pt.lift]).passed
-    assert counts.kits and counts.splits > 0 and counts.divisions == 0
+    assert counts.kits and counts.divisions == 0
     assert counts.quotient_forms() == {}
     for kit in counts.kits:
-        assert kit._half and not kit._base and not kit._store
+        assert kit._splits and {h for _, h in kit._splits} == {0}
+        assert not kit._divided and not kit._store
+
+
+QUOTIENT_COMMANDS = [
+    "kz-verify --check coS --p 7 --N 4 --g 2 --s 2",
+    "kz-verify --check residual --p 7 --N 4 --g 2 --s 2",
+    "congruence --theorem der --p 7 --N 4 --g 2 --s 2 --m 1 --v 2",
+    "congruence --theorem der2 --p 7 --N 4 --g 2 --s 2 --u 1 --v 2",
+    "limit --p 5 --N 4 --g 1 --point 0 --smax 3",
+    "kz-verify --check minor --p 7 --N 4 --g 2 --s 1",
+]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("argv", QUOTIENT_COMMANDS,
+                         ids=lambda a: " ".join(a.split()[:3]))
+def test_the_declaration_changes_cost_never_results(argv, m, monkeypatch):
+    """Each statement that declares the forms it reads quotients of prints
+    the same report, byte for byte, when the declaration does nothing, and
+    its A reads come off h = 0 splits built besides."""
+    argv = argv.split() + (["--m", str(m)] if argv.startswith("limit") else
+                           ["--ext", str(m), "--points", "2", "--seed", "1"])
+
+    def report():
+        out = io.StringIO()
+        assert run(argv, out=out) == 0
+        return out.getvalue()
+
+    declared = report()
+    monkeypatch.setattr(PointKit, "reads_quotients",
+                        lambda kit, F, twist=0: F)
+    assert report() == declared
