@@ -20,6 +20,15 @@ from dworklab.kz import master_polynomial
 from dworklab.laurent import LaurentPoly
 
 
+# x^2 + x + 2 is irreducible over F_3 and F_5; ctx_new picks moduli with no
+# x term at m = 2, so this one exercises the m1 part of the x^2 fold.
+M1_MODULUS = (2, 1, 1)
+# Irreducible over F_3 with no zero below the top, unlike ctx_new's x^3 +
+# 2x + 1 and x^4 + x + 2 (tails with zero and nonzero entries).
+M3_FULL_TAIL = (1, 1, 2, 1)
+M4_FULL_TAIL = (1, 1, 1, 1, 1)
+
+
 def coeff_reduce(c, p, N, m, modulus):
     if m == 1:
         return c % p**N
@@ -351,6 +360,27 @@ def dense_linear_pow(ctx, root, e):
         if k:
             pw = ctx.mul(pw, neg)
     return out
+
+
+def oracle_tuple_mul(ctx, a, b):
+    """a b over ctx by the full product of the coordinate tuples, whose top
+    coefficients fold down one at a time by the modulus tail, highest
+    first."""
+    m, q = ctx.m, ctx.q
+    prod = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    tail = ctx.modulus[:-1]
+    for k in range(2 * m - 2, m - 1, -1):
+        ck = prod[k]
+        if ck:
+            base = k - m
+            for t, mt in enumerate(tail):
+                if mt:
+                    prod[base + t] -= ck * mt
+    return tuple(c % q for c in prod[:m])
 
 
 def oracle_teichmueller(ctx, a):

@@ -21,11 +21,18 @@ import math
 import pytest
 
 import dworklab as dl
-from dworklab import dense
+from dworklab import dense, padic
 from dworklab.hasse_witt import _coeffs_at
 from dworklab.laurent import LaurentPoly
 from conftest import seeded
-from oracles import dense_linear_pow, oracle_dense_mul, rand
+from oracles import (
+    M1_MODULUS,
+    M3_FULL_TAIL,
+    M4_FULL_TAIL,
+    dense_linear_pow,
+    oracle_dense_mul,
+    rand,
+)
 
 # (3, 16, 1) packs most products in slots of exactly 8 bytes, the widest that
 # go through 64-bit words; (7, 12, 1) needs slots of 9-10 bytes, which are
@@ -111,11 +118,6 @@ def test_dense_mul_extremal_coefficients_at_the_ntt_cutoff(p, N, m):
             assert dense.dense_mul(ctx, a, b) == want
 
 
-# x^2 + x + 2 is irreducible over F_3 and F_5; ctx_new picks moduli with no
-# x term at m = 2, so this one exercises the m1 part of the x^2 fold.
-M1_MODULUS = (2, 1, 1)
-
-
 @pytest.mark.parametrize("p,N,m,modulus", [
     (5, 5, 2, None), (3, 2, 2, None), (5, 4, 2, M1_MODULUS), (3, 3, 3, None),
     (5, 2, 3, None)])
@@ -128,7 +130,7 @@ def test_fold_lift_covers_an_empty_column(monkeypatch, p, N, m, modulus, ntt):
     if ntt:
         monkeypatch.setattr(dense, "NTT_CUTOFF", LOW_NTT_CUTOFF)
     ctx = dl.PadicCtx(p, N, m, modulus) if modulus else dl.ctx_new(p, N, m)
-    assert all(r <= 0 for _, r, _ in dense._fold_steps(ctx))
+    assert all(r <= 0 for _, r, _ in padic.fold_steps(ctx))
     top = (0,) + (ctx.q - 1,) * (m - 1)
     la = LOW_NTT_CUTOFF + 5
     for lb in (la, la + 12):
@@ -223,12 +225,6 @@ def _multiplicities(rng, kind, n):
     if kind == "odd":
         return [2 * rng.randrange(0, 7) + 1 for _ in range(n)]
     return [rng.randrange(1, 14) for _ in range(n - 1)] + [3]
-
-
-# Irreducible over F_3 with no zero below the top, unlike ctx_new's x^3 +
-# 2x + 1 and x^4 + x + 2 (tails with zero and nonzero entries).
-M3_FULL_TAIL = (1, 1, 2, 1)
-M4_FULL_TAIL = (1, 1, 1, 1, 1)
 
 
 @pytest.mark.parametrize("p,N,m,modulus", [

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import sys
 
 import pytest
@@ -199,6 +200,22 @@ def test_scan_sampling_reproducible():
     assert r1.in_d_count == r2.in_d_count
     r3 = dl.scan_domain(5, 1, 1, k=50, seed=10)
     assert [pt.residues for pt in r3.points] != [pt.residues for pt in r1.points]
+
+
+@pytest.mark.parametrize("pm", [3, 5, 7, 9, 11, 13, 25, 27, 49, 125, 169, 343,
+                                2401])
+def test_draws_are_the_randrange_draws(pm):
+    """Sampled scans draw codes through getrandbits and randrange's own
+    rejection loop: the same codes, in the same order, as
+    random.Random(seed).randrange(pm), so every sampled report keeps its
+    bytes.  pm runs over the residue field sizes p^m of the tests and the
+    benchmark."""
+    for seed in (0, 1, 7, 389):
+        for n in (3, 5):
+            rng = random.Random(seed)
+            want = [tuple(rng.randrange(pm) for _ in range(n))
+                    for _ in range(400)]
+            assert list(limits._random_tuples(seed, pm, n, 400)) == want
 
 
 def test_scan_samples_k_tuples():

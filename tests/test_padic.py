@@ -6,8 +6,14 @@ import dworklab as dl
 from dworklab.errors import NotAUnit, NotPrime, OddPrimeRequired
 from conftest import seeded
 from oracles import (
+    M1_MODULUS,
+    M3_FULL_TAIL,
+    M4_FULL_TAIL,
+    coeff_add,
+    coeff_mul,
     embed,
     oracle_teichmueller,
+    oracle_tuple_mul,
     poly_divides,
     rand,
     rand_unit,
@@ -147,7 +153,36 @@ def test_m2_mul_matches_the_generic_tuple_product(p, modulus):
         xs += [rand(ctx, rng) for _ in range(20)]
         for a in xs:
             for b in xs:
-                assert ctx.mul(a, b) == ctx._tuple_mul(a, b)
+                assert ctx.mul(a, b) == oracle_tuple_mul(ctx, a, b)
+
+
+@pytest.mark.parametrize("p,N,m,modulus", [
+    (7, 3, 1, None), (5, 3, 2, None), (5, 4, 2, M1_MODULUS), (3, 3, 3, None),
+    (3, 3, 3, M3_FULL_TAIL), (3, 2, 4, None), (3, 2, 4, M4_FULL_TAIL)])
+def test_dot_is_the_reduced_sum_of_oracle_products(p, N, m, modulus):
+    """PadicCtx.dot on reduced coordinates, on unreduced ones up to 4 q^2
+    (dense.Squares keeps its squares unreduced), on negative ones and on
+    every pairing of the three, and on no pairs at all."""
+    ctx = dl.PadicCtx(p, N, m, modulus) if modulus else dl.ctx_new(p, N, m)
+    q, rng = ctx.q, seeded(100 * p + 10 * N + m)
+    spans = [(0, q - 1), (q, 4 * q * q), (-4 * q * q, -1)]
+
+    def elem(lo, hi):
+        cs = [rng.randint(lo, hi) for _ in range(m)]
+        return cs[0] if m == 1 else tuple(cs)
+
+    for (xlo, xhi), (ylo, yhi) in itertools.product(spans, repeat=2):
+        for n in (1, 2, 7):
+            xs = [elem(xlo, xhi) for _ in range(n)]
+            ys = [elem(ylo, yhi) for _ in range(n)]
+            want = ctx.zero()
+            for x, y in zip(xs, ys):
+                want = coeff_add(want, coeff_mul(x, y, p, N, m, ctx.modulus),
+                                 p, N, m)
+            assert ctx.dot(xs, ys) == want
+    top = ctx.q - 1 if m == 1 else (ctx.q - 1,) * m
+    assert ctx.dot([top] * 5, [top] * 5) == ctx.scal_int(ctx.mul(top, top), 5)
+    assert ctx.dot([], []) == ctx.zero()
 
 
 def test_valuation_examples():

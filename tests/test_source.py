@@ -1,7 +1,8 @@
 """Checks on the library's source text, read with ``ast`` and not imported:
 the runtime imports only the standard library and its own modules, no
 module imports a name it does not use, every function and class has a
-caller or an export, and ``src/`` stays within its line budget, counted as
+caller or an export, the x^m fold is defined once, in ``padic``, and
+``src/`` stays within its line budget, counted as
 ``perfbench/run.py`` counts ``src_lines``.  One check does import: the CLI,
 in a fresh interpreter, to see which modules its start-up loads."""
 
@@ -79,6 +80,36 @@ def test_every_function_and_class_has_a_caller_or_an_export():
                 and node.name not in exported
                 and everywhere[node.name] == _references(node)[node.name]}
     assert uncalled == UNCALLED_ALLOWED
+
+
+def _is_modulus_tail(node):
+    """Whether node is the slice ``<expr>.modulus[:-1]``."""
+    if not (isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "modulus"
+            and isinstance(node.slice, ast.Slice)
+            and node.slice.lower is None and node.slice.step is None):
+        return False
+    try:
+        return ast.literal_eval(node.slice.upper) == -1
+    except ValueError:
+        return False
+
+
+def test_the_fold_is_stated_once():
+    """Sums of products over the basis fold x^m .. x^(2m-2) by
+    padic.fold_steps: no other module defines a fold of its own or reads
+    the modulus tail to build one."""
+    folds, tails = set(), set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.lstrip("_") == "fold_steps"):
+                folds.add(path.name)
+            if _is_modulus_tail(node):
+                tails.add(path.name)
+    assert folds == {"padic.py"}
+    assert tails <= {"padic.py"}
 
 
 def test_src_lines_stay_within_the_budget():

@@ -68,6 +68,24 @@ def _forms(ctx, rng):
     return out
 
 
+@pytest.mark.parametrize("g", [1, 2])
+def test_a_split_keeps_only_the_squares_its_windows_read(g):
+    """A(4, Phi_4) at p = 7 reads g^2 coefficients of R^2 c, R of degree
+    d = 600 n: the memo holds at most g^2 len(c) squares, not 2d + 1."""
+    ctx = dl.ctx_new(7, 2, 1)
+    cfg = dl.KZConfig(ctx, g)
+    F, rng = dl.master_polynomial(cfg, 4), seeded(g)
+    a = tuple(rand(ctx, rng) for _ in range(cfg.n))
+    cache = DenseCache()
+    indices = hw_indices(7, 4, cfg.delta)
+    assert cache.quotient_coeffs(F, a, indices) == sum(
+        dl.hw_matrix_at(4, F, cfg.delta, a), [])
+    ((squares, _, _),) = cache._splits.values()
+    (c,) = cache._cofactor.values()
+    assert squares.d == 600 * cfg.n
+    assert 0 < len(squares.S) <= g * g * len(c) < 2 * squares.d + 1
+
+
 def _outcome(read):
     """read(), or "NotDivisible" when it refuses a division."""
     try:
