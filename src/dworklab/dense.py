@@ -19,7 +19,8 @@ the whole convolution.  Results are bit-identical on every path.
 A square (``a is b``) is packed once and multiplied by itself.  For m >= 2 the
 reduction modulo the defining polynomial is folded into the packed columns
 before unpacking, so only m columns are ever unpacked.  The fold steps
-(padic.fold_steps, the one fold outside the m = 2 closed forms) are signed
+(ctx.fold, made by padic.fold_steps, the one fold outside the m = 2 closed
+forms) are signed
 (-2 for x^2 + 2), and each column is lifted by a multiple of q that keeps
 its slots nonnegative: slots hold about 3 (q - 1)^2 short for x^2 + 2, not
 q (q - 1)^2 short.  dense_pow goes left to right, so every product of its
@@ -41,7 +42,6 @@ import struct
 from functools import partial, reduce
 from operator import add, mul
 
-from .padic import fold_steps
 
 # Schoolbook up to this many coefficient pairs len(a) * len(b) (m <= 2): the
 # packed product wins from 150-250 pairs at q = 7^6, 5^5, 3^16 (m = 1) and
@@ -104,7 +104,7 @@ def _kron_mul(ctx, a, b):
     else:
         cols_a = list(zip(*a))
         cols_b = cols_a if square else list(zip(*b))
-    fold = fold_steps(ctx)
+    fold = ctx.fold
     # Slots of column k of the convolution sum min(k, 2m - 2 - k) + 1
     # products a_i * b_j, each at most (q - 1)^2 short.  Folding adds r
     # times column k to column i per step (i, r, k); lift[i], the least
@@ -254,13 +254,13 @@ class Squares:
 
     Each S_i sums squares over the m plain-int columns of R on 2m - 1
     accumulators (1, x, ..., x^(2m-2)), a cross product 2 R_u R_v as
-    (R_u + R_v)^2 - R_u^2 - R_v^2, and folds them once by fold_steps.  The
-    columns, their pair sums and the fold are made once per R; the memo S
+    (R_u + R_v)^2 - R_u^2 - R_v^2, and folds them once by ctx.fold.  The
+    columns and their pair sums are made once per R; the memo S
     holds only the squares read, unreduced: PadicCtx.dot reduces.
     """
 
     def __init__(self, ctx, R):
-        self.ctx, self.d, self.fold = ctx, len(R) - 1, fold_steps(ctx)
+        self.ctx, self.d = ctx, len(R) - 1
         self.cols = [R] if ctx.m == 1 else [list(col) for col in zip(*R)]
         self.sums = [(u, v, list(map(add, self.cols[u], self.cols[v])))
                      for u in range(ctx.m) for v in range(u + 1, ctx.m)]
@@ -274,7 +274,7 @@ class Squares:
         acc[::2] = sq = [_square_at(x, i, lo) for x in self.cols]
         for u, v, x in self.sums:
             acc[u + v] += _square_at(x, i, lo) - sq[u] - sq[v]
-        for j, r, h in self.fold:
+        for j, r, h in self.ctx.fold:
             acc[j] += r * acc[h]
         return tuple(acc[:m])
 

@@ -38,7 +38,7 @@ from .kz import (
     ps_solution_derivative,
     ps_solutions,
 )
-from .padic import ctx_new, fold_steps
+from .padic import ctx_new
 
 EXHAUSTIVE_CAP = 10_000_000
 # A scan keeps at most this many of its points.
@@ -128,14 +128,14 @@ class _Membership:
     A batch element (one F_{p^m} value per multiset) is a tuple of m columns,
     plain-int lists indexed by multiset, one per basis coefficient.  Every
     product runs element-wise down the columns; sums of products stay
-    unreduced until one fold by padic.fold_steps and one reduction mod p
+    unreduced until one fold by ctx.fold and one reduction mod p
     per coefficient.
     """
 
     def __init__(self, p, g, m):
         self.ctx = ctx_new(p, 1, m)
         cfg = KZConfig(self.ctx, g)
-        self.p, self.m, self.fold = p, m, fold_steps(self.ctx)
+        self.p, self.m = p, m
         self.n, self.g, self.e = cfg.n, g, cfg.exponent(1)
         self.indices = hw_indices(p, 1, cfg.delta)
         # digits[u][c]: the x^u coefficient of the residue with code c
@@ -210,13 +210,13 @@ class _Membership:
     def _dot(self, pairs):
         """sum x y over a nonempty list of element pairs, reduced: the
         products of each coefficient degree are summed unreduced, then fold
-        once by fold_steps, as in PadicCtx.dot."""
+        once by ctx.fold, as in PadicCtx.dot."""
         p, m = self.p, self.m
         acc = [list(reduce(partial(map, add), [map(mul, x[u], y[v])
                                                for x, y in pairs
                                                for u, v in terms]))
                for terms in self.terms]
-        for i, r, k in self.fold:
+        for i, r, k in self.ctx.fold:
             acc[i] = [x + r * z for x, z in zip(acc[i], acc[k])]
         return tuple([x % p for x in col] for col in acc[:m])
 

@@ -14,7 +14,6 @@ values can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
-from functools import cache
 from operator import mul
 
 from .errors import (
@@ -97,11 +96,11 @@ def _is_irreducible_mod_p(coeffs, p):
 # ---------------------------------------------------------------------------
 
 
-@cache
 def fold_steps(ctx):
     """x^k mod (modulus, q), k = m..2m-2, as steps (i, r, k): add r times
     coefficient k to coefficient i, r a nonzero signed representative in
-    (-q/2, q/2] (-2, not q - 2, for x^2 + 2); none for m = 1."""
+    (-q/2, q/2] (-2, not q - 2, for x^2 + 2); none for m = 1.  Made once
+    per context, as its ``fold``."""
     q, half, m = ctx.q, ctx.q // 2, ctx.m
     rows = [[-c for c in ctx.modulus[:-1]]][:m - 1]
     for _ in range(m - 2):  # x^(k+1) = x * x^k, x^m = rows[0]
@@ -120,9 +119,10 @@ class PadicCtx:
         m: extension degree; m == 1 is the plain residue ring.
         modulus: monic degree-m polynomial, coefficient tuple low -> high,
             irreducible modulo p (for m == 1 it is the variable itself).
+        fold: fold_steps of the context, the reduction of x^m .. x^(2m-2).
     """
 
-    __slots__ = ("p", "N", "m", "modulus", "q")
+    __slots__ = ("p", "N", "m", "modulus", "q", "fold")
 
     def __init__(self, p, N, m, modulus):
         self.p = p
@@ -130,6 +130,7 @@ class PadicCtx:
         self.m = m
         self.modulus = tuple(modulus)
         self.q = p**N
+        self.fold = fold_steps(self)
 
     # -- identity ----------------------------------------------------------
 
@@ -191,15 +192,8 @@ class PadicCtx:
         return tuple(-x % q for x in a)
 
     def mul(self, a, b):
-        """a b; at m = 2 in closed form, folding x^2 = -m0 - m1 x once."""
         if self.m == 1:
             return a * b % self.q
-        # Closed form: through dot, pointwise_division went 117.8 -> 114.7 /s.
-        if self.m == 2:
-            (a0, a1), (b0, b1), q = a, b, self.q
-            z = a1 * b1
-            return ((a0 * b0 - self.modulus[0] * z) % q,
-                    (a0 * b1 + a1 * b0 - self.modulus[1] * z) % q)
         return self.dot((a,), (b,))
 
     def dot(self, xs, ys):
@@ -209,22 +203,13 @@ class PadicCtx:
         q, m = self.q, self.m
         if m == 1:
             return sum(map(mul, xs, ys)) % q
-        # Closed fold at m = 2: by fold_steps, one pair took 0.67 -> 1.48 us.
-        if m == 2:
-            a0 = a1 = a2 = 0
-            for (x0, x1), (y0, y1) in zip(xs, ys):
-                a0 += x0 * y0
-                a1 += x0 * y1 + x1 * y0
-                a2 += x1 * y1
-            return ((a0 - self.modulus[0] * a2) % q,
-                    (a1 - self.modulus[1] * a2) % q)
         acc = [0] * (2 * m - 1)
         for x, y in zip(xs, ys):
             for i, xi in enumerate(x):
                 if xi:
                     for k, yj in enumerate(y, i):
                         acc[k] += xi * yj
-        for i, r, k in fold_steps(self):
+        for i, r, k in self.fold:
             acc[i] += r * acc[k]
         return tuple([c % q for c in acc[:m]])
 

@@ -141,8 +141,8 @@ def test_teichmueller_runs_ceil_n_minus_1_over_m_powers(monkeypatch, p, m):
 @pytest.mark.parametrize("p,modulus", [(3, None), (5, None), (7, None),
                                        (3, (2, 1, 1)), (5, (2, 1, 1))])
 def test_m2_mul_matches_the_generic_tuple_product(p, modulus):
-    """The closed form at m = 2 under x^2 + c (ctx_new's choice) and under
-    x^2 + x + 2, irreducible over F_3 and F_5, whose x term the fold reads."""
+    """mul at m = 2 under x^2 + c (ctx_new's choice) and under x^2 + x + 2,
+    irreducible over F_3 and F_5, whose x term the fold reads."""
     rng = seeded(p)
     for N in range(1, 8):
         ctx = (dl.PadicCtx(p, N, 2, modulus) if modulus

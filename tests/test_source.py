@@ -1,8 +1,9 @@
 """Checks on the library's source text, read with ``ast`` and not imported:
-the runtime imports only the standard library and its own modules, no
-module imports a name it does not use, every function and class has a
-caller or an export, the x^m fold is defined once, in ``padic``, and
-``src/`` stays within its line budget, counted as
+the runtime imports only the standard library and its own modules; no
+module imports a name it does not use; every function and class has a
+caller or an export; the x^m fold is defined once, in ``padic``, and only
+named functions, the kept m = 2 closed forms among them, read a context's
+modulus; ``src/`` stays within its line budget, counted as
 ``perfbench/run.py`` counts ``src_lines``.  One check does import: the CLI,
 in a fresh interpreter, to see which modules its start-up loads."""
 
@@ -82,34 +83,37 @@ def test_every_function_and_class_has_a_caller_or_an_export():
     assert uncalled == UNCALLED_ALLOWED
 
 
-def _is_modulus_tail(node):
-    """Whether node is the slice ``<expr>.modulus[:-1]``."""
-    if not (isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Attribute)
-            and node.value.attr == "modulus"
-            and isinstance(node.slice, ast.Slice)
-            and node.slice.lower is None and node.slice.step is None):
-        return False
-    try:
-        return ast.literal_eval(node.slice.upper) == -1
-    except ValueError:
-        return False
+# Every function under src/dworklab that reads a context's modulus.  A fold
+# of x^m needs the modulus, so a new hand-written fold must be named here.
+MODULUS_READERS = {
+    "padic.py": {
+        "fold_steps",  # the x^m fold, made once per context as ctx.fold
+        # fold nothing: identity, serialization and the residue field
+        "__eq__", "__hash__", "to_json", "inv", "_is_irreducible_mod_p",
+    },
+    # The m = 2 closed forms, each faster than a fold by ctx.fold by the
+    # number in the comment above it (ROADMAP item 16).
+    "dense.py": {"_school_mul_ext", "_linear_product"},
+    "limits.py": {"_times_root"},
+}
 
 
 def test_the_fold_is_stated_once():
-    """Sums of products over the basis fold x^m .. x^(2m-2) by
-    padic.fold_steps: no other module defines a fold of its own or reads
-    the modulus tail to build one."""
-    folds, tails = set(), set()
+    """padic.fold_steps is the one definition of the x^m fold, and only the
+    functions named in MODULUS_READERS read the modulus, so no other
+    function can state a fold of its own."""
+    folds, readers = set(), {}
     for path in MODULES:
         for node in ast.walk(_tree(path)):
-            if (isinstance(node, ast.FunctionDef)
-                    and node.name.lstrip("_") == "fold_steps"):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if node.name.lstrip("_") == "fold_steps":
                 folds.add(path.name)
-            if _is_modulus_tail(node):
-                tails.add(path.name)
+            if any(isinstance(n, ast.Attribute) and n.attr == "modulus"
+                   and isinstance(n.ctx, ast.Load) for n in ast.walk(node)):
+                readers.setdefault(path.name, set()).add(node.name)
     assert folds == {"padic.py"}
-    assert tails <= {"padic.py"}
+    assert readers == MODULUS_READERS
 
 
 def test_src_lines_stay_within_the_budget():
