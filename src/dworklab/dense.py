@@ -23,8 +23,8 @@ before unpacking, so only m columns are ever unpacked.  The fold steps
 forms) are signed
 (-2 for x^2 + 2), and each column is lifted by a multiple of q that keeps
 its slots nonnegative: slots hold about 3 (q - 1)^2 short for x^2 + 2, not
-q (q - 1)^2 short.  dense_pow goes left to right, so every product of its
-chain is a square or has the short base as one operand.
+q (q - 1)^2 short.  dense_pow goes left to right (padic.power), so every
+product of its chain is a square or has the short base as one operand.
 
 A factored form at a point is read off a split R^2 c (see
 hasse_witt.DenseCache): Squares keeps the squares S_i of the long R where
@@ -41,6 +41,8 @@ import decimal
 import struct
 from functools import partial, reduce
 from operator import add, mul
+
+from .padic import power
 
 
 # Schoolbook up to this many coefficient pairs len(a) * len(b) (m <= 2): the
@@ -189,16 +191,11 @@ def dense_mul(ctx, a, b):
 
 
 def dense_pow(ctx, a, e):
-    """a^e left to right: square, then multiply by a at each set bit of e,
-    so every product but the squares has the short base as one operand."""
+    """a^e by padic.power, so every product but the squares has the short
+    base as one operand."""
     if e == 0:
         return [ctx.one()]
-    result = a
-    for bit in bin(e)[3:]:
-        result = dense_mul(ctx, result, result)
-        if bit == "1":
-            result = dense_mul(ctx, result, a)
-    return list(result)
+    return list(power(partial(dense_mul, ctx), a, e))
 
 
 # Closed forms at m = 1, 2: columns over 5 roots took 4.8 -> 12.1, 12.0 -> 33.7 us.

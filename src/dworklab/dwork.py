@@ -89,12 +89,13 @@ def _mat_min_val_with_witness(ring, M, label):
 
 
 def _cleared(ring, X, adjM, dM, Y, adjK, dK):
-    """X adj(M) det K - Y adj(K) det M: X M^-1 - Y K^-1 times det M det K."""
-    return ringmat.mat_sub(
-        ring,
-        ringmat.mat_scal(ring, dK, ringmat.mat_mul(ring, X, adjM)),
-        ringmat.mat_scal(ring, dM, ringmat.mat_mul(ring, Y, adjK)),
-    )
+    """X adj(M) det K - Y adj(K) det M: X M^-1 - Y K^-1 times det M det K,
+    one dot per entry against (det K, -det M), so that no scaled product
+    outlives its entry."""
+    scales = [dK, ring.neg(dM)]
+    return [[ring.dot(pair, scales) for pair in zip(rx, ry)]
+            for rx, ry in zip(ringmat.mat_mul(ring, X, adjM),
+                              ringmat.mat_mul(ring, Y, adjK))]
 
 
 def _unit_det(kit, A, level, top, j, twist):
@@ -236,10 +237,9 @@ def _ghost_blocks(kit, tup, need, reads):
     V = {}
     for i, slices in enumerate(need):
         for k, pairs in slices.items():
-            x = got[i, 0][k]
-            for j, m in pairs:
-                x = ring.sub(x, ring.mul(V[j - 1, k - p**j * m], got[i, j][m]))
-            V[i, k] = x
+            V[i, k] = ring.sub(got[i, 0][k], ring.dot(
+                [V[j - 1, k - p**j * m] for j, m in pairs],
+                [got[i, j][m] for j, m in pairs]))
     return [_rows([V.get((i, k), ring.zero)
                    for k in hw_indices(p, i + 1, tup.delta)], len(tup.delta))
             for i in range(len(need))]
@@ -385,7 +385,7 @@ def verify_derivative_congruence(tup, s, m=0, v=1, points=None):
         diff = _cleared_log_derivatives(
             kit, tup, s, m, lambda level, W: kit.dA(level, W, v, twist=m))
         if m:
-            factor = ring.scal(ctx.from_int(ctx.p**m), kit.z(v, ctx.p**m - 1))
+            factor = ring.scal(ctx.p**m, kit.z(v, ctx.p**m - 1))
             diff = ringmat.mat_scal(ring, factor, diff)
         return _mat_min_val_with_witness(ring, diff, kit.label)
 

@@ -9,8 +9,9 @@ A matrix is a list of g rows.  Symbolic entries are z-polynomials;
 evaluated entries are ring scalars read off the dense specialization F(t, a)
 of a factored F by one rule (DenseCache): a window of one split R^2 c per
 (form, point), which also serves every quotient of F by one or two factors
-(t - z_i), and never the whole expansion.  A statement declares the forms
-it reads quotients of (``reads_quotients``), so that each has one split.
+(t - z_i), and never the whole expansion, ``hw_matrix_at`` included.  A
+statement declares the forms it reads quotients of (``reads_quotients``), so
+that each has one split.
 
 The verifiers read every matrix, and the ghost recursion every single
 t-coefficient (``coeffs``), through a kit with one interface:
@@ -76,8 +77,9 @@ def _rows(flat, g):
 
 
 def hw_matrix_at(level, F, delta, a):
-    """Hasse-Witt matrix evaluated at the point a (z = a)."""
-    return hw_from_dense(F.ctx, level, *F.dense_t(a), delta)
+    """Hasse-Witt matrix evaluated at the point a (z = a), read as a
+    PointKit reads it: a window of one split if F is factored."""
+    return PointKit(F.ctx, delta, a).A(level, F)
 
 
 # hw_from_dense, hw_det and hw_inverse_at are per-layer metrics of
@@ -228,7 +230,7 @@ class _Kit:
         scales = [-(e - (k == i)) for k in range(1, self.n + 1)]
         rows = iter(self._quotients(
             F, [[i, k] for k, c in enumerate(scales, 1) if c % q], indices))
-        return [[self.ring.scal(self.ctx.from_int(c), x) for x in next(rows)]
+        return [[self.ring.scal(c, x) for x in next(rows)]
                 if c % q else [self.ring.zero] * len(indices) for c in scales]
 
 

@@ -125,10 +125,10 @@ def column_sum_valuations(ring, I):
 
 def gaudin_action(ring, i, I, half, coef):
     """The rows of (sum_{k != i} coef[k] Omega_ik / 2) I for the n x g I,
-    where half is 1/2: H_i I when coef[k] = (z_i - z_k)^-1, and P H_i I,
-    P = prod_{k != i}(z_i - z_k), when coef[k] are the cofactors
-    P/(z_i - z_k).  Row k != i is coef[k] (I_i - I_k) / 2; row i is minus
-    their sum."""
+    where half is the plain int (q + 1) / 2, 1/2 mod q: H_i I when coef[k] =
+    (z_i - z_k)^-1, and P H_i I, P = prod_{k != i}(z_i - z_k), when coef[k]
+    are the cofactors P/(z_i - z_k).  Row k != i is coef[k] (I_i - I_k) / 2;
+    row i is minus their sum."""
     out = [[ring.zero] * len(I[0]) for _ in I]
     for k, c in coef.items():
         for l, (x, y) in enumerate(zip(I[i - 1], I[k - 1])):
@@ -150,7 +150,7 @@ def kz_residual(cfg, s, i=None, points=None):
     if i is not None:
         check_direction("i", i, cfg.n)
     dirs = [i] if i is not None else list(range(1, cfg.n + 1))
-    half = ctx.inv(ctx.from_int(2))
+    half = (ctx.q + 1) // 2
 
     def one(kit):
         ring = kit.ring

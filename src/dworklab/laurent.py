@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedArity,
     ZeroPolynomial,
 )
-from .padic import json_int
+from .padic import json_int, power
 
 SOFT_TERM_CAP = 10_000_000
 # The reads of one symbolic verifier statement; the products after them
@@ -285,15 +285,7 @@ class LaurentPoly:
                 self.ctx, self.r, self.n, None,
                 tuple((i, k * e) for i, k in self.factored),
             )
-        result = None
-        base = self
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(operator.mul, self, e)
 
     # -- structural ops -----------------------------------------------------------
 

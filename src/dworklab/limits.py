@@ -38,7 +38,7 @@ from .kz import (
     ps_solution_derivative,
     ps_solutions,
 )
-from .padic import ctx_new
+from .padic import ctx_new, power
 
 EXHAUSTIVE_CAP = 10_000_000
 # A scan keeps at most this many of its points.
@@ -161,19 +161,12 @@ class _Membership:
         L = [self._neg(first), one]
         for r in rest:
             L = self._times_root(L, r, zero, one)
-        P = [one]
-        if self.e > 1:  # P = L^(e - 1) left to right, as dense_pow goes
-            P = L
-            for bit in bin(self.e - 1)[3:]:
-                P = self._coeffs(P, P, zero)
-                if bit == "1":
-                    P = self._coeffs(P, L, zero)
+        P = (power(partial(self._coeffs, zero=zero), L, self.e - 1)
+             if self.e > 1 else [one])  # L^(e - 1), as dense_pow goes
         entries = self._coeffs(P, L, zero, self.indices)
-        # the ring of batch elements; zero means zero for every multiset,
-        # and det reads no valuations and no scalars
-        ring = ringmat.Ring(
-            self._add, self._sub, lambda a, b: self._dot([(a, b)]),
-            self._neg, zero, one, lambda a: not any(map(any, a)), None, None)
+        # the ring of batch elements, of which det reads only neg and dot
+        ring = ringmat.Ring(None, None, None, self._neg, zero, one,
+                            self._dot, None, None)
         g = self.g
         det = ringmat.det(ring, [entries[i * g:(i + 1) * g] for i in range(g)])
         return list(map(any, zip(*det)))
@@ -193,7 +186,7 @@ class _Membership:
                       for lo, a, b, x, f, y in zip(low1, r0, r1, h0, f1, h1)])
                     for (low0, low1), (h0, h1) in zip(lows, his)]
         else:
-            body = [self._sub(low, self._dot([(r, hi)]))
+            body = [self._sub(low, self._dot((r,), (hi,)))
                     for low, hi in zip(lows, his)]
         return body + [self._sub(L[-2], r), one]
 
@@ -203,27 +196,22 @@ class _Membership:
         la, lb = len(A), len(B)
         if ks is None:
             ks = range(la + lb - 1)
-        return [self._dot([(A[i], B[k - i]) for i in range(
-                    max(0, k - lb + 1), min(la, k + 1))])
+        return [self._dot(*zip(*[(A[i], B[k - i]) for i in range(
+                    max(0, k - lb + 1), min(la, k + 1))]))
                 if k < la + lb - 1 else zero for k in ks]
 
-    def _dot(self, pairs):
-        """sum x y over a nonempty list of element pairs, reduced: the
-        products of each coefficient degree are summed unreduced, then fold
-        once by ctx.fold, as in PadicCtx.dot."""
+    def _dot(self, xs, ys):
+        """sum x y over paired elements of the nonempty xs and ys, reduced:
+        the products of each coefficient degree are summed unreduced, then
+        fold once by ctx.fold, as in PadicCtx.dot."""
         p, m = self.p, self.m
         acc = [list(reduce(partial(map, add), [map(mul, x[u], y[v])
-                                               for x, y in pairs
+                                               for x, y in zip(xs, ys)
                                                for u, v in terms]))
                for terms in self.terms]
         for i, r, k in self.ctx.fold:
             acc[i] = [x + r * z for x, z in zip(acc[i], acc[k])]
         return tuple([x % p for x in col] for col in acc[:m])
-
-    def _add(self, a, b):
-        p = self.p
-        return tuple([(x + y) % p for x, y in zip(u, v)]
-                     for u, v in zip(a, b))
 
     def _sub(self, a, b):
         p = self.p
@@ -557,7 +545,7 @@ def kz_certificates(cfg, point, s_max, frag, kit):
     C = -B^(i), and the residual KD_i - J C is held to the same valuation.
     """
     ctx, ring, J = cfg.ctx, kit.ring, frag["I"]
-    half = ctx.inv(ctx.from_int(2))
+    half = (ctx.q + 1) // 2
     _, rows = _unit_minor(cfg, J)
     threshold = s_max - 1
     per_dir = {}

@@ -96,6 +96,18 @@ def _is_irreducible_mod_p(coeffs, p):
 # ---------------------------------------------------------------------------
 
 
+def power(mul, a, e):
+    """a^e for e >= 1 under the product mul, left to right: square, then
+    multiply by a at each set bit of e below the top, so every product but
+    the squares has the short base a as one operand."""
+    x = a
+    for bit in bin(e)[3:]:
+        x = mul(x, x)
+        if bit == "1":
+            x = mul(x, a)
+    return x
+
+
 def fold_steps(ctx):
     """x^k mod (modulus, q), k = m..2m-2, as steps (i, r, k): add r times
     coefficient k to coefficient i, r a nonzero signed representative in
@@ -225,14 +237,7 @@ class PadicCtx:
             return self.pow(self.inv(a), -e)
         if self.m == 1:
             return pow(a, e, self.q)
-        result = self.one()
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return power(self.mul, a, e) if e else self.one()
 
     def frob(self, a, k=1):
         """Frobenius on points: a -> a**(p**k), never a coefficient map."""

@@ -2,13 +2,18 @@
 
 The same code paths serve scalar matrices over a PadicCtx and symbolic
 matrices with LaurentPoly entries; a :class:`Ring` bundle supplies the ring
-operations.  Determinants and adjugates use division-free minor expansion
-(the matrices here are at most a handful of rows); a scalar inverse is the
-adjugate times the inverse of the determinant, which must be a unit mod p.
+operations.  Each entry of a product is one ``Ring.dot``, a sum of products
+that the scalar ring reduces once.  Determinants and adjugates use
+division-free minor expansion (the matrices here are at most a handful of
+rows), each row one ``Ring.dot`` against its signed minors; a scalar inverse
+is the adjugate times the inverse of the determinant, which must be a unit
+mod p.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from typing import Callable, NamedTuple
 
 from .errors import SingularModP
@@ -22,21 +27,26 @@ class Ring(NamedTuple):
     neg: Callable
     zero: object
     one: object
-    is_zero: Callable
+    dot: Callable  # dot(xs, ys): sum x y over paired elements, reduced once
     val: Callable
-    scal: Callable  # scal(c, a): an element of the base ring PadicCtx times a
+    scal: Callable  # scal(k, a): a times the plain int k
 
 
 def scalar_ring(ctx):
     return Ring(
         ctx.add, ctx.sub, ctx.mul, ctx.neg, ctx.zero(), ctx.one(),
-        ctx.is_zero, ctx.val, ctx.mul,
+        ctx.dot, ctx.val, lambda k, a: ctx.scal_int(a, k),
     )
 
 
 def poly_ring(ctx, r, n):
     zero = LaurentPoly.zero(ctx, r, n)
     one = LaurentPoly.one(ctx, r, n)
+
+    def dot(xs, ys):  # the sum of the products of nonzero left factors
+        terms = (x * y for x, y in zip(xs, ys) if not x.is_zero())
+        return reduce(operator.add, terms, next(terms, zero))
+
     return Ring(
         lambda a, b: a + b,
         lambda a, b: a - b,
@@ -44,9 +54,9 @@ def poly_ring(ctx, r, n):
         lambda a: -a,
         zero,
         one,
-        lambda a: a.is_zero(),
+        dot,
         lambda a: a.valuation(),
-        lambda c, a: a.cmul(c),
+        lambda k, a: a.cmul(k),
     )
 
 
@@ -69,51 +79,28 @@ def mat_scal(ring, c, A):
 
 
 def mat_mul(ring, A, B):
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = []
-    for i in range(rows):
-        row = []
-        Ai = A[i]
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                a = Ai[k]
-                if ring.is_zero(a):
-                    continue
-                term = ring.mul(a, B[k][j])
-                acc = term if acc is None else ring.add(acc, term)
-            row.append(ring.zero if acc is None else acc)
-        out.append(row)
-    return out
+    cols = list(zip(*B))
+    return [[ring.dot(row, col) for col in cols] for row in A]
 
 
 def det(ring, A):
-    g = len(A)
-    if g == 0:
-        return ring.one
+    """Laplace expansion along the first row, each row one dot against its
+    signed minors, the minors memoized by their columns."""
     memo = {}
 
     def rec(row, cols):
         if len(cols) == 1:
             return A[row][cols[0]]
         got = memo.get(cols)
-        if got is not None:
-            return got
-        acc = None
-        for idx, c in enumerate(cols):
-            entry = A[row][c]
-            if ring.is_zero(entry):
-                continue
-            sub = rec(row + 1, cols[:idx] + cols[idx + 1:])
-            term = ring.mul(entry, sub)
-            if idx & 1:
-                term = ring.neg(term)
-            acc = term if acc is None else ring.add(acc, term)
-        acc = ring.zero if acc is None else acc
-        memo[cols] = acc
-        return acc
+        if got is None:
+            minors = [rec(row + 1, cols[:i] + cols[i + 1:])
+                      for i in range(len(cols))]
+            got = memo[cols] = ring.dot(
+                [A[row][c] for c in cols],
+                [ring.neg(x) if i & 1 else x for i, x in enumerate(minors)])
+        return got
 
-    return rec(0, tuple(range(g)))
+    return rec(0, tuple(range(len(A)))) if A else ring.one
 
 
 def adjugate(ring, A):

@@ -202,6 +202,41 @@ def oracle_expand_factors(p, N, m, modulus, n, factors):
     return acc
 
 
+def oracle_mat_mul(ring, A, B):
+    """A B over a ringmat.Ring, one product and one sum per term, skipping
+    zero left factors."""
+    out = []
+    for Ai in A:
+        row = []
+        for j in range(len(B[0]) if B else 0):
+            acc = None
+            for a, Bk in zip(Ai, B):
+                if a == ring.zero:
+                    continue
+                term = ring.mul(a, Bk[j])
+                acc = term if acc is None else ring.add(acc, term)
+            row.append(ring.zero if acc is None else acc)
+        out.append(row)
+    return out
+
+
+def oracle_det(ring, A):
+    """det A over a ringmat.Ring by Laplace expansion along the first row,
+    one signed product and one sum per nonzero entry."""
+    if not A:
+        return ring.one
+    if len(A) == 1:
+        return A[0][0]
+    acc = ring.zero
+    for idx, entry in enumerate(A[0]):
+        if entry == ring.zero:
+            continue
+        minor = [row[:idx] + row[idx + 1:] for row in A[1:]]
+        term = ring.mul(entry, oracle_det(ring, minor))
+        acc = ring.sub(acc, term) if idx & 1 else ring.add(acc, term)
+    return acc
+
+
 def oracle_constant_ok(box, delta, p):
     """(ok, window length, witness) of the all-window admissibility check of
     the constant infinite tuple (N, N, ...) with t-support box N, in exact

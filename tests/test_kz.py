@@ -319,7 +319,7 @@ def test_gaudin_action_by_inverses_and_by_cofactors(p, m, g):
     P/(a_i - a_k) it is P H_i I, P = prod_{k != i}(a_i - a_k)."""
     ctx, cfg = setup(p, 4, g, m)
     ring = ringmat.scalar_ring(ctx)
-    half = ctx.inv(ctx.from_int(2))
+    half = (ctx.q + 1) // 2
     rng = seeded(p + m + g)
     for pt in dl.sample_domain_points(p, g, m, 3, 21, ctx):
         a = pt.lift

@@ -87,8 +87,7 @@ def test_planted_fault_fails_both_modes(name, monkeypatch):
             if (level, twist, getattr(F, "factored", None)) == (
                     S + 1, 0, target.factored):
                 claimed = N if name == "decomp" else 1 if name == "1.6i" else S
-                shift = kit.ring.scal(kit.ctx.from_int(P ** (claimed - 1)),
-                                      kit.ring.one)
+                shift = kit.ring.scal(P ** (claimed - 1), kit.ring.one)
                 out[0][0] = kit.ring.add(out[0][0], shift)
             return out
         monkeypatch.setattr(cls, "A", faulty)
@@ -111,8 +110,7 @@ def test_planted_derivative_fault_fails_both_modes(name, method, monkeypatch):
         def faulty(kit, level, F, *args, real=getattr(cls, method), **kw):
             out = [list(row) for row in real(kit, level, F, *args, **kw)]
             if (level, F.factored) == (S + 1, target.factored):
-                shift = kit.ring.scal(kit.ctx.from_int(P ** (claimed - 1)),
-                                      kit.ring.one)
+                shift = kit.ring.scal(P ** (claimed - 1), kit.ring.one)
                 out[0][0] = kit.ring.add(out[0][0], shift)
             return out
         monkeypatch.setattr(cls, method, faulty)
@@ -132,8 +130,7 @@ def test_planted_slice_fault_fails_decomp_in_both_modes(monkeypatch):
         def faulty(kit, F, indices, twist=0, real=cls.coeffs):
             out = real(kit, F, indices, twist)
             if (twist, F.factored) == (1, target.factored):
-                shift = kit.ring.scal(kit.ctx.from_int(P ** (N - 1)),
-                                      kit.ring.one)
+                shift = kit.ring.scal(P ** (N - 1), kit.ring.one)
                 out[0] = kit.ring.add(out[0], shift)
             return out
         monkeypatch.setattr(cls, "coeffs", faulty)
@@ -152,8 +149,7 @@ def test_planted_ghost_divisibility_fault_fails_decomp(monkeypatch):
     target = dl.master_polynomial(dl.KZConfig(dl.ctx_new(P, N), G), S + 1)
 
     def shifted(kit, x):
-        return kit.ring.add(x, kit.ring.scal(kit.ctx.from_int(P ** (S - 1)),
-                                             kit.ring.one))
+        return kit.ring.add(x, kit.ring.scal(P ** (S - 1), kit.ring.one))
 
     def blocks(kit, tup, *plan, real=dwork._ghost_blocks):
         out = real(kit, tup, *plan)
@@ -256,8 +252,7 @@ def test_planted_frame_fault_fails_both_modes(name, level, row, part,
         def faulty(kit, F, indices, real=cls.frame):
             out = [list(row) for row in real(kit, F, indices)]
             if F.factored == target.factored:
-                shift = kit.ring.scal(kit.ctx.from_int(P ** (S - 1)),
-                                      kit.ring.one)
+                shift = kit.ring.scal(P ** (S - 1), kit.ring.one)
                 out[row][0] = kit.ring.add(out[row][0], shift)
             return out
         monkeypatch.setattr(cls, "frame", faulty)

@@ -3,9 +3,10 @@ the runtime imports only the standard library and its own modules; no
 module imports a name it does not use; every function and class has a
 caller or an export; the x^m fold is defined once, in ``padic``, and only
 named functions, the kept m = 2 closed forms among them, read a context's
-modulus; ``src/`` stays within its line budget, counted as
-``perfbench/run.py`` counts ``src_lines``.  One check does import: the CLI,
-in a fresh interpreter, to see which modules its start-up loads."""
+modulus; only ``padic.power`` walks the bits of an exponent; ``src/``
+stays within its line budget, counted as ``perfbench/run.py`` counts
+``src_lines``.  One check does import: the CLI, in a fresh interpreter, to
+see which modules its start-up loads."""
 
 import ast
 import subprocess
@@ -114,6 +115,26 @@ def test_the_fold_is_stated_once():
                 readers.setdefault(path.name, set()).add(node.name)
     assert folds == {"padic.py"}
     assert readers == MODULUS_READERS
+
+
+def _walks_bits(node):
+    """Whether node calls bin() or shifts a name right in place (>>=)."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "bin"
+            or isinstance(node, ast.AugAssign)
+            and isinstance(node.op, ast.RShift))
+
+
+def test_the_power_chain_is_stated_once():
+    """padic.power is the one walk over the bits of an exponent: no other
+    function calls bin() or shifts a name right in place, so every power
+    chain (PadicCtx.pow, dense_pow, LaurentPoly.__pow__, domain
+    membership's L^(e - 1)) goes left to right through it."""
+    walkers = {(path.name, node.name) for path in MODULES
+               for node in ast.walk(_tree(path))
+               if isinstance(node, ast.FunctionDef)
+               and any(map(_walks_bits, ast.walk(node)))}
+    assert walkers == {("padic.py", "power")}
 
 
 def test_src_lines_stay_within_the_budget():
