@@ -204,7 +204,8 @@ def _linear_product(ctx, roots):
 
     For m = 2 the two basis columns are kept as plain ints, and
     root * (h0 + h1 x) = r0 h0 - m0 r1 h1 + (r0 h1 + r1 h0 - m1 r1 h1) x
-    folds x^2 = -m0 - m1 x in place.
+    folds x^2 = -m0 - m1 x in place.  For m >= 3 each new[k] is one dot
+    of (old[k-1], old[k]) against (1, -root).
     """
     q, m = ctx.q, ctx.m
     if m == 1:
@@ -223,10 +224,11 @@ def _linear_product(ctx, roots):
                       [(lo - r0 * y - r1 * x + f1 * y) % q
                        for lo, x, y in zip([0] + c1, h0, h1)])
         return list(zip(c0, c1))
-    zero = ctx.zero()
-    out = [ctx.one()]
+    zero, one = ctx.zero(), ctx.one()
+    out = [one]
     for r in roots:
-        out = [ctx.sub(lo, ctx.mul(r, hi)) for lo, hi in zip([zero] + out, out + [zero])]
+        pair = one, ctx.neg(r)
+        out = [ctx.dot(pair, c) for c in zip([zero] + out, out + [zero])]
     return out
 
 

@@ -133,12 +133,16 @@ class DenseCache:
             self._store[key] = F.dense_t(a)
         return self._store[key]
 
-    def quotient_coeffs(self, F, a, indices, divided=()):
-        """The coefficients at indices of F / prod_(i in divided) (t - z_i)
-        at the point a, zero out of range, for a factored F; NotDivisible if
-        one is no factor."""
+    def quotient_coeffs(self, F, a, indices, divided=(), scale=1):
+        """The plain int scale times the coefficients at indices of
+        F / prod_(i in divided) (t - z_i) at the point a, zero out of range,
+        for a factored F; zero, read off nothing, when scale = 0 mod q;
+        NotDivisible if one is no factor."""
         if F.factored is None:
             raise NotFactored("quotients need a factored form")
+        ctx = F.ctx
+        if scale % ctx.q == 0:
+            return [ctx.zero()] * len(indices)
         a = tuple(a)
         key = self._key(F, a)
         h = 2 if divided or key in self._divided else 0
@@ -146,9 +150,9 @@ class DenseCache:
         if split is None:
             roots = {i: r for (i, _), (r, _) in zip(F.factored, F.roots_at(a))}
             half = {i: max(e - h, 0) // 2 for i, e in F.factored}
-            R = dense.dense_from_roots(F.ctx, [(roots[i], k)
-                                               for i, k in half.items()])
-            split = self._splits[key, h] = dense.Squares(F.ctx, R), roots, {
+            R = dense.dense_from_roots(ctx, [(roots[i], k)
+                                             for i, k in half.items()])
+            split = self._splits[key, h] = dense.Squares(ctx, R), roots, {
                 i: e - 2 * half[i] for i, e in F.factored}
         squares, roots, mult = split
         if divided:
@@ -161,8 +165,9 @@ class DenseCache:
         c = self._cofactor.get(ckey)
         if c is None:
             c = self._cofactor[ckey] = dense.dense_from_roots(
-                F.ctx, [(roots[i], k) for i, k in mult.items()])
-        return squares.window(c, indices)
+                ctx, [(roots[i], k) for i, k in mult.items()])
+        out = squares.window(c, indices)
+        return out if scale == 1 else [ctx.scal_int(x, scale) for x in out]
 
 
 def check_direction(name, idx, n):
@@ -178,36 +183,29 @@ def _factored_mult(F, z_index):
     return dict(F.factored).get(z_index, 0)
 
 
-def _window_rows(level, F, delta, a, divided, factor, cache):
-    """factor * A(level, F / prod_(i in divided) (t - z_i)) at a, off the
-    split of F in the DenseCache ``cache``; zero, read off nothing, when
-    factor = 0 mod q."""
-    ctx, g = F.ctx, len(delta)
-    if factor % ctx.q == 0:
-        return _rows([ctx.zero()] * (g * g), g)
-    return _rows([ctx.scal_int(x, factor) for x in cache.quotient_coeffs(
-        F, a, hw_indices(ctx.p, level, delta), divided)], g)
-
-
 def hw_derivative_at(level, F, delta, a, v, cache):
     """Entries coeff_(p^level w - u)(dF/dz_v) at the point a, for factored
     F: dF/dz_v = -e_v F/(t - z_v), a window of the split of F in ``cache``."""
-    return _window_rows(level, F, delta, a, [v], -_factored_mult(F, v), cache)
+    return _rows(cache.quotient_coeffs(
+        F, a, hw_indices(F.ctx.p, level, delta), [v], -_factored_mult(F, v)),
+        len(delta))
 
 
 def hw_second_derivative_at(level, F, delta, a, u, v, cache):
     """Second partials d2F/(dz_u dz_v) of a factored F at the point a:
-    e_u (e_v - [u == v]) F/((t - z_u)(t - z_v)), whose factor vanishes
+    e_u (e_v - [u == v]) F/((t - z_u)(t - z_v)), whose scale vanishes
     unless the divisions are exact."""
     eu, ev = _factored_mult(F, u), _factored_mult(F, v)
-    return _window_rows(level, F, delta, a, [u, v], eu * (ev - (u == v)),
-                        cache)
+    return _rows(cache.quotient_coeffs(
+        F, a, hw_indices(F.ctx.p, level, delta), [u, v], eu * (ev - (u == v))),
+        len(delta))
 
 
 class _Kit:
     """What both kits state once: ``unit`` certifies each determinant and
     coordinate difference a statement clears by, and ``frame`` and
-    ``frame_derivative`` read through each kit's ``_quotients``."""
+    ``frame_derivative`` are one read each through the kit's
+    ``_quotients``."""
 
     def unit(self, d, error, message):
         """d, or error(message) with {v} its valuation if d = 0 mod p (over
@@ -219,19 +217,17 @@ class _Kit:
 
     def frame(self, F, indices):
         """Row i: the coefficients at indices of F/(t - z_i), i = 1..n."""
-        return self._quotients(F, [[i] for i in range(1, self.n + 1)], indices)
+        return self._quotients(
+            F, [([i], 1) for i in range(1, self.n + 1)], indices)
 
-    def frame_derivative(self, F, i, e, indices):
-        """Row k: the coefficients of d(F/(t - z_k))/dz_i for F with every
-        multiplicity e: -e D_ik off the diagonal, -(e - 1) D_ii on it, D_ik =
-        F/((t - z_i)(t - z_k)), and a zero row, read off nothing, where the
-        scale is 0 mod q."""
-        q = self.ctx.q
-        scales = [-(e - (k == i)) for k in range(1, self.n + 1)]
-        rows = iter(self._quotients(
-            F, [[i, k] for k, c in enumerate(scales, 1) if c % q], indices))
-        return [[self.ring.scal(c, x) for x in next(rows)]
-                if c % q else [self.ring.zero] * len(indices) for c in scales]
+    def frame_derivative(self, F, i, indices):
+        """Row k: the coefficients at indices of d(F/(t - z_k))/dz_i for a
+        factored F, -(e_i - [k = i]) F/((t - z_i)(t - z_k)) with e_i the
+        multiplicity of (t - z_i) in F; a zero row where the scale is
+        0 mod q."""
+        e = _factored_mult(F, i)
+        return self._quotients(F, [([i, k], -(e - (k == i)))
+                                   for k in range(1, self.n + 1)], indices)
 
 
 class SymbolicKit(_Kit):
@@ -293,13 +289,18 @@ class SymbolicKit(_Kit):
         return [[x.partial_z(v).partial_z(u) for x in row]
                 for row in self._hw(level, F)]
 
-    def _quotients(self, F, divided, indices):
-        """Per list in divided, the coefficients at indices of F divided by
-        its factors (t - z_i); every read is charged before the first."""
-        forms = [reduce(lambda f, i: f.synth_div_linear(z_index=i), d, F)
-                 for d in divided]
-        self._charge(forms, indices)
-        return [f.coeffs_t(indices) for f in forms]
+    def _quotients(self, F, reads, indices):
+        """Per (divided, scale) in reads, scale times the coefficients at
+        indices of F / prod_(i in divided) (t - z_i), a zero row read off
+        nothing where scale = 0 mod q; all are charged before the first."""
+        q = self.ctx.q
+        forms = {k: reduce(lambda f, i: f.synth_div_linear(z_index=i), d, F)
+                 for k, (d, c) in enumerate(reads) if c % q}
+        self._charge(forms.values(), indices)
+        return [[self.ring.scal(c, x) if c != 1 else x
+                 for x in forms[k].coeffs_t(indices)] if k in forms
+                else [self.ring.zero] * len(indices)
+                for k, (_, c) in enumerate(reads)]
 
     def z(self, i, e=1):
         exps = [0] * self.n
@@ -372,11 +373,10 @@ class PointKit(DenseCache, _Kit):
         return hw_second_derivative_at(level, F, self.delta, self.point(0),
                                        u, v, self)
 
-    def _quotients(self, F, divided, indices):
-        """Per list in divided, the coefficients at indices of F divided by
-        its factors (t - z_i), at the point."""
+    def _quotients(self, F, reads, indices):
+        """Per (divided, scale) in reads, ``quotient_coeffs`` at the point."""
         a = self.point(0)
-        return [self.quotient_coeffs(F, a, indices, d) for d in divided]
+        return [self.quotient_coeffs(F, a, indices, d, c) for d, c in reads]
 
     def z(self, i, e=1):
         return self.ctx.pow(self.point(0)[i - 1], e)

@@ -110,12 +110,13 @@ def ps_solution_derivative(cfg, s, i, kit):
 
     Row k, column l is the coefficient of t^(l p^s - 1) in
     d(Phi_s/(t - z_k))/dz_i.  On the factored form this is -e D_ik off the
-    diagonal and -(e-1) D_ii on it, with D_ik = Phi_s/((t-z_i)(t-z_k)); at
-    a point each row is a window of the kit's split of Phi_s.
+    diagonal and -(e-1) D_ii on it, with D_ik = Phi_s/((t-z_i)(t-z_k)) and
+    e the multiplicity the kit reads off Phi_s; at a point each row is a
+    window of the kit's split of Phi_s.
     """
     check_direction("i", i, cfg.n)
-    return kit.frame_derivative(
-        master_polynomial(cfg, s), i, cfg.exponent(s), _frame_indices(cfg, s))
+    return kit.frame_derivative(master_polynomial(cfg, s), i,
+                                _frame_indices(cfg, s))
 
 
 def column_sum_valuations(ring, I):
@@ -123,19 +124,20 @@ def column_sum_valuations(ring, I):
     return [ring.val(reduce(ring.add, col, ring.zero)) for col in zip(*I)]
 
 
-def gaudin_action(ring, i, I, half, coef):
-    """The rows of (sum_{k != i} coef[k] Omega_ik / 2) I for the n x g I,
-    where half is the plain int (q + 1) / 2, 1/2 mod q: H_i I when coef[k] =
-    (z_i - z_k)^-1, and P H_i I, P = prod_{k != i}(z_i - z_k), when coef[k]
-    are the cofactors P/(z_i - z_k).  Row k != i is coef[k] (I_i - I_k) / 2;
-    row i is minus their sum."""
-    out = [[ring.zero] * len(I[0]) for _ in I]
-    for k, c in coef.items():
-        for l, (x, y) in enumerate(zip(I[i - 1], I[k - 1])):
-            term = ring.scal(half, ring.mul(c, ring.sub(x, y)))
-            out[i - 1][l] = ring.sub(out[i - 1][l], term)
-            out[k - 1][l] = term
-    return out
+def gaudin_defect(ring, i, dI, I, scale, coef):
+    """The rows of scale dI - (sum_{k != i} coef[k] Omega_ik) I for the
+    n x g frames dI and I: dI - H_i I when scale is 1 and coef[k] =
+    (z_i - z_k)^-1 / 2, and P (dI - H_i I), P = prod_{k != i}(z_i - z_k),
+    when scale is P and coef[k] the cofactors P/(z_i - z_k) / 2.  Over the
+    gaps G_k = I_k - I_i, row k != i is scale dI_k + coef[k] G_k and row i
+    is scale dI_i - sum_k coef[k] G_k, each entry one Ring.dot."""
+    gaps = {k: [ring.sub(y, x) for x, y in zip(I[i - 1], I[k - 1])]
+            for k in coef}
+    row_i = [scale, *map(ring.neg, coef.values())]
+    return [[ring.dot(row_i, col) for col in zip(dI[i - 1], *gaps.values())]
+            if k == i else [ring.dot((scale, coef[k]), pair)
+                            for pair in zip(dI[k - 1], gaps[k])]
+            for k in range(1, len(I) + 1)]
 
 
 def kz_residual(cfg, s, i=None, points=None):
@@ -164,14 +166,12 @@ def kz_residual(cfg, s, i=None, points=None):
                 ring.sub(z[d - 1], z[j - 1]), NonUnitDifference,
                 f"z_{d} - z_{j} has valuation {{v}}")
                 for j in range(1, cfg.n + 1) if j != d}
-            cofactors = {k: reduce(ring.mul, (x for j, x in diffs.items()
-                                              if j != k), ring.one)
-                         for k in diffs}
+            halves = {k: ring.scal(half, reduce(ring.mul, (
+                x for j, x in diffs.items() if j != k), ring.one))
+                for k in diffs}  # the cofactors P/(z_d - z_k), halved
             P = reduce(ring.mul, diffs.values(), ring.one)
-            diff = ringmat.mat_sub(
-                ring, ringmat.mat_scal(ring, P, dI[d]),
-                gaudin_action(ring, d, I, half, cofactors))
-            v, w = _mat_min_val_with_witness(ring, diff,
+            defect = gaudin_defect(ring, d, dI[d], I, P, halves)
+            v, w = _mat_min_val_with_witness(ring, defect,
                                              {**kit.label, "direction": d})
             if v < worst:
                 worst, wit = v, w

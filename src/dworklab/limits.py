@@ -33,7 +33,7 @@ from .errors import ConfigError, InvalidParameter, OutsideDomain, TooLarge
 from .hasse_witt import PointKit, hw_indices
 from .kz import (
     KZConfig,
-    gaudin_action,
+    gaudin_defect,
     master_polynomial,
     ps_solution_derivative,
     ps_solutions,
@@ -540,9 +540,11 @@ def kz_certificates(cfg, point, s_max, frag, kit):
 
     kz-invariant-span: the finite-level covariant derivative is
     KD_i = K^(i) - J B^(i) - H_i J (the middle term is the exact derivative
-    of the inverse), so KD_i + J B^(i) = D_i = 0 to valuation >= s_max - 1;
-    in addition, solving KD_i = J C on a unit minor of J recovers
-    C = -B^(i), and the residual KD_i - J C is held to the same valuation.
+    of the inverse).  Solving KD_i = J C on a unit minor J_r of J gives
+    C + B^(i) = J_r^-1 (D_i)_r and KD_i - J C = D_i - J J_r^-1 (D_i)_r
+    exactly, so the span observes the Gaudin match's valuation at every
+    point (both print the same per_direction), and the recovery valuation
+    is the least valuation of the D_i on the minor's rows.
     """
     ctx, ring, J = cfg.ctx, kit.ring, frag["I"]
     half = (ctx.q + 1) // 2
@@ -551,10 +553,9 @@ def kz_certificates(cfg, point, s_max, frag, kit):
     per_dir = {}
     span = recovery = ctx.N
     for i in range(1, cfg.n + 1):
-        inverses = {k: kit.diff_inverse(i, k)
-                    for k in range(1, cfg.n + 1) if k != i}
-        D = ringmat.mat_sub(ring, frag["I_dirs"][i],
-                            gaudin_action(ring, i, J, half, inverses))
+        halves = {k: ring.scal(half, kit.diff_inverse(i, k))
+                  for k in range(1, cfg.n + 1) if k != i}
+        D = gaudin_defect(ring, i, frag["I_dirs"][i], J, ring.one, halves)
         per_dir[i] = ringmat.min_val(ring, D)
         if rows is not None:
             B = frag["A_dirs"][i]

@@ -14,6 +14,7 @@ values can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
+from math import gcd
 from operator import mul
 
 from .errors import (
@@ -233,8 +234,8 @@ class PadicCtx:
         return tuple(x * k % q for x in a)
 
     def pow(self, a, e):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
+        if e < 0:  # callers invert first, as LaurentPoly.eval_z does
+            raise ValueError("negative powers are not supported")
         if self.m == 1:
             return pow(a, e, self.q)
         return power(self.mul, a, e) if e else self.one()
@@ -251,18 +252,13 @@ class PadicCtx:
         return not any(a)
 
     def val(self, a):
-        """Largest k <= N with a = 0 mod p^k; N stands for "at least N"."""
-        if self.m == 1:
-            return self._int_val(a)
-        return min((self._int_val(c) for c in a), default=self.N)
-
-    def _int_val(self, c):
-        if c == 0:
+        """Largest k <= N with a = 0 mod p^k; N stands for "at least N".
+        One path for every m: the exponent of gcd(q, coefficients of a)."""
+        c, v = gcd(self.q, *self.coeffs(a)), 0
+        if c == self.q:
             return self.N
-        v = 0
-        p = self.p
-        while c % p == 0:
-            c //= p
+        while c > 1:
+            c //= self.p
             v += 1
         return v
 

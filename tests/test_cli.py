@@ -124,6 +124,7 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     "admissible --p 3 --delta 1..y --boxes 0:1",
     "admissible --p 3 --delta 1 --boxes 0:1,2",
     "admissible --p 3 --delta 1 --boxes a:b",
+    "admissible --p 3 --delta 1",
     # negative levels once raised IndexError, TypeError or RecursionError
     "congruence --theorem decomp --p 3 --N 3 --s -1 --symbolic",
     "congruence --theorem 1.6i --p 3 --N 3 --s -1 --symbolic",
@@ -368,6 +369,10 @@ PIN_POINTS = {
      "852aeebd26d738c7b3f153c81592881447651423612f0e4bafba1d5ad784c4a1"),
     ("hw --p 7 --N 2 --m 1 --g 2 --ext 2", "p7g2e2",
      "1dc780ab8bc8f8ae6fb9b3f203a07887f26a0b36c8e414ee4943e66fe7de99f9"),
+    # the CLI's only runs through the m >= 2 sums and valuations of
+    # symbolic z-polynomials
+    ("hw --p 5 --N 3 --m 1 --g 2 --ext 2", None,
+     "c43fa28e59839e2f70270789fd6f9fbe109aeaee6a84b94a75a553f4ef2e8090"),
     ("kz-solve --p 3 --N 3 --g 1 --s 1", None,
      "df4ae22d2ba3fde4402d151935709c95856b3523cd2d79218d2541eb58c509c6"),
     ("kz-solve --p 5 --N 3 --g 1 --s 2", None,
@@ -376,6 +381,8 @@ PIN_POINTS = {
      "efa7cebde99d599214aab4a6ac356f78c0a26cfe9d82302e37b462bc88da22c8"),
     ("kz-solve --p 5 --N 4 --g 1 --s 2", "p5",
      "860a70096861b331a20d13179fb87619a434d3499ea48a5ec515aa8758f73e72"),
+    ("kz-solve --p 3 --N 3 --g 1 --s 2 --ext 2", None,
+     "db7b5b4047354faa52406c79221272a4d9a96ad45d4f5875ec742f347da817e0"),
     ("kz-solve --p 3 --N 3 --g 1 --s 2 --ext 2", "p3e2",
      "d6ce70d2df151d18f83b08f9da5ee5b2c67de3376dd51f7d9db48cc42fb3be34"),
     ("kz-solve --p 7 --N 3 --g 2 --s 2 --ext 2", "p7g2e2",
@@ -692,6 +699,7 @@ def test_oversized_scans_exit_2_at_once(argv, capsys):
     "kz-solve --p 5 --N 4 --g 2 --s 3",
     "congruence --theorem ratio --symbolic --p 7 --N 3 --s 1 --g 2",
     "kz-verify --check residual --symbolic --p 11 --N 2 --s 1 --g 3",
+    "kz-verify --check phi --p 7 --N 5 --g 3 --s 2",
 ])
 def test_oversized_symbolic_reads_exit_2_at_once(argv, capsys):
     start = time.perf_counter()

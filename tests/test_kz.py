@@ -15,7 +15,7 @@ from dworklab.hasse_witt import DenseCache, PointKit, SymbolicKit
 from dworklab.kz import (
     _flat,
     column_sum_valuations,
-    gaudin_action,
+    gaudin_defect,
     ps_solution_derivative,
 )
 from dworklab.laurent import LaurentPoly
@@ -314,12 +314,14 @@ def test_gaudin_assembly():
 
 @pytest.mark.parametrize("p,m,g", [(5, 1, 1), (5, 2, 1), (7, 1, 2)])
 def test_gaudin_action_by_inverses_and_by_cofactors(p, m, g):
-    """The one Gaudin action against the matrix oracle at o-domain points:
-    with the inverses (a_i - a_k)^-1 it is H_i I, and with the cofactors
-    P/(a_i - a_k) it is P H_i I, P = prod_{k != i}(a_i - a_k)."""
+    """The one Gaudin defect with a zero dI against the matrix oracle at
+    o-domain points: with scale 1 and the halved inverses (a_i - a_k)^-1 / 2
+    it is -H_i I, and with scale P and the halved cofactors P/(a_i - a_k) / 2
+    it is -P H_i I, P = prod_{k != i}(a_i - a_k)."""
     ctx, cfg = setup(p, 4, g, m)
     ring = ringmat.scalar_ring(ctx)
     half = (ctx.q + 1) // 2
+    zero = [[ctx.zero()] * g for _ in range(cfg.n)]
     rng = seeded(p + m + g)
     for pt in dl.sample_domain_points(p, g, m, 3, 21, ctx):
         a = pt.lift
@@ -330,10 +332,13 @@ def test_gaudin_action_by_inverses_and_by_cofactors(p, m, g):
             inverses = {k: ctx.inv(d) for k, d in diffs.items()}
             P = reduce(ctx.mul, diffs.values())
             cofactors = {k: ctx.mul(P, inv) for k, inv in inverses.items()}
-            HI = ringmat.mat_mul(ring, gaudin(cfg, i, a), I)
-            assert gaudin_action(ring, i, I, half, inverses) == HI
-            assert gaudin_action(ring, i, I, half, cofactors) == \
-                ringmat.mat_scal(ring, P, HI)
+            minus_HI = ringmat.mat_mul(ring, gaudin(cfg, i, a), [
+                [ctx.neg(x) for x in row] for row in I])
+            assert gaudin_defect(ring, i, zero, I, ring.one, {
+                k: ring.scal(half, c) for k, c in inverses.items()}) == minus_HI
+            assert gaudin_defect(ring, i, zero, I, P, {
+                k: ring.scal(half, c) for k, c in cofactors.items()}) == \
+                ringmat.mat_scal(ring, P, minus_HI)
 
 
 def test_residual_symbolic():

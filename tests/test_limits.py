@@ -15,6 +15,7 @@ from dworklab.limits import (
     _unit_minor,
 )
 from conftest import seeded
+from oracles import gaudin
 
 
 def test_scan_exhaustive_counts():
@@ -478,17 +479,55 @@ def test_limit_report_bundle(monkeypatch):
     assert rank.to_json() == dl.rank_check(cfg, pt, _J1(cfg, pt)).to_json()
 
 
+@pytest.mark.parametrize("p,N,g,m,s_max", [(5, 5, 1, 1, 3), (3, 5, 1, 2, 3),
+                                           (7, 4, 2, 1, 3)])
+def test_invariant_span_observes_the_gaudin_match(p, N, g, m, s_max):
+    """Why a limit report prints one per_direction twice: with D_i =
+    K^(i) - H_i J (H_i from the matrix oracle), KD_i = D_i - J B^(i) and C
+    solved on the unit minor J_r, KD_i - J C = D_i - J J_r^-1 (D_i)_r and
+    C + B^(i) = J_r^-1 (D_i)_r hold exactly at every sampled point.  So the
+    span certificate observes the Gaudin match's valuation, and the
+    recovery valuation is the least valuation of the D_i on the minor's
+    rows."""
+    ctx = dl.ctx_new(p, N, m)
+    cfg, ring = dl.KZConfig(ctx, g), ringmat.scalar_ring(ctx)
+    for pt in dl.sample_domain_points(p, g, m, 3, 7 * p + m, ctx):
+        kit = PointKit(ctx, cfg.delta, pt.lift, pt.index)
+        frag = limits.limit_frames(cfg, pt, s_max, kit)
+        match, span = limits.kz_certificates(cfg, pt, s_max, frag, kit)
+        J = frag["I"]
+        _, rows = _unit_minor(cfg, J)
+        Jr_inv = ringmat.mat_inv_scalar(ctx, [J[r] for r in rows])
+        D = {i: ringmat.mat_sub(ring, frag["I_dirs"][i], ringmat.mat_mul(
+            ring, gaudin(cfg, i, pt.lift), J)) for i in range(1, cfg.n + 1)}
+        for i, Di in D.items():
+            B = frag["A_dirs"][i]
+            KD = ringmat.mat_sub(ring, Di, ringmat.mat_mul(ring, J, B))
+            C = ringmat.mat_solve_scalar(ctx, [J[r] for r in rows],
+                                         [KD[r] for r in rows])
+            X = ringmat.mat_mul(ring, Jr_inv, [Di[r] for r in rows])
+            assert ringmat.mat_add(ring, C, B) == X
+            assert ringmat.mat_sub(ring, KD, ringmat.mat_mul(ring, J, C)) \
+                == ringmat.mat_sub(ring, Di, ringmat.mat_mul(ring, J, X))
+        per_dir = {i: ringmat.min_val(ring, Di) for i, Di in D.items()}
+        assert match.details["per_direction"] == per_dir
+        assert span.details["per_direction"] == per_dir
+        assert span.observed == match.observed == min(ctx.N, *per_dir.values())
+        assert span.details["coefficient_recovery_valuation"] == min(
+            ringmat.min_val(ring, [Di[r] for r in rows]) for Di in D.values())
+
+
 def test_limit_report_forms_each_gaudin_action_once(monkeypatch):
-    """Both KZ certificates share one defect set: n Gaudin actions, one per
+    """Both KZ certificates share one defect set: n Gaudin defects, one per
     direction, where a defect set per certificate would take 2n."""
     calls = []
-    real = limits.gaudin_action
+    real = limits.gaudin_defect
 
     def counting(ring, i, *rest):
         calls.append(i)
         return real(ring, i, *rest)
 
-    monkeypatch.setattr(limits, "gaudin_action", counting)
+    monkeypatch.setattr(limits, "gaudin_defect", counting)
     ctx = dl.ctx_new(7, 4, 1)
     cfg = dl.KZConfig(ctx, 2)
     pt = dl.sample_domain_points(7, 2, 1, 1, 3, ctx)[0]

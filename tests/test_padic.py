@@ -4,6 +4,7 @@ import pytest
 
 import dworklab as dl
 from dworklab.errors import NotAUnit, NotPrime, OddPrimeRequired
+from dworklab.padic import is_prime
 from conftest import seeded
 from oracles import (
     M1_MODULUS,
@@ -210,6 +211,60 @@ def test_valuation_multiplicative_exhaustive():
         assert ext.val(ext.mul(x, y)) == min(ext.val(x) + ext.val(y), 2)
 
 
+@pytest.mark.parametrize("p,N,m", [(3, 3, 1), (5, 2, 1), (3, 2, 2),
+                                   (5, 2, 2), (3, 2, 3)])
+def test_valuation_is_the_least_coefficient_valuation(p, N, m):
+    """val, one path for every m, against the least valuation of the
+    coordinates counted by trial division, over every element."""
+    ctx = dl.ctx_new(p, N, m)
+
+    def int_val(c):
+        v = 0
+        while v < N and c % p ** (v + 1) == 0:
+            v += 1
+        return v
+
+    for coeffs in itertools.product(range(ctx.q), repeat=m):
+        x = ctx.from_coeffs(coeffs)
+        assert ctx.val(x) == min(map(int_val, coeffs))
+
+
+def _sieve(n):
+    flags = [False, False] + [True] * (n - 1)
+    for k in range(2, int(n**0.5) + 1):
+        if flags[k]:
+            flags[k * k::k] = [False] * len(flags[k * k::k])
+    return flags
+
+
+def _strong_probable_prime(n, w):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(w, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**j, n) == n - 1 for j in range(r))
+
+
+def test_is_prime_agrees_with_a_sieve():
+    """Every n below 10^4; those past the largest witness 37 reach the
+    Miller-Rabin loop."""
+    flags = _sieve(10**4)
+    assert [n for n in range(10**4) if is_prime(n)] == [
+        n for n, f in enumerate(flags) if f]
+
+
+@pytest.mark.parametrize("n,prime", [
+    (3_215_031_751, False),  # 151 * 751 * 28351
+    (3_825_123_056_546_413_051, False),  # 149491 * 747451 * 34233211
+    (2**61 - 1, True),
+])
+def test_is_prime_on_strong_pseudoprimes_and_a_mersenne_prime(n, prime):
+    """The composites are strong probable primes to the bases 2, 3, 5 and 7,
+    so only the later witnesses of the loop expose them."""
+    assert all(_strong_probable_prime(n, w) for w in (2, 3, 5, 7))
+    assert is_prime(n) is prime
+
+
 def test_unit_inverse_examples():
     ctx = dl.ctx_new(3, 2, 1)
     assert ctx.inv(1) == 1
@@ -245,6 +300,14 @@ def test_ring_ops_match_bigint_oracle():
         a = rng.randrange(10**6)
         e = rng.randrange(40)
         assert ctx.pow(ctx.from_int(a), e) == pow(a, e, q)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_negative_powers_are_refused(m):
+    """PadicCtx.pow takes e >= 0 at every m: its callers invert first."""
+    ctx = dl.ctx_new(5, 3, m)
+    with pytest.raises(ValueError, match="negative powers"):
+        ctx.pow(ctx.from_int(2), -3)
 
 
 def test_frobenius_is_exponentiation():
