@@ -26,13 +26,9 @@ its slots nonnegative: slots hold about 3 (q - 1)^2 short for x^2 + 2, not
 q (q - 1)^2 short.  dense_pow goes left to right (padic.power), so every
 product of its chain is a square or has the short base as one operand.
 
-A factored form at a point is read off a split R^2 c (see
-hasse_witt.DenseCache): Squares keeps the squares S_i of the long R where
-read, for every m on the m plain-int columns of R folded once as in
-_kron_mul, and reads single coefficients of R^2 c for a short cofactor c as
-sum_j c_j S_(k-j), one PadicCtx.dot each (a middle product, Hanrot, Quercia
-and Zimmermann, AAECC 2004): a Hasse-Witt matrix needs g^2 coefficients,
-not the whole square.
+A factored form at a point is read by the base-p digits of its exponent
+(hasse_witt.DenseCache) off the terms D^j X^(J - j) of ``frobenius_terms``,
+packed once and summed with binomial weights by ``combine_terms``.
 """
 
 from __future__ import annotations
@@ -40,7 +36,8 @@ from __future__ import annotations
 import decimal
 import struct
 from functools import partial, reduce
-from operator import add, mul
+from itertools import accumulate
+from operator import mul
 
 from .padic import power
 
@@ -101,11 +98,8 @@ def _kron_mul(ctx, a, b):
     short = min(len(a), len(b))
     count = len(a) + len(b) - 1
     square = a is b
-    if m == 1:
-        cols_a, cols_b = [a], [b]
-    else:
-        cols_a = list(zip(*a))
-        cols_b = cols_a if square else list(zip(*b))
+    cols_a = columns(ctx, a)
+    cols_b = cols_a if square else columns(ctx, b)
     fold = ctx.fold
     # Slots of column k of the convolution sum min(k, 2m - 2 - k) + 1
     # products a_i * b_j, each at most (q - 1)^2 short.  Folding adds r
@@ -246,56 +240,35 @@ def dense_from_roots(ctx, pairs):
                    for e, roots in groups.items()])
 
 
-class Squares:
-    """The squares S_i = sum_a R_a R_(i-a) of a dense R, each formed on its
-    first read and kept, so that single coefficients of R^2 c for a short c
-    cost a few dot products over R and no square of R (a middle product).
-
-    Each S_i sums squares over the m plain-int columns of R on 2m - 1
-    accumulators (1, x, ..., x^(2m-2)), a cross product 2 R_u R_v as
-    (R_u + R_v)^2 - R_u^2 - R_v^2, and folds them once by ctx.fold.  The
-    columns and their pair sums are made once per R; the memo S
-    holds only the squares read, unreduced: PadicCtx.dot reduces.
-    """
-
-    def __init__(self, ctx, R):
-        self.ctx, self.d = ctx, len(R) - 1
-        self.cols = [R] if ctx.m == 1 else [list(col) for col in zip(*R)]
-        self.sums = [(u, v, list(map(add, self.cols[u], self.cols[v])))
-                     for u in range(ctx.m) for v in range(u + 1, ctx.m)]
-        self.S = {}
-
-    def _square(self, i):
-        m, lo = self.ctx.m, max(0, i - self.d)
-        if m == 1:
-            return _square_at(self.cols[0], i, lo)
-        acc = [0] * (2 * m - 1)
-        acc[::2] = sq = [_square_at(x, i, lo) for x in self.cols]
-        for u, v, x in self.sums:
-            acc[u + v] += _square_at(x, i, lo) - sq[u] - sq[v]
-        for j, r, h in self.ctx.fold:
-            acc[j] += r * acc[h]
-        return tuple(acc[:m])
-
-    def window(self, c, indices):
-        """Coefficients of t^k in R^2 c at the given indices, zero out of
-        range: [t^k] R^2 c = sum_j c_j S_(k-j) over 0 <= k - j <= 2d."""
-        S, out = self.S, []
-        for k in indices:
-            lo = max(0, k - 2 * self.d)
-            hi = max(lo, min(len(c), k + 1))  # no pairs out of range
-            for i in range(k - hi + 1, k - lo + 1):
-                if i not in S:
-                    S[i] = self._square(i)
-            out.append(self.ctx.dot(c[lo:hi], [S[k - j] for j in range(lo, hi)]))
-        return out
+def frobenius_terms(ctx, Lp, ys):
+    """The terms T_j = D^j X^(J - j), j = 0..J = len(ys) - 1, of
+    X = L'(t^p) and D = L^p - X, from Lp = L^p and ys[k] = L'^k: packed
+    as for _kron_mul, one int per basis column, in slots wide enough for
+    sum_j k_j T_j with plain ints 0 <= k_j < q: (width, length, ints)."""
+    p, J, xs = ctx.p, len(ys) - 1, []
+    for y in ys:  # X^k = L'^k(t^p)
+        xs.append([ctx.zero()] * (p * len(y) - p + 1))
+        xs[-1][::p] = y
+    D = list(map(ctx.sub, Lp, xs[1]))[:-1] if J else []
+    out = [xs[J]] + [dense_mul(ctx, Dj, xs[J - j]) if j < J else Dj for j, Dj
+                     in enumerate(accumulate([D] * J, partial(dense_mul, ctx)), 1)]
+    size = max(map(len, out))
+    width = ((len(out) * (ctx.q - 1) ** 2).bit_length() + 7) // 8
+    return width, size, [[_pack_bytes(col + [0] * (size - len(col)), width)
+                          for col in columns(ctx, T)] for T in out]
 
 
-def _square_at(x, i, lo):
-    """sum_a x_a x_(i-a) over lo <= a <= i - lo, each cross term once, doubled."""
-    mid = (i + 1) // 2
-    acc = 2 * sum(map(mul, x[lo:mid], reversed(x[i - mid + 1:i - lo + 1])))
-    return acc if i & 1 else acc + x[i >> 1] * x[i >> 1]
+def combine_terms(ctx, ks, packed):
+    """The columns of sum_j ks[j] T_j for plain ints 0 <= ks[j] < q and
+    the terms packed by frobenius_terms: a big-int sum per column."""
+    width, count, terms = packed
+    return [_unpack_bytes(sum(map(mul, ks, col)), width, count, ctx.q)
+            for col in zip(*terms)]
+
+
+def columns(ctx, a):
+    """The m plain-int columns of the dense list a."""
+    return [a] if ctx.m == 1 else [list(c) for c in zip(*a)] or [[]] * ctx.m
 
 
 # No caller in src/: BENCHMARK.json's per_layer metrics name dense_div_linear

@@ -362,12 +362,10 @@ def verify_det_congruence(tup, s, points=None):
 def _cleared_log_derivatives(kit, tup, s, twist, derive):
     """(D X) adj(X) det Y - (D Y) adj(Y) det X for X = A(s+1, W_s) and
     Y = A(s, W_{s-1}) at the twist, with derive(level, W) -> D A(level, W):
-    the cleared (D X) X^-1 - (D Y) Y^-1.  Both forms are declared to the
-    kit as read for quotients, then X and Y are read before either
+    the cleared (D X) X^-1 - (D Y) Y^-1.  X and Y are read before either
     determinant is formed."""
     ring = kit.ring
-    W = {level: kit.reads_quotients(tup.W(level - 1), twist)
-         for level in (s + 1, s)}
+    W = {level: tup.W(level - 1) for level in (s + 1, s)}
     A = {level: kit.A(level, W[level], twist) for level in W}
     dX, dY = (_unit_det(kit, A[level], level, level - 1, 0, twist)
               for level in W)

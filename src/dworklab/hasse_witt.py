@@ -7,11 +7,9 @@ set Delta of size g, and a level m, the matrix is
 
 A matrix is a list of g rows.  Symbolic entries are z-polynomials;
 evaluated entries are ring scalars read off the dense specialization F(t, a)
-of a factored F by one rule (DenseCache): a window of one split R^2 c per
-(form, point), which also serves every quotient of F by one or two factors
-(t - z_i), and never the whole expansion, ``hw_matrix_at`` included.  A
-statement declares the forms it reads quotients of (``reads_quotients``), so
-that each has one split.
+of a factored F by one rule (DenseCache): windows of c L^b read by the
+base-p digits of b, for F and its quotients by one or two factors
+(t - z_i) alike, never the whole expansion, ``hw_matrix_at`` included.
 
 The verifiers read every matrix, and the ghost recursion every single
 t-coefficient (``coeffs``), through a kit with one interface:
@@ -24,6 +22,7 @@ scalars at a and its twists a^(p^k), memoized by :class:`DenseCache`).
 from __future__ import annotations
 
 from functools import reduce
+from math import comb
 
 from . import dense, ringmat
 from .errors import (
@@ -78,7 +77,7 @@ def _rows(flat, g):
 
 def hw_matrix_at(level, F, delta, a):
     """Hasse-Witt matrix evaluated at the point a (z = a), read as a
-    PointKit reads it: a window of one split if F is factored."""
+    PointKit reads it: a window of c L^b if F is factored."""
     return PointKit(F.ctx, delta, a).A(level, F)
 
 
@@ -99,39 +98,96 @@ def hw_inverse_at(ctx, A):
     return ringmat.mat_inv_scalar(ctx, A)
 
 
+# n b <= 300 is expanded: der_p5_m2 took 1.27x the half split's time at 0, 0.82x at 300
+EXPAND_DEGREE = 300
+
+
 class DenseCache:
     """Memo of the dense forms that F(t, a) is read off at a point a.
 
-    A factored F = prod (t - z_i)^e_i is kept at a as one split F(t, a) =
-    R^2 c, R = prod (t - a_i)^floor(max(e_i - h, 0) / 2) and c the cofactor
-    prod (t - a_i)^(e_i - 2 floor(...)), h in {0, 2}, with the squares of R
-    formed so far (``dense.Squares``).  Every read, ``quotient_coeffs``, of
-    F or of its quotient by one or two factors (t - z_i) is a window of
-    those squares against c less the divided factors, kept per point and
-    root multiset for every level: h = 2 leaves at least min(e_i, 2) of each
-    factor in c.  h = 2 for a divided read and for every read of a form in
-    ``_divided`` (``PointKit.reads_quotients``), else h = 0, whose c has
-    degree at most n and whose windows read the fewest squares.  ``get``
-    keeps the (offset, coeffs) expansion of an unfactored F, keyed by its
-    identity and kept alive while the memo is.
+    A read of a factored F, or of its quotient by one or two factors
+    (t - z_i), is c L^b: L = prod (t - a_i) over the factors left, b their
+    least multiplicity rounded down to a multiple of p (F and its quotients
+    share windows of L^b), c the short cofactor.  By Dwork's (t - a)^p =
+    t^p - a^p mod p, with L' = prod (t - a_i^p) at the next twist,
+    X = L'(t^p), D = L^p - X = 0 mod p, J = N - 1 and b = r + p b1,
+
+        L^b = B X^(b1 - J) mod p^N,  B = L^r sum_(j <= J) C(b1, j) D^j X^(J - j),
+
+    so a window of L^b is a dot of B against a window of L'^(b1 - J), read
+    the same way, until b1 < N (the truncation drops nothing) or
+    n b <= EXPAND_DEGREE, where L^b is expanded.  The memos are per root
+    tuple, so a twisted read reuses the untwisted one's deeper levels.
+    ``get`` keeps the expansion of an unfactored F, kept alive with it.
     """
 
     def __init__(self):
-        self._store, self._forms, self._splits = {}, {}, {}
-        self._cofactor, self._divided = {}, set()
-
-    def _key(self, F, a):
-        if F.factored is not None:
-            return F.ctx, F.factored, a
-        self._forms[id(F)] = F
-        return id(F), a
+        self._store, self._forms, self._powers = {}, {}, {}
+        self._digit_terms, self._windows, self._cofactor = {}, {}, {}
+        self._reads = {}
 
     def get(self, F, a):
-        """The (offset, coeffs) expansion of F at the point a."""
-        key = self._key(F, tuple(a))
+        """The (offset, coeffs) expansion of F at the point a: equal
+        factored forms share one entry."""
+        key = (F.ctx, F.factored, tuple(a)) if F.factored is not None \
+            else (id(F), tuple(a))
         if key not in self._store:
+            self._forms[id(F)] = F
             self._store[key] = F.dense_t(a)
         return self._store[key]
+
+    def _power(self, ctx, roots, e):
+        """L^e = L^(e // 2) L^(e - e // 2), L = prod (t - r) over roots."""
+        got = self._powers.get((ctx, roots, e))
+        if got is None:
+            got = self._powers[ctx, roots, e] = dense.dense_mul(
+                ctx, self._power(ctx, roots, e // 2),
+                self._power(ctx, roots, e - e // 2)) if e > 1 else \
+                dense.dense_from_roots(ctx, [(r, e) for r in roots])
+        return got
+
+    def _digits(self, ctx, roots):
+        """The roots twisted, and the terms D^j X^(J - j), j <= J, packed."""
+        got = self._digit_terms.get((ctx, roots))
+        if got is None:
+            twisted = tuple(ctx.frob(r) for r in roots)
+            got = self._digit_terms[ctx, roots] = twisted, \
+                dense.frobenius_terms(ctx, self._power(ctx, roots, ctx.p), [
+                    self._power(ctx, twisted, k) for k in range(ctx.N)])
+        return got
+
+    def _window(self, ctx, roots, b, spans):
+        """Per [lo, hi) in spans, 0 <= lo <= hi <= n b + 1, the columns of
+        [t^k] L^b, lo <= k < hi: slices of L^b if expanded, else (B, the
+        twisted roots, the coefficients read so far)."""
+        p, key = ctx.p, (ctx, roots, b)
+        got = self._windows.get(key)
+        if got is None:
+            if b // p < ctx.N or len(roots) * b <= EXPAND_DEGREE:
+                got = dense.columns(ctx, self._power(ctx, roots, b)), None, None
+            else:
+                twisted, terms = self._digits(ctx, roots)
+                B = dense.combine_terms(ctx, [comb(b // p, j) % ctx.q
+                                              for j in range(ctx.N)], terms)
+                if b % p:
+                    B = dense.columns(ctx, dense.dense_mul(
+                        ctx, self._power(ctx, roots, b % p),
+                        B[0] if ctx.m == 1 else list(zip(*B))))
+                got = B, twisted, {}
+            self._windows[key] = got
+        B, twisted, memo = got
+        if memo is None:
+            return [[x[lo:hi] for x in B] for lo, hi in spans]
+        b1, top = b // p - ctx.N + 1, len(B[0]) - 1
+        todo = sorted({k for lo, hi in spans for k in range(lo, hi)} - memo.keys())
+        inner = [(max(0, -((top - k) // p)), min(k // p, len(roots) * b1) + 1)
+                 for k in todo]
+        for k, (i, j), w in zip(todo, inner, self._window(
+                ctx, twisted, b1, inner) if todo else ()):
+            memo[k] = ctx.dot_columns(  # B_(k - p (j - 1)) .. B_(k - p i)
+                [x[k - p * j + p:k - p * i + 1:p] for x in B], [y[::-1] for y in w])
+        return [dense.columns(ctx, [memo[k] for k in range(lo, hi)])
+                for lo, hi in spans]
 
     def quotient_coeffs(self, F, a, indices, divided=(), scale=1):
         """The plain int scale times the coefficients at indices of
@@ -143,30 +199,31 @@ class DenseCache:
         ctx = F.ctx
         if scale % ctx.q == 0:
             return [ctx.zero()] * len(indices)
-        a = tuple(a)
-        key = self._key(F, a)
-        h = 2 if divided or key in self._divided else 0
-        split = self._splits.get((key, h))
-        if split is None:
-            roots = {i: r for (i, _), (r, _) in zip(F.factored, F.roots_at(a))}
-            half = {i: max(e - h, 0) // 2 for i, e in F.factored}
-            R = dense.dense_from_roots(ctx, [(roots[i], k)
-                                             for i, k in half.items()])
-            split = self._splits[key, h] = dense.Squares(ctx, R), roots, {
-                i: e - 2 * half[i] for i, e in F.factored}
-        squares, roots, mult = split
-        if divided:
-            mult = dict(mult)
+        key = ctx, F.factored, tuple(a), tuple(divided)
+        read = self._reads.get(key)
+        if read is None:
+            mult = dict(F.factored)
             for i in divided:
                 mult[i] = mult.get(i, 0) - 1
                 if mult[i] < 0:
                     raise NotDivisible(f"t - z_{i} does not divide the form")
-        ckey = a, tuple(mult.items())  # in index order, as F.factored
-        c = self._cofactor.get(ckey)
-        if c is None:
-            c = self._cofactor[ckey] = dense.dense_from_roots(
-                ctx, [(roots[i], k) for i, k in mult.items()])
-        out = squares.window(c, indices)
+            pairs = [(r, mult[i]) for (i, _), (r, _) in
+                     zip(F.factored, F.roots_at(a)) if mult[i]]
+            b = min((e for _, e in pairs), default=0)
+            b -= b % ctx.p
+            rest = ctx, tuple((r, e - b) for r, e in pairs)
+            c = self._cofactor.get(rest)
+            if c is None:  # reversed, so that each read is a slice
+                c = self._cofactor[rest] = [x[::-1] for x in dense.columns(
+                    ctx, dense.dense_from_roots(ctx, rest[1]))]
+            read = self._reads[key] = tuple(r for r, _ in pairs), b, c
+        roots, b, c = read
+        width = len(c[0])
+        spans = [(lo, max(lo, min(k + 1, len(roots) * b + 1))) for k, lo in
+                 ((k, max(0, k - width + 1)) for k in indices)]
+        out = [ctx.dot_columns(c if k >= width - 1 else [  # from c_k down
+            x[width - 1 - k:] for x in c], w) for k, w in
+            zip(indices, self._window(ctx, roots, b, spans))]
         return out if scale == 1 else [ctx.scal_int(x, scale) for x in out]
 
 
@@ -185,7 +242,7 @@ def _factored_mult(F, z_index):
 
 def hw_derivative_at(level, F, delta, a, v, cache):
     """Entries coeff_(p^level w - u)(dF/dz_v) at the point a, for factored
-    F: dF/dz_v = -e_v F/(t - z_v), a window of the split of F in ``cache``."""
+    F: dF/dz_v = -e_v F/(t - z_v), read through ``cache``."""
     return _rows(cache.quotient_coeffs(
         F, a, hw_indices(F.ctx.p, level, delta), [v], -_factored_mult(F, v)),
         len(delta))
@@ -268,10 +325,6 @@ class SymbolicKit(_Kit):
             self._read[key] = F, hw_matrix(level, F, self.delta)
         return self._read[key][1]
 
-    def reads_quotients(self, F, twist=0):
-        """F: the point kit's splits have no symbolic part."""
-        return F
-
     def A(self, level, F, twist=0):
         return [[x.frobenius_sub(twist) for x in row]
                 for row in self._hw(level, F)]
@@ -312,9 +365,8 @@ class PointKit(DenseCache, _Kit):
     """The verifiers' matrices at one point a, as scalars over Z/p^N.
 
     The kit is the memo of its point: A, its z-derivatives and the frames at
-    a and at the twists a^(p^k) share splits and cofactors, and
-    it keeps the inverses of the point's coordinate differences
-    (``diff_inverse``).  ``unit`` raises when a determinant is not a unit at
+    a and at the twists a^(p^k) share windows and cofactors, and it keeps
+    the inverses of the point's coordinate differences (``diff_inverse``).  ``unit`` raises when a determinant is not a unit at
     the point, so clearing by it keeps every valuation.  A missing point,
     or a coordinate neither an int nor an m-tuple, is refused.
     """
@@ -339,20 +391,8 @@ class PointKit(DenseCache, _Kit):
                                           for x in self.point(k - 1))
         return got
 
-    def reads_quotients(self, F, twist=0):
-        """F, declared to be read for quotients at the twisted point, so
-        that every read of a factored F there, A included, comes off the
-        one split that serves its quotients.  A statement declares F before
-        its first read of F.  Without the declaration A would come off a
-        second split that nothing else uses; with the quotient split for
-        every read, ratio and det would read more squares."""
-        if F.factored is not None:
-            self._divided.add(self._key(F, self.point(twist)))
-        return F
-
     def A(self, level, F, twist=0):
-        """A(level, F) at the twisted point, a window of its split if F is
-        factored."""
+        """A(level, F) at the twisted point."""
         a, delta = self.point(twist), self.delta
         if F.factored is None:
             return hw_from_dense(self.ctx, level, *self.get(F, a), delta)

@@ -111,8 +111,7 @@ def ps_solution_derivative(cfg, s, i, kit):
     Row k, column l is the coefficient of t^(l p^s - 1) in
     d(Phi_s/(t - z_k))/dz_i.  On the factored form this is -e D_ik off the
     diagonal and -(e-1) D_ii on it, with D_ik = Phi_s/((t-z_i)(t-z_k)) and
-    e the multiplicity the kit reads off Phi_s; at a point each row is a
-    window of the kit's split of Phi_s.
+    e the multiplicity the kit reads off Phi_s.
     """
     check_direction("i", i, cfg.n)
     return kit.frame_derivative(master_polynomial(cfg, s), i,
@@ -156,7 +155,6 @@ def kz_residual(cfg, s, i=None, points=None):
 
     def one(kit):
         ring = kit.ring
-        kit.reads_quotients(master_polynomial(cfg, s))
         I = ps_solutions(cfg, s, kit)
         dI = {d: ps_solution_derivative(cfg, s, d, kit) for d in dirs}
         z = [kit.z(j) for j in range(1, cfg.n + 1)]
@@ -166,11 +164,13 @@ def kz_residual(cfg, s, i=None, points=None):
                 ring.sub(z[d - 1], z[j - 1]), NonUnitDifference,
                 f"z_{d} - z_{j} has valuation {{v}}")
                 for j in range(1, cfg.n + 1) if j != d}
-            halves = {k: ring.scal(half, reduce(ring.mul, (
-                x for j, x in diffs.items() if j != k), ring.one))
-                for k in diffs}  # the cofactors P/(z_d - z_k), halved
-            P = reduce(ring.mul, diffs.values(), ring.one)
-            defect = gaudin_defect(ring, d, dI[d], I, P, halves)
+            # P and P/(z_d - z_k) by prefix and suffix products of diffs
+            x = list(diffs.values())
+            pre = list(itertools.accumulate(x, ring.mul))
+            suf = list(itertools.accumulate(x[:0:-1], ring.mul))[::-1]
+            cof = [suf[0], *map(ring.mul, pre, suf[1:]), pre[-2]]
+            halves = {k: ring.scal(half, c) for k, c in zip(diffs, cof)}
+            defect = gaudin_defect(ring, d, dI[d], I, pre[-1], halves)
             v, w = _mat_min_val_with_witness(ring, defect,
                                              {**kit.label, "direction": d})
             if v < worst:
@@ -280,8 +280,8 @@ def verify_solution_congruence(cfg, s, points=None):
 
     def one(kit):
         ring = kit.ring
-        A = {lev: kit.A(lev, kit.reads_quotients(
-            master_polynomial(cfg, lev))) for lev in (s, s + 1)}
+        A = {lev: kit.A(lev, master_polynomial(cfg, lev))
+             for lev in (s, s + 1)}
         frames = {lev: ps_solutions(cfg, lev, kit) for lev in (s + 1, s)}
         derivs = {(lev, j): ps_solution_derivative(cfg, lev, j, kit)
                   for j in dirs for lev in (s + 1, s)}

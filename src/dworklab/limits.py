@@ -459,7 +459,6 @@ def _level_matrix_inv(cfg, lev, kit, twist=0):
 
 def _frame(cfg, s, kit):
     """J_s = I_s A(s, Phi_s)^-1 at the kit's point."""
-    kit.reads_quotients(master_polynomial(cfg, s))
     _, Ainv = _level_matrix_inv(cfg, s, kit)
     return ringmat.mat_mul(kit.ring, ps_solutions(cfg, s, kit), Ainv)
 
@@ -491,7 +490,7 @@ def limit_frames(cfg, point, s_max, kit):
     dirs = range(1, cfg.n + 1)
     ratios, J_seq, K_seq, B_seq = [], [], [], []
     for s in range(1, s_max + 1):
-        phi = kit.reads_quotients(master_polynomial(cfg, s))
+        phi = master_polynomial(cfg, s)
         A, Ainv = _level_matrix_inv(cfg, s, kit)
         ratios.append(A if s == 1 else ringmat.mat_mul(
             ring, A, _level_matrix_inv(cfg, s - 1, kit, twist=1)[1]))

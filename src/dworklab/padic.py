@@ -226,6 +226,18 @@ class PadicCtx:
             acc[i] += r * acc[k]
         return tuple([c % q for c in acc[:m]])
 
+    def dot_columns(self, xs, ys):
+        """``dot`` of elements given by their m plain-int columns (xs[u][t]
+        the coordinate of x^u in the t-th): one sum per pair of columns."""
+        q, m = self.q, self.m
+        acc = [0] * (2 * m - 1)
+        for i, x in enumerate(xs):
+            for k, y in enumerate(ys, i):
+                acc[k] += sum(map(mul, x, y))
+        for i, r, k in self.fold:
+            acc[i] += r * acc[k]
+        return acc[0] % q if m == 1 else tuple([c % q for c in acc[:m]])
+
     def scal_int(self, a, k):
         """Multiply an element by a plain integer."""
         if self.m == 1:

@@ -15,6 +15,7 @@ from dworklab.errors import (
     UnsupportedArity,
     ZeroPolynomial,
 )
+from dworklab import hasse_witt
 from dworklab.hasse_witt import SymbolicKit
 from dworklab.kz import master_polynomial
 from dworklab.laurent import LaurentPoly
@@ -461,3 +462,12 @@ def embed(ctx, other_ctx, x):
 def reduce_to(ctx, other_ctx, x):
     """Reduce an element of ctx into a context with the same p, m and lower N."""
     return other_ctx.from_coeffs(ctx.coeffs(x))
+
+
+def expanded_past_the_base_rule(cache):
+    """The (root tuple, exponent) of every power of L = prod (t - r) that a
+    DenseCache expanded although its base rule reads it by digits:
+    exponent // p >= N and n exponent > EXPAND_DEGREE."""
+    return [(roots, e) for ctx, roots, e in cache._powers
+            if e // ctx.p >= ctx.N
+            and len(roots) * e > hasse_witt.EXPAND_DEGREE]

@@ -299,8 +299,8 @@ def test_criterion_11_oracle_equivalence():
 def test_ratio_and_det_are_sharp_pointwise(p, N, s, g, m, seed):
     """With headroom N >= s + 1 the pointwise ratio and det congruences
     reach exactly the claimed exponent s.  A(s + 1, W_s) and its partners
-    are read off h = 0 splits here, so a read from a wrong level or index
-    moves the observed valuation."""
+    are read by base-p digits here, so a read from a wrong level, index or
+    twist moves the observed valuation."""
     ctx, cfg = _kz(p, N, g, m)
     pts = _points(p, g, m, 4, seed, ctx)
     tup = dl.kz_tuple(cfg, length=s + 1)

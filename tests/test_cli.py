@@ -424,11 +424,11 @@ def test_hw_and_kz_solve_output_is_pinned(tmp_path, argv, point, digest):
      "de25ee4cdfc28e3c4662bceb851296e5e580ba7330337c7467ebfc9755780b7d"),
 ])
 def test_pointwise_reads_are_pinned(argv, digest):
-    """The whole report of pointwise verdicts whose A and ghost reads come
-    off h = 0 splits, byte for byte, against the sha256 of a recorded run:
-    decomp and 1.6i at m = 1, 2, 3, ratio at m = 3, and ratio and decomp at
-    p = 7, s = 1, whose level-1 R is short enough for dense_mul to square it
-    by schoolbook."""
+    """The whole report of pointwise verdicts whose A and ghost reads are
+    windows of factored forms, byte for byte, against the sha256 of a
+    recorded run: decomp and 1.6i at m = 1, 2, 3, ratio at m = 3, and ratio
+    and decomp at p = 7, s = 1, whose level-1 forms are short enough for
+    dense_mul to multiply by schoolbook."""
     argv = argv.split()
     argv += ["--points", "2" if "--ext" in argv else "3", "--seed", "1"]
     out = io.StringIO()
@@ -445,20 +445,26 @@ def test_pointwise_reads_are_pinned(argv, digest):
      "65d1f0630d516d92272847cfb280dc66ef1456e82ce7019a098ce8d5b06a49c9"),
     ("congruence --theorem der2 --p 5 --N 5 --s 3 --g 2 --points 2 --ext 3",
      "421be1a97b44cee288d96e4f4cb638447c3fea08389206c9a864e1980dadde1b"),
+    ("limit --p 7 --N 8 --g 1 --m 1 --point 2 --smax 7",
+     "449e52c0e4d7c8da2e9bd296eb28196768a25e40426b6a220dd33c3ac7b904f4"),
+    ("limit --p 11 --N 6 --g 1 --m 1 --point 0 --smax 5",
+     "e0d0649b39f419d030fe1d671518fca551931edcbc6edefed3764b62cc06fba3"),
 ])
 def test_quotient_reads_are_pinned(argv, digest):
     """The whole report of statements that read quotients, byte for byte,
     against the sha256 of a recorded run: limit at m = 1 to level 5, coS
-    at p = 7, level 4, and residual and der2 at m = 3.  Their A, frames and
-    derivatives come off one split per (form, point)."""
+    at p = 7, level 4, residual and der2 at m = 3, and the deep limits at
+    p = 7 to level 7 and p = 11 to level 5, whose reads recurse over
+    several base-p digits.  Every digest predates the digit reads, so each
+    checks them against the reads they replaced."""
     out = io.StringIO()
     assert run(argv.split(), out=out) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 def test_limit_at_m2_is_pinned():
-    """The whole ``limit`` report at m = 2, whose frames and matrices come
-    off one split per level."""
+    """The whole ``limit`` report at m = 2, whose frames and matrices share
+    one window memo per level."""
     out = io.StringIO()
     assert run("limit --p 5 --N 4 --g 1 --m 2 --point 0 --smax 3".split(),
                out=out) == 0

@@ -11,9 +11,9 @@ coefficients then check the real cutover, where they fill every packed slot
 to its bound, and an empty x^0 column against full other columns checks that
 the lift of the signed m >= 2 fold covers the folded negative terms on both
 packed paths.  dense_pow's left-to-right chain is checked against the
-binomial expansion of (t - r)^e.  The half-power reader (coefficients of
-R^2 T by dot products over R) and the one-pass product of linear factors are
-checked against oracle expansions.
+binomial expansion of (t - r)^e.  The one-pass product of linear factors,
+and the digit terms D^j X^(J - j) that hasse_witt.DenseCache combines, with
+their packed sum, are checked against oracle expansions.
 """
 
 import math
@@ -22,8 +22,6 @@ import pytest
 
 import dworklab as dl
 from dworklab import dense, padic
-from dworklab.hasse_witt import _coeffs_at
-from dworklab.laurent import LaurentPoly
 from conftest import seeded
 from oracles import (
     M1_MODULUS,
@@ -212,66 +210,50 @@ def _oracle_expand(ctx, pairs):
     return full
 
 
-def _half_split(ctx, pairs):
-    """(R, T) with prod (t - root)^mult = R^2 T: R has the halved
-    multiplicities mult // 2 and T the parities mult % 2."""
-    return (dense.dense_from_roots(ctx, [(r, e // 2) for r, e in pairs]),
-            dense.dense_from_roots(ctx, [(r, e % 2) for r, e in pairs]))
-
-
-def _multiplicities(rng, kind, n):
-    if kind == "even":
-        return [2 * rng.randrange(1, 7) for _ in range(n)]
-    if kind == "odd":
-        return [2 * rng.randrange(0, 7) + 1 for _ in range(n)]
-    return [rng.randrange(1, 14) for _ in range(n - 1)] + [3]
-
-
 @pytest.mark.parametrize("p,N,m,modulus", [
     (7, 6, 1, None), (3, 3, 1, None), (5, 5, 2, None), (3, 2, 2, None),
     (5, 4, 2, M1_MODULUS), (3, 3, 2, M1_MODULUS), (3, 3, 3, None),
     (5, 2, 3, None), (3, 3, 3, M3_FULL_TAIL), (3, 2, 4, None),
     (5, 2, 4, None), (3, 2, 4, M4_FULL_TAIL)])
-@pytest.mark.parametrize("kind", ["even", "odd", "mixed", "top"])
-def test_half_power_reader_matches_the_expansion(p, N, m, modulus, kind):
-    """Coefficients of R^2 T read off the squares of R equal the expanded
-    product at every index, including below 0, at the degree and past it;
-    "top" takes every root all-(q-1), which fills every accumulator.  For
-    m >= 3 the fold has several steps per row, and the moduli's tails have
-    zero and nonzero entries."""
+@pytest.mark.parametrize("kind", ["random", "top", "zero"])
+def test_digit_terms_match_oracle_products(p, N, m, modulus, kind):
+    """frobenius_terms packs D^j X^(J - j), j = 0..J = N - 1, for
+    L = prod (t - r), X = L'(t^p) with L' = prod (t - r^p) and
+    D = L^p - X, and combine_terms of them gives the columns of
+    sum_j k_j D^j X^(J - j), each term alone for a unit vector k.  "top"
+    takes every root and every k all-(q - 1), which fills every packed
+    slot; "zero" takes zero roots, for which D = 0."""
     ctx = dl.PadicCtx(p, N, m, modulus) if modulus else dl.ctx_new(p, N, m)
     rng = seeded(1000 * p + 100 * N + 10 * m + len(kind))
     top = ctx.q - 1 if m == 1 else (ctx.q - 1,) * m
-    for n in (1, 3, 5):
-        if kind == "top":
-            pairs = [(top, 3 + k) for k in range(n)]
-        else:
-            pairs = [(rand(ctx, rng), e)
-                     for e in _multiplicities(rng, kind, n)]
-        R, T = _half_split(ctx, pairs)
-        assert len(R) == 1 + sum(e // 2 for _, e in pairs)
-        assert len(T) == 1 + sum(e % 2 for _, e in pairs)
-        full = _oracle_expand(ctx, pairs)
-        indices = list(range(-3, len(full) + 3))
-        squares = dense.Squares(ctx, R)
-        for _ in range(2):  # the second pass reads the kept squares
-            assert squares.window(T, indices) == _coeffs_at(
-                ctx, 0, full, indices)
-        assert dense.dense_from_roots(ctx, pairs) == full
-
-
-@pytest.mark.parametrize("p,N,m", [(7, 6, 1), (5, 5, 2), (3, 3, 3)])
-def test_half_power_reader_on_a_scalar_factored_form(p, N, m):
-    """The half power reader on the scalar roots of a factored form at a
-    point, with mixed multiplicities."""
-    ctx = dl.ctx_new(p, N, m)
-    rng = seeded(17 * p + m)
-    F = LaurentPoly.from_factors(ctx, 3, [(1, 9), (2, 4), (3, 1)])
-    a = [rand(ctx, rng) for _ in range(3)]
-    pairs = F.roots_at(a)
-    off, coeffs = F.dense_t(a)
-    indices = list(range(-2, off + len(coeffs) + 2))
-    R, T = _half_split(ctx, pairs)
-    assert dense.Squares(ctx, R).window(T, indices) == _coeffs_at(
-        ctx, off, coeffs, indices)
-    assert coeffs == _oracle_expand(ctx, pairs)
+    for n in (1, 3):
+        roots = [top if kind == "top" else ctx.zero() if kind == "zero"
+                 else rand(ctx, rng) for _ in range(n)]
+        ys = [_oracle_expand(ctx, [(ctx.frob(r), k) for r in roots])
+              for k in range(N)]
+        xs = []
+        for y in ys:
+            xs.append([ctx.zero()] * (p * len(y) - p + 1))
+            xs[-1][::p] = y
+        Lp = _oracle_expand(ctx, [(r, p) for r in roots])
+        D = [ctx.sub(x, y) for x, y in zip(Lp, xs[1])][:-1] if N > 1 else []
+        want = []
+        for j in range(N):
+            T = xs[N - 1 - j]
+            for _ in range(j):
+                T = oracle_dense_mul(T, D, p, N, m, ctx.modulus)
+            want.append(T)
+        width = max(map(len, want))
+        want = [T + [ctx.zero()] * (width - len(T)) for T in want]
+        packed = dense.frobenius_terms(ctx, Lp, ys)
+        for j, T in enumerate(want):
+            unit = [int(i == j) for i in range(N)]
+            assert dense.combine_terms(ctx, unit, packed) == dense.columns(
+                ctx, T)
+        ks = [ctx.q - 1 if kind == "top" else rng.randrange(ctx.q)
+              for _ in range(N)]
+        total = [ctx.zero()] * width
+        for k, T in zip(ks, want):
+            total = [ctx.add(x, ctx.scal_int(y, k)) for x, y in zip(total, T)]
+        assert dense.combine_terms(ctx, ks, packed) == dense.columns(
+            ctx, total)

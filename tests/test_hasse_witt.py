@@ -18,6 +18,7 @@ from dworklab.hasse_witt import (
 from dworklab.laurent import LaurentPoly
 from conftest import seeded
 from oracles import (
+    expanded_past_the_base_rule,
     hw_eval,
     is_expanded,
     leading_term_lex,
@@ -232,12 +233,12 @@ def _cache_forms(ctx, g):
 
 @pytest.mark.parametrize("p,N,m,g", [(7, 4, 1, 2), (5, 3, 2, 2), (3, 3, 3, 1)])
 def test_cache_entries_and_expansion_in_either_order(p, N, m, g):
-    """A factored form is read off its h = 0 split until a kit is told that
-    quotients of it are read, and off its h = 2 split after: A at every
-    level whose indices fall inside, at and past the degree, and ``coeffs``
-    below 0, inside and past the degree, agree with the direct expansion
-    either way.  Two points on one cache keep their own splits, and no
-    factored key enters the expansion memo."""
+    """A factored form is read as windows of c L^b, before and after a read
+    of its quotients: A at every level whose indices fall inside, at and
+    past the degree, and ``coeffs`` below 0, inside and past the degree,
+    agree with the direct expansion either way.  Two points on one cache
+    keep their own windows, no power of L past the base rule is expanded,
+    and no factored key enters the expansion memo."""
     ctx = dl.ctx_new(p, N, m)
     rng = seeded(97 * p + m)
     for F, delta, n in _cache_forms(ctx, g):
@@ -245,23 +246,23 @@ def test_cache_entries_and_expansion_in_either_order(p, N, m, g):
         direct = {(level, a): dl.hw_matrix_at(level, F, delta, a)
                   for level in (1, 2, 3, 4) for a in points}
         cache = DenseCache()
-        for _ in range(2):  # the second pass reads the stored splits
+        for _ in range(2):  # the second pass reads the stored windows
             for (level, a), want in direct.items():
                 assert _rows(cache.quotient_coeffs(F, a, hw_indices(
                     p, level, delta)), len(delta)) == want
-            assert set(cache._splits) == {((ctx, F.factored, a), 0)
-                                          for a in points}
+        assert {roots for _, roots, _ in cache._windows} >= {
+            tuple(r for r, _ in F.roots_at(a)) for a in points}
+        assert expanded_past_the_base_rule(cache) == []
         assert not cache._store
         for a in points:
             off, full = F.dense_t(a)
             indices = list(range(-3, off + len(full) + 3))
             want = _coeffs_at(ctx, off, full, indices)
             kit = PointKit(ctx, delta, a)
-            for declared in (False, True):
+            for _ in range(2):  # before and after a read of quotients
                 assert kit.coeffs(F, indices) == want
                 for level in (1, 2, 3, 4):
                     assert kit.A(level, F) == direct[level, a]
-                assert sorted(h for _, h in kit._splits) == [0, 2][
-                    :1 + declared]
-                assert kit.reads_quotients(F) is F
+                kit.frame(F, indices[:4])
+            assert expanded_past_the_base_rule(kit) == []
             assert not kit._store

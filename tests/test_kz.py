@@ -226,17 +226,21 @@ def test_derivative_at_non_unit_difference():
                 assert got == _derivative_oracle(ctx, cfg, s, i, a)
 
 
+MEMOS = ("_powers", "_digit_terms", "_windows", "_cofactor")
+
+
 def test_window_reads_share_their_memo_and_reject_a_missing_factor():
     ctx, cfg = setup(5, 3, 1, 2)
     (pt,) = dl.sample_domain_points(5, 1, 2, 1, 0, ctx)
     phi = dl.master_polynomial(cfg, 1)
     cache = PointKit(ctx, cfg.delta, pt.lift)
     rows = cache.frame(phi, (4, 9))
-    splits, cofactors = dict(cache._splits), dict(cache._cofactor)
-    assert list(splits) == [((ctx, phi.factored, cache.point(0)), 2)]
-    assert len(cofactors) == cfg.n
+    memo = [dict(getattr(cache, name)) for name in MEMOS]
+    roots = tuple(r for r, _ in phi.roots_at(cache.point(0)))
+    assert {key[1] for key in cache._powers} == {roots}
+    assert len(cache._cofactor) == cfg.n  # one per row
     assert cache.frame(phi, (4, 9)) == rows
-    assert (cache._splits, cache._cofactor) == (splits, cofactors)
+    assert [getattr(cache, name) for name in MEMOS] == memo
     # a factor (t - z_i) absent from the form divides nothing
     lacking = LaurentPoly.from_factors(ctx, cfg.n, [(1, 2), (2, 2)])
     with pytest.raises(NotDivisible):

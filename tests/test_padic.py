@@ -162,7 +162,7 @@ def test_m2_mul_matches_the_generic_tuple_product(p, modulus):
     (3, 3, 3, M3_FULL_TAIL), (3, 2, 4, None), (3, 2, 4, M4_FULL_TAIL)])
 def test_dot_is_the_reduced_sum_of_oracle_products(p, N, m, modulus):
     """PadicCtx.dot on reduced coordinates, on unreduced ones up to 4 q^2
-    (dense.Squares keeps its squares unreduced), on negative ones and on
+    (dot reduces once, so a caller need not), on negative ones and on
     every pairing of the three, and on no pairs at all."""
     ctx = dl.PadicCtx(p, N, m, modulus) if modulus else dl.ctx_new(p, N, m)
     q, rng = ctx.q, seeded(100 * p + 10 * N + m)

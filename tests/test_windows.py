@@ -1,19 +1,17 @@
-"""Point-kit reads as windows of one split per (form, point).
+"""Point-kit reads as windows of c L^b, read by the base-p digits of b.
 
-At a point a, a factored F = prod (t - z_i)^e_i is kept as one split
-F(t, a) = R^2 c, R = prod (t - a_i)^floor(max(e_i - h, 0) / 2), with the
-squares of R formed where read.  Every read is a window of those squares
-against the cofactor c less the divided factors: with h = 2 each frame
-row, frame derivative row, dA, d2A and A, with h = 0 (c of degree at most
-n) A and ``coeffs`` of a form whose quotients are not read.  A statement
-that reads quotients of F declares it (``reads_quotients``) before its first
-read, so that A comes off the h = 2 split its quotients need and F has no
-second split; the declaration changes what is built, never a report.
-These tests check every read against synthetic division of the full
-expansion (``oracle_quotient_coeffs``), and count what the pointwise
-statements do: no division, no inversion in a frame derivative, one h = 2
-split per (form, point) read for quotients and no longer expansion, while
-ratio and det read A off h = 0 splits only.
+At a point a, a read of a factored F = prod (t - z_i)^e_i, or of its
+quotient by one or two factors, is c L^b with L = prod (t - a_i) over the
+factors left, b their least multiplicity rounded down to a multiple of p
+and c the short cofactor.  A window of L^b past the base rule is read off
+B = L^r sum_(j < N) C(b1, j) D^j X^(N - 1 - j) and a window of
+L'^(b1 - N + 1) at the next twist (``hasse_witt.DenseCache``); below it
+L^b is expanded.  These tests check every read against synthetic division
+of the full expansion (``oracle_quotient_coeffs``), with the base rule
+lowered so that small forms recurse, plant two faults in the digit terms
+that a window must show, and count what the pointwise statements do: no
+division, no inversion in a frame derivative and no expansion of a power of
+L past the base rule; moving the rule changes cost, never a report.
 """
 
 import inspect
@@ -24,12 +22,14 @@ from functools import cache
 import pytest
 
 import dworklab as dl
-from dworklab import dense, limits
+from dworklab import dense, hasse_witt, limits
 from dworklab.cli import run
 from dworklab.errors import NotDivisible
 from dworklab.hasse_witt import (
+    EXPAND_DEGREE,
     DenseCache,
     PointKit,
+    _coeffs_at,
     hw_derivative_at,
     hw_indices,
 )
@@ -38,6 +38,7 @@ from dworklab.padic import PadicCtx
 from conftest import seeded
 from oracles import (
     coeff_mul,
+    expanded_past_the_base_rule,
     oracle_expand_roots,
     oracle_power,
     oracle_quotient_coeffs,
@@ -69,21 +70,22 @@ def _forms(ctx, rng):
 
 
 @pytest.mark.parametrize("g", [1, 2])
-def test_a_split_keeps_only_the_squares_its_windows_read(g):
-    """A(4, Phi_4) at p = 7 reads g^2 coefficients of R^2 c, R of degree
-    d = 600 n: the memo holds at most g^2 len(c) squares, not 2d + 1."""
+def test_a_deep_read_expands_no_power_past_the_base_rule(g):
+    """A(4, Phi_4) at p = 7 (L^1200, of degree 3600 or 6000) reads its g^2
+    coefficients over two digit levels, equal to the direct expansion's,
+    and expands no power of L past the base rule."""
     ctx = dl.ctx_new(7, 2, 1)
     cfg = dl.KZConfig(ctx, g)
     F, rng = dl.master_polynomial(cfg, 4), seeded(g)
     a = tuple(rand(ctx, rng) for _ in range(cfg.n))
     cache = DenseCache()
     indices = hw_indices(7, 4, cfg.delta)
-    assert cache.quotient_coeffs(F, a, indices) == sum(
-        dl.hw_matrix_at(4, F, cfg.delta, a), [])
-    ((squares, _, _),) = cache._splits.values()
-    (c,) = cache._cofactor.values()
-    assert squares.d == 600 * cfg.n
-    assert 0 < len(squares.S) <= g * g * len(c) < 2 * squares.d + 1
+    off, full = F.dense_t(a)
+    assert cache.quotient_coeffs(F, a, indices) == _coeffs_at(
+        ctx, off, full, indices)
+    assert len(cache._digit_terms) == 2
+    assert expanded_past_the_base_rule(cache) == []
+    assert max(map(len, cache._powers.values())) <= EXPAND_DEGREE + 1
 
 
 def _outcome(read):
@@ -140,7 +142,6 @@ def test_window_reads_match_division_of_the_full_expansion(p, N, m):
                             for r in range(len(delta))]
 
                 for twist in range(3):
-                    kit.reads_quotients(F, twist)
                     assert kit.A(level, F, twist) == rows(oracle([], idx, twist))
                     for v in range(1, n + 1):
                         ev = mults.get(v, 0)
@@ -158,12 +159,103 @@ def test_window_reads_match_division_of_the_full_expansion(p, N, m):
                             oracle([u, v], idx, 0, factor))
 
 
+def _digit_forms(p, N):
+    """Factored forms over n = 3 with unequal multiplicities whose least
+    multiplicity b, and b - 1 and b - 2 for the divided reads, fall on both
+    sides of the base rule b // p < N once EXPAND_DEGREE is 0: below it
+    (b // p < N - 1 included), just past it, and two digit levels deep.
+    Factor 1 has multiplicity 1 in the first form, so that a divided read
+    empties it."""
+    out = [[(1, 1), (2, p * N + 1), (3, p * N + 4)]]
+    for b in (1, p * N - 1, p * N + 2, p * p * N + 2 * p + 1):
+        out.append([(1, b + 2), (2, b), (3, b + 3)])
+    return out
+
+
+def _points_with_zero(ctx, rng):
+    """A random point (not Teichmueller), and one with a zero coordinate."""
+    a = tuple(rand(ctx, rng) for _ in range(3))
+    return [a, (a[0], ctx.zero(), a[2])]
+
+
+def _digit_reads(ctx, rng):
+    """(read, want) pairs: every coefficient of each form of
+    ``_digit_forms`` and of its quotients by one and two factors, read
+    through a fresh kit and by synthetic division of the full expansion."""
+    p, N, m = ctx.p, ctx.N, ctx.m
+    args = p, N, m, ctx.modulus
+    for mults in _digit_forms(p, N):
+        F = LaurentPoly.from_factors(ctx, 3, mults)
+        mult = dict(F.factored)
+        spots = list(range(-1, sum(mult.values()) + 2))
+        for a in _points_with_zero(ctx, rng):
+            full = oracle_expand_roots(a, mult, *args)
+            kit = PointKit(ctx, (1,), a)
+            for divided in ([], [1], [2], [1, 3], [3, 3]):
+                yield (lambda: kit.quotient_coeffs(F, a, spots, divided),
+                       oracle_quotient_coeffs(full, a, mult, divided, spots,
+                                              *args))
+
+
+DIGIT_CONTEXTS = [(3, 2, 1), (5, 3, 1), (3, 3, 2), (5, 2, 2), (3, 2, 3)]
+
+
+@pytest.mark.parametrize("p,N,m", DIGIT_CONTEXTS)
+def test_digit_recursion_reads_match_the_full_expansion(p, N, m,
+                                                       monkeypatch):
+    """With the base rule lowered to b // p < N, every read of forms with
+    unequal multiplicities, at a random point and at one with a zero
+    coordinate, equals synthetic division of the full expansion, on both
+    sides of the rule and two digit levels deep."""
+    monkeypatch.setattr(hasse_witt, "EXPAND_DEGREE", 0)
+    ctx = dl.ctx_new(p, N, m)
+    digits = []
+    original = DenseCache._digits
+
+    def counted(cache, ctx, roots):
+        digits.append(roots)
+        return original(cache, ctx, roots)
+
+    monkeypatch.setattr(DenseCache, "_digits", counted)
+    for read, want in _digit_reads(ctx, seeded(300 + 10 * p + m)):
+        assert read() == want
+    assert digits  # the recursion ran
+
+
+def _offset_D(ctx, Lp, ys):
+    """frobenius_terms with p^(N - 1) added to the constant of L^p, so of
+    D = L^p - L'(t^p) = p E."""
+    Lp = [ctx.add(Lp[0], ctx.from_int(ctx.p ** (ctx.N - 1)))] + Lp[1:]
+    return FROBENIUS_TERMS(ctx, Lp, ys)
+
+
+def _no_last_term(ctx, Lp, ys):
+    """frobenius_terms without the term j = N - 1, D^(N - 1)."""
+    width, size, terms = FROBENIUS_TERMS(ctx, Lp, ys)
+    return width, size, terms[:-1] + [[0] * len(terms[-1])]
+
+
+FROBENIUS_TERMS = dense.frobenius_terms
+
+
+@pytest.mark.parametrize("fault", [_offset_D, _no_last_term])
+@pytest.mark.parametrize("p,N,m", DIGIT_CONTEXTS)
+def test_a_planted_digit_fault_changes_a_window(p, N, m, fault, monkeypatch):
+    """D = p E off by p^(N - 1) in one coefficient, or the last term of the
+    truncation dropped, changes some read.  (E off by p^(N - 1) would be
+    D off by p^N = 0: the digit terms need E only mod p^(N - 1).)"""
+    monkeypatch.setattr(hasse_witt, "EXPAND_DEGREE", 0)
+    monkeypatch.setattr(dense, "frobenius_terms", fault)
+    ctx = dl.ctx_new(p, N, m)
+    assert any(read() != want for read, want in _digit_reads(
+        ctx, seeded(300 + 10 * p + m)))
+
+
 # ---------------------------------------------------------------------------
 # what the pointwise statements do, counted
 
 
-KIT_READS = ("reads_quotients", "A", "coeffs", "dA", "d2A", "frame",
-             "frame_derivative")
+KIT_READS = ("A", "coeffs", "dA", "d2A", "frame", "frame_derivative")
 QUOTIENT_READS = {"dA", "d2A", "frame", "frame_derivative"}
 
 
@@ -225,6 +317,16 @@ class _Counts:
         return {key: names for key, names in self.reads.items()
                 if QUOTIENT_READS & set(names)}
 
+    def check_expansions(self):
+        """No kit expands a power of L past the base rule or keeps a
+        factored form's expansion, and every ``dense_from_roots`` output is
+        a linear product or a cofactor: e - b < p + 2 per factor."""
+        for kit in self.kits:
+            assert expanded_past_the_base_rule(kit) == []
+            assert not kit._store
+        kit = self.kits[0]
+        assert max(self.expansions) <= (kit.ctx.p + 1) * kit.n + 1
+
 
 def _kz(p, N, g, m):
     ctx = dl.ctx_new(p, N, m)
@@ -233,8 +335,8 @@ def _kz(p, N, g, m):
 
 @cache
 def _quotient_statements():
-    """name -> (run, h = 2 splits per kit) of the statements that read
-    quotients, at small configurations."""
+    """name -> run of the statements that read quotients, at small
+    configurations."""
     ctx, cfg = _kz(5, 4, 2, 2)
     (pt,) = dl.sample_domain_points(5, 2, 2, 1, 8, ctx)
     points = [pt.lift]
@@ -242,54 +344,38 @@ def _quotient_statements():
     ctx1, cfg1 = _kz(5, 4, 1, 2)
     lim = limits.nth_domain_point(5, 1, 2, 0, 0, ctx1)
     return {
-        "coS": (lambda: dl.verify_solution_congruence(cfg, 2, points), 2),
-        "residual": (lambda: dl.kz_residual(cfg, 2, points=points), 1),
-        "der": (lambda: dl.verify_derivative_congruence(
-            tup, 2, m=1, v=2, points=points), 2),
-        "der2": (lambda: dl.verify_second_derivative_congruence(
-            tup, 2, u=1, v=2, points=points), 2),
-        "der2-diagonal": (lambda: dl.verify_second_derivative_congruence(
-            tup, 2, u=3, v=3, points=points), 2),
-        "limit": (lambda: limits.limit_report(cfg1, lim, 3), 3),
-        "rank-frame": (lambda: limits._frame(cfg1, 1, PointKit(
-            ctx1, cfg1.delta, lim.lift)), 1),
+        "coS": lambda: dl.verify_solution_congruence(cfg, 2, points),
+        "residual": lambda: dl.kz_residual(cfg, 2, points=points),
+        "der": lambda: dl.verify_derivative_congruence(
+            tup, 2, m=1, v=2, points=points),
+        "der2": lambda: dl.verify_second_derivative_congruence(
+            tup, 2, u=1, v=2, points=points),
+        "der2-diagonal": lambda: dl.verify_second_derivative_congruence(
+            tup, 2, u=3, v=3, points=points),
+        "limit": lambda: limits.limit_report(cfg1, lim, 3),
+        "rank-frame": lambda: limits._frame(cfg1, 1, PointKit(
+            ctx1, cfg1.delta, lim.lift)),
     }
 
 
 @pytest.mark.parametrize("name", ["coS", "residual", "der", "der2",
                                   "der2-diagonal", "limit", "rank-frame"])
-def test_quotient_statements_expand_one_base_and_divide_nothing(
+def test_quotient_statements_divide_nothing_past_the_base_rule(
         name, monkeypatch):
-    """Each statement that reads quotients declares a form to its kit
-    before any other read of that form, so A comes off the form's one
-    h = 2 split, and the form has no h = 0 split and no expansion besides.
-    No ``dense_from_roots`` output is longer than a cofactor (degree at most
-    3n) but the splits' R themselves; the statement runs no synthetic
-    division, and its frame derivatives invert nothing."""
-    run, splits = _quotient_statements()[name]
+    """Each statement that reads quotients runs no synthetic division, its
+    frame derivatives invert nothing, and no kit expands a power of L past
+    the base rule: every other expansion is a linear product or a
+    cofactor."""
     counts = _Counts(monkeypatch)
-    run()
+    _quotient_statements()[name]()
     assert counts.divisions == 0
     assert counts.inversions == 0
-    quotient_forms = counts.quotient_forms()
-    assert quotient_forms
-    for key, names in quotient_forms.items():
-        assert names[0] == "reads_quotients", (name, key, names)
-    lengths = []
-    for kit in counts.kits:
-        assert [h for _, h in kit._splits].count(2) == splits
-        assert len(kit._divided) == splits
-        for key in kit._divided:
-            assert (key, 2) in kit._splits, name
-            assert (key, 0) not in kit._splits and key not in kit._store
-        lengths += [squares.d + 1 for squares, _, _ in kit._splits.values()]
-    cofactor = 3 * counts.kits[0].n + 1
-    assert sorted(n for n in counts.expansions if n > cofactor) == sorted(
-        n for n in lengths if n > cofactor)
+    assert counts.quotient_forms()
+    counts.check_expansions()
 
 
 @pytest.mark.parametrize("theorem", ["ratio", "det"])
-def test_ratio_and_det_read_A_off_the_half_split(theorem, monkeypatch):
+def test_ratio_and_det_read_A_within_the_base_rule(theorem, monkeypatch):
     ctx, cfg = _kz(5, 4, 2, 2)
     (pt,) = dl.sample_domain_points(5, 2, 2, 1, 8, ctx)
     verify = {"ratio": dl.verify_dwork_ratio,
@@ -298,9 +384,9 @@ def test_ratio_and_det_read_A_off_the_half_split(theorem, monkeypatch):
     assert verify(dl.kz_tuple(cfg), 3, points=[pt.lift]).passed
     assert counts.kits and counts.divisions == 0
     assert counts.quotient_forms() == {}
-    for kit in counts.kits:
-        assert kit._splits and {h for _, h in kit._splits} == {0}
-        assert not kit._divided and not kit._store
+    counts.check_expansions()
+    assert all(any(memo is not None for _, _, memo in kit._windows.values())
+               for kit in counts.kits)  # A(4, W_3) recursed
 
 
 QUOTIENT_COMMANDS = [
@@ -316,10 +402,10 @@ QUOTIENT_COMMANDS = [
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("argv", QUOTIENT_COMMANDS,
                          ids=lambda a: " ".join(a.split()[:3]))
-def test_the_declaration_changes_cost_never_results(argv, m, monkeypatch):
-    """Each statement that declares the forms it reads quotients of prints
-    the same report, byte for byte, when the declaration does nothing, and
-    its A reads come off h = 0 splits built besides."""
+def test_the_base_rule_changes_cost_never_results(argv, m, monkeypatch):
+    """Each statement prints the same report, byte for byte, whether every
+    power of L is read by digits where it can be (EXPAND_DEGREE = 0) or
+    expanded outright."""
     argv = argv.split() + (["--m", str(m)] if argv.startswith("limit") else
                            ["--ext", str(m), "--points", "2", "--seed", "1"])
 
@@ -328,7 +414,8 @@ def test_the_declaration_changes_cost_never_results(argv, m, monkeypatch):
         assert run(argv, out=out) == 0
         return out.getvalue()
 
-    declared = report()
-    monkeypatch.setattr(PointKit, "reads_quotients",
-                        lambda kit, F, twist=0: F)
-    assert report() == declared
+    reports = set()
+    for limit in (0, EXPAND_DEGREE, 10**9):
+        monkeypatch.setattr(hasse_witt, "EXPAND_DEGREE", limit)
+        reports.add(report())
+    assert len(reports) == 1
