@@ -246,6 +246,7 @@ def cmd_domain_scan(args):
 def cmd_limit(args):
     _require(args.N >= args.smax + 1, "need N >= s_max + 1 precision headroom")
     ctx, cfg = _kz_family(args, args.m)
+    limits._check_s_max(ctx, args.smax)  # before the point is picked
     pt = limits.nth_domain_point(args.p, args.g, args.m, args.point,
                                  args.seed, ctx)
     report = limits.limit_report(cfg, pt, args.smax)

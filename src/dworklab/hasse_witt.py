@@ -22,6 +22,7 @@ scalars at a and its twists a^(p^k), memoized by :class:`DenseCache`).
 from __future__ import annotations
 
 from functools import reduce
+from itertools import groupby
 from math import comb
 
 from . import dense, ringmat
@@ -98,6 +99,12 @@ def hw_inverse_at(ctx, A):
     return ringmat.mat_inv_scalar(ctx, A)
 
 
+def _conjugate(ctx, xs, j):
+    """sigma^j of each element of the list xs."""
+    return xs if j % ctx.m == 0 else list(zip(*ctx.sigma(
+        dense.columns(ctx, xs), j)))
+
+
 # n b <= 300 is expanded: der_p5_m2 took 1.27x the half split's time at 0, 0.82x at 300
 EXPAND_DEGREE = 300
 
@@ -108,17 +115,16 @@ class DenseCache:
     A read of a factored F, or of its quotient by one or two factors
     (t - z_i), is c L^b: L = prod (t - a_i) over the factors left, b their
     least multiplicity rounded down to a multiple of p (F and its quotients
-    share windows of L^b), c the short cofactor.  By Dwork's (t - a)^p =
-    t^p - a^p mod p, with L' = prod (t - a_i^p) at the next twist,
-    X = L'(t^p), D = L^p - X = 0 mod p, J = N - 1 and b = r + p b1,
+    share windows of L^b), c the short cofactor.  With L' = sigma(L)
+    coefficientwise, X = L'(t^p) and D = L^p - X = 0 mod p (as sigma(c) =
+    c^p mod p), J = N - 1 and b = r + p b1,
 
         L^b = B X^(b1 - J) mod p^N,  B = L^r sum_(j <= J) C(b1, j) D^j X^(J - j),
 
-    so a window of L^b is a dot of B against a window of L'^(b1 - J), read
-    the same way, until b1 < N (the truncation drops nothing) or
-    n b <= EXPAND_DEGREE, where L^b is expanded.  The memos are per root
-    tuple, so a twisted read reuses the untwisted one's deeper levels.
-    ``get`` keeps the expansion of an unfactored F, kept alive with it.
+    so a window of L^b is a dot of B against sigma of a window of
+    L^(b1 - J) on the same roots, read the same way, until b1 < N (the
+    truncation drops nothing) or n b <= EXPAND_DEGREE, where L^b is
+    expanded.  ``get`` keeps the expansion of an unfactored F.
     """
 
     def __init__(self):
@@ -137,55 +143,66 @@ class DenseCache:
         return self._store[key]
 
     def _power(self, ctx, roots, e):
-        """L^e = L^(e // 2) L^(e - e // 2), L = prod (t - r) over roots."""
+        """L^e, L = prod (t - r) over roots: L^d L^(e - d), d the nearest
+        memoized exponent within p below e, else e // 2."""
         got = self._powers.get((ctx, roots, e))
         if got is None:
+            d = next((d for d in range(e - 1, max(e - ctx.p, 0), -1)
+                      if (ctx, roots, d) in self._powers), e // 2)
             got = self._powers[ctx, roots, e] = dense.dense_mul(
-                ctx, self._power(ctx, roots, e // 2),
-                self._power(ctx, roots, e - e // 2)) if e > 1 else \
+                ctx, self._power(ctx, roots, d),
+                self._power(ctx, roots, e - d)) if e > 1 else \
                 dense.dense_from_roots(ctx, [(r, e) for r in roots])
         return got
 
     def _digits(self, ctx, roots):
-        """The roots twisted, and the terms D^j X^(J - j), j <= J, packed."""
+        """The terms D^j X^(J - j), j <= J, packed, of L' = sigma(L)."""
         got = self._digit_terms.get((ctx, roots))
         if got is None:
-            twisted = tuple(ctx.frob(r) for r in roots)
-            got = self._digit_terms[ctx, roots] = twisted, \
-                dense.frobenius_terms(ctx, self._power(ctx, roots, ctx.p), [
-                    self._power(ctx, twisted, k) for k in range(ctx.N)])
+            got = self._digit_terms[ctx, roots] = dense.frobenius_terms(
+                ctx, self._power(ctx, roots, ctx.p), [_conjugate(
+                    ctx, self._power(ctx, roots, k), 1) for k in range(ctx.N)])
         return got
 
     def _window(self, ctx, roots, b, spans):
         """Per [lo, hi) in spans, 0 <= lo <= hi <= n b + 1, the columns of
         [t^k] L^b, lo <= k < hi: slices of L^b if expanded, else (B, the
-        twisted roots, the coefficients read so far)."""
+        coefficients read so far), read by runs of consecutive k."""
         p, key = ctx.p, (ctx, roots, b)
         got = self._windows.get(key)
         if got is None:
             if b // p < ctx.N or len(roots) * b <= EXPAND_DEGREE:
-                got = dense.columns(ctx, self._power(ctx, roots, b)), None, None
+                got = dense.columns(ctx, self._power(ctx, roots, b)), None
             else:
-                twisted, terms = self._digits(ctx, roots)
-                B = dense.combine_terms(ctx, [comb(b // p, j) % ctx.q
-                                              for j in range(ctx.N)], terms)
+                ks = [comb(b // p, j) % ctx.q for j in range(ctx.N)]
+                B = dense.combine_terms(ctx, ks, self._digits(ctx, roots))
                 if b % p:
                     B = dense.columns(ctx, dense.dense_mul(
                         ctx, self._power(ctx, roots, b % p),
                         B[0] if ctx.m == 1 else list(zip(*B))))
-                got = B, twisted, {}
+                got = B, {}
             self._windows[key] = got
-        B, twisted, memo = got
+        B, memo = got
         if memo is None:
             return [[x[lo:hi] for x in B] for lo, hi in spans]
         b1, top = b // p - ctx.N + 1, len(B[0]) - 1
-        todo = sorted({k for lo, hi in spans for k in range(lo, hi)} - memo.keys())
-        inner = [(max(0, -((top - k) // p)), min(k // p, len(roots) * b1) + 1)
-                 for k in todo]
-        for k, (i, j), w in zip(todo, inner, self._window(
-                ctx, twisted, b1, inner) if todo else ()):
-            memo[k] = ctx.dot_columns(  # B_(k - p (j - 1)) .. B_(k - p i)
-                [x[k - p * j + p:k - p * i + 1:p] for x in B], [y[::-1] for y in w])
+        n1 = len(roots) * b1
+        todo = enumerate(sorted({k for lo, hi in spans for k in range(lo, hi)}
+                                - memo.keys()))
+        runs = [(run[0][1], run[-1][1] + 1) for run in (
+            list(g) for _, g in groupby(todo, lambda ik: ik[1] - ik[0]))]
+        # [t^k] L^b reads [t^i] .. [t^(j - 1)] of L'^b1, i = max(0, ceil((k
+        # - top) / p)), j = min(k // p, n b1) + 1: one window per run
+        reads = [(max(0, -((top - lo) // p)), min((hi - 1) // p, n1) + 1)
+                 for lo, hi in runs]
+        for (lo, hi), (i0, J), w in zip(runs, reads, self._window(
+                ctx, roots, b1, reads) if runs else ()):
+            w = [y[::-1] for y in ctx.sigma(w)]  # w[J - j:J - i]: t^(j - 1)..
+            for k in range(lo, hi):
+                i, j = max(i0, -((top - k) // p)), min(k // p, n1) + 1
+                memo[k] = ctx.dot_columns(  # B_(k - p (j - 1)) .. B_(k - p i)
+                    [x[k - p * j + p:k - p * i + 1:p] for x in B],
+                    [y[J - j:J - i] for y in w])
         return [dense.columns(ctx, [memo[k] for k in range(lo, hi)])
                 for lo, hi in spans]
 
@@ -199,7 +216,7 @@ class DenseCache:
         ctx = F.ctx
         if scale % ctx.q == 0:
             return [ctx.zero()] * len(indices)
-        key = ctx, F.factored, tuple(a), tuple(divided)
+        key = ctx, F.factored, tuple(a), tuple(sorted(divided))
         read = self._reads.get(key)
         if read is None:
             mult = dict(F.factored)
@@ -365,10 +382,12 @@ class PointKit(DenseCache, _Kit):
     """The verifiers' matrices at one point a, as scalars over Z/p^N.
 
     The kit is the memo of its point: A, its z-derivatives and the frames at
-    a and at the twists a^(p^k) share windows and cofactors, and it keeps
-    the inverses of the point's coordinate differences (``diff_inverse``).  ``unit`` raises when a determinant is not a unit at
-    the point, so clearing by it keeps every valuation.  A missing point,
-    or a coordinate neither an int nor an m-tuple, is refused.
+    a and at the twists a^(p^k) share windows and cofactors (one root tuple
+    at a point fixed by sigma^m, ``_twisted``), and it keeps the inverses of
+    the point's coordinate differences (``diff_inverse``).  ``unit`` raises
+    when a determinant is not a unit at the point, so clearing by it keeps
+    every valuation.  A missing point, or a coordinate neither an int nor an
+    m-tuple, is refused.
     """
 
     def __init__(self, ctx, delta, a, index=0):
@@ -391,23 +410,32 @@ class PointKit(DenseCache, _Kit):
                                           for x in self.point(k - 1))
         return got
 
+    def _twisted(self, F, twist, read):
+        """The rows read(a^(p^twist)): sigma^twist of read(a) for a factored F
+        (integer coefficients) at a point where a^(p^m) = a."""
+        a = self.point(0)
+        if twist and F.factored is not None and self.point(self.ctx.m) == a:
+            return [_conjugate(self.ctx, row, twist) for row in read(a)]
+        return read(self.point(twist))
+
     def A(self, level, F, twist=0):
         """A(level, F) at the twisted point."""
-        a, delta = self.point(twist), self.delta
         if F.factored is None:
-            return hw_from_dense(self.ctx, level, *self.get(F, a), delta)
-        return _rows(self.quotient_coeffs(
-            F, a, hw_indices(self.ctx.p, level, delta)), len(delta))
+            return hw_from_dense(self.ctx, level, *self.get(
+                F, self.point(twist)), self.delta)
+        return self._twisted(F, twist, lambda a: _rows(self.quotient_coeffs(
+            F, a, hw_indices(self.ctx.p, level, self.delta)), len(self.delta)))
 
     def coeffs(self, F, indices, twist=0):
         """The coefficients at the t-exponents of F at the twisted point."""
         if F.factored is None:
             return _coeffs_at(self.ctx, *self.dense_W(F, twist), indices)
-        return self.quotient_coeffs(F, self.point(twist), indices)
+        return self._twisted(F, twist, lambda a: [
+            self.quotient_coeffs(F, a, indices)])[0]
 
     def dA(self, level, F, v, twist=0):
-        return hw_derivative_at(level, F, self.delta, self.point(twist), v,
-                                self)
+        return self._twisted(F, twist, lambda a: hw_derivative_at(
+            level, F, self.delta, a, v, self))
 
     def d2A(self, level, F, u, v):
         return hw_second_derivative_at(level, F, self.delta, self.point(0),

@@ -8,14 +8,16 @@ to the basis ``1, x, ..., x**(m-1)`` of ``(Z/p^N)[x]/(modulus)``) when
 lexicographically smallest irreducible polynomial over F_p, so contexts are
 reproducible without external tables.
 
-Contexts and elements are immutable; every operation is a pure function, so
-values can be shared freely between concurrent workers.
+Contexts (but for the memo of sigma, filled once per j) and elements are
+immutable; every operation is a pure function, so values can be shared.
 """
 
 from __future__ import annotations
 
+from functools import partial, reduce
+from itertools import accumulate
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     InvalidParameter,
@@ -135,7 +137,7 @@ class PadicCtx:
         fold: fold_steps of the context, the reduction of x^m .. x^(2m-2).
     """
 
-    __slots__ = ("p", "N", "m", "modulus", "q", "fold")
+    __slots__ = ("p", "N", "m", "modulus", "q", "fold", "_sigma")
 
     def __init__(self, p, N, m, modulus):
         self.p = p
@@ -144,6 +146,7 @@ class PadicCtx:
         self.modulus = tuple(modulus)
         self.q = p**N
         self.fold = fold_steps(self)
+        self._sigma = {}  # j -> sigma^j, formed on first use
 
     # -- identity ----------------------------------------------------------
 
@@ -253,8 +256,36 @@ class PadicCtx:
         return power(self.mul, a, e) if e else self.one()
 
     def frob(self, a, k=1):
-        """Frobenius on points: a -> a**(p**k), never a coefficient map."""
+        """Frobenius on points: a -> a**(p**k).  At a Teichmueller element
+        (a^(p^m) = a, zero included) it is sigma^k(a), ``sigma`` being the
+        coefficient map."""
         return self.pow(a, self.p**k)
+
+    def sigma(self, cols, j=1):
+        """sigma^j of elements given by their m plain-int columns, sigma the
+        Frobenius automorphism of Z_q (it fixes Z/p^N, lifts y -> y^p mod p,
+        sigma^m = id): sum c_i x^i -> sum c_i y^i, y = sigma^j(x)."""
+        j %= self.m
+        if not j:
+            return cols
+        rows = self._sigma.get(j)
+        if rows is None:  # rows[u][i]: coordinate u of y^i
+            rows = self._sigma[j] = list(zip(*accumulate(
+                [self._frobenius_x(j)] * (self.m - 1), self.mul,
+                initial=self.one())))
+        q = self.q
+        return [[v % q for v in reduce(partial(map, add), [
+            [c * v for v in col] for c, col in zip(row, cols) if c])]
+            for row in rows]
+
+    def _frobenius_x(self, j):
+        """sigma^j(x) = sum p^k w_k^(p^j), w_k the Teichmueller digits of x."""
+        p, x, y = self.p, self.from_coeffs([0, 1]), self.zero()
+        for k in range(self.N):
+            w = self.teichmueller(x)
+            y = self.add(y, self.scal_int(self.frob(w, j), p**k))
+            x = self.from_coeffs([(c - d) // p for c, d in zip(x, w)])
+        return y
 
     # -- valuation and units -------------------------------------------------
 

@@ -19,6 +19,7 @@ from dworklab import hasse_witt
 from dworklab.hasse_witt import SymbolicKit
 from dworklab.kz import master_polynomial
 from dworklab.laurent import LaurentPoly
+from dworklab.padic import PadicCtx
 
 
 # x^2 + x + 2 is irreducible over F_3 and F_5; ctx_new picks moduli with no
@@ -434,6 +435,50 @@ def oracle_teichmueller(ctx, a):
     return x
 
 
+def oracle_frobenius_x(ctx):
+    """sigma(x) as the root of the modulus f that is x^p mod p, by N
+    Newton steps y <- y - f(y) u with u = f'(x^p)^-1 mod p, found by a
+    search over F_(p^m): each step gains at least one p-adic digit.  The
+    library forms sigma(x) from the Teichmueller digits of x instead."""
+    p, N, m, f = ctx.p, ctx.N, ctx.m, ctx.modulus
+    args, q = (p, N, m, f), p**N
+
+    def const(c):
+        return (c % q,) + (0,) * (m - 1)
+
+    def ev(poly, y):  # Horner, high coefficient first
+        acc = const(0)
+        for c in reversed(poly):
+            acc = coeff_add(coeff_mul(acc, y, *args), const(c), p, N, m)
+        return acc
+
+    x = (0, 1) + (0,) * (m - 2)
+    y = oracle_power(x, p, *args)
+    df = ev([i * c for i, c in enumerate(f)][1:], y)
+    u = next(z for z in itertools.product(range(p), repeat=m)
+             if all((c - (k == 0)) % p == 0 for k, c in
+                    enumerate(coeff_mul(df, z, *args))))
+    for _ in range(N):
+        y = coeff_add(y, coeff_neg(coeff_mul(ev(f, y), u, *args), p, N, m),
+                      p, N, m)
+    return y
+
+
+def oracle_sigma(ctx, y, j=1):
+    """sigma^j(y) for an element y of ctx, m >= 2: y = sum c_i x^i maps to
+    sum c_i sigma(x)^i, j times, by oracle products."""
+    p, N, m, f = ctx.p, ctx.N, ctx.m, ctx.modulus
+    sx = oracle_frobenius_x(ctx)
+    for _ in range(j):
+        acc, power = (0,) * m, (1,) + (0,) * (m - 1)
+        for c in y:
+            acc = coeff_add(acc, coeff_mul((c,) + (0,) * (m - 1), power,
+                                           p, N, m, f), p, N, m)
+            power = coeff_mul(power, sx, p, N, m, f)
+        y = acc
+    return y
+
+
 def rand(ctx, rng):
     """A uniform element of ctx."""
     if ctx.m == 1:
@@ -471,3 +516,19 @@ def expanded_past_the_base_rule(cache):
     return [(roots, e) for ctx, roots, e in cache._powers
             if e // ctx.p >= ctx.N
             and len(roots) * e > hasse_witt.EXPAND_DEGREE]
+
+
+# Planted faults of sigma, installed as PadicCtx._frobenius_x: sigma the
+# identity, and sigma^j(x) off by p^(N - 1).
+FROBENIUS_X = PadicCtx._frobenius_x
+
+
+def identity_x(ctx, j):
+    return ctx.from_coeffs([0, 1])
+
+
+def x_off_by_p_to_the_N_minus_1(ctx, j):
+    return ctx.add(FROBENIUS_X(ctx, j), ctx.from_int(ctx.p ** (ctx.N - 1)))
+
+
+SIGMA_FAULTS = [identity_x, x_off_by_p_to_the_N_minus_1]

@@ -449,6 +449,9 @@ def test_pointwise_reads_are_pinned(argv, digest):
      "449e52c0e4d7c8da2e9bd296eb28196768a25e40426b6a220dd33c3ac7b904f4"),
     ("limit --p 11 --N 6 --g 1 --m 1 --point 0 --smax 5",
      "e0d0649b39f419d030fe1d671518fca551931edcbc6edefed3764b62cc06fba3"),
+    ("congruence --theorem ratio --p 7 --N 5 --s 3 --g 2 --points 8 --ext 3"
+     " --seed 1",
+     "b396a3795c9509acfcc53fe2e450d240f1d5542450ec0391637cb502f532ddfc"),
 ])
 def test_quotient_reads_are_pinned(argv, digest):
     """The whole report of statements that read quotients, byte for byte,
@@ -456,7 +459,9 @@ def test_quotient_reads_are_pinned(argv, digest):
     at p = 7, level 4, residual and der2 at m = 3, and the deep limits at
     p = 7 to level 7 and p = 11 to level 5, whose reads recurse over
     several base-p digits.  Every digest predates the digit reads, so each
-    checks them against the reads they replaced."""
+    checks them against the reads they replaced.  The ratio at m = 3,
+    recorded before twisted reads became sigma-conjugates, reads sigma and
+    sigma^2 of windows whose digit levels are memoized by earlier reads."""
     out = io.StringIO()
     assert run(argv.split(), out=out) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
@@ -697,6 +702,17 @@ def test_oversized_scans_exit_2_at_once(argv, capsys):
     assert code == 2 and docs == []
     assert "TooLarge" in capsys.readouterr().err
     assert time.perf_counter() - start < 2
+
+
+def test_limit_checks_smax_before_it_picks_a_point(capsys):
+    """--smax 1 is refused before ``nth_domain_point`` walks the domain:
+    picking point 100000 at (13, 2, 3) alone takes about 17 s."""
+    start = time.perf_counter()
+    code, docs = invoke("limit --p 13 --N 3 --g 2 --m 3 --point 100000 "
+                        "--smax 1".split())
+    assert code == 2 and docs == []
+    assert "s_max must be >= 2, got 1" in capsys.readouterr().err
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,15 +4,17 @@ import pytest
 
 import dworklab as dl
 from dworklab.errors import NotAUnit, NotPrime, OddPrimeRequired
-from dworklab.padic import is_prime
+from dworklab.padic import PadicCtx, is_prime
 from conftest import seeded
 from oracles import (
     M1_MODULUS,
     M3_FULL_TAIL,
     M4_FULL_TAIL,
+    SIGMA_FAULTS,
     coeff_add,
     coeff_mul,
     embed,
+    oracle_sigma,
     oracle_teichmueller,
     oracle_tuple_mul,
     poly_divides,
@@ -317,6 +319,65 @@ def test_frobenius_is_exponentiation():
         x = rand(ctx, rng)
         assert ctx.frob(x, 1) == ctx.pow(x, 3)
         assert ctx.frob(x, 2) == ctx.pow(ctx.pow(x, 3), 3)
+
+
+def sigma_of(ctx, xs, j=1):
+    """PadicCtx.sigma on a list of elements, through their columns."""
+    cols = ctx.sigma([list(c) for c in zip(*map(ctx.coeffs, xs))], j)
+    return [ctx.from_coeffs(c) for c in zip(*cols)]
+
+
+def broken_sigma_laws(ctx, rng):
+    """The names of the laws of the Frobenius automorphism that
+    PadicCtx.sigma breaks at ctx, on random elements: a ring map (sums,
+    products, ``dot``), sigma^j the j-th iterate with sigma^m = id, fixing
+    Z/p^N, sigma(w) = w^p for Teichmueller elements w, and sigma, sigma^2
+    equal to the Newton oracle's."""
+    m, q = ctx.m, ctx.q
+    xs = [rand(ctx, rng) for _ in range(8)]
+    ys = [rand(ctx, rng) for _ in range(8)]
+    sx, sy = sigma_of(ctx, xs), sigma_of(ctx, ys)
+    ws = [ctx.teichmueller(x) for x in xs]
+    ints = [ctx.from_int(rng.randrange(q)) for _ in range(4)]
+    iterates = [xs]
+    for _ in range(m):
+        iterates.append(sigma_of(ctx, iterates[-1]))
+    laws = {
+        "sum": sigma_of(ctx, list(map(ctx.add, xs, ys))) == list(
+            map(ctx.add, sx, sy)),
+        "product": sigma_of(ctx, list(map(ctx.mul, xs, ys))) == list(
+            map(ctx.mul, sx, sy)),
+        "dot": sigma_of(ctx, [ctx.dot(xs, ys)]) == [ctx.dot(sx, sy)],
+        "iterates": all(sigma_of(ctx, xs, j) == it
+                        for j, it in enumerate(iterates)),
+        "order m": iterates[m] == xs and sigma_of(ctx, xs, m) == xs,
+        "fixes Z/p^N": sigma_of(ctx, ints) == ints,
+        "Teichmueller": sigma_of(ctx, ws) == [ctx.frob(w) for w in ws],
+        "oracle": m == 1 or all(
+            sigma_of(ctx, xs[:3], j) == [oracle_sigma(ctx, x, j)
+                                         for x in xs[:3]] for j in (1, 2)),
+    }
+    return sorted(name for name, holds in laws.items() if not holds)
+
+
+@pytest.mark.parametrize("p,N,m", [(5, 4, 1), (3, 6, 2), (5, 5, 2),
+                                   (5, 7, 2), (3, 6, 3), (7, 4, 3),
+                                   (7, 4, 4), (3, 8, 5)])
+def test_sigma_is_the_frobenius_automorphism(p, N, m):
+    """sigma from the Teichmueller digits of x keeps every law, and equals
+    the root of the modulus that Newton steps find from x^p."""
+    ctx = dl.ctx_new(p, N, m)
+    assert broken_sigma_laws(ctx, seeded(40 + 10 * p + m)) == []
+
+
+@pytest.mark.parametrize("fault", SIGMA_FAULTS)
+@pytest.mark.parametrize("p,N,m", [(5, 5, 2), (3, 6, 3)])
+def test_a_planted_sigma_fault_breaks_a_law(p, N, m, fault, monkeypatch):
+    """sigma(x) = x (sigma the identity) or sigma(x) off by p^(N - 1)
+    breaks a law that ``broken_sigma_laws`` checks."""
+    monkeypatch.setattr(PadicCtx, "_frobenius_x", fault)
+    ctx = dl.ctx_new(p, N, m)
+    assert broken_sigma_laws(ctx, seeded(40 + 10 * p + m))
 
 
 def test_embed_and_reduce():

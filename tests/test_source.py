@@ -3,7 +3,8 @@ the runtime imports only the standard library and its own modules; no
 module imports a name it does not use; every function and class has a
 caller or an export; the x^m fold is defined once, in ``padic``, and only
 named functions, the kept m = 2 closed forms among them, read a context's
-modulus; only ``padic.power`` walks the bits of an exponent; ``src/``
+modulus; the coefficient Frobenius sigma is formed and applied only in
+``padic``; only ``padic.power`` walks the bits of an exponent; ``src/``
 stays within its line budget, counted as ``perfbench/run.py`` counts
 ``src_lines``.  One check does import: the CLI, in a fresh interpreter, to
 see which modules its start-up loads."""
@@ -115,6 +116,28 @@ def test_the_fold_is_stated_once():
                 readers.setdefault(path.name, set()).add(node.name)
     assert folds == {"padic.py"}
     assert readers == MODULUS_READERS
+
+
+SIGMA_STATE = {"_sigma", "_frobenius_x"}
+
+
+def test_sigma_is_stated_once():
+    """PadicCtx.sigma is the one coefficient Frobenius: ``padic`` alone
+    defines a ``sigma`` or ``_frobenius_x`` and touches the rows of sigma^j
+    or sigma(x) (``SIGMA_STATE``), so every other module applies sigma
+    through ``ctx.sigma`` and forms no Frobenius of its own."""
+    defined, holders = set(), {}
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if node.name in {"sigma", "_frobenius_x"}:
+                defined.add((path.name, node.name))
+            if any(isinstance(n, ast.Attribute) and n.attr in SIGMA_STATE
+                   for n in ast.walk(node)):
+                holders.setdefault(path.name, set()).add(node.name)
+    assert defined == {("padic.py", "sigma"), ("padic.py", "_frobenius_x")}
+    assert holders == {"padic.py": {"__init__", "sigma"}}
 
 
 def _walks_bits(node):

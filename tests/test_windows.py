@@ -37,8 +37,10 @@ from dworklab.laurent import LaurentPoly
 from dworklab.padic import PadicCtx
 from conftest import seeded
 from oracles import (
+    SIGMA_FAULTS,
     coeff_mul,
     expanded_past_the_base_rule,
+    identity_x,
     oracle_expand_roots,
     oracle_power,
     oracle_quotient_coeffs,
@@ -72,8 +74,9 @@ def _forms(ctx, rng):
 @pytest.mark.parametrize("g", [1, 2])
 def test_a_deep_read_expands_no_power_past_the_base_rule(g):
     """A(4, Phi_4) at p = 7 (L^1200, of degree 3600 or 6000) reads its g^2
-    coefficients over two digit levels, equal to the direct expansion's,
-    and expands no power of L past the base rule."""
+    coefficients over two digit levels of the point's one root tuple (the
+    next level reads sigma(L), so no twisted roots), equal to the direct
+    expansion's, and expands no power of L past the base rule."""
     ctx = dl.ctx_new(7, 2, 1)
     cfg = dl.KZConfig(ctx, g)
     F, rng = dl.master_polynomial(cfg, 4), seeded(g)
@@ -83,7 +86,8 @@ def test_a_deep_read_expands_no_power_past_the_base_rule(g):
     off, full = F.dense_t(a)
     assert cache.quotient_coeffs(F, a, indices) == _coeffs_at(
         ctx, off, full, indices)
-    assert len(cache._digit_terms) == 2
+    assert [roots for _, roots in cache._digit_terms] == [a]
+    assert sum(memo is not None for _, memo in cache._windows.values()) == 2
     assert expanded_past_the_base_rule(cache) == []
     assert max(map(len, cache._powers.values())) <= EXPAND_DEGREE + 1
 
@@ -385,7 +389,7 @@ def test_ratio_and_det_read_A_within_the_base_rule(theorem, monkeypatch):
     assert counts.kits and counts.divisions == 0
     assert counts.quotient_forms() == {}
     counts.check_expansions()
-    assert all(any(memo is not None for _, _, memo in kit._windows.values())
+    assert all(any(memo is not None for _, memo in kit._windows.values())
                for kit in counts.kits)  # A(4, W_3) recursed
 
 
@@ -419,3 +423,119 @@ def test_the_base_rule_changes_cost_never_results(argv, m, monkeypatch):
         monkeypatch.setattr(hasse_witt, "EXPAND_DEGREE", limit)
         reports.add(report())
     assert len(reports) == 1
+
+
+def test_a_divided_set_is_one_read_in_either_order(monkeypatch):
+    """A frame derivative reads F/((t - z_i)(t - z_k)) as (i, k) and as
+    (k, i), one quotient whatever the order, so both share one memo entry:
+    one coS point at (5, 5, 3, 2) over F_25 holds 42 reads, where keys in
+    the order of the divided set held 62."""
+    counts = _Counts(monkeypatch)
+    argv = "kz-verify --check coS --p 5 --N 5 --g 2 --s 3 --points 1 --ext 2"
+    assert run(argv.split(), out=io.StringIO()) == 0
+    (kit,) = counts.kits
+    assert len(kit._reads) == 42
+
+
+# ---------------------------------------------------------------------------
+# twisted reads at a Teichmueller point: sigma-conjugates of the point's own
+
+
+TWIST_CONTEXTS = [(5, 3, 2), (3, 3, 2), (3, 2, 3)]
+
+
+def _twisted_reads(ctx, rng):
+    """Every A and dA at levels 1 and 2 and every coefficient, at twists
+    0..m + 1, of the forms of ``_forms`` and ``_digit_forms`` at a
+    Teichmueller point, each form through a fresh kit; and the kits."""
+    p, N, m = ctx.p, ctx.N, ctx.m
+    forms = _forms(ctx, rng) + [(LaurentPoly.from_factors(ctx, 3, mults),
+                                 (1, 2)) for mults in _digit_forms(p, N)]
+    reads, kits = [], []
+    for F, delta in forms:
+        a = tuple(ctx.teichmueller(rand(ctx, rng)) for _ in range(F.n))
+        kit = PointKit(ctx, delta, a)
+        kits.append(kit)
+        spots = list(range(-1, sum(e for _, e in F.factored) + 2))
+        for twist in range(m + 2):
+            reads.append(kit.coeffs(F, spots, twist))
+            for level in (1, 2):
+                reads.append(kit.A(level, F, twist))
+                reads += [kit.dA(level, F, v, twist)
+                          for v in range(1, F.n + 1)]
+    return reads, kits
+
+
+def _forced_reads(ctx, seed, monkeypatch):
+    """``_twisted_reads`` with every twist read at the twisted point
+    a^(p^j), as at a point that sigma^m does not fix."""
+    with monkeypatch.context() as patch:
+        patch.setattr(PointKit, "_twisted",
+                      lambda kit, F, twist, read: read(kit.point(twist)))
+        return _twisted_reads(ctx, seeded(seed))[0]
+
+
+@pytest.mark.parametrize("p,N,m", TWIST_CONTEXTS)
+def test_twisted_reads_at_a_teichmueller_point_are_sigma_conjugates(
+        p, N, m, monkeypatch):
+    """With the base rule lowered, so that the digit levels recurse, every
+    twisted read at a Teichmueller point equals the read at the twisted
+    point a^(p^j), and every read and digit level of a kit is keyed by the
+    point's own root tuple."""
+    monkeypatch.setattr(hasse_witt, "EXPAND_DEGREE", 0)
+    ctx, seed = dl.ctx_new(p, N, m), 500 + 10 * p + m
+    reads, kits = _twisted_reads(ctx, seeded(seed))
+    assert reads == _forced_reads(ctx, seed, monkeypatch)
+    for kit in kits:
+        coordinates = set(kit.point(0))
+        assert {key[2] for key in kit._reads} == {kit.point(0)}
+        assert all(set(roots) <= coordinates for _, roots, _ in kit._windows)
+    assert any(kit._digit_terms for kit in kits)  # the recursion ran
+
+
+@pytest.mark.parametrize("fault", SIGMA_FAULTS)
+@pytest.mark.parametrize("p,N,m", TWIST_CONTEXTS[:2])
+def test_a_planted_sigma_fault_changes_a_twisted_read(p, N, m, fault,
+                                                      monkeypatch):
+    """sigma the identity, or sigma(x) off by p^(N - 1), changes some
+    twisted read at m = 2 against the read at the twisted point, with the
+    digit levels expanded (sigma read only by the twists) and recursing."""
+    monkeypatch.setattr(PadicCtx, "_frobenius_x", fault)
+    ctx, seed = dl.ctx_new(p, N, m), 500 + 10 * p + m
+    for limit in (EXPAND_DEGREE, 0):
+        monkeypatch.setattr(hasse_witt, "EXPAND_DEGREE", limit)
+        reads = _twisted_reads(ctx, seeded(seed))[0]
+        assert reads != _forced_reads(ctx, seed, monkeypatch)
+
+
+def _limit_report():
+    out = io.StringIO()
+    run("limit --p 5 --N 5 --g 1 --m 2 --point 3 --smax 4".split(), out=out)
+    return out.getvalue()
+
+
+def test_limit_at_m2_reads_twists_as_sigma_conjugates(monkeypatch):
+    """The limit report at m = 2, whose ratios read A(s - 1, Phi_(s - 1))
+    at the twist, is the same byte for byte when the twist is read at the
+    twisted point, and sigma the identity changes it (sigma(x) off by
+    p^(N - 1) is below the valuations it shows)."""
+    want = _limit_report()
+    with monkeypatch.context() as patch:
+        patch.setattr(PointKit, "_twisted",
+                      lambda kit, F, twist, read: read(kit.point(twist)))
+        assert _limit_report() == want
+    monkeypatch.setattr(PadicCtx, "_frobenius_x", identity_x)
+    assert _limit_report() != want
+
+
+def test_a_point_off_the_teichmueller_lifts_reads_its_twist():
+    """At a point that sigma^m does not fix, twisted reads go through the
+    twisted point: its root tuple is memoized next to the point's."""
+    ctx = dl.ctx_new(5, 3, 2)
+    cfg = dl.KZConfig(ctx, 2)
+    kit = PointKit(ctx, cfg.delta, tuple(rand(ctx, seeded(7))
+                                         for _ in range(cfg.n)))
+    assert kit.point(2) != kit.point(0)
+    F = dl.master_polynomial(cfg, 2)
+    assert kit.A(2, F, 1) == PointKit(ctx, cfg.delta, kit.point(1)).A(2, F)
+    assert {key[2] for key in kit._reads} == {kit.point(1)}
