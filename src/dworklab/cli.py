@@ -244,7 +244,6 @@ def cmd_domain_scan(args):
 
 
 def cmd_limit(args):
-    _require(args.N >= args.smax + 1, "need N >= s_max + 1 precision headroom")
     ctx, cfg = _kz_family(args, args.m)
     limits._check_s_max(ctx, args.smax)  # before the point is picked
     pt = limits.nth_domain_point(args.p, args.g, args.m, args.point,
@@ -351,16 +350,28 @@ COMMANDS = {
 }
 
 
+class _FlagsOnFirstParse(argparse._SubParsersAction):
+    """The subcommands' action, which adds a subcommand's flags the first
+    time it is parsed: every add_argument builds a HelpFormatter, and a run
+    parses one subcommand of eight."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sp = self.choices[values[0]]  # a valid name: argparse checked it
+        if len(sp._actions) == 1:  # -h alone: the flags are not added yet
+            for flag, kwargs in COMMANDS[values[0]][2].items():
+                sp.add_argument(flag, **kwargs)
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="dworklab",
         description="exact p-adic congruence verification toolkit",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        for flag, kwargs in flags.items():
-            sp.add_argument(flag, **kwargs)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            action=_FlagsOnFirstParse)
+    for name, (_, help_text, _) in COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return ap
 
 

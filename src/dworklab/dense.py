@@ -15,6 +15,8 @@ the whole convolution.  Results are bit-identical on every path.
 - Above NTT_CUTOFF: ``decimal`` numbers packed in base 10^d through a
   zero-padded string join, which libmpdec multiplies by a number-theoretic
   transform.  ``Decimal(int)`` would be quadratic, so ints never cross over.
+  ``decimal`` is imported by the first such product, not at start-up:
+  most runs make none.
 
 A square (``a is b``) is packed once and multiplied by itself.  For m >= 2 the
 reduction modulo the defining polynomial is folded into the packed columns
@@ -33,7 +35,6 @@ packed once and summed with binomial weights by ``combine_terms``.
 
 from __future__ import annotations
 
-import decimal
 import struct
 from functools import partial, reduce
 from itertools import accumulate
@@ -50,10 +51,6 @@ SCHOOL_PAIRS = 200
 # over between about 1.5k and 2.6k coefficients (q = 7^6 and 5^5); 1024 gave
 # the best pointwise expansion throughput end to end.
 NTT_CUTOFF = 1024
-
-# Integer-exact decimal arithmetic: no rounding at any size.
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                         Emin=decimal.MIN_EMIN)
 
 
 def _pack_bytes(coeffs, width):
@@ -82,7 +79,9 @@ def _unpack_bytes(x, width, count, q):
 
 
 def _pack_dec(coeffs, width):
-    return decimal.Decimal((f"%0{width}d" * len(coeffs)) % tuple(reversed(coeffs)))
+    from decimal import Decimal  # loaded by _kron_mul on this path
+
+    return Decimal((f"%0{width}d" * len(coeffs)) % tuple(reversed(coeffs)))
 
 
 def _unpack_dec(x, width, count, q):
@@ -97,10 +96,8 @@ def _kron_mul(ctx, a, b):
     q, m = ctx.q, ctx.m
     short = min(len(a), len(b))
     count = len(a) + len(b) - 1
-    square = a is b
     cols_a = columns(ctx, a)
-    cols_b = cols_a if square else columns(ctx, b)
-    fold = ctx.fold
+    cols_b = cols_a if a is b else columns(ctx, b)
     # Slots of column k of the convolution sum min(k, 2m - 2 - k) + 1
     # products a_i * b_j, each at most (q - 1)^2 short.  Folding adds r
     # times column k to column i per step (i, r, k); lift[i], the least
@@ -110,34 +107,47 @@ def _kron_mul(ctx, a, b):
            for k in range(2 * m - 1)]
     lift, bound = [0] * m, cap[0]
     for i in range(m):
-        terms = [r * cap[k] for j, r, k in fold if j == i]
+        terms = [r * cap[k] for j, r, k in ctx.fold if j == i]
         lift[i] = -(sum(t for t in terms if t < 0) // q) * q
         bound = max(bound, cap[i] + lift[i] + sum(t for t in terms if t > 0))
     if short > NTT_CUTOFF:
-        pack, unpack, width = _pack_dec, _unpack_dec, len(str(bound))
+        import decimal  # here, not at start-up: see the module docstring
+
+        unpack, width = _unpack_dec, len(str(bound))
+        exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                                Emin=decimal.MIN_EMIN)  # no rounding at any size
+        with decimal.localcontext(exact):
+            prods = _packed_product(ctx, partial(_pack_dec, width=width),
+                                    cols_a, cols_b, lift, count)
     else:
-        pack, unpack, width = _pack_bytes, _unpack_bytes, (bound.bit_length() + 7) // 8
-    with decimal.localcontext(_EXACT):
-        pa = [pack(col, width) for col in cols_a]
-        pb = pa if square else [pack(col, width) for col in cols_b]
-        prods = [0] * (2 * m - 1)
-        for i in range(m):  # a square forms each cross product once, doubled
-            for j in range(i if square else 0, m):
-                if pa[i] and pb[j]:
-                    x = pa[i] * pb[j]
-                    prods[i + j] += x + x if square and j > i else x
-        for i, r, k in fold:  # reduce before unpacking
-            if prods[k]:
-                prods[i] += r * prods[k]
-        if any(lift):  # ones: 1 in each of the count slots
-            if pack is _pack_bytes:
-                ones = int.from_bytes(b"\1".ljust(width, b"\0") * count, "little")
-            else:  # (10^(width count) - 1) / (10^width - 1)
-                ones = (decimal.Decimal(1).scaleb(width * count) - 1) // (10**width - 1)
-            for i, x in enumerate(lift):
-                prods[i] += x * ones
-    cols = [unpack(x, width, count, q) if x else [0] * count for x in prods[:m]]
+        unpack, width = _unpack_bytes, (bound.bit_length() + 7) // 8
+        prods = _packed_product(ctx, partial(_pack_bytes, width=width),
+                                cols_a, cols_b, lift, count)
+    cols = [unpack(x, width, count, q) if x else [0] * count for x in prods]
     return cols[0] if m == 1 else list(zip(*cols))
+
+
+def _packed_product(ctx, pack, cols_a, cols_b, lift, count):
+    """The m packed columns of the product of the columns cols_a and cols_b
+    (the same list for a square), x^m .. x^(2m - 2) folded down before
+    unpacking and column i lifted by lift[i] in each of its count slots."""
+    m, square = ctx.m, cols_a is cols_b
+    pa = [pack(col) for col in cols_a]
+    pb = pa if square else [pack(col) for col in cols_b]
+    prods = [0] * (2 * m - 1)
+    for i in range(m):  # a square forms each cross product once, doubled
+        for j in range(i if square else 0, m):
+            if pa[i] and pb[j]:
+                x = pa[i] * pb[j]
+                prods[i + j] += x + x if square and j > i else x
+    for i, r, k in ctx.fold:  # reduce before unpacking
+        if prods[k]:
+            prods[i] += r * prods[k]
+    if any(lift):
+        ones = pack([1] * count)
+        for i, x in enumerate(lift):
+            prods[i] += x * ones
+    return prods[:m]
 
 
 # Closed form: a PadicCtx.dot per coefficient took 4.2 -> 9.1 us at 5 x 5.

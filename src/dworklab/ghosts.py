@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import (
     CtxMismatch,
@@ -40,11 +40,10 @@ ENUM_CAP = 100_000
 _STAB_HARD_CAP = 10_000
 
 
-class AdmissibilityCertificate(NamedTuple):
-    ok: bool
-    complete: bool  # True when valid for all window lengths
-    checked_depth: int
-    witness: dict | None = None
+# complete: True when valid for all window lengths; witness: a dict or None.
+AdmissibilityCertificate = namedtuple(
+    "AdmissibilityCertificate", "ok complete checked_depth witness",
+    defaults=(None,))
 
 
 class AdmissibleTuple:
@@ -110,10 +109,7 @@ class AdmissibleTuple:
         return got
 
 
-class GhostSeq(NamedTuple):
-    tup: AdmissibleTuple
-    V: list
-    min_vals: list
+GhostSeq = namedtuple("GhostSeq", "tup V min_vals")
 
 
 def ghost_sequence(tup, l):

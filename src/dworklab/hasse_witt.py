@@ -105,7 +105,10 @@ def _conjugate(ctx, xs, j):
         dense.columns(ctx, xs), j)))
 
 
-# n b <= 300 is expanded: der_p5_m2 took 1.27x the half split's time at 0, 0.82x at 300
+# n b <= 300 is expanded: der_p5_m2 took 1.27x the half split's time at 0, 0.82x at 300.
+# Re-measured at m = 2 on ratio_p5_ext2 (median ms per run in process, two
+# runs of 32): 47.0, 49.5 at 300; 47.2, 49.7 at 600; 49.2, 47.8 at 1000;
+# 51.2, 60.1 at 100; 53.9, 78.2 at 0; 102.5, 101.4 at 1600 (L^310 expanded).
 EXPAND_DEGREE = 300
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import dense
 from .errors import (
@@ -53,11 +53,9 @@ PAIR_CAP = 60_000_000
 PACK_BOX_RATIO = 3
 
 
-class TBox(NamedTuple):
-    """Bounding box of the t-support; the exact Newton polytope for r = 1."""
-
-    lo: tuple
-    hi: tuple
+# Bounding box of the t-support (tuples lo, hi); the exact Newton polytope
+# for r = 1.
+TBox = namedtuple("TBox", "lo hi")
 
 
 class LaurentPoly:

@@ -24,9 +24,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import namedtuple
 from functools import partial, reduce
 from operator import add, mul
-from typing import NamedTuple
 
 from . import ringmat
 from .errors import ConfigError, InvalidParameter, OutsideDomain, TooLarge
@@ -69,18 +69,10 @@ class DomainPoint:
         }
 
 
-class ScanResult(NamedTuple):
-    p: int
-    g: int
-    m: int
-    mode: str
-    total: int
-    in_d_count: int
-    in_do_count: int
-    degree_bound: int
-    nonempty_bound: int | None
-    points: list
-    seed: int | None
+class ScanResult(namedtuple("ScanResult", "p g m mode total in_d_count "
+                            "in_do_count degree_bound nonempty_bound points "
+                            "seed")):
+    __slots__ = ()
 
     def to_json(self, residue_ctx):
         return {
@@ -349,12 +341,16 @@ def scan_domain(p, g, m, k=None, seed=None, keep_points=True):
                       points, seed)
 
 
-def lift_point(point, ctx):
-    """Attach Teichmueller lifts in the working context."""
-    lifts = tuple(ctx.teichmueller(ctx.from_coeffs(
-        u if isinstance(u, tuple) else (u,))) for u in point.residues)
-    return DomainPoint(point.residues, lifts, point.in_D, point.in_D_o,
-                       point.index)
+def lift_point(point, ctx, lifted=None):
+    """Attach Teichmueller lifts in the working context; lifted, a dict
+    from residue to lift, is read and filled in if given."""
+    lifted = {} if lifted is None else lifted
+    for u in point.residues:
+        if u not in lifted:
+            lifted[u] = ctx.teichmueller(ctx.from_coeffs(
+                u if isinstance(u, tuple) else (u,)))
+    return DomainPoint(point.residues, tuple(map(lifted.get, point.residues)),
+                       point.in_D, point.in_D_o, point.index)
 
 
 def _require_nonempty(member):
@@ -395,8 +391,10 @@ def _sampled_points(p, g, m, count, seed):
 
 def sample_domain_points(p, g, m, count, seed, ctx):
     """Reproducibly sample lifted points of the o-domain: domain points
-    with pairwise distinct residues."""
-    return [lift_point(pt, ctx)
+    with pairwise distinct residues.  Each distinct residue is lifted once
+    per call."""
+    lifted = {}
+    return [lift_point(pt, ctx, lifted)
             for pt in _sampled_points(p, g, m, count, seed)]
 
 
@@ -429,12 +427,9 @@ def nth_domain_point(p, g, m, k, seed, ctx):
 # limit iteration
 
 
-class Certificate(NamedTuple):
-    name: str
-    passed: bool
-    threshold: int
-    observed: int
-    details: dict
+class Certificate(namedtuple("Certificate",
+                             "name passed threshold observed details")):
+    __slots__ = ()
 
     def to_json(self):
         return self._asdict()
@@ -601,12 +596,9 @@ def rank_check(cfg, point, M):
     return Certificate("rank-g-minor", passed, 0, 0 if passed else v, details)
 
 
-class LimitReport(NamedTuple):
-    cfg: KZConfig
-    point: DomainPoint
-    s_max: int
-    frag: dict
-    certificates: list
+class LimitReport(namedtuple("LimitReport",
+                             "cfg point s_max frag certificates")):
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -279,11 +279,15 @@ class PadicCtx:
             for row in rows]
 
     def _frobenius_x(self, j):
-        """sigma^j(x) = sum p^k w_k^(p^j), w_k the Teichmueller digits of x."""
+        """sigma^j(x): for j >= 2, sigma of sigma^(j-1)(x), one linear map;
+        sigma(x) = sum p^k w_k^p, w_k the Teichmueller digits of x."""
         p, x, y = self.p, self.from_coeffs([0, 1]), self.zero()
+        if j > 1:
+            prev = self.sigma([[c] for c in x], j - 1)
+            return tuple(c for (c,) in self.sigma(prev))
         for k in range(self.N):
             w = self.teichmueller(x)
-            y = self.add(y, self.scal_int(self.frob(w, j), p**k))
+            y = self.add(y, self.scal_int(self.frob(w), p**k))
             x = self.from_coeffs([(c - d) // p for c, d in zip(x, w)])
         return y
 

@@ -13,23 +13,16 @@ mod p.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from functools import reduce
-from typing import Callable, NamedTuple
 
 from .errors import SingularModP
 from .laurent import LaurentPoly
 
 
-class Ring(NamedTuple):
-    add: Callable
-    sub: Callable
-    mul: Callable
-    neg: Callable
-    zero: object
-    one: object
-    dot: Callable  # dot(xs, ys): sum x y over paired elements, reduced once
-    val: Callable
-    scal: Callable  # scal(k, a): a times the plain int k
+# The ring operations, zero and one: dot(xs, ys) is sum x y over paired
+# elements, reduced once; scal(k, a) is a times the plain int k.
+Ring = namedtuple("Ring", "add sub mul neg zero one dot val scal")
 
 
 def scalar_ring(ctx):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import inspect
 import io
@@ -576,6 +577,57 @@ def test_parser_defaults(capsys):
                 parser.parse_args([name] + words[:k] + words[k + 2:])
             assert exc.value.code == 2, (name, words[k])
     capsys.readouterr()
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_a_subcommand_gets_its_flags_when_first_parsed():
+    """build_parser registers every subcommand but adds no subcommand flag:
+    each add_argument builds a HelpFormatter, and a run parses one
+    subcommand.  Its first parse adds its flags in table order; a later
+    parse adds none."""
+    parser = cli.build_parser()
+    subs = _subcommands(parser)
+    assert list(subs) == list(cli.COMMANDS)
+    assert all([a.dest for a in sp._actions] == ["help"]
+               for sp in subs.values())
+    argv = ["limit"] + REQUIRED_ONLY["limit"].split()
+    for _ in range(2):
+        parser.parse_args(argv)
+        assert {name for name, sp in subs.items() if sp._actions[1:]} == {
+            "limit"}
+        assert [a.option_strings[0] for a in subs["limit"]._actions[1:]] == (
+            list(cli.COMMANDS["limit"][2]))
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_each_subcommand_helps_and_requires_on_a_fresh_parser(
+        name, capsys, monkeypatch):
+    """On a parser that has not parsed the subcommand yet, ``--help`` lists
+    every flag and exits 0, and a missing required flag exits 2."""
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert run([name, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: dworklab {name} [-h]")
+    assert all(flag in out for flag in cli.COMMANDS[name][2])
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert run([name]) == 2
+    err = capsys.readouterr().err
+    assert "error: the following arguments are required: --p" in err
+
+
+def test_limit_states_the_precision_check_once(capsys):
+    """N < s_max + 1 is refused by one check, ``limits._check_s_max``, with
+    one message."""
+    code, docs = invoke("limit --p 5 --N 3 --g 1 --m 1 --point 0 "
+                        "--smax 3".split())
+    assert code == 2 and docs == []
+    assert capsys.readouterr().err == (
+        "configuration error: precision must satisfy N >= s_max + 1\n")
 
 
 LIMIT_3_1_2 = ["limit", "--p", "3", "--N", "4", "--g", "1", "--m", "2",

@@ -17,6 +17,9 @@ their packed sum, are checked against oracle expansions.
 """
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +140,26 @@ def test_fold_lift_covers_an_empty_column(monkeypatch, p, N, m, modulus, ntt):
         want = oracle_dense_mul(a, b, p, N, m, ctx.modulus)
         assert dense.dense_mul(ctx, a, b) == want
         assert dense.dense_mul(ctx, b, list(a)) == want
+
+
+def test_the_first_ntt_product_imports_decimal():
+    """``decimal`` is not loaded with ``dense``; an NTT-sized product in a
+    fresh interpreter loads it and equals the bytes-packed product."""
+    src = Path(dense.__file__).resolve().parents[1]
+    probe = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+from dworklab import dense, padic
+assert "decimal" not in sys.modules
+ctx = padic.ctx_new(5, 5, 2)
+a = [(7 * i % ctx.q, i * i % ctx.q) for i in range(dense.NTT_CUTOFF + 1)]
+b = a[::-1] + a[:9]
+got = [dense.dense_mul(ctx, a, a), dense.dense_mul(ctx, a, b)]
+assert "decimal" in sys.modules
+dense.NTT_CUTOFF = len(b)
+assert got == [dense.dense_mul(ctx, a, a), dense.dense_mul(ctx, a, b)]
+"""
+    subprocess.run([sys.executable, "-I", "-c", probe], check=True)
 
 
 @pytest.mark.parametrize("p,N,m", [(7, 6, 1), (5, 5, 2), (3, 3, 3)])

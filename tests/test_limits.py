@@ -28,6 +28,24 @@ def test_scan_exhaustive_counts():
     assert nonempty_bound(3, 1, 2) == (728 // 8) * 7 + 1
 
 
+@pytest.mark.parametrize("p,g,m,N", [(5, 2, 2, 5), (7, 1, 1, 4)])
+def test_sampling_lifts_each_distinct_residue_once(monkeypatch, p, g, m, N):
+    """sample_domain_points lifts each distinct residue once per call, and
+    every point's lifts are the per-coordinate Teichmueller lifts."""
+    ctx = dl.ctx_new(p, N, m)
+    calls = []
+    real = dl.PadicCtx.teichmueller
+    monkeypatch.setattr(dl.PadicCtx, "teichmueller",
+                        lambda c, a: calls.append(a) or real(c, a))
+    points = limits.sample_domain_points(p, g, m, 20, 3, ctx)
+    residues = [u for pt in points for u in pt.residues]
+    assert len(calls) == len(set(residues)) < len(residues)
+    monkeypatch.undo()
+    for pt in points:
+        assert pt.lift == tuple(ctx.teichmueller(ctx.from_coeffs(
+            u if isinstance(u, tuple) else (u,))) for u in pt.residues)
+
+
 def _count_evaluations(monkeypatch):
     """Record the codes of every multiset handed to a det A(1, Phi_1)
     evaluation in limits."""

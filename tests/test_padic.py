@@ -380,6 +380,24 @@ def test_a_planted_sigma_fault_breaks_a_law(p, N, m, fault, monkeypatch):
     assert broken_sigma_laws(ctx, seeded(40 + 10 * p + m))
 
 
+@pytest.mark.parametrize("p,N,m", [(3, 6, 3), (7, 4, 4), (3, 8, 5)])
+def test_sigma_powers_read_the_digits_of_x_once(monkeypatch, p, N, m):
+    """sigma^j(x) for j >= 2 is sigma of sigma^(j - 1)(x), one linear map:
+    forming every sigma^j, the highest first, takes the N Teichmueller
+    lifts of the digits of x once."""
+    calls = []
+    real = PadicCtx.teichmueller
+    monkeypatch.setattr(PadicCtx, "teichmueller",
+                        lambda ctx, a: calls.append(a) or real(ctx, a))
+    ctx = dl.ctx_new(p, N, m)
+    x = (0, 1) + (0,) * (m - 2)
+    powers = [ctx.sigma([[c] for c in x], j) for j in reversed(range(1, m))]
+    assert len(calls) == N
+    monkeypatch.undo()
+    want = [[[c] for c in oracle_sigma(ctx, x, j)] for j in range(1, m)]
+    assert powers[::-1] == want
+
+
 def test_embed_and_reduce():
     lo = dl.ctx_new(3, 1, 2)
     hi = dl.ctx_new(3, 4, 2)

@@ -169,8 +169,11 @@ def test_src_lines_stay_within_the_budget():
 def test_importing_the_cli_loads_no_slow_stdlib_module():
     """Every CLI run starts a process, so start-up is paid per verdict:
     ``dataclasses`` (which pulls in ``inspect``, ``ast`` and ``dis``) and
-    ``fractions`` once took about half of it.  A module-set check, not a
-    timing."""
+    ``fractions`` once took about half of it.  ``decimal`` is imported by
+    the first product past ``dense.NTT_CUTOFF``, and the records are
+    ``collections.namedtuple``s, so ``typing`` is not loaded either; where
+    the interpreter's ``site`` hook already imports ``typing``, that half
+    guards only clean interpreters.  A module-set check, not a timing."""
     probe = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
              "before = set(sys.modules); import dworklab.cli; "
              "print(*set(sys.modules) - before)")
@@ -178,4 +181,5 @@ def test_importing_the_cli_loads_no_slow_stdlib_module():
                             capture_output=True, text=True,
                             check=True).stdout.split()
     assert "dworklab.cli" in loaded
-    assert {"dataclasses", "inspect", "fractions"}.isdisjoint(loaded)
+    assert {"dataclasses", "inspect", "fractions", "decimal",
+            "typing"}.isdisjoint(loaded)
